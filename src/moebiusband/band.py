@@ -44,6 +44,11 @@ CANONICAL_TRIANGLE = np.array([BASE_L, BASE_R, APEX])
 INCENTER = np.array([0.0, -1.0 / 3.0, 0.0])
 INRADIUS = 1.0 / 3.0
 
+# size of each (points, triangles)-shaped float64 temporary of the chunked
+# distance and coverage kernels; small enough to stay in cache and to keep
+# every chunk from faulting in fresh pages
+CHUNK_BYTES = 1 << 19
+
 # reflections (about lines through the origin) used by the flat folding:
 # _REFL_L fixes the line through (-1/sqrt(3), 1), _REFL_R its mirror image.
 _REFL_L = np.array([[-0.5, -0.5 * SQRT3], [-0.5 * SQRT3, 0.5]])
@@ -571,8 +576,13 @@ def surface_triangles(band: RuledBand) -> np.ndarray:
     return tris
 
 
-def points_to_triangles_distance(pts: np.ndarray, tris: np.ndarray,
-                                 chunk: int = 8192) -> np.ndarray:
+def chunk_rows(width: int) -> int:
+    """Rows per chunk so that a float64 (rows, width) temporary fits in
+    CHUNK_BYTES."""
+    return max(1, CHUNK_BYTES // (8 * max(1, width)))
+
+
+def points_to_triangles_distance(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Exact distance from each point to the nearest of the given triangles.
 
     Distance to a triangle is the plane distance when the orthogonal
@@ -604,6 +614,7 @@ def points_to_triangles_distance(pts: np.ndarray, tris: np.ndarray,
     ea_2 = np.einsum("ij,ij->i", e_a, e_a)
 
     out = np.empty(len(pts))
+    chunk = chunk_rows(len(e_v))
     for lo in range(0, len(pts), chunk):
         p = pts[lo:lo + chunk]
         p2 = np.einsum("ij,ij->i", p, p)
@@ -660,7 +671,8 @@ def redevelop(band: RuledBand, alpha: float) -> RuledBand:
     of the development via the glide map."""
     n = band.n_bends
     alpha = float(alpha) % n
-    i0 = int(math.ceil(alpha - 1e-12)) % n
+    # a cut in the wrap patch (N-1, N) gives i0 = N: every bend glides
+    i0 = int(math.ceil(alpha - 1e-12))
     frac = alpha - math.floor(alpha)
 
     def glide(fl: np.ndarray, sp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -242,12 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a band file")
     p.add_argument("--input", required=True)
-    p.add_argument("--eta", type=float, default=None)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("tpattern", help="locate the T-pattern of a band")
     p.add_argument("--input", required=True)
-    p.add_argument("--eta", type=float, default=None)
     p.set_defaults(func=_cmd_tpattern)
 
     p = sub.add_parser("verify", help="run the effective-bound verifiers")
@@ -266,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sharpness-sweep", help="Hausdorff-vs-epsilon table")
     p.add_argument("--epsilons", required=True, help="comma-separated list")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--eta", type=float, default=None)
     p.set_defaults(func=_cmd_sharpness_sweep)
 
     return parser

@@ -22,6 +22,7 @@ from moebiusband.band import (
     validate,
 )
 from moebiusband.geom import DEFAULT_TOL, StructureError, densify_polyline, hausdorff_distance
+from moebiusband.verify import prepare, verify_eff
 
 SQRT3 = math.sqrt(3.0)
 
@@ -204,6 +205,20 @@ class TestDevelopment:
             rep = validate(dev, DEFAULT_TOL)
             assert rep.passed
             assert np.allclose(dev.flat[0, 0], [0.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("band_name", ["tri", "wrinkle4"])
+    def test_redevelop_in_wrap_patch(self, band_name, request):
+        # a cut in (N-1, N) lies between the last bend and the glued bends[0]
+        band = request.getfixturevalue("tri_band" if band_name == "tri" else band_name)
+        ref = verify_eff(band, state=request.getfixturevalue(f"{band_name}_state"))
+        n = band.n_bends
+        for alpha in (n - 0.9, n - 0.5, n - 1e-6):
+            dev = redevelop(band, alpha)
+            assert validate(dev, DEFAULT_TOL).passed, alpha
+            state = prepare(dev)
+            assert state.trapezoid.t == pytest.approx(1.0 / SQRT3, abs=1e-12)
+            rep = verify_eff(dev, state=state)
+            assert abs(rep.measured["deviation"] - ref.measured["deviation"]) <= 1e-8
 
     def test_redevelop_identity(self, tri_band):
         dev = redevelop(tri_band, 0)

@@ -62,6 +62,21 @@ class TestExitCodes:
     def test_unknown_flag_exits_2(self):
         assert run("verify", "--frobnicate").returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--input", "{tri}"],
+        ["tpattern", "--input", "{tri}"],
+        ["sharpness-sweep", "--epsilons", "1e-3"],
+    ])
+    def test_inert_eta_rejected(self, tri_file, argv):
+        # only verify reads the sampling resolution
+        res = run(*[a.format(tri=tri_file) for a in argv], "--eta", "1e-3")
+        assert res.returncode == 2
+        assert "unrecognized arguments: --eta" in res.stderr
+
+    def test_verify_takes_eta(self, tri_file):
+        res = run("verify", "--input", str(tri_file), "--theorem", "eff", "--eta", "1e-3")
+        assert res.returncode == 0, res.stderr
+
     def test_missing_file_exits_2(self):
         assert run("validate", "--input", "/nonexistent/band.json").returncode == 2
 

@@ -4,10 +4,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from moebiusband.band import scale_bend, transform
+from moebiusband import band as band_mod
+from moebiusband import verify as verify_mod
+from moebiusband.band import (
+    CANONICAL_TRIANGLE,
+    points_to_triangles_distance,
+    scale_bend,
+    surface_triangles,
+    transform,
+    write_json,
+)
+from moebiusband.cli import main as cli_main
 from moebiusband.geom import RigidMotion, StructureError
 from moebiusband.verify import (
     EPS_FLOOR,
+    GRID_PITCH,
     OutOfScopeError,
     boundary_deviation,
     measured_eps,
@@ -89,6 +100,94 @@ class TestWrinkleTheorems:
         assert rep.passed
         assert rep.measured["hausdorff"] < 18.0 * math.sqrt(eps)
         assert 0.4 <= rep.measured["ratio_to_sqrt_eps"] <= 18.0
+
+
+def _dense_triangle_to_band(patches, pitch=GRID_PITCH):
+    grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, pitch)
+    return grid, float(points_to_triangles_distance(grid, patches).max())
+
+
+class TestSharedGeometry:
+    @pytest.mark.parametrize("name", ["tri", "wrinkle4"])
+    def test_exact_distances_match_dense(self, name, request):
+        band = request.getfixturevalue("tri_band" if name == "tri" else name)
+        state = request.getfixturevalue(f"{name}_state")
+        eff2 = verify_eff2(band, state=state).measured
+        cor = verify_corollary(band, state=state).measured
+        ends = state.developed.space.reshape(-1, 3)
+        endpoint_max = float(points_to_triangles_distance(ends, CANONICAL_TRIANGLE[None]).max())
+        assert eff2["containment_max"] == cor["band_to_triangle"] == endpoint_max
+        _, dense = _dense_triangle_to_band(surface_triangles(state.developed))
+        assert eff2["triangle_coverage_max"] == cor["triangle_to_band"] == dense
+
+    @pytest.mark.parametrize("perturb", ["lift", "jitter"])
+    def test_refine_path_matches_dense(self, perturb, wrinkle4_state, monkeypatch):
+        patches = surface_triangles(wrinkle4_state.developed)
+        if perturb == "lift":
+            patches = patches + np.array([0.0, 0.0, 0.01])
+        else:
+            rng = np.random.default_rng(7)
+            patches = patches + rng.normal(scale=2e-3, size=patches.shape)
+        grid, dense = _dense_triangle_to_band(patches, pitch=2e-2)
+        refined = []
+
+        def counting(pts, tris):
+            refined.append(len(pts))
+            return points_to_triangles_distance(pts, tris)
+
+        monkeypatch.setattr(verify_mod, "points_to_triangles_distance", counting)
+        # one point per refinement batch, so that a bound below the true
+        # distance would stop the refinement early
+        monkeypatch.setattr(band_mod, "CHUNK_BYTES", 8 * 3 * len(patches))
+        shared = verify_mod._max_distance_to_patches(grid, patches)
+        assert dense > 0.0
+        assert abs(shared - dense) <= 1e-12
+        assert 0 < sum(refined) < len(grid)
+
+    def _count(self, monkeypatch):
+        calls = {"triangle_to_band": 0, "kernel": 0}
+        real_grid_pass = verify_mod._max_distance_to_patches
+
+        def grid_pass(pts, patches):
+            calls["triangle_to_band"] += 1
+            return real_grid_pass(pts, patches)
+
+        def kernel(pts, tris):
+            calls["kernel"] += 1
+            return points_to_triangles_distance(pts, tris)
+
+        monkeypatch.setattr(verify_mod, "_max_distance_to_patches", grid_pass)
+        monkeypatch.setattr(verify_mod, "points_to_triangles_distance", kernel)
+        return calls
+
+    def test_verify_all_measures_once(self, tri_band, monkeypatch):
+        calls = self._count(monkeypatch)
+        assert [r.name for r in verify_all(tri_band)] == ["eff", "eff2", "corollary"]
+        assert calls["triangle_to_band"] == 1
+
+    def test_cli_measures_once_and_eff_never(self, wrinkle4, tmp_path, monkeypatch):
+        path = tmp_path / "w.json"
+        write_json(wrinkle4, path)
+        calls = self._count(monkeypatch)
+        assert cli_main(["verify", "--input", str(path)]) == 0
+        assert calls["triangle_to_band"] == 1
+        calls.update(triangle_to_band=0, kernel=0)
+        assert cli_main(["verify", "--input", str(path), "--theorem", "eff"]) == 0
+        assert calls == {"triangle_to_band": 0, "kernel": 0}
+
+    def test_chunking_is_bitwise_neutral(self, wrinkle4_state, monkeypatch):
+        patches = surface_triangles(wrinkle4_state.developed)
+        grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, 2e-2)
+        grid = grid + np.random.default_rng(3).normal(scale=1e-2, size=grid.shape)
+        kernels = (
+            lambda: points_to_triangles_distance(grid, patches),
+            lambda: verify_mod._cover_heights(grid, patches),
+            lambda: verify_mod._points_in_triangles_2d(grid[:, :2], patches),
+        )
+        wide = [k() for k in kernels]
+        monkeypatch.setattr(band_mod, "CHUNK_BYTES", 8 * 3 * len(patches) * 7)
+        for k, ref in zip(kernels, wide):
+            assert np.array_equal(k(), ref)
 
 
 class TestPoseInvariance:
