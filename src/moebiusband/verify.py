@@ -444,14 +444,19 @@ def _cover_heights(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Upper bound on each 3D point's distance to the triangles: the least
     vertical distance to a triangle whose xy-projection holds the point's,
     and inf where none does.  The slop is the exact kernel's: a point on a
-    shared edge is covered, and the bound errs by no more than the kernel."""
+    shared edge is covered, and the bound errs by no more than the kernel.
+    A triangle whose projected area is below 1e-9 of its area is too
+    steep for its barycentric s, t to be trusted and covers nothing."""
     slop = 1e-12
     z0 = tris[:, 0, 2]
-    dz_b = tris[:, 1, 2] - z0
-    dz_c = tris[:, 2, 2] - z0
+    e0 = tris[:, 1] - tris[:, 0]
+    e1 = tris[:, 2] - tris[:, 0]
+    dz_b, dz_c = e0[:, 2], e1[:, 2]
+    cross = np.cross(e0, e1)
+    flat = np.abs(cross[:, 2]) > 1e-9 * np.linalg.norm(cross, axis=1)
     out = np.empty(len(pts))
     for rows, s, t in _barycentric_2d(pts, tris):
-        inside = (s >= -slop) & (t >= -slop) & (s + t <= 1.0 + slop)
+        inside = flat[None, :] & (s >= -slop) & (t >= -slop) & (s + t <= 1.0 + slop)
         height = np.abs(z0[None, :] + s * dz_b[None, :] + t * dz_c[None, :]
                         - pts[rows, 2][:, None])
         out[rows] = np.where(inside, height, np.inf).min(axis=1)
@@ -464,22 +469,13 @@ def _max_distance_to_patches(pts: np.ndarray, patches: np.ndarray) -> float:
     Bound and refine (Taha & Hanbury, "An efficient algorithm for
     calculating the exact Hausdorff distance", IEEE TPAMI 37(11), 2015):
     the coverage pass bounds every point's distance from above, and the
-    exact kernel runs only on points whose bound exceeds the running
-    maximum, in descending bound order, until the next bound is at or
-    below it.  A point that a patch passes through has bound 0 and is
-    never refined.
+    exact kernel runs only on points whose bound is positive.  A point
+    that a patch passes through has bound 0 and is never refined.
     """
-    bound = _cover_heights(pts, patches)
-    order = np.argsort(-bound, kind="stable")
-    batch = chunk_rows(3 * len(patches))
-    best = 0.0
-    for lo in range(0, len(order), batch):
-        idx = order[lo:lo + batch]
-        idx = idx[bound[idx] > best]
-        if len(idx) == 0:
-            break
-        best = max(best, float(points_to_triangles_distance(pts[idx], patches).max()))
-    return best
+    far = _cover_heights(pts, patches) > 0.0
+    if not far.any():
+        return 0.0
+    return float(points_to_triangles_distance(pts[far], patches).max())
 
 
 def _triangle_curve_distance_2d(pts: np.ndarray, vertices: np.ndarray) -> np.ndarray:

@@ -124,7 +124,9 @@ class TestSharedGeometry:
     def test_refine_path_matches_dense(self, perturb, wrinkle4_state, monkeypatch):
         patches = surface_triangles(wrinkle4_state.developed)
         if perturb == "lift":
-            patches = patches + np.array([0.0, 0.0, 0.01])
+            # lift every other patch, so that some grid points keep bound 0
+            patches = patches.copy()
+            patches[::2, :, 2] += 0.01
         else:
             rng = np.random.default_rng(7)
             patches = patches + rng.normal(scale=2e-3, size=patches.shape)
@@ -136,13 +138,35 @@ class TestSharedGeometry:
             return points_to_triangles_distance(pts, tris)
 
         monkeypatch.setattr(verify_mod, "points_to_triangles_distance", counting)
-        # one point per refinement batch, so that a bound below the true
-        # distance would stop the refinement early
-        monkeypatch.setattr(band_mod, "CHUNK_BYTES", 8 * 3 * len(patches))
         shared = verify_mod._max_distance_to_patches(grid, patches)
         assert dense > 0.0
         assert abs(shared - dense) <= 1e-12
-        assert 0 < sum(refined) < len(grid)
+        assert len(refined) == 1 and 0 < refined[0] <= len(grid)
+        if perturb == "lift":
+            assert refined[0] < len(grid)
+
+    def test_steep_patch_bound_stays_above_distance(self):
+        # a sliver whose xy-projection is 1e-15 wide: its barycentric s, t
+        # are rounding noise, so its heights would undershoot the distance
+        a = np.array([3.0, 1.1, 0.0])
+        d = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+        b = a + 0.5 * d
+        c = a + 0.25 * d + np.array([-1e-15, 1e-15, 0.4])
+        flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        patches = np.array([[a, b, c], flat])
+        rng = np.random.default_rng(5)
+        s, t = rng.uniform(0.0, 1.0, (2, 4000))
+        keep = s + t <= 1.0
+        pts = a + s[keep, None] * (b - a) + t[keep, None] * (c - a)
+        pts[:, :2] += rng.normal(scale=1e-15, size=(len(pts), 2))
+        pts[:, 2] = rng.uniform(-0.5, 0.5, len(pts))
+        pts = np.vstack([pts, [[0.2, 0.3, 0.05], [0.5, 0.1, 0.0]]])
+        bound = verify_mod._cover_heights(pts, patches)
+        dist = points_to_triangles_distance(pts, patches)
+        assert np.all(bound >= dist - 1e-12)
+        assert np.isinf(bound[:-2]).all()
+        assert np.allclose(bound[-2:], [0.05, 0.0])
+        assert verify_mod._max_distance_to_patches(pts, patches) == dist.max()
 
     def _count(self, monkeypatch):
         calls = {"triangle_to_band": 0, "kernel": 0}
