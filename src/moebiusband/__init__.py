@@ -35,7 +35,7 @@ from .geom import (
     hausdorff_distance,
     winding_number,
 )
-from .tpattern import NoTPatternError, TPattern, find_tpattern, normalize_pose, unfold
+from .tpattern import NoTPatternError, TPattern, find_tpattern, normalize_pose
 from .verify import (
     OutOfScopeError,
     TheoremReport,

@@ -671,8 +671,11 @@ def redevelop(band: RuledBand, alpha: float) -> RuledBand:
     of the development via the glide map."""
     n = band.n_bends
     alpha = float(alpha) % n
+    # a cut within 1e-12 of a stored bend is that bend
+    if abs(alpha - round(alpha)) <= 1e-12:
+        alpha = float(round(alpha) % n)
     # a cut in the wrap patch (N-1, N) gives i0 = N: every bend glides
-    i0 = int(math.ceil(alpha - 1e-12))
+    i0 = math.ceil(alpha)
     frac = alpha - math.floor(alpha)
 
     def glide(fl: np.ndarray, sp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -682,7 +685,7 @@ def redevelop(band: RuledBand, alpha: float) -> RuledBand:
         return out, sp[::-1].copy()
 
     flats, spaces = [], []
-    if frac > 1e-12:
+    if frac > 0.0:
         lf, ls = interpolate_bend(band, alpha)
         flats.append(lf)
         spaces.append(ls)

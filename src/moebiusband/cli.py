@@ -30,7 +30,7 @@ from . import bounds
 from .band import build_triangular, build_wrinkle, read_json, validate, write_json
 from .flatmodel import SQRT3
 from .geom import DEFAULT_TOL, StructureError, ToleranceConfig
-from .tpattern import NoTPatternError, find_tpattern, normalize_pose, unfold
+from .tpattern import NoTPatternError, develop_for, find_tpattern, normalize_pose
 from .verify import (
     OutOfScopeError,
     prepare,
@@ -93,12 +93,24 @@ def _cmd_validate(args) -> int:
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
+def _validated(band, tol) -> bool:
+    """Validate the band, printing the residuals if it fails."""
+    rep = validate(band, tol)
+    if not rep.passed:
+        print(f"validation failed: ruling={rep.max_ruling_residual:.3e} "
+              f"boundary={rep.max_boundary_residual:.3e} "
+              f"violations={rep.foliation_violations}")
+    return rep.passed
+
+
 def _cmd_tpattern(args) -> int:
     tol = _tolerances(args)
     band = read_json(args.input)
+    if not _validated(band, tol):
+        return EXIT_FAIL
     tp = find_tpattern(band, tol)
     moved, tpm = normalize_pose(band, tp)
-    trap = unfold(moved, tpm)
+    trap, _ = develop_for(moved, tpm)
     print(f"tpattern {args.input}: params=({tp.param_t:.6f}, {tp.param_b:.6f}) "
           f"len_T={tp.len_t:.9f} len_B={tp.len_b:.9f}")
     print(f"  residuals: perp={tp.residual_perp:.3e} offset={tp.residual_offset:.3e} "
@@ -110,11 +122,7 @@ def _cmd_tpattern(args) -> int:
 def _cmd_verify(args) -> int:
     tol = _tolerances(args)
     band = read_json(args.input)
-    rep = validate(band, tol)
-    if not rep.passed:
-        print(f"validation failed: ruling={rep.max_ruling_residual:.3e} "
-              f"boundary={rep.max_boundary_residual:.3e} "
-              f"violations={rep.foliation_violations}")
+    if not _validated(band, tol):
         return EXIT_FAIL
     state = prepare(band, tol)
     which = args.theorem or "all"

@@ -9,10 +9,13 @@ residual pair
     F2(a, b) = (m_b - m_a) . n / |n|      (signed common-perpendicular
                                            length, n = u_a x u_b)
 
-by a coarse grid scan followed by bisection.  Both residuals flip sign
-when a bend's orientation is reversed; traversing the full foliation once
-returns to the first bend with reversed orientation, so the functions are
-evaluated on the orientation double cover of the parameter circle.
+with a at the stored bends.  Between two bends the leaf vector is affine in
+the interpolation fraction, so every zero of F1 comes in closed form from
+the signs of one matrix of dot products; the zeros whose F2 also vanishes
+are the candidates.  Both residuals flip sign when a bend's orientation is
+reversed; traversing the full foliation once returns to the first bend
+with reversed orientation, so the functions are evaluated on the
+orientation double cover of the parameter circle.
 
 Flat-folded bands are degenerate: whole sub-families of coplanar bends
 make F2 vanish identically, so zeros of the pair come in one-parameter
@@ -104,13 +107,9 @@ def _flat_at(band: RuledBand, p: float) -> np.ndarray:
     return f
 
 
-def _dir_at(band: RuledBand, p: float) -> np.ndarray:
-    s = _space_at(band, p)
-    return _unit(s[1] - s[0])
-
-
 def _perp_residual(band: RuledBand, a: float, b: float) -> float:
-    return float(_dir_at(band, a) @ _dir_at(band, b))
+    sa, sb = _space_at(band, a), _space_at(band, b)
+    return float(_unit(sa[1] - sa[0]) @ _unit(sb[1] - sb[0]))
 
 
 def _offset_residual(band: RuledBand, a: float, b: float) -> float:
@@ -125,22 +124,6 @@ def _offset_residual(band: RuledBand, a: float, b: float) -> float:
     ma = 0.5 * (sa[0] + sa[1])
     mb = 0.5 * (sb[0] + sb[1])
     return float((mb - ma) @ n / nn)
-
-
-def _bisect_perp(band: RuledBand, a: float, lo: float, hi: float) -> float:
-    f_lo = _perp_residual(band, a, lo)
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        f_mid = _perp_residual(band, a, mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
-            break
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -207,49 +190,67 @@ def _build_pose(bend_t_flat, bend_t_space, bend_b_space, p_star) -> tuple[RigidM
     return pose, ray_pose
 
 
-def find_tpattern(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> TPattern:
-    """Locate a T-pattern by grid scan plus bisection refinement.
+def _perp_roots(band: RuledBand) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every zero of F1(a, .) at a stored bend a, as arrays (a, k, b) with
+    the root b in the bracket [k, k + 1] of lifted parameters.
 
-    Zeros are ranked by decreasing B-bend length (ties by decreasing T-bend
-    length, then lexicographically by parameters); the best valid zero is
-    returned, the rest are reported as alternates.
+    The leaf vector v(f) = (1 - f) v_k + f v_{k+1} is affine in f, so
+    u_a . v(f) has the sign of F1 and its zero at f = g0 / (g0 - g1).  One
+    product of the bend directions with the lifted leaf vectors (the bends,
+    then the bends reversed) gives every sign; the scan window of each a
+    ends before the glued copy of bend 0 at 2N."""
+    n = band.n_bends
+    v = band.space[:, 1] - band.space[:, 0]
+    g = (v / np.linalg.norm(v, axis=1, keepdims=True)) @ np.concatenate([v, -v]).T
+    g0, g1 = g[:, :-1], g[:, 1:]
+    step = np.arange(2 * n - 1) - np.arange(n)[:, None]
+    window = (step >= _DIAGONAL_EXCLUSION) & (step < n - _DIAGONAL_EXCLUSION)
+    a, k = np.nonzero(window & ((g0 == 0.0) | ((g0 < 0.0) != (g1 < 0.0))))
+    d0, d1 = g0[a, k], g1[a, k]
+    # where d0 != 0 the signs of d0 and d1 differ, so d0 - d1 != 0
+    return a, k, k + np.divide(d0, d0 - d1, out=np.zeros_like(d0), where=d0 != 0.0)
+
+
+def _root_residuals(band: RuledBand, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F1 and F2 at every root (a, b), as _perp_residual and
+    _offset_residual give them one at a time."""
+    lifted = np.concatenate([band.space, band.space[:, ::-1]])
+    i = np.floor(b).astype(np.intp)
+    f = (b - i)[:, None, None]
+    sa, sb = band.space[a], (1.0 - f) * lifted[i] + f * lifted[i + 1]
+    ua, ub = sa[:, 1] - sa[:, 0], sb[:, 1] - sb[:, 0]
+    ua = ua / np.linalg.norm(ua, axis=1, keepdims=True)
+    ub = ub / np.linalg.norm(ub, axis=1, keepdims=True)
+    normal = np.cross(ua, ub)
+    nn = np.linalg.norm(normal, axis=1)
+    gap = 0.5 * (sb[:, 0] + sb[:, 1]) - 0.5 * (sa[:, 0] + sa[:, 1])
+    flat = nn < 1e-12
+    off = np.einsum("ij,ij->i", gap, normal) / np.where(flat, 1.0, nn)
+    return np.einsum("ij,ij->i", ua, ub), np.where(flat, math.inf, off)
+
+
+def find_tpattern(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> TPattern:
+    """Locate a T-pattern from the exact zeros of F1 at every stored bend.
+
+    The roots come in closed form from one sign matrix (_perp_roots); those
+    whose F1 and F2 are within tol.root_residual are classified into T/B
+    roles.  Zeros are ranked by decreasing B-bend length (ties by decreasing
+    T-bend length, then lexicographically by parameters); the best valid
+    zero is returned, the rest are reported as alternates.
     """
     report = validate(band, tol)
     if not report.passed:
         raise StructureError("band failed validation; no T-pattern search attempted")
     n = band.n_bends
-    dirs = np.array([_dir_at(band, i) for i in range(n)])
-
-    roots: list[tuple[float, float]] = []
-    best_near = math.inf
-    for a in range(n):
-        u_a = dirs[a]
-        betas = np.arange(a + _DIAGONAL_EXCLUSION, a + n - _DIAGONAL_EXCLUSION + 1)
-        idx = betas % n
-        sign = np.where(betas >= n, -1.0, 1.0)
-        # lifted parameter n is the glued copy of bend 0 (reversed), which
-        # the sign flip at betas >= n already encodes
-        f1 = sign * (dirs[idx] @ u_a)
-        for k in range(len(betas) - 1):
-            if f1[k] == 0.0 or (f1[k] < 0.0) != (f1[k + 1] < 0.0):
-                b = _bisect_perp(band, float(a), float(betas[k]), float(betas[k + 1]))
-                roots.append((float(a), b))
-
-    candidates: list[_Candidate] = []
-    for a, b in roots:
-        perp = _perp_residual(band, a, b)
-        off = _offset_residual(band, a, b)
-        best_near = min(best_near, math.hypot(perp, off))
-        if abs(perp) > tol.root_residual or abs(off) > tol.root_residual:
-            continue
-        cand = _classify_roles(band, a, b)
-        if cand is not None:
-            candidates.append(cand)
+    a, _, b = _perp_roots(band)
+    perp, off = _root_residuals(band, a, b)
+    keep = (np.abs(perp) <= tol.root_residual) & (np.abs(off) <= tol.root_residual)
+    classified = (_classify_roles(band, float(ai), float(bi)) for ai, bi in zip(a[keep], b[keep]))
+    candidates = [c for c in classified if c is not None]
 
     if not candidates:
-        raise NoTPatternError(
-            f"no T-pattern detected (minimal residual {best_near:.3e})"
-        )
+        near = np.hypot(perp, off).min(initial=math.inf)
+        raise NoTPatternError(f"no T-pattern detected (minimal residual {near:.3e})")
 
     def rank(c: _Candidate):
         return (-round(c.len_b / 1e-9), -round(c.len_t / 1e-9), c.alpha, c.beta)
@@ -355,9 +356,3 @@ def develop_for(band: RuledBand, tp: TPattern) -> tuple[FlatTrapezoid, RuledBand
     trap = FlatTrapezoid(lam=band.lam, t=t, u=u, v=v)
     trap.check_invariants(atol=1e-9)
     return trap, dev
-
-
-def unfold(band: RuledBand, tp: TPattern) -> FlatTrapezoid:
-    """The trapezoid obtained by cutting the band open along the T bend."""
-    trap, _ = develop_for(band, tp)
-    return trap

@@ -22,7 +22,7 @@ from moebiusband.band import (
     validate,
 )
 from moebiusband.geom import DEFAULT_TOL, RigidMotion, densify_polyline, hausdorff_distance
-from moebiusband.tpattern import find_tpattern, normalize_pose, unfold
+from moebiusband.tpattern import develop_for, find_tpattern, normalize_pose
 from moebiusband.verify import (
     measured_eps,
     prepare,
@@ -143,7 +143,7 @@ def test_criterion_4_triangular_band():
     tp = find_tpattern(band)
     assert abs(tp.residual_perp) < 1e-10 and abs(tp.residual_offset) < 1e-10
     moved, tpm = normalize_pose(band, tp)
-    trap = unfold(moved, tpm)
+    trap, _ = develop_for(moved, tpm)
     assert abs(trap.t - T0) <= 1e-12
 
     state = prepare(band)

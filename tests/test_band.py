@@ -220,6 +220,16 @@ class TestDevelopment:
             rep = verify_eff(dev, state=state)
             assert abs(rep.measured["deviation"] - ref.measured["deviation"]) <= 1e-8
 
+    @pytest.mark.parametrize("alpha", [5 - 1e-13, 127.9999999999999])
+    def test_redevelop_just_below_a_bend(self, alpha):
+        # a cut within 1e-12 of a stored bend is that bend, not a second
+        # leaf coincident with it
+        band = build_wrinkle(1e-3)
+        dev = redevelop(band, alpha)
+        assert dev.n_bends == band.n_bends
+        assert validate(dev, DEFAULT_TOL).passed
+        assert np.array_equal(dev.space, redevelop(band, round(alpha)).space)
+
     def test_redevelop_identity(self, tri_band):
         dev = redevelop(tri_band, 0)
         assert np.allclose(dev.flat, tri_band.flat, atol=1e-12)

@@ -57,7 +57,13 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         assert run("validate", "--input", str(bad)).returncode == 1
-        assert run("verify", "--input", str(bad)).returncode == 1
+        verify = run("verify", "--input", str(bad))
+        assert verify.returncode == 1
+        # tpattern reports the failed validation the way verify does
+        tpattern = run("tpattern", "--input", str(bad))
+        assert tpattern.returncode == 1
+        assert tpattern.stdout == verify.stdout
+        assert tpattern.stdout.startswith("validation failed: ruling=")
 
     def test_unknown_flag_exits_2(self):
         assert run("verify", "--frobnicate").returncode == 2

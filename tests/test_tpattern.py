@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from moebiusband.band import RuledBand, scale_bend, transform
+from moebiusband.band import RuledBand, redevelop, scale_bend, transform
 from moebiusband.geom import RigidMotion, StructureError
 from moebiusband.tpattern import (
     TPattern,
     _offset_residual,
     _perp_residual,
+    _perp_roots,
     develop_for,
     find_tpattern,
     normalize_pose,
     pose_residuals,
-    unfold,
 )
+from moebiusband.verify import verify_eff
 
 SQRT3 = math.sqrt(3.0)
 T0 = 1.0 / SQRT3
@@ -44,7 +45,7 @@ class TestTriangularPattern:
 
     def test_unfold_t(self, tri_band):
         tp = find_tpattern(tri_band)
-        trap = unfold(tri_band, tp)
+        trap, _ = develop_for(tri_band, tp)
         assert trap.t == pytest.approx(T0, abs=1e-12)
         # B sits at the trapezoid midline for the optimal band
         assert trap.u[0] == pytest.approx(0.5 * (trap.lam + trap.t), abs=1e-12)
@@ -57,7 +58,7 @@ class TestTriangularPattern:
         tp = find_tpattern(moved)
         normalized, tpm = normalize_pose(moved, tp)
         assert np.abs(normalized.space - tri_band.space).max() < 1e-10
-        trap = unfold(normalized, tpm)
+        trap, _ = develop_for(normalized, tpm)
         assert trap.t == pytest.approx(T0, abs=1e-12)
 
 
@@ -71,7 +72,7 @@ class TestWrinklePattern:
     def test_lip_bound_on_unfolded_t(self, wrinkle4):
         tp = find_tpattern(wrinkle4)
         moved, tpm = normalize_pose(wrinkle4, tp)
-        trap = unfold(moved, tpm)
+        trap, _ = develop_for(moved, tpm)
         eps_excess = wrinkle4.lam - SQRT3
         assert abs(trap.t - T0) < 4.0 * eps_excess / 3.0
 
@@ -104,6 +105,43 @@ class TestEquivariance:
             assert tp.param_b == pytest.approx(tp0.param_b, abs=1e-6)
             assert abs(tp.residual_perp) < 1e-8
             assert abs(tp.residual_offset) < 1e-8
+
+    @pytest.mark.parametrize("band_name", ["tri_band", "wrinkle4"])
+    def test_improper_motion_and_recut(self, band_name, request):
+        band = request.getfixturevalue(band_name)
+
+        def unfolded_t(b):
+            tp = find_tpattern(b)
+            assert abs(tp.residual_perp) < 1e-10
+            assert abs(tp.residual_offset) < 1e-10
+            trap, _ = develop_for(*normalize_pose(b, tp))
+            return trap.t
+
+        t0 = unfolded_t(band)
+        dev0 = verify_eff(band).measured["deviation"]
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            motion = RigidMotion.random(rng, scale=1.5)
+            mirror = RigidMotion(-motion.rotation, motion.translation)
+            cut = float(rng.uniform(0.0, band.n_bends))
+            for copy in (transform(band, mirror), redevelop(band, cut)):
+                assert unfolded_t(copy) == pytest.approx(t0, abs=1e-12)
+                assert verify_eff(copy).measured["deviation"] == pytest.approx(dev0, abs=1e-8)
+
+
+class TestRootQuality:
+    @pytest.mark.parametrize("band_name", ["tri_band", "wrinkle4"])
+    def test_every_root_is_exact(self, band_name, request):
+        band = request.getfixturevalue(band_name)
+        rng = np.random.default_rng(23)
+        motion = RigidMotion.random(rng, scale=1.5)
+        mirror = RigidMotion(-motion.rotation, motion.translation)
+        for copy in (band, transform(band, motion), transform(band, mirror)):
+            a, k, b = _perp_roots(copy)
+            assert len(b) > 0
+            assert np.all((k <= b) & (b <= k + 1))
+            for ai, bi in zip(a, b):
+                assert abs(_perp_residual(copy, float(ai), float(bi))) <= 1e-15
 
 
 class TestResidualOddness:
