@@ -8,7 +8,6 @@ from .band import (
     boundary_polyline,
     build_triangular,
     build_wrinkle,
-    core_curve,
     read_json,
     sample_surface,
     transform,
@@ -25,14 +24,13 @@ from .bounds import (
     sq1_margin,
     wiggle_check,
 )
-from .flatmodel import FlatBand, FlatTrapezoid, boundary_edges, make_trapezoid
+from .flatmodel import FlatTrapezoid, make_trapezoid
 from .geom import (
     DEFAULT_TOL,
     PolylineLoop,
     RigidMotion,
     StructureError,
     ToleranceConfig,
-    hausdorff_distance,
     winding_number,
 )
 from .tpattern import NoTPatternError, TPattern, find_tpattern, normalize_pose

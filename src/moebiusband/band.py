@@ -72,7 +72,6 @@ class RuledBand:
     lam: float
     flat: np.ndarray
     space: np.ndarray
-    closed: bool = True
     meta: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -534,12 +533,6 @@ def build_wrinkle(epsilon: float, config: WrinkleConfig | None = None) -> RuledB
 # ---------------------------------------------------------------------------
 
 
-def core_curve(band: RuledBand) -> PolylineLoop:
-    """Closed polyline through the space midpoints of all bends."""
-    mid = 0.5 * (band.space[:, 0] + band.space[:, 1])
-    return PolylineLoop(mid, closed=True)
-
-
 def boundary_polyline(band: RuledBand) -> PolylineLoop:
     """The image of the band boundary as a closed polyline.
 
@@ -746,7 +739,7 @@ def to_json_dict(band: RuledBand) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "lambda": out.lam,
-        "closed": bool(out.closed),
+        "closed": True,
         "bends": [
             {"flat": bf.tolist(), "space": bs.tolist()}
             for bf, bs in zip(out.flat, out.space)
@@ -764,7 +757,7 @@ def from_json_dict(data: dict) -> RuledBand:
     try:
         version = data["format_version"]
         lam = float(data["lambda"])
-        closed = bool(data.get("closed", True))
+        closed = data.get("closed", True)
         bends = data["bends"]
         flat = np.array([b["flat"] for b in bends], dtype=float)
         space = np.array([b["space"] for b in bends], dtype=float)
@@ -772,7 +765,9 @@ def from_json_dict(data: dict) -> RuledBand:
         raise StructureError(f"malformed band file: {exc}") from exc
     if version != FORMAT_VERSION:
         raise StructureError(f"unsupported format_version {version!r}")
-    return RuledBand(lam=lam, flat=flat, space=space, closed=closed)
+    if closed is not True:
+        raise StructureError(f"closed must be true, got {closed!r}")
+    return RuledBand(lam=lam, flat=flat, space=space)
 
 
 def read_json(path) -> RuledBand:

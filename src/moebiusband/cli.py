@@ -32,7 +32,9 @@ from .flatmodel import SQRT3
 from .geom import DEFAULT_TOL, StructureError, ToleranceConfig
 from .tpattern import NoTPatternError, develop_for, find_tpattern, normalize_pose
 from .verify import (
+    COVERAGE_EPS_CAP,
     OutOfScopeError,
+    measured_eps,
     prepare,
     verify_corollary,
     verify_eff,
@@ -72,8 +74,6 @@ def _cmd_build_triangular(args) -> int:
 
 
 def _cmd_build_wrinkle(args) -> int:
-    if not (0.0 < args.epsilon <= 1e-2):
-        raise StructureError("epsilon must lie in (0, 1e-2]")
     band = build_wrinkle(args.epsilon)
     write_json(band, args.output)
     meta = band.meta
@@ -120,22 +120,21 @@ def _cmd_tpattern(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    which = args.theorem or "all"
+    if args.eta is not None and which not in ("eff", "all"):
+        raise StructureError(f"--eta sets the sampling of eff only; --theorem {which} ignores it")
     tol = _tolerances(args)
     band = read_json(args.input)
     if not _validated(band, tol):
         return EXIT_FAIL
     state = prepare(band, tol)
-    which = args.theorem or "all"
     reports = []
     if which in ("eff", "all"):
         reports.append(verify_eff(band, tol, state=state))
     if which in ("eff2", "all"):
         reports.append(verify_eff2(band, tol, state=state))
-    if which in ("corollary", "all"):
-        if band.lam - SQRT3 < 1.0 / 384.0:
-            reports.append(verify_corollary(band, tol, state=state))
-        elif which == "corollary":
-            raise OutOfScopeError("out of theorem scope: eps >= 1/384")
+    if which == "corollary" or (which == "all" and measured_eps(band) < COVERAGE_EPS_CAP):
+        reports.append(verify_corollary(band, tol, state=state))
     for r in reports:
         keys = ("deviation", "containment_max", "hausdorff")
         shown = {k: f"{v:.6e}" for k, v in r.measured.items() if k in keys}
@@ -203,8 +202,11 @@ def _cmd_bounds_sweep(args) -> int:
 
 def _cmd_sharpness_sweep(args) -> int:
     tol = _tolerances(args)
-    eps_list = sorted(float(e) for e in args.epsilons.split(","))
-    if not eps_list or any(not (0.0 < e <= 1e-2) for e in eps_list):
+    try:
+        eps_list = sorted(float(e) for e in args.epsilons.split(","))
+    except ValueError as exc:
+        raise StructureError(f"epsilons must be a comma-separated list of numbers: {exc}") from exc
+    if any(not (0.0 < e <= 1e-2) for e in eps_list):
         raise StructureError("epsilons must lie in (0, 1e-2]")
     rows = []
     for eps in eps_list:

@@ -21,7 +21,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,33 +32,10 @@ T_OPT = 1.0 / SQRT3  # displacement of the optimal cut
 
 
 @dataclass(frozen=True)
-class FlatBand:
-    """The abstract flat band; aspect ratio lambda, width normalized to 1."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise StructureError("aspect ratio must be positive and finite")
-
-    def identify(self, x: float, y: float) -> tuple[float, float]:
-        """Map a point of the development back into [0, lambda) x [0, 1]."""
-        while x >= self.lam:
-            x, y = x - self.lam, 1.0 - y
-        while x < 0.0:
-            x, y = x + self.lam, 1.0 - y
-        return x, y
-
-    def boundary_length(self) -> float:
-        return 2.0 * self.lam
-
-
-@dataclass(frozen=True)
 class TrapezoidEdge:
     name: str
     start: np.ndarray
     end: np.ndarray
-    on_boundary: bool
 
     def length(self) -> float:
         return float(np.linalg.norm(self.end - self.start))
@@ -78,15 +55,11 @@ class FlatTrapezoid:
     t: float
     u: np.ndarray
     v: np.ndarray
-    w: np.ndarray = field(default=None)
-    x: np.ndarray = field(default=None)
 
     def __post_init__(self):
         lam, t = self.lam, self.t
         if not (lam > 0.0 and abs(t) < lam):
             raise StructureError("degenerate trapezoid: need |t| < lambda")
-        w = np.array([0.0, 0.0]) if self.w is None else np.asarray(self.w, float)
-        x = np.array([t, 1.0]) if self.x is None else np.asarray(self.x, float)
         u = np.asarray(self.u, dtype=float)
         v = np.asarray(self.v, dtype=float)
         if not (abs(u[1] - 1.0) < 1e-9 and abs(v[1]) < 1e-9):
@@ -95,17 +68,24 @@ class FlatTrapezoid:
             raise StructureError("u outside the top side")
         if not (-1e-9 < v[0] < lam + t + 1e-9):
             raise StructureError("v outside the bottom side")
-        for name, val in (("u", u), ("v", v), ("w", w), ("x", x)):
+        for name, val in (("u", u), ("v", v)):
             if not np.isfinite(val).all():
                 raise StructureError(f"non-finite vertex {name}")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "x", x)
-        for a in (u, v, w, x):
-            a.setflags(write=False)
+        u.setflags(write=False)
+        v.setflags(write=False)
 
-    # corner copies under the glide map g(x, y) = (x + lam, 1 - y)
+    # the cut endpoints, and their copies under the glide map
+    # g(x, y) = (x + lam, 1 - y)
+    @property
+    def w(self) -> np.ndarray:
+        return np.array([0.0, 0.0])
+
+    @property
+    def x(self) -> np.ndarray:
+        return np.array([self.t, 1.0])
+
     @property
     def x_bar(self) -> np.ndarray:
         return np.array([self.lam + self.t, 0.0])
@@ -127,12 +107,12 @@ class FlatTrapezoid:
         """Six labeled edges in the order the boundary circle of M_lambda
         traverses them (bottom chain, seam, top chain, seam)."""
         return [
-            TrapezoidEdge("D1", self.w, self.v, True),
-            TrapezoidEdge("D2", self.v, self.x_bar, True),
-            TrapezoidEdge("T2", self.x_bar, self.w_bar, False),
-            TrapezoidEdge("H1", self.x, self.u, True),
-            TrapezoidEdge("H2", self.u, self.w_bar, True),
-            TrapezoidEdge("T1", self.w, self.x, False),
+            TrapezoidEdge("D1", self.w, self.v),
+            TrapezoidEdge("D2", self.v, self.x_bar),
+            TrapezoidEdge("T2", self.x_bar, self.w_bar),
+            TrapezoidEdge("H1", self.x, self.u),
+            TrapezoidEdge("H2", self.u, self.w_bar),
+            TrapezoidEdge("T1", self.w, self.x),
         ]
 
     def edge(self, name: str) -> TrapezoidEdge:
@@ -177,17 +157,3 @@ def make_trapezoid(lam: float, t: float) -> FlatTrapezoid:
     trap = FlatTrapezoid(lam=lam, t=t, u=u, v=v)
     trap.check_invariants()
     return trap
-
-
-def boundary_edges(trap: FlatTrapezoid) -> list[TrapezoidEdge]:
-    """Cyclic six-edge description of the boundary of M_lambda.
-
-    The cut copies T1/T2 appear (they are where the development crosses the
-    glued seam) but are flagged off-boundary and contribute no length; the
-    boundary length is len(H) + len(D) = 2 * lambda.
-    """
-    return trap.edges()
-
-
-def boundary_length(trap: FlatTrapezoid) -> float:
-    return sum(e.length() for e in trap.edges() if e.on_boundary)

@@ -1,5 +1,5 @@
-"""Dimension-generic vector/segment primitives, rigid motions, Hausdorff
-distance and planar winding numbers.
+"""Dimension-generic vector/segment primitives, rigid motions and planar
+winding numbers.
 
 Everything operates on plain numpy arrays: points are length-d vectors,
 point sets are (n, d) arrays, segments are (2, d) arrays of endpoints.
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 class StructureError(ValueError):
@@ -22,14 +21,12 @@ class StructureError(ValueError):
 class ToleranceConfig:
     """Central tolerance profile shared across the library.
 
-    pose: coordinate residual for normalized poses and exact identities.
     isometry: relative length residual accepted by band validation.
     root_residual: accepted residual for numeric root finding (T-patterns).
-    sampling_eta: default resolution when densifying segments/curves;
-        distances measured on such samplings carry error bars of +-2*eta.
+    sampling_eta: sampling resolution of the boundary comparison in eff
+        (`verify --eta`).
     """
 
-    pose: float = 1e-12
     isometry: float = 1e-9
     root_residual: float = 1e-8
     sampling_eta: float = 1e-4
@@ -53,11 +50,6 @@ def _as_points(a, name="points") -> np.ndarray:
     if not np.isfinite(a).all():
         raise StructureError(f"{name} contains non-finite coordinates")
     return a
-
-
-def segment_length(seg) -> float:
-    seg = np.asarray(seg, dtype=float)
-    return float(np.linalg.norm(seg[1] - seg[0]))
 
 
 def densify_segment(a, b, eta: float) -> np.ndarray:
@@ -107,57 +99,6 @@ def points_segment_distance(pts, a, b) -> np.ndarray:
     t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
     feet = a[None, :] + t[:, None] * ab[None, :]
     return np.linalg.norm(pts - feet, axis=1)
-
-
-def segment_line_distance(seg, line_point, line_dir) -> float:
-    """Distance between a segment and an (infinite) line."""
-    seg = np.asarray(seg, dtype=float)
-    p = np.asarray(line_point, dtype=float)
-    d = np.asarray(line_dir, dtype=float)
-    if seg.shape[1] == 2:
-        seg = np.pad(seg, ((0, 0), (0, 1)))
-        p = np.append(p, 0.0)
-        d = np.append(d, 0.0)
-    nd = np.linalg.norm(d)
-    if nd == 0.0:
-        raise StructureError("line direction must be nonzero")
-    d = d / nd
-    # candidate closest points: the segment endpoints against the line,
-    # plus the interior point realizing the common perpendicular
-    candidates = []
-    for q in seg:
-        v = q - p
-        candidates.append(np.linalg.norm(v - (v @ d) * d))
-    u = seg[1] - seg[0]
-    lu = np.linalg.norm(u)
-    if lu > 0.0:
-        u = u / lu
-        if np.linalg.norm(np.cross(u, d)) > 1e-14:
-            w0 = p - seg[0]
-            b = float(u @ d)
-            s = (float(u @ w0) - b * float(d @ w0)) / (1.0 - b * b)
-            if 0.0 <= s <= lu:
-                v = seg[0] + s * u - p
-                candidates.append(np.linalg.norm(v - (v @ d) * d))
-    return float(min(candidates))
-
-
-def line_line_offset(p1, d1, p2, d2) -> float:
-    """Signed length of the common perpendicular between two 3D lines.
-
-    The sign is the sign of the triple product det[d1, d2, p2-p1]; it flips
-    when either direction is reversed.  Requires the directions to be
-    non-parallel.
-    """
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
-    n = np.cross(d1, d2)
-    nn = np.linalg.norm(n)
-    if nn < 1e-14:
-        raise StructureError("lines are parallel; offset undefined")
-    return float((p2 - p1) @ n / nn)
 
 
 def closest_line_params(p1, d1, p2, d2) -> tuple[float, float]:
@@ -249,14 +190,6 @@ class RigidMotion:
         return RigidMotion(rt, -rt @ self.translation)
 
 
-def apply_motion(motion: RigidMotion, pts) -> np.ndarray:
-    return motion.apply(pts)
-
-
-def compose_motion(a: RigidMotion, b: RigidMotion) -> RigidMotion:
-    return a.compose(b)
-
-
 def rotation_about_line(point, direction, angle: float) -> RigidMotion:
     """Rotation by `angle` about the line through `point` with `direction`."""
     p = np.asarray(point, dtype=float)
@@ -296,10 +229,6 @@ class PolylineLoop:
     def __len__(self) -> int:
         return len(self.points)
 
-    def edge_count(self) -> int:
-        n = len(self.points)
-        return n if self.closed else n - 1
-
     def length(self) -> float:
         pts = self.points
         total = float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
@@ -309,10 +238,6 @@ class PolylineLoop:
 
     def sample(self, eta: float) -> np.ndarray:
         return densify_polyline(self.points, eta, closed=self.closed)
-
-    def rotate_start(self, k: int) -> "PolylineLoop":
-        k = k % len(self.points)
-        return PolylineLoop(np.roll(self.points, -k, axis=0), self.closed)
 
 
 def winding_number(loop, point, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -341,31 +266,3 @@ def winding_number(loop, point, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     if abs(total - w) > tol.winding_residual:
         raise StructureError(f"ambiguous winding: residual {abs(total - w):.3e}")
     return int(w)
-
-
-# ---------------------------------------------------------------------------
-# Hausdorff distance
-# ---------------------------------------------------------------------------
-
-
-def directed_hausdorff(a, b) -> float:
-    """sup over a of the distance to the sample set b."""
-    a = _as_points(a, "a")
-    b = _as_points(b, "b")
-    tree = cKDTree(b)
-    d, _ = tree.query(a, k=1)
-    return float(np.max(d))
-
-
-def hausdorff_distance(a, b) -> float:
-    """Hausdorff distance between two finite sampled point sets.
-
-    Callers densify segments/curves to a documented resolution eta before
-    calling; the result then carries an error bar of +-2*eta relative to
-    the underlying continuous sets.
-    """
-    a = _as_points(a, "a")
-    b = _as_points(b, "b")
-    if a.shape[1] != b.shape[1]:
-        raise StructureError("point sets must share a dimension")
-    return max(directed_hausdorff(a, b), directed_hausdorff(b, a))

@@ -314,18 +314,6 @@ def normalize_pose(band: RuledBand, tp: TPattern) -> tuple[RuledBand, TPattern]:
     return moved, _move_pattern(tp, tp.pose)
 
 
-def pose_residuals(tp: TPattern) -> dict:
-    """Coordinate residuals of a (supposedly) normalized pattern."""
-    t_sp = tp.bend_t_space
-    b_sp = tp.bend_b_space
-    return {
-        "t_off_axis": float(np.abs(t_sp[:, 1:]).max()),
-        "t_midpoint": float(np.abs(t_sp.mean(axis=0)).max()),
-        "b_off_axis": float(np.abs(b_sp[:, [0, 2]]).max()),
-        "b_above_axis": float(max(b_sp[:, 1].max(), 0.0)),
-    }
-
-
 def develop_for(band: RuledBand, tp: TPattern) -> tuple[FlatTrapezoid, RuledBand]:
     """Cut the band open along the T bend and develop it, re-orienting the
     flat band if needed so the cut displacement t is nonnegative.

@@ -57,6 +57,7 @@ EPS_FLOOR = 1e-15
 EFF_EPS_CAP = 0.25
 COVERAGE_EPS_CAP = 1.0 / 384.0
 GRID_PITCH = 4e-3   # lattice pitch of the triangle grids of eff2 and corollary
+ETA_SURFACE = 1e-3  # sampling pitch of the projected boundary in eff2's annulus check
 
 CANONICAL_TRAPEZOID = make_trapezoid(SQRT3, T_OPT)
 
@@ -135,19 +136,8 @@ class BoundaryMap:
 
 
 # ---------------------------------------------------------------------------
-# Triangle fit and boundary deviation
+# Boundary deviation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TriangleFit:
-    """Edgewise-affine boundary correspondence from the optimal trapezoid
-    onto a developed band's trapezoid, with the canonical triangle map on
-    the source side.  The normalizing isometry has already been applied to
-    the band, so the comparison is coordinatewise."""
-
-    trapezoid: FlatTrapezoid
-    boundary: BoundaryMap
 
 
 @dataclass(frozen=True)
@@ -156,17 +146,15 @@ class BoundaryDeviation:
     istar_deviation: float    # sup |I - I*| (chordwise-affine comparison)
     i0_vs_istar: float        # sup |I0 - I* o phi|
     per_edge: dict
-    eta: float
 
 
-def make_fit(trap: FlatTrapezoid, dev: RuledBand) -> TriangleFit:
-    return TriangleFit(trapezoid=trap, boundary=BoundaryMap(dev))
-
-
-def boundary_deviation(fit: TriangleFit, eta: float = 1e-4) -> BoundaryDeviation:
+def boundary_deviation(trap: FlatTrapezoid, boundary: BoundaryMap,
+                       eta: float) -> BoundaryDeviation:
     """Sup-norm comparison of the canonical triangle boundary map with the
-    band's boundary image under the edge-to-edge affine correspondence."""
-    trap = fit.trapezoid
+    band's boundary image under the edge-to-edge affine correspondence
+    from the optimal trapezoid onto the band's trapezoid `trap`.  The
+    normalizing isometry has already been applied to the band, so the
+    comparison is coordinatewise."""
     per_edge = {}
     sup_dev = sup_istar = sup_i0_star = 0.0
     for name in _BOUNDARY_EDGES:
@@ -176,7 +164,7 @@ def boundary_deviation(fit: TriangleFit, eta: float = 1e-4) -> BoundaryDeviation
         f = np.linspace(0.0, 1.0, n + 1)
         img0_a, img0_b = _I0_EDGE_IMAGES[name]
         i0_pts = img0_a + f[:, None] * (img0_b - img0_a)
-        chain = fit.boundary.chain_for(name)
+        chain = boundary.chain_for(name)
         xs = e.start[0] + f * (e.end[0] - e.start[0])
         i_pts = chain.eval(xs)
         istar_pts = i_pts[0] + f[:, None] * (i_pts[-1] - i_pts[0])
@@ -197,7 +185,7 @@ def boundary_deviation(fit: TriangleFit, eta: float = 1e-4) -> BoundaryDeviation
         sup_dev = max(sup_dev, dev_edge)
         sup_istar = max(sup_istar, istar_edge)
         sup_i0_star = max(sup_i0_star, i0_star_edge)
-    return BoundaryDeviation(sup_dev, sup_istar, sup_i0_star, per_edge, eta)
+    return BoundaryDeviation(sup_dev, sup_istar, sup_i0_star, per_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +269,7 @@ class PipelineState:
     pattern: TPattern      # pattern in the normalized pose
     trapezoid: FlatTrapezoid
     developed: RuledBand   # developed at the T bend, cut displacement >= 0
-    fit: TriangleFit
+    boundary: BoundaryMap  # boundary image of `developed`
 
     # The two directed distances between the band and the solid canonical
     # triangle are measured once, on first use by eff2 or corollary.
@@ -306,13 +294,13 @@ def prepare(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> PipelineStat
     tp = find_tpattern(band, tol)
     moved, tpm = normalize_pose(band, tp)
     trap, dev = develop_for(moved, tpm)
-    return PipelineState(moved, tpm, trap, dev, make_fit(trap, dev))
+    return PipelineState(moved, tpm, trap, dev, BoundaryMap(dev))
 
 
 def _margin_checks(state: PipelineState, eps: float) -> tuple:
     trap = state.trapezoid
     dev = state.developed
-    bmap = state.fit.boundary
+    bmap = state.boundary
     len_t_prime = float(np.linalg.norm(dev.space[0, 1] - dev.space[0, 0]))
     u_prime = bmap.top.eval(np.array([trap.u[0]]))[0]
     v_prime = bmap.bottom.eval(np.array([trap.v[0]]))[0]
@@ -354,14 +342,13 @@ def _edge_slack_audit(dev_report: BoundaryDeviation, eps: float,
 
 
 def verify_eff(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
-               eta: float | None = None, state: PipelineState | None = None) -> TheoremReport:
+               state: PipelineState | None = None) -> TheoremReport:
     """Boundary bound: sup |I0 - psi o I o phi| < 6 sqrt(eps)."""
     if band.lam >= SQRT3 + EFF_EPS_CAP:
         raise OutOfScopeError("out of theorem scope: lambda >= sqrt(3) + 1/4")
-    eta = tol.sampling_eta if eta is None else eta
     state = prepare(band, tol) if state is None else state
     eps = measured_eps(band)
-    dev_rep = boundary_deviation(state.fit, eta=eta)
+    dev_rep = boundary_deviation(state.trapezoid, state.boundary, tol.sampling_eta)
     checks = _margin_checks(state, eps)
     bound6 = 6.0 * math.sqrt(eps)
     slack_audit = _edge_slack_audit(dev_rep, eps, tol)
@@ -383,7 +370,7 @@ def verify_eff(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
             "per_edge": dev_rep.per_edge,
             "slack_audit": slack_audit,
             "est1_gap": est1_gap,
-            "eta": eta,
+            "eta": tol.sampling_eta,
             "pattern": {
                 "param_t": state.pattern.param_t,
                 "param_b": state.pattern.param_b,
@@ -488,7 +475,6 @@ def _triangle_curve_distance_2d(pts: np.ndarray, vertices: np.ndarray) -> np.nda
 
 
 def verify_eff2(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
-                eta_surface: float = 1e-3,
                 state: PipelineState | None = None) -> TheoremReport:
     """Containment within 6 sqrt(eps) of the solid canonical triangle, and
     coverage of the triangle within 18 sqrt(eps) (the latter for
@@ -505,18 +491,15 @@ def verify_eff2(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
     containment_max = state.band_to_triangle
     containment_ok = containment_max <= d6
 
-    measured = {
-        "containment_max": containment_max,
-        "endpoint_max": containment_max,
-    }
-    details: dict = {"eta_surface": eta_surface, "grid_pitch": GRID_PITCH}
+    measured = {"containment_max": containment_max}
+    details: dict = {"eta_surface": ETA_SURFACE, "grid_pitch": GRID_PITCH}
     notes = ["outward wrinkle placement (embedding side) is not checked"]
     coverage_applicable = eps < COVERAGE_EPS_CAP
     coverage_ok = True
     if coverage_applicable:
         patches = surface_triangles(dev)
         loop3 = boundary_polyline(dev)
-        bdry2 = loop3.sample(eta_surface)[:, :2]
+        bdry2 = loop3.sample(ETA_SURFACE)[:, :2]
         annulus_max = float(_triangle_curve_distance_2d(bdry2, tri2).max())
         annulus_ok = annulus_max <= d6
         wind = winding_number(PolylineLoop(loop3.points[:, :2], closed=True), INCENTER[:2], tol)

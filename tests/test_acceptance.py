@@ -21,7 +21,7 @@ from moebiusband.band import (
     transform,
     validate,
 )
-from moebiusband.geom import DEFAULT_TOL, RigidMotion, densify_polyline, hausdorff_distance
+from moebiusband.geom import DEFAULT_TOL, RigidMotion
 from moebiusband.tpattern import develop_for, find_tpattern, normalize_pose
 from moebiusband.verify import (
     measured_eps,
@@ -129,15 +129,13 @@ def test_criterion_3_perturbation_sweeps():
                f"({elapsed:.1f} s)")
 
 
-def test_criterion_4_triangular_band():
+def test_criterion_4_triangular_band(loop_hausdorff):
     eta = 1e-4
     band = build_triangular()
     rep = validate(band, DEFAULT_TOL)
     assert rep.passed and rep.max_ruling_residual < 1e-9
 
-    bdry = boundary_polyline(band).sample(eta)
-    tri = densify_polyline(CANONICAL_TRIANGLE, eta, closed=True)
-    bdry_h = hausdorff_distance(bdry, tri)
+    bdry_h = loop_hausdorff(boundary_polyline(band).points, CANONICAL_TRIANGLE, eta)
     assert bdry_h <= 2.0 * eta
 
     tp = find_tpattern(band)
@@ -219,11 +217,12 @@ def test_criterion_7_negative_controls(tmp_path):
 def test_criterion_8_pose_invariance():
     t0 = time.perf_counter()
     band = build_wrinkle(1e-4)
+    tol = DEFAULT_TOL.replace(sampling_eta=1e-3)
     devs = []
     rng = np.random.default_rng(424242)
     for _ in range(20):
         moved = transform(band, RigidMotion.random(rng, scale=1.0))
-        devs.append(verify_eff(moved, eta=1e-3).measured["deviation"])
+        devs.append(verify_eff(moved, tol).measured["deviation"])
     spread = max(devs) - min(devs)
     assert spread < 1e-8
     elapsed = time.perf_counter() - t0

@@ -10,7 +10,6 @@ from moebiusband.band import (
     build_triangular,
     build_wrinkle,
     boundary_polyline,
-    core_curve,
     from_json_dict,
     points_to_triangles_distance,
     redevelop,
@@ -21,7 +20,7 @@ from moebiusband.band import (
     flip,
     validate,
 )
-from moebiusband.geom import DEFAULT_TOL, StructureError, densify_polyline, hausdorff_distance
+from moebiusband.geom import DEFAULT_TOL, StructureError
 from moebiusband.verify import prepare, verify_eff
 
 SQRT3 = math.sqrt(3.0)
@@ -39,14 +38,12 @@ class TestTriangular:
         assert tri_band.lam == pytest.approx(SQRT3, abs=1e-15)
         assert tri_band.cut_displacement() == pytest.approx(1.0 / SQRT3, abs=1e-15)
 
-    def test_boundary_is_canonical_triangle(self, tri_band):
+    def test_boundary_is_canonical_triangle(self, tri_band, loop_hausdorff):
         loop = boundary_polyline(tri_band)
         # perimeter equals the full boundary length 2*lambda
         assert loop.length() == pytest.approx(2.0 * SQRT3, abs=1e-9)
         eta = 1e-4
-        bdry = loop.sample(eta)
-        tri = densify_polyline(CANONICAL_TRIANGLE, eta, closed=True)
-        assert hausdorff_distance(bdry, tri) <= 2.0 * eta
+        assert loop_hausdorff(loop.points, CANONICAL_TRIANGLE, eta) <= 2.0 * eta
 
     def test_cut_bend_is_base(self, tri_band):
         sp = tri_band.space[0]
@@ -64,29 +61,6 @@ class TestTriangular:
     def test_odd_fan_count_rejected(self):
         with pytest.raises(StructureError):
             build_triangular(n_per_fan=7)
-
-
-class TestCoreCurve:
-    def test_point_count_and_closure(self, tri_band):
-        loop = core_curve(tri_band)
-        assert len(loop) == tri_band.n_bends
-        assert loop.closed
-
-    def test_inside_convex_hull(self, tri_band):
-        mids = core_curve(tri_band).points
-        d = points_to_triangles_distance(mids, CANONICAL_TRIANGLE[None])
-        assert d.max() < 1e-12
-
-    def test_orientation_reversal_same_set(self, tri_band):
-        fwd = core_curve(tri_band).points
-        rev_band = RuledBand(
-            lam=tri_band.lam,
-            flat=tri_band.flat[:, ::-1, ::-1] * 0 + tri_band.flat,  # same flat data
-            space=tri_band.space[:, ::-1, :],
-            closed=True,
-        )
-        rev = core_curve(rev_band).points
-        assert np.allclose(np.sort(fwd, axis=0), np.sort(rev, axis=0), atol=1e-15)
 
 
 class TestSampling:

@@ -83,6 +83,30 @@ class TestExitCodes:
         res = run("verify", "--input", str(tri_file), "--theorem", "eff", "--eta", "1e-3")
         assert res.returncode == 0, res.stderr
 
+    @pytest.mark.parametrize("theorem", ["eff2", "corollary"])
+    def test_eta_rejected_without_eff(self, tri_file, theorem):
+        # eff2 and corollary sample nothing at the resolution --eta sets
+        res = run("verify", "--input", str(tri_file), "--theorem", theorem, "--eta", "1e-3")
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: --eta")
+
+    @pytest.mark.parametrize("closed", [False, None, "true", 1])
+    def test_open_band_exits_2(self, tri_file, tmp_path, closed):
+        data = json.loads(tri_file.read_text())
+        data["closed"] = closed
+        bad = tmp_path / "open.json"
+        bad.write_text(json.dumps(data))
+        for cmd in ("validate", "verify"):
+            res = run(cmd, "--input", str(bad))
+            assert res.returncode == 2
+            assert res.stderr.startswith("error: closed must be true")
+
+    @pytest.mark.parametrize("epsilons", ["", "1e-3,abc"])
+    def test_unparsable_epsilons_exit_2(self, epsilons):
+        res = run("sharpness-sweep", "--epsilons", epsilons)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: epsilons must be a comma-separated list")
+
     def test_missing_file_exits_2(self):
         assert run("validate", "--input", "/nonexistent/band.json").returncode == 2
 
@@ -136,6 +160,17 @@ class TestToleranceEnv:
         )
         assert res.returncode == 2
 
+    def test_unknown_key_exits_2(self, wrinkle_file):
+        import os
+
+        env = dict(os.environ, MOEBIUS_TOL='{"pose": 1e-12}')
+        res = subprocess.run(
+            CLI + ["validate", "--input", str(wrinkle_file)],
+            capture_output=True, text=True, env=env,
+        )
+        assert res.returncode == 2
+        assert "pose" in res.stderr
+
 
 class TestRoundTrip:
     def test_rebuild_matches_report_values(self, wrinkle_file, tmp_path):
@@ -149,3 +184,14 @@ class TestRoundTrip:
         d1 = json.loads(rep1.read_text())[0]["measured"]
         d2 = json.loads(rep2.read_text())[0]["measured"]
         assert abs(d1["deviation"] - d2["deviation"]) < 1e-12
+
+
+class TestImport:
+    def test_cli_does_not_load_scipy(self):
+        # numpy is the only runtime dependency; scipy.spatial would take most
+        # of the start-up time and memory of every CLI call
+        code = ("import sys, moebiusband.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"

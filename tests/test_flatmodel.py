@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moebiusband.flatmodel import FlatBand, boundary_edges, boundary_length, make_trapezoid
+from moebiusband.flatmodel import make_trapezoid
 from moebiusband.geom import StructureError
 
 SQRT3 = math.sqrt(3.0)
@@ -57,38 +57,24 @@ class TestMakeTrapezoid:
 class TestBoundaryEdges:
     def test_six_edges(self):
         trap = make_trapezoid(SQRT3, 1.0 / SQRT3)
-        edges = boundary_edges(trap)
+        edges = trap.edges()
         assert len(edges) == 6
         assert [e.name for e in edges] == ["D1", "D2", "T2", "H1", "H2", "T1"]
 
     def test_boundary_length_excludes_cut(self):
-        trap = make_trapezoid(SQRT3, 1.0 / SQRT3)
-        assert boundary_length(trap) == pytest.approx(2.0 * SQRT3, abs=1e-12)
-        trap = make_trapezoid(2.0, 0.0)
-        assert boundary_length(trap) == pytest.approx(4.0, abs=1e-12)
+        # the cut copies T1, T2 are glued to each other, not boundary
+        for lam, t in ((SQRT3, 1.0 / SQRT3), (2.0, 0.0)):
+            trap = make_trapezoid(lam, t)
+            length = sum(e.length() for e in trap.edges() if not e.name.startswith("T"))
+            assert length == pytest.approx(2.0 * lam, abs=1e-12)
 
     def test_chain_continuity(self):
         # the boundary walk is connected through the glued corners
         trap = make_trapezoid(1.8, 0.4)
-        edges = {e.name: e for e in boundary_edges(trap)}
+        edges = {e.name: e for e in trap.edges()}
         assert np.allclose(edges["D1"].end, edges["D2"].start)
         assert np.allclose(edges["H1"].end, edges["H2"].start)
         # D ends at the glued copy of the cut's top corner, H resumes there
         assert np.allclose(edges["D2"].end, trap.x_bar)
         assert np.allclose(edges["H1"].start, trap.x)
 
-
-class TestFlatBand:
-    def test_identification_round_trip(self):
-        band = FlatBand(2.0)
-        x, y = band.identify(2.3, 0.25)
-        assert (x, y) == pytest.approx((0.3, 0.75))
-        x, y = band.identify(-0.5, 0.1)
-        assert (x, y) == pytest.approx((1.5, 0.9))
-
-    def test_boundary_length(self):
-        assert FlatBand(1.7).boundary_length() == pytest.approx(3.4)
-
-    def test_bad_aspect(self):
-        with pytest.raises(StructureError):
-            FlatBand(0.0)

@@ -13,12 +13,23 @@ from moebiusband.tpattern import (
     develop_for,
     find_tpattern,
     normalize_pose,
-    pose_residuals,
 )
 from moebiusband.verify import verify_eff
 
 SQRT3 = math.sqrt(3.0)
 T0 = 1.0 / SQRT3
+
+
+def pose_residuals(tp: TPattern) -> dict:
+    """Coordinate residuals of a (supposedly) normalized pattern."""
+    t_sp = tp.bend_t_space
+    b_sp = tp.bend_b_space
+    return {
+        "t_off_axis": float(np.abs(t_sp[:, 1:]).max()),
+        "t_midpoint": float(np.abs(t_sp.mean(axis=0)).max()),
+        "b_off_axis": float(np.abs(b_sp[:, [0, 2]]).max()),
+        "b_above_axis": float(max(b_sp[:, 1].max(), 0.0)),
+    }
 
 
 class TestTriangularPattern:

@@ -77,7 +77,7 @@ class TestWrinkleTheorems:
 
     def test_edge_slacks(self, wrinkle4, wrinkle4_state):
         eps = measured_eps(wrinkle4)
-        dev_rep = boundary_deviation(wrinkle4_state.fit, eta=1e-4)
+        dev_rep = boundary_deviation(wrinkle4_state.trapezoid, wrinkle4_state.boundary, eta=1e-4)
         for name, rec in dev_rep.per_edge.items():
             assert rec["flat_length"] < 3.0
             assert rec["slack"] <= eps + 1e-9, name
