@@ -45,8 +45,9 @@ INCENTER = np.array([0.0, -1.0 / 3.0, 0.0])
 INRADIUS = 1.0 / 3.0
 
 # size of each (points, triangles)-shaped float64 temporary of the chunked
-# distance and coverage kernels; small enough to stay in cache and to keep
-# every chunk from faulting in fresh pages
+# point-to-triangle kernel, and of all arrays of one block of verify's
+# lattice coverage passes; small enough to stay in cache and to keep every
+# chunk from faulting in fresh pages
 CHUNK_BYTES = 1 << 19
 
 # reflections (about lines through the origin) used by the flat folding:

@@ -12,8 +12,9 @@ Subcommands:
 Exit codes: 0 = pass, 1 = verification failure, 2 = structural error or
 bad usage.  All randomness sits behind --seed; identical arguments and
 seed produce byte-identical CSV output.  The MOEBIUS_TOL environment
-variable may hold a JSON object overriding ToleranceConfig fields, e.g.
-MOEBIUS_TOL='{"isometry": 1e-8}'.
+variable may hold a JSON object overriding ToleranceConfig fields with
+positive finite numbers, e.g. MOEBIUS_TOL='{"isometry": 1e-8}'; every
+subcommand exits 2 on any other value.
 """
 
 from __future__ import annotations
@@ -50,12 +51,24 @@ DEFAULT_SEED = 1234
 
 
 def _tolerances(args) -> ToleranceConfig:
+    """The tolerances in force: DEFAULT_TOL, overridden by the JSON object in
+    MOEBIUS_TOL, each value a positive finite number, and by `--eta`."""
     tol = DEFAULT_TOL
     env = os.environ.get("MOEBIUS_TOL")
     if env:
         try:
             overrides = json.loads(env)
-            tol = tol.replace(**overrides)
+            if not isinstance(overrides, dict):
+                raise ValueError("not a JSON object")
+            for key, value in overrides.items():
+                try:
+                    ok = not isinstance(value, bool) and math.isfinite(value) and value > 0
+                except (TypeError, OverflowError):
+                    ok = False
+                if not ok:
+                    raise ValueError(f"{key} must be a positive finite number, "
+                                     f"not {json.dumps(value)}")
+            tol = tol.replace(**{key: float(value) for key, value in overrides.items()})
         except (ValueError, TypeError) as exc:
             raise StructureError(f"bad MOEBIUS_TOL: {exc}") from exc
     if getattr(args, "eta", None) is not None:
@@ -65,7 +78,7 @@ def _tolerances(args) -> ToleranceConfig:
     return tol
 
 
-def _cmd_build_triangular(args) -> int:
+def _cmd_build_triangular(args, tol: ToleranceConfig) -> int:
     band = build_triangular(n_per_fan=args.bends_per_fan)
     write_json(band, args.output)
     print(f"wrote triangular band ({band.n_bends} bends, lambda={band.lam:.12f}) "
@@ -73,7 +86,7 @@ def _cmd_build_triangular(args) -> int:
     return EXIT_PASS
 
 
-def _cmd_build_wrinkle(args) -> int:
+def _cmd_build_wrinkle(args, tol: ToleranceConfig) -> int:
     band = build_wrinkle(args.epsilon)
     write_json(band, args.output)
     meta = band.meta
@@ -83,8 +96,7 @@ def _cmd_build_wrinkle(args) -> int:
     return EXIT_PASS
 
 
-def _cmd_validate(args) -> int:
-    tol = _tolerances(args)
+def _cmd_validate(args, tol: ToleranceConfig) -> int:
     band = read_json(args.input)
     rep = validate(band, tol)
     print(f"validate {args.input}: pass={rep.passed} "
@@ -103,8 +115,7 @@ def _validated(band, tol) -> bool:
     return rep.passed
 
 
-def _cmd_tpattern(args) -> int:
-    tol = _tolerances(args)
+def _cmd_tpattern(args, tol: ToleranceConfig) -> int:
     band = read_json(args.input)
     if not _validated(band, tol):
         return EXIT_FAIL
@@ -119,11 +130,10 @@ def _cmd_tpattern(args) -> int:
     return EXIT_PASS
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, tol: ToleranceConfig) -> int:
     which = args.theorem or "all"
     if args.eta is not None and which not in ("eff", "all"):
         raise StructureError(f"--eta sets the sampling of eff only; --theorem {which} ignores it")
-    tol = _tolerances(args)
     band = read_json(args.input)
     if not _validated(band, tol):
         return EXIT_FAIL
@@ -146,7 +156,7 @@ def _cmd_verify(args) -> int:
     return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
 
 
-def _cmd_bounds_sweep(args) -> int:
+def _cmd_bounds_sweep(args, tol: ToleranceConfig) -> int:
     rng = np.random.default_rng(args.seed)
     n = args.grid
     lines = []
@@ -200,8 +210,7 @@ def _cmd_bounds_sweep(args) -> int:
     return EXIT_PASS if all_ok else EXIT_FAIL
 
 
-def _cmd_sharpness_sweep(args) -> int:
-    tol = _tolerances(args)
+def _cmd_sharpness_sweep(args, tol: ToleranceConfig) -> int:
     try:
         eps_list = sorted(float(e) for e in args.epsilons.split(","))
     except ValueError as exc:
@@ -286,7 +295,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_PASS
     try:
-        return args.func(args)
+        return args.func(args, _tolerances(args))
     except NoTPatternError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

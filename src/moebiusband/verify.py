@@ -31,13 +31,13 @@ from functools import cached_property
 
 import numpy as np
 
+from . import band as band_module
 from . import bounds
 from .band import (
     CANONICAL_TRIANGLE,
     INCENTER,
     RuledBand,
     boundary_polyline,
-    chunk_rows,
     points_to_triangles_distance,
     surface_triangles,
     validate,
@@ -271,8 +271,14 @@ class PipelineState:
     developed: RuledBand   # developed at the T bend, cut displacement >= 0
     boundary: BoundaryMap  # boundary image of `developed`
 
-    # The two directed distances between the band and the solid canonical
-    # triangle are measured once, on first use by eff2 or corollary.
+    # The band's ruled patches and the two directed distances between the
+    # band and the solid canonical triangle are computed once, on first use
+    # by eff2 or corollary.
+
+    @cached_property
+    def patches(self) -> np.ndarray:
+        """The ruled patches of `developed`, as (2N, 3, 3) triangles."""
+        return surface_triangles(self.developed)
 
     @cached_property
     def band_to_triangle(self) -> float:
@@ -287,7 +293,7 @@ class PipelineState:
         """Largest distance from a point of the triangle grid at GRID_PITCH
         to the band's ruled patches."""
         grid = _triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
-        return _max_distance_to_patches(grid, surface_triangles(self.developed))
+        return _max_distance_to_patches(grid, self.patches)
 
 
 def prepare(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> PipelineState:
@@ -383,7 +389,18 @@ def verify_eff(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
     )
 
 
-def _triangle_grid(vertices: np.ndarray, pitch: float) -> np.ndarray:
+@dataclass(frozen=True)
+class _TriangleGrid:
+    """Barycentric lattice a + (i/m)(b - a) + (j/m)(c - a), i, j >= 0,
+    i + j <= m, over a solid triangle (a, b, c).  `points` lists it in
+    (i, j) row-major order: point (i, j) has index i*(m+1) - i*(i-1)//2 + j."""
+
+    vertices: np.ndarray
+    m: int
+    points: np.ndarray
+
+
+def _triangle_grid(vertices: np.ndarray, pitch: float) -> _TriangleGrid:
     """Barycentric lattice covering a solid triangle at the given pitch."""
     a, b, c = (np.asarray(v, dtype=float) for v in vertices)
     side = max(np.linalg.norm(b - a), np.linalg.norm(c - a), np.linalg.norm(c - b))
@@ -392,66 +409,198 @@ def _triangle_grid(vertices: np.ndarray, pitch: float) -> np.ndarray:
     mask = ii + jj <= m
     s = ii[mask] / m
     t = jj[mask] / m
-    return a + s[:, None] * (b - a) + t[:, None] * (c - a)
+    points = a + s[:, None] * (b - a) + t[:, None] * (c - a)
+    return _TriangleGrid(np.array([a, b, c]), m, points)
 
 
-def _barycentric_2d(pts: np.ndarray, tris: np.ndarray):
-    """Barycentric coordinates (s, t) of 2D points in the xy-projection of
-    each triangle, yielded chunk by chunk as (row slice, s, t), each of
-    shape (rows, triangles).  Both are NaN for degenerate projections, so
-    no inclusion test holds there."""
-    a, b, c = tris[:, 0, :2], tris[:, 1, :2], tris[:, 2, :2]
-    e0, e1 = b - a, c - a
-    det = e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0]
-    good = np.abs(det) > 1e-18
-    inv = np.where(good, 1.0 / np.where(good, det, 1.0), np.nan)
-    # s = cross(rel, e1)/det, t = cross(e0, rel)/det as matrix products
-    w_s = np.stack([e1[:, 1], -e1[:, 0]], axis=1)
-    w_t = np.stack([-e0[:, 1], e0[:, 0]], axis=1)
-    a_s = np.einsum("ij,ij->i", a, w_s)
-    a_t = np.einsum("ij,ij->i", a, w_t)
-    chunk = chunk_rows(len(tris))
-    for lo in range(0, len(pts), chunk):
-        p = pts[lo:lo + chunk, :2]
-        s = (p @ w_s.T - a_s[None, :]) * inv[None, :]
-        t = (p @ w_t.T - a_t[None, :]) * inv[None, :]
-        yield slice(lo, lo + chunk), s, t
+_ULP = np.finfo(float).eps
 
 
-def _points_in_triangles_2d(pts: np.ndarray, tris: np.ndarray,
+def _dot2(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rowwise dot products of two (n, 2) arrays as n (1x2)(2x1) matrix
+    products.  These round like the entries of a (points, triangles)
+    matrix product, fused multiply-add included where the BLAS uses one;
+    the elementwise p0*w0 + p1*w1 can differ from them by an ulp."""
+    return np.matmul(p[:, None, :], w[:, :, None])[:, 0, 0]
+
+
+class _Barycentric2D:
+    """Barycentric coordinates s = cross(p - a, c - a)/det and
+    t = cross(b - a, p - a)/det of 2D points in the xy-projection of each
+    triangle (a, b, c).  A triangle with |det| <= 1e-18 holds no point."""
+
+    def __init__(self, tris: np.ndarray):
+        self.corners = tris[:, :, :2]
+        a, b, c = tris[:, 0, :2], tris[:, 1, :2], tris[:, 2, :2]
+        e0, e1 = b - a, c - a
+        det = e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0]
+        self.good = np.abs(det) > 1e-18
+        self.inv = np.where(self.good, 1.0 / np.where(self.good, det, 1.0), np.nan)
+        # first-order bound on the relative rounding error of inv: det
+        # cancels its two products
+        terms = np.abs(e0[:, 0] * e1[:, 1]) + np.abs(e0[:, 1] * e1[:, 0])
+        self.inv_err = 4.0 * _ULP * (1.0 + terms * np.abs(self.inv))
+        self.w_s = np.stack([e1[:, 1], -e1[:, 0]], axis=1)
+        self.w_t = np.stack([-e0[:, 1], e0[:, 0]], axis=1)
+        self.a_s = np.einsum("ij,ij->i", a, self.w_s)
+        self.a_t = np.einsum("ij,ij->i", a, self.w_t)
+
+    def at(self, pts: np.ndarray, k: np.ndarray):
+        """(s, t) of each 2D point pts[n] in triangle k[n]; the arithmetic
+        of each entry is that of a dense (points, triangles) pass."""
+        inv = self.inv[k]
+        s = (_dot2(pts, np.take(self.w_s, k, axis=0)) - self.a_s[k]) * inv
+        t = (_dot2(pts, np.take(self.w_t, k, axis=0)) - self.a_t[k]) * inv
+        return s, t
+
+    def slop(self, reach: np.ndarray, tol: float) -> np.ndarray:
+        """Per triangle, a margin delta such that a 2D point with
+        |coordinates| <= reach whose computed (s, t) pass s, t >= -tol and
+        s + t <= 1 + tol has exact s, t >= -delta and s + t <= 1 + delta;
+        inf where det is too close to its rounding error for the computed
+        s, t to mean anything.  The bounds are first-order rounding bounds
+        with a safety factor of at least 2."""
+        lever = reach + np.abs(self.corners[:, 0])
+        num_err = np.maximum((np.abs(self.w_s) * lever).sum(axis=1),
+                             (np.abs(self.w_t) * lever).sum(axis=1))
+        delta = 2.0 * tol + 3.0 * self.inv_err + 32.0 * _ULP * num_err * np.abs(self.inv)
+        return np.where(self.inv_err < 0.25, delta, np.inf)
+
+
+def _blocks(counts: np.ndarray, budget: int):
+    """Consecutive slices of `counts` that sum to at most `budget`, or to
+    one item where that item alone exceeds it."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + budget, side="right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The integer ranges [start, start + count), concatenated."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+def _lattice_pairs(grid: _TriangleGrid, bary: _Barycentric2D, usable: np.ndarray,
+                   tol: float):
+    """Yield (point index, triangle index) blocks that hold every pair of a
+    grid point and a usable triangle whose computed (s, t) can pass
+    s, t >= -tol, s + t <= 1 + tol, and few others.
+
+    Edge-function scan conversion (Pineda, "A parallel algorithm for
+    polygon rasterization", SIGGRAPH 1988) in the lattice coordinates
+    (i, j) of the grid: each triangle is scaled about its centroid by
+    1 + 3*delta, which makes it the region s, t >= -delta,
+    s + t <= 1 + delta (see `_Barycentric2D.slop`), and its edges are moved
+    out by a rounding margin; on each lattice row i it spans, it then holds
+    one interval of j.  A triangle whose s, t are rounding noise takes the
+    whole grid.  Blocks of rows and of pairs are sized so that all arrays
+    of one block, up to 16 float64 per row or pair, fit in band.CHUNK_BYTES.
+    """
+    m = grid.m
+    a, b, c = grid.vertices[:, :2]
+    keep = np.flatnonzero(usable)
+    delta = bary.slop(np.abs(grid.points[:, :2]).max(axis=0), tol)[keep]
+    q = (bary.corners[keep] - a) @ (m * np.linalg.inv(np.stack([b - a, c - a])))
+    noise = np.isinf(delta)
+    q[noise] = [[-1.0, -1.0], [2.0 * m + 3.0, -1.0], [-1.0, 2.0 * m + 3.0]]
+    centroid = q.mean(axis=1, keepdims=True)
+    q = centroid + np.where(noise, 1.0, 1.0 + 3.0 * delta)[:, None, None] * (q - centroid)
+    eta = 1e-9 * (1.0 + np.abs(q).max(axis=(1, 2)))
+    lo = q.min(axis=1) - eta[:, None]
+    hi = q.max(axis=1) + eta[:, None]
+
+    # Edge e runs from vertex e to vertex e+1.  A lattice point (i, j) lies
+    # within eta of the inside of edge e where
+    #   orient * cross(edge, (i, j) - vertex) + eta * |edge| >= 0,
+    # that is  coef * j + const - slope * i >= 0.
+    edge = np.roll(q, -1, axis=1) - q
+    area2 = edge[:, 0, 0] * edge[:, 1, 1] - edge[:, 0, 1] * edge[:, 1, 0]
+    orient = np.where(area2 < 0.0, -1.0, 1.0)[:, None]
+    coef = orient * edge[:, :, 0]
+    slope = orient * edge[:, :, 1]
+    const = (slope * q[:, :, 0] - coef * q[:, :, 1]
+             + eta[:, None] * np.hypot(edge[:, :, 0], edge[:, :, 1]))
+    edges = (coef, slope, const, lo[:, 1], hi[:, 1])
+
+    i_first = np.clip(np.ceil(lo[:, 0]), 0, m + 1).astype(np.int64)
+    i_last = np.clip(np.floor(hi[:, 0]), -1, m).astype(np.int64)
+    n_rows = np.maximum(i_last - i_first + 1, 0)
+    budget = max(1, band_module.CHUNK_BYTES // 128)
+    for span in _blocks(n_rows, budget):
+        k = np.repeat(np.arange(len(keep))[span], n_rows[span])
+        i = _ranges(i_first[span], n_rows[span])
+        j_first, n_pts = _row_intervals(edges, k, i, m)
+        first = i * (m + 1) - i * (i - 1) // 2 + j_first
+        for rows in _blocks(n_pts, budget):
+            yield (_ranges(first[rows], n_pts[rows]),
+                   keep[np.repeat(k[rows], n_pts[rows])])
+
+
+def _row_intervals(edges: tuple, k: np.ndarray, i: np.ndarray, m: int):
+    """(first j, count) of the lattice points of row i, j <= m - i, that
+    pass the three edge functions of triangle k and lie in its j-range."""
+    coef, slope, const, j_min, j_max = edges
+    c_k = np.take(coef, k, axis=0)
+    value = np.take(const, k, axis=0) - np.take(slope, k, axis=0) * i[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = -value / c_k
+    j_lo = np.maximum(j_min[k], np.where(c_k > 0.0, bound, -np.inf).max(axis=1))
+    j_hi = np.minimum(j_max[k], np.where(c_k < 0.0, bound, np.inf).min(axis=1))
+    j_first = np.ceil(np.clip(j_lo, 0, m + 1)).astype(np.int64)
+    j_last = np.floor(np.clip(j_hi, -1, m - i)).astype(np.int64)
+    n_pts = np.maximum(j_last - j_first + 1, 0)
+    n_pts[((c_k == 0.0) & (value < 0.0)).any(axis=1)] = 0
+    return j_first, n_pts
+
+
+def _incidences(grid: _TriangleGrid, tris: np.ndarray, usable: np.ndarray, tol: float):
+    """Yield blocks (point index, triangle index, s, t) of the pairs of a
+    grid point and a usable triangle whose xy-projection holds the point's:
+    s, t >= -tol and s + t <= 1 + tol.  Only the candidate pairs of the
+    lattice scan are tested."""
+    bary = _Barycentric2D(tris)
+    for pt, k in _lattice_pairs(grid, bary, usable & bary.good, tol):
+        s, t = bary.at(np.take(grid.points, pt, axis=0)[:, :2], k)
+        inside = (s >= -tol) & (t >= -tol) & (s + t <= 1.0 + tol)
+        yield pt[inside], k[inside], s[inside], t[inside]
+
+
+def _points_in_triangles_2d(grid: _TriangleGrid, tris: np.ndarray,
                             tol: float = 1e-9) -> np.ndarray:
-    """Boolean mask: each 2D point inside (or on) at least one triangle."""
-    out = np.zeros(len(pts), dtype=bool)
-    for rows, s, t in _barycentric_2d(pts, tris):
-        out[rows] = ((s >= -tol) & (t >= -tol) & (s + t <= 1.0 + tol)).any(axis=1)
+    """Boolean mask: each grid point inside (or on) the xy-projection of at
+    least one triangle."""
+    out = np.zeros(len(grid.points), dtype=bool)
+    for pt, _, _, _ in _incidences(grid, tris, np.ones(len(tris), dtype=bool), tol):
+        out[pt] = True
     return out
 
 
-def _cover_heights(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Upper bound on each 3D point's distance to the triangles: the least
+def _cover_heights(grid: _TriangleGrid, tris: np.ndarray) -> np.ndarray:
+    """Upper bound on each grid point's distance to the triangles: the least
     vertical distance to a triangle whose xy-projection holds the point's,
     and inf where none does.  The slop is the exact kernel's: a point on a
     shared edge is covered, and the bound errs by no more than the kernel.
     A triangle whose projected area is below 1e-9 of its area is too
     steep for its barycentric s, t to be trusted and covers nothing."""
-    slop = 1e-12
     z0 = tris[:, 0, 2]
     e0 = tris[:, 1] - tris[:, 0]
     e1 = tris[:, 2] - tris[:, 0]
     dz_b, dz_c = e0[:, 2], e1[:, 2]
     cross = np.cross(e0, e1)
     flat = np.abs(cross[:, 2]) > 1e-9 * np.linalg.norm(cross, axis=1)
-    out = np.empty(len(pts))
-    for rows, s, t in _barycentric_2d(pts, tris):
-        inside = flat[None, :] & (s >= -slop) & (t >= -slop) & (s + t <= 1.0 + slop)
-        height = np.abs(z0[None, :] + s * dz_b[None, :] + t * dz_c[None, :]
-                        - pts[rows, 2][:, None])
-        out[rows] = np.where(inside, height, np.inf).min(axis=1)
+    out = np.full(len(grid.points), np.inf)
+    for pt, k, s, t in _incidences(grid, tris, flat, 1e-12):
+        height = np.abs(z0[k] + s * dz_b[k] + t * dz_c[k] - grid.points[pt, 2])
+        np.minimum.at(out, pt, height)
     return out
 
 
-def _max_distance_to_patches(pts: np.ndarray, patches: np.ndarray) -> float:
-    """max over the points of the exact distance to the nearest patch.
+def _max_distance_to_patches(grid: _TriangleGrid, patches: np.ndarray) -> float:
+    """max over the grid points of the exact distance to the nearest patch.
 
     Bound and refine (Taha & Hanbury, "An efficient algorithm for
     calculating the exact Hausdorff distance", IEEE TPAMI 37(11), 2015):
@@ -459,10 +608,10 @@ def _max_distance_to_patches(pts: np.ndarray, patches: np.ndarray) -> float:
     exact kernel runs only on points whose bound is positive.  A point
     that a patch passes through has bound 0 and is never refined.
     """
-    far = _cover_heights(pts, patches) > 0.0
+    far = _cover_heights(grid, patches) > 0.0
     if not far.any():
         return 0.0
-    return float(points_to_triangles_distance(pts[far], patches).max())
+    return float(points_to_triangles_distance(grid.points[far], patches).max())
 
 
 def _triangle_curve_distance_2d(pts: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -497,7 +646,6 @@ def verify_eff2(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
     coverage_applicable = eps < COVERAGE_EPS_CAP
     coverage_ok = True
     if coverage_applicable:
-        patches = surface_triangles(dev)
         loop3 = boundary_polyline(dev)
         bdry2 = loop3.sample(ETA_SURFACE)[:, :2]
         annulus_max = float(_triangle_curve_distance_2d(bdry2, tri2).max())
@@ -508,7 +656,7 @@ def verify_eff2(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
         shrink = 1.0 - 3.0 * d6
         c_tri = INCENTER[:2] + shrink * (tri2 - INCENTER[:2])
         c_grid = _triangle_grid(c_tri, GRID_PITCH)
-        covered = _points_in_triangles_2d(c_grid, patches)
+        covered = _points_in_triangles_2d(c_grid, state.patches)
         c_cov_ok = bool(covered.all())
 
         tri_cov_max = state.triangle_to_band
@@ -523,7 +671,7 @@ def verify_eff2(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
                 "triangle_coverage_max": tri_cov_max,
             }
         )
-        details["c_grid_points"] = int(len(c_grid))
+        details["c_grid_points"] = int(len(c_grid.points))
         if not winding_ok:
             notes.append("boundary does not generate the punctured-plane loop group")
     else:

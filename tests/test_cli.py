@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from moebiusband.cli import main as cli_main
+
 CLI = [sys.executable, "-m", "moebiusband.cli"]
 
 
@@ -170,6 +172,33 @@ class TestToleranceEnv:
         )
         assert res.returncode == 2
         assert "pose" in res.stderr
+
+    @pytest.mark.parametrize("value", ['"abc"', "true", "false", "null", "NaN", "Infinity",
+                                       "-Infinity", "[1e-9]", '{"a": 1}', "1" + "0" * 400,
+                                       "0", "-1e-9"])
+    def test_non_number_exits_2(self, tri_file, value, monkeypatch, capsys):
+        monkeypatch.setenv("MOEBIUS_TOL", f'{{"isometry": {value}}}')
+        assert cli_main(["validate", "--input", str(tri_file)]) == 2
+        err = capsys.readouterr().err
+        assert "bad MOEBIUS_TOL: isometry must be a positive finite number" in err
+
+    def test_integer_value_accepted(self, wrinkle_file, monkeypatch, capsys):
+        monkeypatch.setenv("MOEBIUS_TOL", '{"isometry": 1}')
+        assert cli_main(["validate", "--input", str(wrinkle_file)]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["build-triangular", "-o", "{out}"],
+        ["build-wrinkle", "--epsilon", "1e-3", "-o", "{out}"],
+        ["bounds-sweep", "--grid", "10"],
+    ])
+    def test_bad_env_exits_2_without_tolerances(self, argv, tmp_path, monkeypatch, capsys):
+        # these subcommands use no tolerance, but still reject a malformed value
+        out = tmp_path / "band.json"
+        monkeypatch.setenv("MOEBIUS_TOL", "{broken")
+        assert cli_main([a.format(out=out) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad MOEBIUS_TOL")
+        assert captured.out == "" and not out.exists()
 
 
 class TestRoundTrip:

@@ -8,6 +8,8 @@ from moebiusband import band as band_mod
 from moebiusband import verify as verify_mod
 from moebiusband.band import (
     CANONICAL_TRIANGLE,
+    INCENTER,
+    build_wrinkle,
     points_to_triangles_distance,
     scale_bend,
     surface_triangles,
@@ -22,6 +24,7 @@ from moebiusband.verify import (
     OutOfScopeError,
     boundary_deviation,
     measured_eps,
+    prepare,
     verify_all,
     verify_corollary,
     verify_eff,
@@ -88,7 +91,7 @@ class TestWrinkleTheorems:
         assert rep.passed
         assert rep.measured["containment_max"] <= 6.0 * math.sqrt(eps)
         assert rep.measured["containment_max"] == pytest.approx(
-            wrinkle4.meta["crack_height"], rel=1e-3
+            wrinkle4.meta["crack_height"], rel=1e-8
         )
         assert rep.measured["winding"] in (-1, 1)
         assert rep.measured["c_grid_uncovered"] == 0
@@ -104,7 +107,111 @@ class TestWrinkleTheorems:
 
 def _dense_triangle_to_band(patches, pitch=GRID_PITCH):
     grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, pitch)
-    return grid, float(points_to_triangles_distance(grid, patches).max())
+    return grid, float(points_to_triangles_distance(grid.points, patches).max())
+
+
+def _dense_coverage(pts, tris, tol, steep_guard):
+    """The dense coverage pass that the lattice scan replaced: the inclusion
+    test s, t >= -tol, s + t <= 1 + tol on every (point, triangle) pair, with
+    s and t from (points, triangles) matrix products.  Returns the covered
+    mask and, for 3D points, the least height of a covering triangle."""
+    a, b, c = tris[:, 0, :2], tris[:, 1, :2], tris[:, 2, :2]
+    e0, e1 = b - a, c - a
+    det = e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0]
+    good = np.abs(det) > 1e-18
+    inv = np.where(good, 1.0 / np.where(good, det, 1.0), np.nan)
+    w_s = np.stack([e1[:, 1], -e1[:, 0]], axis=1)
+    w_t = np.stack([-e0[:, 1], e0[:, 0]], axis=1)
+    a_s = np.einsum("ij,ij->i", a, w_s)
+    a_t = np.einsum("ij,ij->i", a, w_t)
+    usable = np.ones(len(tris), dtype=bool)
+    if steep_guard:
+        cross = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+        usable = np.abs(cross[:, 2]) > 1e-9 * np.linalg.norm(cross, axis=1)
+    z0 = tris[:, 0, 2]
+    dz_b, dz_c = tris[:, 1, 2] - z0, tris[:, 2, 2] - z0
+    covered = np.zeros(len(pts), dtype=bool)
+    heights = np.full(len(pts), np.inf)
+    for lo in range(0, len(pts), 2048):
+        p = pts[lo:lo + 2048]
+        s = (p[:, :2] @ w_s.T - a_s[None, :]) * inv[None, :]
+        t = (p[:, :2] @ w_t.T - a_t[None, :]) * inv[None, :]
+        inside = usable[None, :] & (s >= -tol) & (t >= -tol) & (s + t <= 1.0 + tol)
+        covered[lo:lo + 2048] = inside.any(axis=1)
+        if p.shape[1] == 3:
+            height = np.abs(z0[None, :] + s * dz_b[None, :] + t * dz_c[None, :] - p[:, 2][:, None])
+            heights[lo:lo + 2048] = np.where(inside, height, np.inf).min(axis=1)
+    return covered, heights
+
+
+def _c_grid(band):
+    d6 = 6.0 * math.sqrt(measured_eps(band))
+    tri2 = CANONICAL_TRIANGLE[:, :2]
+    return verify_mod._triangle_grid(INCENTER[:2] + (1.0 - 3.0 * d6) * (tri2 - INCENTER[:2]),
+                                     GRID_PITCH)
+
+
+@pytest.fixture(scope="module")
+def band_states(tri_band, tri_state, wrinkle4, wrinkle4_state):
+    """The four benchmark bands, each with its PipelineState."""
+    w3, w5 = build_wrinkle(1e-3), build_wrinkle(1e-5)
+    return {"tri": (tri_band, tri_state), "wrinkle3": (w3, prepare(w3)),
+            "wrinkle4": (wrinkle4, wrinkle4_state), "wrinkle5": (w5, prepare(w5))}
+
+
+class TestLatticeScan:
+    """The scan-converted coverage passes against the dense pass."""
+
+    def _assert_matches_dense(self, grid, patches):
+        covered, _ = _dense_coverage(grid.points, patches, 1e-9, steep_guard=False)
+        _, heights = _dense_coverage(grid.points, patches, 1e-12, steep_guard=True)
+        assert np.array_equal(verify_mod._points_in_triangles_2d(grid, patches), covered)
+        assert np.array_equal(verify_mod._cover_heights(grid, patches), heights)
+
+    @pytest.mark.parametrize("name", ["tri", "wrinkle3", "wrinkle4", "wrinkle5"])
+    def test_bands_match_dense(self, name, band_states):
+        band, state = band_states[name]
+        grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
+        self._assert_matches_dense(grid, state.patches)
+        c_grid = _c_grid(band)
+        covered, _ = _dense_coverage(c_grid.points, state.patches, 1e-9, steep_guard=False)
+        assert np.array_equal(verify_mod._points_in_triangles_2d(c_grid, state.patches), covered)
+        # the scan tests about 1% of the dense pass's point-patch pairs
+        bary = verify_mod._Barycentric2D(state.patches)
+        candidates = sum(len(pt) for pt, _ in verify_mod._lattice_pairs(
+            grid, bary, bary.good, 1e-9))
+        assert candidates < 0.02 * len(grid.points) * len(state.patches)
+
+    @pytest.mark.parametrize("perturb", ["lift", "jitter", "overhang", "outside"])
+    def test_perturbed_patches_match_dense(self, perturb, wrinkle4_state):
+        patches = wrinkle4_state.patches.copy()
+        if perturb == "lift":
+            patches[::2, :, 2] += 0.01
+        elif perturb == "jitter":
+            patches += np.random.default_rng(7).normal(scale=2e-3, size=patches.shape)
+        elif perturb == "overhang":
+            patches[:, :, :2] = 1.5 * patches[:, :, :2] + [0.4, 0.2]
+        else:
+            patches[:, :, 0] += 3.0
+        grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
+        self._assert_matches_dense(grid, patches)
+        covered = verify_mod._points_in_triangles_2d(grid, patches)
+        if perturb == "overhang":
+            assert 0 < covered.sum() < len(covered)
+        elif perturb == "outside":
+            assert not covered.any()
+
+    def test_one_entry_blocks_are_bitwise_neutral(self, wrinkle4_state, monkeypatch):
+        # a budget of one row or pair per block: every row interval of more
+        # than one point exceeds it on its own
+        patches = wrinkle4_state.patches + np.random.default_rng(3).normal(
+            scale=2e-3, size=wrinkle4_state.patches.shape)
+        grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, 2e-2)
+        wide = (verify_mod._points_in_triangles_2d(grid, patches),
+                verify_mod._cover_heights(grid, patches))
+        monkeypatch.setattr(band_mod, "CHUNK_BYTES", 1)
+        assert np.array_equal(verify_mod._points_in_triangles_2d(grid, patches), wide[0])
+        assert np.array_equal(verify_mod._cover_heights(grid, patches), wide[1])
 
 
 class TestSharedGeometry:
@@ -141,9 +248,9 @@ class TestSharedGeometry:
         shared = verify_mod._max_distance_to_patches(grid, patches)
         assert dense > 0.0
         assert abs(shared - dense) <= 1e-12
-        assert len(refined) == 1 and 0 < refined[0] <= len(grid)
+        assert len(refined) == 1 and 0 < refined[0] <= len(grid.points)
         if perturb == "lift":
-            assert refined[0] < len(grid)
+            assert refined[0] < len(grid.points)
 
     def test_steep_patch_bound_stays_above_distance(self):
         # a sliver whose xy-projection is 1e-15 wide: its barycentric s, t
@@ -154,19 +261,23 @@ class TestSharedGeometry:
         c = a + 0.25 * d + np.array([-1e-15, 1e-15, 0.4])
         flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         patches = np.array([[a, b, c], flat])
-        rng = np.random.default_rng(5)
-        s, t = rng.uniform(0.0, 1.0, (2, 4000))
-        keep = s + t <= 1.0
-        pts = a + s[keep, None] * (b - a) + t[keep, None] * (c - a)
-        pts[:, :2] += rng.normal(scale=1e-15, size=(len(pts), 2))
-        pts[:, 2] = rng.uniform(-0.5, 0.5, len(pts))
-        pts = np.vstack([pts, [[0.2, 0.3, 0.05], [0.5, 0.1, 0.0]]])
-        bound = verify_mod._cover_heights(pts, patches)
+        # lattice row j = 0 runs along the sliver's projection, from height
+        # -0.5 to 0.5; the far corner (i, j) = (0, m) sits over `flat`
+        grid = verify_mod._triangle_grid(
+            np.array([a - [0, 0, 0.5], b + [0, 0, 0.5], [0.2, 0.3, 0.0]]), 0.03)
+        m, pts = grid.m, grid.points
+        on_sliver = np.arange(m + 1) * (m + 1) - np.arange(m + 1) * np.arange(-1, m) // 2
+        over_flat = (pts[:, 0] >= 0.0) & (pts[:, 1] >= 0.0) & (pts[:, 0] + pts[:, 1] <= 1.0)
+        assert len(on_sliver) > 50 and over_flat.sum() >= 2
+        rel = pts[on_sliver, :2] - a[:2]
+        assert np.allclose(rel[:, 0] * d[1] - rel[:, 1] * d[0], 0.0, atol=1e-15)
+        bound = verify_mod._cover_heights(grid, patches)
         dist = points_to_triangles_distance(pts, patches)
         assert np.all(bound >= dist - 1e-12)
-        assert np.isinf(bound[:-2]).all()
-        assert np.allclose(bound[-2:], [0.05, 0.0])
-        assert verify_mod._max_distance_to_patches(pts, patches) == dist.max()
+        assert np.isinf(bound[on_sliver]).all()
+        assert np.array_equal(bound[over_flat], np.abs(pts[over_flat, 2]))
+        assert bound[m] == 0.0
+        assert verify_mod._max_distance_to_patches(grid, patches) == dist.max()
 
     def _count(self, monkeypatch):
         calls = {"triangle_to_band": 0, "kernel": 0}
@@ -202,16 +313,27 @@ class TestSharedGeometry:
     def test_chunking_is_bitwise_neutral(self, wrinkle4_state, monkeypatch):
         patches = surface_triangles(wrinkle4_state.developed)
         grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, 2e-2)
-        grid = grid + np.random.default_rng(3).normal(scale=1e-2, size=grid.shape)
+        jittered = grid.points + np.random.default_rng(3).normal(scale=1e-2, size=grid.points.shape)
         kernels = (
-            lambda: points_to_triangles_distance(grid, patches),
+            lambda: points_to_triangles_distance(jittered, patches),
             lambda: verify_mod._cover_heights(grid, patches),
-            lambda: verify_mod._points_in_triangles_2d(grid[:, :2], patches),
+            lambda: verify_mod._points_in_triangles_2d(grid, patches),
         )
         wide = [k() for k in kernels]
         monkeypatch.setattr(band_mod, "CHUNK_BYTES", 8 * 3 * len(patches) * 7)
         for k, ref in zip(kernels, wide):
             assert np.array_equal(k(), ref)
+
+    def test_patches_built_once(self, tri_band, monkeypatch):
+        calls = []
+
+        def counting(band):
+            calls.append(band)
+            return surface_triangles(band)
+
+        monkeypatch.setattr(verify_mod, "surface_triangles", counting)
+        assert [r.name for r in verify_all(tri_band)] == ["eff", "eff2", "corollary"]
+        assert len(calls) == 1
 
 
 class TestPoseInvariance:
