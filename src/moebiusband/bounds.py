@@ -18,6 +18,7 @@ flat-folded triangle as the unique optimum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -170,6 +171,25 @@ def offset1_check(tri: PerturbedTriangle, eps: float) -> MarginReport:
 # ---------------------------------------------------------------------------
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (m, 3) array.  The squares are
+    summed left to right, as np.linalg.norm(v, axis=1) sums them, so the
+    two agree bitwise; this skips the reduction over the short axis, which
+    takes most of the time of np.linalg.norm here."""
+    sq = v * v
+    return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+
+
+@functools.lru_cache(maxsize=8)
+def _chord_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weights (1 - t, t) of the chord map at n equal parameter steps."""
+    t = np.linspace(0.0, 1.0, n)
+    weights = (1.0 - t, t)
+    for w in weights:
+        w.setflags(write=False)
+    return weights
+
+
 @dataclass(frozen=True)
 class CurveGraphPair:
     """Sampled unit-speed curve on a segment domain, with its chord map.
@@ -177,11 +197,16 @@ class CurveGraphPair:
     samples: (n, 3) points I(x_i) at equal parameter steps x_i spanning the
     domain segment; the sampling must be unit speed step by step.  The
     chord map is the affine map with the same endpoints; the graphs live in
-    R^4 = domain x R^3.
+    R^4 = domain x R^3.  The step lengths, the domain length, the chord
+    samples and the sup deviation are computed once, on construction.
     """
 
     samples: np.ndarray
     speed_tol: float = 1e-6
+    domain_length: float = field(init=False, repr=False, compare=False)
+    _steps: np.ndarray = field(init=False, repr=False, compare=False)
+    _chord: np.ndarray = field(init=False, repr=False, compare=False)
+    _deviation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
@@ -191,42 +216,47 @@ class CurveGraphPair:
             raise StructureError("non-finite curve samples")
         object.__setattr__(self, "samples", s)
         s.setflags(write=False)
-        step = self.domain_length / (len(s) - 1)
-        speeds = np.linalg.norm(np.diff(s, axis=0), axis=1) / step
+        steps = _row_norms(np.diff(s, axis=0))
+        length = float(steps.sum())
+        speeds = steps / (length / (len(s) - 1))
         if np.abs(speeds - 1.0).max() > self.speed_tol:
             raise StructureError(
                 f"samples are not unit speed (max |speed-1| = {np.abs(speeds - 1.0).max():.3e})"
             )
-
-    @property
-    def domain_length(self) -> float:
-        s = np.asarray(self.samples, dtype=float)
-        return float(np.linalg.norm(np.diff(s, axis=0), axis=1).sum())
+        # built as (3, n) coordinate rows: broadcasting an (n, 1) weight
+        # against a 3-vector takes twice as long for the same products
+        w0, w1 = _chord_weights(len(s))
+        chord = (s[0][:, None] * w0 + s[-1][:, None] * w1).T
+        steps.setflags(write=False)
+        chord.setflags(write=False)
+        object.__setattr__(self, "domain_length", length)
+        object.__setattr__(self, "_steps", steps)
+        object.__setattr__(self, "_chord", chord)
+        object.__setattr__(self, "_deviation", float(_row_norms(s - chord).max()))
 
     @property
     def n(self) -> int:
         return len(self.samples)
 
     def chord_samples(self) -> np.ndarray:
-        t = np.linspace(0.0, 1.0, self.n)[:, None]
-        return (1.0 - t) * self.samples[0] + t * self.samples[-1]
+        return self._chord
 
     def curve_length(self) -> float:
-        return float(np.linalg.norm(np.diff(self.samples, axis=0), axis=1).sum())
+        return self.domain_length
 
     def chord_length(self) -> float:
         return float(np.linalg.norm(self.samples[-1] - self.samples[0]))
 
     def sup_deviation(self) -> float:
-        return float(np.linalg.norm(self.samples - self.chord_samples(), axis=1).max())
+        return self._deviation
 
     def graph_lengths(self) -> tuple[float, float]:
         """Polyline lengths of the graphs of the curve and of its chord map
         in R^4 (trapezoid-rule quadrature on the given samples)."""
         step = self.domain_length / (self.n - 1)
         dx = np.full(self.n - 1, step)
-        d_curve = np.linalg.norm(np.diff(self.samples, axis=0), axis=1)
-        d_chord = np.linalg.norm(np.diff(self.chord_samples(), axis=0), axis=1)
+        d_curve = self._steps
+        d_chord = _row_norms(np.diff(self._chord, axis=0))
         len_graph = float(np.sqrt(dx * dx + d_curve * d_curve).sum())
         len_graph_star = float(np.sqrt(dx * dx + d_chord * d_chord).sum())
         return len_graph, len_graph_star
@@ -367,6 +397,19 @@ def random_perturbed_triangle(rng: np.random.Generator, eps: float) -> Perturbed
     raise RuntimeError("failed to sample a triangle meeting the hypotheses")
 
 
+@functools.lru_cache(maxsize=8)
+def _curve_tables(n: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The fixed arrays of `random_unit_speed_curve` over the arc-length
+    midpoints s of an n-point curve: sin(2 pi s), sin(pi s) and, for
+    k = 2..4, pi k s."""
+    s = (np.arange(n - 1) + 0.5) / (n - 1)
+    sin_2pi_s, sin_pi_s = np.sin(2.0 * math.pi * s), np.sin(math.pi * s)
+    pi_k_s = {k: math.pi * k * s for k in range(2, 5)}
+    for arr in (sin_2pi_s, sin_pi_s, *pi_k_s.values()):
+        arr.setflags(write=False)
+    return sin_2pi_s, sin_pi_s, pi_k_s
+
+
 def random_unit_speed_curve(rng: np.random.Generator, length: float,
                             tilt: float, n: int = 1200) -> np.ndarray:
     """Unit-speed samples of a random smooth space curve.
@@ -377,22 +420,21 @@ def random_unit_speed_curve(rng: np.random.Generator, length: float,
     `length`.  `tilt` scales the tangent's angular swing away from the
     chord direction, i.e. how far the curve wiggles.
     """
-    s = (np.arange(n - 1) + 0.5) / (n - 1)
+    sin_2pi_s, sin_pi_s, pi_k_s = _curve_tables(n)
     # a coherent full-period swing carries the bulk of the bulge away from
     # the chord; higher random modes (both angles) roughen it
-    theta = tilt * rng.uniform(0.7, 1.0) * rng.choice([-1.0, 1.0]) * np.sin(2.0 * math.pi * s)
+    theta = tilt * rng.uniform(0.7, 1.0) * rng.choice([-1.0, 1.0]) * sin_2pi_s
     phi = np.zeros(n - 1)
     for k in range(2, 5):
         for ang in (theta, phi):
             amp = 0.25 * tilt * rng.normal() / k
             phase = rng.uniform(0.0, 2.0 * math.pi)
-            ang += amp * np.sin(math.pi * k * s + phase) * np.sin(math.pi * s)
-    tangent = np.stack(
-        [np.cos(theta) * np.cos(phi), np.sin(theta) * np.cos(phi), np.sin(phi)],
-        axis=1,
-    )
+            ang += amp * np.sin(pi_k_s[k] + phase) * sin_pi_s
+    cos_phi = np.cos(phi)
+    tangent = np.stack([np.cos(theta) * cos_phi, np.sin(theta) * cos_phi, np.sin(phi)], axis=1)
     steps = (length / (n - 1)) * tangent
-    pts = np.vstack([np.zeros(3), np.cumsum(steps, axis=0)])
+    pts = np.zeros((n, 3))
+    np.cumsum(steps, axis=0, out=pts[1:])
     return pts
 
 
@@ -421,24 +463,56 @@ def curve_with_forced_deviation(rng: np.random.Generator, eps: float) -> CurveGr
 # ---------------------------------------------------------------------------
 
 
+GRID_BLOCK = 1 << 16  # grid points per block of hd_grid_certificate: 512 KiB arrays
+
+
 def hd_grid_certificate(n: int = 1_000_000) -> dict:
     """max(h, d) >= sqrt(3) on a t-grid over (0, 1), minimized next to
-    t = 1/sqrt(3); h increasing and d decreasing by finite differences."""
-    t = np.linspace(0.0, 1.0, n + 2)[1:-1]
-    hv = np.sqrt(1.0 + t * t) + t
-    dv = np.sqrt(5.0 + t * t) - t
-    m = np.maximum(hv, dv)
-    i = int(np.argmin(m))
+    t = 1/sqrt(3); h increasing and d decreasing by finite differences.
+
+    The grid t_k = k / (n + 1), k = 1..n, is bitwise the interior of
+    linspace(0, 1, n + 2); it is streamed in blocks of GRID_BLOCK points.
+    """
+    step = 1.0 / (n + 1)
+
+    def blocks():
+        for k0 in range(1, n + 1, GRID_BLOCK):
+            t = np.arange(k0, min(k0 + GRID_BLOCK, n + 1)) * step
+            yield t, np.sqrt(1.0 + t * t) + t, np.sqrt(5.0 + t * t) - t
+
+    return _certify_blocks(blocks(), step)
+
+
+def _certify_blocks(blocks, step: float) -> dict:
+    """The certificate of `hd_grid_certificate` from consecutive (t, h, d)
+    blocks of a grid with spacing `step`, carrying the least value, its
+    first grid point, the least of the other values, and the last h and d
+    for the differences across blocks."""
+    best = others = math.inf
+    best_t = math.nan
+    h_last, d_last = -math.inf, math.inf
+    h_increasing = d_decreasing = True
+    for t, hv, dv in blocks:
+        h_increasing &= bool(np.all(np.diff(hv, prepend=h_last) > 0.0))
+        d_decreasing &= bool(np.all(np.diff(dv, prepend=d_last) < 0.0))
+        h_last, d_last = hv[-1], dv[-1]
+        m = np.maximum(hv, dv)
+        i = int(np.argmin(m))
+        low = m[i]
+        m[i] = math.inf
+        if low < best:
+            others = min(best, m.min())
+            best, best_t = low, t[i]
+        else:
+            others = min(others, low)
     return {
-        "min_value": float(m[i]),
-        "argmin_t": float(t[i]),
-        "argmin_near_t_opt": bool(abs(t[i] - T_OPT) <= (t[1] - t[0]) * 1.000001),
-        "min_above_sqrt3": bool(m.min() >= SQRT3 - 1e-12),
-        "others_strictly_above": bool(
-            np.delete(m, i).min() > SQRT3 - 1e-12
-        ),
-        "h_increasing": bool(np.all(np.diff(hv) > 0.0)),
-        "d_decreasing": bool(np.all(np.diff(dv) < 0.0)),
+        "min_value": float(best),
+        "argmin_t": float(best_t),
+        "argmin_near_t_opt": bool(abs(best_t - T_OPT) <= step * 1.000001),
+        "min_above_sqrt3": bool(best >= SQRT3 - 1e-12),
+        "others_strictly_above": bool(others > SQRT3 - 1e-12),
+        "h_increasing": h_increasing,
+        "d_decreasing": d_decreasing,
     }
 
 

@@ -48,11 +48,18 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
 DEFAULT_SEED = 1234
+ETA_RANGE_ERROR = "eta must lie in [1e-6, 1e-2]"
+
+
+def _eta_in_range(eta: float) -> bool:
+    """eff samples about 1/eta points per boundary edge."""
+    return 1e-6 <= eta <= 1e-2
 
 
 def _tolerances(args) -> ToleranceConfig:
     """The tolerances in force: DEFAULT_TOL, overridden by the JSON object in
-    MOEBIUS_TOL, each value a positive finite number, and by `--eta`."""
+    MOEBIUS_TOL, each value a positive finite number, and by `--eta`; the
+    sampling resolution must lie in [1e-6, 1e-2] from either source."""
     tol = DEFAULT_TOL
     env = os.environ.get("MOEBIUS_TOL")
     if env:
@@ -68,12 +75,14 @@ def _tolerances(args) -> ToleranceConfig:
                 if not ok:
                     raise ValueError(f"{key} must be a positive finite number, "
                                      f"not {json.dumps(value)}")
+                if key == "sampling_eta" and not _eta_in_range(value):
+                    raise ValueError(ETA_RANGE_ERROR)
             tol = tol.replace(**{key: float(value) for key, value in overrides.items()})
         except (ValueError, TypeError) as exc:
             raise StructureError(f"bad MOEBIUS_TOL: {exc}") from exc
     if getattr(args, "eta", None) is not None:
-        if not (1e-6 <= args.eta <= 1e-2):
-            raise StructureError("eta must lie in [1e-6, 1e-2]")
+        if not _eta_in_range(args.eta):
+            raise StructureError(ETA_RANGE_ERROR)
         tol = tol.replace(sampling_eta=args.eta)
     return tol
 
@@ -157,57 +166,78 @@ def _cmd_verify(args, tol: ToleranceConfig) -> int:
 
 
 def _cmd_bounds_sweep(args, tol: ToleranceConfig) -> int:
+    for name in ("grid", "seed"):
+        if getattr(args, name) < 0:
+            raise StructureError(f"--{name} must be a non-negative integer, "
+                                 f"not {getattr(args, name)}")
     rng = np.random.default_rng(args.seed)
     n = args.grid
+    # (stdout name, passed, least margins for --report)
     lines = []
 
-    anchors_ok = (
-        abs(bounds.h(1.0 / SQRT3) - SQRT3) < 1e-12
-        and abs(bounds.d(1.0 / SQRT3) - SQRT3) < 1e-12
-        and abs(bounds.g(1.0) - SQRT3) < 1e-12
-    )
-    lines.append(("anchor-identities", anchors_ok))
+    anchor_err = {
+        "h_err": abs(bounds.h(1.0 / SQRT3) - SQRT3),
+        "d_err": abs(bounds.d(1.0 / SQRT3) - SQRT3),
+        "g_err": abs(bounds.g(1.0) - SQRT3),
+    }
+    lines.append(("anchor-identities", all(e < 1e-12 for e in anchor_err.values()),
+                  anchor_err))
 
     deriv = bounds.derivative_anchors()
     lines.append(
         ("derivative-anchors",
          deriv["h_prime_err"] < 1e-6 and deriv["d_prime_err"] < 1e-6
-         and deriv["fprime_below_3_4"])
+         and deriv["fprime_below_3_4"],
+         {k: deriv[k] for k in ("h_prime_err", "d_prime_err", "max_abs_fprime")})
     )
 
     cert = bounds.hd_grid_certificate(max(n * n, 10_000))
     lines.append(
         ("aspect-grid",
          cert["min_above_sqrt3"] and cert["argmin_near_t_opt"]
-         and cert["h_increasing"] and cert["d_decreasing"])
+         and cert["h_increasing"] and cert["d_decreasing"],
+         {"min_minus_sqrt3": cert["min_value"] - SQRT3, "argmin_t": cert["argmin_t"]})
     )
 
     sq = bounds.sq_grid_certificate(max(int(math.isqrt(n * 10)), 100))
     lines.append(("sqrt-margins-grid",
                   sq["sq0_nonnegative"] and sq["sq0_zero_only_at_corner"]
-                  and sq["sq1_strictly_positive"]))
+                  and sq["sq1_strictly_positive"],
+                  {"sq0_min": sq["sq0_min"], "sq1_min": sq["sq1_min"]}))
 
     draws = max(n, 500)
     ok = 0
+    least_offset1 = math.inf
     for _ in range(draws):
         eps = float(rng.uniform(0.001, 0.24))
         tri = bounds.random_perturbed_triangle(rng, eps)
         r = bounds.offset1_check(tri, eps)
         ok += r.hypotheses_ok and r.passed
-    lines.append((f"offset-sweep[{draws}]", ok == draws))
+        least_offset1 = min(least_offset1, r.margin)
+    lines.append((f"offset-sweep[{draws}]", ok == draws, {"offset1_min": least_offset1}))
 
     ok = 0
+    least_wiggle = least_graph = math.inf
     for _ in range(draws):
         eps = float(rng.uniform(0.001, 0.1))
         cg = bounds.curve_with_forced_deviation(rng, eps)
-        ok += (bounds.wiggle_check(cg, eps).passed and bounds.graph_check(cg).passed)
-    lines.append((f"curve-sweep[{draws}]", ok == draws))
+        wiggle, graph = bounds.wiggle_check(cg, eps), bounds.graph_check(cg)
+        ok += wiggle.passed and graph.passed
+        least_wiggle = min(least_wiggle, wiggle.margin)
+        least_graph = min(least_graph, graph.margin)
+    lines.append((f"curve-sweep[{draws}]", ok == draws,
+                  {"wiggle_min": least_wiggle, "graph_min": least_graph}))
 
-    all_ok = True
-    for name, passed in lines:
+    for name, passed, _ in lines:
         print(f"{name}: {'pass' if passed else 'FAIL'}")
-        all_ok = all_ok and passed
-    return EXIT_PASS if all_ok else EXIT_FAIL
+    if args.report:
+        report = {"grid": n, "seed": args.seed,
+                  "lines": {name.split("[")[0]: {"passed": passed, **margins}
+                            for name, passed, margins in lines}}
+        with open(args.report, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+    return EXIT_PASS if all(passed for _, passed, _ in lines) else EXIT_FAIL
 
 
 def _cmd_sharpness_sweep(args, tol: ToleranceConfig) -> int:
@@ -278,6 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds-sweep", help="grid certificates and property sweeps")
     p.add_argument("--grid", type=int, default=1000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--report", default=None,
+                   help="write the least margin of each line as JSON")
     p.set_defaults(func=_cmd_bounds_sweep)
 
     p = sub.add_parser("sharpness-sweep", help="Hausdorff-vs-epsilon table")

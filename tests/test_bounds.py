@@ -70,7 +70,62 @@ class TestSquareRootMargins:
         assert cert["sq1_strictly_positive"]
 
 
+def _dense_certificate(t, hv, dv):
+    """The certificate of hd_grid_certificate on whole arrays, as it was
+    computed before the grid was streamed in blocks."""
+    m = np.maximum(hv, dv)
+    i = int(np.argmin(m))
+    return {
+        "min_value": float(m[i]),
+        "argmin_t": float(t[i]),
+        "argmin_near_t_opt": bool(abs(t[i] - T0) <= (t[1] - t[0]) * 1.000001),
+        "min_above_sqrt3": bool(m.min() >= SQRT3 - 1e-12),
+        "others_strictly_above": bool(np.delete(m, i).min() > SQRT3 - 1e-12),
+        "h_increasing": bool(np.all(np.diff(hv) > 0.0)),
+        "d_decreasing": bool(np.all(np.diff(dv) < 0.0)),
+    }
+
+
+def _dense_hd_grid_certificate(n):
+    t = np.linspace(0.0, 1.0, n + 2)[1:-1]
+    return _dense_certificate(t, np.sqrt(1.0 + t * t) + t, np.sqrt(5.0 + t * t) - t)
+
+
 class TestAspectGrid:
+    @pytest.mark.parametrize("n", [10_000, bounds.GRID_BLOCK - 1, bounds.GRID_BLOCK,
+                                   bounds.GRID_BLOCK + 1, 1_000_000])
+    def test_streamed_equals_dense(self, n):
+        assert bounds.hd_grid_certificate(n) == _dense_hd_grid_certificate(n)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 64])
+    def test_block_size_is_neutral(self, block, monkeypatch):
+        # many block boundaries, one inside the run of values next to the minimum
+        ref = _dense_hd_grid_certificate(1000)
+        monkeypatch.setattr(bounds, "GRID_BLOCK", block)
+        assert bounds.hd_grid_certificate(1000) == ref
+
+    def test_blocks_carry_minimum_and_monotonicity(self):
+        # on the real grid the monotonicity flags and the least of the other
+        # values never change; here ties, plateaus and repeated minima fall
+        # on block boundaries
+        rng = np.random.default_rng(3)
+        levels = np.array([SQRT3 - 1e-9, SQRT3 - 1e-13, SQRT3, SQRT3 + 1e-3, 2.0])
+        seen = {"others_strictly_above": set(), "h_increasing": set(), "d_decreasing": set()}
+        for _ in range(400):
+            size = int(rng.integers(2, 30))
+            t = np.arange(size) * 0.05 + T0 - 0.5
+            hv, dv = rng.choice(levels, size), rng.choice(levels, size)
+            if rng.uniform() < 0.5:
+                hv.sort()
+                dv[::-1].sort()
+            cuts = np.sort(rng.choice(np.arange(1, size), rng.integers(0, size), replace=False))
+            blocks = zip(*(np.split(a, cuts) for a in (t, hv, dv)))
+            cert = bounds._certify_blocks(blocks, 0.05)
+            assert cert == _dense_certificate(t, hv, dv)
+            for key, values in seen.items():
+                values.add(cert[key])
+        assert all(values == {True, False} for values in seen.values())
+
     def test_million_point_grid(self):
         cert = bounds.hd_grid_certificate(1_000_000)
         assert cert["min_above_sqrt3"]
@@ -119,6 +174,37 @@ class TestOffset1:
             )
 
 
+def _inline_unit_speed_curve(rng, length, tilt, n=1200):
+    """random_unit_speed_curve as it was written before its fixed
+    trigonometric arrays were tabulated."""
+    s = (np.arange(n - 1) + 0.5) / (n - 1)
+    theta = tilt * rng.uniform(0.7, 1.0) * rng.choice([-1.0, 1.0]) * np.sin(2.0 * math.pi * s)
+    phi = np.zeros(n - 1)
+    for k in range(2, 5):
+        for ang in (theta, phi):
+            amp = 0.25 * tilt * rng.normal() / k
+            phase = rng.uniform(0.0, 2.0 * math.pi)
+            ang += amp * np.sin(math.pi * k * s + phase) * np.sin(math.pi * s)
+    tangent = np.stack(
+        [np.cos(theta) * np.cos(phi), np.sin(theta) * np.cos(phi), np.sin(phi)],
+        axis=1,
+    )
+    steps = (length / (n - 1)) * tangent
+    return np.vstack([np.zeros(3), np.cumsum(steps, axis=0)])
+
+
+class TestRandomCurve:
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("tilt", [0.05, 0.9, 2.6])
+    @pytest.mark.parametrize("n", [1200, 40])
+    def test_equals_inline_formula(self, seed, tilt, n):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for length in (1.6, 2.85):  # twice, so a second call reuses the tables
+            pts = bounds.random_unit_speed_curve(fast, length, tilt, n=n)
+            assert np.array_equal(pts, _inline_unit_speed_curve(slow, length, tilt, n=n))
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+
 class TestCurveChecks:
     def _tent(self, half=1.0, bump=0.3, n=600):
         up = np.linspace(0.0, 1.0, n)[:, None] * [half, bump, 0.0]
@@ -158,6 +244,28 @@ class TestCurveChecks:
         rep = bounds.wiggle_check(bounds.CurveGraphPair(line), 0.01)
         assert not rep.passed
         assert not rep.hypotheses["deviation>=3sqrt(eps)"]
+
+    @pytest.mark.parametrize("seed", [1, 99])
+    def test_cached_fields_equal_direct_formulas(self, seed):
+        cg = bounds.curve_with_forced_deviation(np.random.default_rng(seed), 0.01)
+        s = cg.samples
+        d_curve = np.linalg.norm(np.diff(s, axis=0), axis=1)
+        t = np.linspace(0.0, 1.0, cg.n)[:, None]
+        chord = (1.0 - t) * s[0] + t * s[-1]
+        assert cg.domain_length == float(d_curve.sum())
+        assert cg.curve_length() == float(d_curve.sum())
+        assert np.array_equal(cg.chord_samples(), chord)
+        assert cg.sup_deviation() == float(np.linalg.norm(s - chord, axis=1).max())
+        dx = np.full(cg.n - 1, cg.domain_length / (cg.n - 1))
+        d_chord = np.linalg.norm(np.diff(chord, axis=0), axis=1)
+        assert cg.graph_lengths() == (float(np.sqrt(dx * dx + d_curve * d_curve).sum()),
+                                      float(np.sqrt(dx * dx + d_chord * d_chord).sum()))
+        assert not cg.chord_samples().flags.writeable
+
+    def test_row_norms_match_linalg_norm(self):
+        rng = np.random.default_rng(5)
+        v = rng.normal(size=(20_000, 3)) * 10.0 ** rng.uniform(-8, 8, size=(20_000, 1))
+        assert np.array_equal(bounds._row_norms(v), np.linalg.norm(v, axis=1))
 
     def test_non_unit_speed_rejected(self):
         pts = np.linspace(0.0, 1.0, 50)[:, None] * [1.0, 0.0, 0.0]

@@ -2,8 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from moebiusband import bounds
 from moebiusband.cli import main as cli_main
 
 CLI = [sys.executable, "-m", "moebiusband.cli"]
@@ -109,6 +111,14 @@ class TestExitCodes:
         assert res.returncode == 2
         assert res.stderr.startswith("error: epsilons must be a comma-separated list")
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--grid", "-5")])
+    def test_negative_sweep_argument_exits_2(self, flag, value, capsys):
+        # numpy and math.isqrt raised a ValueError traceback with exit 1
+        assert cli_main(["bounds-sweep", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} must be a non-negative integer, not {value}\n"
+        assert captured.out == ""
+
     def test_missing_file_exits_2(self):
         assert run("validate", "--input", "/nonexistent/band.json").returncode == 2
 
@@ -138,6 +148,52 @@ class TestDeterminism:
         res = run("bounds-sweep", "--grid", "120", "--seed", "7")
         assert res.returncode == 0, res.stdout + res.stderr
         assert "FAIL" not in res.stdout
+
+
+class TestBoundsReport:
+    def test_report_holds_least_margins(self, tmp_path, capsys):
+        assert cli_main(["bounds-sweep", "--grid", "120", "--seed", "7"]) == 0
+        plain = capsys.readouterr().out
+        report = tmp_path / "margins.json"
+        assert cli_main(["bounds-sweep", "--grid", "120", "--seed", "7",
+                         "--report", str(report)]) == 0
+        assert capsys.readouterr().out == plain
+        data = json.loads(report.read_text())
+        assert (data["grid"], data["seed"]) == (120, 7)
+        lines = data["lines"]
+        assert list(lines) == [line.split(":")[0].split("[")[0] for line in plain.splitlines()]
+        assert all(line["passed"] for line in lines.values())
+        assert max(lines["anchor-identities"][k] for k in ("h_err", "d_err", "g_err")) < 1e-12
+        assert lines["derivative-anchors"]["h_prime_err"] < 1e-6
+        assert lines["aspect-grid"]["min_minus_sqrt3"] >= -1e-12
+        assert abs(lines["aspect-grid"]["argmin_t"] - 3 ** -0.5) < 1e-4
+        assert lines["sqrt-margins-grid"]["sq0_min"] >= -1e-12
+        assert lines["sqrt-margins-grid"]["sq1_min"] > 0.0
+        assert lines["offset-sweep"]["offset1_min"] > 0.0
+        assert lines["curve-sweep"]["wiggle_min"] > 0.0
+        assert lines["curve-sweep"]["graph_min"] >= -1e-12
+
+    def test_report_minima_follow_the_draws(self, tmp_path):
+        # the sweeps draw from one generator, offset1 first, then the curves
+        report = tmp_path / "margins.json"
+        assert cli_main(["bounds-sweep", "--grid", "0", "--seed", "11",
+                         "--report", str(report)]) == 0
+        lines = json.loads(report.read_text())["lines"]
+        rng = np.random.default_rng(11)
+        offset1 = []
+        for _ in range(500):
+            eps = float(rng.uniform(0.001, 0.24))
+            offset1.append(bounds.offset1_check(bounds.random_perturbed_triangle(rng, eps),
+                                                eps).margin)
+        wiggle, graph = [], []
+        for _ in range(500):
+            eps = float(rng.uniform(0.001, 0.1))
+            cg = bounds.curve_with_forced_deviation(rng, eps)
+            wiggle.append(bounds.wiggle_check(cg, eps).margin)
+            graph.append(bounds.graph_check(cg).margin)
+        assert lines["offset-sweep"]["offset1_min"] == min(offset1)
+        assert lines["curve-sweep"] == {"passed": True, "wiggle_min": min(wiggle),
+                                        "graph_min": min(graph)}
 
 
 class TestToleranceEnv:
@@ -181,6 +237,19 @@ class TestToleranceEnv:
         assert cli_main(["validate", "--input", str(tri_file)]) == 2
         err = capsys.readouterr().err
         assert "bad MOEBIUS_TOL: isometry must be a positive finite number" in err
+
+    @pytest.mark.parametrize("value", ["0.5", "1e-7"])
+    def test_sampling_eta_out_of_range_exits_2(self, tri_file, value, monkeypatch, capsys):
+        # the range of verify --eta; below it eff would sample ~1/eta points per edge
+        monkeypatch.setenv("MOEBIUS_TOL", f'{{"sampling_eta": {value}}}')
+        assert cli_main(["verify", "--input", str(tri_file), "--theorem", "eff"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: bad MOEBIUS_TOL: eta must lie in [1e-6, 1e-2]\n"
+        assert captured.out == ""
+
+    def test_sampling_eta_in_range_accepted(self, tri_file, monkeypatch, capsys):
+        monkeypatch.setenv("MOEBIUS_TOL", '{"sampling_eta": 1e-3}')
+        assert cli_main(["verify", "--input", str(tri_file), "--theorem", "eff"]) == 0
 
     def test_integer_value_accepted(self, wrinkle_file, monkeypatch, capsys):
         monkeypatch.setenv("MOEBIUS_TOL", '{"isometry": 1}')
