@@ -103,12 +103,16 @@ def sq1_margin(big_l: float, eps: float) -> MarginReport:
 @dataclass(frozen=True)
 class PerturbedTriangle:
     """Triangle with horizontal base p1-p2 and bottom vertex q, compared
-    against its isosceles twin (same base and height, apex over the base
-    midpoint)."""
+    against its isosceles twin q_star (same base and height, apex over the
+    base midpoint).  q_star, its offset delta from q and the twin's slanted
+    length vee_star are computed once, on construction."""
 
     p1: np.ndarray
     p2: np.ndarray
     q: np.ndarray
+    q_star: np.ndarray = field(init=False, compare=False)
+    delta: float = field(init=False, compare=False)
+    vee_star: float = field(init=False, compare=False)
 
     def __post_init__(self):
         p1 = np.asarray(self.p1, dtype=float)
@@ -121,26 +125,19 @@ class PerturbedTriangle:
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "p2", p2)
         object.__setattr__(self, "q", q)
+        q_star = np.array([0.5 * (p1[0] + p2[0]), q[1]])
+        q_star.setflags(write=False)
+        object.__setattr__(self, "q_star", q_star)
+        object.__setattr__(self, "delta", abs(float(q[0] - q_star[0])))
+        object.__setattr__(self, "vee_star",
+                           float(np.linalg.norm(p1 - q_star) + np.linalg.norm(p2 - q_star)))
 
     @property
     def height(self) -> float:
         return abs(float(self.q[1] - self.p1[1]))
 
-    @property
-    def q_star(self) -> np.ndarray:
-        return np.array([0.5 * (self.p1[0] + self.p2[0]), self.q[1]])
-
-    @property
-    def delta(self) -> float:
-        """Horizontal offset between the bottom vertex and its isosceles twin."""
-        return abs(float(self.q[0] - self.q_star[0]))
-
     def vee(self) -> float:
         return float(np.linalg.norm(self.p1 - self.q) + np.linalg.norm(self.p2 - self.q))
-
-    def vee_star(self) -> float:
-        qs = self.q_star
-        return float(np.linalg.norm(self.p1 - qs) + np.linalg.norm(self.p2 - qs))
 
     def star_slopes_exceed_one(self) -> bool:
         half_base = 0.5 * abs(float(self.p2[0] - self.p1[0]))
@@ -153,7 +150,7 @@ def offset1_check(tri: PerturbedTriangle, eps: float) -> MarginReport:
     """If the bottom vertex sits >= sqrt(13 eps / 2) off the isosceles
     position then the slanted sides are longer than the isosceles ones by
     more than 2 eps."""
-    vee, vee_star = tri.vee(), tri.vee_star()
+    vee, vee_star = tri.vee(), tri.vee_star
     hyp = {
         "0<eps<1/4": 0.0 < eps < 0.25,
         "vee*<3": vee_star < 3.0,
@@ -392,7 +389,7 @@ def random_perturbed_triangle(rng: np.random.Generator, eps: float) -> Perturbed
             p2=np.array([half_base, 0.0]),
             q=np.array([side * delta, -height]),
         )
-        if tri.star_slopes_exceed_one() and tri.vee_star() < 3.0:
+        if tri.star_slopes_exceed_one() and tri.vee_star < 3.0:
             return tri
     raise RuntimeError("failed to sample a triangle meeting the hypotheses")
 

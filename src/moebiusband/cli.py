@@ -48,18 +48,11 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
 DEFAULT_SEED = 1234
-ETA_RANGE_ERROR = "eta must lie in [1e-6, 1e-2]"
 
 
-def _eta_in_range(eta: float) -> bool:
-    """eff samples about 1/eta points per boundary edge."""
-    return 1e-6 <= eta <= 1e-2
-
-
-def _tolerances(args) -> ToleranceConfig:
+def _tolerances() -> ToleranceConfig:
     """The tolerances in force: DEFAULT_TOL, overridden by the JSON object in
-    MOEBIUS_TOL, each value a positive finite number, and by `--eta`; the
-    sampling resolution must lie in [1e-6, 1e-2] from either source."""
+    MOEBIUS_TOL, each value a positive finite number."""
     tol = DEFAULT_TOL
     env = os.environ.get("MOEBIUS_TOL")
     if env:
@@ -75,15 +68,9 @@ def _tolerances(args) -> ToleranceConfig:
                 if not ok:
                     raise ValueError(f"{key} must be a positive finite number, "
                                      f"not {json.dumps(value)}")
-                if key == "sampling_eta" and not _eta_in_range(value):
-                    raise ValueError(ETA_RANGE_ERROR)
             tol = tol.replace(**{key: float(value) for key, value in overrides.items()})
         except (ValueError, TypeError) as exc:
             raise StructureError(f"bad MOEBIUS_TOL: {exc}") from exc
-    if getattr(args, "eta", None) is not None:
-        if not _eta_in_range(args.eta):
-            raise StructureError(ETA_RANGE_ERROR)
-        tol = tol.replace(sampling_eta=args.eta)
     return tol
 
 
@@ -141,8 +128,6 @@ def _cmd_tpattern(args, tol: ToleranceConfig) -> int:
 
 def _cmd_verify(args, tol: ToleranceConfig) -> int:
     which = args.theorem or "all"
-    if args.eta is not None and which not in ("eff", "all"):
-        raise StructureError(f"--eta sets the sampling of eff only; --theorem {which} ignores it")
     band = read_json(args.input)
     if not _validated(band, tol):
         return EXIT_FAIL
@@ -300,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the effective-bound verifiers")
     p.add_argument("--input", required=True)
     p.add_argument("--theorem", choices=["eff", "eff2", "corollary"], default=None)
-    p.add_argument("--eta", type=float, default=None)
     p.add_argument("--report", default=None, help="write a JSON report")
     p.add_argument("--csv", default=None, help="write a CSV summary")
     p.set_defaults(func=_cmd_verify)
@@ -327,7 +311,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_PASS
     try:
-        return args.func(args, _tolerances(args))
+        return args.func(args, _tolerances())
     except NoTPatternError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

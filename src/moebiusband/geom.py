@@ -23,13 +23,11 @@ class ToleranceConfig:
 
     isometry: relative length residual accepted by band validation.
     root_residual: accepted residual for numeric root finding (T-patterns).
-    sampling_eta: sampling resolution of the boundary comparison in eff
-        (`verify --eta`).
+    winding_residual: accepted distance of a winding number from an integer.
     """
 
     isometry: float = 1e-9
     root_residual: float = 1e-8
-    sampling_eta: float = 1e-4
     winding_residual: float = 1e-6
 
     def replace(self, **kw) -> "ToleranceConfig":
@@ -235,9 +233,6 @@ class PolylineLoop:
         if self.closed:
             total += float(np.linalg.norm(pts[0] - pts[-1]))
         return total
-
-    def sample(self, eta: float) -> np.ndarray:
-        return densify_polyline(self.points, eta, closed=self.closed)
 
 
 def winding_number(loop, point, tol: ToleranceConfig = DEFAULT_TOL) -> int:

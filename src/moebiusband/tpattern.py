@@ -43,6 +43,7 @@ from .geom import (
 
 _DIAGONAL_EXCLUSION = 3  # minimal bend-step separation of a candidate pair
 _FOOT_MARGIN = 1e-6      # relative margin classifying interior/endpoint feet
+_ULP = np.finfo(float).eps
 
 
 class NoTPatternError(StructureError):
@@ -211,13 +212,18 @@ def _perp_roots(band: RuledBand) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, k, k + np.divide(d0, d0 - d1, out=np.zeros_like(d0), where=d0 != 0.0)
 
 
-def _root_residuals(band: RuledBand, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F1 and F2 at every root (a, b), as _perp_residual and
-    _offset_residual give them one at a time."""
+def _root_segments(band: RuledBand, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The space segments at every root (a, b), bitwise as _space_at gives
+    them one at a time."""
     lifted = np.concatenate([band.space, band.space[:, ::-1]])
     i = np.floor(b).astype(np.intp)
     f = (b - i)[:, None, None]
-    sa, sb = band.space[a], (1.0 - f) * lifted[i] + f * lifted[i + 1]
+    return band.space[a], (1.0 - f) * lifted[i] + f * lifted[i + 1]
+
+
+def _root_residuals(sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F1 and F2 at every root with segments (sa, sb), as _perp_residual
+    and _offset_residual give them one at a time."""
     ua, ub = sa[:, 1] - sa[:, 0], sb[:, 1] - sb[:, 0]
     ua = ua / np.linalg.norm(ua, axis=1, keepdims=True)
     ub = ub / np.linalg.norm(ub, axis=1, keepdims=True)
@@ -229,28 +235,73 @@ def _root_residuals(band: RuledBand, a: np.ndarray, b: np.ndarray) -> tuple[np.n
     return np.einsum("ij,ij->i", ua, ub), np.where(flat, math.inf, off)
 
 
+def _screen_roles(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """Mask of the roots with segments (sa, sb) that _classify_roles may
+    accept, from one array pass over the closest-line feet r1 = s1/la,
+    r2 = s2/lb and the parallel-lines test 1 - c^2 < 1e-18, c = ua . ub.
+    A root is ruled out only where the scalar test surely rejects it: both
+    feet surely interior, both surely not, or the lines surely parallel.
+
+    The segments are bitwise the scalar path's, but these row norms and
+    dots differ from the 1-D ones by a few ulps.  That moves 1 - c^2 by at
+    most ~25 ulps and each foot by at most ~(26 W + 29 R) ulps / (1 - c^2),
+    with W = |sb[0] - sa[0]| / min(la, lb) and R = |r1| + |r2| (first-order
+    bounds); the slacks below are 64 and 256 ulps.
+    """
+    va, vb = sa[:, 1] - sa[:, 0], sb[:, 1] - sb[:, 0]
+    la, lb = np.linalg.norm(va, axis=1), np.linalg.norm(vb, axis=1)
+    ua, ub = va / la[:, None], vb / lb[:, None]
+    w0 = sb[:, 0] - sa[:, 0]
+    c = np.einsum("ij,ij->i", ua, ub)
+    p, q = np.einsum("ij,ij->i", ua, w0), np.einsum("ij,ij->i", ub, w0)
+    denom = 1.0 - c * c
+    denom_err = 64.0 * _ULP
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1 = (p - c * q) / denom / la
+        r2 = (c * p - q) / denom / lb
+        slack = 256.0 * _ULP * (1.0 + np.linalg.norm(w0, axis=1) / np.minimum(la, lb)
+                                + np.abs(r1) + np.abs(r2)) / denom
+    lo, hi = _FOOT_MARGIN, 1.0 - _FOOT_MARGIN
+    inside1, inside2 = ((lo + slack < r) & (r < hi - slack) for r in (r1, r2))
+    outside1, outside2 = ((r < lo - slack) | (r > hi + slack) for r in (r1, r2))
+    same = (inside1 & inside2) | (outside1 & outside2)
+    parallel = denom + denom_err < 1e-18
+    certain = denom - denom_err >= 1e-18
+    return ~parallel & ~(certain & same)
+
+
+def _candidates(band: RuledBand, tol: ToleranceConfig) -> list[_Candidate]:
+    """Every root whose F1 and F2 are within tol.root_residual and whose
+    bends take T/B roles, in root order.  The roots come in closed form
+    from one sign matrix (_perp_roots); the kept ones are screened in one
+    array pass (_screen_roles), and the few the screen cannot rule out are
+    classified one at a time (_classify_roles)."""
+    a, _, b = _perp_roots(band)
+    sa, sb = _root_segments(band, a, b)
+    perp, off = _root_residuals(sa, sb)
+    keep = (np.abs(perp) <= tol.root_residual) & (np.abs(off) <= tol.root_residual)
+    keep[keep] = _screen_roles(sa[keep], sb[keep])
+    classified = (_classify_roles(band, float(ai), float(bi)) for ai, bi in zip(a[keep], b[keep]))
+    candidates = [c for c in classified if c is not None]
+    if not candidates:
+        near = np.hypot(perp, off).min(initial=math.inf)
+        raise NoTPatternError(f"no T-pattern detected (minimal residual {near:.3e})")
+    return candidates
+
+
 def find_tpattern(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> TPattern:
     """Locate a T-pattern from the exact zeros of F1 at every stored bend.
 
-    The roots come in closed form from one sign matrix (_perp_roots); those
-    whose F1 and F2 are within tol.root_residual are classified into T/B
-    roles.  Zeros are ranked by decreasing B-bend length (ties by decreasing
-    T-bend length, then lexicographically by parameters); the best valid
-    zero is returned, the rest are reported as alternates.
+    Zeros that take T/B roles (_candidates) are ranked by decreasing B-bend
+    length (ties by decreasing T-bend length, then lexicographically by
+    parameters); the best valid zero is returned, the rest are reported as
+    alternates.
     """
     report = validate(band, tol)
     if not report.passed:
         raise StructureError("band failed validation; no T-pattern search attempted")
     n = band.n_bends
-    a, _, b = _perp_roots(band)
-    perp, off = _root_residuals(band, a, b)
-    keep = (np.abs(perp) <= tol.root_residual) & (np.abs(off) <= tol.root_residual)
-    classified = (_classify_roles(band, float(ai), float(bi)) for ai, bi in zip(a[keep], b[keep]))
-    candidates = [c for c in classified if c is not None]
-
-    if not candidates:
-        near = np.hypot(perp, off).min(initial=math.inf)
-        raise NoTPatternError(f"no T-pattern detected (minimal residual {near:.3e})")
+    candidates = _candidates(band, tol)
 
     def rank(c: _Candidate):
         return (-round(c.len_b / 1e-9), -round(c.len_t / 1e-9), c.alpha, c.beta)

@@ -57,7 +57,6 @@ EPS_FLOOR = 1e-15
 EFF_EPS_CAP = 0.25
 COVERAGE_EPS_CAP = 1.0 / 384.0
 GRID_PITCH = 4e-3   # lattice pitch of the triangle grids of eff2 and corollary
-ETA_SURFACE = 1e-3  # sampling pitch of the projected boundary in eff2's annulus check
 
 CANONICAL_TRAPEZOID = make_trapezoid(SQRT3, T_OPT)
 
@@ -148,24 +147,29 @@ class BoundaryDeviation:
     per_edge: dict
 
 
-def boundary_deviation(trap: FlatTrapezoid, boundary: BoundaryMap,
-                       eta: float) -> BoundaryDeviation:
+def boundary_deviation(trap: FlatTrapezoid, boundary: BoundaryMap) -> BoundaryDeviation:
     """Sup-norm comparison of the canonical triangle boundary map with the
     band's boundary image under the edge-to-edge affine correspondence
     from the optimal trapezoid onto the band's trapezoid `trap`.  The
     normalizing isometry has already been applied to the band, so the
-    comparison is coordinatewise."""
+    comparison is coordinatewise.
+
+    The sups are exact.  Along an edge, I0 and the chord map I* are affine
+    in the edge fraction f and I o phi is piecewise affine, with breaks at
+    the chain x-values inside the edge; the norm of an affine map is
+    convex, so each sup sits at an edge end or at a break."""
     per_edge = {}
     sup_dev = sup_istar = sup_i0_star = 0.0
     for name in _BOUNDARY_EDGES:
-        e0 = CANONICAL_TRAPEZOID.edge(name)
         e = trap.edge(name)
-        n = max(8, int(math.ceil(e0.length() / eta)))
-        f = np.linspace(0.0, 1.0, n + 1)
+        chain = boundary.chain_for(name)
+        x0, dx = e.start[0], e.end[0] - e.start[0]
+        lo, hi = sorted((e.start[0], e.end[0]))
+        inner = chain.xs[(chain.xs > lo) & (chain.xs < hi)]
+        f = np.concatenate([[0.0], (inner - x0) / dx, [1.0]])
         img0_a, img0_b = _I0_EDGE_IMAGES[name]
         i0_pts = img0_a + f[:, None] * (img0_b - img0_a)
-        chain = boundary.chain_for(name)
-        xs = e.start[0] + f * (e.end[0] - e.start[0])
+        xs = x0 + f * dx
         i_pts = chain.eval(xs)
         istar_pts = i_pts[0] + f[:, None] * (i_pts[-1] - i_pts[0])
         dev_edge = float(np.linalg.norm(i0_pts - i_pts, axis=1).max())
@@ -354,7 +358,7 @@ def verify_eff(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
         raise OutOfScopeError("out of theorem scope: lambda >= sqrt(3) + 1/4")
     state = prepare(band, tol) if state is None else state
     eps = measured_eps(band)
-    dev_rep = boundary_deviation(state.trapezoid, state.boundary, tol.sampling_eta)
+    dev_rep = boundary_deviation(state.trapezoid, state.boundary)
     checks = _margin_checks(state, eps)
     bound6 = 6.0 * math.sqrt(eps)
     slack_audit = _edge_slack_audit(dev_rep, eps, tol)
@@ -376,7 +380,6 @@ def verify_eff(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
             "per_edge": dev_rep.per_edge,
             "slack_audit": slack_audit,
             "est1_gap": est1_gap,
-            "eta": tol.sampling_eta,
             "pattern": {
                 "param_t": state.pattern.param_t,
                 "param_b": state.pattern.param_b,
@@ -623,6 +626,28 @@ def _triangle_curve_distance_2d(pts: np.ndarray, vertices: np.ndarray) -> np.nda
     return d
 
 
+def _annulus_max(loop: np.ndarray, vertices: np.ndarray) -> float:
+    """Exact max over the closed 2D polyline `loop` of the distance to the
+    triangle's boundary curve.
+
+    Outside the triangle that distance is the distance to a convex set,
+    which is convex along a segment; inside it is the least of the three
+    affine edge-line distances.  So on each segment of the loop the maximum
+    sits at an end or where two edge-line distances are equal (a bisector
+    crossing); every such point is a point of the loop."""
+    edges = np.roll(vertices, -1, axis=0) - vertices
+    normals = np.stack([-edges[:, 1], edges[:, 0]], axis=1) / np.linalg.norm(edges, axis=1)[:, None]
+    # signed edge-line distances (one sign inside) at every vertex, pairwise differences
+    dist = np.einsum("nij,ij->ni", loop[:, None, :] - vertices, normals)
+    gap = dist - np.roll(dist, -1, axis=1)
+    gap_next = np.roll(gap, -1, axis=0)
+    k, pair = np.nonzero((gap < 0.0) != (gap_next < 0.0))
+    t = gap[k, pair] / (gap[k, pair] - gap_next[k, pair])
+    ends = np.roll(loop, -1, axis=0)
+    crossings = loop[k] + t[:, None] * (ends[k] - loop[k])
+    return float(_triangle_curve_distance_2d(np.vstack([loop, crossings]), vertices).max())
+
+
 def verify_eff2(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
                 state: PipelineState | None = None) -> TheoremReport:
     """Containment within 6 sqrt(eps) of the solid canonical triangle, and
@@ -641,14 +666,13 @@ def verify_eff2(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
     containment_ok = containment_max <= d6
 
     measured = {"containment_max": containment_max}
-    details: dict = {"eta_surface": ETA_SURFACE, "grid_pitch": GRID_PITCH}
+    details: dict = {"grid_pitch": GRID_PITCH}
     notes = ["outward wrinkle placement (embedding side) is not checked"]
     coverage_applicable = eps < COVERAGE_EPS_CAP
     coverage_ok = True
     if coverage_applicable:
         loop3 = boundary_polyline(dev)
-        bdry2 = loop3.sample(ETA_SURFACE)[:, :2]
-        annulus_max = float(_triangle_curve_distance_2d(bdry2, tri2).max())
+        annulus_max = _annulus_max(loop3.points[:, :2], tri2)
         annulus_ok = annulus_max <= d6
         wind = winding_number(PolylineLoop(loop3.points[:, :2], closed=True), INCENTER[:2], tol)
         winding_ok = wind in (-1, 1)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -27,6 +28,31 @@ def wrinkle_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("bands") / "w.json"
     assert run("build-wrinkle", "--epsilon", "1e-4", "-o", str(path)).returncode == 0
     return path
+
+
+def _edited(edit):
+    """A band file made from a good one by an in-place edit of its JSON."""
+    def make(data):
+        edit(data)
+        return json.dumps(data)
+    return make
+
+
+# band files that must each end in exit code 2 and a one-line message
+MALFORMED_BANDS = {
+    "not_an_object": lambda data: "[]",
+    "truncated": lambda data: json.dumps(data)[:100],
+    "no_bends": _edited(lambda d: d.pop("bends")),
+    "lambda_not_a_number": _edited(lambda d: d.update({"lambda": "abc"})),
+    "lambda_negative": _edited(lambda d: d.update({"lambda": -1.0})),
+    "no_bend": _edited(lambda d: d.update({"bends": []})),
+    "bend_not_an_object": _edited(lambda d: d["bends"].__setitem__(3, [1, 2])),
+    "ragged_bend": _edited(lambda d: d["bends"][3]["flat"].append([0.0, 0.5])),
+    "planar_space": _edited(lambda d: [b.update({"space": [p[:2] for p in b["space"]]})
+                                       for b in d["bends"]]),
+    "nan_coordinate": _edited(lambda d: d["bends"][3]["space"][0].__setitem__(0, math.nan)),
+    "format_version": _edited(lambda d: d.update({"format_version": 99})),
+}
 
 
 class TestBuildValidateVerify:
@@ -76,23 +102,20 @@ class TestExitCodes:
         ["validate", "--input", "{tri}"],
         ["tpattern", "--input", "{tri}"],
         ["sharpness-sweep", "--epsilons", "1e-3"],
+        ["verify", "--input", "{tri}", "--theorem", "eff"],
     ])
-    def test_inert_eta_rejected(self, tri_file, argv):
-        # only verify reads the sampling resolution
-        res = run(*[a.format(tri=tri_file) for a in argv], "--eta", "1e-3")
-        assert res.returncode == 2
-        assert "unrecognized arguments: --eta" in res.stderr
-
-    def test_verify_takes_eta(self, tri_file):
-        res = run("verify", "--input", str(tri_file), "--theorem", "eff", "--eta", "1e-3")
-        assert res.returncode == 0, res.stderr
+    def test_inert_eta_rejected(self, tri_file, argv, capsys):
+        # no subcommand samples at a resolution: eff takes its sups at breakpoints
+        assert cli_main([*(a.format(tri=tri_file) for a in argv), "--eta", "1e-3"]) == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --eta" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("theorem", ["eff2", "corollary"])
-    def test_eta_rejected_without_eff(self, tri_file, theorem):
-        # eff2 and corollary sample nothing at the resolution --eta sets
-        res = run("verify", "--input", str(tri_file), "--theorem", theorem, "--eta", "1e-3")
-        assert res.returncode == 2
-        assert res.stderr.startswith("error: --eta")
+    def test_eta_rejected_without_eff(self, tri_file, theorem, capsys):
+        assert cli_main(["verify", "--input", str(tri_file), "--theorem", theorem,
+                         "--eta", "1e-3"]) == 2
+        assert "unrecognized arguments: --eta" in capsys.readouterr().err
 
     @pytest.mark.parametrize("closed", [False, None, "true", 1])
     def test_open_band_exits_2(self, tri_file, tmp_path, closed):
@@ -117,6 +140,17 @@ class TestExitCodes:
         assert cli_main(["bounds-sweep", flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {flag} must be a non-negative integer, not {value}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BANDS))
+    @pytest.mark.parametrize("command", ["validate", "tpattern", "verify"])
+    def test_malformed_band_exits_2(self, tri_file, tmp_path, case, command, capsys):
+        data = json.loads(tri_file.read_text())
+        path = tmp_path / "bad.json"
+        path.write_text(MALFORMED_BANDS[case](data))
+        assert cli_main([command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
 
     def test_missing_file_exits_2(self):
@@ -240,16 +274,22 @@ class TestToleranceEnv:
 
     @pytest.mark.parametrize("value", ["0.5", "1e-7"])
     def test_sampling_eta_out_of_range_exits_2(self, tri_file, value, monkeypatch, capsys):
-        # the range of verify --eta; below it eff would sample ~1/eta points per edge
+        # sampling_eta is no tolerance: every value exits 2
         monkeypatch.setenv("MOEBIUS_TOL", f'{{"sampling_eta": {value}}}')
         assert cli_main(["verify", "--input", str(tri_file), "--theorem", "eff"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: bad MOEBIUS_TOL: eta must lie in [1e-6, 1e-2]\n"
+        assert captured.err.startswith("error: bad MOEBIUS_TOL: ")
+        assert "sampling_eta" in captured.err
         assert captured.out == ""
 
-    def test_sampling_eta_in_range_accepted(self, tri_file, monkeypatch, capsys):
-        monkeypatch.setenv("MOEBIUS_TOL", '{"sampling_eta": 1e-3}')
-        assert cli_main(["verify", "--input", str(tri_file), "--theorem", "eff"]) == 0
+    @pytest.mark.parametrize("command", ["validate", "verify"])
+    def test_sampling_eta_is_unknown(self, tri_file, command, monkeypatch, capsys):
+        monkeypatch.setenv("MOEBIUS_TOL", '{"sampling_eta": 1e-4}')
+        assert cli_main([command, "--input", str(tri_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad MOEBIUS_TOL: ")
+        assert "unexpected keyword argument 'sampling_eta'" in captured.err
+        assert captured.out == ""
 
     def test_integer_value_accepted(self, wrinkle_file, monkeypatch, capsys):
         monkeypatch.setenv("MOEBIUS_TOL", '{"isometry": 1}')

@@ -103,9 +103,3 @@ class TestPolylineLoop:
         loop = PolylineLoop(pts, closed=True)
         assert len(loop) == 3
         assert loop.length() == pytest.approx(2.0 + math.sqrt(2.0))
-
-    def test_sample_resolution(self):
-        loop = PolylineLoop(np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0]]), closed=True)
-        s = loop.sample(0.05)
-        gaps = np.linalg.norm(np.diff(np.vstack([s, s[:1]]), axis=0), axis=1)
-        assert gaps.max() <= 0.05 + 1e-12

@@ -1,15 +1,33 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from moebiusband.band import RuledBand, redevelop, scale_bend, transform
-from moebiusband.geom import RigidMotion, StructureError
+from moebiusband.band import (
+    RuledBand,
+    build_triangular,
+    build_wrinkle,
+    flip,
+    redevelop,
+    scale_bend,
+    transform,
+)
+from moebiusband.geom import DEFAULT_TOL, RigidMotion, StructureError
 from moebiusband.tpattern import (
+    _FOOT_MARGIN,
     TPattern,
+    _candidates,
+    _classify_roles,
     _offset_residual,
     _perp_residual,
     _perp_roots,
+    _root_residuals,
+    _root_segments,
+    _screen_roles,
     develop_for,
     find_tpattern,
     normalize_pose,
@@ -211,3 +229,102 @@ class TestFailureModes:
         bad = scale_bend(tri_band, 3, 1.05)
         with pytest.raises(StructureError, match="validation"):
             find_tpattern(bad)
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_band(name: str) -> RuledBand:
+    return build_triangular() if name == "triangular" else build_wrinkle(float(name))
+
+
+def _scalar_candidates(band: RuledBand) -> list:
+    """The all-scalar reference: _classify_roles on every kept root."""
+    a, _, b = _perp_roots(band)
+    perp, off = _root_residuals(*_root_segments(band, a, b))
+    keep = (np.abs(perp) <= DEFAULT_TOL.root_residual) & (np.abs(off) <= DEFAULT_TOL.root_residual)
+    classified = (_classify_roles(band, float(x), float(y)) for x, y in zip(a[keep], b[keep]))
+    return [c for c in classified if c is not None]
+
+
+def _assert_same_candidates(got: list, want: list) -> None:
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for f in dataclasses.fields(w):
+            assert np.all(getattr(g, f.name) == getattr(w, f.name)), f.name
+
+
+def _motion(seed: int, proper: bool) -> RigidMotion:
+    m = RigidMotion.random(np.random.default_rng(seed), scale=1.5)
+    return m if proper else RigidMotion(-m.rotation, m.translation)
+
+
+def _pair_band(sa: np.ndarray, sb: np.ndarray) -> RuledBand:
+    """A two-bend band holding the segments sa, sb as bends 0 and 1, so
+    that _classify_roles(band, 0.0, 1.0) tests exactly this pair."""
+    flat = np.zeros((2, 2, 2))
+    flat[:, 1, 1] = 1.0
+    return RuledBand(lam=1.0, flat=flat, space=np.stack([sa, sb]))
+
+
+_EDGES = st.sampled_from([_FOOT_MARGIN, 1.0 - _FOOT_MARGIN])
+# a foot a few ulps (or a few ulps of 1) off an edge of the interior range,
+# or anywhere
+_FEET = st.one_of(
+    st.builds(lambda edge, k: edge + k * np.spacing(edge), _EDGES, st.integers(-8, 8)),
+    st.builds(lambda edge, d: edge + d, _EDGES, st.floats(-1e-15, 1e-15)),
+    st.floats(-0.5, 1.5),
+)
+# perpendicular-ish lines, and lines with 1 - c^2 around 1e-18, parallel or
+# antiparallel
+_ANGLES = st.one_of(
+    st.floats(0.3, 0.5 * math.pi),
+    st.builds(lambda t, anti: t + math.pi * anti, st.floats(0.0, 1e-8), st.integers(0, 1)),
+)
+
+
+class TestRoleScreen:
+    """Screen-then-confirm keeps exactly the candidates of the scalar test."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["triangular", "1e-3", "1e-4", "1e-5"]),
+           pose=st.sampled_from([None, True, False]),
+           flipped=st.booleans(),
+           cut=st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bands_match_scalar_reference(self, name, pose, flipped, cut, seed):
+        band = _fixed_band(name)
+        if flipped:
+            band = flip(band)
+        if cut is not None:
+            band = redevelop(band, cut * band.n_bends)
+        if pose is not None:
+            band = transform(band, _motion(seed, pose))
+        _assert_same_candidates(_candidates(band, DEFAULT_TOL), _scalar_candidates(band))
+
+    @settings(max_examples=400, deadline=None)
+    @given(r1=_FEET, r2=_FEET, la=st.floats(0.1, 2.0), lb=st.floats(0.1, 2.0),
+           angle=_ANGLES, gap=st.floats(-1e-9, 1e-9), seed=st.integers(0, 2**32 - 1),
+           proper=st.booleans())
+    def test_synthetic_pairs_match_scalar(self, r1, r2, la, lb, angle, gap, seed, proper):
+        # line A along x, line B in the plane z = gap; their feet sit at the
+        # fractions r1 of A and r2 of B
+        ub = np.array([math.cos(angle), math.sin(angle), 0.0])
+        foot = np.array([r1 * la, 0.0, gap])
+        sa = np.array([[0.0, 0.0, 0.0], [la, 0.0, 0.0]])
+        sb = np.array([foot - r2 * lb * ub, foot + (1.0 - r2) * lb * ub])
+        motion = _motion(seed, proper)
+        sa, sb = motion.apply(sa), motion.apply(sb)
+        accepted = _classify_roles(_pair_band(sa, sb), 0.0, 1.0) is not None
+        passed = bool(_screen_roles(sa[None], sb[None])[0])
+        assert passed or not accepted
+
+    @pytest.mark.parametrize("name", ["triangular", "1e-3", "1e-4", "1e-5"])
+    def test_screen_passes_only_candidates(self, name):
+        # on the fixed bands the screen rules out every root the scalar test
+        # rejects (4 of 42 kept roots pass on a wrinkle band, 6 of 144 on the
+        # triangular one)
+        band = _fixed_band(name)
+        a, _, b = _perp_roots(band)
+        sa, sb = _root_segments(band, a, b)
+        perp, off = _root_residuals(sa, sb)
+        keep = (np.abs(perp) <= DEFAULT_TOL.root_residual) & (np.abs(off) <= DEFAULT_TOL.root_residual)
+        assert _screen_roles(sa[keep], sb[keep]).sum() == len(_scalar_candidates(band))

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from moebiusband.band import (
     write_json,
 )
 from moebiusband.cli import main as cli_main
-from moebiusband.geom import RigidMotion, StructureError
+from moebiusband.flatmodel import make_trapezoid
+from moebiusband.geom import RigidMotion, StructureError, densify_polyline
 from moebiusband.verify import (
     EPS_FLOOR,
     GRID_PITCH,
@@ -80,7 +82,7 @@ class TestWrinkleTheorems:
 
     def test_edge_slacks(self, wrinkle4, wrinkle4_state):
         eps = measured_eps(wrinkle4)
-        dev_rep = boundary_deviation(wrinkle4_state.trapezoid, wrinkle4_state.boundary, eta=1e-4)
+        dev_rep = boundary_deviation(wrinkle4_state.trapezoid, wrinkle4_state.boundary)
         for name, rec in dev_rep.per_edge.items():
             assert rec["flat_length"] < 3.0
             assert rec["slack"] <= eps + 1e-9, name
@@ -386,3 +388,103 @@ class TestReports:
         d = rep.to_dict()
         assert set(d) >= {"name", "lambda", "epsilon", "passed", "bounds", "measured", "checks"}
         assert len(d["checks"]) == 7
+
+
+def _sampled_sups(trap, boundary, eta):
+    """The sampled sweep that the exact sups replaced: each edge at
+    max(8, ceil(length / eta)) equal steps of its fraction.  Returns, per
+    edge, the three sampled sups and a Lipschitz bound, in the fraction, on
+    each of the three compared maps."""
+    out = {}
+    for name in verify_mod._BOUNDARY_EDGES:
+        e = trap.edge(name)
+        n = max(8, math.ceil(verify_mod.CANONICAL_TRAPEZOID.edge(name).length() / eta))
+        f = np.linspace(0.0, 1.0, n + 1)
+        img_a, img_b = verify_mod._I0_EDGE_IMAGES[name]
+        i0 = img_a + f[:, None] * (img_b - img_a)
+        chain = boundary.chain_for(name)
+        dx = e.end[0] - e.start[0]
+        i_pts = chain.eval(e.start[0] + f * dx)
+        istar = i_pts[0] + f[:, None] * (i_pts[-1] - i_pts[0])
+        slope = (np.linalg.norm(np.diff(chain.pts, axis=0), axis=1) / np.diff(chain.xs)).max()
+        lip = {"i0": np.linalg.norm(img_b - img_a), "i": slope * abs(dx),
+               "istar": np.linalg.norm(i_pts[-1] - i_pts[0])}
+        out[name] = {
+            "sup_dev": (np.linalg.norm(i0 - i_pts, axis=1).max(), lip["i0"] + lip["i"], n),
+            "sup_istar": (np.linalg.norm(i_pts - istar, axis=1).max(), lip["i"] + lip["istar"], n),
+            "sup_i0_vs_istar": (np.linalg.norm(i0 - istar, axis=1).max(),
+                                lip["i0"] + lip["istar"], n),
+        }
+    return out
+
+
+class TestExactSups:
+    """eff's boundary sups and eff2's annulus maximum are taken at
+    breakpoints, with no sampling pitch."""
+
+    def test_break_between_samples(self):
+        # a chain equal to I0 on every edge except a bump of height h at a
+        # break between the 1e-4 samples at x = 0.5 and x = 0.5001 of D1
+        trap = make_trapezoid(2.0, 0.5)
+        trap = replace(trap, u=np.array([1.25, 1.0]), v=np.array([1.0, 0.0]))
+        h = 2.0 ** -10
+        samples = np.linspace(0.0, 1.0, 10_001)
+        x_break = 0.5 + 2.0 ** -15
+        assert samples[5000] < x_break < samples[5001]
+
+        def i0(name, f):
+            a, b = verify_mod._I0_EDGE_IMAGES[name]
+            return a + np.atleast_1d(f)[:, None] * (b - a)
+
+        d1 = [0.0, samples[5000], x_break, samples[5001], 1.0]
+        bottom_pts = np.vstack([i0("D1", d1), i0("D2", 1.0)])
+        bottom_pts[2, 2] = h
+        bottom = verify_mod._Chain(np.array(d1 + [2.5]), bottom_pts)
+        top = verify_mod._Chain(np.array([0.5, 1.25, 2.0]),
+                                np.vstack([i0("H1", [0.0, 1.0]), i0("H2", 1.0)]))
+        boundary = SimpleNamespace(chain_for=lambda name: bottom if name[0] == "D" else top)
+
+        dev = boundary_deviation(trap, boundary)
+        assert dev.deviation == h
+        assert dev.per_edge["D1"]["sup_dev"] == h
+        assert dev.istar_deviation == pytest.approx(h, abs=1e-15)
+        assert dev.i0_vs_istar < 1e-15
+        # the 1e-4 sweep sees nothing of the bump
+        sampled = np.linalg.norm(i0("D1", samples) - bottom.eval(samples), axis=1).max()
+        assert sampled < 1e-15
+
+    def test_annulus_bisector_crossing(self):
+        # a loop inside the (equilateral) triangle whose first segment runs
+        # from the top side through the incenter (0, -1/3): there the three
+        # bisectors cross and the distance to the boundary peaks at the
+        # inradius 1/3; the rest of the loop stays near the boundary
+        tri2 = CANONICAL_TRIANGLE[:, :2]
+        assert np.allclose(INCENTER[:2], [0.0, -1.0 / 3.0], atol=1e-15)
+        top = np.array([0.05, 0.0])
+        loop = np.array([top, top + 2.5 * (INCENTER[:2] - top), tri2[0]])
+        assert verify_mod._annulus_max(loop, tri2) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        sampled = verify_mod._triangle_curve_distance_2d(
+            densify_polyline(loop, 1e-3, closed=True), tri2).max()
+        assert sampled < 1.0 / 3.0 - 1e-6
+
+    @pytest.mark.parametrize("name", ["tri", "wrinkle3", "wrinkle4", "wrinkle5"])
+    def test_eff_at_or_above_dense_samples(self, name, band_states):
+        _, state = band_states[name]
+        exact = boundary_deviation(state.trapezoid, state.boundary)
+        sampled = _sampled_sups(state.trapezoid, state.boundary, 2e-5)
+        for edge, sups in sampled.items():
+            for key, (value, lip, n) in sups.items():
+                got = exact.per_edge[edge][key]
+                assert value - 1e-15 <= got <= value + lip / (2 * n) + 1e-15, (edge, key)
+
+    @pytest.mark.parametrize("name", ["tri", "wrinkle3", "wrinkle4", "wrinkle5"])
+    def test_annulus_at_or_above_dense_samples(self, name, band_states):
+        _, state = band_states[name]
+        loop = band_mod.boundary_polyline(state.developed).points
+        tri2 = CANONICAL_TRIANGLE[:, :2]
+        exact = verify_mod._annulus_max(loop[:, :2], tri2)
+        eta = 1e-4
+        sampled = verify_mod._triangle_curve_distance_2d(
+            densify_polyline(loop, eta, closed=True)[:, :2], tri2).max()
+        # the distance to a curve is 1-Lipschitz
+        assert sampled - 1e-15 <= exact <= sampled + eta / 2 + 1e-15
