@@ -33,7 +33,13 @@ from .geom import (
     ToleranceConfig,
     winding_number,
 )
-from .tpattern import NoTPatternError, TPattern, find_tpattern, normalize_pose
+from .tpattern import (
+    InvalidBandError,
+    NoTPatternError,
+    TPattern,
+    find_tpattern,
+    normalize_pose,
+)
 from .verify import (
     OutOfScopeError,
     TheoremReport,

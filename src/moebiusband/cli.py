@@ -20,6 +20,7 @@ subcommand exits 2 on any other value.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -31,7 +32,13 @@ from . import bounds
 from .band import build_triangular, build_wrinkle, read_json, validate, write_json
 from .flatmodel import SQRT3
 from .geom import DEFAULT_TOL, StructureError, ToleranceConfig
-from .tpattern import NoTPatternError, develop_for, find_tpattern, normalize_pose
+from .tpattern import (
+    InvalidBandError,
+    NoTPatternError,
+    develop_for,
+    find_tpattern,
+    normalize_pose,
+)
 from .verify import (
     COVERAGE_EPS_CAP,
     OutOfScopeError,
@@ -101,21 +108,20 @@ def _cmd_validate(args, tol: ToleranceConfig) -> int:
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
-def _validated(band, tol) -> bool:
-    """Validate the band, printing the residuals if it fails."""
-    rep = validate(band, tol)
-    if not rep.passed:
-        print(f"validation failed: ruling={rep.max_ruling_residual:.3e} "
-              f"boundary={rep.max_boundary_residual:.3e} "
-              f"violations={rep.foliation_violations}")
-    return rep.passed
+def _validation_failed(rep) -> int:
+    """Print the residuals of a band that failed validation."""
+    print(f"validation failed: ruling={rep.max_ruling_residual:.3e} "
+          f"boundary={rep.max_boundary_residual:.3e} "
+          f"violations={rep.foliation_violations}")
+    return EXIT_FAIL
 
 
 def _cmd_tpattern(args, tol: ToleranceConfig) -> int:
     band = read_json(args.input)
-    if not _validated(band, tol):
-        return EXIT_FAIL
-    tp = find_tpattern(band, tol)
+    try:
+        tp = find_tpattern(band, tol)
+    except InvalidBandError as exc:
+        return _validation_failed(exc.report)
     moved, tpm = normalize_pose(band, tp)
     trap, _ = develop_for(moved, tpm)
     print(f"tpattern {args.input}: params=({tp.param_t:.6f}, {tp.param_b:.6f}) "
@@ -129,9 +135,10 @@ def _cmd_tpattern(args, tol: ToleranceConfig) -> int:
 def _cmd_verify(args, tol: ToleranceConfig) -> int:
     which = args.theorem or "all"
     band = read_json(args.input)
-    if not _validated(band, tol):
-        return EXIT_FAIL
-    state = prepare(band, tol)
+    try:
+        state = prepare(band, tol)
+    except InvalidBandError as exc:
+        return _validation_failed(exc.report)
     reports = []
     if which in ("eff", "all"):
         reports.append(verify_eff(band, tol, state=state))
@@ -304,10 +311,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of `main` in a process.  Each
+    parse starts from a fresh namespace, so no argument carries over."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_PASS
     try:

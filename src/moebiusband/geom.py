@@ -38,6 +38,8 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 
+_ULP = np.finfo(float).eps
+
 
 def _as_points(a, name="points") -> np.ndarray:
     a = np.asarray(a, dtype=float)
@@ -48,28 +50,6 @@ def _as_points(a, name="points") -> np.ndarray:
     if not np.isfinite(a).all():
         raise StructureError(f"{name} contains non-finite coordinates")
     return a
-
-
-def densify_segment(a, b, eta: float) -> np.ndarray:
-    """Points along the segment a-b at spacing <= eta (both ends included)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = max(1, int(np.ceil(np.linalg.norm(b - a) / eta)))
-    t = np.linspace(0.0, 1.0, n + 1)
-    return a[None, :] + t[:, None] * (b - a)[None, :]
-
-
-def densify_polyline(points, eta: float, closed: bool = False) -> np.ndarray:
-    """Sample a polyline at spacing <= eta; vertices are always included."""
-    pts = _as_points(points, "polyline")
-    out = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        out.append(densify_segment(a, b, eta)[:-1])
-    if closed:
-        out.append(densify_segment(pts[-1], pts[0], eta)[:-1])
-    else:
-        out.append(pts[-1][None, :])
-    return np.vstack(out)
 
 
 def point_segment_distance(p, a, b) -> float:
@@ -214,8 +194,18 @@ class PolylineLoop:
     def __post_init__(self):
         pts = _as_points(self.points, "loop")
         if self.closed and len(pts) > 1:
-            keep = [0]
-            for i in range(1, len(pts)):
+            # A point within 1e-14 of the last point kept is dropped.  An
+            # exact repeat of its predecessor always is, and leaves the last
+            # point kept as it was.  Of the rest, a point whose step from
+            # its predecessor is clearly above 1e-14 is kept while every
+            # point before it is; from the first step the screen cannot
+            # decide on, the scalar test takes over.
+            moved = np.concatenate([[0], np.flatnonzero((pts[1:] != pts[:-1]).any(axis=1)) + 1])
+            step = pts[moved[1:]] - pts[moved[:-1]]
+            near = np.flatnonzero(np.sqrt((step * step).sum(axis=1)) <= 2e-14)
+            first = near[0] + 1 if len(near) else len(moved)
+            keep = list(moved[:first])
+            for i in moved[first:]:
                 if np.linalg.norm(pts[i] - pts[keep[-1]]) > 1e-14:
                     keep.append(i)
             if np.linalg.norm(pts[keep[-1]] - pts[keep[0]]) <= 1e-14 and len(keep) > 1:
@@ -248,9 +238,18 @@ def winding_number(loop, point, tol: ToleranceConfig = DEFAULT_TOL) -> int:
         raise StructureError("winding_number expects a planar (n, 2) loop")
     p = np.asarray(point, dtype=float)
     rel = pts - p[None, :]
-    # distance from the point to every loop edge
     nxt = np.roll(rel, -1, axis=0)
-    for a, b in zip(rel, nxt):
+    # Distance from the point to every loop edge in one pass; the scalar
+    # test confirms each edge whose distance is within the pass's rounding
+    # error of 1e-12.
+    ab = nxt - rel
+    denom = (ab * ab).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(-(rel * ab).sum(axis=1) / denom, 0.0, 1.0)
+    foot = rel + np.where(denom > 0.0, t, 0.0)[:, None] * ab
+    scale = np.abs(rel).sum(axis=1) + np.abs(nxt).sum(axis=1)
+    near = np.sqrt((foot * foot).sum(axis=1)) < 1e-12 + 256.0 * _ULP * scale
+    for a, b in zip(rel[near], nxt[near]):
         if point_segment_distance(np.zeros(2), a, b) < 1e-12:
             raise StructureError("point lies on the loop")
     ang = np.arctan2(rel[:, 1], rel[:, 0])

@@ -31,7 +31,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .band import RuledBand, flip, interpolate_bend, redevelop, transform, validate
+from .band import (
+    RuledBand,
+    ValidationReport,
+    flip,
+    interpolate_bend,
+    redevelop,
+    transform,
+    validate,
+)
 from .flatmodel import FlatTrapezoid
 from .geom import (
     DEFAULT_TOL,
@@ -48,6 +56,14 @@ _ULP = np.finfo(float).eps
 
 class NoTPatternError(StructureError):
     """The scan found no residual zero."""
+
+
+class InvalidBandError(StructureError):
+    """The band failed validation; `report` holds its residuals."""
+
+    def __init__(self, report: ValidationReport):
+        super().__init__("band failed validation; no T-pattern search attempted")
+        self.report = report
 
 
 @dataclass(frozen=True)
@@ -299,7 +315,7 @@ def find_tpattern(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> TPatte
     """
     report = validate(band, tol)
     if not report.passed:
-        raise StructureError("band failed validation; no T-pattern search attempted")
+        raise InvalidBandError(report)
     n = band.n_bends
     candidates = _candidates(band, tol)
 

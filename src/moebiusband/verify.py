@@ -40,7 +40,6 @@ from .band import (
     boundary_polyline,
     points_to_triangles_distance,
     surface_triangles,
-    validate,
 )
 from .flatmodel import SQRT3, T_OPT, FlatTrapezoid, make_trapezoid
 from .geom import (
@@ -408,11 +407,12 @@ def _triangle_grid(vertices: np.ndarray, pitch: float) -> _TriangleGrid:
     a, b, c = (np.asarray(v, dtype=float) for v in vertices)
     side = max(np.linalg.norm(b - a), np.linalg.norm(c - a), np.linalg.norm(c - b))
     m = max(1, int(math.ceil(side / pitch)))
-    ii, jj = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij")
-    mask = ii + jj <= m
-    s = ii[mask] / m
-    t = jj[mask] / m
-    points = a + s[:, None] * (b - a) + t[:, None] * (c - a)
+    row_len = np.arange(m + 1, 0, -1)
+    s = np.repeat(np.arange(m + 1), row_len) / m
+    t = _ranges(np.zeros(m + 1, dtype=np.int64), row_len) / m
+    points = np.empty((len(s), len(a)))
+    for d, (a_d, ab_d, ac_d) in enumerate(zip(a, b - a, c - a)):
+        points[:, d] = a_d + s * ab_d + t * ac_d
     return _TriangleGrid(np.array([a, b, c]), m, points)
 
 
@@ -506,7 +506,8 @@ def _lattice_pairs(grid: _TriangleGrid, bary: _Barycentric2D, usable: np.ndarray
     m = grid.m
     a, b, c = grid.vertices[:, :2]
     keep = np.flatnonzero(usable)
-    delta = bary.slop(np.abs(grid.points[:, :2]).max(axis=0), tol)[keep]
+    reach = np.array([np.abs(grid.points[:, d]).max() for d in (0, 1)])
+    delta = bary.slop(reach, tol)[keep]
     q = (bary.corners[keep] - a) @ (m * np.linalg.inv(np.stack([b - a, c - a])))
     noise = np.isinf(delta)
     q[noise] = [[-1.0, -1.0], [2.0 * m + 3.0, -1.0], [-1.0, 2.0 * m + 3.0]]
@@ -527,7 +528,7 @@ def _lattice_pairs(grid: _TriangleGrid, bary: _Barycentric2D, usable: np.ndarray
     slope = orient * edge[:, :, 1]
     const = (slope * q[:, :, 0] - coef * q[:, :, 1]
              + eta[:, None] * np.hypot(edge[:, :, 0], edge[:, :, 1]))
-    edges = (coef, slope, const, lo[:, 1], hi[:, 1])
+    edges = (coef.T, slope.T, const.T, lo[:, 1], hi[:, 1])
 
     i_first = np.clip(np.ceil(lo[:, 0]), 0, m + 1).astype(np.int64)
     i_last = np.clip(np.floor(hi[:, 0]), -1, m).astype(np.int64)
@@ -545,28 +546,38 @@ def _lattice_pairs(grid: _TriangleGrid, bary: _Barycentric2D, usable: np.ndarray
 
 def _row_intervals(edges: tuple, k: np.ndarray, i: np.ndarray, m: int):
     """(first j, count) of the lattice points of row i, j <= m - i, that
-    pass the three edge functions of triangle k and lie in its j-range."""
+    pass the three edge functions of triangle k and lie in its j-range.
+    The edge-function arrays hold one row per edge."""
     coef, slope, const, j_min, j_max = edges
-    c_k = np.take(coef, k, axis=0)
-    value = np.take(const, k, axis=0) - np.take(slope, k, axis=0) * i[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = -value / c_k
-    j_lo = np.maximum(j_min[k], np.where(c_k > 0.0, bound, -np.inf).max(axis=1))
-    j_hi = np.minimum(j_max[k], np.where(c_k < 0.0, bound, np.inf).min(axis=1))
+    j_lo, j_hi = j_min[k], j_max[k]
+    empty = np.zeros(len(k), dtype=bool)
+    for e in range(3):
+        c_k = np.take(coef[e], k)
+        value = np.take(const[e], k) - np.take(slope[e], k) * i
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = -value / c_k
+        j_lo = np.maximum(j_lo, np.where(c_k > 0.0, bound, -np.inf))
+        j_hi = np.minimum(j_hi, np.where(c_k < 0.0, bound, np.inf))
+        empty |= (c_k == 0.0) & (value < 0.0)
     j_first = np.ceil(np.clip(j_lo, 0, m + 1)).astype(np.int64)
     j_last = np.floor(np.clip(j_hi, -1, m - i)).astype(np.int64)
     n_pts = np.maximum(j_last - j_first + 1, 0)
-    n_pts[((c_k == 0.0) & (value < 0.0)).any(axis=1)] = 0
+    n_pts[empty] = 0
     return j_first, n_pts
 
 
-def _incidences(grid: _TriangleGrid, tris: np.ndarray, usable: np.ndarray, tol: float):
+def _incidences(grid: _TriangleGrid, tris: np.ndarray, usable: np.ndarray, tol: float,
+                settled: np.ndarray):
     """Yield blocks (point index, triangle index, s, t) of the pairs of a
     grid point and a usable triangle whose xy-projection holds the point's:
     s, t >= -tol and s + t <= 1 + tol.  Only the candidate pairs of the
-    lattice scan are tested."""
+    lattice scan are tested, and of those only the pairs whose point is not
+    `settled` when their block comes up: the caller settles the points that
+    no further pair can change between blocks."""
     bary = _Barycentric2D(tris)
     for pt, k in _lattice_pairs(grid, bary, usable & bary.good, tol):
+        open_pair = ~settled[pt]
+        pt, k = pt[open_pair], k[open_pair]
         s, t = bary.at(np.take(grid.points, pt, axis=0)[:, :2], k)
         inside = (s >= -tol) & (t >= -tol) & (s + t <= 1.0 + tol)
         yield pt[inside], k[inside], s[inside], t[inside]
@@ -575,9 +586,9 @@ def _incidences(grid: _TriangleGrid, tris: np.ndarray, usable: np.ndarray, tol: 
 def _points_in_triangles_2d(grid: _TriangleGrid, tris: np.ndarray,
                             tol: float = 1e-9) -> np.ndarray:
     """Boolean mask: each grid point inside (or on) the xy-projection of at
-    least one triangle."""
+    least one triangle.  A covered point is settled."""
     out = np.zeros(len(grid.points), dtype=bool)
-    for pt, _, _, _ in _incidences(grid, tris, np.ones(len(tris), dtype=bool), tol):
+    for pt, _, _, _ in _incidences(grid, tris, np.ones(len(tris), dtype=bool), tol, out):
         out[pt] = True
     return out
 
@@ -588,7 +599,8 @@ def _cover_heights(grid: _TriangleGrid, tris: np.ndarray) -> np.ndarray:
     and inf where none does.  The slop is the exact kernel's: a point on a
     shared edge is covered, and the bound errs by no more than the kernel.
     A triangle whose projected area is below 1e-9 of its area is too
-    steep for its barycentric s, t to be trusted and covers nothing."""
+    steep for its barycentric s, t to be trusted and covers nothing.
+    Heights are >= 0, so a point at height 0 is settled."""
     z0 = tris[:, 0, 2]
     e0 = tris[:, 1] - tris[:, 0]
     e1 = tris[:, 2] - tris[:, 0]
@@ -596,9 +608,11 @@ def _cover_heights(grid: _TriangleGrid, tris: np.ndarray) -> np.ndarray:
     cross = np.cross(e0, e1)
     flat = np.abs(cross[:, 2]) > 1e-9 * np.linalg.norm(cross, axis=1)
     out = np.full(len(grid.points), np.inf)
-    for pt, k, s, t in _incidences(grid, tris, flat, 1e-12):
+    settled = np.zeros(len(grid.points), dtype=bool)
+    for pt, k, s, t in _incidences(grid, tris, flat, 1e-12, settled):
         height = np.abs(z0[k] + s * dz_b[k] + t * dz_c[k] - grid.points[pt, 2])
         np.minimum.at(out, pt, height)
+        settled[pt[height == 0.0]] = True
     return out
 
 
@@ -752,10 +766,8 @@ def verify_corollary(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
 
 
 def verify_all(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> list[TheoremReport]:
-    """Run every verifier that is in scope for the band's aspect ratio."""
-    validate_report = validate(band, tol)
-    if not validate_report.passed:
-        raise StructureError("band failed validation")
+    """Run every verifier that is in scope for the band's aspect ratio.
+    A band that fails validation raises InvalidBandError (from prepare)."""
     state = prepare(band, tol)
     reports = [verify_eff(band, tol, state=state), verify_eff2(band, tol, state=state)]
     if measured_eps(band) < COVERAGE_EPS_CAP:

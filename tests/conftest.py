@@ -2,8 +2,28 @@ import numpy as np
 import pytest
 
 from moebiusband.band import build_triangular, build_wrinkle
-from moebiusband.geom import densify_polyline, points_segment_distance
+from moebiusband.geom import points_segment_distance
 from moebiusband.verify import prepare
+
+
+def densify_segment(a, b, eta: float) -> np.ndarray:
+    """Points along the segment a-b at spacing <= eta (both ends included)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = max(1, int(np.ceil(np.linalg.norm(b - a) / eta)))
+    t = np.linspace(0.0, 1.0, n + 1)
+    return a[None, :] + t[:, None] * (b - a)[None, :]
+
+
+def densify_polyline(points, eta: float, closed: bool = False) -> np.ndarray:
+    """Sample a polyline at spacing <= eta; vertices are always included."""
+    pts = np.asarray(points, dtype=float)
+    out = [densify_segment(a, b, eta)[:-1] for a, b in zip(pts[:-1], pts[1:])]
+    if closed:
+        out.append(densify_segment(pts[-1], pts[0], eta)[:-1])
+    else:
+        out.append(pts[-1][None, :])
+    return np.vstack(out)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from moebiusband import bounds
+from moebiusband import cli as cli_mod
+from moebiusband import tpattern as tpattern_mod
+from moebiusband.band import read_json, scale_bend
 from moebiusband.cli import main as cli_main
+from moebiusband.tpattern import InvalidBandError, find_tpattern
+from moebiusband.verify import verify_all
 
 CLI = [sys.executable, "-m", "moebiusband.cli"]
 
@@ -164,6 +169,40 @@ class TestExitCodes:
     def test_bad_epsilon_exits_2(self, tmp_path):
         res = run("build-wrinkle", "--epsilon", "0.5", "-o", str(tmp_path / "x.json"))
         assert res.returncode == 2
+
+
+class TestOnePerProcess:
+    """The parser is built once per process, and each job validates its band
+    once."""
+
+    def test_parser_built_once_and_no_argument_carries_over(self, tri_file, monkeypatch,
+                                                            capsys):
+        assert cli_main(["verify", "--input", str(tri_file), "--theorem", "eff"]) == 0
+        assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == ["eff"]
+        monkeypatch.setattr(cli_mod, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        assert cli_main(["verify", "--input", str(tri_file)]) == 0
+        names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert names == ["eff", "eff2", "corollary"]
+        assert cli_main(["verify", "--input", str(tri_file), "--frobnicate"]) == 2
+        assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["tpattern"], ["verify"], ["verify", "--theorem", "eff"]])
+    def test_band_validated_once(self, wrinkle_file, argv, monkeypatch, capsys):
+        calls = []
+        real = tpattern_mod.validate
+        monkeypatch.setattr(tpattern_mod, "validate",
+                            lambda band, tol: calls.append(1) or real(band, tol))
+        monkeypatch.setattr(cli_mod, "validate", lambda *a: pytest.fail("validated twice"))
+        assert cli_main([argv[0], "--input", str(wrinkle_file), *argv[1:]]) == 0
+        assert calls == [1]
+
+    def test_library_callers_get_the_report(self, tri_file):
+        bad = scale_bend(read_json(tri_file), 4, 1.02)
+        for call in (find_tpattern, verify_all):
+            with pytest.raises(InvalidBandError, match="failed validation") as info:
+                call(bad)
+            assert not info.value.report.passed
+            assert info.value.report.max_ruling_residual > 1e-3
 
 
 class TestDeterminism:

@@ -9,11 +9,12 @@ from moebiusband.geom import (
     PolylineLoop,
     RigidMotion,
     StructureError,
-    densify_segment,
     point_segment_distance,
     rotation_about_line,
     winding_number,
 )
+
+from conftest import densify_segment
 
 
 class TestWinding:
@@ -103,3 +104,105 @@ class TestPolylineLoop:
         loop = PolylineLoop(pts, closed=True)
         assert len(loop) == 3
         assert loop.length() == pytest.approx(2.0 + math.sqrt(2.0))
+
+
+def _reference_loop_points(pts):
+    """The scalar duplicate drop that the screened one replaced."""
+    pts = np.asarray(pts, dtype=float)
+    keep = [0]
+    for i in range(1, len(pts)):
+        if np.linalg.norm(pts[i] - pts[keep[-1]]) > 1e-14:
+            keep.append(i)
+    if np.linalg.norm(pts[keep[-1]] - pts[keep[0]]) <= 1e-14 and len(keep) > 1:
+        keep.pop()
+    return pts[keep]
+
+
+def _reference_winding(pts, point):
+    """The winding number with the scalar point-on-loop test that the
+    screened one replaced."""
+    rel = np.asarray(pts, dtype=float) - np.asarray(point, dtype=float)
+    for a, b in zip(rel, np.roll(rel, -1, axis=0)):
+        if point_segment_distance(np.zeros(2), a, b) < 1e-12:
+            raise StructureError("point lies on the loop")
+    ang = np.arctan2(rel[:, 1], rel[:, 0])
+    inc = (np.diff(np.concatenate([ang, ang[:1]])) + np.pi) % (2.0 * np.pi) - np.pi
+    return round(float(inc.sum()) / (2.0 * np.pi))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except StructureError as exc:
+        return str(exc)
+
+
+def _assert_winding_as_reference(pts, point):
+    assert _outcome(winding_number, pts, point) == _outcome(_reference_winding, pts, point)
+
+
+class TestScreens:
+    """The array screens of PolylineLoop and winding_number decide every
+    threshold exactly as the scalar loops they replaced."""
+
+    SQUARE = TestWinding.SQUARE
+
+    @pytest.mark.parametrize("offset, on_loop", [
+        (0.5e-12, True), (1.5e-12, False), (0.0, True), (-0.5e-12, True), (-1.5e-12, False),
+    ])
+    def test_point_near_an_edge(self, offset, on_loop):
+        # the right edge of the square runs along x = 1
+        point = [1.0 - offset, 0.3]
+        expected = "point lies on the loop" if on_loop else int(offset > 0)
+        assert _outcome(_reference_winding, self.SQUARE, point) == expected
+        _assert_winding_as_reference(self.SQUARE, point)
+
+    @pytest.mark.parametrize("vertex", range(4))
+    def test_point_at_a_vertex(self, vertex):
+        with pytest.raises(StructureError, match="on the loop"):
+            winding_number(self.SQUARE, self.SQUARE[vertex])
+        _assert_winding_as_reference(self.SQUARE, self.SQUARE[vertex])
+
+    @given(st.integers(-8, 8), st.sampled_from([1e-3, 1.0, 1e3]),
+           st.floats(0.0, 1.0), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_threshold_decided_as_scalar(self, ulps, scale, f, edge):
+        # a point at 1e-12 * (1 + ulps * 2**-52) from an edge of a scaled,
+        # rotated square: within rounding of the threshold
+        angle = 0.3 + edge
+        rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        pts = scale * self.SQUARE @ rot.T
+        a, b = pts[edge], pts[(edge + 1) % 4]
+        normal = np.array([b[1] - a[1], a[0] - b[0]]) / np.linalg.norm(b - a)
+        point = a + f * (b - a) + 1e-12 * (1.0 + ulps * 2.0 ** -52) * normal
+        _assert_winding_as_reference(pts, point)
+
+    @pytest.mark.parametrize("case", ["exact", "chain", "closing", "near_threshold"])
+    def test_duplicate_drop_as_scalar(self, case):
+        base = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        if case == "exact":
+            pts = base[[0, 0, 1, 1, 1, 2, 3, 3]]
+        elif case == "chain":
+            # steps of 0.6e-14 each: every one is below 1e-14, their sum is not
+            chain = base[1] + np.arange(5)[:, None] * [0.6e-14, 0.0]
+            pts = np.vstack([base[:1], chain, base[2:]])
+        elif case == "closing":
+            pts = np.vstack([base, base[:1] + [0.5e-14, 0.0]])
+        else:
+            steps = 1e-14 * (1.0 + np.arange(-4, 5) * 2.0 ** -52)
+            pts = np.vstack([base[:1], base[1] + np.cumsum(steps)[:, None] * [1.0, 0.0], base[2:]])
+        assert np.array_equal(PolylineLoop(pts).points, _reference_loop_points(pts))
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from([0.0, 0.3e-14, 0.9e-14, 1e-14,
+                                                                1.1e-14, 2e-14, 1e-3])),
+                    min_size=1, max_size=12),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]))
+    @settings(max_examples=80, deadline=None)
+    def test_random_duplicates_as_scalar(self, inserts, seed, dim):
+        rng = np.random.default_rng(seed)
+        pts = list(rng.normal(size=(6, dim)))
+        for where, step in sorted(inserts, reverse=True):
+            direction = rng.normal(size=dim)
+            pts.insert(where + 1, pts[where] + step * direction / np.linalg.norm(direction))
+        pts = np.array(pts)
+        assert np.array_equal(PolylineLoop(pts).points, _reference_loop_points(pts))

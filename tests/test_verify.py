@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moebiusband import band as band_mod
 from moebiusband import verify as verify_mod
@@ -11,7 +13,9 @@ from moebiusband.band import (
     CANONICAL_TRIANGLE,
     INCENTER,
     build_wrinkle,
+    flip,
     points_to_triangles_distance,
+    redevelop,
     scale_bend,
     surface_triangles,
     transform,
@@ -19,7 +23,7 @@ from moebiusband.band import (
 )
 from moebiusband.cli import main as cli_main
 from moebiusband.flatmodel import make_trapezoid
-from moebiusband.geom import RigidMotion, StructureError, densify_polyline
+from moebiusband.geom import RigidMotion, StructureError
 from moebiusband.verify import (
     EPS_FLOOR,
     GRID_PITCH,
@@ -34,6 +38,8 @@ from moebiusband.verify import (
     write_csv_summary,
     write_report_json,
 )
+
+from conftest import densify_polyline
 
 SQRT3 = math.sqrt(3.0)
 
@@ -214,6 +220,72 @@ class TestLatticeScan:
         monkeypatch.setattr(band_mod, "CHUNK_BYTES", 1)
         assert np.array_equal(verify_mod._points_in_triangles_2d(grid, patches), wide[0])
         assert np.array_equal(verify_mod._cover_heights(grid, patches), wide[1])
+
+
+@pytest.fixture(scope="module")
+def dense_references(band_states):
+    """Per band: the dense mask and heights on the full grid, and the dense
+    mask on the c-grid."""
+    out = {}
+    grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
+    for name, (band, state) in band_states.items():
+        covered, _ = _dense_coverage(grid.points, state.patches, 1e-9, steep_guard=False)
+        _, heights = _dense_coverage(grid.points, state.patches, 1e-12, steep_guard=True)
+        c_grid = _c_grid(band)
+        c_covered, _ = _dense_coverage(c_grid.points, state.patches, 1e-9, steep_guard=False)
+        out[name] = (grid, covered, heights, c_grid, c_covered)
+    return out
+
+
+BAND_NAMES = ["tri", "wrinkle3", "wrinkle4", "wrinkle5"]
+
+
+class TestSettledPoints:
+    """Settled points are skipped, so the pairs tested depend on the order
+    of the patches; the masks and heights must not."""
+
+    @given(st.sampled_from(BAND_NAMES), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_patch_order_is_bitwise_neutral(self, band_states, dense_references, name, seed):
+        patches = band_states[name][1].patches
+        shuffled = patches[np.random.default_rng(seed).permutation(len(patches))]
+        grid, covered, heights, c_grid, c_covered = dense_references[name]
+        assert np.array_equal(verify_mod._points_in_triangles_2d(grid, shuffled), covered)
+        assert np.array_equal(verify_mod._cover_heights(grid, shuffled), heights)
+        assert np.array_equal(verify_mod._points_in_triangles_2d(c_grid, shuffled), c_covered)
+
+    def test_about_one_pair_per_point(self, wrinkle4_state, monkeypatch):
+        # the band covers the triangle about three times; a point at height
+        # 0 is tested against no further patch
+        grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
+        tested = []
+        real_at = verify_mod._Barycentric2D.at
+
+        def counting(self, pts, k):
+            tested.append(len(k))
+            return real_at(self, pts, k)
+
+        monkeypatch.setattr(verify_mod._Barycentric2D, "at", counting)
+        verify_mod._cover_heights(grid, wrinkle4_state.patches)
+        bary = verify_mod._Barycentric2D(wrinkle4_state.patches)
+        candidates = sum(len(pt) for pt, _ in verify_mod._lattice_pairs(
+            grid, bary, bary.good, 1e-12))
+        assert sum(tested) < 1.1 * len(grid.points) < 0.5 * candidates
+
+    @given(st.sampled_from(BAND_NAMES), st.floats(0.0, 1.0, exclude_max=True), st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_coverage_invariant_under_recut_and_flip(self, band_states, name, cut, flipped):
+        # hausdorff is band_to_triangle on these bands, read at the bend
+        # endpoints after the pose normalization of each copy, which can
+        # move it by an ulp
+        band, state = band_states[name]
+        moved = redevelop(band, cut * band.n_bends)
+        moved = flip(moved) if flipped else moved
+        base = (verify_eff2(band, state=state).measured, verify_corollary(band, state=state).measured)
+        eff2, cor = verify_eff2(moved).measured, verify_corollary(moved).measured
+        for key in ("c_grid_uncovered", "triangle_coverage_max"):
+            assert eff2[key] == base[0][key], key
+        assert abs(cor["hausdorff"] - base[1]["hausdorff"]) <= 4 * math.ulp(base[1]["hausdorff"])
 
 
 class TestSharedGeometry:
