@@ -118,6 +118,17 @@ class RuledBand:
         g_space = self.space[0, ::-1].copy()
         return g_flat, g_space
 
+    def boundary_chains(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """The bottom (y=0) and top (y=1) boundary chains of the
+        development, each as (x-values, space points) of the bend ends
+        followed by those of the glued copy of bends[0]."""
+        g_flat, g_space = self.glued_first_bend()
+        return tuple(
+            (np.append(self.flat[:, side, 0], g_flat[side, 0]),
+             np.vstack([self.space[:, side], g_space[side][None, :]]))
+            for side in (0, 1)
+        )
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -151,11 +162,7 @@ def validate(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationR
     ruling = np.abs(space_len - flat_len) / np.maximum(1.0, flat_len)
     max_ruling = float(ruling.max())
 
-    g_flat, g_space = band.glued_first_bend()
-    bot_x = np.append(flat[:, 0, 0], g_flat[0, 0])
-    top_x = np.append(flat[:, 1, 0], g_flat[1, 0])
-    bot_sp = np.vstack([space[:, 0], g_space[0][None, :]])
-    top_sp = np.vstack([space[:, 1], g_space[1][None, :]])
+    (bot_x, bot_sp), (top_x, top_sp) = band.boundary_chains()
 
     d_bot = np.diff(bot_x)
     d_top = np.diff(top_x)
@@ -559,9 +566,7 @@ def sample_surface(band: RuledBand, eta: float) -> np.ndarray:
 def surface_triangles(band: RuledBand) -> np.ndarray:
     """Triangulation of the ruled patches between consecutive bends
     (including the glued wrap patch): (2N, 3, 3) array."""
-    g_flat, g_space = band.glued_first_bend()
-    bot = np.vstack([band.space[:, 0], g_space[0][None, :]])
-    top = np.vstack([band.space[:, 1], g_space[1][None, :]])
+    (_, bot), (_, top) = band.boundary_chains()
     a, b = bot[:-1], bot[1:]
     c, d = top[:-1], top[1:]
     tris = np.concatenate(

@@ -11,8 +11,10 @@ residual pair
 
 with a at the stored bends.  Between two bends the leaf vector is affine in
 the interpolation fraction, so every zero of F1 comes in closed form from
-the signs of one matrix of dot products; the zeros whose F2 also vanishes
-are the candidates.  Both residuals flip sign when a bend's orientation is
+the signs of one matrix of dot products.  One array pass then gives F1, F2
+and the T/B roles of every zero, row by row with the arithmetic of the
+one-zero computation; the zeros whose F2 also vanishes and whose bends take
+roles are the candidates.  Both residuals flip sign when a bend's orientation is
 reversed; traversing the full foliation once returns to the first bend
 with reversed orientation, so the functions are evaluated on the
 orientation double cover of the parameter circle.
@@ -46,12 +48,11 @@ from .geom import (
     RigidMotion,
     StructureError,
     ToleranceConfig,
-    closest_line_params,
+    row_dot,
 )
 
 _DIAGONAL_EXCLUSION = 3  # minimal bend-step separation of a candidate pair
 _FOOT_MARGIN = 1e-6      # relative margin classifying interior/endpoint feet
-_ULP = np.finfo(float).eps
 
 
 class NoTPatternError(StructureError):
@@ -124,25 +125,6 @@ def _flat_at(band: RuledBand, p: float) -> np.ndarray:
     return f
 
 
-def _perp_residual(band: RuledBand, a: float, b: float) -> float:
-    sa, sb = _space_at(band, a), _space_at(band, b)
-    return float(_unit(sa[1] - sa[0]) @ _unit(sb[1] - sb[0]))
-
-
-def _offset_residual(band: RuledBand, a: float, b: float) -> float:
-    sa = _space_at(band, a)
-    sb = _space_at(band, b)
-    ua = _unit(sa[1] - sa[0])
-    ub = _unit(sb[1] - sb[0])
-    n = np.cross(ua, ub)
-    nn = np.linalg.norm(n)
-    if nn < 1e-12:
-        return math.inf
-    ma = 0.5 * (sa[0] + sa[1])
-    mb = 0.5 * (sb[0] + sb[1])
-    return float((mb - ma) @ n / nn)
-
-
 @dataclass(frozen=True)
 class _Candidate:
     alpha: float
@@ -155,32 +137,6 @@ class _Candidate:
     p_star: np.ndarray
     foot_t: float
     foot_b: float
-
-
-def _classify_roles(band: RuledBand, a: float, b: float) -> _Candidate | None:
-    """Assign T/B roles by where the carrier lines meet: the T segment must
-    contain the intersection strictly inside, the B segment must lie on one
-    closed side of it."""
-    sa = _space_at(band, a)
-    sb = _space_at(band, b)
-    ua, ub = _unit(sa[1] - sa[0]), _unit(sb[1] - sb[0])
-    la = float(np.linalg.norm(sa[1] - sa[0]))
-    lb = float(np.linalg.norm(sb[1] - sb[0]))
-    try:
-        s1, s2 = closest_line_params(sa[0], ua, sb[0], ub)
-    except StructureError:
-        return None
-    r1, r2 = s1 / la, s2 / lb
-    p_star = 0.5 * ((sa[0] + s1 * ua) + (sb[0] + s2 * ub))
-    interior1 = _FOOT_MARGIN < r1 < 1.0 - _FOOT_MARGIN
-    interior2 = _FOOT_MARGIN < r2 < 1.0 - _FOOT_MARGIN
-    perp = float(ua @ ub)
-    off = _offset_residual(band, a, b)
-    if interior1 and not interior2:
-        return _Candidate(a, b, perp, off, 1, la, lb, p_star, r1, r2)
-    if interior2 and not interior1:
-        return _Candidate(a, b, perp, off, 2, lb, la, p_star, r2, r1)
-    return None
 
 
 def _build_pose(bend_t_flat, bend_t_space, bend_b_space, p_star) -> tuple[RigidMotion, RigidMotion]:
@@ -237,68 +193,55 @@ def _root_segments(band: RuledBand, a: np.ndarray, b: np.ndarray) -> tuple[np.nd
     return band.space[a], (1.0 - f) * lifted[i] + f * lifted[i + 1]
 
 
-def _root_residuals(sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F1 and F2 at every root with segments (sa, sb), as _perp_residual
-    and _offset_residual give them one at a time."""
-    ua, ub = sa[:, 1] - sa[:, 0], sb[:, 1] - sb[:, 0]
-    ua = ua / np.linalg.norm(ua, axis=1, keepdims=True)
-    ub = ub / np.linalg.norm(ub, axis=1, keepdims=True)
-    normal = np.cross(ua, ub)
-    nn = np.linalg.norm(normal, axis=1)
-    gap = 0.5 * (sb[:, 0] + sb[:, 1]) - 0.5 * (sa[:, 0] + sa[:, 1])
-    flat = nn < 1e-12
-    off = np.einsum("ij,ij->i", gap, normal) / np.where(flat, 1.0, nn)
-    return np.einsum("ij,ij->i", ua, ub), np.where(flat, math.inf, off)
+def _classify(a: np.ndarray, b: np.ndarray, sa: np.ndarray, sb: np.ndarray,
+              tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, list[_Candidate]]:
+    """F1 and F2 at every root (a, b) with segments (sa, sb), and the roots
+    whose F1 and F2 are within tol.root_residual and whose bends take T/B
+    roles, in root order.
 
-
-def _screen_roles(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
-    """Mask of the roots with segments (sa, sb) that _classify_roles may
-    accept, from one array pass over the closest-line feet r1 = s1/la,
-    r2 = s2/lb and the parallel-lines test 1 - c^2 < 1e-18, c = ua . ub.
-    A root is ruled out only where the scalar test surely rejects it: both
-    feet surely interior, both surely not, or the lines surely parallel.
-
-    The segments are bitwise the scalar path's, but these row norms and
-    dots differ from the 1-D ones by a few ulps.  That moves 1 - c^2 by at
-    most ~25 ulps and each foot by at most ~(26 W + 29 R) ulps / (1 - c^2),
-    with W = |sb[0] - sa[0]| / min(la, lb) and R = |r1| + |r2| (first-order
-    bounds); the slacks below are 64 and 256 ulps.
-    """
+    Roles are assigned by where the carrier lines meet: the T segment must
+    contain the intersection strictly inside, the B segment must lie on one
+    closed side of it.  Lines with 1 - c^2 < 1e-18, c = u_a . u_b, count as
+    parallel and take no roles.  Each row has the arithmetic of the 1-D
+    computation (row_dot), so every value is the one a root computed alone
+    would give."""
     va, vb = sa[:, 1] - sa[:, 0], sb[:, 1] - sb[:, 0]
-    la, lb = np.linalg.norm(va, axis=1), np.linalg.norm(vb, axis=1)
+    la, lb = np.sqrt(row_dot(va, va)), np.sqrt(row_dot(vb, vb))
     ua, ub = va / la[:, None], vb / lb[:, None]
+    perp = row_dot(ua, ub)
+    normal = np.cross(ua, ub)
+    nn = np.sqrt(row_dot(normal, normal))
+    gap = 0.5 * (sb[:, 0] + sb[:, 1]) - 0.5 * (sa[:, 0] + sa[:, 1])
+    # closest points sa[0] + s1 ua and sb[0] + s2 ub of the two lines
     w0 = sb[:, 0] - sa[:, 0]
-    c = np.einsum("ij,ij->i", ua, ub)
-    p, q = np.einsum("ij,ij->i", ua, w0), np.einsum("ij,ij->i", ub, w0)
-    denom = 1.0 - c * c
-    denom_err = 64.0 * _ULP
+    p, q = row_dot(ua, w0), row_dot(ub, w0)
+    denom = 1.0 - perp * perp
     with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = (p - c * q) / denom / la
-        r2 = (c * p - q) / denom / lb
-        slack = 256.0 * _ULP * (1.0 + np.linalg.norm(w0, axis=1) / np.minimum(la, lb)
-                                + np.abs(r1) + np.abs(r2)) / denom
-    lo, hi = _FOOT_MARGIN, 1.0 - _FOOT_MARGIN
-    inside1, inside2 = ((lo + slack < r) & (r < hi - slack) for r in (r1, r2))
-    outside1, outside2 = ((r < lo - slack) | (r > hi + slack) for r in (r1, r2))
-    same = (inside1 & inside2) | (outside1 & outside2)
-    parallel = denom + denom_err < 1e-18
-    certain = denom - denom_err >= 1e-18
-    return ~parallel & ~(certain & same)
+        off = np.where(nn < 1e-12, math.inf, row_dot(gap, normal) / nn)
+        s1, s2 = (p - perp * q) / denom, (perp * p - q) / denom
+    r1, r2 = s1 / la, s2 / lb
+    p_star = 0.5 * ((sa[:, 0] + s1[:, None] * ua) + (sb[:, 0] + s2[:, None] * ub))
+    interior1, interior2 = ((_FOOT_MARGIN < r) & (r < 1.0 - _FOOT_MARGIN) for r in (r1, r2))
+    found = ((np.abs(perp) <= tol.root_residual) & (np.abs(off) <= tol.root_residual)
+             & (denom >= 1e-18) & (interior1 != interior2))
+    t_first = interior1[found]
+
+    def pick(x, y):
+        return np.where(t_first, x[found], y[found]).tolist()
+
+    rows = zip(a[found].astype(float).tolist(), b[found].tolist(), perp[found].tolist(),
+               off[found].tolist(), np.where(t_first, 1, 2).tolist(), pick(la, lb), pick(lb, la),
+               p_star[found], pick(r1, r2), pick(r2, r1))
+    return perp, off, [_Candidate(*row) for row in rows]
 
 
 def _candidates(band: RuledBand, tol: ToleranceConfig) -> list[_Candidate]:
     """Every root whose F1 and F2 are within tol.root_residual and whose
     bends take T/B roles, in root order.  The roots come in closed form
-    from one sign matrix (_perp_roots); the kept ones are screened in one
-    array pass (_screen_roles), and the few the screen cannot rule out are
-    classified one at a time (_classify_roles)."""
+    from one sign matrix (_perp_roots), and one array pass (_classify)
+    computes the residuals and roles of all of them."""
     a, _, b = _perp_roots(band)
-    sa, sb = _root_segments(band, a, b)
-    perp, off = _root_residuals(sa, sb)
-    keep = (np.abs(perp) <= tol.root_residual) & (np.abs(off) <= tol.root_residual)
-    keep[keep] = _screen_roles(sa[keep], sb[keep])
-    classified = (_classify_roles(band, float(ai), float(bi)) for ai, bi in zip(a[keep], b[keep]))
-    candidates = [c for c in classified if c is not None]
+    perp, off, candidates = _classify(a, b, *_root_segments(band, a, b), tol)
     if not candidates:
         near = np.hypot(perp, off).min(initial=math.inf)
         raise NoTPatternError(f"no T-pattern detected (minimal residual {near:.3e})")

@@ -24,6 +24,7 @@ margin checks therefore allow a small slop where noted.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -48,6 +49,7 @@ from .geom import (
     StructureError,
     ToleranceConfig,
     points_segment_distance,
+    row_dot,
     winding_number,
 )
 from .tpattern import TPattern, develop_for, find_tpattern, normalize_pose
@@ -118,15 +120,8 @@ class BoundaryMap:
     development (bottom y=0 and top y=1)."""
 
     def __init__(self, dev: RuledBand):
-        g_flat, g_space = dev.glued_first_bend()
-        self.bottom = _Chain(
-            np.append(dev.flat[:, 0, 0], g_flat[0, 0]),
-            np.vstack([dev.space[:, 0], g_space[0][None, :]]),
-        )
-        self.top = _Chain(
-            np.append(dev.flat[:, 1, 0], g_flat[1, 0]),
-            np.vstack([dev.space[:, 1], g_space[1][None, :]]),
-        )
+        bottom, top = dev.boundary_chains()
+        self.bottom, self.top = _Chain(*bottom), _Chain(*top)
         self.cut = dev.space[0]
 
     def chain_for(self, edge_name: str) -> _Chain:
@@ -295,8 +290,7 @@ class PipelineState:
     def triangle_to_band(self) -> float:
         """Largest distance from a point of the triangle grid at GRID_PITCH
         to the band's ruled patches."""
-        grid = _triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
-        return _max_distance_to_patches(grid, self.patches)
+        return _max_distance_to_patches(_canonical_grid(), self.patches)
 
 
 def prepare(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> PipelineState:
@@ -416,15 +410,16 @@ def _triangle_grid(vertices: np.ndarray, pitch: float) -> _TriangleGrid:
     return _TriangleGrid(np.array([a, b, c]), m, points)
 
 
+@functools.cache
+def _canonical_grid() -> _TriangleGrid:
+    """The triangle grid of CANONICAL_TRIANGLE at GRID_PITCH, built once per
+    process, with read-only points."""
+    grid = _triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
+    grid.points.setflags(write=False)
+    return grid
+
+
 _ULP = np.finfo(float).eps
-
-
-def _dot2(p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Rowwise dot products of two (n, 2) arrays as n (1x2)(2x1) matrix
-    products.  These round like the entries of a (points, triangles)
-    matrix product, fused multiply-add included where the BLAS uses one;
-    the elementwise p0*w0 + p1*w1 can differ from them by an ulp."""
-    return np.matmul(p[:, None, :], w[:, :, None])[:, 0, 0]
 
 
 class _Barycentric2D:
@@ -452,8 +447,8 @@ class _Barycentric2D:
         """(s, t) of each 2D point pts[n] in triangle k[n]; the arithmetic
         of each entry is that of a dense (points, triangles) pass."""
         inv = self.inv[k]
-        s = (_dot2(pts, np.take(self.w_s, k, axis=0)) - self.a_s[k]) * inv
-        t = (_dot2(pts, np.take(self.w_t, k, axis=0)) - self.a_t[k]) * inv
+        s = (row_dot(pts, np.take(self.w_s, k, axis=0)) - self.a_s[k]) * inv
+        t = (row_dot(pts, np.take(self.w_t, k, axis=0)) - self.a_t[k]) * inv
         return s, t
 
     def slop(self, reach: np.ndarray, tol: float) -> np.ndarray:

@@ -217,6 +217,21 @@ class TestDevelopment:
         assert validate(flipped).passed
 
 
+class TestBoundaryChains:
+    @pytest.mark.parametrize("copy", ["plain", "flip", "recut"])
+    @pytest.mark.parametrize("band_name", ["tri_band", "wrinkle4"])
+    def test_chains_end_with_glued_first_bend(self, band_name, copy, request):
+        band = request.getfixturevalue(band_name)
+        band = {"plain": band, "flip": flip(band), "recut": redevelop(band, 17.25)}[copy]
+        g_flat, g_space = band.glued_first_bend()
+        for side, (xs, pts) in enumerate(band.boundary_chains()):
+            assert np.array_equal(xs, np.append(band.flat[:, side, 0], g_flat[side, 0]))
+            assert np.array_equal(pts, np.vstack([band.space[:, side], g_space[side][None, :]]))
+        tris = surface_triangles(band)
+        (_, bot), (_, top) = band.boundary_chains()
+        assert np.array_equal(tris[: band.n_bends], np.stack([bot[:-1], bot[1:], top[1:]], axis=1))
+
+
 class TestSerialization:
     def test_round_trip_exact(self, wrinkle4, tmp_path):
         data = to_json_dict(wrinkle4)

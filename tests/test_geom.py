@@ -11,10 +11,24 @@ from moebiusband.geom import (
     StructureError,
     point_segment_distance,
     rotation_about_line,
+    row_dot,
     winding_number,
 )
 
 from conftest import densify_segment
+
+
+def scalar_point_segment_distance(p, a, b) -> float:
+    """Euclidean distance from point p to the segment a-b."""
+    p = np.asarray(p, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        return float(np.linalg.norm(p - a))
+    t = np.clip(float((p - a) @ ab) / denom, 0.0, 1.0)
+    return float(np.linalg.norm(p - (a + t * ab)))
 
 
 class TestWinding:
@@ -107,7 +121,7 @@ class TestPolylineLoop:
 
 
 def _reference_loop_points(pts):
-    """The scalar duplicate drop that the screened one replaced."""
+    """The duplicate drop as a scalar loop over the points."""
     pts = np.asarray(pts, dtype=float)
     keep = [0]
     for i in range(1, len(pts)):
@@ -119,11 +133,11 @@ def _reference_loop_points(pts):
 
 
 def _reference_winding(pts, point):
-    """The winding number with the scalar point-on-loop test that the
-    screened one replaced."""
+    """The winding number with the scalar point-on-loop test, one edge at a
+    time."""
     rel = np.asarray(pts, dtype=float) - np.asarray(point, dtype=float)
     for a, b in zip(rel, np.roll(rel, -1, axis=0)):
-        if point_segment_distance(np.zeros(2), a, b) < 1e-12:
+        if scalar_point_segment_distance(np.zeros(2), a, b) < 1e-12:
             raise StructureError("point lies on the loop")
     ang = np.arctan2(rel[:, 1], rel[:, 0])
     inc = (np.diff(np.concatenate([ang, ang[:1]])) + np.pi) % (2.0 * np.pi) - np.pi
@@ -142,8 +156,8 @@ def _assert_winding_as_reference(pts, point):
 
 
 class TestScreens:
-    """The array screens of PolylineLoop and winding_number decide every
-    threshold exactly as the scalar loops they replaced."""
+    """The array passes of PolylineLoop and winding_number decide every
+    threshold exactly as the scalar loops over points and edges."""
 
     SQUARE = TestWinding.SQUARE
 
@@ -206,3 +220,38 @@ class TestScreens:
             pts.insert(where + 1, pts[where] + step * direction / np.linalg.norm(direction))
         pts = np.array(pts)
         assert np.array_equal(PolylineLoop(pts).points, _reference_loop_points(pts))
+
+
+def _rows(seed: int, n: int, d: int) -> np.ndarray:
+    """n random rows of dimension d with magnitudes over 16 decades, signs
+    mixed, and every tenth row (from the tenth on) zero."""
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(-1.0, 1.0, size=(n, d)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(n, d))
+    rows[9::10] = 0.0
+    return rows
+
+
+class TestRowDot:
+    """row_dot rounds like the 1-D dot of each row, and its sqrt like the
+    1-D norm; point_segment_distance on rows is the scalar test on each."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [1, 10_000])
+    def test_matches_one_dimensional_dot_and_norm(self, n, d):
+        p, w = _rows(n, n, d), _rows(n + 1, n, d)
+        dots = row_dot(p, w)
+        norms = np.sqrt(row_dot(p, p))
+        assert dots.shape == norms.shape == (n,)
+        assert all(dots[i] == p[i] @ w[i] for i in range(n))
+        assert all(norms[i] == np.linalg.norm(p[i]) for i in range(n))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [1, 10_000])
+    def test_distance_matches_scalar(self, n, d):
+        p, a, b = _rows(2 * n, 1, d)[0], _rows(2 * n + 1, n, d), _rows(2 * n + 2, n, d)
+        b[6::7] = a[6::7]   # zero-length segments
+        dist = point_segment_distance(p, a, b)
+        assert all(dist[i] == scalar_point_segment_distance(p, a[i], b[i]) for i in range(n))
+        rows = _rows(2 * n + 3, n, d)
+        dist = point_segment_distance(rows, a, b)
+        assert all(dist[i] == scalar_point_segment_distance(rows[i], a[i], b[i]) for i in range(n))

@@ -16,18 +16,16 @@ from moebiusband.band import (
     scale_bend,
     transform,
 )
-from moebiusband.geom import DEFAULT_TOL, RigidMotion, StructureError
+from moebiusband.geom import DEFAULT_TOL, RigidMotion, StructureError, ToleranceConfig
 from moebiusband.tpattern import (
     _FOOT_MARGIN,
     TPattern,
+    _Candidate,
     _candidates,
-    _classify_roles,
-    _offset_residual,
-    _perp_residual,
+    _classify,
     _perp_roots,
-    _root_residuals,
-    _root_segments,
-    _screen_roles,
+    _space_at,
+    _unit,
     develop_for,
     find_tpattern,
     normalize_pose,
@@ -48,6 +46,72 @@ def pose_residuals(tp: TPattern) -> dict:
         "b_off_axis": float(np.abs(b_sp[:, [0, 2]]).max()),
         "b_above_axis": float(max(b_sp[:, 1].max(), 0.0)),
     }
+
+
+# Scalar references: the one-root-at-a-time residuals and role test that
+# _classify computes for all roots in one array pass.
+
+
+def _perp_residual(band: RuledBand, a: float, b: float) -> float:
+    sa, sb = _space_at(band, a), _space_at(band, b)
+    return float(_unit(sa[1] - sa[0]) @ _unit(sb[1] - sb[0]))
+
+
+def _offset_residual(band: RuledBand, a: float, b: float) -> float:
+    sa = _space_at(band, a)
+    sb = _space_at(band, b)
+    ua = _unit(sa[1] - sa[0])
+    ub = _unit(sb[1] - sb[0])
+    n = np.cross(ua, ub)
+    nn = np.linalg.norm(n)
+    if nn < 1e-12:
+        return math.inf
+    ma = 0.5 * (sa[0] + sa[1])
+    mb = 0.5 * (sb[0] + sb[1])
+    return float((mb - ma) @ n / nn)
+
+
+def closest_line_params(p1, d1, p2, d2) -> tuple[float, float]:
+    """Arclength parameters (s1, s2) of the mutually closest points of two
+    lines p_i + s_i * d_i (directions unit)."""
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    d1 = np.asarray(d1, dtype=float)
+    d2 = np.asarray(d2, dtype=float)
+    w0 = p2 - p1
+    b = float(d1 @ d2)
+    denom = 1.0 - b * b
+    if denom < 1e-18:
+        raise StructureError("lines are parallel; closest params undefined")
+    s1 = (float(d1 @ w0) - b * float(d2 @ w0)) / denom
+    s2 = (b * float(d1 @ w0) - float(d2 @ w0)) / denom
+    return s1, s2
+
+
+def _classify_roles(band: RuledBand, a: float, b: float) -> _Candidate | None:
+    """Assign T/B roles by where the carrier lines meet: the T segment must
+    contain the intersection strictly inside, the B segment must lie on one
+    closed side of it."""
+    sa = _space_at(band, a)
+    sb = _space_at(band, b)
+    ua, ub = _unit(sa[1] - sa[0]), _unit(sb[1] - sb[0])
+    la = float(np.linalg.norm(sa[1] - sa[0]))
+    lb = float(np.linalg.norm(sb[1] - sb[0]))
+    try:
+        s1, s2 = closest_line_params(sa[0], ua, sb[0], ub)
+    except StructureError:
+        return None
+    r1, r2 = s1 / la, s2 / lb
+    p_star = 0.5 * ((sa[0] + s1 * ua) + (sb[0] + s2 * ub))
+    interior1 = _FOOT_MARGIN < r1 < 1.0 - _FOOT_MARGIN
+    interior2 = _FOOT_MARGIN < r2 < 1.0 - _FOOT_MARGIN
+    perp = float(ua @ ub)
+    off = _offset_residual(band, a, b)
+    if interior1 and not interior2:
+        return _Candidate(a, b, perp, off, 1, la, lb, p_star, r1, r2)
+    if interior2 and not interior1:
+        return _Candidate(a, b, perp, off, 2, lb, la, p_star, r2, r1)
+    return None
 
 
 class TestTriangularPattern:
@@ -237,11 +301,14 @@ def _fixed_band(name: str) -> RuledBand:
 
 
 def _scalar_candidates(band: RuledBand) -> list:
-    """The all-scalar reference: _classify_roles on every kept root."""
+    """The all-scalar reference: the scalar residuals, then _classify_roles,
+    one root at a time."""
+    tol = DEFAULT_TOL.root_residual
     a, _, b = _perp_roots(band)
-    perp, off = _root_residuals(*_root_segments(band, a, b))
-    keep = (np.abs(perp) <= DEFAULT_TOL.root_residual) & (np.abs(off) <= DEFAULT_TOL.root_residual)
-    classified = (_classify_roles(band, float(x), float(y)) for x, y in zip(a[keep], b[keep]))
+    roots = [(float(x), float(y)) for x, y in zip(a, b)]
+    kept = [(x, y) for x, y in roots
+            if abs(_perp_residual(band, x, y)) <= tol and abs(_offset_residual(band, x, y)) <= tol]
+    classified = (_classify_roles(band, x, y) for x, y in kept)
     return [c for c in classified if c is not None]
 
 
@@ -281,8 +348,9 @@ _ANGLES = st.one_of(
 )
 
 
-class TestRoleScreen:
-    """Screen-then-confirm keeps exactly the candidates of the scalar test."""
+class TestRoleClassification:
+    """The array pass of _classify keeps exactly the candidates of the
+    scalar test, with every field equal."""
 
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(["triangular", "1e-3", "1e-4", "1e-5"]),
@@ -313,18 +381,8 @@ class TestRoleScreen:
         sb = np.array([foot - r2 * lb * ub, foot + (1.0 - r2) * lb * ub])
         motion = _motion(seed, proper)
         sa, sb = motion.apply(sa), motion.apply(sb)
-        accepted = _classify_roles(_pair_band(sa, sb), 0.0, 1.0) is not None
-        passed = bool(_screen_roles(sa[None], sb[None])[0])
-        assert passed or not accepted
-
-    @pytest.mark.parametrize("name", ["triangular", "1e-3", "1e-4", "1e-5"])
-    def test_screen_passes_only_candidates(self, name):
-        # on the fixed bands the screen rules out every root the scalar test
-        # rejects (4 of 42 kept roots pass on a wrinkle band, 6 of 144 on the
-        # triangular one)
-        band = _fixed_band(name)
-        a, _, b = _perp_roots(band)
-        sa, sb = _root_segments(band, a, b)
-        perp, off = _root_residuals(sa, sb)
-        keep = (np.abs(perp) <= DEFAULT_TOL.root_residual) & (np.abs(off) <= DEFAULT_TOL.root_residual)
-        assert _screen_roles(sa[keep], sb[keep]).sum() == len(_scalar_candidates(band))
+        want = _classify_roles(_pair_band(sa, sb), 0.0, 1.0)
+        # no residual bound, so only the roles decide
+        _, _, got = _classify(np.array([0]), np.array([1.0]), sa[None], sb[None],
+                              ToleranceConfig(root_residual=math.inf))
+        _assert_same_candidates(got, [] if want is None else [want])

@@ -398,6 +398,24 @@ class TestSharedGeometry:
         for k, ref in zip(kernels, wide):
             assert np.array_equal(k(), ref)
 
+    def test_canonical_grid_built_once(self, tri_band, wrinkle4, monkeypatch):
+        states = [prepare(tri_band), prepare(wrinkle4)]
+        fresh = verify_mod._triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
+        want = [verify_mod._max_distance_to_patches(fresh, s.patches) for s in states]
+        build, calls = verify_mod._triangle_grid, []
+
+        def counting(vertices, pitch):
+            calls.append(pitch)
+            return build(vertices, pitch)
+
+        monkeypatch.setattr(verify_mod, "_triangle_grid", counting)
+        verify_mod._canonical_grid.cache_clear()
+        assert [s.triangle_to_band for s in states] == want
+        assert calls == [GRID_PITCH]
+        grid = verify_mod._canonical_grid()
+        assert np.array_equal(grid.points, fresh.points) and grid.m == fresh.m
+        assert not grid.points.flags.writeable
+
     def test_patches_built_once(self, tri_band, monkeypatch):
         calls = []
 
