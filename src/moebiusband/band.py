@@ -42,11 +42,10 @@ BASE_L = np.array([-T_OPT, 0.0, 0.0])
 BASE_R = np.array([T_OPT, 0.0, 0.0])
 CANONICAL_TRIANGLE = np.array([BASE_L, BASE_R, APEX])
 INCENTER = np.array([0.0, -1.0 / 3.0, 0.0])
-INRADIUS = 1.0 / 3.0
 
 # size of each (points, triangles)-shaped float64 temporary of the chunked
 # point-to-triangle kernel, and of all arrays of one block of verify's
-# lattice coverage passes; small enough to stay in cache and to keep every
+# lattice coverage pass; small enough to stay in cache and to keep every
 # chunk from faulting in fresh pages
 CHUNK_BYTES = 1 << 19
 
@@ -575,12 +574,6 @@ def surface_triangles(band: RuledBand) -> np.ndarray:
     return tris
 
 
-def chunk_rows(width: int) -> int:
-    """Rows per chunk so that a float64 (rows, width) temporary fits in
-    CHUNK_BYTES."""
-    return max(1, CHUNK_BYTES // (8 * max(1, width)))
-
-
 def points_to_triangles_distance(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Exact distance from each point to the nearest of the given triangles.
 
@@ -613,7 +606,7 @@ def points_to_triangles_distance(pts: np.ndarray, tris: np.ndarray) -> np.ndarra
     ea_2 = np.einsum("ij,ij->i", e_a, e_a)
 
     out = np.empty(len(pts))
-    chunk = chunk_rows(len(e_v))
+    chunk = max(1, CHUNK_BYTES // (8 * max(1, len(e_v))))
     for lo in range(0, len(pts), chunk):
         p = pts[lo:lo + chunk]
         p2 = np.einsum("ij,ij->i", p, p)

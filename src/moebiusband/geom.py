@@ -54,7 +54,7 @@ def row_dot(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     (1xd)(dx1) matrix products.  numpy takes each through the BLAS dot of
     the 1-D p[i] @ w[i], so it rounds like that, and its sqrt like
     np.linalg.norm of a 1-D row; einsum or a sum along an axis can differ
-    from them by an ulp.  The coverage passes of `verify` rely on the 2D
+    from them by an ulp.  The coverage pass of `verify` relies on the 2D
     rows also rounding like the entries of a dense matrix product, fused
     multiply-add included where the BLAS uses one."""
     return np.matmul(p[..., None, :], w[..., :, None])[..., 0, 0]
@@ -63,7 +63,8 @@ def row_dot(p: np.ndarray, w: np.ndarray) -> np.ndarray:
 def point_segment_distance(p, a, b) -> np.ndarray:
     """Euclidean distance from p to each segment a[i]-b[i] of the (n, d)
     endpoint arrays a, b (or (d,) for one segment), with the arithmetic of
-    the 1-D computation on each row."""
+    the 1-D computation on each row.  p broadcasts against the rows: (n, 1, d)
+    points against (k, d) endpoints give (n, k) distances."""
     p = np.asarray(p, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -73,20 +74,6 @@ def point_segment_distance(p, a, b) -> np.ndarray:
         t = np.clip(row_dot(p - a, ab) / denom, 0.0, 1.0)
     gap = p - np.where(denom[..., None] == 0.0, a, a + t[..., None] * ab)
     return np.sqrt(row_dot(gap, gap))
-
-
-def points_segment_distance(pts, a, b) -> np.ndarray:
-    """Vectorized distance from each row of pts to the segment a-b."""
-    pts = _as_points(pts)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return np.linalg.norm(pts - a, axis=1)
-    t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
-    feet = a[None, :] + t[:, None] * ab[None, :]
-    return np.linalg.norm(pts - feet, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,13 @@ from .band import (
     points_to_triangles_distance,
     surface_triangles,
 )
-from .flatmodel import SQRT3, T_OPT, FlatTrapezoid, make_trapezoid
+from .flatmodel import SQRT3, T_OPT, FlatTrapezoid
 from .geom import (
     DEFAULT_TOL,
     PolylineLoop,
     StructureError,
     ToleranceConfig,
-    points_segment_distance,
+    point_segment_distance,
     row_dot,
     winding_number,
 )
@@ -58,8 +58,6 @@ EPS_FLOOR = 1e-15
 EFF_EPS_CAP = 0.25
 COVERAGE_EPS_CAP = 1.0 / 384.0
 GRID_PITCH = 4e-3   # lattice pitch of the triangle grids of eff2 and corollary
-
-CANONICAL_TRAPEZOID = make_trapezoid(SQRT3, T_OPT)
 
 # boundary images of the six labeled edges under the canonical triangle map
 _I0_EDGE_IMAGES = {
@@ -263,15 +261,16 @@ def write_csv_summary(reports, path) -> None:
 
 @dataclass(frozen=True)
 class PipelineState:
+    """A band prepared for the verifiers.  The ruled patches, their coverage
+    of the canonical triangle grid and the two directed distances between
+    the band and the solid canonical triangle are computed once, on first
+    use by eff2 or corollary."""
+
     band: RuledBand        # pose-normalized band
     pattern: TPattern      # pattern in the normalized pose
     trapezoid: FlatTrapezoid
     developed: RuledBand   # developed at the T bend, cut displacement >= 0
     boundary: BoundaryMap  # boundary image of `developed`
-
-    # The band's ruled patches and the two directed distances between the
-    # band and the solid canonical triangle are computed once, on first use
-    # by eff2 or corollary.
 
     @cached_property
     def patches(self) -> np.ndarray:
@@ -287,10 +286,25 @@ class PipelineState:
         return float(points_to_triangles_distance(ends, CANONICAL_TRIANGLE[None]).max())
 
     @cached_property
+    def coverage(self) -> tuple:
+        """(covered, settled) masks of the canonical triangle grid at
+        GRID_PITCH; see `_coverage`."""
+        return _coverage(_canonical_grid(), self.patches)
+
+    @cached_property
     def triangle_to_band(self) -> float:
-        """Largest distance from a point of the triangle grid at GRID_PITCH
-        to the band's ruled patches."""
-        return _max_distance_to_patches(_canonical_grid(), self.patches)
+        """Largest distance from a point of the canonical triangle grid to
+        the band's ruled patches.
+
+        Bound and refine (Taha & Hanbury, "An efficient algorithm for
+        calculating the exact Hausdorff distance", IEEE TPAMI 37(11), 2015):
+        a settled point lies on a patch, and the exact kernel runs only on
+        the others."""
+        far = ~self.coverage[1]
+        if not far.any():
+            return 0.0
+        return float(points_to_triangles_distance(_canonical_grid().points[far],
+                                                  self.patches).max())
 
 
 def prepare(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> PipelineState:
@@ -394,6 +408,7 @@ class _TriangleGrid:
     vertices: np.ndarray
     m: int
     points: np.ndarray
+    lattice_min: np.ndarray   # min(i, j, m - i - j): m times the least barycentric coordinate
 
 
 def _triangle_grid(vertices: np.ndarray, pitch: float) -> _TriangleGrid:
@@ -402,20 +417,21 @@ def _triangle_grid(vertices: np.ndarray, pitch: float) -> _TriangleGrid:
     side = max(np.linalg.norm(b - a), np.linalg.norm(c - a), np.linalg.norm(c - b))
     m = max(1, int(math.ceil(side / pitch)))
     row_len = np.arange(m + 1, 0, -1)
-    s = np.repeat(np.arange(m + 1), row_len) / m
-    t = _ranges(np.zeros(m + 1, dtype=np.int64), row_len) / m
-    points = np.empty((len(s), len(a)))
+    i = np.repeat(np.arange(m + 1), row_len)
+    j = _ranges(np.zeros(m + 1, dtype=np.int64), row_len)
+    points = np.empty((len(i), len(a)))
     for d, (a_d, ab_d, ac_d) in enumerate(zip(a, b - a, c - a)):
-        points[:, d] = a_d + s * ab_d + t * ac_d
-    return _TriangleGrid(np.array([a, b, c]), m, points)
+        points[:, d] = a_d + (i / m) * ab_d + (j / m) * ac_d
+    return _TriangleGrid(np.array([a, b, c]), m, points, np.minimum(np.minimum(i, j), m - i - j))
 
 
 @functools.cache
 def _canonical_grid() -> _TriangleGrid:
     """The triangle grid of CANONICAL_TRIANGLE at GRID_PITCH, built once per
-    process, with read-only points."""
+    process, with read-only arrays."""
     grid = _triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
     grid.points.setflags(write=False)
+    grid.lattice_min.setflags(write=False)
     return grid
 
 
@@ -482,10 +498,9 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
-def _lattice_pairs(grid: _TriangleGrid, bary: _Barycentric2D, usable: np.ndarray,
-                   tol: float):
+def _lattice_pairs(grid: _TriangleGrid, bary: _Barycentric2D, tol: float):
     """Yield (point index, triangle index) blocks that hold every pair of a
-    grid point and a usable triangle whose computed (s, t) can pass
+    grid point and a good triangle whose computed (s, t) can pass
     s, t >= -tol, s + t <= 1 + tol, and few others.
 
     Edge-function scan conversion (Pineda, "A parallel algorithm for
@@ -500,7 +515,7 @@ def _lattice_pairs(grid: _TriangleGrid, bary: _Barycentric2D, usable: np.ndarray
     """
     m = grid.m
     a, b, c = grid.vertices[:, :2]
-    keep = np.flatnonzero(usable)
+    keep = np.flatnonzero(bary.good)
     reach = np.array([np.abs(grid.points[:, d]).max() for d in (0, 1)])
     delta = bary.slop(reach, tol)[keep]
     q = (bary.corners[keep] - a) @ (m * np.linalg.inv(np.stack([b - a, c - a])))
@@ -561,78 +576,41 @@ def _row_intervals(edges: tuple, k: np.ndarray, i: np.ndarray, m: int):
     return j_first, n_pts
 
 
-def _incidences(grid: _TriangleGrid, tris: np.ndarray, usable: np.ndarray, tol: float,
-                settled: np.ndarray):
-    """Yield blocks (point index, triangle index, s, t) of the pairs of a
-    grid point and a usable triangle whose xy-projection holds the point's:
-    s, t >= -tol and s + t <= 1 + tol.  Only the candidate pairs of the
+def _coverage(grid: _TriangleGrid, patches: np.ndarray) -> tuple:
+    """(covered, settled) masks of the grid points.
+
+    A point is covered where the xy-projection of some patch holds its own
+    with the slop 1e-9: s, t >= -1e-9 and s + t <= 1 + 1e-9.  It is settled
+    where that holds with the exact kernel's slop 1e-12 for a patch at
+    height exactly 0 above or below it: the point lies on the band.  A patch
+    whose projected area is below 1e-9 of its area is too steep for its s, t
+    to be trusted and settles nothing.  Only the candidate pairs of the
     lattice scan are tested, and of those only the pairs whose point is not
-    `settled` when their block comes up: the caller settles the points that
-    no further pair can change between blocks."""
-    bary = _Barycentric2D(tris)
-    for pt, k in _lattice_pairs(grid, bary, usable & bary.good, tol):
-        open_pair = ~settled[pt]
-        pt, k = pt[open_pair], k[open_pair]
-        s, t = bary.at(np.take(grid.points, pt, axis=0)[:, :2], k)
-        inside = (s >= -tol) & (t >= -tol) & (s + t <= 1.0 + tol)
-        yield pt[inside], k[inside], s[inside], t[inside]
-
-
-def _points_in_triangles_2d(grid: _TriangleGrid, tris: np.ndarray,
-                            tol: float = 1e-9) -> np.ndarray:
-    """Boolean mask: each grid point inside (or on) the xy-projection of at
-    least one triangle.  A covered point is settled."""
-    out = np.zeros(len(grid.points), dtype=bool)
-    for pt, _, _, _ in _incidences(grid, tris, np.ones(len(tris), dtype=bool), tol, out):
-        out[pt] = True
-    return out
-
-
-def _cover_heights(grid: _TriangleGrid, tris: np.ndarray) -> np.ndarray:
-    """Upper bound on each grid point's distance to the triangles: the least
-    vertical distance to a triangle whose xy-projection holds the point's,
-    and inf where none does.  The slop is the exact kernel's: a point on a
-    shared edge is covered, and the bound errs by no more than the kernel.
-    A triangle whose projected area is below 1e-9 of its area is too
-    steep for its barycentric s, t to be trusted and covers nothing.
-    Heights are >= 0, so a point at height 0 is settled."""
-    z0 = tris[:, 0, 2]
-    e0 = tris[:, 1] - tris[:, 0]
-    e1 = tris[:, 2] - tris[:, 0]
-    dz_b, dz_c = e0[:, 2], e1[:, 2]
+    settled when their block comes up.  A settled point is covered, so
+    neither mask depends on the order of the patches."""
+    bary = _Barycentric2D(patches)
+    e0 = patches[:, 1] - patches[:, 0]
+    e1 = patches[:, 2] - patches[:, 0]
     cross = np.cross(e0, e1)
     flat = np.abs(cross[:, 2]) > 1e-9 * np.linalg.norm(cross, axis=1)
-    out = np.full(len(grid.points), np.inf)
+    covered = np.zeros(len(grid.points), dtype=bool)
     settled = np.zeros(len(grid.points), dtype=bool)
-    for pt, k, s, t in _incidences(grid, tris, flat, 1e-12, settled):
-        height = np.abs(z0[k] + s * dz_b[k] + t * dz_c[k] - grid.points[pt, 2])
-        np.minimum.at(out, pt, height)
-        settled[pt[height == 0.0]] = True
-    return out
-
-
-def _max_distance_to_patches(grid: _TriangleGrid, patches: np.ndarray) -> float:
-    """max over the grid points of the exact distance to the nearest patch.
-
-    Bound and refine (Taha & Hanbury, "An efficient algorithm for
-    calculating the exact Hausdorff distance", IEEE TPAMI 37(11), 2015):
-    the coverage pass bounds every point's distance from above, and the
-    exact kernel runs only on points whose bound is positive.  A point
-    that a patch passes through has bound 0 and is never refined.
-    """
-    far = _cover_heights(grid, patches) > 0.0
-    if not far.any():
-        return 0.0
-    return float(points_to_triangles_distance(grid.points[far], patches).max())
+    for pt, k in _lattice_pairs(grid, bary, 1e-9):
+        open_pair = ~settled[pt]
+        pt, k = pt[open_pair], k[open_pair]
+        p = np.take(grid.points, pt, axis=0)
+        s, t = bary.at(p[:, :2], k)
+        covered[pt[(s >= -1e-9) & (t >= -1e-9) & (s + t <= 1.0 + 1e-9)]] = True
+        on = flat[k] & (s >= -1e-12) & (t >= -1e-12) & (s + t <= 1.0 + 1e-12)
+        height = patches[k, 0, 2] + s * e0[k, 2] + t * e1[k, 2] - p[:, 2]
+        settled[pt[on & (height == 0.0)]] = True
+    return covered, settled
 
 
 def _triangle_curve_distance_2d(pts: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """Distance of 2D points to the triangle's boundary curve."""
-    v = vertices
-    d = np.full(len(pts), np.inf)
-    for i in range(3):
-        d = np.minimum(d, points_segment_distance(pts, v[i], v[(i + 1) % 3]))
-    return d
+    ends = np.roll(vertices, -1, axis=0)
+    return point_segment_distance(pts[:, None], vertices, ends).min(axis=1)
 
 
 def _annulus_max(loop: np.ndarray, vertices: np.ndarray) -> float:
@@ -686,10 +664,10 @@ def verify_eff2(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
         wind = winding_number(PolylineLoop(loop3.points[:, :2], closed=True), INCENTER[:2], tol)
         winding_ok = wind in (-1, 1)
 
-        shrink = 1.0 - 3.0 * d6
-        c_tri = INCENTER[:2] + shrink * (tri2 - INCENTER[:2])
-        c_grid = _triangle_grid(c_tri, GRID_PITCH)
-        covered = _points_in_triangles_2d(c_grid, state.patches)
+        # the shrunk triangle C holds the points with barycentric coordinates >= d6
+        grid = _canonical_grid()
+        in_c = grid.lattice_min >= grid.m * d6
+        covered = state.coverage[0][in_c]
         c_cov_ok = bool(covered.all())
 
         tri_cov_max = state.triangle_to_band
@@ -704,7 +682,7 @@ def verify_eff2(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
                 "triangle_coverage_max": tri_cov_max,
             }
         )
-        details["c_grid_points"] = int(len(c_grid.points))
+        details["c_grid_points"] = int(in_c.sum())
         if not winding_ok:
             notes.append("boundary does not generate the punctured-plane loop group")
     else:
@@ -731,8 +709,10 @@ def verify_corollary(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
 
     `band_to_triangle` is exact: the maximum over the bend endpoints, with
     no sampling pitch.  `triangle_to_band` is exact at each point of the
-    triangle grid, so only the grid pitch (GRID_PITCH) discretizes it; it
-    is computed once per PipelineState, through the coverage bound.
+    canonical triangle grid, so only the grid pitch (GRID_PITCH)
+    discretizes it.  It comes from the same coverage pass over that grid
+    as the coverage test of eff2, run once per PipelineState: the exact
+    kernel runs only on the grid points that no patch passes through.
     """
     eps = measured_eps(band)
     if eps >= COVERAGE_EPS_CAP:

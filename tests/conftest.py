@@ -1,9 +1,19 @@
+import os
+from functools import reduce
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from moebiusband.band import build_triangular, build_wrinkle
-from moebiusband.geom import points_segment_distance
+from moebiusband.geom import point_segment_distance
 from moebiusband.verify import prepare
+
+# The CLI tests run `python -m moebiusband.cli` in child processes, which
+# must import the package from the same src/ as the tests; the pytest
+# `pythonpath` setting reaches only this process.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def densify_segment(a, b, eta: float) -> np.ndarray:
@@ -48,11 +58,10 @@ def wrinkle4_state(wrinkle4):
 
 def _samples_to_loop(samples, vertices):
     """max over the samples of the distance to the closed polyline through
-    the vertices, measured against its exact edges."""
+    the vertices, measured against its exact edges, one edge at a time."""
     ends = np.roll(vertices, -1, axis=0)
-    return float(np.minimum.reduce(
-        [points_segment_distance(samples, a, b) for a, b in zip(vertices, ends)]
-    ).max())
+    return float(reduce(np.minimum, (point_segment_distance(samples, a, b)
+                                     for a, b in zip(vertices, ends))).max())
 
 
 @pytest.fixture(scope="session")

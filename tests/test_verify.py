@@ -22,7 +22,7 @@ from moebiusband.band import (
     write_json,
 )
 from moebiusband.cli import main as cli_main
-from moebiusband.flatmodel import make_trapezoid
+from moebiusband.flatmodel import T_OPT, make_trapezoid
 from moebiusband.geom import RigidMotion, StructureError
 from moebiusband.verify import (
     EPS_FLOOR,
@@ -152,11 +152,17 @@ def _dense_coverage(pts, tris, tol, steep_guard):
     return covered, heights
 
 
-def _c_grid(band):
-    d6 = 6.0 * math.sqrt(measured_eps(band))
-    tri2 = CANONICAL_TRIANGLE[:, :2]
-    return verify_mod._triangle_grid(INCENTER[:2] + (1.0 - 3.0 * d6) * (tri2 - INCENTER[:2]),
-                                     GRID_PITCH)
+def _dense_masks(pts, tris):
+    """The (covered, settled) masks of the dense pass: covered at the slop
+    1e-9 over all triangles, settled where the least height of a covering
+    triangle at the slop 1e-12, steep triangles left out, is 0."""
+    covered, _ = _dense_coverage(pts, tris, 1e-9, steep_guard=False)
+    _, heights = _dense_coverage(pts, tris, 1e-12, steep_guard=True)
+    return covered, heights == 0.0
+
+
+def _assert_masks_equal(got, want):
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 @pytest.fixture(scope="module")
@@ -168,26 +174,18 @@ def band_states(tri_band, tri_state, wrinkle4, wrinkle4_state):
 
 
 class TestLatticeScan:
-    """The scan-converted coverage passes against the dense pass."""
-
-    def _assert_matches_dense(self, grid, patches):
-        covered, _ = _dense_coverage(grid.points, patches, 1e-9, steep_guard=False)
-        _, heights = _dense_coverage(grid.points, patches, 1e-12, steep_guard=True)
-        assert np.array_equal(verify_mod._points_in_triangles_2d(grid, patches), covered)
-        assert np.array_equal(verify_mod._cover_heights(grid, patches), heights)
+    """The scan-converted coverage pass against the dense pass."""
 
     @pytest.mark.parametrize("name", ["tri", "wrinkle3", "wrinkle4", "wrinkle5"])
     def test_bands_match_dense(self, name, band_states):
-        band, state = band_states[name]
+        _, state = band_states[name]
         grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
-        self._assert_matches_dense(grid, state.patches)
-        c_grid = _c_grid(band)
-        covered, _ = _dense_coverage(c_grid.points, state.patches, 1e-9, steep_guard=False)
-        assert np.array_equal(verify_mod._points_in_triangles_2d(c_grid, state.patches), covered)
+        _assert_masks_equal(verify_mod._coverage(grid, state.patches),
+                            _dense_masks(grid.points, state.patches))
+        assert state.coverage[1].all()
         # the scan tests about 1% of the dense pass's point-patch pairs
         bary = verify_mod._Barycentric2D(state.patches)
-        candidates = sum(len(pt) for pt, _ in verify_mod._lattice_pairs(
-            grid, bary, bary.good, 1e-9))
+        candidates = sum(len(pt) for pt, _ in verify_mod._lattice_pairs(grid, bary, 1e-9))
         assert candidates < 0.02 * len(grid.points) * len(state.patches)
 
     @pytest.mark.parametrize("perturb", ["lift", "jitter", "overhang", "outside"])
@@ -202,9 +200,11 @@ class TestLatticeScan:
         else:
             patches[:, :, 0] += 3.0
         grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
-        self._assert_matches_dense(grid, patches)
-        covered = verify_mod._points_in_triangles_2d(grid, patches)
-        if perturb == "overhang":
+        covered, settled = verify_mod._coverage(grid, patches)
+        _assert_masks_equal((covered, settled), _dense_masks(grid.points, patches))
+        if perturb == "lift":
+            assert 0 < settled.sum() < len(settled)
+        elif perturb == "overhang":
             assert 0 < covered.sum() < len(covered)
         elif perturb == "outside":
             assert not covered.any()
@@ -215,26 +215,36 @@ class TestLatticeScan:
         patches = wrinkle4_state.patches + np.random.default_rng(3).normal(
             scale=2e-3, size=wrinkle4_state.patches.shape)
         grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, 2e-2)
-        wide = (verify_mod._points_in_triangles_2d(grid, patches),
-                verify_mod._cover_heights(grid, patches))
+        wide = verify_mod._coverage(grid, patches)
         monkeypatch.setattr(band_mod, "CHUNK_BYTES", 1)
-        assert np.array_equal(verify_mod._points_in_triangles_2d(grid, patches), wide[0])
-        assert np.array_equal(verify_mod._cover_heights(grid, patches), wide[1])
+        _assert_masks_equal(verify_mod._coverage(grid, patches), wide)
+
+    @pytest.mark.parametrize("name", ["tri", "wrinkle3", "wrinkle4", "wrinkle5"])
+    def test_c_grid_is_the_shrunk_triangle(self, name, band_states):
+        # eff2 tests the canonical grid points with lattice_min >= m*d6; an
+        # independent barycentric test in the shrunk triangle C picks the same
+        band, state = band_states[name]
+        d6 = 6.0 * math.sqrt(measured_eps(band))
+        grid = verify_mod._canonical_grid()
+        sample = grid.lattice_min >= grid.m * d6
+        tri2 = CANONICAL_TRIANGLE[:, :2]
+        c_tri = INCENTER[:2] + (1.0 - 3.0 * d6) * (tri2 - INCENTER[:2])
+        lhs = np.vstack([c_tri.T, np.ones(3)])
+        rhs = np.vstack([grid.points[:, :2].T, np.ones(len(grid.points))])
+        bary_min = np.linalg.solve(lhs, rhs).min(axis=0)
+        assert np.abs(bary_min).min() > 1e-9     # no point within rounding of C's boundary
+        assert np.array_equal(sample, bary_min >= 0.0)
+        rep = verify_eff2(band, state=state)
+        assert rep.details["c_grid_points"] == sample.sum() < len(grid.points)
+        assert rep.measured["c_grid_uncovered"] == 0
 
 
 @pytest.fixture(scope="module")
 def dense_references(band_states):
-    """Per band: the dense mask and heights on the full grid, and the dense
-    mask on the c-grid."""
-    out = {}
+    """Per band: the dense masks on the canonical grid."""
     grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
-    for name, (band, state) in band_states.items():
-        covered, _ = _dense_coverage(grid.points, state.patches, 1e-9, steep_guard=False)
-        _, heights = _dense_coverage(grid.points, state.patches, 1e-12, steep_guard=True)
-        c_grid = _c_grid(band)
-        c_covered, _ = _dense_coverage(c_grid.points, state.patches, 1e-9, steep_guard=False)
-        out[name] = (grid, covered, heights, c_grid, c_covered)
-    return out
+    return {name: (grid, _dense_masks(grid.points, state.patches))
+            for name, (_, state) in band_states.items()}
 
 
 BAND_NAMES = ["tri", "wrinkle3", "wrinkle4", "wrinkle5"]
@@ -242,21 +252,19 @@ BAND_NAMES = ["tri", "wrinkle3", "wrinkle4", "wrinkle5"]
 
 class TestSettledPoints:
     """Settled points are skipped, so the pairs tested depend on the order
-    of the patches; the masks and heights must not."""
+    of the patches; the masks must not."""
 
     @given(st.sampled_from(BAND_NAMES), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=12, deadline=None)
     def test_patch_order_is_bitwise_neutral(self, band_states, dense_references, name, seed):
         patches = band_states[name][1].patches
         shuffled = patches[np.random.default_rng(seed).permutation(len(patches))]
-        grid, covered, heights, c_grid, c_covered = dense_references[name]
-        assert np.array_equal(verify_mod._points_in_triangles_2d(grid, shuffled), covered)
-        assert np.array_equal(verify_mod._cover_heights(grid, shuffled), heights)
-        assert np.array_equal(verify_mod._points_in_triangles_2d(c_grid, shuffled), c_covered)
+        grid, masks = dense_references[name]
+        _assert_masks_equal(verify_mod._coverage(grid, shuffled), masks)
 
     def test_about_one_pair_per_point(self, wrinkle4_state, monkeypatch):
-        # the band covers the triangle about three times; a point at height
-        # 0 is tested against no further patch
+        # the band covers the triangle about three times; a point on a patch
+        # is tested against no further patch
         grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
         tested = []
         real_at = verify_mod._Barycentric2D.at
@@ -266,10 +274,9 @@ class TestSettledPoints:
             return real_at(self, pts, k)
 
         monkeypatch.setattr(verify_mod._Barycentric2D, "at", counting)
-        verify_mod._cover_heights(grid, wrinkle4_state.patches)
+        verify_mod._coverage(grid, wrinkle4_state.patches)
         bary = verify_mod._Barycentric2D(wrinkle4_state.patches)
-        candidates = sum(len(pt) for pt, _ in verify_mod._lattice_pairs(
-            grid, bary, bary.good, 1e-12))
+        candidates = sum(len(pt) for pt, _ in verify_mod._lattice_pairs(grid, bary, 1e-9))
         assert sum(tested) < 1.1 * len(grid.points) < 0.5 * candidates
 
     @given(st.sampled_from(BAND_NAMES), st.floats(0.0, 1.0, exclude_max=True), st.booleans())
@@ -288,11 +295,17 @@ class TestSettledPoints:
         assert abs(cor["hausdorff"] - base[1]["hausdorff"]) <= 4 * math.ulp(base[1]["hausdorff"])
 
 
+def _state_with_patches(state, patches):
+    """A fresh copy of `state` whose ruled patches are `patches`."""
+    copy = replace(state)
+    vars(copy)["patches"] = patches
+    return copy
+
+
 class TestSharedGeometry:
-    @pytest.mark.parametrize("name", ["tri", "wrinkle4"])
-    def test_exact_distances_match_dense(self, name, request):
-        band = request.getfixturevalue("tri_band" if name == "tri" else name)
-        state = request.getfixturevalue(f"{name}_state")
+    @pytest.mark.parametrize("name", BAND_NAMES)
+    def test_exact_distances_match_dense(self, name, band_states):
+        band, state = band_states[name]
         eff2 = verify_eff2(band, state=state).measured
         cor = verify_corollary(band, state=state).measured
         ends = state.developed.space.reshape(-1, 3)
@@ -305,7 +318,7 @@ class TestSharedGeometry:
     def test_refine_path_matches_dense(self, perturb, wrinkle4_state, monkeypatch):
         patches = surface_triangles(wrinkle4_state.developed)
         if perturb == "lift":
-            # lift every other patch, so that some grid points keep bound 0
+            # lift every other patch, so that some grid points stay settled
             patches = patches.copy()
             patches[::2, :, 2] += 0.01
         else:
@@ -318,15 +331,16 @@ class TestSharedGeometry:
             refined.append(len(pts))
             return points_to_triangles_distance(pts, tris)
 
+        monkeypatch.setattr(verify_mod, "_canonical_grid", lambda: grid)
         monkeypatch.setattr(verify_mod, "points_to_triangles_distance", counting)
-        shared = verify_mod._max_distance_to_patches(grid, patches)
+        shared = _state_with_patches(wrinkle4_state, patches).triangle_to_band
         assert dense > 0.0
         assert abs(shared - dense) <= 1e-12
         assert len(refined) == 1 and 0 < refined[0] <= len(grid.points)
         if perturb == "lift":
             assert refined[0] < len(grid.points)
 
-    def test_steep_patch_bound_stays_above_distance(self):
+    def test_steep_patch_bound_stays_above_distance(self, wrinkle4_state, monkeypatch):
         # a sliver whose xy-projection is 1e-15 wide: its barycentric s, t
         # are rounding noise, so its heights would undershoot the distance
         a = np.array([3.0, 1.1, 0.0])
@@ -345,44 +359,62 @@ class TestSharedGeometry:
         assert len(on_sliver) > 50 and over_flat.sum() >= 2
         rel = pts[on_sliver, :2] - a[:2]
         assert np.allclose(rel[:, 0] * d[1] - rel[:, 1] * d[0], 0.0, atol=1e-15)
-        bound = verify_mod._cover_heights(grid, patches)
+        _, settled = verify_mod._coverage(grid, patches)
         dist = points_to_triangles_distance(pts, patches)
-        assert np.all(bound >= dist - 1e-12)
-        assert np.isinf(bound[on_sliver]).all()
-        assert np.array_equal(bound[over_flat], np.abs(pts[over_flat, 2]))
-        assert bound[m] == 0.0
-        assert verify_mod._max_distance_to_patches(grid, patches) == dist.max()
+        assert np.all(dist[settled] <= 1e-12)
+        assert not settled[on_sliver].any()
+        assert np.array_equal(settled[over_flat], pts[over_flat, 2] == 0.0)
+        assert settled[m]
+        monkeypatch.setattr(verify_mod, "_canonical_grid", lambda: grid)
+        assert _state_with_patches(wrinkle4_state, patches).triangle_to_band == dist.max()
+        # a lattice laid on a steep patch: every point lies on it, exactly,
+        # but the patch's s, t are not trusted, so it settles none of them
+        steep = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 2.0 ** -50, 1.0]])
+        on_patch = verify_mod._triangle_grid(steep, 0.15)
+        covered, settled = verify_mod._coverage(on_patch, steep[None])
+        assert covered.all() and not settled.any()
+        _assert_masks_equal((covered, settled), _dense_masks(on_patch.points, steep[None]))
 
     def _count(self, monkeypatch):
-        calls = {"triangle_to_band": 0, "kernel": 0}
-        real_grid_pass = verify_mod._max_distance_to_patches
+        calls = {"scan": 0, "kernel": 0}
+        real_scan = verify_mod._lattice_pairs
 
-        def grid_pass(pts, patches):
-            calls["triangle_to_band"] += 1
-            return real_grid_pass(pts, patches)
+        def scan(*args):
+            calls["scan"] += 1
+            return real_scan(*args)
 
         def kernel(pts, tris):
             calls["kernel"] += 1
             return points_to_triangles_distance(pts, tris)
 
-        monkeypatch.setattr(verify_mod, "_max_distance_to_patches", grid_pass)
+        monkeypatch.setattr(verify_mod, "_lattice_pairs", scan)
         monkeypatch.setattr(verify_mod, "points_to_triangles_distance", kernel)
         return calls
 
     def test_verify_all_measures_once(self, tri_band, monkeypatch):
         calls = self._count(monkeypatch)
         assert [r.name for r in verify_all(tri_band)] == ["eff", "eff2", "corollary"]
-        assert calls["triangle_to_band"] == 1
+        assert calls["scan"] == 1
 
     def test_cli_measures_once_and_eff_never(self, wrinkle4, tmp_path, monkeypatch):
         path = tmp_path / "w.json"
         write_json(wrinkle4, path)
         calls = self._count(monkeypatch)
         assert cli_main(["verify", "--input", str(path)]) == 0
-        assert calls["triangle_to_band"] == 1
-        calls.update(triangle_to_band=0, kernel=0)
+        assert calls["scan"] == 1
+        calls.update(scan=0, kernel=0)
         assert cli_main(["verify", "--input", str(path), "--theorem", "eff"]) == 0
-        assert calls == {"triangle_to_band": 0, "kernel": 0}
+        assert calls == {"scan": 0, "kernel": 0}
+
+    @pytest.mark.parametrize("name", BAND_NAMES)
+    def test_cli_scans_once_per_band(self, name, band_states, tmp_path, monkeypatch):
+        path = tmp_path / "b.json"
+        write_json(band_states[name][0], path)
+        calls = self._count(monkeypatch)
+        for theorem in (["--theorem", "eff2"], ["--theorem", "corollary"], []):
+            calls["scan"] = 0
+            assert cli_main(["verify", "--input", str(path), *theorem]) == 0
+            assert calls["scan"] == 1, theorem
 
     def test_chunking_is_bitwise_neutral(self, wrinkle4_state, monkeypatch):
         patches = surface_triangles(wrinkle4_state.developed)
@@ -390,8 +422,8 @@ class TestSharedGeometry:
         jittered = grid.points + np.random.default_rng(3).normal(scale=1e-2, size=grid.points.shape)
         kernels = (
             lambda: points_to_triangles_distance(jittered, patches),
-            lambda: verify_mod._cover_heights(grid, patches),
-            lambda: verify_mod._points_in_triangles_2d(grid, patches),
+            lambda: verify_mod._coverage(grid, patches)[0],
+            lambda: verify_mod._coverage(grid, patches)[1],
         )
         wide = [k() for k in kernels]
         monkeypatch.setattr(band_mod, "CHUNK_BYTES", 8 * 3 * len(patches) * 7)
@@ -399,9 +431,9 @@ class TestSharedGeometry:
             assert np.array_equal(k(), ref)
 
     def test_canonical_grid_built_once(self, tri_band, wrinkle4, monkeypatch):
-        states = [prepare(tri_band), prepare(wrinkle4)]
+        bands = [tri_band, wrinkle4]
+        want = [(verify_eff2(b).measured, verify_corollary(b).measured) for b in bands]
         fresh = verify_mod._triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
-        want = [verify_mod._max_distance_to_patches(fresh, s.patches) for s in states]
         build, calls = verify_mod._triangle_grid, []
 
         def counting(vertices, pitch):
@@ -410,11 +442,13 @@ class TestSharedGeometry:
 
         monkeypatch.setattr(verify_mod, "_triangle_grid", counting)
         verify_mod._canonical_grid.cache_clear()
-        assert [s.triangle_to_band for s in states] == want
+        # eff2's coverage test reads the same grid: no second grid is built
+        assert [(verify_eff2(b).measured, verify_corollary(b).measured) for b in bands] == want
         assert calls == [GRID_PITCH]
         grid = verify_mod._canonical_grid()
         assert np.array_equal(grid.points, fresh.points) and grid.m == fresh.m
-        assert not grid.points.flags.writeable
+        assert np.array_equal(grid.lattice_min, fresh.lattice_min)
+        assert not grid.points.flags.writeable and not grid.lattice_min.flags.writeable
 
     def test_patches_built_once(self, tri_band, monkeypatch):
         calls = []
@@ -488,7 +522,7 @@ def _sampled_sups(trap, boundary, eta):
     out = {}
     for name in verify_mod._BOUNDARY_EDGES:
         e = trap.edge(name)
-        n = max(8, math.ceil(verify_mod.CANONICAL_TRAPEZOID.edge(name).length() / eta))
+        n = max(8, math.ceil(make_trapezoid(SQRT3, T_OPT).edge(name).length() / eta))
         f = np.linspace(0.0, 1.0, n + 1)
         img_a, img_b = verify_mod._I0_EDGE_IMAGES[name]
         i0 = img_a + f[:, None] * (img_b - img_a)
