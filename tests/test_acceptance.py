@@ -182,6 +182,22 @@ def test_criterion_6_sharpness(sweep_results):
                + ", ".join(f"{r:.3f}" for r in ratios))
 
 
+def test_crack_height_oracle(sweep_results):
+    # the wrinkle's crack height is the generator's closed form; the measured
+    # containment maximum exceeds it by a relative 0.0469 eps^2 at every eps
+    for rec in sweep_results:
+        crack = rec["band"].meta["crack_height"]
+        gap = (rec["eff2"].measured["containment_max"] - crack) / crack
+        assert 0.046 <= gap / rec["eps"] ** 2 <= 0.048, rec["eps"]
+
+
+def test_sharpness_slope_oracle(sweep_results):
+    # the sharp square-root rate, held as tightly as the benchmark checks it
+    eps = np.array([rec["eps"] for rec in sweep_results])
+    hausdorff = np.array([rec["corollary"].measured["hausdorff"] for rec in sweep_results])
+    assert 0.49 <= float(np.polyfit(np.log(eps), np.log(hausdorff), 1)[0]) <= 0.51
+
+
 def test_criterion_7_negative_controls(tmp_path):
     band = build_triangular()
     bad = scale_bend(band, 10, 1.01)

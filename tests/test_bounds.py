@@ -1,11 +1,14 @@
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moebiusband import bounds
+from moebiusband import bounds, cli
 from moebiusband.geom import StructureError
 
 SQRT3 = math.sqrt(3.0)
@@ -198,11 +201,92 @@ class TestRandomCurve:
     @pytest.mark.parametrize("tilt", [0.05, 0.9, 2.6])
     @pytest.mark.parametrize("n", [1200, 40])
     def test_equals_inline_formula(self, seed, tilt, n):
+        # The basis product rounds the angles differently from the inline
+        # sines, by a few ulps.  Each point sums its steps in the same order,
+        # so the points move by a few ulps of the largest coordinate, at
+        # most `length`: 2 ulps are seen, and 8 are allowed.  The draws
+        # themselves are unchanged.
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        for length in (1.6, 2.85):  # twice, so a second call reuses the tables
+        for length in (1.6, 2.85):  # twice, so a second call reuses the basis
             pts = bounds.random_unit_speed_curve(fast, length, tilt, n=n)
-            assert np.array_equal(pts, _inline_unit_speed_curve(slow, length, tilt, n=n))
+            ref = _inline_unit_speed_curve(slow, length, tilt, n=n)
+            assert np.abs(pts - ref).max() <= 8 * np.spacing(length)
             assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_basis_is_read_only(self):
+        basis = bounds._curve_tables(40)
+        assert basis.shape == (7, 39)
+        assert not basis.flags.writeable
+
+    def test_random_sign_equals_choice(self):
+        fast, slow = np.random.default_rng(11), np.random.default_rng(11)
+        signs = [bounds._random_sign(fast) for _ in range(10_000)]
+        assert signs == [slow.choice([-1.0, 1.0]) for _ in range(10_000)]
+        assert fast.bit_generator.state == slow.bit_generator.state
+        assert {-1.0, 1.0} == set(signs)
+
+
+# least margins of `bounds-sweep --grid 1000 --report` as the sweep gave them
+# when the curve angles were summed from inline sines:
+# seed -> (offset1_min, wiggle_min, graph_min)
+SWEEP_MARGINS = {
+    7: (0.005676073928059022, 0.015439332795505134, 0.005009638325170318),
+    1234: (0.00801793540993101, 0.008555327500036736, 0.0028314087574523583),
+    12345: (0.009815198784249635, 0.009230304851568505, 0.0030363614479065326),
+}
+# Every length in the wiggle and graph margins is below the graph cap
+# 3 sqrt(2); the curves move by ulps, so the margins may move by 8 ulps of it.
+MARGIN_BOUND = 8 * np.spacing(3.0 * math.sqrt(2.0))
+
+
+class TestCurveSweep:
+    @pytest.fixture
+    def sweep(self, monkeypatch, tmp_path, capsys):
+        """Runs `bounds-sweep --grid 1000 --report` in process and returns its
+        stdout, its least margins and the final state of its generator."""
+        rngs = []
+        forced = bounds.curve_with_forced_deviation
+
+        def recording(rng, eps):
+            rngs.append(rng)
+            return forced(rng, eps)
+
+        monkeypatch.setattr(bounds, "curve_with_forced_deviation", recording)
+
+        def run(seed):
+            rngs.clear()
+            report = tmp_path / "sweep.json"
+            assert cli.main(["bounds-sweep", "--grid", "1000", "--seed", str(seed),
+                             "--report", str(report)]) == 0
+            assert len(rngs) == 1000 and all(r is rngs[0] for r in rngs)
+            lines = json.loads(report.read_text())["lines"]
+            margins = (lines["offset-sweep"]["offset1_min"],
+                       lines["curve-sweep"]["wiggle_min"], lines["curve-sweep"]["graph_min"])
+            return capsys.readouterr().out, margins, rngs[0].bit_generator.state
+
+        return run
+
+    @pytest.mark.parametrize("seed", sorted(SWEEP_MARGINS))
+    def test_pinned_against_inline_curves(self, seed, sweep, monkeypatch):
+        out, margins, state = sweep(seed)
+        monkeypatch.setattr(bounds, "random_unit_speed_curve", _inline_unit_speed_curve)
+        ref_out, ref_margins, ref_state = sweep(seed)
+        assert ref_margins == SWEEP_MARGINS[seed]
+        # equal states: every attempt was accepted or rejected as before
+        assert state == ref_state
+        assert out == ref_out and "FAIL" not in out
+        assert margins[0] == ref_margins[0]  # the offset sweep draws no curves
+        for got, want in zip(margins[1:], ref_margins[1:]):
+            assert abs(got - want) <= MARGIN_BOUND
+
+
+def test_import_builds_no_curve_basis():
+    code = ("import moebiusband\n"
+            "from moebiusband import bounds\n"
+            "print(bounds._curve_tables.cache_info().currsize)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "0"
 
 
 class TestCurveChecks:
@@ -254,6 +338,7 @@ class TestCurveChecks:
         chord = (1.0 - t) * s[0] + t * s[-1]
         assert cg.domain_length == float(d_curve.sum())
         assert cg.curve_length() == float(d_curve.sum())
+        assert cg.chord_length() == float(np.linalg.norm(s[-1] - s[0]))
         assert np.array_equal(cg.chord_samples(), chord)
         assert cg.sup_deviation() == float(np.linalg.norm(s - chord, axis=1).max())
         dx = np.full(cg.n - 1, cg.domain_length / (cg.n - 1))
