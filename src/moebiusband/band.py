@@ -44,9 +44,9 @@ CANONICAL_TRIANGLE = np.array([BASE_L, BASE_R, APEX])
 INCENTER = np.array([0.0, -1.0 / 3.0, 0.0])
 
 # size of each (points, triangles)-shaped float64 temporary of the chunked
-# point-to-triangle kernel, and of all arrays of one block of verify's
-# lattice coverage pass; small enough to stay in cache and to keep every
-# chunk from faulting in fresh pages
+# point-to-triangle kernel, and of all arrays of one block of lattice rows
+# or points of verify's coverage scan; small enough to stay in cache and to
+# keep every chunk from faulting in fresh pages
 CHUNK_BYTES = 1 << 19
 
 # reflections (about lines through the origin) used by the flat folding:
@@ -202,19 +202,12 @@ def validate(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationR
 # ---------------------------------------------------------------------------
 
 
-def _fold_left(pts: np.ndarray, half_width: float) -> np.ndarray:
-    """Image of left-flap points (centered coordinates) in the plane z=0."""
-    q = pts + np.array([half_width, 0.0])
-    r = q @ _REFL_L.T
-    out = np.zeros(pts.shape[:-1] + (3,))
-    out[..., 0] = r[..., 0]
-    out[..., 1] = r[..., 1] - 1.0
-    return out
-
-
-def _fold_right(pts: np.ndarray, half_width: float) -> np.ndarray:
-    q = pts - np.array([half_width, 0.0])
-    r = q @ _REFL_R.T
+def _fold(pts: np.ndarray, refl: np.ndarray, shift: float) -> np.ndarray:
+    """Image of flap points (centered coordinates) in the plane z=0: moved
+    by `shift` along x, then reflected by `refl` (_REFL_L with shift
+    +half_width for the left flap, _REFL_R with -half_width for the right)."""
+    q = pts + np.array([shift, 0.0])
+    r = q @ refl.T
     out = np.zeros(pts.shape[:-1] + (3,))
     out[..., 0] = r[..., 0]
     out[..., 1] = r[..., 1] - 1.0
@@ -264,7 +257,7 @@ def build_triangular(n_per_fan: int = 48) -> RuledBand:
     fan_l = _fan(
         s,
         np.full(n + 1, -T_OPT),
-        _fold_left(np.stack([s, np.zeros(n + 1)], axis=1), half),
+        _fold(np.stack([s, np.zeros(n + 1)], axis=1), _REFL_L, half),
         np.tile(BASE_L, (n + 1, 1)),
     )
     # middle fan: bends from the bottom vertex to the top edge
@@ -277,7 +270,7 @@ def build_triangular(n_per_fan: int = 48) -> RuledBand:
     fan_r = _fan(
         s,
         np.full(n - 1, T_OPT),
-        _fold_right(np.stack([s, np.zeros(n - 1)], axis=1), half),
+        _fold(np.stack([s, np.zeros(n - 1)], axis=1), _REFL_R, -half),
         np.tile(BASE_R, (n - 1, 1)),
     )
     return _assemble(SQRT3, [fan_l, fan_m, fan_r], shift=SIDE,
@@ -449,17 +442,11 @@ def build_wrinkle(epsilon: float, config: WrinkleConfig | None = None) -> RuledB
     rot_r = rotation_about_line(BASE_R, APEX - BASE_R, -theta)
     plug = _PlugMap(width, o_l, o_r)
 
-    def door_left(pts2: np.ndarray) -> np.ndarray:
+    def door(pts2: np.ndarray, rot: RigidMotion, shift: float) -> np.ndarray:
         q = np.zeros(pts2.shape[:-1] + (3,))
-        q[..., 0] = pts2[..., 0] + half
+        q[..., 0] = pts2[..., 0] + shift
         q[..., 1] = pts2[..., 1] - 1.0
-        return rot_l.apply(q)
-
-    def door_right(pts2: np.ndarray) -> np.ndarray:
-        q = np.zeros(pts2.shape[:-1] + (3,))
-        q[..., 0] = pts2[..., 0] - half
-        q[..., 1] = pts2[..., 1] - 1.0
-        return rot_r.apply(q)
+        return rot.apply(q)
 
     n1, n2, n3, n4 = cfg.n_fan, cfg.n_door, cfg.n_plug_side, cfg.n_plug_mid
     x0w = -T_OPT - half   # top vertex of the left flap
@@ -470,7 +457,7 @@ def build_wrinkle(epsilon: float, config: WrinkleConfig | None = None) -> RuledB
     s = np.linspace(-(SIDE + half), -half, n1 + 1)
     pieces.append(_fan(
         s, np.full(n1 + 1, x0w),
-        _fold_left(np.stack([s, np.zeros(n1 + 1)], axis=1), half),
+        _fold(np.stack([s, np.zeros(n1 + 1)], axis=1), _REFL_L, half),
         np.tile(BASE_L, (n1 + 1, 1)),
     ))
     # left door: fan from the bottom slit foot, sweeping hinge -> seam
@@ -478,7 +465,7 @@ def build_wrinkle(epsilon: float, config: WrinkleConfig | None = None) -> RuledB
     pieces.append(_fan(
         np.full(n2, -half), tops,
         np.tile(APEX, (n2, 1)),
-        door_left(np.stack([tops, np.ones(n2)], axis=1)),
+        door(np.stack([tops, np.ones(n2)], axis=1), rot_l, half),
     ))
     # plug, left piece: seam -> first crease
     bots = np.linspace(-half, -c, n3 + 1)[1:]
@@ -508,13 +495,13 @@ def build_wrinkle(epsilon: float, config: WrinkleConfig | None = None) -> RuledB
     pieces.append(_fan(
         np.full(n2, half), tops,
         np.tile(APEX, (n2, 1)),
-        door_right(np.stack([tops, np.ones(n2)], axis=1)),
+        door(np.stack([tops, np.ones(n2)], axis=1), rot_r, -half),
     ))
     # right fan, excluding the glued copy of the cut bend
     s = np.linspace(half, SIDE + half, n1 + 1)[1:-1]
     pieces.append(_fan(
         s, np.full(n1 - 1, w0w),
-        _fold_right(np.stack([s, np.zeros(n1 - 1)], axis=1), half),
+        _fold(np.stack([s, np.zeros(n1 - 1)], axis=1), _REFL_R, -half),
         np.tile(BASE_R, (n1 - 1, 1)),
     ))
 

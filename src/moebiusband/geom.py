@@ -54,9 +54,7 @@ def row_dot(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     (1xd)(dx1) matrix products.  numpy takes each through the BLAS dot of
     the 1-D p[i] @ w[i], so it rounds like that, and its sqrt like
     np.linalg.norm of a 1-D row; einsum or a sum along an axis can differ
-    from them by an ulp.  The coverage pass of `verify` relies on the 2D
-    rows also rounding like the entries of a dense matrix product, fused
-    multiply-add included where the BLAS uses one."""
+    from them by an ulp."""
     return np.matmul(p[..., None, :], w[..., :, None])[..., 0, 0]
 
 

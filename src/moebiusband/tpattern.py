@@ -29,7 +29,7 @@ side of it prunes these families down to finitely many valid patterns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,8 +89,6 @@ class TPattern:
     residual_perp: float
     residual_offset: float
     pose: RigidMotion
-    ray_pose: RigidMotion
-    intersection: np.ndarray
     alternates: tuple = field(default=(), compare=False)
 
     @property
@@ -104,25 +102,6 @@ class TPattern:
 
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
-
-
-def _space_at(band: RuledBand, p: float) -> np.ndarray:
-    """Space segment at lifted parameter p in [0, 2N); beyond N the
-    orientation is reversed (double cover of the foliation circle)."""
-    n = band.n_bends
-    if p <= n:
-        return interpolate_bend(band, p)[1]
-    return interpolate_bend(band, p - n)[1][::-1]
-
-
-def _flat_at(band: RuledBand, p: float) -> np.ndarray:
-    n = band.n_bends
-    if p <= n:
-        return interpolate_bend(band, p)[0]
-    f = interpolate_bend(band, p - n)[0][::-1].copy()
-    f[:, 0] += band.lam
-    f[:, 1] = 1.0 - f[:, 1]
-    return f
 
 
 @dataclass(frozen=True)
@@ -139,9 +118,10 @@ class _Candidate:
     foot_b: float
 
 
-def _build_pose(bend_t_flat, bend_t_space, bend_b_space, p_star) -> tuple[RigidMotion, RigidMotion]:
-    """Rotation/translation normalizing the pattern, plus the variant whose
-    translation centers the T bend's midpoint at the origin."""
+def _build_pose(bend_t_flat, bend_t_space, bend_b_space, p_star) -> RigidMotion:
+    """Rigid motion normalizing the pattern: the T bend goes along the
+    X-axis with its midpoint at the origin, and the B bend runs in the -Y
+    direction from its end nearer p_star, where the carrier lines meet."""
     t_raw = bend_t_flat[1, 0] - bend_t_flat[0, 0]
     if t_raw >= 0.0:
         w_pt, x_pt = bend_t_space[0], bend_t_space[1]
@@ -159,8 +139,7 @@ def _build_pose(bend_t_flat, bend_t_space, bend_b_space, p_star) -> tuple[RigidM
     ez = np.cross(ex, ey)
     ray_pose = RigidMotion.from_rows(ex, ey, ez, p_star)
     mid = ray_pose.apply(bend_t_space).mean(axis=0)
-    pose = RigidMotion.translation_by([-mid[0], 0.0, 0.0]).compose(ray_pose)
-    return pose, ray_pose
+    return RigidMotion.translation_by([-mid[0], 0.0, 0.0]).compose(ray_pose)
 
 
 def _perp_roots(band: RuledBand) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -185,8 +164,8 @@ def _perp_roots(band: RuledBand) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _root_segments(band: RuledBand, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The space segments at every root (a, b), bitwise as _space_at gives
-    them one at a time."""
+    """The space segments at every root (a, b), bitwise as interpolating
+    the lifted bends one root at a time gives them."""
     lifted = np.concatenate([band.space, band.space[:, ::-1]])
     i = np.floor(b).astype(np.intp)
     f = (b - i)[:, None, None]
@@ -270,11 +249,9 @@ def find_tpattern(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> TPatte
     p_t, p_b = (best.alpha, best.beta) if best.seg_t_idx == 1 else (best.beta, best.alpha)
     p_t_mod = p_t % n
     p_b_mod = p_b % n
-    bend_t_flat = _flat_at(band, p_t_mod)
-    bend_t_space = _space_at(band, p_t_mod)
-    bend_b_flat = _flat_at(band, p_b_mod)
-    bend_b_space = _space_at(band, p_b_mod)
-    pose, ray_pose = _build_pose(bend_t_flat, bend_t_space, bend_b_space, best.p_star)
+    bend_t_flat, bend_t_space = interpolate_bend(band, p_t_mod)
+    bend_b_flat, bend_b_space = interpolate_bend(band, p_b_mod)
+    pose = _build_pose(bend_t_flat, bend_t_space, bend_b_space, best.p_star)
     alternates = tuple(
         {
             "alpha": c.alpha,
@@ -296,22 +273,7 @@ def find_tpattern(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> TPatte
         residual_perp=best.perp,
         residual_offset=best.offset,
         pose=pose,
-        ray_pose=ray_pose,
-        intersection=best.p_star,
         alternates=alternates,
-    )
-
-
-def _move_pattern(tp: TPattern, motion: RigidMotion) -> TPattern:
-    from dataclasses import replace
-
-    return replace(
-        tp,
-        bend_t_space=motion.apply(tp.bend_t_space),
-        bend_b_space=motion.apply(tp.bend_b_space),
-        intersection=motion.apply(tp.intersection),
-        pose=tp.pose.compose(motion.inverse()),
-        ray_pose=tp.ray_pose.compose(motion.inverse()),
     )
 
 
@@ -320,8 +282,10 @@ def normalize_pose(band: RuledBand, tp: TPattern) -> tuple[RuledBand, TPattern]:
     translated to the origin, B bend into the negative Y-ray."""
     if tp.len_t < 1e-12 or tp.len_b < 1e-12:
         raise StructureError("degenerate (zero-length) T-pattern bends")
-    moved = transform(band, tp.pose)
-    return moved, _move_pattern(tp, tp.pose)
+    pose = tp.pose
+    moved = replace(tp, bend_t_space=pose.apply(tp.bend_t_space),
+                    bend_b_space=pose.apply(tp.bend_b_space), pose=pose.compose(pose.inverse()))
+    return transform(band, pose), moved
 
 
 def develop_for(band: RuledBand, tp: TPattern) -> tuple[FlatTrapezoid, RuledBand]:

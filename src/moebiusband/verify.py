@@ -49,7 +49,6 @@ from .geom import (
     StructureError,
     ToleranceConfig,
     point_segment_distance,
-    row_dot,
     winding_number,
 )
 from .tpattern import TPattern, develop_for, find_tpattern, normalize_pose
@@ -226,15 +225,13 @@ class TheoremReport:
         }
 
 
-def write_report_json(reports, path) -> None:
-    reports = [reports] if isinstance(reports, TheoremReport) else list(reports)
+def write_report_json(reports: list[TheoremReport], path) -> None:
     with open(path, "w") as fh:
         json.dump([r.to_dict() for r in reports], fh, indent=1)
         fh.write("\n")
 
 
-def write_csv_summary(reports, path) -> None:
-    reports = [reports] if isinstance(reports, TheoremReport) else list(reports)
+def write_csv_summary(reports: list[TheoremReport], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -435,50 +432,9 @@ def _canonical_grid() -> _TriangleGrid:
     return grid
 
 
-_ULP = np.finfo(float).eps
-
-
-class _Barycentric2D:
-    """Barycentric coordinates s = cross(p - a, c - a)/det and
-    t = cross(b - a, p - a)/det of 2D points in the xy-projection of each
-    triangle (a, b, c).  A triangle with |det| <= 1e-18 holds no point."""
-
-    def __init__(self, tris: np.ndarray):
-        self.corners = tris[:, :, :2]
-        a, b, c = tris[:, 0, :2], tris[:, 1, :2], tris[:, 2, :2]
-        e0, e1 = b - a, c - a
-        det = e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0]
-        self.good = np.abs(det) > 1e-18
-        self.inv = np.where(self.good, 1.0 / np.where(self.good, det, 1.0), np.nan)
-        # first-order bound on the relative rounding error of inv: det
-        # cancels its two products
-        terms = np.abs(e0[:, 0] * e1[:, 1]) + np.abs(e0[:, 1] * e1[:, 0])
-        self.inv_err = 4.0 * _ULP * (1.0 + terms * np.abs(self.inv))
-        self.w_s = np.stack([e1[:, 1], -e1[:, 0]], axis=1)
-        self.w_t = np.stack([-e0[:, 1], e0[:, 0]], axis=1)
-        self.a_s = np.einsum("ij,ij->i", a, self.w_s)
-        self.a_t = np.einsum("ij,ij->i", a, self.w_t)
-
-    def at(self, pts: np.ndarray, k: np.ndarray):
-        """(s, t) of each 2D point pts[n] in triangle k[n]; the arithmetic
-        of each entry is that of a dense (points, triangles) pass."""
-        inv = self.inv[k]
-        s = (row_dot(pts, np.take(self.w_s, k, axis=0)) - self.a_s[k]) * inv
-        t = (row_dot(pts, np.take(self.w_t, k, axis=0)) - self.a_t[k]) * inv
-        return s, t
-
-    def slop(self, reach: np.ndarray, tol: float) -> np.ndarray:
-        """Per triangle, a margin delta such that a 2D point with
-        |coordinates| <= reach whose computed (s, t) pass s, t >= -tol and
-        s + t <= 1 + tol has exact s, t >= -delta and s + t <= 1 + delta;
-        inf where det is too close to its rounding error for the computed
-        s, t to mean anything.  The bounds are first-order rounding bounds
-        with a safety factor of at least 2."""
-        lever = reach + np.abs(self.corners[:, 0])
-        num_err = np.maximum((np.abs(self.w_s) * lever).sum(axis=1),
-                             (np.abs(self.w_t) * lever).sum(axis=1))
-        delta = 2.0 * tol + 3.0 * self.inv_err + 32.0 * _ULP * num_err * np.abs(self.inv)
-        return np.where(self.inv_err < 0.25, delta, np.inf)
+# slop of the coverage scan, in lattice units of the grid: a settled point
+# lies within 2 * _SCAN_TOL of a patch, which is less than 1e-13 at GRID_PITCH
+_SCAN_TOL = 1e-11
 
 
 def _blocks(counts: np.ndarray, budget: int):
@@ -498,38 +454,32 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
-def _lattice_pairs(grid: _TriangleGrid, bary: _Barycentric2D, tol: float):
-    """Yield (point index, triangle index) blocks that hold every pair of a
-    grid point and a good triangle whose computed (s, t) can pass
-    s, t >= -tol, s + t <= 1 + tol, and few others.
+def _coverage(grid: _TriangleGrid, patches: np.ndarray) -> tuple:
+    """(covered, settled) masks of the points of a grid in the plane z = 0.
 
     Edge-function scan conversion (Pineda, "A parallel algorithm for
     polygon rasterization", SIGGRAPH 1988) in the lattice coordinates
-    (i, j) of the grid: each triangle is scaled about its centroid by
-    1 + 3*delta, which makes it the region s, t >= -delta,
-    s + t <= 1 + delta (see `_Barycentric2D.slop`), and its edges are moved
-    out by a rounding margin; on each lattice row i it spans, it then holds
-    one interval of j.  A triangle whose s, t are rounding noise takes the
-    whole grid.  Blocks of rows and of pairs are sized so that all arrays
-    of one block, up to 16 float64 per row or pair, fit in band.CHUNK_BYTES.
-    """
-    m = grid.m
-    a, b, c = grid.vertices[:, :2]
-    keep = np.flatnonzero(bary.good)
-    reach = np.array([np.abs(grid.points[:, d]).max() for d in (0, 1)])
-    delta = bary.slop(reach, tol)[keep]
-    q = (bary.corners[keep] - a) @ (m * np.linalg.inv(np.stack([b - a, c - a])))
-    noise = np.isinf(delta)
-    q[noise] = [[-1.0, -1.0], [2.0 * m + 3.0, -1.0], [-1.0, 2.0 * m + 3.0]]
-    centroid = q.mean(axis=1, keepdims=True)
-    q = centroid + np.where(noise, 1.0, 1.0 + 3.0 * delta)[:, None, None] * (q - centroid)
-    eta = 1e-9 * (1.0 + np.abs(q).max(axis=(1, 2)))
-    lo = q.min(axis=1) - eta[:, None]
-    hi = q.max(axis=1) + eta[:, None]
+    (i, j) of the grid.  The xy-projection of each patch is mapped into
+    them, and each of its three edge functions, scaled to read the
+    distance to the edge line in lattice units, is widened by _SCAN_TOL.
+    On each lattice row the points that pass all three form one interval,
+    clamped to the patch's bounding box widened by _SCAN_TOL, which bounds
+    the overshoot past a sharp or degenerate corner.  Such a point lies
+    within 2 * _SCAN_TOL of the projected patch.
 
+    A point is covered where the interval of some patch holds it, and
+    settled where the interval of a patch with all three vertices at
+    z == 0.0 holds it: it lies on the band, up to that slop.  Blocks of
+    rows and of points are sized so that all arrays of one block, up to 16
+    eight-byte numbers per row or point, fit in band.CHUNK_BYTES."""
+    m, n = grid.m, len(grid.points)
+    a, b, c = grid.vertices[:, :2]
+    q = (patches[:, :, :2] - a) @ (m * np.linalg.inv(np.stack([b - a, c - a])))
+    lo = q.min(axis=1) - _SCAN_TOL
+    hi = q.max(axis=1) + _SCAN_TOL
     # Edge e runs from vertex e to vertex e+1.  A lattice point (i, j) lies
-    # within eta of the inside of edge e where
-    #   orient * cross(edge, (i, j) - vertex) + eta * |edge| >= 0,
+    # within _SCAN_TOL of the inside of edge e where
+    #   orient * cross(edge, (i, j) - vertex) + _SCAN_TOL * |edge| >= 0,
     # that is  coef * j + const - slope * i >= 0.
     edge = np.roll(q, -1, axis=1) - q
     area2 = edge[:, 0, 0] * edge[:, 1, 1] - edge[:, 0, 1] * edge[:, 1, 0]
@@ -537,74 +487,37 @@ def _lattice_pairs(grid: _TriangleGrid, bary: _Barycentric2D, tol: float):
     coef = orient * edge[:, :, 0]
     slope = orient * edge[:, :, 1]
     const = (slope * q[:, :, 0] - coef * q[:, :, 1]
-             + eta[:, None] * np.hypot(edge[:, :, 0], edge[:, :, 1]))
-    edges = (coef.T, slope.T, const.T, lo[:, 1], hi[:, 1])
+             + _SCAN_TOL * np.hypot(edge[:, :, 0], edge[:, :, 1]))
+    coef, slope, const = coef.T, slope.T, const.T   # one row per edge
+    # a settled point's interval lands in the first half, any other in the second
+    offset = np.where((patches[:, :, 2] == 0.0).all(axis=1), 0, n)
 
+    marks = np.zeros(2 * n, dtype=bool)
     i_first = np.clip(np.ceil(lo[:, 0]), 0, m + 1).astype(np.int64)
     i_last = np.clip(np.floor(hi[:, 0]), -1, m).astype(np.int64)
     n_rows = np.maximum(i_last - i_first + 1, 0)
     budget = max(1, band_module.CHUNK_BYTES // 128)
     for span in _blocks(n_rows, budget):
-        k = np.repeat(np.arange(len(keep))[span], n_rows[span])
+        k = np.repeat(np.arange(len(patches))[span], n_rows[span])
         i = _ranges(i_first[span], n_rows[span])
-        j_first, n_pts = _row_intervals(edges, k, i, m)
-        first = i * (m + 1) - i * (i - 1) // 2 + j_first
+        j_lo, j_hi = lo[k, 1], hi[k, 1]
+        empty = np.zeros(len(k), dtype=bool)
+        for e in range(3):
+            c_k = np.take(coef[e], k)
+            value = np.take(const[e], k) - np.take(slope[e], k) * i
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bound = -value / c_k
+            j_lo = np.maximum(j_lo, np.where(c_k > 0.0, bound, -np.inf))
+            j_hi = np.minimum(j_hi, np.where(c_k < 0.0, bound, np.inf))
+            empty |= (c_k == 0.0) & (value < 0.0)
+        j_first = np.ceil(np.clip(j_lo, 0, m + 1)).astype(np.int64)
+        j_last = np.floor(np.clip(j_hi, -1, m - i)).astype(np.int64)
+        n_pts = np.where(empty, 0, np.maximum(j_last - j_first + 1, 0))
+        first = i * (m + 1) - i * (i - 1) // 2 + j_first + offset[k]
         for rows in _blocks(n_pts, budget):
-            yield (_ranges(first[rows], n_pts[rows]),
-                   keep[np.repeat(k[rows], n_pts[rows])])
-
-
-def _row_intervals(edges: tuple, k: np.ndarray, i: np.ndarray, m: int):
-    """(first j, count) of the lattice points of row i, j <= m - i, that
-    pass the three edge functions of triangle k and lie in its j-range.
-    The edge-function arrays hold one row per edge."""
-    coef, slope, const, j_min, j_max = edges
-    j_lo, j_hi = j_min[k], j_max[k]
-    empty = np.zeros(len(k), dtype=bool)
-    for e in range(3):
-        c_k = np.take(coef[e], k)
-        value = np.take(const[e], k) - np.take(slope[e], k) * i
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = -value / c_k
-        j_lo = np.maximum(j_lo, np.where(c_k > 0.0, bound, -np.inf))
-        j_hi = np.minimum(j_hi, np.where(c_k < 0.0, bound, np.inf))
-        empty |= (c_k == 0.0) & (value < 0.0)
-    j_first = np.ceil(np.clip(j_lo, 0, m + 1)).astype(np.int64)
-    j_last = np.floor(np.clip(j_hi, -1, m - i)).astype(np.int64)
-    n_pts = np.maximum(j_last - j_first + 1, 0)
-    n_pts[empty] = 0
-    return j_first, n_pts
-
-
-def _coverage(grid: _TriangleGrid, patches: np.ndarray) -> tuple:
-    """(covered, settled) masks of the grid points.
-
-    A point is covered where the xy-projection of some patch holds its own
-    with the slop 1e-9: s, t >= -1e-9 and s + t <= 1 + 1e-9.  It is settled
-    where that holds with the exact kernel's slop 1e-12 for a patch at
-    height exactly 0 above or below it: the point lies on the band.  A patch
-    whose projected area is below 1e-9 of its area is too steep for its s, t
-    to be trusted and settles nothing.  Only the candidate pairs of the
-    lattice scan are tested, and of those only the pairs whose point is not
-    settled when their block comes up.  A settled point is covered, so
-    neither mask depends on the order of the patches."""
-    bary = _Barycentric2D(patches)
-    e0 = patches[:, 1] - patches[:, 0]
-    e1 = patches[:, 2] - patches[:, 0]
-    cross = np.cross(e0, e1)
-    flat = np.abs(cross[:, 2]) > 1e-9 * np.linalg.norm(cross, axis=1)
-    covered = np.zeros(len(grid.points), dtype=bool)
-    settled = np.zeros(len(grid.points), dtype=bool)
-    for pt, k in _lattice_pairs(grid, bary, 1e-9):
-        open_pair = ~settled[pt]
-        pt, k = pt[open_pair], k[open_pair]
-        p = np.take(grid.points, pt, axis=0)
-        s, t = bary.at(p[:, :2], k)
-        covered[pt[(s >= -1e-9) & (t >= -1e-9) & (s + t <= 1.0 + 1e-9)]] = True
-        on = flat[k] & (s >= -1e-12) & (t >= -1e-12) & (s + t <= 1.0 + 1e-12)
-        height = patches[k, 0, 2] + s * e0[k, 2] + t * e1[k, 2] - p[:, 2]
-        settled[pt[on & (height == 0.0)]] = True
-    return covered, settled
+            marks[_ranges(first[rows], n_pts[rows])] = True
+    settled = marks[:n]
+    return settled | marks[n:], settled
 
 
 def _triangle_curve_distance_2d(pts: np.ndarray, vertices: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from moebiusband.band import (
     build_triangular,
     build_wrinkle,
     flip,
+    interpolate_bend,
     redevelop,
     scale_bend,
     transform,
@@ -24,7 +25,6 @@ from moebiusband.tpattern import (
     _candidates,
     _classify,
     _perp_roots,
-    _space_at,
     _unit,
     develop_for,
     find_tpattern,
@@ -50,6 +50,15 @@ def pose_residuals(tp: TPattern) -> dict:
 
 # Scalar references: the one-root-at-a-time residuals and role test that
 # _classify computes for all roots in one array pass.
+
+
+def _space_at(band: RuledBand, p: float) -> np.ndarray:
+    """Space segment at lifted parameter p in [0, 2N); beyond N the
+    orientation is reversed (double cover of the foliation circle)."""
+    n = band.n_bends
+    if p <= n:
+        return interpolate_bend(band, p)[1]
+    return interpolate_bend(band, p - n)[1][::-1]
 
 
 def _perp_residual(band: RuledBand, a: float, b: float) -> float:
@@ -279,8 +288,6 @@ class TestUnfoldSynthetic:
             residual_perp=0.0,
             residual_offset=0.0,
             pose=RigidMotion.identity(),
-            ray_pose=RigidMotion.identity(),
-            intersection=np.zeros(3),
         )
         trap, dev = develop_for(band, tp)
         assert trap.t == pytest.approx(0.0, abs=1e-12)

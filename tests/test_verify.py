@@ -23,7 +23,7 @@ from moebiusband.band import (
 )
 from moebiusband.cli import main as cli_main
 from moebiusband.flatmodel import T_OPT, make_trapezoid
-from moebiusband.geom import RigidMotion, StructureError
+from moebiusband.geom import RigidMotion, StructureError, point_segment_distance
 from moebiusband.verify import (
     EPS_FLOOR,
     GRID_PITCH,
@@ -119,10 +119,11 @@ def _dense_triangle_to_band(patches, pitch=GRID_PITCH):
 
 
 def _dense_coverage(pts, tris, tol, steep_guard):
-    """The dense coverage pass that the lattice scan replaced: the inclusion
-    test s, t >= -tol, s + t <= 1 + tol on every (point, triangle) pair, with
-    s and t from (points, triangles) matrix products.  Returns the covered
-    mask and, for 3D points, the least height of a covering triangle."""
+    """The barycentric rule of the dense pass that the lattice scan first
+    replaced: the inclusion test s, t >= -tol, s + t <= 1 + tol on every
+    (point, triangle) pair, with s and t from (points, triangles) matrix
+    products.  Returns the covered mask and, for 3D points, the least
+    height of a covering triangle."""
     a, b, c = tris[:, 0, :2], tris[:, 1, :2], tris[:, 2, :2]
     e0, e1 = b - a, c - a
     det = e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0]
@@ -152,13 +153,81 @@ def _dense_coverage(pts, tris, tol, steep_guard):
     return covered, heights
 
 
-def _dense_masks(pts, tris):
-    """The (covered, settled) masks of the dense pass: covered at the slop
-    1e-9 over all triangles, settled where the least height of a covering
-    triangle at the slop 1e-12, steep triangles left out, is 0."""
+def _barycentric_masks(pts, tris):
+    """The (covered, settled) masks of the barycentric rule: covered at the
+    slop 1e-9 over all triangles, settled where the least height of a
+    covering triangle at the slop 1e-12, steep triangles left out, is 0."""
     covered, _ = _dense_coverage(pts, tris, 1e-9, steep_guard=False)
     _, heights = _dense_coverage(pts, tris, 1e-12, steep_guard=True)
     return covered, heights == 0.0
+
+
+def _lattice_coordinates(grid):
+    """(i, j) of every grid point, in the grid's order."""
+    i = np.repeat(np.arange(grid.m + 1), np.arange(grid.m + 1, 0, -1))
+    j = np.concatenate([np.arange(grid.m + 1 - r) for r in range(grid.m + 1)])
+    return np.stack([i, j], axis=1).astype(float)
+
+
+def _dense_masks(grid, tris):
+    """The (covered, settled) masks of the scan's rule, tested on every
+    (point, triangle) pair: in the grid's lattice coordinates, the point's
+    distance to each edge line, negative outside, is at least -_SCAN_TOL,
+    and the point lies in the triangle's bounding box widened by _SCAN_TOL.
+    Settled takes only triangles with every vertex at z == 0.  An edge of
+    length 0 holds every point."""
+    tol = verify_mod._SCAN_TOL
+    a, b, c = grid.vertices[:, :2]
+    q = (tris[:, :, :2] - a) @ (grid.m * np.linalg.inv(np.stack([b - a, c - a])))
+    edge = np.roll(q, -1, axis=1) - q
+    length = np.linalg.norm(edge, axis=2)
+    area2 = edge[:, 0, 0] * edge[:, 1, 1] - edge[:, 0, 1] * edge[:, 1, 0]
+    orient = np.where(area2 < 0.0, -1.0, 1.0)[:, None]
+    # distance to edge e of a point p: p @ normal[e] + offset[e]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normal = orient[..., None] * np.stack([-edge[..., 1], edge[..., 0]], axis=2) / length[..., None]
+        offset = np.where(length > 0.0, -np.einsum("kej,kej->ke", normal, q), np.inf)
+    normal = np.nan_to_num(normal, nan=0.0)
+    lo, hi = q.min(axis=1) - tol, q.max(axis=1) + tol
+    flat = (tris[:, :, 2] == 0.0).all(axis=1)
+    covered = np.zeros(len(grid.points), dtype=bool)
+    settled = np.zeros(len(grid.points), dtype=bool)
+    points = _lattice_coordinates(grid)
+    for start in range(0, len(points), 4096):
+        ij = points[start:start + 4096]
+        inside = np.ones((len(ij), len(tris)), dtype=bool)
+        for d in range(2):
+            inside &= (ij[:, d:d + 1] >= lo[:, d]) & (ij[:, d:d + 1] <= hi[:, d])
+        for e in range(3):
+            inside &= ij @ normal[:, e].T + offset[:, e] >= -tol
+        covered[start:start + 4096] = inside.any(axis=1)
+        settled[start:start + 4096] = inside[:, flat].any(axis=1)
+    return covered, settled
+
+
+def _settled_bound(grid):
+    """Bound on the distance of a settled point from the patches: 2 *
+    _SCAN_TOL lattice units, stretched by the lattice map's largest
+    singular value."""
+    basis = (grid.vertices[1:, :2] - grid.vertices[0, :2]) / grid.m
+    return 2.0 * verify_mod._SCAN_TOL * np.linalg.norm(basis, 2)
+
+
+def _planar_distance(pts, tris):
+    """Distance of points in the plane z = 0 to the union of triangles in
+    that plane: 0 inside one by the signs of its edge functions, else the
+    row-wise distance to the nearest edge.  The exact kernel reads the
+    distance to a sliver, or to a point just outside a triangle, through a
+    cancelling quadratic form, which can be off by 1e-8."""
+    p = pts[:, None, :2]
+    a, ends = tris[:, :, :2], np.roll(tris[:, :, :2], -1, axis=1)
+    edge = ends - a
+    cross = edge[None, :, :, 0] * (p[:, :, None, 1] - a[None, :, :, 1]) \
+        - edge[None, :, :, 1] * (p[:, :, None, 0] - a[None, :, :, 0])
+    area2 = edge[:, 0, 0] * edge[:, 1, 1] - edge[:, 0, 1] * edge[:, 1, 0]
+    inside = (area2 != 0.0) & np.all(np.sign(area2)[:, None] * cross >= 0.0, axis=2)
+    to_edges = point_segment_distance(p, a.reshape(-1, 2), ends.reshape(-1, 2)).min(axis=1, initial=np.inf)
+    return np.where(inside.any(axis=1), 0.0, to_edges)
 
 
 def _assert_masks_equal(got, want):
@@ -173,20 +242,30 @@ def band_states(tri_band, tri_state, wrinkle4, wrinkle4_state):
             "wrinkle4": (wrinkle4, wrinkle4_state), "wrinkle5": (w5, prepare(w5))}
 
 
+@pytest.fixture(scope="module")
+def dense_references(band_states):
+    """Per band: the canonical grid, the dense masks of the scan's rule and
+    those of the barycentric rule."""
+    grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
+    return {name: (grid, _dense_masks(grid, state.patches),
+                   _barycentric_masks(grid.points, state.patches))
+            for name, (_, state) in band_states.items()}
+
+
+BAND_NAMES = ["tri", "wrinkle3", "wrinkle4", "wrinkle5"]
+
+
 class TestLatticeScan:
     """The scan-converted coverage pass against the dense pass."""
 
-    @pytest.mark.parametrize("name", ["tri", "wrinkle3", "wrinkle4", "wrinkle5"])
-    def test_bands_match_dense(self, name, band_states):
+    @pytest.mark.parametrize("name", BAND_NAMES)
+    def test_bands_match_dense(self, name, band_states, dense_references):
         _, state = band_states[name]
-        grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
-        _assert_masks_equal(verify_mod._coverage(grid, state.patches),
-                            _dense_masks(grid.points, state.patches))
+        grid, dense, barycentric = dense_references[name]
+        _assert_masks_equal(verify_mod._coverage(grid, state.patches), dense)
+        # on the benchmark bands the barycentric rule gives the same masks
+        _assert_masks_equal(dense, barycentric)
         assert state.coverage[1].all()
-        # the scan tests about 1% of the dense pass's point-patch pairs
-        bary = verify_mod._Barycentric2D(state.patches)
-        candidates = sum(len(pt) for pt, _ in verify_mod._lattice_pairs(grid, bary, 1e-9))
-        assert candidates < 0.02 * len(grid.points) * len(state.patches)
 
     @pytest.mark.parametrize("perturb", ["lift", "jitter", "overhang", "outside"])
     def test_perturbed_patches_match_dense(self, perturb, wrinkle4_state):
@@ -199,27 +278,30 @@ class TestLatticeScan:
             patches[:, :, :2] = 1.5 * patches[:, :, :2] + [0.4, 0.2]
         else:
             patches[:, :, 0] += 3.0
-        grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
+        grid = verify_mod._canonical_grid()
         covered, settled = verify_mod._coverage(grid, patches)
-        _assert_masks_equal((covered, settled), _dense_masks(grid.points, patches))
+        _assert_masks_equal((covered, settled), _dense_masks(grid, patches))
         if perturb == "lift":
             assert 0 < settled.sum() < len(settled)
+        elif perturb == "jitter":
+            assert covered.any() and not settled.any()
         elif perturb == "overhang":
             assert 0 < covered.sum() < len(covered)
         elif perturb == "outside":
             assert not covered.any()
 
     def test_one_entry_blocks_are_bitwise_neutral(self, wrinkle4_state, monkeypatch):
-        # a budget of one row or pair per block: every row interval of more
+        # a budget of one row or point per block: every row interval of more
         # than one point exceeds it on its own
-        patches = wrinkle4_state.patches + np.random.default_rng(3).normal(
-            scale=2e-3, size=wrinkle4_state.patches.shape)
+        patches = wrinkle4_state.patches.copy()
+        patches[:, :, :2] += np.random.default_rng(3).normal(scale=2e-3, size=patches[:, :, :2].shape)
         grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, 2e-2)
         wide = verify_mod._coverage(grid, patches)
+        assert 0 < wide[1].sum() < wide[0].sum()
         monkeypatch.setattr(band_mod, "CHUNK_BYTES", 1)
         _assert_masks_equal(verify_mod._coverage(grid, patches), wide)
 
-    @pytest.mark.parametrize("name", ["tri", "wrinkle3", "wrinkle4", "wrinkle5"])
+    @pytest.mark.parametrize("name", BAND_NAMES)
     def test_c_grid_is_the_shrunk_triangle(self, name, band_states):
         # eff2 tests the canonical grid points with lattice_min >= m*d6; an
         # independent barycentric test in the shrunk triangle C picks the same
@@ -239,45 +321,72 @@ class TestLatticeScan:
         assert rep.measured["c_grid_uncovered"] == 0
 
 
-@pytest.fixture(scope="module")
-def dense_references(band_states):
-    """Per band: the dense masks on the canonical grid."""
-    grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
-    return {name: (grid, _dense_masks(grid.points, state.patches))
-            for name, (_, state) in band_states.items()}
-
-
-BAND_NAMES = ["tri", "wrinkle3", "wrinkle4", "wrinkle5"]
+def _from_lattice(grid, ij):
+    """Points at lattice coordinates ij of the grid, in the plane z = 0."""
+    a, b, c = grid.vertices
+    ij = np.asarray(ij, dtype=float)
+    return a + ij[..., :1] / grid.m * (b - a) + ij[..., 1:] / grid.m * (c - a)
 
 
 class TestSettledPoints:
-    """Settled points are skipped, so the pairs tested depend on the order
-    of the patches; the masks must not."""
+    """A settled point lies on a patch, up to the scan's slop, and neither
+    mask depends on the order of the patches."""
 
     @given(st.sampled_from(BAND_NAMES), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=12, deadline=None)
     def test_patch_order_is_bitwise_neutral(self, band_states, dense_references, name, seed):
         patches = band_states[name][1].patches
         shuffled = patches[np.random.default_rng(seed).permutation(len(patches))]
-        grid, masks = dense_references[name]
+        grid, masks, _ = dense_references[name]
         _assert_masks_equal(verify_mod._coverage(grid, shuffled), masks)
 
-    def test_about_one_pair_per_point(self, wrinkle4_state, monkeypatch):
-        # the band covers the triangle about three times; a point on a patch
-        # is tested against no further patch
-        grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
-        tested = []
-        real_at = verify_mod._Barycentric2D.at
+    @given(st.sampled_from(BAND_NAMES), st.integers(0, 2 ** 32 - 1),
+           st.floats(1e-9, 1e-2), st.floats(0.0, 1.0))
+    @settings(max_examples=10, deadline=None)
+    def test_settled_points_lie_on_the_patches(self, band_states, name, seed, scale, lifted):
+        # xy-jittered patches, some of them lifted off z = 0
+        rng = np.random.default_rng(seed)
+        patches = band_states[name][1].patches.copy()
+        patches[:, :, :2] += rng.normal(scale=scale, size=patches[:, :, :2].shape)
+        patches[rng.random(len(patches)) < lifted, :, 2] += rng.uniform(-1e-3, 1e-3)
+        grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, 2e-2)
+        _, settled = verify_mod._coverage(grid, patches)
+        flat = (patches[:, :, 2] == 0.0).all(axis=1)
+        dist = _planar_distance(grid.points[settled], patches[flat])
+        assert np.all(dist <= _settled_bound(grid))
 
-        def counting(self, pts, k):
-            tested.append(len(k))
-            return real_at(self, pts, k)
-
-        monkeypatch.setattr(verify_mod._Barycentric2D, "at", counting)
-        verify_mod._coverage(grid, wrinkle4_state.patches)
-        bary = verify_mod._Barycentric2D(wrinkle4_state.patches)
-        candidates = sum(len(pt) for pt, _ in verify_mod._lattice_pairs(grid, bary, 1e-9))
-        assert sum(tested) < 1.1 * len(grid.points) < 0.5 * candidates
+    def test_collinear_and_needle_patches(self):
+        grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, 2e-2)
+        tol, bound = verify_mod._SCAN_TOL, _settled_bound(grid)
+        ij = _lattice_coordinates(grid)
+        # three collinear vertices on the lattice diagonal i = j, from 5 to
+        # 20, and on the lattice line i = 7, from j = 3 to 18
+        for corners, on_segment in (
+                ([[5, 5], [20, 20], [12, 12]],
+                 (ij[:, 0] == ij[:, 1]) & (ij[:, 0] >= 5) & (ij[:, 0] <= 20)),
+                ([[7, 3], [7, 18], [7, 10]],
+                 (ij[:, 0] == 7) & (ij[:, 1] >= 3) & (ij[:, 1] <= 18))):
+            collinear = _from_lattice(grid, corners)
+            covered, settled = verify_mod._coverage(grid, collinear[None])
+            assert np.array_equal(settled, on_segment) and np.array_equal(covered, settled)
+            assert np.all(_planar_distance(grid.points[settled], collinear[None]) <= bound)
+        # a needle along the lattice diagonal whose tip stops 1.4 * tol short
+        # of the point (20, 20): the overshoot past the sharp corner, clamped
+        # to the widened bounding box, still holds that point
+        tip = 20.0 - 1.4 * tol / math.sqrt(2.0)
+        needle = _from_lattice(grid, [[4, 4.5], [tip, tip], [4.5, 4]])
+        covered, settled = verify_mod._coverage(grid, needle[None])
+        diagonal = (ij[:, 0] == ij[:, 1]) & (ij[:, 0] >= 5)
+        assert np.array_equal(settled, diagonal & (ij[:, 0] <= 20))
+        assert np.array_equal(covered, settled)
+        dist = _planar_distance(grid.points[settled], needle[None])
+        assert np.count_nonzero(dist) == 1 and 0.0 < dist.max() <= bound
+        # a needle along i whose tip stops 3 * tol short of the point (20, 5):
+        # that point lies past the widened bounding box
+        far = 20.0 - 3.0 * tol
+        row = _from_lattice(grid, [[4, 5 - 0.3], [4, 5 + 0.3], [far, 5]])
+        _, settled = verify_mod._coverage(grid, row[None])
+        assert np.array_equal(settled, (ij[:, 1] == 5) & (ij[:, 0] >= 4) & (ij[:, 0] <= 19))
 
     @given(st.sampled_from(BAND_NAMES), st.floats(0.0, 1.0, exclude_max=True), st.booleans())
     @settings(max_examples=10, deadline=None)
@@ -341,43 +450,41 @@ class TestSharedGeometry:
             assert refined[0] < len(grid.points)
 
     def test_steep_patch_bound_stays_above_distance(self, wrinkle4_state, monkeypatch):
-        # a sliver whose xy-projection is 1e-15 wide: its barycentric s, t
-        # are rounding noise, so its heights would undershoot the distance
-        a = np.array([3.0, 1.1, 0.0])
+        # a sliver 0.1 to 0.5 above the plane z = 0, its xy-projection 1e-15
+        # wide, and a patch in that plane
+        a = np.array([3.0, 1.1, 0.1])
         d = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
         b = a + 0.5 * d
         c = a + 0.25 * d + np.array([-1e-15, 1e-15, 0.4])
         flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         patches = np.array([[a, b, c], flat])
-        # lattice row j = 0 runs along the sliver's projection, from height
-        # -0.5 to 0.5; the far corner (i, j) = (0, m) sits over `flat`
-        grid = verify_mod._triangle_grid(
-            np.array([a - [0, 0, 0.5], b + [0, 0, 0.5], [0.2, 0.3, 0.0]]), 0.03)
+        # lattice row i = 0 runs along the sliver's projection; the far
+        # corner (i, j) = (0, m) sits over `flat`
+        grid = verify_mod._triangle_grid(np.array([a, b, [0.2, 0.3, 0.1]]) * [1, 1, 0], 0.03)
         m, pts = grid.m, grid.points
         on_sliver = np.arange(m + 1) * (m + 1) - np.arange(m + 1) * np.arange(-1, m) // 2
         over_flat = (pts[:, 0] >= 0.0) & (pts[:, 1] >= 0.0) & (pts[:, 0] + pts[:, 1] <= 1.0)
         assert len(on_sliver) > 50 and over_flat.sum() >= 2
-        rel = pts[on_sliver, :2] - a[:2]
-        assert np.allclose(rel[:, 0] * d[1] - rel[:, 1] * d[0], 0.0, atol=1e-15)
-        _, settled = verify_mod._coverage(grid, patches)
+        covered, settled = verify_mod._coverage(grid, patches)
+        _assert_masks_equal((covered, settled), _dense_masks(grid, patches))
+        assert covered[on_sliver].all() and not settled[on_sliver].any()
+        assert np.array_equal(settled, over_flat) and settled[m]
+        assert np.all(_planar_distance(pts[settled], flat[None]) <= _settled_bound(grid))
         dist = points_to_triangles_distance(pts, patches)
-        assert np.all(dist[settled] <= 1e-12)
-        assert not settled[on_sliver].any()
-        assert np.array_equal(settled[over_flat], pts[over_flat, 2] == 0.0)
-        assert settled[m]
+        assert dist[on_sliver].min() >= 0.1 - 1e-12
         monkeypatch.setattr(verify_mod, "_canonical_grid", lambda: grid)
         assert _state_with_patches(wrinkle4_state, patches).triangle_to_band == dist.max()
-        # a lattice laid on a steep patch: every point lies on it, exactly,
-        # but the patch's s, t are not trusted, so it settles none of them
+        # a lattice laid on the projection of a steep patch covers it and
+        # settles none of it
         steep = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 2.0 ** -50, 1.0]])
-        on_patch = verify_mod._triangle_grid(steep, 0.15)
+        on_patch = verify_mod._triangle_grid(steep * [1, 1, 0], 0.15)
         covered, settled = verify_mod._coverage(on_patch, steep[None])
         assert covered.all() and not settled.any()
-        _assert_masks_equal((covered, settled), _dense_masks(on_patch.points, steep[None]))
+        _assert_masks_equal((covered, settled), _dense_masks(on_patch, steep[None]))
 
     def _count(self, monkeypatch):
         calls = {"scan": 0, "kernel": 0}
-        real_scan = verify_mod._lattice_pairs
+        real_scan = verify_mod._coverage
 
         def scan(*args):
             calls["scan"] += 1
@@ -387,7 +494,7 @@ class TestSharedGeometry:
             calls["kernel"] += 1
             return points_to_triangles_distance(pts, tris)
 
-        monkeypatch.setattr(verify_mod, "_lattice_pairs", scan)
+        monkeypatch.setattr(verify_mod, "_coverage", scan)
         monkeypatch.setattr(verify_mod, "points_to_triangles_distance", kernel)
         return calls
 
