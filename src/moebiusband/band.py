@@ -657,29 +657,19 @@ def redevelop(band: RuledBand, alpha: float) -> RuledBand:
     i0 = math.ceil(alpha)
     frac = alpha - math.floor(alpha)
 
-    def glide(fl: np.ndarray, sp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = fl[::-1].copy()
-        out[:, 0] = fl[::-1, 0] + band.lam
-        out[:, 1] = 1.0 - fl[::-1, 1]
-        return out, sp[::-1].copy()
-
-    flats, spaces = [], []
+    # bends i0.. as they are, then bends ..i0 glided: endpoints exchanged,
+    # x -> x + lambda, y -> 1 - y
+    glided = band.flat[:i0, ::-1].copy()
+    glided[:, :, 0] += band.lam
+    glided[:, :, 1] = 1.0 - glided[:, :, 1]
+    flats = [band.flat[i0:], glided]
+    spaces = [band.space[i0:], band.space[:i0, ::-1]]
     if frac > 0.0:
-        lf, ls = interpolate_bend(band, alpha)
-        flats.append(lf)
-        spaces.append(ls)
-    order = list(range(i0, n)) + list(range(0, i0))
-    n_tail = n - i0
-    for k, i in enumerate(order):
-        if k < n_tail:
-            flats.append(band.flat[i].copy())
-            spaces.append(band.space[i].copy())
-        else:
-            gf, gs = glide(band.flat[i], band.space[i])
-            flats.append(gf)
-            spaces.append(gs)
-    flat = np.stack(flats)
-    space = np.stack(spaces)
+        leaf_flat, leaf_space = interpolate_bend(band, alpha)
+        flats.insert(0, leaf_flat[None])
+        spaces.insert(0, leaf_space[None])
+    flat = np.concatenate(flats)
+    space = np.concatenate(spaces)
     flat[:, :, 0] -= flat[0, 0, 0]
     return replace(band, flat=flat, space=space, meta=None)
 
@@ -734,9 +724,9 @@ def to_json_dict(band: RuledBand) -> dict:
 
 
 def write_json(band: RuledBand, path) -> None:
+    # one write: json.dump with an indent writes each of its chunks apart
     with open(path, "w") as fh:
-        json.dump(to_json_dict(band), fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(to_json_dict(band), indent=1) + "\n")
 
 
 def from_json_dict(data: dict) -> RuledBand:

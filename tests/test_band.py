@@ -1,5 +1,7 @@
+import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from moebiusband.band import (
     build_wrinkle,
     boundary_polyline,
     from_json_dict,
+    interpolate_bend,
     points_to_triangles_distance,
     redevelop,
     sample_surface,
@@ -19,6 +22,7 @@ from moebiusband.band import (
     to_json_dict,
     flip,
     validate,
+    write_json,
 )
 from moebiusband.geom import DEFAULT_TOL, StructureError
 from moebiusband.verify import prepare, verify_eff
@@ -172,7 +176,54 @@ class TestWrinkleFamily:
         assert d.max() <= 6.0 * math.sqrt(eps_excess)
 
 
+def _redevelop_loop(band: RuledBand, alpha: float) -> RuledBand:
+    """The per-bend loop that `redevelop` replaced, kept as its reference."""
+    n = band.n_bends
+    alpha = float(alpha) % n
+    if abs(alpha - round(alpha)) <= 1e-12:
+        alpha = float(round(alpha) % n)
+    i0 = math.ceil(alpha)
+    frac = alpha - math.floor(alpha)
+
+    def glide(fl, sp):
+        out = fl[::-1].copy()
+        out[:, 0] = fl[::-1, 0] + band.lam
+        out[:, 1] = 1.0 - fl[::-1, 1]
+        return out, sp[::-1].copy()
+
+    flats, spaces = [], []
+    if frac > 0.0:
+        lf, ls = interpolate_bend(band, alpha)
+        flats.append(lf)
+        spaces.append(ls)
+    for k, i in enumerate(list(range(i0, n)) + list(range(0, i0))):
+        if k < n - i0:
+            flats.append(band.flat[i].copy())
+            spaces.append(band.space[i].copy())
+        else:
+            gf, gs = glide(band.flat[i], band.space[i])
+            flats.append(gf)
+            spaces.append(gs)
+    flat = np.stack(flats)
+    space = np.stack(spaces)
+    flat[:, :, 0] -= flat[0, 0, 0]
+    return replace(band, flat=flat, space=space, meta=None)
+
+
 class TestDevelopment:
+    @pytest.mark.parametrize("band_name", ["tri_band", "wrinkle4"])
+    def test_redevelop_matches_loop(self, band_name, request):
+        # integer, near-integer, wrap-patch and random cuts
+        band = request.getfixturevalue(band_name)
+        n = band.n_bends
+        cuts = [0, 1, n // 2, n - 1, n, -3.25, 5 - 1e-13, 5 + 1e-13, 7 - 2e-12, 7 + 2e-12,
+                9 - 1e-9, 9 + 1e-9, n - 1e-13, n - 1e-6, n - 0.5, n - 0.9]
+        cuts += list(np.random.default_rng(11).uniform(0.0, n, 40))
+        for alpha in cuts:
+            got, want = redevelop(band, alpha), _redevelop_loop(band, alpha)
+            assert np.array_equal(got.flat, want.flat) and np.array_equal(got.space, want.space), alpha
+            assert got.lam == want.lam and got.meta is None
+
     def test_redevelop_at_integer_keeps_validity(self, tri_band):
         for k in (1, 40, 100):
             dev = redevelop(tri_band, k)
@@ -239,6 +290,14 @@ class TestSerialization:
         assert back.lam == wrinkle4.lam
         assert np.array_equal(back.flat, wrinkle4.flat)
         assert np.array_equal(back.space, wrinkle4.space)
+
+    def test_write_json_bytes(self, wrinkle4, tmp_path):
+        path = tmp_path / "w.json"
+        write_json(wrinkle4, path)
+        # the bytes that json.dump writes chunk by chunk
+        want = io.StringIO()
+        json.dump(to_json_dict(wrinkle4), want, indent=1)
+        assert path.read_text() == want.getvalue() + "\n"
 
     def test_bend_order_starts_at_min_midpoint(self, tri_band):
         data = to_json_dict(tri_band)

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -174,8 +176,8 @@ def _dense_masks(grid, tris):
     (point, triangle) pair: in the grid's lattice coordinates, the point's
     distance to each edge line, negative outside, is at least -_SCAN_TOL,
     and the point lies in the triangle's bounding box widened by _SCAN_TOL.
-    Settled takes only triangles with every vertex at z == 0.  An edge of
-    length 0 holds every point."""
+    Settled takes only the flat triangles, with every vertex within _FLAT_Z
+    of z = 0.  An edge of length 0 holds every point."""
     tol = verify_mod._SCAN_TOL
     a, b, c = grid.vertices[:, :2]
     q = (tris[:, :, :2] - a) @ (grid.m * np.linalg.inv(np.stack([b - a, c - a])))
@@ -189,7 +191,7 @@ def _dense_masks(grid, tris):
         offset = np.where(length > 0.0, -np.einsum("kej,kej->ke", normal, q), np.inf)
     normal = np.nan_to_num(normal, nan=0.0)
     lo, hi = q.min(axis=1) - tol, q.max(axis=1) + tol
-    flat = (tris[:, :, 2] == 0.0).all(axis=1)
+    flat = (np.abs(tris[:, :, 2]) <= verify_mod._FLAT_Z).all(axis=1)
     covered = np.zeros(len(grid.points), dtype=bool)
     settled = np.zeros(len(grid.points), dtype=bool)
     points = _lattice_coordinates(grid)
@@ -234,6 +236,18 @@ def _assert_masks_equal(got, want):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def _count_scans(monkeypatch):
+    """A list that gains one entry per `_scan` call."""
+    calls, real_scan = [], verify_mod._scan
+
+    def scan(grid, patches):
+        calls.append(len(patches))
+        return real_scan(grid, patches)
+
+    monkeypatch.setattr(verify_mod, "_scan", scan)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def band_states(tri_band, tri_state, wrinkle4, wrinkle4_state):
     """The four benchmark bands, each with its PipelineState."""
@@ -259,16 +273,19 @@ class TestLatticeScan:
     """The scan-converted coverage pass against the dense pass."""
 
     @pytest.mark.parametrize("name", BAND_NAMES)
-    def test_bands_match_dense(self, name, band_states, dense_references):
+    def test_bands_match_dense(self, name, band_states, dense_references, monkeypatch):
         _, state = band_states[name]
         grid, dense, barycentric = dense_references[name]
+        scans = _count_scans(monkeypatch)
         _assert_masks_equal(verify_mod._coverage(grid, state.patches), dense)
+        # the flat patches settle every point: the other patches are not scanned
+        assert len(scans) == 1
         # on the benchmark bands the barycentric rule gives the same masks
         _assert_masks_equal(dense, barycentric)
         assert state.coverage[1].all()
 
     @pytest.mark.parametrize("perturb", ["lift", "jitter", "overhang", "outside"])
-    def test_perturbed_patches_match_dense(self, perturb, wrinkle4_state):
+    def test_perturbed_patches_match_dense(self, perturb, wrinkle4_state, monkeypatch):
         patches = wrinkle4_state.patches.copy()
         if perturb == "lift":
             patches[::2, :, 2] += 0.01
@@ -279,8 +296,11 @@ class TestLatticeScan:
         else:
             patches[:, :, 0] += 3.0
         grid = verify_mod._canonical_grid()
+        scans = _count_scans(monkeypatch)
         covered, settled = verify_mod._coverage(grid, patches)
         _assert_masks_equal((covered, settled), _dense_masks(grid, patches))
+        # some point is left unsettled, so the other patches are scanned too
+        assert len(scans) == 2
         if perturb == "lift":
             assert 0 < settled.sum() < len(settled)
         elif perturb == "jitter":
@@ -341,18 +361,22 @@ class TestSettledPoints:
         _assert_masks_equal(verify_mod._coverage(grid, shuffled), masks)
 
     @given(st.sampled_from(BAND_NAMES), st.integers(0, 2 ** 32 - 1),
-           st.floats(1e-9, 1e-2), st.floats(0.0, 1.0))
+           st.floats(1e-9, 1e-2), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=10, deadline=None)
-    def test_settled_points_lie_on_the_patches(self, band_states, name, seed, scale, lifted):
-        # xy-jittered patches, some of them lifted off z = 0
+    def test_settled_points_lie_on_the_patches(self, band_states, name, seed, scale, lifted, nudged):
+        # xy-jittered patches, some of them lifted off z = 0 and some moved
+        # off it by up to 2 * _FLAT_Z, vertex by vertex
         rng = np.random.default_rng(seed)
         patches = band_states[name][1].patches.copy()
         patches[:, :, :2] += rng.normal(scale=scale, size=patches[:, :, :2].shape)
         patches[rng.random(len(patches)) < lifted, :, 2] += rng.uniform(-1e-3, 1e-3)
+        nudge = rng.random(len(patches)) < nudged
+        patches[nudge, :, 2] += rng.uniform(-2.0, 2.0, (nudge.sum(), 3)) * verify_mod._FLAT_Z
         grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, 2e-2)
         _, settled = verify_mod._coverage(grid, patches)
-        flat = (patches[:, :, 2] == 0.0).all(axis=1)
+        flat = (np.abs(patches[:, :, 2]) <= verify_mod._FLAT_Z).all(axis=1)
         dist = _planar_distance(grid.points[settled], patches[flat])
+        # within hypot(_settled_bound, _FLAT_Z) of the band in 3D
         assert np.all(dist <= _settled_bound(grid))
 
     def test_collinear_and_needle_patches(self):
@@ -570,6 +594,33 @@ class TestSharedGeometry:
 
 
 class TestPoseInvariance:
+    @pytest.mark.parametrize("proper", [True, False])
+    @pytest.mark.parametrize("name", BAND_NAMES)
+    def test_posed_band_settles_every_point(self, name, proper, band_states, monkeypatch):
+        # pose normalization leaves the flat patches within _FLAT_Z of z = 0,
+        # so they settle the grid and the exact kernel refines no point
+        band, state = band_states[name]
+        motion = RigidMotion.random(np.random.default_rng(17), scale=1.5)
+        if not proper:
+            motion = RigidMotion(-motion.rotation, motion.translation)
+        moved = transform(band, motion)
+        posed = prepare(moved)
+        base = [r.passed for r in (verify_eff(band, state=state), verify_eff2(band, state=state),
+                                   verify_corollary(band, state=state))]
+        # band_to_triangle reads the bend endpoints with the exact kernel;
+        # count only what triangle_to_band asks of it
+        posed.band_to_triangle
+        kernel_calls = []
+        monkeypatch.setattr(verify_mod, "points_to_triangles_distance",
+                            lambda pts, tris: kernel_calls.append(len(pts)))
+        reports = [verify_eff(moved, state=posed), verify_eff2(moved, state=posed),
+                   verify_corollary(moved, state=posed)]
+        assert kernel_calls == []
+        assert [r.passed for r in reports] == base
+        assert reports[1].measured["triangle_coverage_max"] == 0.0
+        assert reports[1].measured["c_grid_uncovered"] == 0
+        assert reports[2].measured["triangle_to_band"] == 0.0
+
     def test_deviation_stable_under_rigid_motion(self, wrinkle4, wrinkle4_state):
         base = verify_eff(wrinkle4, state=wrinkle4_state).measured["deviation"]
         rng = np.random.default_rng(99)
@@ -605,9 +656,12 @@ class TestReports:
         cpath = tmp_path / "summary.csv"
         write_report_json(reports, jpath)
         write_csv_summary(reports, cpath)
-        import json as _json
+        # the bytes that json.dump writes chunk by chunk
+        want = io.StringIO()
+        json.dump([r.to_dict() for r in reports], want, indent=1)
+        assert jpath.read_text() == want.getvalue() + "\n"
 
-        data = _json.loads(jpath.read_text())
+        data = json.loads(jpath.read_text())
         assert [d["name"] for d in data] == ["eff", "corollary"]
         assert all(d["passed"] for d in data)
         lines = cpath.read_text().strip().splitlines()
