@@ -43,10 +43,10 @@ BASE_R = np.array([T_OPT, 0.0, 0.0])
 CANONICAL_TRIANGLE = np.array([BASE_L, BASE_R, APEX])
 INCENTER = np.array([0.0, -1.0 / 3.0, 0.0])
 
-# size of each (points, triangles)-shaped float64 temporary of the chunked
-# point-to-triangle kernel, and of all arrays of one block of lattice rows
-# or points of verify's coverage scan; small enough to stay in cache and to
-# keep every chunk from faulting in fresh pages
+# size of each (points, 3 x triangles)-shaped float64 temporary of the
+# chunked point-to-triangle kernel, and of all arrays of one block of lattice
+# rows or points of verify's coverage scan; small enough to stay in cache and
+# to keep every chunk from faulting in fresh pages
 CHUNK_BYTES = 1 << 19
 
 # reflections (about lines through the origin) used by the flat folding:
@@ -564,57 +564,58 @@ def surface_triangles(band: RuledBand) -> np.ndarray:
 def points_to_triangles_distance(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Exact distance from each point to the nearest of the given triangles.
 
-    Distance to a triangle is the plane distance when the orthogonal
-    projection falls inside, otherwise the distance to the nearest edge.
-    Degenerate triangles fall back to edge distances.  Implemented with
-    matrix products only (no (points, triangles, 3) temporaries).
+    The distance to a triangle is its plane distance |p.n - a.n| / |n| where
+    the point lies on the inner side of all three edge lines and in no
+    vertex region (Ericson, "Real-Time Collision Detection", 5.1.5),
+    otherwise the distance to the nearest edge.  Both tests allow 1e-12: a
+    point that far outside an edge line, or past the edges at a vertex,
+    still counts as inside, so a point on an edge reads the plane distance.
+    A triangle with n = 0 has edge distances only.  Edge distances are
+    taken from the differences p - a, so nothing cancels near 0.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     tris = np.asarray(tris, dtype=float)
+    k = len(tris)
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    e0, e1 = b - a, c - a
-    nrm = np.cross(e0, e1)
-    nn = np.einsum("ij,ij->i", nrm, nrm)
-    d00 = np.einsum("ij,ij->i", e0, e0)
-    d01 = np.einsum("ij,ij->i", e0, e1)
-    d11 = np.einsum("ij,ij->i", e1, e1)
-    denom = d00 * d11 - d01 * d01
-    ok = denom > 1e-24
-    inv_denom = np.where(ok, 1.0 / np.where(ok, denom, 1.0), 0.0)
-    a_e0 = np.einsum("ij,ij->i", a, e0)
-    a_e1 = np.einsum("ij,ij->i", a, e1)
+    nrm = np.cross(b - a, c - a)
+    n_len = np.sqrt(np.einsum("ij,ij->i", nrm, nrm))
     a_n = np.einsum("ij,ij->i", a, nrm)
-    n_scale = np.sqrt(np.where(nn > 0.0, nn, 1.0))
 
+    # edge e runs from e_a to e_a + e_v; it leaves vertex e and enters the next
     e_a = np.concatenate([a, b, c], axis=0)
     e_v = np.concatenate([b - a, c - b, a - c], axis=0)
-    e_vv = np.maximum(np.einsum("ij,ij->i", e_v, e_v), 1e-300)
-    ea_v = np.einsum("ij,ij->i", e_a, e_v)
-    ea_2 = np.einsum("ij,ij->i", e_a, e_a)
+    e_vv = np.einsum("ij,ij->i", e_v, e_v)
+    # (p - e_a).e_v past which p lies beyond either end by more than 1e-12
+    before, after = -1e-12 * np.sqrt(e_vv), e_vv + 1e-12 * np.sqrt(e_vv)
+    # (p - e_a).(n x e_v) / |n x e_v| is how far p lies inside edge e's line
+    inward = np.cross(nrm, e_v.reshape(3, k, 3)).reshape(-1, 3)
+    a_in = np.einsum("ij,ij->i", e_a, inward)
+    slop = -1e-12 * np.sqrt(np.einsum("ij,ij->i", inward, inward))
 
     out = np.empty(len(pts))
     chunk = max(1, CHUNK_BYTES // (8 * max(1, len(e_v))))
     for lo in range(0, len(pts), chunk):
         p = pts[lo:lo + chunk]
-        p2 = np.einsum("ij,ij->i", p, p)
-        # nearest point on each edge: d^2 = |p - (e_a + t e_v)|^2, t clipped
-        pv = p @ e_v.T - ea_v[None, :]
-        t = np.clip(pv / e_vv[None, :], 0.0, 1.0)
-        d2 = (p2[:, None] - 2.0 * (p @ e_a.T) + ea_2[None, :]) - t * (
-            2.0 * pv - t * e_vv[None, :]
-        )
-        d_edge = np.sqrt(np.maximum(d2.min(axis=1), 0.0))
-        # plane distance where the projection lands inside a triangle
-        dp0 = p @ e0.T - a_e0[None, :]
-        dp1 = p @ e1.T - a_e1[None, :]
-        s = (d11[None, :] * dp0 - d01[None, :] * dp1) * inv_denom[None, :]
-        r = (d00[None, :] * dp1 - d01[None, :] * dp0) * inv_denom[None, :]
-        # the slop routes points sitting exactly on an edge through the
-        # cancellation-free plane branch (underestimates by <= 1e-12)
-        inside = ok[None, :] & (s >= -1e-12) & (r >= -1e-12) & (s + r <= 1.0 + 1e-12)
-        dist_plane = np.abs(p @ nrm.T - a_n[None, :]) / n_scale[None, :]
-        d_int = np.where(inside, dist_plane, np.inf).min(axis=1)
-        out[lo:lo + chunk] = np.minimum(d_edge, d_int)
+        # nearest point on each edge: p - (e_a + t e_v), t clipped to [0, 1]
+        d = [p[:, i, None] - e_a[:, i] for i in range(3)]
+        t = d[0] * e_v[:, 0] + d[1] * e_v[:, 1] + d[2] * e_v[:, 2]
+        # the vertex region of vertex e: before edge e and after the edge
+        # entering it.  Its test has no normal in it, so it holds on
+        # slivers, where the edge-line tests would pass points beyond a tip
+        enter = t > after
+        corner = (t < before) & np.concatenate([enter[:, 2 * k:], enter[:, :2 * k]], axis=1)
+        inner = (p @ inward.T - a_in >= slop) & ~corner
+        # on a zero-length edge t is left at its dot product, 0
+        np.divide(t, e_vv, out=t, where=e_vv > 0.0)
+        np.clip(t, 0.0, 1.0, out=t)
+        for i in range(3):
+            d[i] -= t * e_v[:, i]
+            d[i] *= d[i]
+        d_edge = np.sqrt((d[0] + d[1] + d[2]).min(axis=1))
+        inside = inner[:, :k] & inner[:, k:2 * k] & inner[:, 2 * k:] & (n_len > 0.0)
+        d_plane = np.divide(np.abs(p @ nrm.T - a_n), n_len, out=np.full(inside.shape, np.inf),
+                            where=inside)
+        out[lo:lo + chunk] = np.minimum(d_edge, d_plane.min(axis=1))
     return out
 
 

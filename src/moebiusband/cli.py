@@ -40,10 +40,9 @@ from .tpattern import (
     normalize_pose,
 )
 from .verify import (
-    COVERAGE_EPS_CAP,
     OutOfScopeError,
-    measured_eps,
     prepare,
+    verify_all,
     verify_corollary,
     verify_eff,
     verify_eff2,
@@ -132,20 +131,18 @@ def _cmd_tpattern(args, tol: ToleranceConfig) -> int:
     return EXIT_PASS
 
 
+_VERIFIERS = {"eff": verify_eff, "eff2": verify_eff2, "corollary": verify_corollary}
+
+
 def _cmd_verify(args, tol: ToleranceConfig) -> int:
-    which = args.theorem or "all"
     band = read_json(args.input)
     try:
-        state = prepare(band, tol)
+        if args.theorem is None:
+            reports = verify_all(band, tol)
+        else:
+            reports = [_VERIFIERS[args.theorem](band, tol, state=prepare(band, tol))]
     except InvalidBandError as exc:
         return _validation_failed(exc.report)
-    reports = []
-    if which in ("eff", "all"):
-        reports.append(verify_eff(band, tol, state=state))
-    if which in ("eff2", "all"):
-        reports.append(verify_eff2(band, tol, state=state))
-    if which == "corollary" or (which == "all" and measured_eps(band) < COVERAGE_EPS_CAP):
-        reports.append(verify_corollary(band, tol, state=state))
     for r in reports:
         keys = ("deviation", "containment_max", "hausdorff")
         shown = {k: f"{v:.6e}" for k, v in r.measured.items() if k in keys}
@@ -291,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the effective-bound verifiers")
     p.add_argument("--input", required=True)
-    p.add_argument("--theorem", choices=["eff", "eff2", "corollary"], default=None)
+    p.add_argument("--theorem", choices=list(_VERIFIERS), default=None)
     p.add_argument("--report", default=None, help="write a JSON report")
     p.add_argument("--csv", default=None, help="write a CSV summary")
     p.set_defaults(func=_cmd_verify)

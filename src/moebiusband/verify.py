@@ -119,7 +119,6 @@ class BoundaryMap:
     def __init__(self, dev: RuledBand):
         bottom, top = dev.boundary_chains()
         self.bottom, self.top = _Chain(*bottom), _Chain(*top)
-        self.cut = dev.space[0]
 
     def chain_for(self, edge_name: str) -> _Chain:
         return self.bottom if edge_name.startswith("D") else self.top

@@ -2,9 +2,12 @@ import io
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moebiusband.band import (
     CANONICAL_TRIANGLE,
@@ -174,6 +177,155 @@ class TestWrinkleFamily:
         pts = sample_surface(wrinkle4, 1e-3)
         d = points_to_triangles_distance(pts, CANONICAL_TRIANGLE[None])
         assert d.max() <= 6.0 * math.sqrt(eps_excess)
+
+
+def _sub(u, v):
+    return [x - y for x, y in zip(u, v)]
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _along(a, v, t):
+    return [x + t * y for x, y in zip(a, v)]
+
+
+def _exact_triangle_distance(p, tri) -> float:
+    """Distance from p to the triangle tri: the closest point of Ericson,
+    "Real-Time Collision Detection", 5.1.5, in exact rational arithmetic,
+    so every region test and the closest point are exact and only the
+    final square root rounds.  A triangle whose exact normal is 0 (collinear
+    or repeated vertices) has no interior, and Ericson's divisions can be
+    0/0 there: its distance is the least over its three edges."""
+    p = [Fraction(float(x)) for x in p]
+    a, b, c = ([Fraction(float(x)) for x in v] for v in tri)
+    ab, ac, ap = _sub(b, a), _sub(c, a), _sub(p, a)
+    normal = [ab[1] * ac[2] - ab[2] * ac[1], ab[2] * ac[0] - ab[0] * ac[2],
+              ab[0] * ac[1] - ab[1] * ac[0]]
+
+    def gap(q):
+        d = _sub(p, q)
+        return _dot(d, d)
+
+    if _dot(normal, normal) == 0:
+        def to_edge(u, v):
+            uv = _sub(v, u)
+            vv = _dot(uv, uv)
+            t = 0 if vv == 0 else min(max(_dot(_sub(p, u), uv) / vv, 0), 1)
+            return gap(_along(u, uv, t))
+        return math.sqrt(min(to_edge(a, b), to_edge(b, c), to_edge(c, a)))
+    d1, d2 = _dot(ab, ap), _dot(ac, ap)
+    if d1 <= 0 and d2 <= 0:
+        return math.sqrt(gap(a))
+    bp = _sub(p, b)
+    d3, d4 = _dot(ab, bp), _dot(ac, bp)
+    if d3 >= 0 and d4 <= d3:
+        return math.sqrt(gap(b))
+    vc = d1 * d4 - d3 * d2
+    if vc <= 0 and d1 >= 0 and d3 <= 0:
+        return math.sqrt(gap(_along(a, ab, d1 / (d1 - d3))))
+    cp = _sub(p, c)
+    d5, d6 = _dot(ab, cp), _dot(ac, cp)
+    if d6 >= 0 and d5 <= d6:
+        return math.sqrt(gap(c))
+    vb = d5 * d2 - d1 * d6
+    if vb <= 0 and d2 >= 0 and d6 <= 0:
+        return math.sqrt(gap(_along(a, ac, d2 / (d2 - d6))))
+    va = d3 * d6 - d5 * d4
+    if va <= 0 and d4 - d3 >= 0 and d5 - d6 >= 0:
+        w = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+        return math.sqrt(gap(_along(b, _sub(c, b), w)))
+    denom = va + vb + vc
+    return math.sqrt(gap(_along(_along(a, ab, vb / denom), ac, vc / denom)))
+
+
+_COORD = st.floats(-2.0, 2.0)
+_VEC = st.tuples(_COORD, _COORD, _COORD).map(np.array)
+
+
+def _triangle(draw) -> np.ndarray:
+    """A random, sliver or degenerate triangle, in a random vertex order."""
+    kind = draw(st.sampled_from(["random", "sliver", "collinear", "repeated"]))
+    a, b = draw(_VEC), draw(_VEC)
+    if kind == "random":
+        c = draw(_VEC)
+    elif kind == "sliver":
+        side = np.cross(b - a, draw(_VEC))
+        side = side / max(np.linalg.norm(side), 1e-300)
+        c = a + draw(st.floats(-0.5, 1.5)) * (b - a) + 10.0 ** draw(st.floats(-15.0, -2.0)) * side
+    elif kind == "collinear":
+        # dyadic coordinates, so that c lies on the line ab exactly
+        lattice = st.tuples(*[st.integers(-1024, 1024)] * 3).map(lambda v: np.array(v) / 512.0)
+        a, b = draw(lattice), draw(lattice)
+        c = a + draw(st.integers(-4, 12)) / 8.0 * (b - a)
+    else:
+        c = a.copy()
+    return np.array(draw(st.permutations([a, b, c])))
+
+
+@st.composite
+def _triangles_and_points(draw):
+    """One to three triangles, and points on or near their vertices and
+    edge lines, or anywhere."""
+    tris = np.array([_triangle(draw) for _ in range(draw(st.integers(1, 3)))])
+    pts = []
+    for _ in range(draw(st.integers(1, 6))):
+        tri = tris[draw(st.integers(0, len(tris) - 1))]
+        i = draw(st.integers(0, 2))
+        u, v = tri[i], tri[(i + 1) % 3]
+        base = draw(st.sampled_from([u, u + draw(st.floats(-0.2, 1.2)) * (v - u), draw(_VEC)]))
+        off = draw(_VEC)
+        off = off / max(np.linalg.norm(off), 1e-300) * 10.0 ** draw(st.floats(-16.0, 0.0))
+        pts.append(base + off * draw(st.booleans()))
+    return tris, np.array(pts)
+
+
+def _distance_bound(p, tri) -> float:
+    """The bound of `TestTriangleDistance.test_matches_exact_closest_point`."""
+    e0, e1 = tri[1] - tri[0], tri[2] - tri[0]
+    n = np.linalg.norm(np.cross(e0, e1))
+    r = math.sqrt(3.0) * max(np.abs(p).max(), np.abs(tri).max())
+    bound = 128 * 2.0 ** -53 * r
+    if n > 0.0:
+        bound += 128 * 2.0 ** -53 * r * np.linalg.norm(e0) * np.linalg.norm(e1) / n + 1.5e-12
+    return bound
+
+
+class TestTriangleDistance:
+    @given(_triangles_and_points())
+    @settings(max_examples=300, deadline=None)
+    # points past the tip of slivers 1e-14 and 4e-6 wide, but outside no
+    # edge line by more than 1e-12
+    @example(([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1e-14, 0.0]]], [[-100.0, 0.0, 0.0]]))
+    @example(([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 4e-6, 0.0]]], [[-2e-7, 0.0, 0.0]]))
+    def test_matches_exact_closest_point(self, case):
+        """The distance to each triangle is within
+
+            B = 128 u R (1 + |e0| |e1| / |n|) + 1.5e-12
+
+        of the exact distance, where u = 2^-53, R bounds the norm of the
+        point and of every vertex, e0 = b - a, e1 = c - a and n = e0 x e1 as
+        the kernel computes them; B = 128 u R where n = 0.  So the least
+        over the triangles is within the largest B.
+
+        Edge distances from differences are off by a few u R.  The plane
+        distance |p.n - a.n| / |n| is off by about 6 u R from its dot
+        products, and by |p - a| <= 2 R times the angle between the computed
+        and the exact normal, at most 16 u |e0| |e1| / |n|.  The edge-line
+        tests move by the same amounts, so a point they misplace lies within
+        that of an edge line.  The 1e-12 slop passes points at most 1e-12
+        outside an edge line, and the vertex regions, which need no normal,
+        start 1e-12 past both edges at a vertex, so a point they leave out
+        there lies within sqrt(2) 1e-12 of it.  All of these read the plane
+        distance, whose shortfall is at most their distance from the
+        triangle.  The leading terms sum to 64 u R |e0| |e1| / |n| + 24 u R +
+        sqrt(2) 1e-12, and B doubles the rounding terms."""
+        tris, pts = (np.asarray(x, dtype=float) for x in case)
+        got = points_to_triangles_distance(pts, tris)
+        for p, d in zip(pts, got):
+            want = min(_exact_triangle_distance(p, tri) for tri in tris)
+            assert abs(d - want) <= max(_distance_bound(p, tri) for tri in tris)
 
 
 def _redevelop_loop(band: RuledBand, alpha: float) -> RuledBand:

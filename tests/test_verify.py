@@ -218,9 +218,9 @@ def _settled_bound(grid):
 def _planar_distance(pts, tris):
     """Distance of points in the plane z = 0 to the union of triangles in
     that plane: 0 inside one by the signs of its edge functions, else the
-    row-wise distance to the nearest edge.  The exact kernel reads the
-    distance to a sliver, or to a point just outside a triangle, through a
-    cancelling quadratic form, which can be off by 1e-8."""
+    row-wise distance to the nearest edge.  It shares no arithmetic with
+    the exact kernel, so the settled-point bounds do not rest on the code
+    whose work they let the verifier skip."""
     p = pts[:, None, :2]
     a, ends = tris[:, :, :2], np.roll(tris[:, :, :2], -1, axis=1)
     edge = ends - a
@@ -394,6 +394,7 @@ class TestSettledPoints:
             covered, settled = verify_mod._coverage(grid, collinear[None])
             assert np.array_equal(settled, on_segment) and np.array_equal(covered, settled)
             assert np.all(_planar_distance(grid.points[settled], collinear[None]) <= bound)
+            assert points_to_triangles_distance(grid.points[settled], collinear[None]).max() <= 1e-15
         # a needle along the lattice diagonal whose tip stops 1.4 * tol short
         # of the point (20, 20): the overshoot past the sharp corner, clamped
         # to the widened bounding box, still holds that point
@@ -446,6 +447,14 @@ class TestSharedGeometry:
         assert eff2["containment_max"] == cor["band_to_triangle"] == endpoint_max
         _, dense = _dense_triangle_to_band(surface_triangles(state.developed))
         assert eff2["triangle_coverage_max"] == cor["triangle_to_band"] == dense
+
+    def test_exact_near_zero_at_a_cut_beside_a_bend(self, tri_band):
+        # the cut leaf 1.44e-10 past bend 0 becomes the T bend, so the pose
+        # tilts, and grid points are refined against the slivers beside that
+        # leaf; both distances are about 3e-12
+        measured = verify_eff2(redevelop(tri_band, 1.44e-10)).measured
+        assert measured["containment_max"] <= 1e-11
+        assert measured["triangle_coverage_max"] <= 1e-11
 
     @pytest.mark.parametrize("perturb", ["lift", "jitter"])
     def test_refine_path_matches_dense(self, perturb, wrinkle4_state, monkeypatch):
