@@ -45,8 +45,8 @@ INCENTER = np.array([0.0, -1.0 / 3.0, 0.0])
 
 # size of each (points, 3 x triangles)-shaped float64 temporary of the
 # chunked point-to-triangle kernel, and of all arrays of one block of lattice
-# rows or points of verify's coverage scan; small enough to stay in cache and
-# to keep every chunk from faulting in fresh pages
+# rows or points of verify's fallback lattice scan; small enough to stay in
+# cache and to keep every chunk from faulting in fresh pages
 CHUNK_BYTES = 1 << 19
 
 # reflections (about lines through the origin) used by the flat folding:

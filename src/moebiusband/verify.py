@@ -14,6 +14,13 @@ into its labeled trapezoid and then checks, with measured margins:
 * `verify_corollary` - the Hausdorff distance between the band and the
   solid canonical triangle is below 18*sqrt(eps).
 
+Both distances between the band and the triangle are certified from the
+geometry: the band-to-triangle distance is the maximum over the bend
+endpoints, and the triangle-to-band distance comes from the boundary
+cycle of the band's flat layer (`_flat_layer_covers`).  Only a band whose
+flat layer fails that certificate falls back to the canonical triangle
+grid at GRID_PITCH.
+
 eps is always the measured lambda - sqrt(3), floored at 1e-15 so the
 exact flat-folded band (eps = 0) is handled as a limit.  Because the
 bounds are evaluated at exactly eps = lambda - sqrt(3), some of the
@@ -56,7 +63,7 @@ from .tpattern import TPattern, develop_for, find_tpattern, normalize_pose
 EPS_FLOOR = 1e-15
 EFF_EPS_CAP = 0.25
 COVERAGE_EPS_CAP = 1.0 / 384.0
-GRID_PITCH = 4e-3   # lattice pitch of the triangle grids of eff2 and corollary
+GRID_PITCH = 4e-3   # lattice pitch of the fallback triangle grid
 
 # boundary images of the six labeled edges under the canonical triangle map
 _I0_EDGE_IMAGES = {
@@ -257,10 +264,9 @@ def write_csv_summary(reports: list[TheoremReport], path) -> None:
 
 @dataclass(frozen=True)
 class PipelineState:
-    """A band prepared for the verifiers.  The ruled patches, their coverage
-    of the canonical triangle grid and the two directed distances between
-    the band and the solid canonical triangle are computed once, on first
-    use by eff2 or corollary."""
+    """A band prepared for the verifiers.  The ruled patches and the two
+    directed distances between the band and the solid canonical triangle
+    are computed once, on first use by eff2 or corollary."""
 
     band: RuledBand        # pose-normalized band
     pattern: TPattern      # pattern in the normalized pose
@@ -282,25 +288,27 @@ class PipelineState:
         return float(points_to_triangles_distance(ends, CANONICAL_TRIANGLE[None]).max())
 
     @cached_property
-    def coverage(self) -> tuple:
-        """(covered, settled) masks of the canonical triangle grid at
-        GRID_PITCH; see `_coverage`."""
-        return _coverage(_canonical_grid(), self.patches)
-
-    @cached_property
     def triangle_to_band(self) -> float:
-        """Largest distance from a point of the canonical triangle grid to
-        the band's ruled patches.
+        """Largest distance from a point of the canonical triangle to the
+        band's ruled patches.
 
-        Bound and refine (Taha & Hanbury, "An efficient algorithm for
-        calculating the exact Hausdorff distance", IEEE TPAMI 37(11), 2015):
-        a settled point lies on a patch, and the exact kernel runs only on
-        the others."""
-        far = ~self.coverage[1]
+        Where `_flat_layer_covers` certifies the flat patches, every point
+        of the triangle lies within hypot(2 _RIM, _FLAT_Z) = 2.2e-13 of the
+        band, and this reads 0.0, the value a settled grid point reads; both
+        bounds, this one and a settled point's 1.4e-13, are below the exact
+        kernel's slop of 1e-12.  Otherwise it is the maximum over the canonical
+        triangle grid, by bound and refine (Taha & Hanbury, "An efficient
+        algorithm for calculating the exact Hausdorff distance", IEEE TPAMI
+        37(11), 2015): a grid point that `_scan` of the flat patches holds
+        is settled, and the exact kernel runs only on the others."""
+        patches = self.patches
+        if _flat_layer_covers(patches):
+            return 0.0
+        grid = _canonical_grid()
+        far = ~_scan(grid, patches[_flat(patches)])
         if not far.any():
             return 0.0
-        return float(points_to_triangles_distance(_canonical_grid().points[far],
-                                                  self.patches).max())
+        return float(points_to_triangles_distance(grid.points[far], patches).max())
 
 
 def prepare(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> PipelineState:
@@ -395,6 +403,73 @@ def verify_eff(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
     )
 
 
+# a patch is flat where every vertex lies within _FLAT_Z of the plane z = 0.
+# Pose normalization leaves the flat patches of a rigidly moved benchmark
+# band at |z| <= 4e-16, and the others at |z| >= 1.3e-4.  Only flat patches
+# certify coverage or settle grid points.
+_FLAT_Z = 1e-13
+# slop of the fallback grid's scan, in lattice units of the grid: a point of
+# a patch's interval lies within 2 * _SCAN_TOL of the patch's xy-projection,
+# which is _RIM at GRID_PITCH
+_SCAN_TOL = 1e-11
+# how far the remaining edges of a certified flat layer may lie from the
+# triangle's edge lines: the settled-point slop of the scan at GRID_PITCH
+_RIM = 9.8e-14
+# unit normals of the edge lines of CANONICAL_TRIANGLE, and their offsets:
+# a point p lies |p @ normal - offset| from the line
+_SIDES = CANONICAL_TRIANGLE[[1, 2, 0], :2] - CANONICAL_TRIANGLE[:, :2]
+_LINE_NORMALS = np.stack([-_SIDES[:, 1], _SIDES[:, 0]], axis=1) / np.linalg.norm(_SIDES, axis=1)[:, None]
+_LINE_OFFSETS = np.einsum("ej,ej->e", CANONICAL_TRIANGLE[:, :2], _LINE_NORMALS)
+
+
+def _flat(patches: np.ndarray) -> np.ndarray:
+    """Mask of the flat patches."""
+    return (np.abs(patches[:, :, 2]) <= _FLAT_Z).all(axis=1)
+
+
+def _flat_layer_covers(patches: np.ndarray) -> bool:
+    """Whether the flat patches hold every point of the canonical triangle
+    up to _RIM, certified from the degree of the flat layer.
+
+    The flat patches whose xy-projection is positively oriented form a
+    2-chain in the plane, and the winding number of its boundary cycle
+    about a point off it is the number of those patches that hold the
+    point (Jacobson, Kavan & Sorkine-Hornung, "Robust inside-outside
+    segmentation using generalized winding numbers", ACM TOG 32(4), 2013).
+    The directed edges of the chain cancel against their reversals where
+    the endpoints are bitwise equal, -0.0 read as 0.0.  The certificate
+    holds where every remaining edge has both endpoints within _RIM of one
+    and the same edge line of the triangle, and the cycle winds a nonzero
+    number of times about the incenter.  Then no edge separates the
+    incenter from a point of the triangle farther than _RIM from all three
+    edge lines, so a flat patch holds that point, and the rest of the
+    triangle lies within 2 _RIM of such points (a corner of the equilateral
+    triangle is the farthest).  A chord across the triangle
+    fails the certificate.  The edges stay 1/3 - _RIM or more from the
+    incenter, so the rounded sum of their arctan2 angles is the winding."""
+    tris = patches[_flat(patches), :, :2] + 0.0
+    e0, e1 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    tris = tris[e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0] > 0.0]
+    # each directed edge as (lesser end, greater end), signed -1 if reversed
+    start, end = tris.reshape(-1, 2), tris[:, [1, 2, 0]].reshape(-1, 2)
+    back = (start[:, 0] > end[:, 0]) | ((start[:, 0] == end[:, 0]) & (start[:, 1] > end[:, 1]))
+    keys = np.where(back[:, None], np.hstack([end, start]), np.hstack([start, end]))
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    count = np.bincount(np.cumsum(first) - 1, weights=np.where(back[order], -1.0, 1.0))
+    left = count != 0.0
+    ends, count = keys[first][left].reshape(-1, 2, 2), count[left]
+    # distance of each end to each edge line of the triangle: (edges, 2, 3)
+    dist = np.abs(ends @ _LINE_NORMALS.T - _LINE_OFFSETS)
+    if not (dist.max(axis=1) <= _RIM).any(axis=1).all():
+        return False
+    a, b = ends[:, 0] - INCENTER[:2], ends[:, 1] - INCENTER[:2]
+    turn = np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], np.einsum("kj,kj->k", a, b))
+    return round(float(count @ turn) / (2.0 * math.pi)) != 0
+
+
 @dataclass(frozen=True)
 class _TriangleGrid:
     """Barycentric lattice a + (i/m)(b - a) + (j/m)(c - a), i, j >= 0,
@@ -404,7 +479,6 @@ class _TriangleGrid:
     vertices: np.ndarray
     m: int
     points: np.ndarray
-    lattice_min: np.ndarray   # min(i, j, m - i - j): m times the least barycentric coordinate
 
 
 def _triangle_grid(vertices: np.ndarray, pitch: float) -> _TriangleGrid:
@@ -418,28 +492,17 @@ def _triangle_grid(vertices: np.ndarray, pitch: float) -> _TriangleGrid:
     points = np.empty((len(i), len(a)))
     for d, (a_d, ab_d, ac_d) in enumerate(zip(a, b - a, c - a)):
         points[:, d] = a_d + (i / m) * ab_d + (j / m) * ac_d
-    return _TriangleGrid(np.array([a, b, c]), m, points, np.minimum(np.minimum(i, j), m - i - j))
+    return _TriangleGrid(np.array([a, b, c]), m, points)
 
 
 @functools.cache
 def _canonical_grid() -> _TriangleGrid:
     """The triangle grid of CANONICAL_TRIANGLE at GRID_PITCH, built once per
-    process, with read-only arrays."""
+    process, with a read-only array, and only for a band whose flat layer
+    fails `_flat_layer_covers`."""
     grid = _triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
     grid.points.setflags(write=False)
-    grid.lattice_min.setflags(write=False)
     return grid
-
-
-# slop of the coverage scan, in lattice units of the grid: a point of a
-# patch's interval lies within 2 * _SCAN_TOL of the patch's xy-projection,
-# which is 9.8e-14 at GRID_PITCH
-_SCAN_TOL = 1e-11
-# a patch is flat, and settles grid points, where every vertex lies within
-# _FLAT_Z of the plane z = 0.  Pose normalization leaves the flat patches of
-# a rigidly moved benchmark band at |z| <= 4e-16, and the others at
-# |z| >= 1.3e-4.
-_FLAT_Z = 1e-13
 
 
 def _blocks(counts: np.ndarray, budget: int):
@@ -457,23 +520,6 @@ def _blocks(counts: np.ndarray, budget: int):
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The integer ranges [start, start + count), concatenated."""
     return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-
-
-def _coverage(grid: _TriangleGrid, patches: np.ndarray) -> tuple:
-    """(covered, settled) masks of the points of a grid in the plane z = 0.
-
-    A point is settled where `_scan` of the flat patches holds it: it lies
-    within hypot(9.8e-14, _FLAT_Z) = 1.4e-13 of the band at GRID_PITCH,
-    below the exact kernel's slop of 1e-12.  A point is covered where it is
-    settled or `_scan` of the other patches holds it.  That second scan runs
-    only if some point is left unsettled, the early break of bound and
-    refine (Taha & Hanbury, IEEE TPAMI 37(11), 2015): on the benchmark
-    bands the flat patches settle every point."""
-    flat = (np.abs(patches[:, :, 2]) <= _FLAT_Z).all(axis=1)
-    settled = _scan(grid, patches[flat])
-    if settled.all():
-        return settled, settled
-    return settled | _scan(grid, patches[~flat]), settled
 
 
 def _scan(grid: _TriangleGrid, patches: np.ndarray) -> np.ndarray:
@@ -596,25 +642,26 @@ def verify_eff2(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
         wind = winding_number(PolylineLoop(loop3.points[:, :2], closed=True), INCENTER[:2], tol)
         winding_ok = wind in (-1, 1)
 
-        # the shrunk triangle C holds the points with barycentric coordinates >= d6
-        grid = _canonical_grid()
-        in_c = grid.lattice_min >= grid.m * d6
-        covered = state.coverage[0][in_c]
-        c_cov_ok = bool(covered.all())
-
         tri_cov_max = state.triangle_to_band
         tri_cov_ok = tri_cov_max <= d18
 
-        coverage_ok = annulus_ok and winding_ok and c_cov_ok and tri_cov_ok
-        measured.update(
-            {
-                "annulus_max": annulus_max,
-                "winding": wind,
-                "c_grid_uncovered": int((~covered).sum()),
-                "triangle_coverage_max": tri_cov_max,
-            }
-        )
-        details["c_grid_points"] = int(in_c.sum())
+        coverage_ok = annulus_ok and winding_ok and tri_cov_ok
+        measured.update({"annulus_max": annulus_max, "winding": wind})
+        # The shrunk triangle C holds the points whose barycentric
+        # coordinates are all >= d6, so each lies d6 or more from the
+        # triangle's boundary curve: off the loop where annulus_ok (a point
+        # on the loop is covered anyway).  Where winding_ok it has the
+        # incenter's odd winding number.  The projected band is a mod-2
+        # chain bounded by the loop, so a point of C on no patch would see
+        # the loop bound in the plane minus that point, with even winding.
+        # So annulus_ok and winding_ok leave no point of C uncovered.
+        if annulus_ok and winding_ok:
+            measured["c_grid_uncovered"] = 0
+        else:
+            failed = [premise for premise, ok in (("annulus_max <= 6 sqrt(eps)", annulus_ok),
+                                                  ("winding in (-1, 1)", winding_ok)) if not ok]
+            notes.append("coverage of C not certified: fails " + " and ".join(failed))
+        measured["triangle_coverage_max"] = tri_cov_max
         if not winding_ok:
             notes.append("boundary does not generate the punctured-plane loop group")
     else:
@@ -640,11 +687,11 @@ def verify_corollary(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
     below 18 sqrt(eps), for eps < 1/384.
 
     `band_to_triangle` is exact: the maximum over the bend endpoints, with
-    no sampling pitch.  `triangle_to_band` is exact at each point of the
-    canonical triangle grid, so only the grid pitch (GRID_PITCH)
-    discretizes it.  It comes from the same coverage pass over that grid
-    as the coverage test of eff2, run once per PipelineState: the exact
-    kernel runs only on the grid points that no flat patch settles.
+    no sampling pitch.  `triangle_to_band` reads 0.0, within 2.2e-13 of the
+    supremum over the whole triangle, where the flat layer's boundary cycle
+    certifies that flat patches hold every point; only otherwise is it the
+    maximum over the canonical triangle grid at GRID_PITCH.  Both come from
+    the PipelineState, so eff2 and corollary share one computation.
     """
     eps = measured_eps(band)
     if eps >= COVERAGE_EPS_CAP:

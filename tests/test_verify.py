@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from contextlib import redirect_stdout
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -25,7 +26,13 @@ from moebiusband.band import (
 )
 from moebiusband.cli import main as cli_main
 from moebiusband.flatmodel import T_OPT, make_trapezoid
-from moebiusband.geom import RigidMotion, StructureError, point_segment_distance
+from moebiusband.geom import (
+    PolylineLoop,
+    RigidMotion,
+    StructureError,
+    point_segment_distance,
+    winding_number,
+)
 from moebiusband.verify import (
     EPS_FLOOR,
     GRID_PITCH,
@@ -66,8 +73,9 @@ class TestTriangularTheorems:
     def test_corollary_zero_distance(self, tri_band, tri_state):
         rep = verify_corollary(tri_band, state=tri_state)
         assert rep.passed
-        # sampled to eta, the flat-folded band IS the triangle
-        assert rep.measured["hausdorff"] <= 2.0 * 1e-4
+        # the flat-folded band IS the triangle: both directed distances are
+        # exact, and the flat layer certifies the coverage
+        assert rep.measured["hausdorff"] <= 1e-12
 
 
 class TestWrinkleTheorems:
@@ -232,20 +240,18 @@ def _planar_distance(pts, tris):
     return np.where(inside.any(axis=1), 0.0, to_edges)
 
 
+def _scan_masks(grid, patches):
+    """(covered, settled) masks of a grid from `verify._scan`: settled by
+    the scan of the flat patches, covered by that or by the scan of the
+    others.  This is the lattice rule that eff2's coverage test of C read
+    before the annulus and winding premises certified it."""
+    flat = verify_mod._flat(patches)
+    settled = verify_mod._scan(grid, patches[flat])
+    return settled | verify_mod._scan(grid, patches[~flat]), settled
+
+
 def _assert_masks_equal(got, want):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-
-
-def _count_scans(monkeypatch):
-    """A list that gains one entry per `_scan` call."""
-    calls, real_scan = [], verify_mod._scan
-
-    def scan(grid, patches):
-        calls.append(len(patches))
-        return real_scan(grid, patches)
-
-    monkeypatch.setattr(verify_mod, "_scan", scan)
-    return calls
 
 
 @pytest.fixture(scope="module")
@@ -270,22 +276,21 @@ BAND_NAMES = ["tri", "wrinkle3", "wrinkle4", "wrinkle5"]
 
 
 class TestLatticeScan:
-    """The scan-converted coverage pass against the dense pass."""
+    """The scan-converted lattice masks against the dense pass."""
 
     @pytest.mark.parametrize("name", BAND_NAMES)
-    def test_bands_match_dense(self, name, band_states, dense_references, monkeypatch):
+    def test_bands_match_dense(self, name, band_states, dense_references):
         _, state = band_states[name]
         grid, dense, barycentric = dense_references[name]
-        scans = _count_scans(monkeypatch)
-        _assert_masks_equal(verify_mod._coverage(grid, state.patches), dense)
-        # the flat patches settle every point: the other patches are not scanned
-        assert len(scans) == 1
+        covered, settled = _scan_masks(grid, state.patches)
+        _assert_masks_equal((covered, settled), dense)
+        # the flat patches settle every point, as the certificate says
+        assert settled.all() and verify_mod._flat_layer_covers(state.patches)
         # on the benchmark bands the barycentric rule gives the same masks
         _assert_masks_equal(dense, barycentric)
-        assert state.coverage[1].all()
 
     @pytest.mark.parametrize("perturb", ["lift", "jitter", "overhang", "outside"])
-    def test_perturbed_patches_match_dense(self, perturb, wrinkle4_state, monkeypatch):
+    def test_perturbed_patches_match_dense(self, perturb, wrinkle4_state):
         patches = wrinkle4_state.patches.copy()
         if perturb == "lift":
             patches[::2, :, 2] += 0.01
@@ -296,11 +301,10 @@ class TestLatticeScan:
         else:
             patches[:, :, 0] += 3.0
         grid = verify_mod._canonical_grid()
-        scans = _count_scans(monkeypatch)
-        covered, settled = verify_mod._coverage(grid, patches)
+        covered, settled = _scan_masks(grid, patches)
         _assert_masks_equal((covered, settled), _dense_masks(grid, patches))
-        # some point is left unsettled, so the other patches are scanned too
-        assert len(scans) == 2
+        # some point is left unsettled, and the flat layer certifies nothing
+        assert not settled.all() and not verify_mod._flat_layer_covers(patches)
         if perturb == "lift":
             assert 0 < settled.sum() < len(settled)
         elif perturb == "jitter":
@@ -316,19 +320,23 @@ class TestLatticeScan:
         patches = wrinkle4_state.patches.copy()
         patches[:, :, :2] += np.random.default_rng(3).normal(scale=2e-3, size=patches[:, :, :2].shape)
         grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, 2e-2)
-        wide = verify_mod._coverage(grid, patches)
+        wide = _scan_masks(grid, patches)
         assert 0 < wide[1].sum() < wide[0].sum()
         monkeypatch.setattr(band_mod, "CHUNK_BYTES", 1)
-        _assert_masks_equal(verify_mod._coverage(grid, patches), wide)
+        _assert_masks_equal(_scan_masks(grid, patches), wide)
 
     @pytest.mark.parametrize("name", BAND_NAMES)
     def test_c_grid_is_the_shrunk_triangle(self, name, band_states):
-        # eff2 tests the canonical grid points with lattice_min >= m*d6; an
-        # independent barycentric test in the shrunk triangle C picks the same
+        # eff2 reads no point of the shrunk triangle C: where the annulus
+        # and winding premises hold, C is covered.  Check that against the
+        # scan's rule, tested densely (_dense_masks), at the canonical grid
+        # points of C, on the band and on perturbations of its bend endpoints
         band, state = band_states[name]
         d6 = 6.0 * math.sqrt(measured_eps(band))
         grid = verify_mod._canonical_grid()
-        sample = grid.lattice_min >= grid.m * d6
+        i, j = _lattice_coordinates(grid).T
+        sample = np.minimum(np.minimum(i, j), grid.m - i - j) >= grid.m * d6
+        # an independent barycentric test in C picks the same points
         tri2 = CANONICAL_TRIANGLE[:, :2]
         c_tri = INCENTER[:2] + (1.0 - 3.0 * d6) * (tri2 - INCENTER[:2])
         lhs = np.vstack([c_tri.T, np.ones(3)])
@@ -336,9 +344,44 @@ class TestLatticeScan:
         bary_min = np.linalg.solve(lhs, rhs).min(axis=0)
         assert np.abs(bary_min).min() > 1e-9     # no point within rounding of C's boundary
         assert np.array_equal(sample, bary_min >= 0.0)
+        assert 0 < sample.sum() < len(grid.points)
         rep = verify_eff2(band, state=state)
-        assert rep.details["c_grid_points"] == sample.sum() < len(grid.points)
-        assert rep.measured["c_grid_uncovered"] == 0
+        assert rep.measured["c_grid_uncovered"] == 0 and "c_grid_points" not in rep.details
+
+        rng = np.random.default_rng(5)
+        premises = {}
+        for perturb in ("none", "lift", "jitter", "overhang", "shrink"):
+            space = state.developed.space.copy()
+            if perturb == "shrink":
+                # toward the incenter: the image of the triangle's boundary
+                # curve lies 1.1 d6 deep, and its corners 2.2 d6 from the
+                # triangle's
+                space[:, :, :2] = INCENTER[:2] + (1.0 - 3.3 * d6) * (space[:, :, :2] - INCENTER[:2])
+            elif perturb == "lift":
+                space[::2, :, 2] += 0.01
+            elif perturb == "jitter":
+                space += rng.normal(scale=2e-3, size=space.shape)
+            elif perturb == "overhang":
+                space[:, :, :2] = 1.5 * space[:, :, :2] + [0.4, 0.2]
+            moved = replace(state, developed=replace(state.developed, space=space))
+            loop = band_mod.boundary_polyline(moved.developed).points[:, :2]
+            annulus_ok = verify_mod._annulus_max(loop, tri2) <= d6
+            winding_ok = winding_number(PolylineLoop(loop, closed=True), INCENTER[:2]) in (-1, 1)
+            premises[perturb] = annulus_ok and winding_ok
+            if premises[perturb]:
+                covered, _ = _dense_masks(grid, moved.patches)
+                assert covered[sample].all(), perturb
+            else:
+                # eff2 fails and names the failed premise instead
+                rep = verify_eff2(band, state=moved)
+                assert not rep.passed and "c_grid_uncovered" not in rep.measured
+                assert any(n.startswith("coverage of C not certified: fails") for n in rep.notes)
+                if perturb == "shrink":
+                    # the annulus premise alone fails eff2 here
+                    assert rep.measured["containment_max"] <= d6
+                    assert rep.measured["triangle_coverage_max"] <= 18.0 * math.sqrt(measured_eps(band))
+        assert premises["none"] and premises["lift"] and not premises["overhang"]
+        assert not premises["shrink"]
 
 
 def _from_lattice(grid, ij):
@@ -358,7 +401,7 @@ class TestSettledPoints:
         patches = band_states[name][1].patches
         shuffled = patches[np.random.default_rng(seed).permutation(len(patches))]
         grid, masks, _ = dense_references[name]
-        _assert_masks_equal(verify_mod._coverage(grid, shuffled), masks)
+        _assert_masks_equal(_scan_masks(grid, shuffled), masks)
 
     @given(st.sampled_from(BAND_NAMES), st.integers(0, 2 ** 32 - 1),
            st.floats(1e-9, 1e-2), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -373,7 +416,7 @@ class TestSettledPoints:
         nudge = rng.random(len(patches)) < nudged
         patches[nudge, :, 2] += rng.uniform(-2.0, 2.0, (nudge.sum(), 3)) * verify_mod._FLAT_Z
         grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, 2e-2)
-        _, settled = verify_mod._coverage(grid, patches)
+        _, settled = _scan_masks(grid, patches)
         flat = (np.abs(patches[:, :, 2]) <= verify_mod._FLAT_Z).all(axis=1)
         dist = _planar_distance(grid.points[settled], patches[flat])
         # within hypot(_settled_bound, _FLAT_Z) of the band in 3D
@@ -391,7 +434,7 @@ class TestSettledPoints:
                 ([[7, 3], [7, 18], [7, 10]],
                  (ij[:, 0] == 7) & (ij[:, 1] >= 3) & (ij[:, 1] <= 18))):
             collinear = _from_lattice(grid, corners)
-            covered, settled = verify_mod._coverage(grid, collinear[None])
+            covered, settled = _scan_masks(grid, collinear[None])
             assert np.array_equal(settled, on_segment) and np.array_equal(covered, settled)
             assert np.all(_planar_distance(grid.points[settled], collinear[None]) <= bound)
             assert points_to_triangles_distance(grid.points[settled], collinear[None]).max() <= 1e-15
@@ -400,7 +443,7 @@ class TestSettledPoints:
         # to the widened bounding box, still holds that point
         tip = 20.0 - 1.4 * tol / math.sqrt(2.0)
         needle = _from_lattice(grid, [[4, 4.5], [tip, tip], [4.5, 4]])
-        covered, settled = verify_mod._coverage(grid, needle[None])
+        covered, settled = _scan_masks(grid, needle[None])
         diagonal = (ij[:, 0] == ij[:, 1]) & (ij[:, 0] >= 5)
         assert np.array_equal(settled, diagonal & (ij[:, 0] <= 20))
         assert np.array_equal(covered, settled)
@@ -410,7 +453,7 @@ class TestSettledPoints:
         # that point lies past the widened bounding box
         far = 20.0 - 3.0 * tol
         row = _from_lattice(grid, [[4, 5 - 0.3], [4, 5 + 0.3], [far, 5]])
-        _, settled = verify_mod._coverage(grid, row[None])
+        _, settled = _scan_masks(grid, row[None])
         assert np.array_equal(settled, (ij[:, 1] == 5) & (ij[:, 0] >= 4) & (ij[:, 0] <= 19))
 
     @given(st.sampled_from(BAND_NAMES), st.floats(0.0, 1.0, exclude_max=True), st.booleans())
@@ -498,7 +541,7 @@ class TestSharedGeometry:
         on_sliver = np.arange(m + 1) * (m + 1) - np.arange(m + 1) * np.arange(-1, m) // 2
         over_flat = (pts[:, 0] >= 0.0) & (pts[:, 1] >= 0.0) & (pts[:, 0] + pts[:, 1] <= 1.0)
         assert len(on_sliver) > 50 and over_flat.sum() >= 2
-        covered, settled = verify_mod._coverage(grid, patches)
+        covered, settled = _scan_masks(grid, patches)
         _assert_masks_equal((covered, settled), _dense_masks(grid, patches))
         assert covered[on_sliver].all() and not settled[on_sliver].any()
         assert np.array_equal(settled, over_flat) and settled[m]
@@ -511,50 +554,64 @@ class TestSharedGeometry:
         # settles none of it
         steep = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 2.0 ** -50, 1.0]])
         on_patch = verify_mod._triangle_grid(steep * [1, 1, 0], 0.15)
-        covered, settled = verify_mod._coverage(on_patch, steep[None])
+        covered, settled = _scan_masks(on_patch, steep[None])
         assert covered.all() and not settled.any()
         _assert_masks_equal((covered, settled), _dense_masks(on_patch, steep[None]))
 
     def _count(self, monkeypatch):
-        calls = {"scan": 0, "kernel": 0}
-        real_scan = verify_mod._coverage
+        calls = {"certificate": 0, "scan": 0, "kernel": 0}
+        real_certificate, real_scan = verify_mod._flat_layer_covers, verify_mod._scan
 
-        def scan(*args):
+        def certificate(patches):
+            calls["certificate"] += 1
+            return real_certificate(patches)
+
+        def scan(grid, patches):
             calls["scan"] += 1
-            return real_scan(*args)
+            return real_scan(grid, patches)
 
         def kernel(pts, tris):
             calls["kernel"] += 1
             return points_to_triangles_distance(pts, tris)
 
-        monkeypatch.setattr(verify_mod, "_coverage", scan)
+        monkeypatch.setattr(verify_mod, "_flat_layer_covers", certificate)
+        monkeypatch.setattr(verify_mod, "_scan", scan)
         monkeypatch.setattr(verify_mod, "points_to_triangles_distance", kernel)
         return calls
 
-    def test_verify_all_measures_once(self, tri_band, monkeypatch):
+    def test_verify_all_measures_once(self, tri_band, wrinkle4_state, monkeypatch):
         calls = self._count(monkeypatch)
         assert [r.name for r in verify_all(tri_band)] == ["eff", "eff2", "corollary"]
-        assert calls["scan"] == 1
+        assert calls["certificate"] == 1 and calls["scan"] == 0
+        # a lifted band fails the certificate and scans its flat patches once
+        lifted = wrinkle4_state.patches.copy()
+        lifted[::2, :, 2] += 0.01
+        state = _state_with_patches(wrinkle4_state, lifted)
+        calls.update(certificate=0, scan=0)
+        verify_eff2(wrinkle4_state.band, state=state)
+        verify_corollary(wrinkle4_state.band, state=state)
+        assert calls["certificate"] == 1 and calls["scan"] == 1
 
     def test_cli_measures_once_and_eff_never(self, wrinkle4, tmp_path, monkeypatch):
         path = tmp_path / "w.json"
         write_json(wrinkle4, path)
         calls = self._count(monkeypatch)
         assert cli_main(["verify", "--input", str(path)]) == 0
-        assert calls["scan"] == 1
-        calls.update(scan=0, kernel=0)
+        assert calls["certificate"] == 1 and calls["scan"] == 0
+        calls.update(certificate=0, kernel=0)
         assert cli_main(["verify", "--input", str(path), "--theorem", "eff"]) == 0
-        assert calls == {"scan": 0, "kernel": 0}
+        assert calls == {"certificate": 0, "scan": 0, "kernel": 0}
 
     @pytest.mark.parametrize("name", BAND_NAMES)
     def test_cli_scans_once_per_band(self, name, band_states, tmp_path, monkeypatch):
+        # one coverage certificate per band and verifier run, and no lattice scan
         path = tmp_path / "b.json"
         write_json(band_states[name][0], path)
         calls = self._count(monkeypatch)
         for theorem in (["--theorem", "eff2"], ["--theorem", "corollary"], []):
-            calls["scan"] = 0
+            calls["certificate"] = 0
             assert cli_main(["verify", "--input", str(path), *theorem]) == 0
-            assert calls["scan"] == 1, theorem
+            assert calls["certificate"] == 1 and calls["scan"] == 0, theorem
 
     def test_chunking_is_bitwise_neutral(self, wrinkle4_state, monkeypatch):
         patches = surface_triangles(wrinkle4_state.developed)
@@ -562,15 +619,15 @@ class TestSharedGeometry:
         jittered = grid.points + np.random.default_rng(3).normal(scale=1e-2, size=grid.points.shape)
         kernels = (
             lambda: points_to_triangles_distance(jittered, patches),
-            lambda: verify_mod._coverage(grid, patches)[0],
-            lambda: verify_mod._coverage(grid, patches)[1],
+            lambda: _scan_masks(grid, patches)[0],
+            lambda: _scan_masks(grid, patches)[1],
         )
         wide = [k() for k in kernels]
         monkeypatch.setattr(band_mod, "CHUNK_BYTES", 8 * 3 * len(patches) * 7)
         for k, ref in zip(kernels, wide):
             assert np.array_equal(k(), ref)
 
-    def test_canonical_grid_built_once(self, tri_band, wrinkle4, monkeypatch):
+    def test_canonical_grid_built_once(self, tri_band, wrinkle4, wrinkle4_state, monkeypatch):
         bands = [tri_band, wrinkle4]
         want = [(verify_eff2(b).measured, verify_corollary(b).measured) for b in bands]
         fresh = verify_mod._triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
@@ -582,13 +639,18 @@ class TestSharedGeometry:
 
         monkeypatch.setattr(verify_mod, "_triangle_grid", counting)
         verify_mod._canonical_grid.cache_clear()
-        # eff2's coverage test reads the same grid: no second grid is built
+        # the flat layers of these bands certify coverage: no grid is built
         assert [(verify_eff2(b).measured, verify_corollary(b).measured) for b in bands] == want
+        assert calls == []
+        # bands that fall back share one grid
+        for lift in (0.01, 0.02):
+            lifted = wrinkle4_state.patches.copy()
+            lifted[::2, :, 2] += lift
+            assert _state_with_patches(wrinkle4_state, lifted).triangle_to_band > 0.0
         assert calls == [GRID_PITCH]
         grid = verify_mod._canonical_grid()
         assert np.array_equal(grid.points, fresh.points) and grid.m == fresh.m
-        assert np.array_equal(grid.lattice_min, fresh.lattice_min)
-        assert not grid.points.flags.writeable and not grid.lattice_min.flags.writeable
+        assert not grid.points.flags.writeable
 
     def test_patches_built_once(self, tri_band, monkeypatch):
         calls = []
@@ -600,6 +662,103 @@ class TestSharedGeometry:
         monkeypatch.setattr(verify_mod, "surface_triangles", counting)
         assert [r.name for r in verify_all(tri_band)] == ["eff", "eff2", "corollary"]
         assert len(calls) == 1
+
+
+def _flat_area2(patches):
+    """Twice the signed area of each flat patch's xy-projection, 0 for the
+    other patches."""
+    e0, e1 = patches[:, 1, :2] - patches[:, 0, :2], patches[:, 2, :2] - patches[:, 0, :2]
+    return np.where(verify_mod._flat(patches), e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0], 0.0)
+
+
+def _verify_outputs(path, out):
+    """stdout, JSON report and CSV summary of `verify --report R --csv C`."""
+    report, summary = out / "r.json", out / "c.csv"
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        code = cli_main(["verify", "--input", str(path), "--report", str(report), "--csv", str(summary)])
+    return code, stdout.getvalue(), report.read_bytes(), summary.read_bytes()
+
+
+class TestFlatLayerCertificate:
+    """`triangle_to_band` from the boundary cycle of the flat layer, with
+    the lattice as its fallback and its reference."""
+
+    def test_rim_is_the_settled_bound(self):
+        # _RIM is the scan's settled-point slop at GRID_PITCH, to two digits
+        bound = _settled_bound(verify_mod._triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH))
+        assert bound <= verify_mod._RIM == float(f"{bound:.1e}")
+
+    @pytest.mark.parametrize("control", ["removed", "lifted", "chord"])
+    def test_negative_controls_fall_back_to_the_lattice(self, control, band_states, monkeypatch):
+        # each control breaks the flat layer's cover: the certificate fails,
+        # and the fallback reads what the dense lattice reads
+        grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, 2e-2)
+        monkeypatch.setattr(verify_mod, "_canonical_grid", lambda: grid)
+        if control == "chord":
+            # the triangle, positively oriented, as two patches split along
+            # the chord from a vertex to a point of the opposite side; with
+            # the thinner patch missing, the cycle still winds once about
+            # the incenter, but its chord lies on no edge line
+            a, c, b = CANONICAL_TRIANGLE
+            p = a + 0.1 * (b - a)
+            whole = np.array([[a, p, c], [p, b, c]])
+            assert verify_mod._flat_layer_covers(whole)
+            cases = [(band_states["tri"][1], whole[1:])]
+        else:
+            cases = []
+            for name in ("tri", "wrinkle4"):
+                state = band_states[name][1]
+                # the band, and its positively oriented flat layer alone
+                for patches in (state.patches, state.patches[_flat_area2(state.patches) > 0.0]):
+                    assert verify_mod._flat_layer_covers(patches)
+                    k = int(np.argmax(_flat_area2(patches)))
+                    if control == "removed":
+                        patches = np.delete(patches, k, axis=0)
+                    else:
+                        patches = patches.copy()
+                        patches[k, :, 2] += 2.0 * verify_mod._FLAT_Z
+                    cases.append((state, patches))
+        values = []
+        for state, patches in cases:
+            assert not verify_mod._flat_layer_covers(patches)
+            got = _state_with_patches(state, patches).triangle_to_band
+            assert got == float(points_to_triangles_distance(grid.points, patches).max())
+            values.append(got)
+        # the positive layer alone leaves a hole or a lifted patch
+        assert max(values) > 0.0
+
+    @pytest.mark.parametrize("name", BAND_NAMES)
+    def test_paths_agree_on_bands(self, name, band_states, tmp_path, monkeypatch):
+        self._assert_paths_agree(band_states[name][0], tmp_path, monkeypatch)
+
+    @given(st.sampled_from(BAND_NAMES), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0, exclude_max=True),
+           st.booleans(), st.sampled_from([None, True, False]))
+    @settings(max_examples=25, deadline=None)
+    def test_paths_agree_on_copies(self, band_states, tmp_path_factory, name, seed, cut, flipped, proper):
+        # posed (proper or improper), re-cut and flipped copies
+        band = redevelop(band_states[name][0], cut * band_states[name][0].n_bends)
+        band = flip(band) if flipped else band
+        if proper is not None:
+            motion = RigidMotion.random(np.random.default_rng(seed), scale=1.5)
+            band = transform(band, motion if proper else RigidMotion(-motion.rotation, motion.translation))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self._assert_paths_agree(band, tmp_path_factory.mktemp("copy"), monkeypatch)
+
+    @staticmethod
+    def _assert_paths_agree(band, tmp, monkeypatch):
+        """The CLI's outputs are byte-identical with the certificate and
+        with the lattice fallback alone.  Where the certificate holds, the
+        dense lattice at pitch 2e-2 reads at most hypot(_RIM, _FLAT_Z)."""
+        path = tmp / "band.json"
+        write_json(band, path)
+        patches = prepare(band).patches
+        if verify_mod._flat_layer_covers(patches):
+            bound = math.hypot(verify_mod._RIM, verify_mod._FLAT_Z)
+            assert _dense_triangle_to_band(patches, pitch=2e-2)[1] <= bound
+        certified = _verify_outputs(path, tmp)
+        monkeypatch.setattr(verify_mod, "_flat_layer_covers", lambda patches: False)
+        assert _verify_outputs(path, tmp) == certified
 
 
 class TestPoseInvariance:
@@ -625,6 +784,7 @@ class TestPoseInvariance:
         reports = [verify_eff(moved, state=posed), verify_eff2(moved, state=posed),
                    verify_corollary(moved, state=posed)]
         assert kernel_calls == []
+        assert verify_mod._flat_layer_covers(posed.patches)
         assert [r.passed for r in reports] == base
         assert reports[1].measured["triangle_coverage_max"] == 0.0
         assert reports[1].measured["c_grid_uncovered"] == 0
