@@ -733,7 +733,11 @@ def write_json(band: RuledBand, path) -> None:
 def from_json_dict(data: dict) -> RuledBand:
     try:
         version = data["format_version"]
-        lam = float(data["lambda"])
+        lam = data["lambda"]
+        # a JSON boolean is an int to Python; float(true) would read 1.0
+        if isinstance(lam, bool) or not isinstance(lam, (int, float)):
+            raise TypeError(f"lambda must be a number, not {json.dumps(lam)}")
+        lam = float(lam)
         closed = data.get("closed", True)
         bends = data["bends"]
         flat = np.array([b["flat"] for b in bends], dtype=float)
@@ -748,9 +752,11 @@ def from_json_dict(data: dict) -> RuledBand:
 
 
 def read_json(path) -> RuledBand:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise StructureError(f"band file is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise StructureError(f"invalid JSON: {exc}") from exc
     return from_json_dict(data)

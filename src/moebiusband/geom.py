@@ -58,6 +58,13 @@ def row_dot(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(p[..., None, :], w[..., :, None])[..., 0, 0]
 
 
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products of the rows of two (..., 3) arrays with the arithmetic
+    of np.cross (each component one product less another), without its
+    axis handling."""
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+
+
 def point_segment_distance(p, a, b) -> np.ndarray:
     """Euclidean distance from p to each segment a[i]-b[i] of the (n, d)
     endpoint arrays a, b (or (d,) for one segment), with the arithmetic of

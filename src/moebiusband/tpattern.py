@@ -48,6 +48,7 @@ from .geom import (
     RigidMotion,
     StructureError,
     ToleranceConfig,
+    cross3,
     row_dot,
 )
 
@@ -136,7 +137,7 @@ def _build_pose(bend_t_flat, bend_t_space, bend_b_space, p_star) -> RigidMotion:
     if ny < 1e-9:
         raise StructureError("degenerate T-pattern: collinear bends")
     ey = ey / ny
-    ez = np.cross(ex, ey)
+    ez = cross3(ex, ey)
     ray_pose = RigidMotion.from_rows(ex, ey, ez, p_star)
     mid = ray_pose.apply(bend_t_space).mean(axis=0)
     return RigidMotion.translation_by([-mid[0], 0.0, 0.0]).compose(ray_pose)
@@ -149,17 +150,22 @@ def _perp_roots(band: RuledBand) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The leaf vector v(f) = (1 - f) v_k + f v_{k+1} is affine in f, so
     u_a . v(f) has the sign of F1 and its zero at f = g0 / (g0 - g1).  One
     product of the bend directions with the lifted leaf vectors (the bends,
-    then the bends reversed) gives every sign; the scan window of each a
-    ends before the glued copy of bend 0 at 2N."""
+    then the bends reversed) gives every sign.  Row a is scanned over the
+    brackets a + _DIAGONAL_EXCLUSION <= k < a + N - _DIAGONAL_EXCLUSION,
+    which end before the glued copy of bend 0 at 2N: two strided views of
+    the product read that window directly."""
     n = band.n_bends
     v = band.space[:, 1] - band.space[:, 0]
     g = (v / np.linalg.norm(v, axis=1, keepdims=True)) @ np.concatenate([v, -v]).T
-    g0, g1 = g[:, :-1], g[:, 1:]
-    step = np.arange(2 * n - 1) - np.arange(n)[:, None]
-    window = (step >= _DIAGONAL_EXCLUSION) & (step < n - _DIAGONAL_EXCLUSION)
-    a, k = np.nonzero(window & ((g0 == 0.0) | ((g0 < 0.0) != (g1 < 0.0))))
-    d0, d1 = g0[a, k], g1[a, k]
+    # g0[a, j], g1[a, j] = g[a, k], g[a, k + 1] at k = a + _DIAGONAL_EXCLUSION + j
+    shape, strides = (n, n - 2 * _DIAGONAL_EXCLUSION), (g.strides[0] + g.strides[1], g.strides[1])
+    g0, g1 = (np.lib.stride_tricks.as_strided(g[:, _DIAGONAL_EXCLUSION + s:], shape, strides,
+                                              writeable=False) for s in (0, 1))
+    # row-major, as np.nonzero of the mask lists them
+    a, j = np.divmod(np.flatnonzero((g0 == 0.0) | ((g0 < 0.0) != (g1 < 0.0))), shape[1])
+    d0, d1 = g0[a, j], g1[a, j]
     # where d0 != 0 the signs of d0 and d1 differ, so d0 - d1 != 0
+    k = a + _DIAGONAL_EXCLUSION + j
     return a, k, k + np.divide(d0, d0 - d1, out=np.zeros_like(d0), where=d0 != 0.0)
 
 
@@ -188,7 +194,7 @@ def _classify(a: np.ndarray, b: np.ndarray, sa: np.ndarray, sb: np.ndarray,
     la, lb = np.sqrt(row_dot(va, va)), np.sqrt(row_dot(vb, vb))
     ua, ub = va / la[:, None], vb / lb[:, None]
     perp = row_dot(ua, ub)
-    normal = np.cross(ua, ub)
+    normal = cross3(ua, ub)
     nn = np.sqrt(row_dot(normal, normal))
     gap = 0.5 * (sb[:, 0] + sb[:, 1]) - 0.5 * (sa[:, 0] + sa[:, 1])
     # closest points sa[0] + s1 ua and sb[0] + s2 ub of the two lines

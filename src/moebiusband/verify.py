@@ -65,17 +65,16 @@ EFF_EPS_CAP = 0.25
 COVERAGE_EPS_CAP = 1.0 / 384.0
 GRID_PITCH = 4e-3   # lattice pitch of the fallback triangle grid
 
-# boundary images of the six labeled edges under the canonical triangle map
+# boundary images of the four boundary edges under the canonical triangle map
 _I0_EDGE_IMAGES = {
     "D1": (np.array([T_OPT, 0.0, 0.0]), np.array([0.0, -1.0, 0.0])),
     "D2": (np.array([0.0, -1.0, 0.0]), np.array([-T_OPT, 0.0, 0.0])),
     "H1": (np.array([-T_OPT, 0.0, 0.0]), np.zeros(3)),
     "H2": (np.zeros(3), np.array([T_OPT, 0.0, 0.0])),
-    "T1": (np.array([T_OPT, 0.0, 0.0]), np.array([-T_OPT, 0.0, 0.0])),
-    "T2": (np.array([-T_OPT, 0.0, 0.0]), np.array([T_OPT, 0.0, 0.0])),
 }
-
-_BOUNDARY_EDGES = ("D1", "D2", "H1", "H2")
+_BOUNDARY_EDGES = tuple(_I0_EDGE_IMAGES)
+# the start and end images of those edges, one row per edge
+_I0_STARTS, _I0_ENDS = (np.array([ends[i] for ends in _I0_EDGE_IMAGES.values()]) for i in (0, 1))
 
 
 class OutOfScopeError(StructureError):
@@ -93,30 +92,42 @@ def measured_eps(band: RuledBand) -> float:
 
 class _Chain:
     """One horizontal boundary chain of a developed band: piecewise-linear
-    space image parametrized by the development x-coordinate."""
+    space image parametrized by the development x-coordinate.
+
+    A point is kept where its x exceeds that of the last kept point by more
+    than 1e-13; a dropped point must lie within 1e-7 of that kept point.  An
+    exact repeat of the previous x is never kept, so the greedy rule runs
+    only over the few other steps of at most 1e-13.  `seg` holds the length
+    of each segment between kept points."""
 
     def __init__(self, xs: np.ndarray, pts: np.ndarray):
-        keep = [0]
-        for i in range(1, len(xs)):
-            if xs[i] - xs[keep[-1]] > 1e-13:
-                keep.append(i)
-            elif np.linalg.norm(pts[i] - pts[keep[-1]]) > 1e-7:
-                raise StructureError("boundary chain is not a function of x")
-        self.xs = xs[keep]
-        self.pts = pts[keep]
+        # the first point and each point whose x differs from the one before
+        idx = np.flatnonzero(np.concatenate([[True], np.diff(xs) != 0.0]))
+        keep = np.ones(len(idx), dtype=bool)
+        i = 0   # the points idx[:i] are settled, and idx[i - 1] is kept
+        for j in np.flatnonzero(np.diff(xs[idx]) <= 1e-13) + 1:
+            if j < i:
+                continue
+            last, i = j - 1, j
+            while i < len(idx) and xs[idx[i]] - xs[idx[last]] <= 1e-13:
+                keep[i] = False
+                i += 1
+            i += 1
+        kept = np.zeros(len(xs), dtype=bool)
+        kept[idx[keep]] = True
+        # each point against the last point kept at or before it
+        anchor = np.maximum.accumulate(np.where(kept, np.arange(len(xs)), 0))
+        if (np.linalg.norm(pts - pts[anchor], axis=1) > 1e-7).any():
+            raise StructureError("boundary chain is not a function of x")
+        self.xs = xs[kept]
+        self.pts = pts[kept]
+        self.seg = np.linalg.norm(np.diff(self.pts, axis=0), axis=1)
 
     def eval(self, x: np.ndarray) -> np.ndarray:
         x = np.clip(np.atleast_1d(x), self.xs[0], self.xs[-1])
         j = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, len(self.xs) - 2)
         f = (x - self.xs[j]) / (self.xs[j + 1] - self.xs[j])
         return self.pts[j] + f[:, None] * (self.pts[j + 1] - self.pts[j])
-
-    def arc_between(self, x0: float, x1: float) -> float:
-        p0 = self.eval(np.array([x0]))[0]
-        p1 = self.eval(np.array([x1]))[0]
-        inner = (self.xs > x0 + 1e-13) & (self.xs < x1 - 1e-13)
-        chain = np.vstack([p0, self.pts[inner], p1])
-        return float(np.linalg.norm(np.diff(chain, axis=0), axis=1).sum())
 
 
 class BoundaryMap:
@@ -142,6 +153,8 @@ class BoundaryDeviation:
     istar_deviation: float    # sup |I - I*| (chordwise-affine comparison)
     i0_vs_istar: float        # sup |I0 - I* o phi|
     per_edge: dict
+    u_image: np.ndarray       # the boundary image at the end u of H1
+    v_image: np.ndarray       # the boundary image at the end v of D1
 
 
 def boundary_deviation(trap: FlatTrapezoid, boundary: BoundaryMap) -> BoundaryDeviation:
@@ -154,39 +167,68 @@ def boundary_deviation(trap: FlatTrapezoid, boundary: BoundaryMap) -> BoundaryDe
     The sups are exact.  Along an edge, I0 and the chord map I* are affine
     in the edge fraction f and I o phi is piecewise affine, with breaks at
     the chain x-values inside the edge; the norm of an affine map is
-    convex, so each sup sits at an edge end or at a break."""
+    convex, so each sup sits at an edge end or at a break.
+
+    Each chain is evaluated once, at the breaks of both its edges and at
+    their ends.  An arc length sums the chain's cached segment lengths
+    between the end pieces."""
+    by_name = {e.name: e for e in trap.edges()}
+    edges = [by_name[name] for name in _BOUNDARY_EDGES]
+    x0 = np.array([e.start[0] for e in edges])
+    x1 = np.array([e.end[0] for e in edges])
+    fracs, images, end_images, arcs = [], [], [], []
+    for k in (0, 2):   # the bottom chain carries D1 and D2, the top chain H1 and H2
+        chain = boundary.chain_for(_BOUNDARY_EDGES[k])
+        at = []
+        for j in (k, k + 1):
+            lo, hi = sorted((x0[j], x1[j]))
+            inner = chain.xs[(chain.xs > lo) & (chain.xs < hi)]
+            fracs.append(np.concatenate([[0.0], (inner - x0[j]) / (x1[j] - x0[j]), [1.0]]))
+            at.append(x0[j] + fracs[-1] * (x1[j] - x0[j]))
+        pts = chain.eval(np.concatenate(at + [x0[k:k + 2], x1[k:k + 2]]))
+        images.append(pts[:-4])
+        end_images.append(pts[-2:])
+        # each arc runs over the chain points strictly inside (x0 + 1e-13, x1 - 1e-13)
+        inside = zip(np.searchsorted(chain.xs, x0[k:k + 2] + 1e-13, side="right"),
+                     np.searchsorted(chain.xs, x1[k:k + 2] - 1e-13, side="left"))
+        arcs += [_arc_length(chain, i0, i1, p0, p1)
+                 for (i0, i1), p0, p1 in zip(inside, pts[-4:-2], pts[-2:])]
+    # the rows of all four edges at once: I o phi, I0 and the chord map I*
+    f = np.concatenate(fracs)[:, None]
+    i_pts = np.concatenate(images)
+    counts = np.array([len(f_e) for f_e in fracs])
+    first = np.cumsum(counts) - counts
+    edge = np.repeat(np.arange(4), counts)
+    i0_pts = _I0_STARTS[edge] + f * (_I0_ENDS - _I0_STARTS)[edge]
+    i_first, i_last = i_pts[first], i_pts[first + counts - 1]
+    istar_pts = i_first[edge] + f * (i_last - i_first)[edge]
+    dist = np.linalg.norm(np.stack([i0_pts - i_pts, i_pts - istar_pts, i0_pts - istar_pts]), axis=-1)
+    sup_dev, sup_istar, sup_i0_star = np.maximum.reduceat(dist, first, axis=1).tolist()
     per_edge = {}
-    sup_dev = sup_istar = sup_i0_star = 0.0
-    for name in _BOUNDARY_EDGES:
-        e = trap.edge(name)
-        chain = boundary.chain_for(name)
-        x0, dx = e.start[0], e.end[0] - e.start[0]
-        lo, hi = sorted((e.start[0], e.end[0]))
-        inner = chain.xs[(chain.xs > lo) & (chain.xs < hi)]
-        f = np.concatenate([[0.0], (inner - x0) / dx, [1.0]])
-        img0_a, img0_b = _I0_EDGE_IMAGES[name]
-        i0_pts = img0_a + f[:, None] * (img0_b - img0_a)
-        xs = x0 + f * dx
-        i_pts = chain.eval(xs)
-        istar_pts = i_pts[0] + f[:, None] * (i_pts[-1] - i_pts[0])
-        dev_edge = float(np.linalg.norm(i0_pts - i_pts, axis=1).max())
-        istar_edge = float(np.linalg.norm(i_pts - istar_pts, axis=1).max())
-        i0_star_edge = float(np.linalg.norm(i0_pts - istar_pts, axis=1).max())
-        arc = chain.arc_between(float(e.start[0]), float(e.end[0]))
-        chord = float(np.linalg.norm(i_pts[-1] - i_pts[0]))
+    for k, (name, e, arc) in enumerate(zip(_BOUNDARY_EDGES, edges, arcs)):
+        chord = float(np.linalg.norm(i_last[k] - i_first[k]))
         per_edge[name] = {
-            "sup_dev": dev_edge,
-            "sup_istar": istar_edge,
-            "sup_i0_vs_istar": i0_star_edge,
+            "sup_dev": sup_dev[k],
+            "sup_istar": sup_istar[k],
+            "sup_i0_vs_istar": sup_i0_star[k],
             "flat_length": e.length(),
             "arc_length": arc,
             "chord_length": chord,
             "slack": arc - chord,
         }
-        sup_dev = max(sup_dev, dev_edge)
-        sup_istar = max(sup_istar, istar_edge)
-        sup_i0_star = max(sup_i0_star, i0_star_edge)
-    return BoundaryDeviation(sup_dev, sup_istar, sup_i0_star, per_edge)
+    end_images = np.concatenate(end_images)   # the images of x1 of D1, D2, H1, H2
+    return BoundaryDeviation(max(sup_dev), max(sup_istar), max(sup_i0_star), per_edge,
+                             u_image=end_images[2], v_image=end_images[0])
+
+
+def _arc_length(chain: _Chain, i0: int, i1: int, p0: np.ndarray, p1: np.ndarray) -> float:
+    """Length of the chain's image from p0 through the chain points i0 to
+    i1 - 1 to p1: the two end pieces and the cached segments between them,
+    summed in order."""
+    if i1 <= i0:
+        return float(np.linalg.norm((p1 - p0)[None], axis=1).sum())
+    l0, l1 = np.linalg.norm(np.stack([chain.pts[i0] - p0, p1 - chain.pts[i1 - 1]]), axis=1)
+    return float(np.concatenate([[l0], chain.seg[i0:i1 - 1], [l1]]).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +360,11 @@ def prepare(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> PipelineStat
     return PipelineState(moved, tpm, trap, dev, BoundaryMap(dev))
 
 
-def _margin_checks(state: PipelineState, eps: float) -> tuple:
+def _margin_checks(state: PipelineState, dev_report: BoundaryDeviation, eps: float) -> tuple:
     trap = state.trapezoid
     dev = state.developed
-    bmap = state.boundary
     len_t_prime = float(np.linalg.norm(dev.space[0, 1] - dev.space[0, 0]))
-    u_prime = bmap.top.eval(np.array([trap.u[0]]))[0]
-    v_prime = bmap.bottom.eval(np.array([trap.v[0]]))[0]
+    u_prime, v_prime = dev_report.u_image, dev_report.v_image
     endpoints = {
         "w": dev.space[0, 0],
         "x": dev.space[0, 1],
@@ -370,7 +410,7 @@ def verify_eff(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
     state = prepare(band, tol) if state is None else state
     eps = measured_eps(band)
     dev_rep = boundary_deviation(state.trapezoid, state.boundary)
-    checks = _margin_checks(state, eps)
+    checks = _margin_checks(state, dev_rep, eps)
     bound6 = 6.0 * math.sqrt(eps)
     slack_audit = _edge_slack_audit(dev_rep, eps, tol)
     est1_gap = dev_rep.deviation - (dev_rep.i0_vs_istar + dev_rep.istar_deviation)

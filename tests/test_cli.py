@@ -49,6 +49,9 @@ MALFORMED_BANDS = {
     "truncated": lambda data: json.dumps(data)[:100],
     "no_bends": _edited(lambda d: d.pop("bends")),
     "lambda_not_a_number": _edited(lambda d: d.update({"lambda": "abc"})),
+    # float() read true as 1.0 and the string as its number
+    "lambda_true": _edited(lambda d: d.update({"lambda": True})),
+    "lambda_numeric_string": _edited(lambda d: d.update({"lambda": str(d["lambda"])})),
     "lambda_negative": _edited(lambda d: d.update({"lambda": -1.0})),
     "no_bend": _edited(lambda d: d.update({"bends": []})),
     "bend_not_an_object": _edited(lambda d: d["bends"].__setitem__(3, [1, 2])),
@@ -156,6 +159,17 @@ class TestExitCodes:
         assert cli_main([command, "--input", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["validate", "tpattern", "verify"])
+    def test_non_utf8_band_exits_2(self, tmp_path, command, capsys):
+        # decoding the file raised UnicodeDecodeError: a traceback and exit 1
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert cli_main([command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: band file is not UTF-8: ")
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
 
     def test_missing_file_exits_2(self):

@@ -9,6 +9,7 @@ from moebiusband.geom import (
     PolylineLoop,
     RigidMotion,
     StructureError,
+    cross3,
     point_segment_distance,
     rotation_about_line,
     row_dot,
@@ -244,6 +245,15 @@ class TestRowDot:
         assert dots.shape == norms.shape == (n,)
         assert all(dots[i] == p[i] @ w[i] for i in range(n))
         assert all(norms[i] == np.linalg.norm(p[i]) for i in range(n))
+
+    @pytest.mark.parametrize("n", [None, 1, 10_000])
+    def test_cross3_matches_np_cross(self, n):
+        a, b = (_rows(seed, 1 if n is None else n, 3) for seed in (3, 4))
+        if n is None:
+            a, b = a[0], b[0]
+        a[..., 0] = -0.0   # the signs of zero products are kept too
+        got, want = cross3(a, b), np.cross(a, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("n", [1, 10_000])

@@ -27,12 +27,14 @@ from moebiusband.band import (
 from moebiusband.cli import main as cli_main
 from moebiusband.flatmodel import T_OPT, make_trapezoid
 from moebiusband.geom import (
+    DEFAULT_TOL,
     PolylineLoop,
     RigidMotion,
     StructureError,
     point_segment_distance,
     winding_number,
 )
+from moebiusband.tpattern import find_tpattern
 from moebiusband.verify import (
     EPS_FLOOR,
     GRID_PITCH,
@@ -813,6 +815,36 @@ class TestScope:
     def test_verify_all_rejects_invalid(self, tri_band):
         with pytest.raises(StructureError):
             verify_all(scale_bend(tri_band, 4, 1.02))
+
+
+class TestNegativeControls:
+    @given(st.sampled_from(BAND_NAMES), st.integers(0, 2 ** 32 - 1), st.floats(10.0, 1e4))
+    @settings(max_examples=12, deadline=None)
+    def test_endpoint_jitter_fails(self, band_states, tmp_path_factory, name, seed, scale):
+        # every bend endpoint moved at random by `scale` times tol.isometry
+        band = band_states[name][0]
+        noise = np.random.default_rng(seed).normal(size=band.space.shape)
+        jittered = replace(band, space=band.space + scale * DEFAULT_TOL.isometry * noise, meta=None)
+        assert not band_mod.validate(jittered).passed
+        path = tmp_path_factory.mktemp("jitter") / "band.json"
+        write_json(jittered, path)
+        with redirect_stdout(io.StringIO()):
+            assert cli_main(["validate", "--input", str(path)]) == 1
+            assert cli_main(["verify", "--input", str(path)]) == 1
+
+    @pytest.mark.parametrize("name", BAND_NAMES)
+    def test_margins_move_continuously_under_scale_bend(self, name, band_states):
+        # the T bend scaled about its midpoint by 1 + delta: every margin of
+        # eff moves by O(delta), and some margin moves at each delta
+        band = band_states[name][0]
+        tol = DEFAULT_TOL.replace(isometry=1e-6)
+        bend = round(find_tpattern(band).param_t) % band.n_bends
+        base = {c.name: c.margin for c in verify_eff(band, tol).checks}
+        for delta in (-1e-7, -1e-8, -1e-9, 1e-9, 1e-8, 1e-7):
+            checks = verify_eff(scale_bend(band, bend, 1.0 + delta), tol).checks
+            change = {c.name: abs(c.margin - base[c.name]) for c in checks}
+            assert max(change.values()) <= 2.0 * abs(delta) + 1e-12, (delta, change)
+            assert max(change.values()) >= 0.1 * abs(delta), (delta, change)
 
 
 class TestReports:
