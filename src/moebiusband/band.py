@@ -43,6 +43,15 @@ BASE_R = np.array([T_OPT, 0.0, 0.0])
 CANONICAL_TRIANGLE = np.array([BASE_L, BASE_R, APEX])
 INCENTER = np.array([0.0, -1.0 / 3.0, 0.0])
 
+# the epsilons build_wrinkle accepts.  The closure leaves the band's boundary
+# lengths off by rounding that grows like 1/eps, about 3e-15 / eps at most on
+# a log scan of 6,400 epsilons over [1e-6, 1e-2]; the last band that failed
+# validation under DEFAULT_TOL (isometry 1e-9) sat at 2.99e-6, and from 1e-5
+# up the residual stays below 3e-10.  Below about 1e-11 the closure solve
+# fails, and below about 1e-16 the crease offset divides by zero.
+WRINKLE_EPS_MIN = 1e-5
+WRINKLE_EPS_MAX = 1e-2
+
 # size of each (points, 3 x triangles)-shaped float64 temporary of the
 # chunked point-to-triangle kernel, and of all arrays of one block of lattice
 # rows or points of verify's fallback lattice scan; small enough to stay in
@@ -55,7 +64,7 @@ _REFL_L = np.array([[-0.5, -0.5 * SQRT3], [-0.5 * SQRT3, 0.5]])
 _REFL_R = np.array([[-0.5, 0.5 * SQRT3], [0.5 * SQRT3, 0.5]])
 
 
-class WrinkleClosureError(RuntimeError):
+class WrinkleClosureError(StructureError):
     """The plug width solve did not reach its residual target."""
 
 
@@ -429,8 +438,8 @@ def build_wrinkle(epsilon: float, config: WrinkleConfig | None = None) -> RuledB
     so the whole construction is exactly piecewise isometric.
     """
     cfg = config or WrinkleConfig()
-    if not (0.0 < epsilon <= 1e-2):
-        raise StructureError("epsilon must lie in (0, 1e-2]")
+    if not (WRINKLE_EPS_MIN <= epsilon <= WRINKLE_EPS_MAX):
+        raise StructureError(f"epsilon must lie in [{WRINKLE_EPS_MIN:g}, {WRINKLE_EPS_MAX:g}]")
     theta = cfg.theta_scale * math.sqrt(epsilon)
     o_l, o_r, gamma = _crack(theta)
     width, residual = _solve_plug_width(gamma, cfg.closure_tol, cfg.max_iter)

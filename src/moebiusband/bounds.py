@@ -168,13 +168,14 @@ def offset1_check(tri: PerturbedTriangle, eps: float) -> MarginReport:
 # ---------------------------------------------------------------------------
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of an (m, 3) array.  The squares are
-    summed left to right, as np.linalg.norm(v, axis=1) sums them, so the
-    two agree bitwise; this skips the reduction over the short axis, which
-    takes most of the time of np.linalg.norm here."""
-    sq = v * v
-    return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the points whose x, y and z coordinates are the
+    three rows of `rows`, which this squares in place.  The squares are
+    summed x + y + z, as np.linalg.norm(v, axis=1) sums the rows of an
+    (m, 3) array v, so the two agree bitwise; each sum runs over whole
+    contiguous rows instead of reducing m rows of three."""
+    rows *= rows
+    return np.sqrt(rows[0] + rows[1] + rows[2])
 
 
 @functools.lru_cache(maxsize=8)
@@ -197,6 +198,11 @@ class CurveGraphPair:
     R^4 = domain x R^3.  The step lengths, the domain length, the chord
     samples, the chord length and the sup deviation are computed once, on
     construction.
+
+    The work runs on (3, n) coordinate rows, `samples.T`, so each numpy call
+    sweeps three contiguous rows of an array that `random_unit_speed_curve`
+    lays out that way.  The chord samples are kept as (3, n) rows too;
+    `chord_samples()` returns their (n, 3) transposed view.
     """
 
     samples: np.ndarray
@@ -215,31 +221,39 @@ class CurveGraphPair:
             raise StructureError("non-finite curve samples")
         object.__setattr__(self, "samples", s)
         s.setflags(write=False)
-        steps = _row_norms(np.diff(s, axis=0))
+        n, rows = len(s), s.T
+        w0, w1 = _chord_weights(n)
+        chord = rows[:, :1] * w0 + rows[:, -1:] * w1
+        # columns :n-1 hold the steps, n-1: the deviations from the chord,
+        # so one pass squares and sums both
+        diffs = np.empty((3, 2 * n - 1))
+        np.subtract(rows[:, 1:], rows[:, :-1], out=diffs[:, :n - 1])
+        np.subtract(rows, chord, out=diffs[:, n - 1:])
+        norms = _norms(diffs)
+        steps = norms[:n - 1]
         length = float(steps.sum())
-        speeds = steps / (length / (len(s) - 1))
-        if np.abs(speeds - 1.0).max() > self.speed_tol:
-            raise StructureError(
-                f"samples are not unit speed (max |speed-1| = {np.abs(speeds - 1.0).max():.3e})"
-            )
-        # built as (3, n) coordinate rows: broadcasting an (n, 1) weight
-        # against a 3-vector takes twice as long for the same products
-        w0, w1 = _chord_weights(len(s))
-        chord = (s[0][:, None] * w0 + s[-1][:, None] * w1).T
+        # dividing by the mean step and subtracting 1 are monotone, so the
+        # largest |speed - 1| sits at the longest or the shortest step; a
+        # curve of length 0 has no speed, and the nan fails the test below
+        mean = length / (n - 1)
+        resid = (max(steps.max() / mean - 1.0, 1.0 - steps.min() / mean)
+                 if length > 0.0 else math.nan)
+        if not resid <= self.speed_tol:
+            raise StructureError(f"samples are not unit speed (max |speed-1| = {resid:.3e})")
         steps.setflags(write=False)
         chord.setflags(write=False)
         object.__setattr__(self, "domain_length", length)
         object.__setattr__(self, "_steps", steps)
         object.__setattr__(self, "_chord", chord)
         object.__setattr__(self, "_chord_length", float(np.linalg.norm(s[-1] - s[0])))
-        object.__setattr__(self, "_deviation", float(_row_norms(s - chord).max()))
+        object.__setattr__(self, "_deviation", float(norms[n - 1:].max()))
 
     @property
     def n(self) -> int:
         return len(self.samples)
 
     def chord_samples(self) -> np.ndarray:
-        return self._chord
+        return self._chord.T
 
     def curve_length(self) -> float:
         return self.domain_length
@@ -254,11 +268,10 @@ class CurveGraphPair:
         """Polyline lengths of the graphs of the curve and of its chord map
         in R^4 (trapezoid-rule quadrature on the given samples)."""
         step = self.domain_length / (self.n - 1)
-        dx = np.full(self.n - 1, step)
-        d_curve = self._steps
-        d_chord = _row_norms(np.diff(self._chord, axis=0))
-        len_graph = float(np.sqrt(dx * dx + d_curve * d_curve).sum())
-        len_graph_star = float(np.sqrt(dx * dx + d_chord * d_chord).sum())
+        dx2 = step * step
+        d_chord = _norms(self._chord[:, 1:] - self._chord[:, :-1])
+        len_graph = float(np.sqrt(dx2 + self._steps * self._steps).sum())
+        len_graph_star = float(np.sqrt(dx2 + d_chord * d_chord).sum())
         return len_graph, len_graph_star
 
 
@@ -386,6 +399,12 @@ def _random_sign(rng: np.random.Generator) -> float:
     return _SIGNS[rng.integers(0, 2)]
 
 
+def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """A draw of rng.uniform(low, high), which numpy computes as
+    low + (high - low) * rng.random(), without the overhead of its call."""
+    return low + (high - low) * rng.random()
+
+
 def random_perturbed_triangle(rng: np.random.Generator, eps: float) -> PerturbedTriangle:
     """Random triangle satisfying all offset1 hypotheses for this eps."""
     for _ in range(1000):
@@ -424,7 +443,8 @@ def _curve_tables(n: int) -> np.ndarray:
 
 def random_unit_speed_curve(rng: np.random.Generator, length: float,
                             tilt: float, n: int = 1200) -> np.ndarray:
-    """Unit-speed samples of a random smooth space curve.
+    """Unit-speed samples of a random smooth space curve, as the (n, 3)
+    transposed view of a C-ordered (3, n) array of coordinate rows.
 
     The curve is built by integrating a unit tangent field whose direction
     angles are low-order Fourier series in arc length, so the polyline has
@@ -436,26 +456,28 @@ def random_unit_speed_curve(rng: np.random.Generator, length: float,
     addition into amp cos(phase) and amp sin(phase) times two fixed basis
     rows, so both angles come from one (2, 7) by (7, n - 1) matrix product.
     """
-    basis = _curve_tables(n)
-    coeffs = np.zeros((2, 7))
     # a coherent full-period swing carries the bulk of the bulge away from
     # the chord; higher random modes (both angles) roughen it
-    coeffs[0, 0] = tilt * rng.uniform(0.7, 1.0) * _random_sign(rng)
+    theta = [tilt * _uniform(rng, 0.7, 1.0) * _random_sign(rng)]
+    phi = [0.0]
     for k in range(2, 5):
-        for row in coeffs:
+        for row in (theta, phi):
             amp = 0.25 * tilt * rng.normal() / k
-            phase = rng.uniform(0.0, 2.0 * math.pi)
-            row[2 * k - 3] = amp * math.cos(phase)
-            row[2 * k - 2] = amp * math.sin(phase)
+            phase = _uniform(rng, 0.0, 2.0 * math.pi)
+            row += (amp * math.cos(phase), amp * math.sin(phase))
     # einsum, not @: the BLAS product saves ~6 us but touches OpenBLAS's
     # gemm buffer, which raises the peak RSS of a sweep by ~0.3 MB
-    angles = np.einsum("ij,jk->ik", coeffs, basis)
+    angles = np.einsum("ij,jk->ik", np.array([theta, phi]), _curve_tables(n))
     cos_a, sin_a = np.cos(angles), np.sin(angles)
-    tangent = np.stack([cos_a[0] * cos_a[1], sin_a[0] * cos_a[1], sin_a[1]], axis=1)
-    steps = (length / (n - 1)) * tangent
-    pts = np.zeros((n, 3))
-    np.cumsum(steps, axis=0, out=pts[1:])
-    return pts
+    # each coordinate's steps and running sum sweep one contiguous row
+    pts = np.zeros((3, n))
+    steps = pts[:, 1:]
+    np.multiply(cos_a[0], cos_a[1], out=steps[0])
+    np.multiply(sin_a[0], cos_a[1], out=steps[1])
+    steps[2] = sin_a[1]
+    steps *= length / (n - 1)
+    np.cumsum(steps, axis=1, out=steps)
+    return pts.T
 
 
 def curve_with_forced_deviation(rng: np.random.Generator, eps: float) -> CurveGraphPair:
@@ -465,7 +487,7 @@ def curve_with_forced_deviation(rng: np.random.Generator, eps: float) -> CurveGr
     lo = max(1.6, 2.7 * target)
     if lo >= 2.85:
         raise StructureError("eps too large to force the deviation on a domain < 3")
-    length = rng.uniform(lo, 2.85)
+    length = _uniform(rng, lo, 2.85)
     tilt = 3.0 * target / length
     for _ in range(80):
         cg = CurveGraphPair(random_unit_speed_curve(rng, length, tilt), speed_tol=1e-8)
@@ -473,7 +495,7 @@ def curve_with_forced_deviation(rng: np.random.Generator, eps: float) -> CurveGr
             return cg
         tilt *= 1.35
         if tilt > 2.6:
-            length = rng.uniform(lo, 2.85)
+            length = _uniform(rng, lo, 2.85)
             tilt = 3.0 * target / length
     raise RuntimeError("failed to force the deviation threshold")
 

@@ -29,7 +29,15 @@ import sys
 import numpy as np
 
 from . import bounds
-from .band import build_triangular, build_wrinkle, read_json, validate, write_json
+from .band import (
+    WRINKLE_EPS_MAX,
+    WRINKLE_EPS_MIN,
+    build_triangular,
+    build_wrinkle,
+    read_json,
+    validate,
+    write_json,
+)
 from .flatmodel import SQRT3
 from .geom import DEFAULT_TOL, StructureError, ToleranceConfig
 from .tpattern import (
@@ -234,8 +242,8 @@ def _cmd_sharpness_sweep(args, tol: ToleranceConfig) -> int:
         eps_list = sorted(float(e) for e in args.epsilons.split(","))
     except ValueError as exc:
         raise StructureError(f"epsilons must be a comma-separated list of numbers: {exc}") from exc
-    if any(not (0.0 < e <= 1e-2) for e in eps_list):
-        raise StructureError("epsilons must lie in (0, 1e-2]")
+    if any(not (WRINKLE_EPS_MIN <= e <= WRINKLE_EPS_MAX) for e in eps_list):
+        raise StructureError(f"epsilons must lie in [{WRINKLE_EPS_MIN:g}, {WRINKLE_EPS_MAX:g}]")
     rows = []
     for eps in eps_list:
         band = build_wrinkle(eps)

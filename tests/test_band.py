@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 from moebiusband.band import (
     CANONICAL_TRIANGLE,
+    WRINKLE_EPS_MAX,
+    WRINKLE_EPS_MIN,
     RuledBand,
+    WrinkleConfig,
     build_triangular,
     build_wrinkle,
     boundary_polyline,
@@ -158,10 +161,24 @@ class TestWrinkleFamily:
         assert dists[2] < 2e-3
 
     def test_epsilon_range(self):
-        with pytest.raises(StructureError):
-            build_wrinkle(0.0)
-        with pytest.raises(StructureError):
-            build_wrinkle(0.5)
+        for eps in (0.0, 0.5, math.nan, float(np.nextafter(WRINKLE_EPS_MIN, 0.0)),
+                    float(np.nextafter(WRINKLE_EPS_MAX, 1.0))):
+            with pytest.raises(StructureError, match="epsilon must lie in"):
+                build_wrinkle(eps)
+
+    def test_every_accepted_epsilon_validates(self):
+        # a dense log scan, densest next to the floor, where the closure's
+        # rounding is largest (a scan below it found failing bands up to 2.99e-6)
+        scan = np.concatenate([np.geomspace(WRINKLE_EPS_MIN, 2.0 * WRINKLE_EPS_MIN, 120),
+                               np.geomspace(2.0 * WRINKLE_EPS_MIN, WRINKLE_EPS_MAX, 120)])
+        for eps in scan:
+            rep = validate(build_wrinkle(float(eps)), DEFAULT_TOL)
+            assert rep.passed, (eps, rep.max_boundary_residual)
+            assert rep.max_boundary_residual < 0.5 * DEFAULT_TOL.isometry, eps
+
+    def test_closure_failure_is_a_structure_error(self):
+        with pytest.raises(StructureError, match="wrinkle closure failed"):
+            build_wrinkle(1e-4, WrinkleConfig(max_iter=1))
 
     def test_frozen_solved_constants(self, wrinkle4):
         # regression values of the closure solve at eps = 1e-4

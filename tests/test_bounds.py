@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -350,13 +351,22 @@ class TestCurveChecks:
     def test_row_norms_match_linalg_norm(self):
         rng = np.random.default_rng(5)
         v = rng.normal(size=(20_000, 3)) * 10.0 ** rng.uniform(-8, 8, size=(20_000, 1))
-        assert np.array_equal(bounds._row_norms(v), np.linalg.norm(v, axis=1))
+        assert np.array_equal(bounds._norms(v.T.copy()), np.linalg.norm(v, axis=1))
 
     def test_non_unit_speed_rejected(self):
         pts = np.linspace(0.0, 1.0, 50)[:, None] * [1.0, 0.0, 0.0]
         pts[10] += [0.005, 0.0, 0.0]
         with pytest.raises(StructureError, match="unit speed"):
             bounds.CurveGraphPair(pts)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 3)])
+    def test_zero_length_curve_rejected(self, shape):
+        # every speed is 0 / 0 here; the residual is nan, which must fail
+        # the unit-speed test, with no warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StructureError, match="unit speed.*nan"):
+                bounds.CurveGraphPair(np.zeros(shape))
 
     def test_sweep_500(self):
         rng = np.random.default_rng(2024)

@@ -184,6 +184,22 @@ class TestExitCodes:
         res = run("build-wrinkle", "--epsilon", "0.5", "-o", str(tmp_path / "x.json"))
         assert res.returncode == 2
 
+    # 1e-7 wrote a band that failed validate, 1e-12 ended in the closure
+    # solve's traceback and 1e-300 in a ZeroDivisionError
+    @pytest.mark.parametrize("eps", ["1e-7", "1e-12", "1e-300"])
+    def test_epsilon_below_floor_exits_2(self, eps, tmp_path):
+        out = tmp_path / "x.json"
+        res = run("build-wrinkle", "--epsilon", eps, "-o", str(out))
+        assert res.returncode == 2
+        assert res.stderr == "error: epsilon must lie in [1e-05, 0.01]\n"
+        assert not out.exists()
+
+    def test_sharpness_sweep_below_floor_exits_2(self, capsys):
+        assert cli_main(["sharpness-sweep", "--epsilons", "1e-3,1e-7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: epsilons must lie in [1e-05, 0.01]\n"
+        assert captured.out == ""
+
 
 class TestOnePerProcess:
     """The parser is built once per process, and each job validates its band

@@ -1,16 +1,20 @@
-"""Reference paths for the fixed-cost stages of `verify` and `tpattern`.
+"""Reference paths for the fixed-cost stages of `verify`, `tpattern` and
+the curve sweep of `bounds`.
 
 Each reference below is the straightforward form of a stage that the
 package computes in fewer numpy calls: the per-point `_Chain` filter, the
 per-edge `boundary_deviation` with its arc lengths re-summed from the chain
-points, and the root scan over the full sign matrix.  The package must give
-bitwise the same values.  `TestCliOutputs` swaps every reference in at once
-and compares the CLI's stdout, JSON report and CSV summary; a later change
-that rewrites a stage for speed can add its old form here as a reference.
+points, the root scan over the full sign matrix, and the random curves and
+their chord comparisons on (n, 3) point arrays.  The package must give
+bitwise the same values and leave the random generator in the same state.
+`TestCliOutputs` and `TestSweepOutputs` swap every reference in at once and
+compare the CLI's outputs; a later change that rewrites a stage for speed
+can add its old form here as a reference.
 """
 
 import hashlib
 import io
+import math
 from contextlib import redirect_stdout
 from dataclasses import fields
 
@@ -19,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moebiusband import bounds
 from moebiusband import tpattern as tpattern_mod
 from moebiusband import verify as verify_mod
 from moebiusband.band import build_triangular, build_wrinkle, flip, redevelop, transform, write_json
@@ -122,6 +127,64 @@ def reference_perp_roots(band):
     a, k = np.nonzero(window & ((g0 == 0.0) | ((g0 < 0.0) != (g1 < 0.0))))
     d0, d1 = g0[a, k], g1[a, k]
     return a, k, k + np.divide(d0, d0 - d1, out=np.zeros_like(d0), where=d0 != 0.0)
+
+
+def reference_unit_speed_curve(rng, length, tilt, n=1200):
+    """random_unit_speed_curve on an (n, 3) array: the steps are the rows of
+    a stacked tangent, summed down each column."""
+    coeffs = np.zeros((2, 7))
+    coeffs[0, 0] = tilt * rng.uniform(0.7, 1.0) * rng.choice([-1.0, 1.0])
+    for k in range(2, 5):
+        for row in coeffs:
+            amp = 0.25 * tilt * rng.normal() / k
+            phase = rng.uniform(0.0, 2.0 * math.pi)
+            row[2 * k - 3] = amp * math.cos(phase)
+            row[2 * k - 2] = amp * math.sin(phase)
+    angles = np.einsum("ij,jk->ik", coeffs, bounds._curve_tables(n))
+    cos_a, sin_a = np.cos(angles), np.sin(angles)
+    tangent = np.stack([cos_a[0] * cos_a[1], sin_a[0] * cos_a[1], sin_a[1]], axis=1)
+    steps = (length / (n - 1)) * tangent
+    pts = np.zeros((n, 3))
+    np.cumsum(steps, axis=0, out=pts[1:])
+    return pts
+
+
+class ReferenceCurveGraphPair(bounds.CurveGraphPair):
+    """CurveGraphPair on the (n, 3) samples: np.linalg.norm over the rows,
+    the chord map from its formula, and |speed - 1| at every step."""
+
+    def __post_init__(self):
+        s = np.asarray(self.samples, dtype=float)
+        if s.ndim != 2 or s.shape[0] < 2 or s.shape[1] != 3:
+            raise StructureError("need (n, 3) curve samples with n >= 2")
+        if not np.isfinite(s).all():
+            raise StructureError("non-finite curve samples")
+        object.__setattr__(self, "samples", s)
+        steps = np.linalg.norm(np.diff(s, axis=0), axis=1)
+        length = float(steps.sum())
+        resid = np.abs(steps / (length / (len(s) - 1)) - 1.0).max()
+        if not resid <= self.speed_tol:
+            raise StructureError(f"samples are not unit speed (max |speed-1| = {resid:.3e})")
+        t = np.linspace(0.0, 1.0, len(s))[:, None]
+        chord = (1.0 - t) * s[0] + t * s[-1]
+        object.__setattr__(self, "domain_length", length)
+        object.__setattr__(self, "_steps", steps)
+        object.__setattr__(self, "_chord", chord)
+        object.__setattr__(self, "_chord_length", float(np.linalg.norm(s[-1] - s[0])))
+        object.__setattr__(self, "_deviation", float(np.linalg.norm(s - chord, axis=1).max()))
+
+    def chord_samples(self):
+        return self._chord
+
+    def graph_lengths(self):
+        dx = np.full(self.n - 1, self.domain_length / (self.n - 1))
+        d_chord = np.linalg.norm(np.diff(self._chord, axis=0), axis=1)
+        return (float(np.sqrt(dx * dx + self._steps * self._steps).sum()),
+                float(np.sqrt(dx * dx + d_chord * d_chord).sum()))
+
+
+def reference_uniform(rng, low, high):
+    return rng.uniform(low, high)
 
 
 # ---------------------------------------------------------------------------
@@ -266,3 +329,83 @@ class TestCliOutputs:
                 assert isinstance(prepare(bands[name]).boundary.bottom, ReferenceChain)
                 want = cli_digest(path, tmp_path)
             assert got == want, posed
+
+
+# ---------------------------------------------------------------------------
+# The curve sweep of `bounds`
+# ---------------------------------------------------------------------------
+
+
+def _pair_fields(cg):
+    return {"samples": cg.samples, "steps": cg._steps, "chord": cg.chord_samples(),
+            "sup_deviation": cg.sup_deviation(), "domain_length": cg.domain_length,
+            "chord_length": cg.chord_length(), "graph_lengths": cg.graph_lengths()}
+
+
+class TestCurvePath:
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("tilt", [0.05, 0.9, 2.6])
+    @pytest.mark.parametrize("n", [1200, 40, 2])
+    def test_curve_and_pair(self, seed, tilt, n):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for length in (1.6, 2.85):
+            got = bounds.random_unit_speed_curve(fast, length, tilt, n=n)
+            want = reference_unit_speed_curve(slow, length, tilt, n=n)
+            assert fast.bit_generator.state == slow.bit_generator.state
+            assert got.shape == want.shape == (n, 3) and got.T.flags.c_contiguous
+            assert _bits(got) == _bits(want)
+            got_fields = _pair_fields(bounds.CurveGraphPair(got, speed_tol=1e-8))
+            want_fields = _pair_fields(ReferenceCurveGraphPair(want, speed_tol=1e-8))
+            for key, value in want_fields.items():
+                assert _bits(got_fields[key]) == _bits(value), key
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 60), st.floats(-16.0, -1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_speed_residual(self, seed, n, log_noise):
+        # the residual is the reference's bitwise: the pair accepts a
+        # tolerance equal to it and rejects the next float below
+        rng = np.random.default_rng(seed)
+        pts = bounds.random_unit_speed_curve(rng, 2.0, 0.9, n=n)
+        pts = pts + 10.0 ** log_noise * rng.normal(size=pts.shape)
+        steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        resid = float(np.abs(steps / (steps.sum() / (n - 1)) - 1.0).max())
+        assert bounds.CurveGraphPair(pts, speed_tol=resid).domain_length == float(steps.sum())
+        with pytest.raises(StructureError, match="not unit speed"):
+            bounds.CurveGraphPair(pts, speed_tol=float(np.nextafter(resid, -1.0)))
+
+
+# every range the curve sweep draws from: the first angle's swing, the
+# phases, and the domain lengths (lo, 2.85) with lo = max(1.6, 8.1 sqrt(eps))
+# for eps up to 0.1
+@pytest.mark.parametrize("low, high", [(0.7, 1.0), (0.0, 2.0 * math.pi), (1.6, 2.85),
+                                       (8.1 * math.sqrt(0.05), 2.85),
+                                       (8.1 * math.sqrt(0.1), 2.85)])
+def test_uniform_equals_rng_uniform(low, high):
+    fast, slow = np.random.default_rng(17), np.random.default_rng(17)
+    got = [bounds._uniform(fast, low, high) for _ in range(10_000)]
+    want = [slow.uniform(low, high) for _ in range(10_000)]
+    assert _bits(got) == _bits(want)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+class TestSweepOutputs:
+    """bounds-sweep's stdout and report are byte-identical with the curve
+    references swapped in."""
+
+    @pytest.mark.parametrize("argv", [["--grid", "1000", "--seed", "7"],
+                                      ["--grid", "10", "--seed", "3"]])
+    def test_byte_identical(self, argv, tmp_path):
+        def run():
+            report = tmp_path / "sweep.json"
+            stdout = io.StringIO()
+            with redirect_stdout(stdout):
+                code = cli_main(["bounds-sweep", *argv, "--report", str(report)])
+            return code, stdout.getvalue(), report.read_bytes()
+
+        got = run()
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(bounds, "random_unit_speed_curve", reference_unit_speed_curve)
+            patched.setattr(bounds, "CurveGraphPair", ReferenceCurveGraphPair)
+            patched.setattr(bounds, "_uniform", reference_uniform)
+            want = run()
+        assert got == want and got[0] == 0
