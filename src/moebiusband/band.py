@@ -52,12 +52,6 @@ INCENTER = np.array([0.0, -1.0 / 3.0, 0.0])
 WRINKLE_EPS_MIN = 1e-5
 WRINKLE_EPS_MAX = 1e-2
 
-# size of each (points, 3 x triangles)-shaped float64 temporary of the
-# chunked point-to-triangle kernel, and of all arrays of one block of lattice
-# rows or points of verify's fallback lattice scan; small enough to stay in
-# cache and to keep every chunk from faulting in fresh pages
-CHUNK_BYTES = 1 << 19
-
 # reflections (about lines through the origin) used by the flat folding:
 # _REFL_L fixes the line through (-1/sqrt(3), 1), _REFL_R its mirror image.
 _REFL_L = np.array([[-0.5, -0.5 * SQRT3], [-0.5 * SQRT3, 0.5]])
@@ -601,31 +595,26 @@ def points_to_triangles_distance(pts: np.ndarray, tris: np.ndarray) -> np.ndarra
     a_in = np.einsum("ij,ij->i", e_a, inward)
     slop = -1e-12 * np.sqrt(np.einsum("ij,ij->i", inward, inward))
 
-    out = np.empty(len(pts))
-    chunk = max(1, CHUNK_BYTES // (8 * max(1, len(e_v))))
-    for lo in range(0, len(pts), chunk):
-        p = pts[lo:lo + chunk]
-        # nearest point on each edge: p - (e_a + t e_v), t clipped to [0, 1]
-        d = [p[:, i, None] - e_a[:, i] for i in range(3)]
-        t = d[0] * e_v[:, 0] + d[1] * e_v[:, 1] + d[2] * e_v[:, 2]
-        # the vertex region of vertex e: before edge e and after the edge
-        # entering it.  Its test has no normal in it, so it holds on
-        # slivers, where the edge-line tests would pass points beyond a tip
-        enter = t > after
-        corner = (t < before) & np.concatenate([enter[:, 2 * k:], enter[:, :2 * k]], axis=1)
-        inner = (p @ inward.T - a_in >= slop) & ~corner
-        # on a zero-length edge t is left at its dot product, 0
-        np.divide(t, e_vv, out=t, where=e_vv > 0.0)
-        np.clip(t, 0.0, 1.0, out=t)
-        for i in range(3):
-            d[i] -= t * e_v[:, i]
-            d[i] *= d[i]
-        d_edge = np.sqrt((d[0] + d[1] + d[2]).min(axis=1))
-        inside = inner[:, :k] & inner[:, k:2 * k] & inner[:, 2 * k:] & (n_len > 0.0)
-        d_plane = np.divide(np.abs(p @ nrm.T - a_n), n_len, out=np.full(inside.shape, np.inf),
-                            where=inside)
-        out[lo:lo + chunk] = np.minimum(d_edge, d_plane.min(axis=1))
-    return out
+    # nearest point on each edge: p - (e_a + t e_v), t clipped to [0, 1]
+    d = [pts[:, i, None] - e_a[:, i] for i in range(3)]
+    t = d[0] * e_v[:, 0] + d[1] * e_v[:, 1] + d[2] * e_v[:, 2]
+    # the vertex region of vertex e: before edge e and after the edge
+    # entering it.  Its test has no normal in it, so it holds on
+    # slivers, where the edge-line tests would pass points beyond a tip
+    enter = t > after
+    corner = (t < before) & np.concatenate([enter[:, 2 * k:], enter[:, :2 * k]], axis=1)
+    inner = (pts @ inward.T - a_in >= slop) & ~corner
+    # on a zero-length edge t is left at its dot product, 0
+    np.divide(t, e_vv, out=t, where=e_vv > 0.0)
+    np.clip(t, 0.0, 1.0, out=t)
+    for i in range(3):
+        d[i] -= t * e_v[:, i]
+        d[i] *= d[i]
+    d_edge = np.sqrt((d[0] + d[1] + d[2]).min(axis=1))
+    inside = inner[:, :k] & inner[:, k:2 * k] & inner[:, 2 * k:] & (n_len > 0.0)
+    d_plane = np.divide(np.abs(pts @ nrm.T - a_n), n_len, out=np.full(inside.shape, np.inf),
+                        where=inside)
+    return np.minimum(d_edge, d_plane.min(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +690,9 @@ def interpolate_bend(band: RuledBand, p: float) -> tuple[np.ndarray, np.ndarray]
         f1, s1 = band.flat[i + 1], band.space[i + 1]
     else:
         f1, s1 = band.glued_first_bend()
-    return (1.0 - f) * f0 + f * f1, (1.0 - f) * s0 + f * s1
+    # an endpoint the two bends share (a fan vertex) stays bitwise exact
+    return (np.where(f0 == f1, f0, (1.0 - f) * f0 + f * f1),
+            np.where(s0 == s1, s0, (1.0 - f) * s0 + f * s1))
 
 
 def scale_bend(band: RuledBand, index: int, factor: float) -> RuledBand:

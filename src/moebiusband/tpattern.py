@@ -175,7 +175,8 @@ def _root_segments(band: RuledBand, a: np.ndarray, b: np.ndarray) -> tuple[np.nd
     lifted = np.concatenate([band.space, band.space[:, ::-1]])
     i = np.floor(b).astype(np.intp)
     f = (b - i)[:, None, None]
-    return band.space[a], (1.0 - f) * lifted[i] + f * lifted[i + 1]
+    s0, s1 = lifted[i], lifted[i + 1]
+    return band.space[a], np.where(s0 == s1, s0, (1.0 - f) * s0 + f * s1)
 
 
 def _classify(a: np.ndarray, b: np.ndarray, sa: np.ndarray, sb: np.ndarray,

@@ -14,12 +14,12 @@ into its labeled trapezoid and then checks, with measured margins:
 * `verify_corollary` - the Hausdorff distance between the band and the
   solid canonical triangle is below 18*sqrt(eps).
 
-Both distances between the band and the triangle are certified from the
-geometry: the band-to-triangle distance is the maximum over the bend
-endpoints, and the triangle-to-band distance comes from the boundary
-cycle of the band's flat layer (`_flat_layer_covers`).  Only a band whose
-flat layer fails that certificate falls back to the canonical triangle
-grid at GRID_PITCH.
+Both distances between the band and the triangle come from the geometry,
+with no sampling pitch: the band-to-triangle distance is the maximum over
+the bend endpoints.  The triangle-to-band distance reads 0.0 where the
+boundary cycle of the band's flat layer certifies it (`_flat_layer_covers`);
+otherwise it is bounded from the projected boundary loop, as the paper's
+18 sqrt(eps) = 2 * 6 sqrt(eps) + 6 sqrt(eps) is, by 2 * annulus_max + max|z|.
 
 eps is always the measured lambda - sqrt(3), floored at 1e-15 so the
 exact flat-folded band (eps = 0) is handled as a limit.  Because the
@@ -31,7 +31,6 @@ margin checks therefore allow a small slop where noted.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -39,7 +38,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import band as band_module
 from . import bounds
 from .band import (
     CANONICAL_TRIANGLE,
@@ -63,7 +61,6 @@ from .tpattern import TPattern, develop_for, find_tpattern, normalize_pose
 EPS_FLOOR = 1e-15
 EFF_EPS_CAP = 0.25
 COVERAGE_EPS_CAP = 1.0 / 384.0
-GRID_PITCH = 4e-3   # lattice pitch of the fallback triangle grid
 
 # boundary images of the four boundary edges under the canonical triangle map
 _I0_EDGE_IMAGES = {
@@ -306,15 +303,17 @@ def write_csv_summary(reports: list[TheoremReport], path) -> None:
 
 @dataclass(frozen=True)
 class PipelineState:
-    """A band prepared for the verifiers.  The ruled patches and the two
-    directed distances between the band and the solid canonical triangle
-    are computed once, on first use by eff2 or corollary."""
+    """A band prepared for the verifiers.  The ruled patches, the annulus
+    and winding of the projected boundary loop and the two directed
+    distances between the band and the solid canonical triangle are
+    computed once, on first use by eff2 or corollary."""
 
     band: RuledBand        # pose-normalized band
     pattern: TPattern      # pattern in the normalized pose
     trapezoid: FlatTrapezoid
     developed: RuledBand   # developed at the T bend, cut displacement >= 0
     boundary: BoundaryMap  # boundary image of `developed`
+    tol: ToleranceConfig   # the tolerances `prepare` ran with
 
     @cached_property
     def patches(self) -> np.ndarray:
@@ -330,34 +329,64 @@ class PipelineState:
         return float(points_to_triangles_distance(ends, CANONICAL_TRIANGLE[None]).max())
 
     @cached_property
+    def loop(self) -> np.ndarray:
+        """The xy-projection of the boundary loop of `developed`."""
+        return boundary_polyline(self.developed).points[:, :2]
+
+    @cached_property
+    def annulus_max(self) -> float:
+        """Largest distance from the projected boundary loop to the
+        boundary curve of the canonical triangle."""
+        return _annulus_max(self.loop, CANONICAL_TRIANGLE[:, :2])
+
+    @cached_property
+    def winding(self) -> int:
+        """Winding number of the projected boundary loop about the incenter."""
+        return winding_number(PolylineLoop(self.loop, closed=True), INCENTER[:2], self.tol)
+
+    @cached_property
+    def coverage(self) -> tuple[float, str]:
+        """`triangle_to_band`, and a note naming what bounded it."""
+        if _flat_layer_covers(self.patches):
+            return 0.0, "triangle_to_band from the flat layer's boundary cycle"
+        # the incenter lies 1/3 from the triangle's boundary curve, so first
+        # make sure it is off the loop
+        if not self.annulus_max < 1.0 / 3.0:
+            return math.inf, "triangle_to_band not bounded: fails annulus_max < 1/3"
+        if self.winding not in (-1, 1):
+            return math.inf, "triangle_to_band not bounded: fails winding in (-1, 1)"
+        max_z = float(np.abs(self.developed.space[..., 2]).max())
+        return (2.0 * self.annulus_max + max_z,
+                "triangle_to_band from the boundary loop: 2 annulus_max + max|z|")
+
+    @property
     def triangle_to_band(self) -> float:
         """Largest distance from a point of the canonical triangle to the
-        band's ruled patches.
+        band's ruled patches, or an upper bound on it.
 
         Where `_flat_layer_covers` certifies the flat patches, every point
         of the triangle lies within hypot(2 _RIM, _FLAT_Z) = 2.2e-13 of the
-        band, and this reads 0.0, the value a settled grid point reads; both
-        bounds, this one and a settled point's 1.4e-13, are below the exact
-        kernel's slop of 1e-12.  Otherwise it is the maximum over the canonical
-        triangle grid, by bound and refine (Taha & Hanbury, "An efficient
-        algorithm for calculating the exact Hausdorff distance", IEEE TPAMI
-        37(11), 2015): a grid point that `_scan` of the flat patches holds
-        is settled, and the exact kernel runs only on the others."""
-        patches = self.patches
-        if _flat_layer_covers(patches):
-            return 0.0
-        grid = _canonical_grid()
-        far = ~_scan(grid, patches[_flat(patches)])
-        if not far.any():
-            return 0.0
-        return float(points_to_triangles_distance(grid.points[far], patches).max())
+        band, below the exact kernel's slop of 1e-12, and this reads 0.0.
+
+        Otherwise, with a = annulus_max < 1/3 and the winding about the
+        incenter +-1, it reads 2 a + max|z| over the bend endpoints.  A
+        point of the triangle farther than a from its boundary curve is off
+        the loop, and it has the incenter's odd winding, since those points
+        form a triangle about the incenter that the loop does not meet.  The
+        projected band is a mod-2 chain bounded by the loop, so an odd
+        number of projected patches hold the point, and it lies within that
+        patch's |z|, at most max|z|, of the band.  Every other point of the
+        triangle lies within 2 a of such points (a corner of the
+        equilateral triangle is the farthest).  Where a premise fails this
+        reads inf."""
+        return self.coverage[0]
 
 
 def prepare(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> PipelineState:
     tp = find_tpattern(band, tol)
     moved, tpm = normalize_pose(band, tp)
     trap, dev = develop_for(moved, tpm)
-    return PipelineState(moved, tpm, trap, dev, BoundaryMap(dev))
+    return PipelineState(moved, tpm, trap, dev, BoundaryMap(dev), tol)
 
 
 def _margin_checks(state: PipelineState, dev_report: BoundaryDeviation, eps: float) -> tuple:
@@ -446,14 +475,11 @@ def verify_eff(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
 # a patch is flat where every vertex lies within _FLAT_Z of the plane z = 0.
 # Pose normalization leaves the flat patches of a rigidly moved benchmark
 # band at |z| <= 4e-16, and the others at |z| >= 1.3e-4.  Only flat patches
-# certify coverage or settle grid points.
+# enter the coverage certificate.
 _FLAT_Z = 1e-13
-# slop of the fallback grid's scan, in lattice units of the grid: a point of
-# a patch's interval lies within 2 * _SCAN_TOL of the patch's xy-projection,
-# which is _RIM at GRID_PITCH
-_SCAN_TOL = 1e-11
 # how far the remaining edges of a certified flat layer may lie from the
-# triangle's edge lines: the settled-point slop of the scan at GRID_PITCH
+# triangle's edge lines: every point of the triangle then lies within
+# hypot(2 _RIM, _FLAT_Z) = 2.2e-13 of the band, below the kernel's 1e-12 slop
 _RIM = 9.8e-14
 # unit normals of the edge lines of CANONICAL_TRIANGLE, and their offsets:
 # a point p lies |p @ normal - offset| from the line
@@ -510,121 +536,6 @@ def _flat_layer_covers(patches: np.ndarray) -> bool:
     return round(float(count @ turn) / (2.0 * math.pi)) != 0
 
 
-@dataclass(frozen=True)
-class _TriangleGrid:
-    """Barycentric lattice a + (i/m)(b - a) + (j/m)(c - a), i, j >= 0,
-    i + j <= m, over a solid triangle (a, b, c).  `points` lists it in
-    (i, j) row-major order: point (i, j) has index i*(m+1) - i*(i-1)//2 + j."""
-
-    vertices: np.ndarray
-    m: int
-    points: np.ndarray
-
-
-def _triangle_grid(vertices: np.ndarray, pitch: float) -> _TriangleGrid:
-    """Barycentric lattice covering a solid triangle at the given pitch."""
-    a, b, c = (np.asarray(v, dtype=float) for v in vertices)
-    side = max(np.linalg.norm(b - a), np.linalg.norm(c - a), np.linalg.norm(c - b))
-    m = max(1, int(math.ceil(side / pitch)))
-    row_len = np.arange(m + 1, 0, -1)
-    i = np.repeat(np.arange(m + 1), row_len)
-    j = _ranges(np.zeros(m + 1, dtype=np.int64), row_len)
-    points = np.empty((len(i), len(a)))
-    for d, (a_d, ab_d, ac_d) in enumerate(zip(a, b - a, c - a)):
-        points[:, d] = a_d + (i / m) * ab_d + (j / m) * ac_d
-    return _TriangleGrid(np.array([a, b, c]), m, points)
-
-
-@functools.cache
-def _canonical_grid() -> _TriangleGrid:
-    """The triangle grid of CANONICAL_TRIANGLE at GRID_PITCH, built once per
-    process, with a read-only array, and only for a band whose flat layer
-    fails `_flat_layer_covers`."""
-    grid = _triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
-    grid.points.setflags(write=False)
-    return grid
-
-
-def _blocks(counts: np.ndarray, budget: int):
-    """Consecutive slices of `counts` that sum to at most `budget`, or to
-    one item where that item alone exceeds it."""
-    ends = np.cumsum(counts)
-    lo = 0
-    while lo < len(counts):
-        base = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, base + budget, side="right")))
-        yield slice(lo, hi)
-        lo = hi
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The integer ranges [start, start + count), concatenated."""
-    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-
-
-def _scan(grid: _TriangleGrid, patches: np.ndarray) -> np.ndarray:
-    """Mask of the points of a grid that the xy-projection of some patch
-    holds, up to the slop _SCAN_TOL.
-
-    Edge-function scan conversion (Pineda, "A parallel algorithm for
-    polygon rasterization", SIGGRAPH 1988) in the lattice coordinates
-    (i, j) of the grid.  The xy-projection of each patch is mapped into
-    them, and each of its three edge functions, scaled to read the
-    distance to the edge line in lattice units, is widened by _SCAN_TOL.
-    On each lattice row the points that pass all three form one interval,
-    clamped to the patch's bounding box widened by _SCAN_TOL, which bounds
-    the overshoot past a sharp or degenerate corner.  Such a point lies
-    within 2 * _SCAN_TOL of the projected patch.  Blocks of rows and of
-    points are sized so that all arrays of one block, up to 16 eight-byte
-    numbers per row or point, fit in band.CHUNK_BYTES."""
-    m = grid.m
-    a, b, c = grid.vertices[:, :2]
-    q = (patches[:, :, :2] - a) @ (m * np.linalg.inv(np.stack([b - a, c - a])))
-    lo = q.min(axis=1) - _SCAN_TOL
-    hi = q.max(axis=1) + _SCAN_TOL
-    # Edge e runs from vertex e to vertex e+1.  A lattice point (i, j) lies
-    # within _SCAN_TOL of the inside of edge e where
-    #   orient * cross(edge, (i, j) - vertex) + _SCAN_TOL * |edge| >= 0,
-    # that is  coef * j + const - slope * i >= 0.
-    edge = np.roll(q, -1, axis=1) - q
-    area2 = edge[:, 0, 0] * edge[:, 1, 1] - edge[:, 0, 1] * edge[:, 1, 0]
-    orient = np.where(area2 < 0.0, -1.0, 1.0)[:, None]
-    coef = orient * edge[:, :, 0]
-    slope = orient * edge[:, :, 1]
-    const = (slope * q[:, :, 0] - coef * q[:, :, 1]
-             + _SCAN_TOL * np.hypot(edge[:, :, 0], edge[:, :, 1]))
-    coef, slope, const = coef.T, slope.T, const.T   # one row per edge
-
-    mask = np.zeros(len(grid.points), dtype=bool)
-    i_first = np.clip(np.ceil(lo[:, 0]), 0, m + 1).astype(np.int64)
-    i_last = np.clip(np.floor(hi[:, 0]), -1, m).astype(np.int64)
-    n_rows = np.maximum(i_last - i_first + 1, 0)
-    budget = max(1, band_module.CHUNK_BYTES // 128)
-    for span in _blocks(n_rows, budget):
-        counts = n_rows[span]
-        i = _ranges(i_first[span], counts)
-        j_lo = np.repeat(lo[span, 1], counts)
-        j_hi = np.repeat(hi[span, 1], counts)
-        for e in range(3):
-            c_k = np.repeat(coef[e, span], counts)
-            value = np.repeat(slope[e, span], counts)
-            value *= i
-            np.subtract(np.repeat(const[e, span], counts), value, out=value)
-            # a degenerate edge holds no point of a row outside its line
-            j_hi[(c_k == 0.0) & (value < 0.0)] = -np.inf
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bound = np.negative(np.divide(value, c_k, out=value), out=value)
-            np.maximum(j_lo, bound, out=j_lo, where=c_k > 0.0)
-            np.minimum(j_hi, bound, out=j_hi, where=c_k < 0.0)
-        j_first = np.ceil(np.clip(j_lo, 0, m + 1)).astype(np.int64)
-        j_last = np.floor(np.clip(j_hi, -1, m - i)).astype(np.int64)
-        n_pts = np.maximum(j_last - j_first + 1, 0)
-        first = i * (m + 1) - i * (i - 1) // 2 + j_first
-        for rows in _blocks(n_pts, budget):
-            mask[_ranges(first[rows], n_pts[rows])] = True
-    return mask
-
-
 def _triangle_curve_distance_2d(pts: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """Distance of 2D points to the triangle's boundary curve."""
     ends = np.roll(vertices, -1, axis=0)
@@ -661,28 +572,24 @@ def verify_eff2(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
     if band.lam >= SQRT3 + EFF_EPS_CAP:
         raise OutOfScopeError("out of theorem scope: lambda >= sqrt(3) + 1/4")
     state = prepare(band, tol) if state is None else state
-    dev = state.developed
     eps = measured_eps(band)
     d6 = 6.0 * math.sqrt(eps)
     d18 = 18.0 * math.sqrt(eps)
-    tri2 = CANONICAL_TRIANGLE[:, :2]
 
     containment_max = state.band_to_triangle
     containment_ok = containment_max <= d6
 
     measured = {"containment_max": containment_max}
-    details: dict = {"grid_pitch": GRID_PITCH}
     notes = ["outward wrinkle placement (embedding side) is not checked"]
     coverage_applicable = eps < COVERAGE_EPS_CAP
     coverage_ok = True
     if coverage_applicable:
-        loop3 = boundary_polyline(dev)
-        annulus_max = _annulus_max(loop3.points[:, :2], tri2)
+        annulus_max = state.annulus_max
         annulus_ok = annulus_max <= d6
-        wind = winding_number(PolylineLoop(loop3.points[:, :2], closed=True), INCENTER[:2], tol)
+        wind = state.winding
         winding_ok = wind in (-1, 1)
 
-        tri_cov_max = state.triangle_to_band
+        tri_cov_max, tri_cov_note = state.coverage
         tri_cov_ok = tri_cov_max <= d18
 
         coverage_ok = annulus_ok and winding_ok and tri_cov_ok
@@ -704,6 +611,7 @@ def verify_eff2(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
         measured["triangle_coverage_max"] = tri_cov_max
         if not winding_ok:
             notes.append("boundary does not generate the punctured-plane loop group")
+        notes.append(tri_cov_note)
     else:
         notes.append("coverage skipped: eps >= 1/384")
 
@@ -716,7 +624,6 @@ def verify_eff2(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
         bounds={"six_sqrt": d6, "eighteen_sqrt": d18},
         measured=measured,
         checks=(),
-        details=details,
         notes=tuple(notes),
     )
 
@@ -729,9 +636,10 @@ def verify_corollary(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
     `band_to_triangle` is exact: the maximum over the bend endpoints, with
     no sampling pitch.  `triangle_to_band` reads 0.0, within 2.2e-13 of the
     supremum over the whole triangle, where the flat layer's boundary cycle
-    certifies that flat patches hold every point; only otherwise is it the
-    maximum over the canonical triangle grid at GRID_PITCH.  Both come from
-    the PipelineState, so eff2 and corollary share one computation.
+    certifies that flat patches hold every point; otherwise it is the bound
+    2 annulus_max + max|z| of the projected boundary loop, or inf where the
+    loop's premises fail, and a note says which.  Both come from the
+    PipelineState, so eff2 and corollary share one computation.
     """
     eps = measured_eps(band)
     if eps >= COVERAGE_EPS_CAP:
@@ -740,7 +648,7 @@ def verify_corollary(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
     d18 = 18.0 * math.sqrt(eps)
 
     to_triangle = state.band_to_triangle
-    to_band = state.triangle_to_band
+    to_band, to_band_note = state.coverage
     hausdorff = max(to_triangle, to_band)
     return TheoremReport(
         name="corollary",
@@ -755,7 +663,7 @@ def verify_corollary(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
             "ratio_to_sqrt_eps": hausdorff / math.sqrt(eps),
         },
         checks=(),
-        details={"grid_pitch": GRID_PITCH},
+        notes=(to_band_note,),
     )
 
 

@@ -31,13 +31,11 @@ from moebiusband.geom import (
     PolylineLoop,
     RigidMotion,
     StructureError,
-    point_segment_distance,
     winding_number,
 )
 from moebiusband.tpattern import find_tpattern
 from moebiusband.verify import (
     EPS_FLOOR,
-    GRID_PITCH,
     OutOfScopeError,
     boundary_deviation,
     measured_eps,
@@ -125,135 +123,19 @@ class TestWrinkleTheorems:
         assert 0.4 <= rep.measured["ratio_to_sqrt_eps"] <= 18.0
 
 
-def _dense_triangle_to_band(patches, pitch=GRID_PITCH):
-    grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, pitch)
-    return grid, float(points_to_triangles_distance(grid.points, patches).max())
+def _canonical_lattice(pitch=2e-2):
+    """The lattice a + (i/m)(b - a) + (j/m)(c - a), i, j >= 0, i + j <= m,
+    over CANONICAL_TRIANGLE = (a, b, c) at the given pitch: (points, i, j, m)."""
+    m = math.ceil(band_mod.SIDE / pitch)
+    i, j = np.array([(i, j) for i in range(m + 1) for j in range(m + 1 - i)], dtype=float).T
+    a, b, c = CANONICAL_TRIANGLE
+    return a + np.outer(i / m, b - a) + np.outer(j / m, c - a), i, j, m
 
 
-def _dense_coverage(pts, tris, tol, steep_guard):
-    """The barycentric rule of the dense pass that the lattice scan first
-    replaced: the inclusion test s, t >= -tol, s + t <= 1 + tol on every
-    (point, triangle) pair, with s and t from (points, triangles) matrix
-    products.  Returns the covered mask and, for 3D points, the least
-    height of a covering triangle."""
-    a, b, c = tris[:, 0, :2], tris[:, 1, :2], tris[:, 2, :2]
-    e0, e1 = b - a, c - a
-    det = e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0]
-    good = np.abs(det) > 1e-18
-    inv = np.where(good, 1.0 / np.where(good, det, 1.0), np.nan)
-    w_s = np.stack([e1[:, 1], -e1[:, 0]], axis=1)
-    w_t = np.stack([-e0[:, 1], e0[:, 0]], axis=1)
-    a_s = np.einsum("ij,ij->i", a, w_s)
-    a_t = np.einsum("ij,ij->i", a, w_t)
-    usable = np.ones(len(tris), dtype=bool)
-    if steep_guard:
-        cross = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-        usable = np.abs(cross[:, 2]) > 1e-9 * np.linalg.norm(cross, axis=1)
-    z0 = tris[:, 0, 2]
-    dz_b, dz_c = tris[:, 1, 2] - z0, tris[:, 2, 2] - z0
-    covered = np.zeros(len(pts), dtype=bool)
-    heights = np.full(len(pts), np.inf)
-    for lo in range(0, len(pts), 2048):
-        p = pts[lo:lo + 2048]
-        s = (p[:, :2] @ w_s.T - a_s[None, :]) * inv[None, :]
-        t = (p[:, :2] @ w_t.T - a_t[None, :]) * inv[None, :]
-        inside = usable[None, :] & (s >= -tol) & (t >= -tol) & (s + t <= 1.0 + tol)
-        covered[lo:lo + 2048] = inside.any(axis=1)
-        if p.shape[1] == 3:
-            height = np.abs(z0[None, :] + s * dz_b[None, :] + t * dz_c[None, :] - p[:, 2][:, None])
-            heights[lo:lo + 2048] = np.where(inside, height, np.inf).min(axis=1)
-    return covered, heights
-
-
-def _barycentric_masks(pts, tris):
-    """The (covered, settled) masks of the barycentric rule: covered at the
-    slop 1e-9 over all triangles, settled where the least height of a
-    covering triangle at the slop 1e-12, steep triangles left out, is 0."""
-    covered, _ = _dense_coverage(pts, tris, 1e-9, steep_guard=False)
-    _, heights = _dense_coverage(pts, tris, 1e-12, steep_guard=True)
-    return covered, heights == 0.0
-
-
-def _lattice_coordinates(grid):
-    """(i, j) of every grid point, in the grid's order."""
-    i = np.repeat(np.arange(grid.m + 1), np.arange(grid.m + 1, 0, -1))
-    j = np.concatenate([np.arange(grid.m + 1 - r) for r in range(grid.m + 1)])
-    return np.stack([i, j], axis=1).astype(float)
-
-
-def _dense_masks(grid, tris):
-    """The (covered, settled) masks of the scan's rule, tested on every
-    (point, triangle) pair: in the grid's lattice coordinates, the point's
-    distance to each edge line, negative outside, is at least -_SCAN_TOL,
-    and the point lies in the triangle's bounding box widened by _SCAN_TOL.
-    Settled takes only the flat triangles, with every vertex within _FLAT_Z
-    of z = 0.  An edge of length 0 holds every point."""
-    tol = verify_mod._SCAN_TOL
-    a, b, c = grid.vertices[:, :2]
-    q = (tris[:, :, :2] - a) @ (grid.m * np.linalg.inv(np.stack([b - a, c - a])))
-    edge = np.roll(q, -1, axis=1) - q
-    length = np.linalg.norm(edge, axis=2)
-    area2 = edge[:, 0, 0] * edge[:, 1, 1] - edge[:, 0, 1] * edge[:, 1, 0]
-    orient = np.where(area2 < 0.0, -1.0, 1.0)[:, None]
-    # distance to edge e of a point p: p @ normal[e] + offset[e]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        normal = orient[..., None] * np.stack([-edge[..., 1], edge[..., 0]], axis=2) / length[..., None]
-        offset = np.where(length > 0.0, -np.einsum("kej,kej->ke", normal, q), np.inf)
-    normal = np.nan_to_num(normal, nan=0.0)
-    lo, hi = q.min(axis=1) - tol, q.max(axis=1) + tol
-    flat = (np.abs(tris[:, :, 2]) <= verify_mod._FLAT_Z).all(axis=1)
-    covered = np.zeros(len(grid.points), dtype=bool)
-    settled = np.zeros(len(grid.points), dtype=bool)
-    points = _lattice_coordinates(grid)
-    for start in range(0, len(points), 4096):
-        ij = points[start:start + 4096]
-        inside = np.ones((len(ij), len(tris)), dtype=bool)
-        for d in range(2):
-            inside &= (ij[:, d:d + 1] >= lo[:, d]) & (ij[:, d:d + 1] <= hi[:, d])
-        for e in range(3):
-            inside &= ij @ normal[:, e].T + offset[:, e] >= -tol
-        covered[start:start + 4096] = inside.any(axis=1)
-        settled[start:start + 4096] = inside[:, flat].any(axis=1)
-    return covered, settled
-
-
-def _settled_bound(grid):
-    """Bound on the distance of a settled point from the patches: 2 *
-    _SCAN_TOL lattice units, stretched by the lattice map's largest
-    singular value."""
-    basis = (grid.vertices[1:, :2] - grid.vertices[0, :2]) / grid.m
-    return 2.0 * verify_mod._SCAN_TOL * np.linalg.norm(basis, 2)
-
-
-def _planar_distance(pts, tris):
-    """Distance of points in the plane z = 0 to the union of triangles in
-    that plane: 0 inside one by the signs of its edge functions, else the
-    row-wise distance to the nearest edge.  It shares no arithmetic with
-    the exact kernel, so the settled-point bounds do not rest on the code
-    whose work they let the verifier skip."""
-    p = pts[:, None, :2]
-    a, ends = tris[:, :, :2], np.roll(tris[:, :, :2], -1, axis=1)
-    edge = ends - a
-    cross = edge[None, :, :, 0] * (p[:, :, None, 1] - a[None, :, :, 1]) \
-        - edge[None, :, :, 1] * (p[:, :, None, 0] - a[None, :, :, 0])
-    area2 = edge[:, 0, 0] * edge[:, 1, 1] - edge[:, 0, 1] * edge[:, 1, 0]
-    inside = (area2 != 0.0) & np.all(np.sign(area2)[:, None] * cross >= 0.0, axis=2)
-    to_edges = point_segment_distance(p, a.reshape(-1, 2), ends.reshape(-1, 2)).min(axis=1, initial=np.inf)
-    return np.where(inside.any(axis=1), 0.0, to_edges)
-
-
-def _scan_masks(grid, patches):
-    """(covered, settled) masks of a grid from `verify._scan`: settled by
-    the scan of the flat patches, covered by that or by the scan of the
-    others.  This is the lattice rule that eff2's coverage test of C read
-    before the annulus and winding premises certified it."""
-    flat = verify_mod._flat(patches)
-    settled = verify_mod._scan(grid, patches[flat])
-    return settled | verify_mod._scan(grid, patches[~flat]), settled
-
-
-def _assert_masks_equal(got, want):
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+def _dense_triangle_to_band(patches, pitch=2e-2):
+    """Largest distance from the lattice to the patches: a lower bound on
+    the supremum over the triangle."""
+    return float(points_to_triangles_distance(_canonical_lattice(pitch)[0], patches).max())
 
 
 @pytest.fixture(scope="module")
@@ -264,89 +146,33 @@ def band_states(tri_band, tri_state, wrinkle4, wrinkle4_state):
             "wrinkle4": (wrinkle4, wrinkle4_state), "wrinkle5": (w5, prepare(w5))}
 
 
-@pytest.fixture(scope="module")
-def dense_references(band_states):
-    """Per band: the canonical grid, the dense masks of the scan's rule and
-    those of the barycentric rule."""
-    grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
-    return {name: (grid, _dense_masks(grid, state.patches),
-                   _barycentric_masks(grid.points, state.patches))
-            for name, (_, state) in band_states.items()}
-
-
 BAND_NAMES = ["tri", "wrinkle3", "wrinkle4", "wrinkle5"]
+LOOP_NOTE = "triangle_to_band from the boundary loop: 2 annulus_max + max|z|"
 
 
-class TestLatticeScan:
-    """The scan-converted lattice masks against the dense pass."""
-
-    @pytest.mark.parametrize("name", BAND_NAMES)
-    def test_bands_match_dense(self, name, band_states, dense_references):
-        _, state = band_states[name]
-        grid, dense, barycentric = dense_references[name]
-        covered, settled = _scan_masks(grid, state.patches)
-        _assert_masks_equal((covered, settled), dense)
-        # the flat patches settle every point, as the certificate says
-        assert settled.all() and verify_mod._flat_layer_covers(state.patches)
-        # on the benchmark bands the barycentric rule gives the same masks
-        _assert_masks_equal(dense, barycentric)
-
-    @pytest.mark.parametrize("perturb", ["lift", "jitter", "overhang", "outside"])
-    def test_perturbed_patches_match_dense(self, perturb, wrinkle4_state):
-        patches = wrinkle4_state.patches.copy()
-        if perturb == "lift":
-            patches[::2, :, 2] += 0.01
-        elif perturb == "jitter":
-            patches += np.random.default_rng(7).normal(scale=2e-3, size=patches.shape)
-        elif perturb == "overhang":
-            patches[:, :, :2] = 1.5 * patches[:, :, :2] + [0.4, 0.2]
-        else:
-            patches[:, :, 0] += 3.0
-        grid = verify_mod._canonical_grid()
-        covered, settled = _scan_masks(grid, patches)
-        _assert_masks_equal((covered, settled), _dense_masks(grid, patches))
-        # some point is left unsettled, and the flat layer certifies nothing
-        assert not settled.all() and not verify_mod._flat_layer_covers(patches)
-        if perturb == "lift":
-            assert 0 < settled.sum() < len(settled)
-        elif perturb == "jitter":
-            assert covered.any() and not settled.any()
-        elif perturb == "overhang":
-            assert 0 < covered.sum() < len(covered)
-        elif perturb == "outside":
-            assert not covered.any()
-
-    def test_one_entry_blocks_are_bitwise_neutral(self, wrinkle4_state, monkeypatch):
-        # a budget of one row or point per block: every row interval of more
-        # than one point exceeds it on its own
-        patches = wrinkle4_state.patches.copy()
-        patches[:, :, :2] += np.random.default_rng(3).normal(scale=2e-3, size=patches[:, :, :2].shape)
-        grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, 2e-2)
-        wide = _scan_masks(grid, patches)
-        assert 0 < wide[1].sum() < wide[0].sum()
-        monkeypatch.setattr(band_mod, "CHUNK_BYTES", 1)
-        _assert_masks_equal(_scan_masks(grid, patches), wide)
+class TestCoverage:
+    """eff2's coverage of the shrunk triangle C, and the coverage of the
+    triangle under re-cutting and flipping."""
 
     @pytest.mark.parametrize("name", BAND_NAMES)
     def test_c_grid_is_the_shrunk_triangle(self, name, band_states):
         # eff2 reads no point of the shrunk triangle C: where the annulus
         # and winding premises hold, C is covered.  Check that against the
-        # scan's rule, tested densely (_dense_masks), at the canonical grid
-        # points of C, on the band and on perturbations of its bend endpoints
+        # exact kernel on the xy-projected patches, at the lattice points of
+        # C, on the band and on perturbations of its bend endpoints
         band, state = band_states[name]
         d6 = 6.0 * math.sqrt(measured_eps(band))
-        grid = verify_mod._canonical_grid()
-        i, j = _lattice_coordinates(grid).T
-        sample = np.minimum(np.minimum(i, j), grid.m - i - j) >= grid.m * d6
+        points, i, j, m = _canonical_lattice()
+        sample = np.minimum(np.minimum(i, j), m - i - j) >= m * d6
         # an independent barycentric test in C picks the same points
         tri2 = CANONICAL_TRIANGLE[:, :2]
         c_tri = INCENTER[:2] + (1.0 - 3.0 * d6) * (tri2 - INCENTER[:2])
         lhs = np.vstack([c_tri.T, np.ones(3)])
-        rhs = np.vstack([grid.points[:, :2].T, np.ones(len(grid.points))])
+        rhs = np.vstack([points[:, :2].T, np.ones(len(points))])
         bary_min = np.linalg.solve(lhs, rhs).min(axis=0)
         assert np.abs(bary_min).min() > 1e-9     # no point within rounding of C's boundary
         assert np.array_equal(sample, bary_min >= 0.0)
-        assert 0 < sample.sum() < len(grid.points)
+        assert 0 < sample.sum() < len(points)
         rep = verify_eff2(band, state=state)
         assert rep.measured["c_grid_uncovered"] == 0 and "c_grid_points" not in rep.details
 
@@ -371,8 +197,8 @@ class TestLatticeScan:
             winding_ok = winding_number(PolylineLoop(loop, closed=True), INCENTER[:2]) in (-1, 1)
             premises[perturb] = annulus_ok and winding_ok
             if premises[perturb]:
-                covered, _ = _dense_masks(grid, moved.patches)
-                assert covered[sample].all(), perturb
+                projected = moved.patches * [1.0, 1.0, 0.0]
+                assert (points_to_triangles_distance(points[sample], projected) <= 1e-12).all(), perturb
             else:
                 # eff2 fails and names the failed premise instead
                 rep = verify_eff2(band, state=moved)
@@ -384,79 +210,6 @@ class TestLatticeScan:
                     assert rep.measured["triangle_coverage_max"] <= 18.0 * math.sqrt(measured_eps(band))
         assert premises["none"] and premises["lift"] and not premises["overhang"]
         assert not premises["shrink"]
-
-
-def _from_lattice(grid, ij):
-    """Points at lattice coordinates ij of the grid, in the plane z = 0."""
-    a, b, c = grid.vertices
-    ij = np.asarray(ij, dtype=float)
-    return a + ij[..., :1] / grid.m * (b - a) + ij[..., 1:] / grid.m * (c - a)
-
-
-class TestSettledPoints:
-    """A settled point lies on a patch, up to the scan's slop, and neither
-    mask depends on the order of the patches."""
-
-    @given(st.sampled_from(BAND_NAMES), st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=12, deadline=None)
-    def test_patch_order_is_bitwise_neutral(self, band_states, dense_references, name, seed):
-        patches = band_states[name][1].patches
-        shuffled = patches[np.random.default_rng(seed).permutation(len(patches))]
-        grid, masks, _ = dense_references[name]
-        _assert_masks_equal(_scan_masks(grid, shuffled), masks)
-
-    @given(st.sampled_from(BAND_NAMES), st.integers(0, 2 ** 32 - 1),
-           st.floats(1e-9, 1e-2), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    @settings(max_examples=10, deadline=None)
-    def test_settled_points_lie_on_the_patches(self, band_states, name, seed, scale, lifted, nudged):
-        # xy-jittered patches, some of them lifted off z = 0 and some moved
-        # off it by up to 2 * _FLAT_Z, vertex by vertex
-        rng = np.random.default_rng(seed)
-        patches = band_states[name][1].patches.copy()
-        patches[:, :, :2] += rng.normal(scale=scale, size=patches[:, :, :2].shape)
-        patches[rng.random(len(patches)) < lifted, :, 2] += rng.uniform(-1e-3, 1e-3)
-        nudge = rng.random(len(patches)) < nudged
-        patches[nudge, :, 2] += rng.uniform(-2.0, 2.0, (nudge.sum(), 3)) * verify_mod._FLAT_Z
-        grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, 2e-2)
-        _, settled = _scan_masks(grid, patches)
-        flat = (np.abs(patches[:, :, 2]) <= verify_mod._FLAT_Z).all(axis=1)
-        dist = _planar_distance(grid.points[settled], patches[flat])
-        # within hypot(_settled_bound, _FLAT_Z) of the band in 3D
-        assert np.all(dist <= _settled_bound(grid))
-
-    def test_collinear_and_needle_patches(self):
-        grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, 2e-2)
-        tol, bound = verify_mod._SCAN_TOL, _settled_bound(grid)
-        ij = _lattice_coordinates(grid)
-        # three collinear vertices on the lattice diagonal i = j, from 5 to
-        # 20, and on the lattice line i = 7, from j = 3 to 18
-        for corners, on_segment in (
-                ([[5, 5], [20, 20], [12, 12]],
-                 (ij[:, 0] == ij[:, 1]) & (ij[:, 0] >= 5) & (ij[:, 0] <= 20)),
-                ([[7, 3], [7, 18], [7, 10]],
-                 (ij[:, 0] == 7) & (ij[:, 1] >= 3) & (ij[:, 1] <= 18))):
-            collinear = _from_lattice(grid, corners)
-            covered, settled = _scan_masks(grid, collinear[None])
-            assert np.array_equal(settled, on_segment) and np.array_equal(covered, settled)
-            assert np.all(_planar_distance(grid.points[settled], collinear[None]) <= bound)
-            assert points_to_triangles_distance(grid.points[settled], collinear[None]).max() <= 1e-15
-        # a needle along the lattice diagonal whose tip stops 1.4 * tol short
-        # of the point (20, 20): the overshoot past the sharp corner, clamped
-        # to the widened bounding box, still holds that point
-        tip = 20.0 - 1.4 * tol / math.sqrt(2.0)
-        needle = _from_lattice(grid, [[4, 4.5], [tip, tip], [4.5, 4]])
-        covered, settled = _scan_masks(grid, needle[None])
-        diagonal = (ij[:, 0] == ij[:, 1]) & (ij[:, 0] >= 5)
-        assert np.array_equal(settled, diagonal & (ij[:, 0] <= 20))
-        assert np.array_equal(covered, settled)
-        dist = _planar_distance(grid.points[settled], needle[None])
-        assert np.count_nonzero(dist) == 1 and 0.0 < dist.max() <= bound
-        # a needle along i whose tip stops 3 * tol short of the point (20, 5):
-        # that point lies past the widened bounding box
-        far = 20.0 - 3.0 * tol
-        row = _from_lattice(grid, [[4, 5 - 0.3], [4, 5 + 0.3], [far, 5]])
-        _, settled = _scan_masks(grid, row[None])
-        assert np.array_equal(settled, (ij[:, 1] == 5) & (ij[:, 0] >= 4) & (ij[:, 0] <= 19))
 
     @given(st.sampled_from(BAND_NAMES), st.floats(0.0, 1.0, exclude_max=True), st.booleans())
     @settings(max_examples=10, deadline=None)
@@ -481,6 +234,13 @@ def _state_with_patches(state, patches):
     return copy
 
 
+def _state_with_space(state, space, flat=None):
+    """A fresh copy of `state` whose developed band has the bend endpoints
+    `space` (and, if given, the flat endpoints `flat`)."""
+    flat = state.developed.flat if flat is None else flat
+    return replace(state, developed=replace(state.developed, space=space, flat=flat))
+
+
 class TestSharedGeometry:
     @pytest.mark.parametrize("name", BAND_NAMES)
     def test_exact_distances_match_dense(self, name, band_states):
@@ -490,169 +250,65 @@ class TestSharedGeometry:
         ends = state.developed.space.reshape(-1, 3)
         endpoint_max = float(points_to_triangles_distance(ends, CANONICAL_TRIANGLE[None]).max())
         assert eff2["containment_max"] == cor["band_to_triangle"] == endpoint_max
-        _, dense = _dense_triangle_to_band(surface_triangles(state.developed))
+        dense = _dense_triangle_to_band(surface_triangles(state.developed))
         assert eff2["triangle_coverage_max"] == cor["triangle_to_band"] == dense
 
     def test_exact_near_zero_at_a_cut_beside_a_bend(self, tri_band):
         # the cut leaf 1.44e-10 past bend 0 becomes the T bend, so the pose
-        # tilts, and grid points are refined against the slivers beside that
-        # leaf; both distances are about 3e-12
+        # tilts, and the flat layer's edges beside that leaf leave its lines;
+        # the loop bound reads 2 x 3.75e-12 and the containment about 3e-12
         measured = verify_eff2(redevelop(tri_band, 1.44e-10)).measured
         assert measured["containment_max"] <= 1e-11
         assert measured["triangle_coverage_max"] <= 1e-11
 
-    @pytest.mark.parametrize("perturb", ["lift", "jitter"])
-    def test_refine_path_matches_dense(self, perturb, wrinkle4_state, monkeypatch):
-        patches = surface_triangles(wrinkle4_state.developed)
-        if perturb == "lift":
-            # lift every other patch, so that some grid points stay settled
-            patches = patches.copy()
-            patches[::2, :, 2] += 0.01
-        else:
-            rng = np.random.default_rng(7)
-            patches = patches + rng.normal(scale=2e-3, size=patches.shape)
-        grid, dense = _dense_triangle_to_band(patches, pitch=2e-2)
-        refined = []
-
-        def counting(pts, tris):
-            refined.append(len(pts))
-            return points_to_triangles_distance(pts, tris)
-
-        monkeypatch.setattr(verify_mod, "_canonical_grid", lambda: grid)
-        monkeypatch.setattr(verify_mod, "points_to_triangles_distance", counting)
-        shared = _state_with_patches(wrinkle4_state, patches).triangle_to_band
-        assert dense > 0.0
-        assert abs(shared - dense) <= 1e-12
-        assert len(refined) == 1 and 0 < refined[0] <= len(grid.points)
-        if perturb == "lift":
-            assert refined[0] < len(grid.points)
-
-    def test_steep_patch_bound_stays_above_distance(self, wrinkle4_state, monkeypatch):
-        # a sliver 0.1 to 0.5 above the plane z = 0, its xy-projection 1e-15
-        # wide, and a patch in that plane
-        a = np.array([3.0, 1.1, 0.1])
-        d = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-        b = a + 0.5 * d
-        c = a + 0.25 * d + np.array([-1e-15, 1e-15, 0.4])
-        flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        patches = np.array([[a, b, c], flat])
-        # lattice row i = 0 runs along the sliver's projection; the far
-        # corner (i, j) = (0, m) sits over `flat`
-        grid = verify_mod._triangle_grid(np.array([a, b, [0.2, 0.3, 0.1]]) * [1, 1, 0], 0.03)
-        m, pts = grid.m, grid.points
-        on_sliver = np.arange(m + 1) * (m + 1) - np.arange(m + 1) * np.arange(-1, m) // 2
-        over_flat = (pts[:, 0] >= 0.0) & (pts[:, 1] >= 0.0) & (pts[:, 0] + pts[:, 1] <= 1.0)
-        assert len(on_sliver) > 50 and over_flat.sum() >= 2
-        covered, settled = _scan_masks(grid, patches)
-        _assert_masks_equal((covered, settled), _dense_masks(grid, patches))
-        assert covered[on_sliver].all() and not settled[on_sliver].any()
-        assert np.array_equal(settled, over_flat) and settled[m]
-        assert np.all(_planar_distance(pts[settled], flat[None]) <= _settled_bound(grid))
-        dist = points_to_triangles_distance(pts, patches)
-        assert dist[on_sliver].min() >= 0.1 - 1e-12
-        monkeypatch.setattr(verify_mod, "_canonical_grid", lambda: grid)
-        assert _state_with_patches(wrinkle4_state, patches).triangle_to_band == dist.max()
-        # a lattice laid on the projection of a steep patch covers it and
-        # settles none of it
-        steep = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 2.0 ** -50, 1.0]])
-        on_patch = verify_mod._triangle_grid(steep * [1, 1, 0], 0.15)
-        covered, settled = _scan_masks(on_patch, steep[None])
-        assert covered.all() and not settled.any()
-        _assert_masks_equal((covered, settled), _dense_masks(on_patch, steep[None]))
-
     def _count(self, monkeypatch):
-        calls = {"certificate": 0, "scan": 0, "kernel": 0}
-        real_certificate, real_scan = verify_mod._flat_layer_covers, verify_mod._scan
+        calls = {"certificate": 0, "annulus": 0, "winding": 0, "kernel": 0}
+        for key, name in (("certificate", "_flat_layer_covers"), ("annulus", "_annulus_max"),
+                          ("winding", "winding_number"), ("kernel", "points_to_triangles_distance")):
+            def counting(*args, key=key, real=getattr(verify_mod, name)):
+                calls[key] += 1
+                return real(*args)
 
-        def certificate(patches):
-            calls["certificate"] += 1
-            return real_certificate(patches)
-
-        def scan(grid, patches):
-            calls["scan"] += 1
-            return real_scan(grid, patches)
-
-        def kernel(pts, tris):
-            calls["kernel"] += 1
-            return points_to_triangles_distance(pts, tris)
-
-        monkeypatch.setattr(verify_mod, "_flat_layer_covers", certificate)
-        monkeypatch.setattr(verify_mod, "_scan", scan)
-        monkeypatch.setattr(verify_mod, "points_to_triangles_distance", kernel)
+            monkeypatch.setattr(verify_mod, name, counting)
         return calls
 
     def test_verify_all_measures_once(self, tri_band, wrinkle4_state, monkeypatch):
         calls = self._count(monkeypatch)
         assert [r.name for r in verify_all(tri_band)] == ["eff", "eff2", "corollary"]
-        assert calls["certificate"] == 1 and calls["scan"] == 0
-        # a lifted band fails the certificate and scans its flat patches once
+        assert calls["certificate"] == calls["annulus"] == calls["winding"] == 1
+        # a lifted band fails the certificate; eff2 and corollary share its
+        # loop bound
         lifted = wrinkle4_state.patches.copy()
         lifted[::2, :, 2] += 0.01
         state = _state_with_patches(wrinkle4_state, lifted)
-        calls.update(certificate=0, scan=0)
+        calls.update(certificate=0, annulus=0, winding=0)
         verify_eff2(wrinkle4_state.band, state=state)
         verify_corollary(wrinkle4_state.band, state=state)
-        assert calls["certificate"] == 1 and calls["scan"] == 1
+        assert calls["certificate"] == calls["annulus"] == calls["winding"] == 1
+        assert state.coverage[1] == LOOP_NOTE
 
     def test_cli_measures_once_and_eff_never(self, wrinkle4, tmp_path, monkeypatch):
         path = tmp_path / "w.json"
         write_json(wrinkle4, path)
         calls = self._count(monkeypatch)
         assert cli_main(["verify", "--input", str(path)]) == 0
-        assert calls["certificate"] == 1 and calls["scan"] == 0
-        calls.update(certificate=0, kernel=0)
+        assert calls["certificate"] == calls["annulus"] == calls["winding"] == 1
+        calls.update(certificate=0, annulus=0, winding=0, kernel=0)
         assert cli_main(["verify", "--input", str(path), "--theorem", "eff"]) == 0
-        assert calls == {"certificate": 0, "scan": 0, "kernel": 0}
+        assert calls == {"certificate": 0, "annulus": 0, "winding": 0, "kernel": 0}
 
     @pytest.mark.parametrize("name", BAND_NAMES)
     def test_cli_scans_once_per_band(self, name, band_states, tmp_path, monkeypatch):
-        # one coverage certificate per band and verifier run, and no lattice scan
+        # one coverage certificate per band and verifier run; corollary alone
+        # reads no loop where the certificate holds
         path = tmp_path / "b.json"
         write_json(band_states[name][0], path)
         calls = self._count(monkeypatch)
         for theorem in (["--theorem", "eff2"], ["--theorem", "corollary"], []):
-            calls["certificate"] = 0
+            calls.update(certificate=0, winding=0)
             assert cli_main(["verify", "--input", str(path), *theorem]) == 0
-            assert calls["certificate"] == 1 and calls["scan"] == 0, theorem
-
-    def test_chunking_is_bitwise_neutral(self, wrinkle4_state, monkeypatch):
-        patches = surface_triangles(wrinkle4_state.developed)
-        grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, 2e-2)
-        jittered = grid.points + np.random.default_rng(3).normal(scale=1e-2, size=grid.points.shape)
-        kernels = (
-            lambda: points_to_triangles_distance(jittered, patches),
-            lambda: _scan_masks(grid, patches)[0],
-            lambda: _scan_masks(grid, patches)[1],
-        )
-        wide = [k() for k in kernels]
-        monkeypatch.setattr(band_mod, "CHUNK_BYTES", 8 * 3 * len(patches) * 7)
-        for k, ref in zip(kernels, wide):
-            assert np.array_equal(k(), ref)
-
-    def test_canonical_grid_built_once(self, tri_band, wrinkle4, wrinkle4_state, monkeypatch):
-        bands = [tri_band, wrinkle4]
-        want = [(verify_eff2(b).measured, verify_corollary(b).measured) for b in bands]
-        fresh = verify_mod._triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH)
-        build, calls = verify_mod._triangle_grid, []
-
-        def counting(vertices, pitch):
-            calls.append(pitch)
-            return build(vertices, pitch)
-
-        monkeypatch.setattr(verify_mod, "_triangle_grid", counting)
-        verify_mod._canonical_grid.cache_clear()
-        # the flat layers of these bands certify coverage: no grid is built
-        assert [(verify_eff2(b).measured, verify_corollary(b).measured) for b in bands] == want
-        assert calls == []
-        # bands that fall back share one grid
-        for lift in (0.01, 0.02):
-            lifted = wrinkle4_state.patches.copy()
-            lifted[::2, :, 2] += lift
-            assert _state_with_patches(wrinkle4_state, lifted).triangle_to_band > 0.0
-        assert calls == [GRID_PITCH]
-        grid = verify_mod._canonical_grid()
-        assert np.array_equal(grid.points, fresh.points) and grid.m == fresh.m
-        assert not grid.points.flags.writeable
+            assert calls["certificate"] == 1, theorem
+            assert calls["winding"] == (0 if "corollary" in theorem else 1), theorem
 
     def test_patches_built_once(self, tri_band, monkeypatch):
         calls = []
@@ -683,20 +339,13 @@ def _verify_outputs(path, out):
 
 
 class TestFlatLayerCertificate:
-    """`triangle_to_band` from the boundary cycle of the flat layer, with
-    the lattice as its fallback and its reference."""
-
-    def test_rim_is_the_settled_bound(self):
-        # _RIM is the scan's settled-point slop at GRID_PITCH, to two digits
-        bound = _settled_bound(verify_mod._triangle_grid(CANONICAL_TRIANGLE, GRID_PITCH))
-        assert bound <= verify_mod._RIM == float(f"{bound:.1e}")
+    """`triangle_to_band` from the boundary cycle of the flat layer, and
+    from the boundary loop where that certificate fails."""
 
     @pytest.mark.parametrize("control", ["removed", "lifted", "chord"])
-    def test_negative_controls_fall_back_to_the_lattice(self, control, band_states, monkeypatch):
-        # each control breaks the flat layer's cover: the certificate fails,
-        # and the fallback reads what the dense lattice reads
-        grid = verify_mod._triangle_grid(CANONICAL_TRIANGLE, 2e-2)
-        monkeypatch.setattr(verify_mod, "_canonical_grid", lambda: grid)
+    def test_negative_controls_fail_the_certificate(self, control, band_states):
+        # each control breaks the flat layer's cover, and the certificate
+        # fails
         if control == "chord":
             # the triangle, positively oriented, as two patches split along
             # the chord from a vertex to a point of the opposite side; with
@@ -706,7 +355,7 @@ class TestFlatLayerCertificate:
             p = a + 0.1 * (b - a)
             whole = np.array([[a, p, c], [p, b, c]])
             assert verify_mod._flat_layer_covers(whole)
-            cases = [(band_states["tri"][1], whole[1:])]
+            cases = [whole[1:]]
         else:
             cases = []
             for name in ("tri", "wrinkle4"):
@@ -720,15 +369,87 @@ class TestFlatLayerCertificate:
                     else:
                         patches = patches.copy()
                         patches[k, :, 2] += 2.0 * verify_mod._FLAT_Z
-                    cases.append((state, patches))
-        values = []
-        for state, patches in cases:
+                    cases.append(patches)
+        for patches in cases:
             assert not verify_mod._flat_layer_covers(patches)
-            got = _state_with_patches(state, patches).triangle_to_band
-            assert got == float(points_to_triangles_distance(grid.points, patches).max())
-            values.append(got)
         # the positive layer alone leaves a hole or a lifted patch
-        assert max(values) > 0.0
+        assert max(_dense_triangle_to_band(patches) for patches in cases) > 0.0
+
+    @pytest.mark.parametrize("control", ["removed", "lifted", "chord", "lift", "jitter", "shrunk"])
+    def test_loop_bound_above_dense(self, control, band_states):
+        # developed bands whose flat layer fails the certificate: one bend
+        # dropped (48 of the triangular band, 40 of wrinkle 1e-4), every
+        # endpoint lifted by 2 _FLAT_Z (no flat layer is left), the cut leaf
+        # of redevelop(tri, 1e-6) with its fan vertex interpolated as well,
+        # every other bend lifted by 0.01, every endpoint jittered, and the
+        # band shrunk toward the incenter and lifted, which leaves the
+        # triangle's corners 2 annulus_max from it in the plane.  The ruled
+        # patches of any developed band form a mod-2 chain bounded by its
+        # loop, so the loop bound holds for each
+        if control == "chord":
+            tri = band_states["tri"][0]
+            cut = redevelop(tri, 1e-6)
+            space = cut.space.copy()
+            space[0] = (1.0 - 1e-6) * tri.space[0] + 1e-6 * tri.space[1]
+            states = [prepare(replace(cut, space=space))]
+        else:
+            states = []
+            for name, fold in (("tri", 48), ("wrinkle4", 40)):
+                state = band_states[name][1]
+                space, flat = state.developed.space.copy(), state.developed.flat
+                if control == "removed":
+                    space, flat = np.delete(space, fold, axis=0), np.delete(flat, fold, axis=0)
+                elif control == "lifted":
+                    space[:, :, 2] += 2.0 * verify_mod._FLAT_Z
+                elif control == "lift":
+                    space[::2, :, 2] += 0.01
+                elif control == "jitter":
+                    space += np.random.default_rng(7).normal(scale=2e-3, size=space.shape)
+                else:
+                    space[:, :, :2] = INCENTER[:2] + 0.9 * (space[:, :, :2] - INCENTER[:2])
+                    space[:, :, 2] += 0.01
+                states.append(_state_with_space(state, space, flat))
+        for state in states:
+            assert not verify_mod._flat_layer_covers(state.patches)
+            bound, note = state.coverage
+            assert note == LOOP_NOTE
+            assert bound >= _dense_triangle_to_band(state.patches)
+
+    @pytest.mark.parametrize("name,cut", [(name, 1e-6) for name in BAND_NAMES]
+                             + [("wrinkle5", 98.88762048878147)])
+    def test_cut_beside_a_bend_certifies(self, name, cut, band_states):
+        # the cut leaf keeps the fan vertex it shares with the next bend
+        # bitwise, so their edges cancel
+        assert verify_mod._flat_layer_covers(prepare(redevelop(band_states[name][0], cut)).patches)
+
+    @pytest.mark.parametrize("perturb", ["squash", "shift"])
+    def test_unbounded_loop_fails_corollary(self, perturb, band_states, tmp_path, monkeypatch):
+        # squashed onto the triangle's top side, the loop winds 0 times about
+        # the incenter; shifted by 0.5, it reaches 0.5 from the triangle's
+        # boundary curve.  triangle_to_band reads inf, and a note names the
+        # premise that failed
+        band, state = band_states["wrinkle4"]
+        space = state.developed.space.copy()
+        if perturb == "squash":
+            space[:, :, 1] *= 1e-3
+        else:
+            space[:, :, 0] += 0.5
+        moved = _state_with_space(state, space)
+        premise = "winding in (-1, 1)" if perturb == "squash" else "annulus_max < 1/3"
+        note = "triangle_to_band not bounded: fails " + premise
+        assert moved.coverage == (math.inf, note)
+        cor = verify_corollary(band, state=moved)
+        assert not cor.passed and cor.measured["hausdorff"] == math.inf and cor.notes == (note,)
+        assert note in verify_eff2(band, state=moved).notes
+        # the CLI writes every output and exits 1
+        path = tmp_path / "band.json"
+        write_json(band, path)
+        monkeypatch.setattr(verify_mod, "prepare", lambda band, tol: moved)
+        code, stdout, report, summary = _verify_outputs(path, tmp_path)
+        assert code == 1
+        assert "corollary: pass=False" in stdout and "'hausdorff': 'inf'" in stdout
+        assert json.loads(report)[2]["measured"]["triangle_to_band"] == math.inf
+        assert summary.decode().splitlines()[3].split(",")[3] == "inf"
 
     @pytest.mark.parametrize("name", BAND_NAMES)
     def test_paths_agree_on_bands(self, name, band_states, tmp_path, monkeypatch):
@@ -749,18 +470,23 @@ class TestFlatLayerCertificate:
 
     @staticmethod
     def _assert_paths_agree(band, tmp, monkeypatch):
-        """The CLI's outputs are byte-identical with the certificate and
-        with the lattice fallback alone.  Where the certificate holds, the
-        dense lattice at pitch 2e-2 reads at most hypot(_RIM, _FLAT_Z)."""
+        """The CLI's exit code and every verdict are the same with the
+        certificate and with the loop bound alone, and the loop bound is at
+        least the dense lattice's reading.  Where the certificate holds, the
+        dense lattice reads at most hypot(_RIM, _FLAT_Z)."""
         path = tmp / "band.json"
         write_json(band, path)
         patches = prepare(band).patches
+        dense = _dense_triangle_to_band(patches)
         if verify_mod._flat_layer_covers(patches):
-            bound = math.hypot(verify_mod._RIM, verify_mod._FLAT_Z)
-            assert _dense_triangle_to_band(patches, pitch=2e-2)[1] <= bound
+            assert dense <= math.hypot(verify_mod._RIM, verify_mod._FLAT_Z)
         certified = _verify_outputs(path, tmp)
         monkeypatch.setattr(verify_mod, "_flat_layer_covers", lambda patches: False)
-        assert _verify_outputs(path, tmp) == certified
+        loop_only = _verify_outputs(path, tmp)
+        assert loop_only[0] == certified[0]
+        reports = [json.loads(outputs[2]) for outputs in (certified, loop_only)]
+        assert [r["passed"] for r in reports[0]] == [r["passed"] for r in reports[1]]
+        assert reports[1][2]["measured"]["triangle_to_band"] >= dense
 
 
 class TestPoseInvariance:
@@ -768,7 +494,8 @@ class TestPoseInvariance:
     @pytest.mark.parametrize("name", BAND_NAMES)
     def test_posed_band_settles_every_point(self, name, proper, band_states, monkeypatch):
         # pose normalization leaves the flat patches within _FLAT_Z of z = 0,
-        # so they settle the grid and the exact kernel refines no point
+        # so the flat layer certifies the coverage and the exact kernel runs
+        # on no point of the triangle
         band, state = band_states[name]
         motion = RigidMotion.random(np.random.default_rng(17), scale=1.5)
         if not proper:
