@@ -42,8 +42,10 @@ from .tpattern import (
 )
 from .verify import (
     OutOfScopeError,
+    PipelineState,
     TheoremReport,
     boundary_deviation,
+    prepare,
     verify_all,
     verify_corollary,
     verify_eff,

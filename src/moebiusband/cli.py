@@ -40,13 +40,7 @@ from .band import (
 )
 from .flatmodel import SQRT3
 from .geom import DEFAULT_TOL, StructureError, ToleranceConfig
-from .tpattern import (
-    InvalidBandError,
-    NoTPatternError,
-    develop_for,
-    find_tpattern,
-    normalize_pose,
-)
+from .tpattern import InvalidBandError, NoTPatternError
 from .verify import (
     OutOfScopeError,
     prepare,
@@ -126,11 +120,10 @@ def _validation_failed(rep) -> int:
 def _cmd_tpattern(args, tol: ToleranceConfig) -> int:
     band = read_json(args.input)
     try:
-        tp = find_tpattern(band, tol)
+        state = prepare(band, tol)
     except InvalidBandError as exc:
         return _validation_failed(exc.report)
-    moved, tpm = normalize_pose(band, tp)
-    trap, _ = develop_for(moved, tpm)
+    tp, trap = state.pattern, state.trapezoid
     print(f"tpattern {args.input}: params=({tp.param_t:.6f}, {tp.param_b:.6f}) "
           f"len_T={tp.len_t:.9f} len_B={tp.len_b:.9f}")
     print(f"  residuals: perp={tp.residual_perp:.3e} offset={tp.residual_offset:.3e} "
@@ -139,7 +132,7 @@ def _cmd_tpattern(args, tol: ToleranceConfig) -> int:
     return EXIT_PASS
 
 
-_VERIFIERS = {"eff": verify_eff, "eff2": verify_eff2, "corollary": verify_corollary}
+_THEOREMS = ("eff", "eff2", "corollary")   # --theorem X runs verify_X
 
 
 def _cmd_verify(args, tol: ToleranceConfig) -> int:
@@ -148,7 +141,8 @@ def _cmd_verify(args, tol: ToleranceConfig) -> int:
         if args.theorem is None:
             reports = verify_all(band, tol)
         else:
-            reports = [_VERIFIERS[args.theorem](band, tol, state=prepare(band, tol))]
+            # looked up at each call, so a replaced module attribute takes effect
+            reports = [globals()[f"verify_{args.theorem}"](prepare(band, tol))]
     except InvalidBandError as exc:
         return _validation_failed(exc.report)
     for r in reports:
@@ -247,8 +241,7 @@ def _cmd_sharpness_sweep(args, tol: ToleranceConfig) -> int:
     rows = []
     for eps in eps_list:
         band = build_wrinkle(eps)
-        state = prepare(band, tol)
-        rep = verify_corollary(band, tol, state=state)
+        rep = verify_corollary(prepare(band, tol))
         rows.append((eps, band.lam, rep.measured["hausdorff"],
                      rep.measured["ratio_to_sqrt_eps"], rep.passed))
     out = args.output
@@ -296,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the effective-bound verifiers")
     p.add_argument("--input", required=True)
-    p.add_argument("--theorem", choices=list(_VERIFIERS), default=None)
+    p.add_argument("--theorem", choices=_THEOREMS, default=None)
     p.add_argument("--report", default=None, help="write a JSON report")
     p.add_argument("--csv", default=None, help="write a CSV summary")
     p.set_defaults(func=_cmd_verify)

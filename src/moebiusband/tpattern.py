@@ -29,7 +29,7 @@ side of it prunes these families down to finitely many valid patterns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,10 +75,13 @@ class TPattern:
     param_t / param_b: foliation parameters of the two bends, with the
     T-role bend the one whose segment contains the line intersection in
     its interior and the B-role bend the one lying on one closed side.
+    bend_t_space / bend_b_space: the two bends in the pose of the band the
+    pattern was found in.
     pose: isometry carrying the band to the normalized position: the
     T bend in the X-axis with its midpoint at the origin, the B bend in
     the negative ray of the Y-axis (exactly so when the two bends'
     intersection sits at the T midpoint, as for the generated bands).
+    `pose.apply(bend_t_space)` is the normalized T bend.
     """
 
     param_t: float
@@ -284,15 +287,14 @@ def find_tpattern(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> TPatte
     )
 
 
-def normalize_pose(band: RuledBand, tp: TPattern) -> tuple[RuledBand, TPattern]:
-    """Apply the normalizing pose: T bend into the X-axis with its midpoint
-    translated to the origin, B bend into the negative Y-ray."""
+def normalize_pose(band: RuledBand, tp: TPattern) -> RuledBand:
+    """The band moved by the pattern's normalizing pose: T bend into the
+    X-axis with its midpoint translated to the origin, B bend into the
+    negative Y-ray.  The pattern stays as found; every field that
+    `develop_for` reads is independent of the pose."""
     if tp.len_t < 1e-12 or tp.len_b < 1e-12:
         raise StructureError("degenerate (zero-length) T-pattern bends")
-    pose = tp.pose
-    moved = replace(tp, bend_t_space=pose.apply(tp.bend_t_space),
-                    bend_b_space=pose.apply(tp.bend_b_space), pose=pose.compose(pose.inverse()))
-    return transform(band, pose), moved
+    return transform(band, tp.pose)
 
 
 def develop_for(band: RuledBand, tp: TPattern) -> tuple[FlatTrapezoid, RuledBand]:

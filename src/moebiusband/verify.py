@@ -50,7 +50,6 @@ from .band import (
 from .flatmodel import SQRT3, T_OPT, FlatTrapezoid
 from .geom import (
     DEFAULT_TOL,
-    PolylineLoop,
     StructureError,
     ToleranceConfig,
     point_segment_distance,
@@ -303,17 +302,22 @@ def write_csv_summary(reports: list[TheoremReport], path) -> None:
 
 @dataclass(frozen=True)
 class PipelineState:
-    """A band prepared for the verifiers.  The ruled patches, the annulus
-    and winding of the projected boundary loop and the two directed
-    distances between the band and the solid canonical triangle are
-    computed once, on first use by eff2 or corollary."""
+    """A band prepared for the verifiers; `prepare` makes it.  The boundary
+    chains (read by eff alone), the ruled patches, the annulus and winding
+    of the projected boundary loop and the two directed distances between
+    the band and the solid canonical triangle are computed once, on first
+    use."""
 
     band: RuledBand        # pose-normalized band
-    pattern: TPattern      # pattern in the normalized pose
+    pattern: TPattern      # the pattern as found; its pose carried the input band to `band`
     trapezoid: FlatTrapezoid
     developed: RuledBand   # developed at the T bend, cut displacement >= 0
-    boundary: BoundaryMap  # boundary image of `developed`
     tol: ToleranceConfig   # the tolerances `prepare` ran with
+
+    @cached_property
+    def boundary(self) -> BoundaryMap:
+        """The boundary image of `developed`."""
+        return BoundaryMap(self.developed)
 
     @cached_property
     def patches(self) -> np.ndarray:
@@ -342,27 +346,13 @@ class PipelineState:
     @cached_property
     def winding(self) -> int:
         """Winding number of the projected boundary loop about the incenter."""
-        return winding_number(PolylineLoop(self.loop, closed=True), INCENTER[:2], self.tol)
+        return winding_number(self.loop, INCENTER[:2], self.tol)
 
     @cached_property
     def coverage(self) -> tuple[float, str]:
-        """`triangle_to_band`, and a note naming what bounded it."""
-        if _flat_layer_covers(self.patches):
-            return 0.0, "triangle_to_band from the flat layer's boundary cycle"
-        # the incenter lies 1/3 from the triangle's boundary curve, so first
-        # make sure it is off the loop
-        if not self.annulus_max < 1.0 / 3.0:
-            return math.inf, "triangle_to_band not bounded: fails annulus_max < 1/3"
-        if self.winding not in (-1, 1):
-            return math.inf, "triangle_to_band not bounded: fails winding in (-1, 1)"
-        max_z = float(np.abs(self.developed.space[..., 2]).max())
-        return (2.0 * self.annulus_max + max_z,
-                "triangle_to_band from the boundary loop: 2 annulus_max + max|z|")
-
-    @property
-    def triangle_to_band(self) -> float:
-        """Largest distance from a point of the canonical triangle to the
-        band's ruled patches, or an upper bound on it.
+        """`triangle_to_band`, the largest distance from a point of the
+        canonical triangle to the band's ruled patches or an upper bound on
+        it, and a note naming what bounded it.
 
         Where `_flat_layer_covers` certifies the flat patches, every point
         of the triangle lies within hypot(2 _RIM, _FLAT_Z) = 2.2e-13 of the
@@ -379,14 +369,27 @@ class PipelineState:
         triangle lies within 2 a of such points (a corner of the
         equilateral triangle is the farthest).  Where a premise fails this
         reads inf."""
-        return self.coverage[0]
+        if _flat_layer_covers(self.patches):
+            return 0.0, "triangle_to_band from the flat layer's boundary cycle"
+        # the incenter lies 1/3 from the triangle's boundary curve, so first
+        # make sure it is off the loop
+        if not self.annulus_max < 1.0 / 3.0:
+            return math.inf, "triangle_to_band not bounded: fails annulus_max < 1/3"
+        if self.winding not in (-1, 1):
+            return math.inf, "triangle_to_band not bounded: fails winding in (-1, 1)"
+        max_z = float(np.abs(self.developed.space[..., 2]).max())
+        return (2.0 * self.annulus_max + max_z,
+                "triangle_to_band from the boundary loop: 2 annulus_max + max|z|")
 
 
 def prepare(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> PipelineState:
+    """The band prepared for the verifiers: find its T-pattern, move it into
+    the pattern's normalized pose and develop it at the T bend.  A band that
+    fails validation raises InvalidBandError (from find_tpattern)."""
     tp = find_tpattern(band, tol)
-    moved, tpm = normalize_pose(band, tp)
-    trap, dev = develop_for(moved, tpm)
-    return PipelineState(moved, tpm, trap, dev, BoundaryMap(dev), tol)
+    moved = normalize_pose(band, tp)
+    trap, dev = develop_for(moved, tp)
+    return PipelineState(moved, tp, trap, dev, tol)
 
 
 def _margin_checks(state: PipelineState, dev_report: BoundaryDeviation, eps: float) -> tuple:
@@ -431,17 +434,16 @@ def _edge_slack_audit(dev_report: BoundaryDeviation, eps: float,
     return out
 
 
-def verify_eff(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
-               state: PipelineState | None = None) -> TheoremReport:
+def verify_eff(state: PipelineState) -> TheoremReport:
     """Boundary bound: sup |I0 - psi o I o phi| < 6 sqrt(eps)."""
+    band = state.band
     if band.lam >= SQRT3 + EFF_EPS_CAP:
         raise OutOfScopeError("out of theorem scope: lambda >= sqrt(3) + 1/4")
-    state = prepare(band, tol) if state is None else state
     eps = measured_eps(band)
     dev_rep = boundary_deviation(state.trapezoid, state.boundary)
     checks = _margin_checks(state, dev_rep, eps)
     bound6 = 6.0 * math.sqrt(eps)
-    slack_audit = _edge_slack_audit(dev_rep, eps, tol)
+    slack_audit = _edge_slack_audit(dev_rep, eps, state.tol)
     est1_gap = dev_rep.deviation - (dev_rep.i0_vs_istar + dev_rep.istar_deviation)
     passed = dev_rep.deviation < bound6
     return TheoremReport(
@@ -564,14 +566,13 @@ def _annulus_max(loop: np.ndarray, vertices: np.ndarray) -> float:
     return float(_triangle_curve_distance_2d(np.vstack([loop, crossings]), vertices).max())
 
 
-def verify_eff2(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
-                state: PipelineState | None = None) -> TheoremReport:
+def verify_eff2(state: PipelineState) -> TheoremReport:
     """Containment within 6 sqrt(eps) of the solid canonical triangle, and
     coverage of the triangle within 18 sqrt(eps) (the latter for
     eps < 1/384, certified through the projected annulus and winding)."""
+    band = state.band
     if band.lam >= SQRT3 + EFF_EPS_CAP:
         raise OutOfScopeError("out of theorem scope: lambda >= sqrt(3) + 1/4")
-    state = prepare(band, tol) if state is None else state
     eps = measured_eps(band)
     d6 = 6.0 * math.sqrt(eps)
     d18 = 18.0 * math.sqrt(eps)
@@ -628,8 +629,7 @@ def verify_eff2(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
     )
 
 
-def verify_corollary(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
-                     state: PipelineState | None = None) -> TheoremReport:
+def verify_corollary(state: PipelineState) -> TheoremReport:
     """Hausdorff distance between the band and the solid canonical triangle
     below 18 sqrt(eps), for eps < 1/384.
 
@@ -641,10 +641,10 @@ def verify_corollary(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL,
     loop's premises fail, and a note says which.  Both come from the
     PipelineState, so eff2 and corollary share one computation.
     """
+    band = state.band
     eps = measured_eps(band)
     if eps >= COVERAGE_EPS_CAP:
         raise OutOfScopeError("out of theorem scope: eps >= 1/384")
-    state = prepare(band, tol) if state is None else state
     d18 = 18.0 * math.sqrt(eps)
 
     to_triangle = state.band_to_triangle
@@ -671,7 +671,7 @@ def verify_all(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> list[Theo
     """Run every verifier that is in scope for the band's aspect ratio.
     A band that fails validation raises InvalidBandError (from prepare)."""
     state = prepare(band, tol)
-    reports = [verify_eff(band, tol, state=state), verify_eff2(band, tol, state=state)]
+    reports = [verify_eff(state), verify_eff2(state)]
     if measured_eps(band) < COVERAGE_EPS_CAP:
-        reports.append(verify_corollary(band, tol, state=state))
+        reports.append(verify_corollary(state))
     return reports

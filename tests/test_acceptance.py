@@ -51,9 +51,9 @@ def sweep_results():
             {
                 "eps": eps,
                 "band": band,
-                "eff": verify_eff(band, state=state),
-                "eff2": verify_eff2(band, state=state),
-                "corollary": verify_corollary(band, state=state),
+                "eff": verify_eff(state),
+                "eff2": verify_eff2(state),
+                "corollary": verify_corollary(state),
             }
         )
     return out
@@ -140,12 +140,10 @@ def test_criterion_4_triangular_band(loop_hausdorff):
 
     tp = find_tpattern(band)
     assert abs(tp.residual_perp) < 1e-10 and abs(tp.residual_offset) < 1e-10
-    moved, tpm = normalize_pose(band, tp)
-    trap, _ = develop_for(moved, tpm)
+    trap, _ = develop_for(normalize_pose(band, tp), tp)
     assert abs(trap.t - T0) <= 1e-12
 
-    state = prepare(band)
-    cor = verify_corollary(band, state=state)
+    cor = verify_corollary(prepare(band))
     assert cor.measured["hausdorff"] <= 2.0 * eta
     _report(4, f"triangular band: boundary Hausdorff {bdry_h:.2e} <= 2e-4, "
                f"t = 1/sqrt(3) exactly, surface Hausdorff {cor.measured['hausdorff']:.2e}")
@@ -237,7 +235,7 @@ def test_criterion_8_pose_invariance():
     rng = np.random.default_rng(424242)
     for _ in range(20):
         moved = transform(band, RigidMotion.random(rng, scale=1.0))
-        devs.append(verify_eff(moved).measured["deviation"])
+        devs.append(verify_eff(prepare(moved)).measured["deviation"])
     spread = max(devs) - min(devs)
     assert spread < 1e-8
     elapsed = time.perf_counter() - t0

@@ -261,6 +261,16 @@ _COORD = st.floats(-2.0, 2.0)
 _VEC = st.tuples(_COORD, _COORD, _COORD).map(np.array)
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v / |v|, with v scaled by its largest component first: the norm of
+    a vector below about 1e-154 underflows to 0.  The zero vector stays 0."""
+    top = np.abs(v).max()
+    if top == 0.0:
+        return v
+    v = v / top
+    return v / np.linalg.norm(v)
+
+
 def _triangle(draw) -> np.ndarray:
     """A random, sliver or degenerate triangle, in a random vertex order."""
     kind = draw(st.sampled_from(["random", "sliver", "collinear", "repeated"]))
@@ -268,8 +278,7 @@ def _triangle(draw) -> np.ndarray:
     if kind == "random":
         c = draw(_VEC)
     elif kind == "sliver":
-        side = np.cross(b - a, draw(_VEC))
-        side = side / max(np.linalg.norm(side), 1e-300)
+        side = _unit(np.cross(b - a, draw(_VEC)))
         c = a + draw(st.floats(-0.5, 1.5)) * (b - a) + 10.0 ** draw(st.floats(-15.0, -2.0)) * side
     elif kind == "collinear":
         # dyadic coordinates, so that c lies on the line ab exactly
@@ -293,7 +302,7 @@ def _triangles_and_points(draw):
         u, v = tri[i], tri[(i + 1) % 3]
         base = draw(st.sampled_from([u, u + draw(st.floats(-0.2, 1.2)) * (v - u), draw(_VEC)]))
         off = draw(_VEC)
-        off = off / max(np.linalg.norm(off), 1e-300) * 10.0 ** draw(st.floats(-16.0, 0.0))
+        off = _unit(off) * 10.0 ** draw(st.floats(-16.0, 0.0))
         pts.append(base + off * draw(st.booleans()))
     return tris, np.array(pts)
 
@@ -310,6 +319,14 @@ def _distance_bound(p, tri) -> float:
 
 
 class TestTriangleDistance:
+    def test_unit_of_a_tiny_vector(self):
+        # the sliver side of a = 0, b = (1, 1, 0) and a drawn (0, 0, 1.9e-182):
+        # its norm underflows to 0, and dividing by a floored 1e-300 put the
+        # vertex c near 1.9e118, where the kernel's products overflow
+        side = _unit(np.cross([1.0, 1.0, 0.0], [0.0, 0.0, 1.91070346e-182]))
+        assert np.allclose(side, [math.sqrt(0.5), -math.sqrt(0.5), 0.0], rtol=0.0, atol=1e-15)
+        assert not _unit(np.zeros(3)).any()
+
     @given(_triangles_and_points())
     @settings(max_examples=300, deadline=None)
     # points past the tip of slivers 1e-14 and 4e-6 wide, but outside no
@@ -404,14 +421,14 @@ class TestDevelopment:
     def test_redevelop_in_wrap_patch(self, band_name, request):
         # a cut in (N-1, N) lies between the last bend and the glued bends[0]
         band = request.getfixturevalue("tri_band" if band_name == "tri" else band_name)
-        ref = verify_eff(band, state=request.getfixturevalue(f"{band_name}_state"))
+        ref = verify_eff(request.getfixturevalue(f"{band_name}_state"))
         n = band.n_bends
         for alpha in (n - 0.9, n - 0.5, n - 1e-6):
             dev = redevelop(band, alpha)
             assert validate(dev, DEFAULT_TOL).passed, alpha
             state = prepare(dev)
             assert state.trapezoid.t == pytest.approx(1.0 / SQRT3, abs=1e-12)
-            rep = verify_eff(dev, state=state)
+            rep = verify_eff(state)
             assert abs(rep.measured["deviation"] - ref.measured["deviation"]) <= 1e-8
 
     @pytest.mark.parametrize("alpha", [5 - 1e-13, 127.9999999999999])

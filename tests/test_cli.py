@@ -12,7 +12,7 @@ from moebiusband import tpattern as tpattern_mod
 from moebiusband.band import read_json, scale_bend
 from moebiusband.cli import main as cli_main
 from moebiusband.tpattern import InvalidBandError, find_tpattern
-from moebiusband.verify import verify_all
+from moebiusband.verify import prepare, verify_all
 
 CLI = [sys.executable, "-m", "moebiusband.cli"]
 
@@ -202,8 +202,8 @@ class TestExitCodes:
 
 
 class TestOnePerProcess:
-    """The parser is built once per process, and each job validates its band
-    once."""
+    """The parser is built once per process, each job validates its band
+    once, and `--theorem` finds its verifier when it runs."""
 
     def test_parser_built_once_and_no_argument_carries_over(self, tri_file, monkeypatch,
                                                             capsys):
@@ -226,9 +226,21 @@ class TestOnePerProcess:
         assert cli_main([argv[0], "--input", str(wrinkle_file), *argv[1:]]) == 0
         assert calls == [1]
 
+    @pytest.mark.parametrize("theorem", ["eff", "eff2", "corollary"])
+    def test_theorem_looked_up_when_run(self, wrinkle_file, theorem, monkeypatch, capsys):
+        # `--theorem X` calls the module's verify_X as it stands at the call,
+        # so a verifier replaced after import is the one that runs
+        calls = []
+        real = getattr(cli_mod, f"verify_{theorem}")
+        monkeypatch.setattr(cli_mod, f"verify_{theorem}",
+                            lambda state: calls.append(state) or real(state))
+        assert cli_main(["verify", "--input", str(wrinkle_file), "--theorem", theorem]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.startswith(f"{theorem}: pass=True")
+
     def test_library_callers_get_the_report(self, tri_file):
         bad = scale_bend(read_json(tri_file), 4, 1.02)
-        for call in (find_tpattern, verify_all):
+        for call in (find_tpattern, prepare, verify_all):
             with pytest.raises(InvalidBandError, match="failed validation") as info:
                 call(bad)
             assert not info.value.report.passed

@@ -30,16 +30,19 @@ from moebiusband.tpattern import (
     find_tpattern,
     normalize_pose,
 )
-from moebiusband.verify import verify_eff
+from moebiusband.verify import prepare, verify_eff
 
 SQRT3 = math.sqrt(3.0)
 T0 = 1.0 / SQRT3
 
 
-def pose_residuals(tp: TPattern) -> dict:
-    """Coordinate residuals of a (supposedly) normalized pattern."""
-    t_sp = tp.bend_t_space
-    b_sp = tp.bend_b_space
+def normalized_bends(tp: TPattern) -> tuple[np.ndarray, np.ndarray]:
+    """The T and B bends of a pattern, moved by its normalizing pose."""
+    return tp.pose.apply(tp.bend_t_space), tp.pose.apply(tp.bend_b_space)
+
+
+def pose_residuals(t_sp: np.ndarray, b_sp: np.ndarray) -> dict:
+    """Coordinate residuals of (supposedly) normalized T and B bends."""
     return {
         "t_off_axis": float(np.abs(t_sp[:, 1:]).max()),
         "t_midpoint": float(np.abs(t_sp.mean(axis=0)).max()),
@@ -140,9 +143,9 @@ class TestTriangularPattern:
 
     def test_already_canonical_pose(self, tri_band):
         tp = find_tpattern(tri_band)
-        moved, tpm = normalize_pose(tri_band, tp)
+        moved = normalize_pose(tri_band, tp)
         assert np.abs(moved.space - tri_band.space).max() < 1e-12
-        res = pose_residuals(tpm)
+        res = pose_residuals(*normalized_bends(tp))
         assert max(res.values()) < 1e-12
 
     def test_unfold_t(self, tri_band):
@@ -158,9 +161,9 @@ class TestTriangularPattern:
         motion = RigidMotion.random(rng, scale=2.0)
         moved = transform(tri_band, motion)
         tp = find_tpattern(moved)
-        normalized, tpm = normalize_pose(moved, tp)
+        normalized = normalize_pose(moved, tp)
         assert np.abs(normalized.space - tri_band.space).max() < 1e-10
-        trap, _ = develop_for(normalized, tpm)
+        trap, _ = develop_for(normalized, tp)
         assert trap.t == pytest.approx(T0, abs=1e-12)
 
 
@@ -173,15 +176,13 @@ class TestWrinklePattern:
 
     def test_lip_bound_on_unfolded_t(self, wrinkle4):
         tp = find_tpattern(wrinkle4)
-        moved, tpm = normalize_pose(wrinkle4, tp)
-        trap, _ = develop_for(moved, tpm)
+        trap, _ = develop_for(normalize_pose(wrinkle4, tp), tp)
         eps_excess = wrinkle4.lam - SQRT3
         assert abs(trap.t - T0) < 4.0 * eps_excess / 3.0
 
     def test_normalized_midpoint_at_origin(self, wrinkle4):
         tp = find_tpattern(wrinkle4)
-        moved, tpm = normalize_pose(wrinkle4, tp)
-        res = pose_residuals(tpm)
+        res = pose_residuals(*normalized_bends(tp))
         assert res["t_midpoint"] < 1e-10
         assert res["t_off_axis"] < 1e-10
         assert res["b_off_axis"] < 1e-8
@@ -189,9 +190,8 @@ class TestWrinklePattern:
 
     def test_idempotent_normalization(self, wrinkle4):
         tp = find_tpattern(wrinkle4)
-        moved, _ = normalize_pose(wrinkle4, tp)
-        tp2 = find_tpattern(moved)
-        res = pose_residuals(tp2)
+        tp2 = find_tpattern(normalize_pose(wrinkle4, tp))
+        res = pose_residuals(tp2.bend_t_space, tp2.bend_b_space)
         # the re-found pattern is already normalized
         assert res["t_off_axis"] < 1e-8 and res["b_off_axis"] < 1e-8
 
@@ -216,11 +216,11 @@ class TestEquivariance:
             tp = find_tpattern(b)
             assert abs(tp.residual_perp) < 1e-10
             assert abs(tp.residual_offset) < 1e-10
-            trap, _ = develop_for(*normalize_pose(b, tp))
+            trap, _ = develop_for(normalize_pose(b, tp), tp)
             return trap.t
 
         t0 = unfolded_t(band)
-        dev0 = verify_eff(band).measured["deviation"]
+        dev0 = verify_eff(prepare(band)).measured["deviation"]
         rng = np.random.default_rng(17)
         for _ in range(3):
             motion = RigidMotion.random(rng, scale=1.5)
@@ -228,7 +228,7 @@ class TestEquivariance:
             cut = float(rng.uniform(0.0, band.n_bends))
             for copy in (transform(band, mirror), redevelop(band, cut)):
                 assert unfolded_t(copy) == pytest.approx(t0, abs=1e-12)
-                assert verify_eff(copy).measured["deviation"] == pytest.approx(dev0, abs=1e-8)
+                assert verify_eff(prepare(copy)).measured["deviation"] == pytest.approx(dev0, abs=1e-8)
 
 
 class TestRootQuality:

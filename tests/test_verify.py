@@ -54,24 +54,24 @@ SQRT3 = math.sqrt(3.0)
 
 
 class TestTriangularTheorems:
-    def test_eff(self, tri_band, tri_state):
-        rep = verify_eff(tri_band, state=tri_state)
+    def test_eff(self, tri_state):
+        rep = verify_eff(tri_state)
         assert rep.passed
         assert rep.epsilon == EPS_FLOOR
         assert rep.measured["deviation"] < 1e-10
         assert all(c.passed for c in rep.checks)
         assert rep.details["slack_audit"]["ok"]
 
-    def test_eff2(self, tri_band, tri_state):
-        rep = verify_eff2(tri_band, state=tri_state)
+    def test_eff2(self, tri_state):
+        rep = verify_eff2(tri_state)
         assert rep.passed
         assert rep.measured["containment_max"] < 1e-12
         assert rep.measured["winding"] in (-1, 1)
         assert rep.measured["c_grid_uncovered"] == 0
         assert rep.measured["triangle_coverage_max"] < 1e-12
 
-    def test_corollary_zero_distance(self, tri_band, tri_state):
-        rep = verify_corollary(tri_band, state=tri_state)
+    def test_corollary_zero_distance(self, tri_state):
+        rep = verify_corollary(tri_state)
         assert rep.passed
         # the flat-folded band IS the triangle: both directed distances are
         # exact, and the flat layer certifies the coverage
@@ -81,7 +81,7 @@ class TestTriangularTheorems:
 class TestWrinkleTheorems:
     def test_eff(self, wrinkle4, wrinkle4_state):
         eps = measured_eps(wrinkle4)
-        rep = verify_eff(wrinkle4, state=wrinkle4_state)
+        rep = verify_eff(wrinkle4_state)
         assert rep.passed
         dev = rep.measured["deviation"]
         assert dev < 6.0 * math.sqrt(eps)
@@ -91,8 +91,8 @@ class TestWrinkleTheorems:
         assert all(c.passed for c in rep.checks)
         assert rep.details["slack_audit"]["ok"]
 
-    def test_est1_chain(self, wrinkle4, wrinkle4_state):
-        rep = verify_eff(wrinkle4, state=wrinkle4_state)
+    def test_est1_chain(self, wrinkle4_state):
+        rep = verify_eff(wrinkle4_state)
         m = rep.measured
         assert m["deviation"] <= m["i0_vs_istar"] + m["istar_deviation"] + 1e-10
 
@@ -105,7 +105,7 @@ class TestWrinkleTheorems:
 
     def test_eff2(self, wrinkle4, wrinkle4_state):
         eps = measured_eps(wrinkle4)
-        rep = verify_eff2(wrinkle4, state=wrinkle4_state)
+        rep = verify_eff2(wrinkle4_state)
         assert rep.passed
         assert rep.measured["containment_max"] <= 6.0 * math.sqrt(eps)
         assert rep.measured["containment_max"] == pytest.approx(
@@ -117,7 +117,7 @@ class TestWrinkleTheorems:
 
     def test_corollary(self, wrinkle4, wrinkle4_state):
         eps = measured_eps(wrinkle4)
-        rep = verify_corollary(wrinkle4, state=wrinkle4_state)
+        rep = verify_corollary(wrinkle4_state)
         assert rep.passed
         assert rep.measured["hausdorff"] < 18.0 * math.sqrt(eps)
         assert 0.4 <= rep.measured["ratio_to_sqrt_eps"] <= 18.0
@@ -173,7 +173,7 @@ class TestCoverage:
         assert np.abs(bary_min).min() > 1e-9     # no point within rounding of C's boundary
         assert np.array_equal(sample, bary_min >= 0.0)
         assert 0 < sample.sum() < len(points)
-        rep = verify_eff2(band, state=state)
+        rep = verify_eff2(state)
         assert rep.measured["c_grid_uncovered"] == 0 and "c_grid_points" not in rep.details
 
         rng = np.random.default_rng(5)
@@ -201,7 +201,7 @@ class TestCoverage:
                 assert (points_to_triangles_distance(points[sample], projected) <= 1e-12).all(), perturb
             else:
                 # eff2 fails and names the failed premise instead
-                rep = verify_eff2(band, state=moved)
+                rep = verify_eff2(moved)
                 assert not rep.passed and "c_grid_uncovered" not in rep.measured
                 assert any(n.startswith("coverage of C not certified: fails") for n in rep.notes)
                 if perturb == "shrink":
@@ -220,7 +220,8 @@ class TestCoverage:
         band, state = band_states[name]
         moved = redevelop(band, cut * band.n_bends)
         moved = flip(moved) if flipped else moved
-        base = (verify_eff2(band, state=state).measured, verify_corollary(band, state=state).measured)
+        base = (verify_eff2(state).measured, verify_corollary(state).measured)
+        moved = prepare(moved)
         eff2, cor = verify_eff2(moved).measured, verify_corollary(moved).measured
         for key in ("c_grid_uncovered", "triangle_coverage_max"):
             assert eff2[key] == base[0][key], key
@@ -245,8 +246,8 @@ class TestSharedGeometry:
     @pytest.mark.parametrize("name", BAND_NAMES)
     def test_exact_distances_match_dense(self, name, band_states):
         band, state = band_states[name]
-        eff2 = verify_eff2(band, state=state).measured
-        cor = verify_corollary(band, state=state).measured
+        eff2 = verify_eff2(state).measured
+        cor = verify_corollary(state).measured
         ends = state.developed.space.reshape(-1, 3)
         endpoint_max = float(points_to_triangles_distance(ends, CANONICAL_TRIANGLE[None]).max())
         assert eff2["containment_max"] == cor["band_to_triangle"] == endpoint_max
@@ -257,14 +258,15 @@ class TestSharedGeometry:
         # the cut leaf 1.44e-10 past bend 0 becomes the T bend, so the pose
         # tilts, and the flat layer's edges beside that leaf leave its lines;
         # the loop bound reads 2 x 3.75e-12 and the containment about 3e-12
-        measured = verify_eff2(redevelop(tri_band, 1.44e-10)).measured
+        measured = verify_eff2(prepare(redevelop(tri_band, 1.44e-10))).measured
         assert measured["containment_max"] <= 1e-11
         assert measured["triangle_coverage_max"] <= 1e-11
 
     def _count(self, monkeypatch):
-        calls = {"certificate": 0, "annulus": 0, "winding": 0, "kernel": 0}
+        calls = {"certificate": 0, "annulus": 0, "winding": 0, "kernel": 0, "chains": 0}
         for key, name in (("certificate", "_flat_layer_covers"), ("annulus", "_annulus_max"),
-                          ("winding", "winding_number"), ("kernel", "points_to_triangles_distance")):
+                          ("winding", "winding_number"), ("kernel", "points_to_triangles_distance"),
+                          ("chains", "_Chain")):
             def counting(*args, key=key, real=getattr(verify_mod, name)):
                 calls[key] += 1
                 return real(*args)
@@ -282,8 +284,8 @@ class TestSharedGeometry:
         lifted[::2, :, 2] += 0.01
         state = _state_with_patches(wrinkle4_state, lifted)
         calls.update(certificate=0, annulus=0, winding=0)
-        verify_eff2(wrinkle4_state.band, state=state)
-        verify_corollary(wrinkle4_state.band, state=state)
+        verify_eff2(state)
+        verify_corollary(state)
         assert calls["certificate"] == calls["annulus"] == calls["winding"] == 1
         assert state.coverage[1] == LOOP_NOTE
 
@@ -293,9 +295,16 @@ class TestSharedGeometry:
         calls = self._count(monkeypatch)
         assert cli_main(["verify", "--input", str(path)]) == 0
         assert calls["certificate"] == calls["annulus"] == calls["winding"] == 1
-        calls.update(certificate=0, annulus=0, winding=0, kernel=0)
+        assert calls["chains"] == 2
+        calls.update(certificate=0, annulus=0, winding=0, kernel=0, chains=0)
         assert cli_main(["verify", "--input", str(path), "--theorem", "eff"]) == 0
-        assert calls == {"certificate": 0, "annulus": 0, "winding": 0, "kernel": 0}
+        assert calls == {"certificate": 0, "annulus": 0, "winding": 0, "kernel": 0, "chains": 2}
+        # only eff reads the boundary chains
+        for argv in (["verify", "--theorem", "eff2"], ["verify", "--theorem", "corollary"],
+                     ["tpattern"]):
+            calls["chains"] = 0
+            assert cli_main([argv[0], "--input", str(path), *argv[1:]]) == 0
+            assert calls["chains"] == 0, argv
 
     @pytest.mark.parametrize("name", BAND_NAMES)
     def test_cli_scans_once_per_band(self, name, band_states, tmp_path, monkeypatch):
@@ -438,9 +447,9 @@ class TestFlatLayerCertificate:
         premise = "winding in (-1, 1)" if perturb == "squash" else "annulus_max < 1/3"
         note = "triangle_to_band not bounded: fails " + premise
         assert moved.coverage == (math.inf, note)
-        cor = verify_corollary(band, state=moved)
+        cor = verify_corollary(moved)
         assert not cor.passed and cor.measured["hausdorff"] == math.inf and cor.notes == (note,)
-        assert note in verify_eff2(band, state=moved).notes
+        assert note in verify_eff2(moved).notes
         # the CLI writes every output and exits 1
         path = tmp_path / "band.json"
         write_json(band, path)
@@ -502,16 +511,14 @@ class TestPoseInvariance:
             motion = RigidMotion(-motion.rotation, motion.translation)
         moved = transform(band, motion)
         posed = prepare(moved)
-        base = [r.passed for r in (verify_eff(band, state=state), verify_eff2(band, state=state),
-                                   verify_corollary(band, state=state))]
+        base = [r.passed for r in (verify_eff(state), verify_eff2(state), verify_corollary(state))]
         # band_to_triangle reads the bend endpoints with the exact kernel;
         # count only what triangle_to_band asks of it
         posed.band_to_triangle
         kernel_calls = []
         monkeypatch.setattr(verify_mod, "points_to_triangles_distance",
                             lambda pts, tris: kernel_calls.append(len(pts)))
-        reports = [verify_eff(moved, state=posed), verify_eff2(moved, state=posed),
-                   verify_corollary(moved, state=posed)]
+        reports = [verify_eff(posed), verify_eff2(posed), verify_corollary(posed)]
         assert kernel_calls == []
         assert verify_mod._flat_layer_covers(posed.patches)
         assert [r.passed for r in reports] == base
@@ -520,22 +527,23 @@ class TestPoseInvariance:
         assert reports[2].measured["triangle_to_band"] == 0.0
 
     def test_deviation_stable_under_rigid_motion(self, wrinkle4, wrinkle4_state):
-        base = verify_eff(wrinkle4, state=wrinkle4_state).measured["deviation"]
+        base = verify_eff(wrinkle4_state).measured["deviation"]
         rng = np.random.default_rng(99)
         for _ in range(5):
             moved = transform(wrinkle4, RigidMotion.random(rng, scale=1.0))
-            dev = verify_eff(moved).measured["deviation"]
+            dev = verify_eff(prepare(moved)).measured["deviation"]
             assert abs(dev - base) < 1e-8
 
 
 class TestScope:
-    def test_eff_out_of_scope(self, tri_band):
-        fat = replace(tri_band, lam=SQRT3 + 0.3)
-        with pytest.raises(OutOfScopeError, match="out of theorem scope"):
-            verify_eff(fat)
+    def test_eff_out_of_scope(self, tri_state):
+        fat = replace(tri_state, band=replace(tri_state.band, lam=SQRT3 + 0.3))
+        for verifier in (verify_eff, verify_eff2):
+            with pytest.raises(OutOfScopeError, match="out of theorem scope"):
+                verifier(fat)
 
-    def test_corollary_out_of_scope(self, tri_band):
-        fat = replace(tri_band, lam=SQRT3 + 0.1)
+    def test_corollary_out_of_scope(self, tri_state):
+        fat = replace(tri_state, band=replace(tri_state.band, lam=SQRT3 + 0.1))
         with pytest.raises(OutOfScopeError, match="out of theorem scope"):
             verify_corollary(fat)
 
@@ -566,19 +574,19 @@ class TestNegativeControls:
         band = band_states[name][0]
         tol = DEFAULT_TOL.replace(isometry=1e-6)
         bend = round(find_tpattern(band).param_t) % band.n_bends
-        base = {c.name: c.margin for c in verify_eff(band, tol).checks}
+        base = {c.name: c.margin for c in verify_eff(prepare(band, tol)).checks}
         for delta in (-1e-7, -1e-8, -1e-9, 1e-9, 1e-8, 1e-7):
-            checks = verify_eff(scale_bend(band, bend, 1.0 + delta), tol).checks
+            checks = verify_eff(prepare(scale_bend(band, bend, 1.0 + delta), tol)).checks
             change = {c.name: abs(c.margin - base[c.name]) for c in checks}
             assert max(change.values()) <= 2.0 * abs(delta) + 1e-12, (delta, change)
             assert max(change.values()) >= 0.1 * abs(delta), (delta, change)
 
 
 class TestReports:
-    def test_json_and_csv(self, tri_band, tri_state, tmp_path):
+    def test_json_and_csv(self, tri_state, tmp_path):
         reports = [
-            verify_eff(tri_band, state=tri_state),
-            verify_corollary(tri_band, state=tri_state),
+            verify_eff(tri_state),
+            verify_corollary(tri_state),
         ]
         jpath = tmp_path / "report.json"
         cpath = tmp_path / "summary.csv"
@@ -596,8 +604,8 @@ class TestReports:
         assert lines[0].startswith("name,epsilon,deviation,hausdorff")
         assert len(lines) == 3
 
-    def test_report_dict_fields(self, wrinkle4, wrinkle4_state):
-        rep = verify_eff(wrinkle4, state=wrinkle4_state)
+    def test_report_dict_fields(self, wrinkle4_state):
+        rep = verify_eff(wrinkle4_state)
         d = rep.to_dict()
         assert set(d) >= {"name", "lambda", "epsilon", "passed", "bounds", "measured", "checks"}
         assert len(d["checks"]) == 7
