@@ -43,23 +43,20 @@ BASE_R = np.array([T_OPT, 0.0, 0.0])
 CANONICAL_TRIANGLE = np.array([BASE_L, BASE_R, APEX])
 INCENTER = np.array([0.0, -1.0 / 3.0, 0.0])
 
-# the epsilons build_wrinkle accepts.  The closure leaves the band's boundary
-# lengths off by rounding that grows like 1/eps, about 3e-15 / eps at most on
-# a log scan of 6,400 epsilons over [1e-6, 1e-2]; the last band that failed
-# validation under DEFAULT_TOL (isometry 1e-9) sat at 2.99e-6, and from 1e-5
-# up the residual stays below 3e-10.  Below about 1e-11 the closure solve
-# fails, and below about 1e-16 the crease offset divides by zero.
-WRINKLE_EPS_MIN = 1e-5
+# the epsilons build_wrinkle accepts.  The closed-form plug closes the band's
+# boundary lengths to rounding, below 1.2e-15 at every eps down to 1e-10, so
+# validation sets no floor until the plug's bends crowd under its 1e-14
+# duplicate spacing (the last failing band of a scan sat at 5.5e-13).  The
+# floor is set by what the band measures: the verifiers read eps as
+# lambda - sqrt(3) = 0.43 eps, and the rounding of lambda (1.1e-16) is
+# 2.6e-8 of that at eps 1e-8, 2.6e-6 at 1e-10.
+WRINKLE_EPS_MIN = 1e-8
 WRINKLE_EPS_MAX = 1e-2
 
 # reflections (about lines through the origin) used by the flat folding:
 # _REFL_L fixes the line through (-1/sqrt(3), 1), _REFL_R its mirror image.
 _REFL_L = np.array([[-0.5, -0.5 * SQRT3], [-0.5 * SQRT3, 0.5]])
 _REFL_R = np.array([[-0.5, 0.5 * SQRT3], [0.5 * SQRT3, 0.5]])
-
-
-class WrinkleClosureError(StructureError):
-    """The plug width solve did not reach its residual target."""
 
 
 @dataclass(frozen=True)
@@ -292,29 +289,6 @@ class WrinkleConfig:
     n_door: int = 12
     n_plug_side: int = 6
     n_plug_mid: int = 12
-    closure_tol: float = 1e-10
-    max_iter: int = 200
-
-
-def _angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle between two vectors via atan2; well conditioned near zero."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape == (2,):
-        cross = abs(u[0] * v[1] - u[1] * v[0])
-    else:
-        cross = float(np.linalg.norm(np.cross(u, v)))
-    return math.atan2(cross, float(u @ v))
-
-
-def _crack(theta: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Images of the two slit-edge tips after the door rotations, and the
-    opening angle of the crack V at the apex."""
-    rot_l = rotation_about_line(BASE_L, APEX - BASE_L, theta)
-    rot_r = rotation_about_line(BASE_R, APEX - BASE_R, -theta)
-    o_l = rot_l.apply(np.zeros(3))
-    o_r = rot_r.apply(np.zeros(3))
-    return o_l, o_r, _angle_between(o_l - APEX, o_r - APEX)
 
 
 def _reflect_across(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -326,99 +300,6 @@ def _reflect_across(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return a + 2.0 * proj[..., None] * d - rel
 
 
-def _plug_crease_offset(width: float) -> float:
-    """Crease foot +-c for which the folded strip's bottom corners meet:
-    the positive root of w*c^2 + 4*c - w = 0."""
-    return (math.sqrt(4.0 + width * width) - 2.0) / width
-
-
-def _plug_v_angle(width: float) -> float:
-    """Opening angle of the V formed by the vertical edges of a width-`width`
-    unit-height strip folded along the two creases from the top midpoint."""
-    c = _plug_crease_offset(width)
-    t0 = np.array([0.0, 1.0])
-    k1 = np.array([-c, 0.0])
-    k2 = np.array([c, 0.0])
-    vtx = _reflect_across(np.array([-width / 2, 0.0]), t0, k1)
-    e_l = _reflect_across(np.array([-width / 2, 1.0]), t0, k1) - vtx
-    e_r = _reflect_across(np.array([width / 2, 1.0]), t0, k2) - vtx
-    return _angle_between(e_l, e_r)
-
-
-def _solve_plug_width(gamma: float, tol: float, max_iter: int) -> tuple[float, float]:
-    """Bisect for the strip width whose folded V matches the crack angle."""
-    lo, hi = 0.25 * gamma, 8.0 * gamma
-    f_lo = _plug_v_angle(lo) - gamma
-    f_hi = _plug_v_angle(hi) - gamma
-    if f_lo > 0.0 or f_hi < 0.0:
-        raise WrinkleClosureError("wrinkle closure failed: no bracket for plug width")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = _plug_v_angle(mid) - gamma
-        if f_mid <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-18 + 1e-16 * hi:
-            break
-    width = 0.5 * (lo + hi)
-    residual = abs(_plug_v_angle(width) - gamma)
-    if residual > tol:
-        raise WrinkleClosureError(f"wrinkle closure failed: residual {residual:.3e}")
-    return width, residual
-
-
-class _PlugMap:
-    """Piecewise-rigid map of the inserted strip onto the planar plug.
-
-    The strip [-w/2, w/2] x [0, 1] is folded along the creases joining the
-    top midpoint to (+-c, 0); the folded picture is then carried by a plane
-    isometry onto the plane through the apex and the two crack tips so that
-    the strip's vertical edges land on the crack edges.
-    """
-
-    def __init__(self, width: float, o_l: np.ndarray, o_r: np.ndarray):
-        self.width = width
-        self.c = _plug_crease_offset(width)
-        self.t0 = np.array([0.0, 1.0])
-        self.k1 = np.array([-self.c, 0.0])
-        self.k2 = np.array([self.c, 0.0])
-        self.vertex = _reflect_across(np.array([-width / 2, 0.0]), self.t0, self.k1)
-        f1 = _reflect_across(np.array([-width / 2, 1.0]), self.t0, self.k1) - self.vertex
-        f2 = _reflect_across(np.array([width / 2, 1.0]), self.t0, self.k2) - self.vertex
-        g1 = o_l - APEX
-        g2 = o_r - APEX
-        bis = 0.5 * (o_l + o_r) - APEX
-        self.e_x = np.array([1.0, 0.0, 0.0])
-        self.b_hat = bis / np.linalg.norm(bis)
-        g_coords = np.array(
-            [[g1 @ self.e_x, g2 @ self.e_x], [g1 @ self.b_hat, g2 @ self.b_hat]]
-        )
-        t2 = g_coords @ np.linalg.inv(np.column_stack([f1, f2]))
-        if np.abs(t2 @ t2.T - np.eye(2)).max() > 1e-7:
-            raise WrinkleClosureError("plug placement is not an isometry")
-        # project onto the nearest exact plane isometry
-        u, _, vt = np.linalg.svd(t2)
-        self.t2 = u @ vt
-
-    def fold(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        out = pts.copy()
-        y = pts[:, 1]
-        left = pts[:, 0] < -self.c * (1.0 - y) - 1e-15
-        right = pts[:, 0] > self.c * (1.0 - y) + 1e-15
-        if left.any():
-            out[left] = _reflect_across(pts[left], self.t0, self.k1)
-        if right.any():
-            out[right] = _reflect_across(pts[right], self.t0, self.k2)
-        return out
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        q = self.fold(np.atleast_2d(pts)) - self.vertex
-        plane = q @ self.t2.T
-        return APEX + plane[:, :1] * self.e_x + plane[:, 1:] * self.b_hat
-
-
 def build_wrinkle(epsilon: float, config: WrinkleConfig | None = None) -> RuledBand:
     """Polygonal band of aspect ratio sqrt(3) + O(eps) with a wrinkle.
 
@@ -428,22 +309,51 @@ def build_wrinkle(epsilon: float, config: WrinkleConfig | None = None) -> RuledB
     rises (sin theta)/2 out of the plane.  A vertical strip of width w is
     inserted into the flat band at the slit and folded into a planar plug
     whose vertical edges form a V isometric to the crack; the plug is glued
-    into the crack.  The width w solves the closure equation numerically,
-    so the whole construction is exactly piecewise isometric.
+    into the crack.
+
+    The plug is built in closed form.  The strip [-w/2, w/2] x [0, 1] is
+    folded along the creases from its top midpoint to (+-c, 0).  Each fold
+    turns a vertical edge by 2 atan(c), so the folded edges open a V of
+    angle 4 atan(c), and the two bottom corners meet on the midline x = 0
+    where w c^2 + 4 c - w = 0.  For the crack angle gamma that gives
+    c = tan(gamma/4) and w = 2 tan(gamma/2).  The folded V is symmetric
+    about the strip's midline, as the crack is about the plane x = 0, but
+    the folds cross its edges over: the strip's left edge ends up on the
+    right.  So the fixed mirror (x, y) -> (-x, y), onto the crack's plane
+    spanned by e_x and the crack's bisector, lays the V onto the crack, and
+    the whole construction is exactly piecewise isometric.
     """
     cfg = config or WrinkleConfig()
     if not (WRINKLE_EPS_MIN <= epsilon <= WRINKLE_EPS_MAX):
         raise StructureError(f"epsilon must lie in [{WRINKLE_EPS_MIN:g}, {WRINKLE_EPS_MAX:g}]")
     theta = cfg.theta_scale * math.sqrt(epsilon)
-    o_l, o_r, gamma = _crack(theta)
-    width, residual = _solve_plug_width(gamma, cfg.closure_tol, cfg.max_iter)
-    c = _plug_crease_offset(width)
+    rot_l = rotation_about_line(BASE_L, APEX - BASE_L, theta)
+    rot_r = rotation_about_line(BASE_R, APEX - BASE_R, -theta)
+    # the slit-edge tips after the door rotations, and the opening angle of
+    # the crack V at the apex (atan2 stays well conditioned near zero)
+    o_l, o_r = rot_l.apply(np.zeros(3)), rot_r.apply(np.zeros(3))
+    u, v = o_l - APEX, o_r - APEX
+    gamma = math.atan2(float(np.linalg.norm(np.cross(u, v))), float(u @ v))
+    width = 2.0 * math.tan(0.5 * gamma)
+    c = math.tan(0.25 * gamma)
     half = width / 2.0
     lam = SQRT3 + width
 
-    rot_l = rotation_about_line(BASE_L, APEX - BASE_L, theta)
-    rot_r = rotation_about_line(BASE_R, APEX - BASE_R, -theta)
-    plug = _PlugMap(width, o_l, o_r)
+    t0, k1, k2 = np.array([0.0, 1.0]), np.array([-c, 0.0]), np.array([c, 0.0])
+    vertex = _reflect_across(np.array([-half, 0.0]), t0, k1)
+    bis = 0.5 * (o_l + o_r) - APEX
+    e_x, b_hat = np.array([1.0, 0.0, 0.0]), bis / np.linalg.norm(bis)
+
+    def plug(pts: np.ndarray) -> np.ndarray:
+        """Fold strip points along the creases, then mirror them onto the crack."""
+        q = pts.copy()
+        y = pts[:, 1]
+        left = pts[:, 0] < -c * (1.0 - y) - 1e-15
+        right = pts[:, 0] > c * (1.0 - y) + 1e-15
+        q[left] = _reflect_across(pts[left], t0, k1)
+        q[right] = _reflect_across(pts[right], t0, k2)
+        q -= vertex
+        return APEX - q[:, :1] * e_x + q[:, 1:] * b_hat
 
     def door(pts2: np.ndarray, rot: RigidMotion, shift: float) -> np.ndarray:
         q = np.zeros(pts2.shape[:-1] + (3,))
@@ -516,7 +426,6 @@ def build_wrinkle(epsilon: float, config: WrinkleConfig | None = None) -> RuledB
         "gamma": gamma,
         "width": width,
         "crease_offset": c,
-        "closure_residual": residual,
         "lambda": lam,
         "eps_excess": width,
         "excess_coeff": width / epsilon,

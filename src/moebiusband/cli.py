@@ -43,6 +43,7 @@ from .geom import DEFAULT_TOL, StructureError, ToleranceConfig
 from .tpattern import InvalidBandError, NoTPatternError
 from .verify import (
     OutOfScopeError,
+    check_scope,
     prepare,
     verify_all,
     verify_corollary,
@@ -141,6 +142,7 @@ def _cmd_verify(args, tol: ToleranceConfig) -> int:
         if args.theorem is None:
             reports = verify_all(band, tol)
         else:
+            check_scope(args.theorem, band)
             # looked up at each call, so a replaced module attribute takes effect
             reports = [globals()[f"verify_{args.theorem}"](prepare(band, tol))]
     except InvalidBandError as exc:
@@ -241,6 +243,7 @@ def _cmd_sharpness_sweep(args, tol: ToleranceConfig) -> int:
     rows = []
     for eps in eps_list:
         band = build_wrinkle(eps)
+        check_scope("corollary", band)
         rep = verify_corollary(prepare(band, tol))
         rows.append((eps, band.lam, rep.measured["hausdorff"],
                      rep.measured["ratio_to_sqrt_eps"], rep.passed))

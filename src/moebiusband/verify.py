@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -79,6 +80,17 @@ class OutOfScopeError(StructureError):
 
 def measured_eps(band: RuledBand) -> float:
     return max(band.lam - SQRT3, EPS_FLOOR)
+
+
+def check_scope(theorem: str, band: RuledBand) -> None:
+    """Raise OutOfScopeError unless verify_<theorem> ("eff", "eff2" or
+    "corollary") covers the band's aspect ratio.  Scope reads lambda
+    alone, so a caller checks it before `prepare`."""
+    if theorem == "corollary":
+        if measured_eps(band) >= COVERAGE_EPS_CAP:
+            raise OutOfScopeError("out of theorem scope: eps >= 1/384")
+    elif band.lam >= SQRT3 + EFF_EPS_CAP:
+        raise OutOfScopeError("out of theorem scope: lambda >= sqrt(3) + 1/4")
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +449,7 @@ def _edge_slack_audit(dev_report: BoundaryDeviation, eps: float,
 def verify_eff(state: PipelineState) -> TheoremReport:
     """Boundary bound: sup |I0 - psi o I o phi| < 6 sqrt(eps)."""
     band = state.band
-    if band.lam >= SQRT3 + EFF_EPS_CAP:
-        raise OutOfScopeError("out of theorem scope: lambda >= sqrt(3) + 1/4")
+    check_scope("eff", band)
     eps = measured_eps(band)
     dev_rep = boundary_deviation(state.trapezoid, state.boundary)
     checks = _margin_checks(state, dev_rep, eps)
@@ -571,8 +582,7 @@ def verify_eff2(state: PipelineState) -> TheoremReport:
     coverage of the triangle within 18 sqrt(eps) (the latter for
     eps < 1/384, certified through the projected annulus and winding)."""
     band = state.band
-    if band.lam >= SQRT3 + EFF_EPS_CAP:
-        raise OutOfScopeError("out of theorem scope: lambda >= sqrt(3) + 1/4")
+    check_scope("eff2", band)
     eps = measured_eps(band)
     d6 = 6.0 * math.sqrt(eps)
     d18 = 18.0 * math.sqrt(eps)
@@ -642,9 +652,8 @@ def verify_corollary(state: PipelineState) -> TheoremReport:
     PipelineState, so eff2 and corollary share one computation.
     """
     band = state.band
+    check_scope("corollary", band)
     eps = measured_eps(band)
-    if eps >= COVERAGE_EPS_CAP:
-        raise OutOfScopeError("out of theorem scope: eps >= 1/384")
     d18 = 18.0 * math.sqrt(eps)
 
     to_triangle = state.band_to_triangle
@@ -669,9 +678,12 @@ def verify_corollary(state: PipelineState) -> TheoremReport:
 
 def verify_all(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> list[TheoremReport]:
     """Run every verifier that is in scope for the band's aspect ratio.
-    A band that fails validation raises InvalidBandError (from prepare)."""
+    A band outside eff's scope raises OutOfScopeError before `prepare`; a
+    band that fails validation raises InvalidBandError (from prepare)."""
+    check_scope("eff", band)
     state = prepare(band, tol)
     reports = [verify_eff(state), verify_eff2(state)]
-    if measured_eps(band) < COVERAGE_EPS_CAP:
+    # corollary's scope is narrower; out of it, it is left out
+    with suppress(OutOfScopeError):
         reports.append(verify_corollary(state))
     return reports

@@ -10,11 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moebiusband.band import (
+    APEX,
     CANONICAL_TRIANGLE,
     WRINKLE_EPS_MAX,
     WRINKLE_EPS_MIN,
     RuledBand,
-    WrinkleConfig,
     build_triangular,
     build_wrinkle,
     boundary_polyline,
@@ -115,9 +115,48 @@ class TestValidationNegative:
             validate(RuledBand(tri_band.lam, flat, tri_band.space))
 
 
+def _strip_fold(width, c):
+    """Reference strip fold, computed step by step: the strip
+    [-w/2, w/2] x [0, 1] folded along the creases from its top
+    midpoint to (+-c, 0).  Returns the opening angle of the V of its folded
+    vertical edges and where its two bottom corners land."""
+    def reflect(p, a, b):
+        d = (b - a) / np.linalg.norm(b - a)
+        rel = p - a
+        return a + 2.0 * (rel @ d) * d - rel
+
+    t0, k1, k2 = np.array([0.0, 1.0]), np.array([-c, 0.0]), np.array([c, 0.0])
+    corner_l = reflect(np.array([-width / 2, 0.0]), t0, k1)
+    corner_r = reflect(np.array([width / 2, 0.0]), t0, k2)
+    e_l = reflect(np.array([-width / 2, 1.0]), t0, k1) - corner_l
+    e_r = reflect(np.array([width / 2, 1.0]), t0, k2) - corner_l
+    angle = math.atan2(abs(e_l[0] * e_r[1] - e_l[1] * e_r[0]), float(e_l @ e_r))
+    return angle, corner_l, corner_r
+
+
 class TestWrinkleFamily:
-    def test_closure_residual(self, wrinkle4):
-        assert wrinkle4.meta["closure_residual"] < 1e-10
+    def test_closed_form_plug_matches_strip_fold(self):
+        # w = 2 tan(gamma/2) and c = tan(gamma/4) close the plug to rounding
+        # over the whole accepted range
+        for eps in np.geomspace(WRINKLE_EPS_MIN, WRINKLE_EPS_MAX, 60):
+            band = build_wrinkle(float(eps))
+            meta = band.meta
+            width, c, gamma = meta["width"], meta["crease_offset"], meta["gamma"]
+            angle, corner_l, corner_r = _strip_fold(width, c)
+            # the folded V opens by the crack angle (measured within 8.7e-16 relative)
+            assert abs(angle - gamma) <= 4e-15 * gamma, eps
+            assert abs(width * c * c + 4.0 * c - width) <= 1e-15 * width, eps
+            # lambda reads the closed form up to its own rounding (half an
+            # ulp of sqrt(3) is 1.1e-16)
+            assert abs(band.lam - SQRT3 - 2.0 * math.tan(gamma / 2.0)) <= 2.3e-16, eps
+            assert np.abs(corner_l - corner_r).max() <= 1e-17, eps
+            # the bends from the two seam feet (the only shared bottom feet)
+            # all start at APEX: the doors' by construction, the plug's
+            # through the fold and the mirror
+            feet, count = np.unique(band.flat[:, 0, 0], return_counts=True)
+            assert len(feet[count > 1]) == 2, eps
+            seam = np.isin(band.flat[:, 0, 0], feet[count > 1])
+            assert np.abs(band.space[seam, 0] - APEX).max() <= 1e-17, eps
 
     def test_validation(self, wrinkle4):
         rep = validate(wrinkle4)
@@ -167,25 +206,21 @@ class TestWrinkleFamily:
                 build_wrinkle(eps)
 
     def test_every_accepted_epsilon_validates(self):
-        # a dense log scan, densest next to the floor, where the closure's
-        # rounding is largest (a scan below it found failing bands up to 2.99e-6)
+        # a dense log scan, densest next to the floor; the residual bound
+        # keeps out any closure error that grows like 1/eps
         scan = np.concatenate([np.geomspace(WRINKLE_EPS_MIN, 2.0 * WRINKLE_EPS_MIN, 120),
                                np.geomspace(2.0 * WRINKLE_EPS_MIN, WRINKLE_EPS_MAX, 120)])
         for eps in scan:
             rep = validate(build_wrinkle(float(eps)), DEFAULT_TOL)
             assert rep.passed, (eps, rep.max_boundary_residual)
-            assert rep.max_boundary_residual < 0.5 * DEFAULT_TOL.isometry, eps
-
-    def test_closure_failure_is_a_structure_error(self):
-        with pytest.raises(StructureError, match="wrinkle closure failed"):
-            build_wrinkle(1e-4, WrinkleConfig(max_iter=1))
+            assert rep.max_boundary_residual < 1e-14, eps
 
     def test_frozen_solved_constants(self, wrinkle4):
-        # regression values of the closure solve at eps = 1e-4
+        # regression values of the closed-form plug at eps = 1e-4
         meta = wrinkle4.meta
         assert meta["theta"] == pytest.approx(1e-2, abs=0.0)
         assert meta["width"] == pytest.approx(4.3300909356e-05, rel=1e-9)
-        assert meta["crease_offset"] == pytest.approx(1.0825221482e-05, rel=1e-9)
+        assert meta["crease_offset"] == pytest.approx(1.0825227338e-05, rel=1e-9)
         assert meta["crack_height"] == pytest.approx(4.9999166671e-03, rel=1e-9)
         assert meta["excess_coeff"] == pytest.approx(math.sqrt(3.0) / 4.0, rel=1e-4)
 

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from moebiusband import bounds
 from moebiusband import cli as cli_mod
 from moebiusband import tpattern as tpattern_mod
-from moebiusband.band import read_json, scale_bend
+from moebiusband.band import read_json, scale_bend, write_json
 from moebiusband.cli import main as cli_main
 from moebiusband.tpattern import InvalidBandError, find_tpattern
 from moebiusband.verify import prepare, verify_all
@@ -184,20 +185,26 @@ class TestExitCodes:
         res = run("build-wrinkle", "--epsilon", "0.5", "-o", str(tmp_path / "x.json"))
         assert res.returncode == 2
 
-    # 1e-7 wrote a band that failed validate, 1e-12 ended in the closure
-    # solve's traceback and 1e-300 in a ZeroDivisionError
-    @pytest.mark.parametrize("eps", ["1e-7", "1e-12", "1e-300"])
+    # below the floor, down past where the plug's bends crowd into
+    # duplicates (under about 5.5e-13)
+    @pytest.mark.parametrize("eps", ["1e-9", "1e-12", "1e-300"])
     def test_epsilon_below_floor_exits_2(self, eps, tmp_path):
         out = tmp_path / "x.json"
         res = run("build-wrinkle", "--epsilon", eps, "-o", str(out))
         assert res.returncode == 2
-        assert res.stderr == "error: epsilon must lie in [1e-05, 0.01]\n"
+        assert res.stderr == "error: epsilon must lie in [1e-08, 0.01]\n"
         assert not out.exists()
 
+    def test_epsilon_at_floor_builds_a_valid_band(self, tmp_path):
+        out = tmp_path / "x.json"
+        for eps in ("1e-8", "1e-7"):
+            assert cli_main(["build-wrinkle", "--epsilon", eps, "-o", str(out)]) == 0
+            assert cli_main(["validate", "--input", str(out)]) == 0
+
     def test_sharpness_sweep_below_floor_exits_2(self, capsys):
-        assert cli_main(["sharpness-sweep", "--epsilons", "1e-3,1e-7"]) == 2
+        assert cli_main(["sharpness-sweep", "--epsilons", "1e-3,1e-9"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: epsilons must lie in [1e-05, 0.01]\n"
+        assert captured.err == "error: epsilons must lie in [1e-08, 0.01]\n"
         assert captured.out == ""
 
 
@@ -312,15 +319,23 @@ class TestBoundsReport:
 
 
 class TestToleranceEnv:
-    def test_override_changes_outcome(self, wrinkle_file):
+    def test_override_changes_outcome(self, wrinkle_file, tmp_path):
         import os
 
+        # one endpoint moved 1e-12 along its bend: within the default
+        # isometry tolerance 1e-9, far over 1e-14
+        band = read_json(wrinkle_file)
+        space = band.space.copy()
+        seg = space[5, 1] - space[5, 0]
+        space[5, 1] += 1e-12 * seg / np.linalg.norm(seg)
+        moved = tmp_path / "moved.json"
+        write_json(replace(band, space=space), moved)
+        assert run("validate", "--input", str(moved)).returncode == 0
         env = dict(os.environ, MOEBIUS_TOL='{"isometry": 1e-14}')
         res = subprocess.run(
-            CLI + ["validate", "--input", str(wrinkle_file)],
+            CLI + ["validate", "--input", str(moved)],
             capture_output=True, text=True, env=env,
         )
-        # the wrinkle's seam closure sits around 1e-11, far over 1e-14
         assert res.returncode == 1
 
     def test_bad_env_exits_2(self, wrinkle_file):

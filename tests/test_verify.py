@@ -551,6 +551,34 @@ class TestScope:
         with pytest.raises(StructureError):
             verify_all(scale_bend(tri_band, 4, 1.02))
 
+    @pytest.fixture
+    def no_prepare(self, monkeypatch):
+        from moebiusband import cli as cli_mod
+
+        def fail(*args):
+            raise AssertionError("prepare ran on an out-of-scope band")
+        for module in (verify_mod, cli_mod):
+            monkeypatch.setattr(module, "prepare", fail)
+
+    def test_scope_checked_before_prepare(self, tri_band, no_prepare):
+        fat = replace(tri_band, lam=SQRT3 + 0.3)
+        with pytest.raises(OutOfScopeError, match=r"lambda >= sqrt\(3\) \+ 1/4"):
+            verify_all(fat)
+
+    def test_cli_scope_checked_before_prepare(self, tmp_path, no_prepare, capsys):
+        # lambda - sqrt(3) = 4.3e-3 at eps 1e-2, over corollary's 1/384
+        path = tmp_path / "w2.json"
+        band = build_wrinkle(1e-2)
+        write_json(band, path)
+        assert cli_main(["verify", "--input", str(path), "--theorem", "corollary"]) == 2
+        assert cli_main(["sharpness-sweep", "--epsilons", "1e-2"]) == 2
+        # a band both invalid and out of scope gets the scope's exit 2
+        write_json(scale_bend(band, 4, 1.02), path)
+        assert cli_main(["verify", "--input", str(path), "--theorem", "corollary"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of theorem scope: eps >= 1/384\n" * 3
+        assert captured.out == ""
+
 
 class TestNegativeControls:
     @given(st.sampled_from(BAND_NAMES), st.integers(0, 2 ** 32 - 1), st.floats(10.0, 1e4))
