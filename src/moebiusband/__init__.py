@@ -5,11 +5,9 @@ from .band import (
     RuledBand,
     ValidationReport,
     WrinkleConfig,
-    boundary_polyline,
     build_triangular,
     build_wrinkle,
     read_json,
-    sample_surface,
     transform,
     validate,
     write_json,
@@ -20,14 +18,11 @@ from .bounds import (
     PerturbedTriangle,
     graph_check,
     offset1_check,
-    sq0_margin,
-    sq1_margin,
     wiggle_check,
 )
-from .flatmodel import FlatTrapezoid, make_trapezoid
+from .flatmodel import FlatTrapezoid
 from .geom import (
     DEFAULT_TOL,
-    PolylineLoop,
     RigidMotion,
     StructureError,
     ToleranceConfig,

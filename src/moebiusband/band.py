@@ -26,7 +26,6 @@ import numpy as np
 
 from .geom import (
     DEFAULT_TOL,
-    PolylineLoop,
     RigidMotion,
     StructureError,
     ToleranceConfig,
@@ -89,9 +88,6 @@ class RuledBand:
         object.__setattr__(self, "space", space)
         flat.setflags(write=False)
         space.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.flat.shape[0]
 
     @property
     def n_bends(self) -> int:
@@ -202,12 +198,11 @@ def validate(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationR
 # ---------------------------------------------------------------------------
 
 
-def _fold(pts: np.ndarray, refl: np.ndarray, shift: float) -> np.ndarray:
-    """Image of flap points (centered coordinates) in the plane z=0: moved
-    by `shift` along x, then reflected by `refl` (_REFL_L with shift
-    +half_width for the left flap, _REFL_R with -half_width for the right)."""
-    q = pts + np.array([shift, 0.0])
-    r = q @ refl.T
+def _fold(pts: np.ndarray, refl: np.ndarray) -> np.ndarray:
+    """Image of flap points (centered coordinates of the triangular band)
+    in the plane z=0: reflected by `refl`, _REFL_L for the left flap and
+    _REFL_R for the right."""
+    r = pts @ refl.T
     out = np.zeros(pts.shape[:-1] + (3,))
     out[..., 0] = r[..., 0]
     out[..., 1] = r[..., 1] - 1.0
@@ -250,14 +245,13 @@ def build_triangular(n_per_fan: int = 48) -> RuledBand:
     if n_per_fan < 4 or n_per_fan % 2:
         raise StructureError("n_per_fan must be an even integer >= 4")
     n = n_per_fan
-    half = 0.0
 
     # left fan: bends from the bottom edge to the fixed top vertex
     s = np.linspace(-SIDE, 0.0, n + 1)
     fan_l = _fan(
         s,
         np.full(n + 1, -T_OPT),
-        _fold(np.stack([s, np.zeros(n + 1)], axis=1), _REFL_L, half),
+        _fold(np.stack([s, np.zeros(n + 1)], axis=1), _REFL_L),
         np.tile(BASE_L, (n + 1, 1)),
     )
     # middle fan: bends from the bottom vertex to the top edge
@@ -270,7 +264,7 @@ def build_triangular(n_per_fan: int = 48) -> RuledBand:
     fan_r = _fan(
         s,
         np.full(n - 1, T_OPT),
-        _fold(np.stack([s, np.zeros(n - 1)], axis=1), _REFL_R, -half),
+        _fold(np.stack([s, np.zeros(n - 1)], axis=1), _REFL_R),
         np.tile(BASE_R, (n - 1, 1)),
     )
     return _assemble(SQRT3, [fan_l, fan_m, fan_r], shift=SIDE,
@@ -366,11 +360,12 @@ def build_wrinkle(epsilon: float, config: WrinkleConfig | None = None) -> RuledB
     w0w = T_OPT + half    # top vertex of the right flap
     pieces = []
 
-    # left fan (includes the cut bend and the left hinge)
-    s = np.linspace(-(SIDE + half), -half, n1 + 1)
+    # left fan (includes the cut bend and the left hinge): the flap of the
+    # triangular band, folded as there and moved by -half in the flat band
+    s = np.linspace(-SIDE, 0.0, n1 + 1)
     pieces.append(_fan(
-        s, np.full(n1 + 1, x0w),
-        _fold(np.stack([s, np.zeros(n1 + 1)], axis=1), _REFL_L, half),
+        s - half, np.full(n1 + 1, x0w),
+        _fold(np.stack([s, np.zeros(n1 + 1)], axis=1), _REFL_L),
         np.tile(BASE_L, (n1 + 1, 1)),
     ))
     # left door: fan from the bottom slit foot, sweeping hinge -> seam
@@ -410,11 +405,11 @@ def build_wrinkle(epsilon: float, config: WrinkleConfig | None = None) -> RuledB
         np.tile(APEX, (n2, 1)),
         door(np.stack([tops, np.ones(n2)], axis=1), rot_r, -half),
     ))
-    # right fan, excluding the glued copy of the cut bend
-    s = np.linspace(half, SIDE + half, n1 + 1)[1:-1]
+    # right fan, excluding the glued copy of the cut bend, moved by +half
+    s = np.linspace(0.0, SIDE, n1 + 1)[1:-1]
     pieces.append(_fan(
-        s, np.full(n1 - 1, w0w),
-        _fold(np.stack([s, np.zeros(n1 - 1)], axis=1), _REFL_R, -half),
+        s + half, np.full(n1 - 1, w0w),
+        _fold(np.stack([s, np.zeros(n1 - 1)], axis=1), _REFL_R),
         np.tile(BASE_R, (n1 - 1, 1)),
     ))
 
@@ -437,15 +432,6 @@ def build_wrinkle(epsilon: float, config: WrinkleConfig | None = None) -> RuledB
 # ---------------------------------------------------------------------------
 # Derived geometry
 # ---------------------------------------------------------------------------
-
-
-def boundary_polyline(band: RuledBand) -> PolylineLoop:
-    """The image of the band boundary as a closed polyline.
-
-    The boundary circle traverses the bottom feet in bend order, crosses
-    the glued cut, then traverses the top feet in bend order.
-    """
-    return PolylineLoop(np.vstack([band.space[:, 0], band.space[:, 1]]), closed=True)
 
 
 def sample_surface(band: RuledBand, eta: float) -> np.ndarray:
@@ -602,15 +588,6 @@ def interpolate_bend(band: RuledBand, p: float) -> tuple[np.ndarray, np.ndarray]
     # an endpoint the two bends share (a fan vertex) stays bitwise exact
     return (np.where(f0 == f1, f0, (1.0 - f) * f0 + f * f1),
             np.where(s0 == s1, s0, (1.0 - f) * s0 + f * s1))
-
-
-def scale_bend(band: RuledBand, index: int, factor: float) -> RuledBand:
-    """Copy of the band with one space segment scaled about its midpoint
-    (an injected isometry defect, for negative controls)."""
-    space = band.space.copy()
-    mid = 0.5 * (space[index, 0] + space[index, 1])
-    space[index] = mid + factor * (space[index] - mid)
-    return replace(band, space=space, meta=None)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ normalization, y a triangle height):
     h(t) = sqrt(1 + t^2) + t        increasing; aspect lower bound for
     d(t) = sqrt(5 + t^2) - t        decreasing;  t above/below 1/sqrt(3)
     g(y) = sqrt(1 + 2 y^2)          aspect lower bound through the height
-    t_y(y) = +- y^2 / sqrt(1 + 2 y^2)   the crossover displacement
 
 h(1/sqrt(3)) = d(1/sqrt(3)) = sqrt(3) and g(1) = sqrt(3), which pins the
 flat-folded triangle as the unique optimum.
@@ -70,29 +69,6 @@ def d(t: float) -> float:
 
 def g(y: float) -> float:
     return math.sqrt(1.0 + 2.0 * y * y)
-
-
-def t_y(y: float, sign: int = +1) -> float:
-    if y <= 0.0:
-        raise StructureError("t_y needs y > 0")
-    return float(sign) * y * y / math.sqrt(1.0 + 2.0 * y * y)
-
-
-# ---------------------------------------------------------------------------
-# Square-root margins
-# ---------------------------------------------------------------------------
-
-
-def sq0_margin(big_l: float, eps: float) -> MarginReport:
-    """sqrt(L^2 + (13/4) eps) > L + eps, for L < 3/2 and 0 < eps < 1/4."""
-    hyp = {"L<3/2": big_l < 1.5, "0<eps<1/4": 0.0 < eps < 0.25}
-    return _report("sq0", hyp, math.sqrt(big_l * big_l + 3.25 * eps), big_l + eps)
-
-
-def sq1_margin(big_l: float, eps: float) -> MarginReport:
-    """sqrt(L^2 + (9/2) eps) > L + eps/2, for L < 3/sqrt(2), 0 < eps < 1/4."""
-    hyp = {"L<3/sqrt2": big_l < 3.0 / math.sqrt(2.0), "0<eps<1/4": 0.0 < eps < 0.25}
-    return _report("sq1", hyp, math.sqrt(big_l * big_l + 4.5 * eps), big_l + 0.5 * eps)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +177,7 @@ class CurveGraphPair:
 
     The work runs on (3, n) coordinate rows, `samples.T`, so each numpy call
     sweeps three contiguous rows of an array that `random_unit_speed_curve`
-    lays out that way.  The chord samples are kept as (3, n) rows too;
-    `chord_samples()` returns their (n, 3) transposed view.
+    lays out that way.  The chord samples are kept as (3, n) rows too.
     """
 
     samples: np.ndarray
@@ -251,9 +226,6 @@ class CurveGraphPair:
     @property
     def n(self) -> int:
         return len(self.samples)
-
-    def chord_samples(self) -> np.ndarray:
-        return self._chord.T
 
     def curve_length(self) -> float:
         return self.domain_length
@@ -559,7 +531,9 @@ def _certify_blocks(blocks, step: float) -> dict:
 
 
 def sq_grid_certificate(n_side: int = 100) -> dict:
-    """Margins of sq0/sq1 over the closed hypothesis rectangles; sq0 has its
+    """Margins of sq0: sqrt(L^2 + (13/4) eps) > L + eps for L < 3/2, and
+    sq1: sqrt(L^2 + (9/2) eps) > L + eps/2 for L < 3/sqrt(2), both for
+    0 < eps < 1/4, over the closed hypothesis rectangles; sq0 has its
     single zero at the corner (3/2, 1/4)."""
     ls0 = np.linspace(1.5 / n_side, 1.5, n_side)
     es = np.linspace(0.25 / n_side, 0.25, n_side)

@@ -20,6 +20,7 @@ subcommand exits 2 on any other value.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -77,7 +78,7 @@ def _tolerances() -> ToleranceConfig:
                 if not ok:
                     raise ValueError(f"{key} must be a positive finite number, "
                                      f"not {json.dumps(value)}")
-            tol = tol.replace(**{key: float(value) for key, value in overrides.items()})
+            tol = dataclasses.replace(tol, **{key: float(v) for key, v in overrides.items()})
         except (ValueError, TypeError) as exc:
             raise StructureError(f"bad MOEBIUS_TOL: {exc}") from exc
     return tol

@@ -141,19 +141,3 @@ class FlatTrapezoid:
         if abs(mid_bottom - mid_top) > atol:
             raise StructureError("trapezoid is not bilaterally symmetric")
 
-
-def make_trapezoid(lam: float, t: float) -> FlatTrapezoid:
-    """Development of M_lambda cut along a chord of displacement t.
-
-    The distinguished chord defaults to the trapezoid midline, i.e. u and v
-    sit at the midpoints of the top and bottom sides.
-    """
-    if not (lam > 0.0 and math.isfinite(lam) and math.isfinite(t)):
-        raise StructureError("need a positive finite aspect ratio")
-    if abs(t) >= lam:
-        raise StructureError("degenerate trapezoid: |t| >= lambda")
-    u = np.array([0.5 * (t + lam), 1.0])
-    v = np.array([0.5 * (lam + t), 0.0])
-    trap = FlatTrapezoid(lam=lam, t=t, u=u, v=v)
-    trap.check_invariants()
-    return trap

@@ -30,11 +30,6 @@ class ToleranceConfig:
     root_residual: float = 1e-8
     winding_residual: float = 1e-6
 
-    def replace(self, **kw) -> "ToleranceConfig":
-        from dataclasses import replace
-
-        return replace(self, **kw)
-
 
 DEFAULT_TOL = ToleranceConfig()
 
@@ -112,10 +107,6 @@ class RigidMotion:
         t.setflags(write=False)
 
     @classmethod
-    def identity(cls) -> "RigidMotion":
-        return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
     def from_rows(cls, ex, ey, ez, origin) -> "RigidMotion":
         """Motion sending `origin` to 0 and the given orthonormal frame to
         the coordinate axes."""
@@ -127,16 +118,6 @@ class RigidMotion:
     def translation_by(cls, v) -> "RigidMotion":
         return cls(np.eye(3), np.asarray(v, dtype=float))
 
-    @classmethod
-    def random(cls, rng: np.random.Generator, scale: float = 1.0) -> "RigidMotion":
-        """Haar-ish random proper rotation plus a bounded random translation."""
-        a = rng.normal(size=(3, 3))
-        q, r = np.linalg.qr(a)
-        q = q * np.sign(np.diag(r))
-        if np.linalg.det(q) < 0:
-            q[:, 0] = -q[:, 0]
-        return cls(q, rng.uniform(-scale, scale, size=3))
-
     def apply(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         return pts @ self.rotation.T + self.translation
@@ -147,10 +128,6 @@ class RigidMotion:
             self.rotation @ other.rotation,
             self.rotation @ other.translation + self.translation,
         )
-
-    def inverse(self) -> "RigidMotion":
-        rt = self.rotation.T
-        return RigidMotion(rt, -rt @ self.translation)
 
 
 def rotation_about_line(point, direction, angle: float) -> RigidMotion:
@@ -164,60 +141,20 @@ def rotation_about_line(point, direction, angle: float) -> RigidMotion:
 
 
 # ---------------------------------------------------------------------------
-# Polyline loops and winding numbers
+# Winding numbers
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolylineLoop:
-    """Ordered point list, optionally closed.  Closed loops may not contain
-    zero-length edges; consecutive duplicates are dropped on construction."""
-
-    points: np.ndarray
-    closed: bool = True
-
-    def __post_init__(self):
-        pts = _as_points(self.points, "loop")
-        if self.closed and len(pts) > 1:
-            # A point within 1e-14 of the last point kept is dropped.  An
-            # exact repeat of its predecessor always is, and leaves the last
-            # point kept as it was.  Of the rest, every point is kept up to
-            # the first whose step from its predecessor is at most 1e-14;
-            # from there on, each is compared with the last point kept.
-            moved = np.concatenate([[0], np.flatnonzero((pts[1:] != pts[:-1]).any(axis=1)) + 1])
-            step = pts[moved[1:]] - pts[moved[:-1]]
-            near = np.flatnonzero(np.sqrt(row_dot(step, step)) <= 1e-14)
-            first = near[0] + 1 if len(near) else len(moved)
-            keep = list(moved[:first])
-            for i in moved[first:]:
-                if np.linalg.norm(pts[i] - pts[keep[-1]]) > 1e-14:
-                    keep.append(i)
-            if np.linalg.norm(pts[keep[-1]] - pts[keep[0]]) <= 1e-14 and len(keep) > 1:
-                keep.pop()
-            pts = pts[keep]
-        object.__setattr__(self, "points", pts)
-        pts.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def length(self) -> float:
-        pts = self.points
-        total = float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
-        if self.closed:
-            total += float(np.linalg.norm(pts[0] - pts[-1]))
-        return total
-
-
 def winding_number(loop, point, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Signed winding number of a closed planar loop around a point.
+    """Signed winding number of a closed planar loop, the (n, 2) array of
+    its vertices, around a point.
 
     Computed by summing signed angle increments between consecutive
     vertices; this is robust against near-collinear edges.  Raises if the
     point sits on the loop or if the angle sum is not close to a multiple
     of 2*pi.
     """
-    pts = loop.points if isinstance(loop, PolylineLoop) else _as_points(loop, "loop")
+    pts = _as_points(loop, "loop")
     if pts.shape[1] != 2:
         raise StructureError("winding_number expects a planar (n, 2) loop")
     p = np.asarray(point, dtype=float)

@@ -44,7 +44,6 @@ from .band import (
     CANONICAL_TRIANGLE,
     INCENTER,
     RuledBand,
-    boundary_polyline,
     points_to_triangles_distance,
     surface_triangles,
 )
@@ -138,18 +137,6 @@ class _Chain:
         return self.pts[j] + f[:, None] * (self.pts[j + 1] - self.pts[j])
 
 
-class BoundaryMap:
-    """Evaluate the band's boundary image on the two chains of its
-    development (bottom y=0 and top y=1)."""
-
-    def __init__(self, dev: RuledBand):
-        bottom, top = dev.boundary_chains()
-        self.bottom, self.top = _Chain(*bottom), _Chain(*top)
-
-    def chain_for(self, edge_name: str) -> _Chain:
-        return self.bottom if edge_name.startswith("D") else self.top
-
-
 # ---------------------------------------------------------------------------
 # Boundary deviation
 # ---------------------------------------------------------------------------
@@ -165,12 +152,12 @@ class BoundaryDeviation:
     v_image: np.ndarray       # the boundary image at the end v of D1
 
 
-def boundary_deviation(trap: FlatTrapezoid, boundary: BoundaryMap) -> BoundaryDeviation:
+def boundary_deviation(trap: FlatTrapezoid, chains: tuple[_Chain, _Chain]) -> BoundaryDeviation:
     """Sup-norm comparison of the canonical triangle boundary map with the
-    band's boundary image under the edge-to-edge affine correspondence
-    from the optimal trapezoid onto the band's trapezoid `trap`.  The
-    normalizing isometry has already been applied to the band, so the
-    comparison is coordinatewise.
+    band's boundary image, the (bottom, top) `chains` of its development,
+    under the edge-to-edge affine correspondence from the optimal trapezoid
+    onto the band's trapezoid `trap`.  The normalizing isometry has already
+    been applied to the band, so the comparison is coordinatewise.
 
     The sups are exact.  Along an edge, I0 and the chord map I* are affine
     in the edge fraction f and I o phi is piecewise affine, with breaks at
@@ -185,8 +172,8 @@ def boundary_deviation(trap: FlatTrapezoid, boundary: BoundaryMap) -> BoundaryDe
     x0 = np.array([e.start[0] for e in edges])
     x1 = np.array([e.end[0] for e in edges])
     fracs, images, end_images, arcs = [], [], [], []
-    for k in (0, 2):   # the bottom chain carries D1 and D2, the top chain H1 and H2
-        chain = boundary.chain_for(_BOUNDARY_EDGES[k])
+    # the bottom chain carries D1 and D2, the top chain H1 and H2
+    for k, chain in zip((0, 2), chains):
         at = []
         for j in (k, k + 1):
             lo, hi = sorted((x0[j], x1[j]))
@@ -327,9 +314,10 @@ class PipelineState:
     tol: ToleranceConfig   # the tolerances `prepare` ran with
 
     @cached_property
-    def boundary(self) -> BoundaryMap:
-        """The boundary image of `developed`."""
-        return BoundaryMap(self.developed)
+    def boundary(self) -> tuple[_Chain, _Chain]:
+        """The bottom (y=0) and top (y=1) boundary chains of `developed`."""
+        bottom, top = self.developed.boundary_chains()
+        return _Chain(*bottom), _Chain(*top)
 
     @cached_property
     def patches(self) -> np.ndarray:
@@ -346,14 +334,18 @@ class PipelineState:
 
     @cached_property
     def loop(self) -> np.ndarray:
-        """The xy-projection of the boundary loop of `developed`."""
-        return boundary_polyline(self.developed).points[:, :2]
+        """The xy-projection of the boundary loop of `developed`, as its
+        bend ends.  The boundary circle traverses the bottom feet in bend
+        order, crosses the glued cut, then traverses the top feet in bend
+        order."""
+        ends = self.developed.space[:, :, :2]
+        return np.vstack([ends[:, 0], ends[:, 1]])
 
     @cached_property
     def annulus_max(self) -> float:
         """Largest distance from the projected boundary loop to the
         boundary curve of the canonical triangle."""
-        return _annulus_max(self.loop, CANONICAL_TRIANGLE[:, :2])
+        return _annulus_max(self.loop)
 
     @cached_property
     def winding(self) -> int:
@@ -494,11 +486,14 @@ _FLAT_Z = 1e-13
 # triangle's edge lines: every point of the triangle then lies within
 # hypot(2 _RIM, _FLAT_Z) = 2.2e-13 of the band, below the kernel's 1e-12 slop
 _RIM = 9.8e-14
-# unit normals of the edge lines of CANONICAL_TRIANGLE, and their offsets:
-# a point p lies |p @ normal - offset| from the line
-_SIDES = CANONICAL_TRIANGLE[[1, 2, 0], :2] - CANONICAL_TRIANGLE[:, :2]
+# the xy corners of CANONICAL_TRIANGLE, each edge running from a corner to
+# the next; the unit normals of the edge lines, and their offsets: a point p
+# lies |p @ normal - offset| from the line
+_CORNERS = CANONICAL_TRIANGLE[:, :2]
+_NEXT_CORNERS = CANONICAL_TRIANGLE[[1, 2, 0], :2]
+_SIDES = _NEXT_CORNERS - _CORNERS
 _LINE_NORMALS = np.stack([-_SIDES[:, 1], _SIDES[:, 0]], axis=1) / np.linalg.norm(_SIDES, axis=1)[:, None]
-_LINE_OFFSETS = np.einsum("ej,ej->e", CANONICAL_TRIANGLE[:, :2], _LINE_NORMALS)
+_LINE_OFFSETS = np.einsum("ej,ej->e", _CORNERS, _LINE_NORMALS)
 
 
 def _flat(patches: np.ndarray) -> np.ndarray:
@@ -549,32 +544,29 @@ def _flat_layer_covers(patches: np.ndarray) -> bool:
     return round(float(count @ turn) / (2.0 * math.pi)) != 0
 
 
-def _triangle_curve_distance_2d(pts: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Distance of 2D points to the triangle's boundary curve."""
-    ends = np.roll(vertices, -1, axis=0)
-    return point_segment_distance(pts[:, None], vertices, ends).min(axis=1)
+def _triangle_curve_distance_2d(pts: np.ndarray) -> np.ndarray:
+    """Distance of 2D points to the canonical triangle's boundary curve."""
+    return point_segment_distance(pts[:, None], _CORNERS, _NEXT_CORNERS).min(axis=1)
 
 
-def _annulus_max(loop: np.ndarray, vertices: np.ndarray) -> float:
+def _annulus_max(loop: np.ndarray) -> float:
     """Exact max over the closed 2D polyline `loop` of the distance to the
-    triangle's boundary curve.
+    canonical triangle's boundary curve.
 
     Outside the triangle that distance is the distance to a convex set,
     which is convex along a segment; inside it is the least of the three
     affine edge-line distances.  So on each segment of the loop the maximum
     sits at an end or where two edge-line distances are equal (a bisector
     crossing); every such point is a point of the loop."""
-    edges = np.roll(vertices, -1, axis=0) - vertices
-    normals = np.stack([-edges[:, 1], edges[:, 0]], axis=1) / np.linalg.norm(edges, axis=1)[:, None]
     # signed edge-line distances (one sign inside) at every vertex, pairwise differences
-    dist = np.einsum("nij,ij->ni", loop[:, None, :] - vertices, normals)
+    dist = np.einsum("nij,ij->ni", loop[:, None, :] - _CORNERS, _LINE_NORMALS)
     gap = dist - np.roll(dist, -1, axis=1)
     gap_next = np.roll(gap, -1, axis=0)
     k, pair = np.nonzero((gap < 0.0) != (gap_next < 0.0))
     t = gap[k, pair] / (gap[k, pair] - gap_next[k, pair])
     ends = np.roll(loop, -1, axis=0)
     crossings = loop[k] + t[:, None] * (ends[k] - loop[k])
-    return float(_triangle_curve_distance_2d(np.vstack([loop, crossings]), vertices).max())
+    return float(_triangle_curve_distance_2d(np.vstack([loop, crossings])).max())
 
 
 def verify_eff2(state: PipelineState) -> TheoremReport:

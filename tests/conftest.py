@@ -1,4 +1,6 @@
+import math
 import os
+from dataclasses import replace
 from functools import reduce
 from pathlib import Path
 
@@ -6,7 +8,8 @@ import numpy as np
 import pytest
 
 from moebiusband.band import build_triangular, build_wrinkle
-from moebiusband.geom import point_segment_distance
+from moebiusband.flatmodel import FlatTrapezoid
+from moebiusband.geom import RigidMotion, StructureError, point_segment_distance
 from moebiusband.verify import prepare
 
 # The CLI tests run `python -m moebiusband.cli` in child processes, which
@@ -34,6 +37,42 @@ def densify_polyline(points, eta: float, closed: bool = False) -> np.ndarray:
     else:
         out.append(pts[-1][None, :])
     return np.vstack(out)
+
+
+def boundary_loop(band) -> np.ndarray:
+    """The image of the band's boundary circle as its bend ends: the bottom
+    feet in bend order, then, across the glued cut, the top feet."""
+    return np.vstack([band.space[:, 0], band.space[:, 1]])
+
+
+def scale_bend(band, index: int, factor: float):
+    """Copy of the band with one space segment scaled about its midpoint
+    (an injected isometry defect, for negative controls)."""
+    space = band.space.copy()
+    mid = 0.5 * (space[index, 0] + space[index, 1])
+    space[index] = mid + factor * (space[index] - mid)
+    return replace(band, space=space, meta=None)
+
+
+def random_motion(rng: np.random.Generator, scale: float = 1.0) -> RigidMotion:
+    """Haar-ish random proper rotation plus a bounded random translation."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return RigidMotion(q, rng.uniform(-scale, scale, size=3))
+
+
+def midline_trapezoid(lam: float, t: float) -> FlatTrapezoid:
+    """Development of M_lambda cut along a chord of displacement t, with the
+    distinguished chord on the trapezoid midline: u and v sit at the
+    midpoints of the top and bottom sides."""
+    if not (lam > 0.0 and math.isfinite(lam) and math.isfinite(t)):
+        raise StructureError("need a positive finite aspect ratio")
+    trap = FlatTrapezoid(lam=lam, t=t, u=np.array([0.5 * (t + lam), 1.0]),
+                         v=np.array([0.5 * (lam + t), 0.0]))
+    trap.check_invariants()
+    return trap
 
 
 @pytest.fixture(scope="session")

@@ -16,12 +16,10 @@ from moebiusband.band import (
     CANONICAL_TRIANGLE,
     build_triangular,
     build_wrinkle,
-    boundary_polyline,
-    scale_bend,
     transform,
     validate,
 )
-from moebiusband.geom import DEFAULT_TOL, RigidMotion
+from moebiusband.geom import DEFAULT_TOL
 from moebiusband.tpattern import develop_for, find_tpattern, normalize_pose
 from moebiusband.verify import (
     measured_eps,
@@ -30,6 +28,8 @@ from moebiusband.verify import (
     verify_eff,
     verify_eff2,
 )
+
+from conftest import boundary_loop, random_motion, scale_bend
 
 SQRT3 = math.sqrt(3.0)
 T0 = 1.0 / SQRT3
@@ -135,7 +135,7 @@ def test_criterion_4_triangular_band(loop_hausdorff):
     rep = validate(band, DEFAULT_TOL)
     assert rep.passed and rep.max_ruling_residual < 1e-9
 
-    bdry_h = loop_hausdorff(boundary_polyline(band).points, CANONICAL_TRIANGLE, eta)
+    bdry_h = loop_hausdorff(boundary_loop(band), CANONICAL_TRIANGLE, eta)
     assert bdry_h <= 2.0 * eta
 
     tp = find_tpattern(band)
@@ -234,7 +234,7 @@ def test_criterion_8_pose_invariance():
     devs = []
     rng = np.random.default_rng(424242)
     for _ in range(20):
-        moved = transform(band, RigidMotion.random(rng, scale=1.0))
+        moved = transform(band, random_motion(rng, scale=1.0))
         devs.append(verify_eff(prepare(moved)).measured["deviation"])
     spread = max(devs) - min(devs)
     assert spread < 1e-8

@@ -15,15 +15,14 @@ from moebiusband.band import (
     WRINKLE_EPS_MAX,
     WRINKLE_EPS_MIN,
     RuledBand,
+    WrinkleConfig,
     build_triangular,
     build_wrinkle,
-    boundary_polyline,
     from_json_dict,
     interpolate_bend,
     points_to_triangles_distance,
     redevelop,
     sample_surface,
-    scale_bend,
     surface_triangles,
     to_json_dict,
     flip,
@@ -31,7 +30,9 @@ from moebiusband.band import (
     write_json,
 )
 from moebiusband.geom import DEFAULT_TOL, StructureError
-from moebiusband.verify import prepare, verify_eff
+from moebiusband.verify import _flat_layer_covers, prepare, verify_eff
+
+from conftest import boundary_loop, scale_bend
 
 SQRT3 = math.sqrt(3.0)
 
@@ -49,11 +50,12 @@ class TestTriangular:
         assert tri_band.cut_displacement() == pytest.approx(1.0 / SQRT3, abs=1e-15)
 
     def test_boundary_is_canonical_triangle(self, tri_band, loop_hausdorff):
-        loop = boundary_polyline(tri_band)
+        loop = boundary_loop(tri_band)
         # perimeter equals the full boundary length 2*lambda
-        assert loop.length() == pytest.approx(2.0 * SQRT3, abs=1e-9)
+        perimeter = np.linalg.norm(np.roll(loop, -1, axis=0) - loop, axis=1).sum()
+        assert perimeter == pytest.approx(2.0 * SQRT3, abs=1e-9)
         eta = 1e-4
-        assert loop_hausdorff(loop.points, CANONICAL_TRIANGLE, eta) <= 2.0 * eta
+        assert loop_hausdorff(loop, CANONICAL_TRIANGLE, eta) <= 2.0 * eta
 
     def test_cut_bend_is_base(self, tri_band):
         sp = tri_band.space[0]
@@ -157,6 +159,24 @@ class TestWrinkleFamily:
             assert len(feet[count > 1]) == 2, eps
             seam = np.isin(band.flat[:, 0, 0], feet[count > 1])
             assert np.abs(band.space[seam, 0] - APEX).max() <= 1e-17, eps
+
+    def test_fans_are_the_triangular_bands(self):
+        # the wrinkle's fans fold the triangular band's flap coordinates and
+        # move only the flat band, so their space points are bitwise the
+        # triangular band's
+        n = WrinkleConfig().n_fan
+        tri = build_triangular(n)
+        for eps in (WRINKLE_EPS_MIN, 1e-4, WRINKLE_EPS_MAX):
+            band = build_wrinkle(eps)
+            assert band.space[:n + 1].tobytes() == tri.space[:n + 1].tobytes(), eps
+            assert band.space[-(n - 1):].tobytes() == tri.space[-(n - 1):].tobytes(), eps
+
+    def test_flat_layer_certifies_coverage(self):
+        # the flat fans meet the triangle's edge lines within _RIM at every
+        # eps, down to the floor, so the flat layer certifies the coverage
+        failed = [eps for eps in np.geomspace(1e-8, 1e-5, 200)
+                  if not _flat_layer_covers(prepare(build_wrinkle(float(eps))).patches)]
+        assert failed == []
 
     def test_validation(self, wrinkle4):
         rep = validate(wrinkle4)

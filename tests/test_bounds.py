@@ -29,17 +29,12 @@ class TestClosedForms:
         assert bounds.g(0.0) == 1.0
         assert bounds.g(2.0) == 3.0
 
-    def test_t_y_consistency(self):
-        assert bounds.h(bounds.t_y(1.0, +1)) == pytest.approx(SQRT3, abs=1e-12)
-        assert bounds.t_y(1.0, +1) == pytest.approx(T0, abs=1e-12)
-        assert bounds.t_y(1.0, -1) == pytest.approx(-T0, abs=1e-12)
-        with pytest.raises(StructureError):
-            bounds.t_y(0.0)
-
     @given(st.floats(min_value=0.01, max_value=3.0))
     @settings(max_examples=100, deadline=None)
     def test_g_equals_h_at_crossover(self, y):
-        assert bounds.h(bounds.t_y(y, +1)) == pytest.approx(bounds.g(y), abs=1e-12)
+        # at the crossover displacement, 1/sqrt(3) for y = 1
+        t = y * y / math.sqrt(1.0 + 2.0 * y * y)
+        assert bounds.h(t) == pytest.approx(bounds.g(y), abs=1e-12)
 
     def test_derivative_anchors(self):
         der = bounds.derivative_anchors()
@@ -50,22 +45,6 @@ class TestClosedForms:
 
 
 class TestSquareRootMargins:
-    def test_sq0_value(self):
-        rep = bounds.sq0_margin(1.0, 0.1)
-        assert rep.passed
-        assert rep.margin == pytest.approx(math.sqrt(1.325) - 1.1, abs=1e-12)
-
-    def test_sq0_boundary_corner(self):
-        rep = bounds.sq0_margin(1.5, 0.25)
-        assert rep.margin == pytest.approx(0.0, abs=1e-12)
-        assert not rep.passed  # hypotheses are strict
-        assert not rep.hypotheses_ok
-
-    def test_sq1_value(self):
-        rep = bounds.sq1_margin(2.0, 0.2)
-        assert rep.passed
-        assert rep.margin == pytest.approx(math.sqrt(4.9) - 2.1, abs=1e-12)
-
     def test_grid_certificate(self):
         cert = bounds.sq_grid_certificate(100)
         assert cert["grid_points"] == 10_000
@@ -340,13 +319,13 @@ class TestCurveChecks:
         assert cg.domain_length == float(d_curve.sum())
         assert cg.curve_length() == float(d_curve.sum())
         assert cg.chord_length() == float(np.linalg.norm(s[-1] - s[0]))
-        assert np.array_equal(cg.chord_samples(), chord)
+        assert np.array_equal(cg._chord.T, chord)
         assert cg.sup_deviation() == float(np.linalg.norm(s - chord, axis=1).max())
         dx = np.full(cg.n - 1, cg.domain_length / (cg.n - 1))
         d_chord = np.linalg.norm(np.diff(chord, axis=0), axis=1)
         assert cg.graph_lengths() == (float(np.sqrt(dx * dx + d_curve * d_curve).sum()),
                                       float(np.sqrt(dx * dx + d_chord * d_chord).sum()))
-        assert not cg.chord_samples().flags.writeable
+        assert not cg._chord.flags.writeable
 
     def test_row_norms_match_linalg_norm(self):
         rng = np.random.default_rng(5)

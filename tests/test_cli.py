@@ -10,10 +10,12 @@ import pytest
 from moebiusband import bounds
 from moebiusband import cli as cli_mod
 from moebiusband import tpattern as tpattern_mod
-from moebiusband.band import read_json, scale_bend, write_json
+from moebiusband.band import read_json, write_json
 from moebiusband.cli import main as cli_main
 from moebiusband.tpattern import InvalidBandError, find_tpattern
 from moebiusband.verify import prepare, verify_all
+
+from conftest import scale_bend
 
 CLI = [sys.executable, "-m", "moebiusband.cli"]
 

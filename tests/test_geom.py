@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moebiusband.geom import (
-    PolylineLoop,
     RigidMotion,
     StructureError,
     cross3,
@@ -16,7 +15,8 @@ from moebiusband.geom import (
     winding_number,
 )
 
-from conftest import densify_segment
+from conftest import densify_segment, random_motion
+from test_reference_paths import loop_without_duplicates
 
 
 def scalar_point_segment_distance(p, a, b) -> float:
@@ -47,7 +47,7 @@ class TestWinding:
     @given(st.integers(min_value=0, max_value=7))
     @settings(max_examples=8, deadline=None)
     def test_invariant_under_start_rotation(self, k):
-        loop = PolylineLoop(np.roll(self.SQUARE, -k, axis=0))
+        loop = np.roll(self.SQUARE, -k, axis=0)
         assert winding_number(loop, [0.2, -0.3]) == 1
 
     def test_point_on_loop_rejected(self):
@@ -64,14 +64,14 @@ class TestWinding:
 
 class TestRigidMotion:
     def test_identity(self):
-        m = RigidMotion.identity()
+        m = RigidMotion(np.eye(3), np.zeros(3))
         p = np.array([1.0, 2.0, 3.0])
         assert np.allclose(m.apply(p), p, atol=0.0)
 
     def test_distance_invariance_random(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
-            m = RigidMotion.random(rng, scale=2.0)
+            m = random_motion(rng, scale=2.0)
             p = rng.normal(size=(10, 3))
             q = rng.normal(size=(10, 3))
             d0 = np.linalg.norm(p - q, axis=1)
@@ -80,11 +80,13 @@ class TestRigidMotion:
 
     def test_compose_and_inverse(self):
         rng = np.random.default_rng(3)
-        a = RigidMotion.random(rng)
-        b = RigidMotion.random(rng)
+        a = random_motion(rng)
+        b = random_motion(rng)
         p = rng.normal(size=(5, 3))
         assert np.allclose(a.compose(b).apply(p), a.apply(b.apply(p)), atol=1e-12)
-        assert np.allclose(a.compose(a.inverse()).apply(p), p, atol=1e-12)
+        # the transpose of an orthogonal rotation undoes it
+        inverse = RigidMotion(a.rotation.T, -a.rotation.T @ a.translation)
+        assert np.allclose(a.compose(inverse).apply(p), p, atol=1e-12)
 
     def test_improper_isometry_allowed(self):
         m = RigidMotion(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
@@ -111,14 +113,6 @@ class TestSegments:
         gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         assert gaps.max() <= 0.3 + 1e-12
         assert np.allclose(pts[0], [0, 0]) and np.allclose(pts[-1], [1, 0])
-
-
-class TestPolylineLoop:
-    def test_dedupe_and_length(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
-        loop = PolylineLoop(pts, closed=True)
-        assert len(loop) == 3
-        assert loop.length() == pytest.approx(2.0 + math.sqrt(2.0))
 
 
 def _reference_loop_points(pts):
@@ -157,8 +151,9 @@ def _assert_winding_as_reference(pts, point):
 
 
 class TestScreens:
-    """The array passes of PolylineLoop and winding_number decide every
-    threshold exactly as the scalar loops over points and edges."""
+    """The array passes of winding_number, and of the duplicate drop that
+    the reference boundary loop keeps, decide every threshold exactly as
+    the scalar loops over points and edges."""
 
     SQUARE = TestWinding.SQUARE
 
@@ -206,7 +201,7 @@ class TestScreens:
         else:
             steps = 1e-14 * (1.0 + np.arange(-4, 5) * 2.0 ** -52)
             pts = np.vstack([base[:1], base[1] + np.cumsum(steps)[:, None] * [1.0, 0.0], base[2:]])
-        assert np.array_equal(PolylineLoop(pts).points, _reference_loop_points(pts))
+        assert np.array_equal(loop_without_duplicates(pts), _reference_loop_points(pts))
 
     @given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from([0.0, 0.3e-14, 0.9e-14, 1e-14,
                                                                 1.1e-14, 2e-14, 1e-3])),
@@ -220,7 +215,7 @@ class TestScreens:
             direction = rng.normal(size=dim)
             pts.insert(where + 1, pts[where] + step * direction / np.linalg.norm(direction))
         pts = np.array(pts)
-        assert np.array_equal(PolylineLoop(pts).points, _reference_loop_points(pts))
+        assert np.array_equal(loop_without_duplicates(pts), _reference_loop_points(pts))
 
 
 def _rows(seed: int, n: int, d: int) -> np.ndarray:

@@ -5,8 +5,10 @@ Each reference below is the straightforward form of a stage that the
 package computes in fewer numpy calls: the per-point `_Chain` filter, the
 per-edge `boundary_deviation` with its arc lengths re-summed from the chain
 points, the root scan over the full sign matrix, and the random curves and
-their chord comparisons on (n, 3) point arrays.  The package must give
-bitwise the same values and leave the random generator in the same state.
+their chord comparisons on (n, 3) point arrays.  The boundary loop with its
+near-duplicate points dropped is the loop the package built before it read
+the loop straight from the bend ends.  The package must give bitwise the
+same values and leave the random generator in the same state.
 `TestCliOutputs` and `TestSweepOutputs` swap every reference in at once and
 compare the CLI's outputs; a later change that rewrites a stage for speed
 can add its old form here as a reference.
@@ -26,11 +28,21 @@ from hypothesis import strategies as st
 from moebiusband import bounds
 from moebiusband import tpattern as tpattern_mod
 from moebiusband import verify as verify_mod
-from moebiusband.band import build_triangular, build_wrinkle, flip, redevelop, transform, write_json
+from moebiusband.band import (
+    INCENTER,
+    build_triangular,
+    build_wrinkle,
+    flip,
+    redevelop,
+    transform,
+    write_json,
+)
 from moebiusband.cli import main as cli_main
-from moebiusband.geom import RigidMotion, StructureError
+from moebiusband.geom import RigidMotion, StructureError, row_dot, winding_number
 from moebiusband.tpattern import _DIAGONAL_EXCLUSION
 from moebiusband.verify import BoundaryDeviation, boundary_deviation, prepare
+
+from conftest import boundary_loop, random_motion
 
 # ---------------------------------------------------------------------------
 # The references
@@ -66,25 +78,22 @@ class ReferenceChain:
         return float(np.linalg.norm(np.diff(chain, axis=0), axis=1).sum())
 
 
-class ReferenceMap:
-    """BoundaryMap with reference chains."""
-
-    def __init__(self, dev):
-        bottom, top = dev.boundary_chains()
-        self.bottom, self.top = ReferenceChain(*bottom), ReferenceChain(*top)
-
-    def chain_for(self, edge_name):
-        return self.bottom if edge_name.startswith("D") else self.top
+def reference_chains(dev):
+    """The (bottom, top) boundary chains of a developed band, as reference
+    chains."""
+    bottom, top = dev.boundary_chains()
+    return ReferenceChain(*bottom), ReferenceChain(*top)
 
 
-def reference_boundary_deviation(trap, boundary):
+def reference_boundary_deviation(trap, chains):
     """The sups edge by edge, three chain evaluations per edge, and the
     images of u and v evaluated on their own."""
+    bottom, top = chains
     per_edge = {}
     sup_dev = sup_istar = sup_i0_star = 0.0
     for name in verify_mod._BOUNDARY_EDGES:
         e = trap.edge(name)
-        chain = boundary.chain_for(name)
+        chain = bottom if name.startswith("D") else top
         x0, dx = e.start[0], e.end[0] - e.start[0]
         lo, hi = sorted((e.start[0], e.end[0]))
         inner = chain.xs[(chain.xs > lo) & (chain.xs < hi)]
@@ -110,9 +119,38 @@ def reference_boundary_deviation(trap, boundary):
         sup_dev = max(sup_dev, dev_edge)
         sup_istar = max(sup_istar, istar_edge)
         sup_i0_star = max(sup_i0_star, i0_star_edge)
-    u_image = boundary.chain_for("H1").eval(np.array([trap.u[0]]))[0]
-    v_image = boundary.chain_for("D1").eval(np.array([trap.v[0]]))[0]
+    u_image = top.eval(np.array([trap.u[0]]))[0]
+    v_image = bottom.eval(np.array([trap.v[0]]))[0]
     return BoundaryDeviation(sup_dev, sup_istar, sup_i0_star, per_edge, u_image, v_image)
+
+
+def loop_without_duplicates(pts):
+    """The points of a closed loop without its near-duplicates: a point
+    within 1e-14 of the last point kept is dropped.  An exact repeat of its
+    predecessor always is, and leaves the last point kept as it was.  Of
+    the rest, every point is kept up to the first whose step from its
+    predecessor is at most 1e-14; from there on, each is compared with the
+    last point kept."""
+    pts = np.asarray(pts, dtype=float)
+    if len(pts) < 2:
+        return pts
+    moved = np.concatenate([[0], np.flatnonzero((pts[1:] != pts[:-1]).any(axis=1)) + 1])
+    step = pts[moved[1:]] - pts[moved[:-1]]
+    near = np.flatnonzero(np.sqrt(row_dot(step, step)) <= 1e-14)
+    first = near[0] + 1 if len(near) else len(moved)
+    keep = list(moved[:first])
+    for i in moved[first:]:
+        if np.linalg.norm(pts[i] - pts[keep[-1]]) > 1e-14:
+            keep.append(i)
+    if np.linalg.norm(pts[keep[-1]] - pts[keep[0]]) <= 1e-14 and len(keep) > 1:
+        keep.pop()
+    return pts[keep]
+
+
+def reference_loop(state):
+    """PipelineState.loop from the boundary loop in space without its
+    near-duplicate points."""
+    return loop_without_duplicates(boundary_loop(state.developed))[:, :2]
 
 
 def reference_perp_roots(band):
@@ -173,9 +211,6 @@ class ReferenceCurveGraphPair(bounds.CurveGraphPair):
         object.__setattr__(self, "_chord_length", float(np.linalg.norm(s[-1] - s[0])))
         object.__setattr__(self, "_deviation", float(np.linalg.norm(s - chord, axis=1).max()))
 
-    def chord_samples(self):
-        return self._chord
-
     def graph_lengths(self):
         dx = np.full(self.n - 1, self.domain_length / (self.n - 1))
         d_chord = np.linalg.norm(np.diff(self._chord, axis=0), axis=1)
@@ -211,7 +246,7 @@ def _copy(band, name, kind, posed):
     if "recut" in kind:
         band = redevelop(band, cut)
     if posed:
-        motion = RigidMotion.random(rng, scale=1.5)
+        motion = random_motion(rng, scale=1.5)
         if "flipped" in kind:
             motion = RigidMotion(-motion.rotation, motion.translation)
         band = transform(band, motion)
@@ -278,7 +313,7 @@ class TestStages:
     def test_boundary_deviation(self, bands, name, kind, posed):
         state = prepare(_copy(bands[name], name, kind, posed))
         got = boundary_deviation(state.trapezoid, state.boundary)
-        want = reference_boundary_deviation(state.trapezoid, ReferenceMap(state.developed))
+        want = reference_boundary_deviation(state.trapezoid, reference_chains(state.developed))
         for f in fields(BoundaryDeviation):
             if f.name != "per_edge":
                 assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
@@ -287,6 +322,14 @@ class TestStages:
             assert list(got.per_edge[edge]) == list(record)
             for key, value in record.items():
                 assert _bits(got.per_edge[edge][key]) == _bits(value), (edge, key)
+
+    def test_boundary_loop(self, bands, name, kind, posed):
+        # the fan vertices repeat along the loop, and the reference drops them
+        state = prepare(_copy(bands[name], name, kind, posed))
+        want = reference_loop(state)
+        assert len(want) < len(state.loop)
+        assert _bits(state.annulus_max) == _bits(verify_mod._annulus_max(want))
+        assert state.winding == winding_number(want, INCENTER[:2], state.tol)
 
     def test_perp_roots(self, bands, name, kind, posed):
         band = _copy(bands[name], name, kind, posed)
@@ -325,8 +368,9 @@ class TestCliOutputs:
             with pytest.MonkeyPatch.context() as patched:
                 patched.setattr(verify_mod, "_Chain", ReferenceChain)
                 patched.setattr(verify_mod, "boundary_deviation", reference_boundary_deviation)
+                patched.setattr(verify_mod.PipelineState, "loop", property(reference_loop))
                 patched.setattr(tpattern_mod, "_perp_roots", reference_perp_roots)
-                assert isinstance(prepare(bands[name]).boundary.bottom, ReferenceChain)
+                assert isinstance(prepare(bands[name]).boundary[0], ReferenceChain)
                 want = cli_digest(path, tmp_path)
             assert got == want, posed
 
@@ -336,8 +380,8 @@ class TestCliOutputs:
 # ---------------------------------------------------------------------------
 
 
-def _pair_fields(cg):
-    return {"samples": cg.samples, "steps": cg._steps, "chord": cg.chord_samples(),
+def _pair_fields(cg, chord):
+    return {"samples": cg.samples, "steps": cg._steps, "chord": chord,
             "sup_deviation": cg.sup_deviation(), "domain_length": cg.domain_length,
             "chord_length": cg.chord_length(), "graph_lengths": cg.graph_lengths()}
 
@@ -354,8 +398,10 @@ class TestCurvePath:
             assert fast.bit_generator.state == slow.bit_generator.state
             assert got.shape == want.shape == (n, 3) and got.T.flags.c_contiguous
             assert _bits(got) == _bits(want)
-            got_fields = _pair_fields(bounds.CurveGraphPair(got, speed_tol=1e-8))
-            want_fields = _pair_fields(ReferenceCurveGraphPair(want, speed_tol=1e-8))
+            got_pair = bounds.CurveGraphPair(got, speed_tol=1e-8)
+            want_pair = ReferenceCurveGraphPair(want, speed_tol=1e-8)
+            got_fields = _pair_fields(got_pair, got_pair._chord.T)
+            want_fields = _pair_fields(want_pair, want_pair._chord)
             for key, value in want_fields.items():
                 assert _bits(got_fields[key]) == _bits(value), key
 

@@ -14,7 +14,6 @@ from moebiusband.band import (
     flip,
     interpolate_bend,
     redevelop,
-    scale_bend,
     transform,
 )
 from moebiusband.geom import DEFAULT_TOL, RigidMotion, StructureError, ToleranceConfig
@@ -31,6 +30,8 @@ from moebiusband.tpattern import (
     normalize_pose,
 )
 from moebiusband.verify import prepare, verify_eff
+
+from conftest import random_motion, scale_bend
 
 SQRT3 = math.sqrt(3.0)
 T0 = 1.0 / SQRT3
@@ -158,7 +159,7 @@ class TestTriangularPattern:
 
     def test_round_trip_from_random_pose(self, tri_band):
         rng = np.random.default_rng(11)
-        motion = RigidMotion.random(rng, scale=2.0)
+        motion = random_motion(rng, scale=2.0)
         moved = transform(tri_band, motion)
         tp = find_tpattern(moved)
         normalized = normalize_pose(moved, tp)
@@ -201,7 +202,7 @@ class TestEquivariance:
         tp0 = find_tpattern(wrinkle4)
         rng = np.random.default_rng(5)
         for _ in range(4):
-            motion = RigidMotion.random(rng, scale=1.5)
+            motion = random_motion(rng, scale=1.5)
             tp = find_tpattern(transform(wrinkle4, motion))
             assert tp.param_t == pytest.approx(tp0.param_t, abs=1e-6)
             assert tp.param_b == pytest.approx(tp0.param_b, abs=1e-6)
@@ -223,7 +224,7 @@ class TestEquivariance:
         dev0 = verify_eff(prepare(band)).measured["deviation"]
         rng = np.random.default_rng(17)
         for _ in range(3):
-            motion = RigidMotion.random(rng, scale=1.5)
+            motion = random_motion(rng, scale=1.5)
             mirror = RigidMotion(-motion.rotation, motion.translation)
             cut = float(rng.uniform(0.0, band.n_bends))
             for copy in (transform(band, mirror), redevelop(band, cut)):
@@ -236,7 +237,7 @@ class TestRootQuality:
     def test_every_root_is_exact(self, band_name, request):
         band = request.getfixturevalue(band_name)
         rng = np.random.default_rng(23)
-        motion = RigidMotion.random(rng, scale=1.5)
+        motion = random_motion(rng, scale=1.5)
         mirror = RigidMotion(-motion.rotation, motion.translation)
         for copy in (band, transform(band, motion), transform(band, mirror)):
             a, k, b = _perp_roots(copy)
@@ -287,7 +288,7 @@ class TestUnfoldSynthetic:
             bend_b_space=band.space[6],
             residual_perp=0.0,
             residual_offset=0.0,
-            pose=RigidMotion.identity(),
+            pose=RigidMotion(np.eye(3), np.zeros(3)),
         )
         trap, dev = develop_for(band, tp)
         assert trap.t == pytest.approx(0.0, abs=1e-12)
@@ -327,7 +328,7 @@ def _assert_same_candidates(got: list, want: list) -> None:
 
 
 def _motion(seed: int, proper: bool) -> RigidMotion:
-    m = RigidMotion.random(np.random.default_rng(seed), scale=1.5)
+    m = random_motion(np.random.default_rng(seed), scale=1.5)
     return m if proper else RigidMotion(-m.rotation, m.translation)
 
 

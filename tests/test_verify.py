@@ -3,7 +3,6 @@ import json
 import math
 from contextlib import redirect_stdout
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,20 +18,13 @@ from moebiusband.band import (
     flip,
     points_to_triangles_distance,
     redevelop,
-    scale_bend,
     surface_triangles,
     transform,
     write_json,
 )
 from moebiusband.cli import main as cli_main
-from moebiusband.flatmodel import T_OPT, make_trapezoid
-from moebiusband.geom import (
-    DEFAULT_TOL,
-    PolylineLoop,
-    RigidMotion,
-    StructureError,
-    winding_number,
-)
+from moebiusband.flatmodel import T_OPT
+from moebiusband.geom import DEFAULT_TOL, RigidMotion, StructureError
 from moebiusband.tpattern import find_tpattern
 from moebiusband.verify import (
     EPS_FLOOR,
@@ -48,7 +40,7 @@ from moebiusband.verify import (
     write_report_json,
 )
 
-from conftest import densify_polyline
+from conftest import boundary_loop, densify_polyline, midline_trapezoid, random_motion, scale_bend
 
 SQRT3 = math.sqrt(3.0)
 
@@ -192,10 +184,7 @@ class TestCoverage:
             elif perturb == "overhang":
                 space[:, :, :2] = 1.5 * space[:, :, :2] + [0.4, 0.2]
             moved = replace(state, developed=replace(state.developed, space=space))
-            loop = band_mod.boundary_polyline(moved.developed).points[:, :2]
-            annulus_ok = verify_mod._annulus_max(loop, tri2) <= d6
-            winding_ok = winding_number(PolylineLoop(loop, closed=True), INCENTER[:2]) in (-1, 1)
-            premises[perturb] = annulus_ok and winding_ok
+            premises[perturb] = moved.annulus_max <= d6 and moved.winding in (-1, 1)
             if premises[perturb]:
                 projected = moved.patches * [1.0, 1.0, 0.0]
                 assert (points_to_triangles_distance(points[sample], projected) <= 1e-12).all(), perturb
@@ -472,7 +461,7 @@ class TestFlatLayerCertificate:
         band = redevelop(band_states[name][0], cut * band_states[name][0].n_bends)
         band = flip(band) if flipped else band
         if proper is not None:
-            motion = RigidMotion.random(np.random.default_rng(seed), scale=1.5)
+            motion = random_motion(np.random.default_rng(seed), scale=1.5)
             band = transform(band, motion if proper else RigidMotion(-motion.rotation, motion.translation))
         with pytest.MonkeyPatch.context() as monkeypatch:
             self._assert_paths_agree(band, tmp_path_factory.mktemp("copy"), monkeypatch)
@@ -506,7 +495,7 @@ class TestPoseInvariance:
         # so the flat layer certifies the coverage and the exact kernel runs
         # on no point of the triangle
         band, state = band_states[name]
-        motion = RigidMotion.random(np.random.default_rng(17), scale=1.5)
+        motion = random_motion(np.random.default_rng(17), scale=1.5)
         if not proper:
             motion = RigidMotion(-motion.rotation, motion.translation)
         moved = transform(band, motion)
@@ -530,7 +519,7 @@ class TestPoseInvariance:
         base = verify_eff(wrinkle4_state).measured["deviation"]
         rng = np.random.default_rng(99)
         for _ in range(5):
-            moved = transform(wrinkle4, RigidMotion.random(rng, scale=1.0))
+            moved = transform(wrinkle4, random_motion(rng, scale=1.0))
             dev = verify_eff(prepare(moved)).measured["deviation"]
             assert abs(dev - base) < 1e-8
 
@@ -600,7 +589,7 @@ class TestNegativeControls:
         # the T bend scaled about its midpoint by 1 + delta: every margin of
         # eff moves by O(delta), and some margin moves at each delta
         band = band_states[name][0]
-        tol = DEFAULT_TOL.replace(isometry=1e-6)
+        tol = replace(DEFAULT_TOL, isometry=1e-6)
         bend = round(find_tpattern(band).param_t) % band.n_bends
         base = {c.name: c.margin for c in verify_eff(prepare(band, tol)).checks}
         for delta in (-1e-7, -1e-8, -1e-9, 1e-9, 1e-8, 1e-7):
@@ -639,7 +628,7 @@ class TestReports:
         assert len(d["checks"]) == 7
 
 
-def _sampled_sups(trap, boundary, eta):
+def _sampled_sups(trap, chains, eta):
     """The sampled sweep that the exact sups replaced: each edge at
     max(8, ceil(length / eta)) equal steps of its fraction.  Returns, per
     edge, the three sampled sups and a Lipschitz bound, in the fraction, on
@@ -647,11 +636,11 @@ def _sampled_sups(trap, boundary, eta):
     out = {}
     for name in verify_mod._BOUNDARY_EDGES:
         e = trap.edge(name)
-        n = max(8, math.ceil(make_trapezoid(SQRT3, T_OPT).edge(name).length() / eta))
+        n = max(8, math.ceil(midline_trapezoid(SQRT3, T_OPT).edge(name).length() / eta))
         f = np.linspace(0.0, 1.0, n + 1)
         img_a, img_b = verify_mod._I0_EDGE_IMAGES[name]
         i0 = img_a + f[:, None] * (img_b - img_a)
-        chain = boundary.chain_for(name)
+        chain = chains[0] if name[0] == "D" else chains[1]
         dx = e.end[0] - e.start[0]
         i_pts = chain.eval(e.start[0] + f * dx)
         istar = i_pts[0] + f[:, None] * (i_pts[-1] - i_pts[0])
@@ -674,7 +663,7 @@ class TestExactSups:
     def test_break_between_samples(self):
         # a chain equal to I0 on every edge except a bump of height h at a
         # break between the 1e-4 samples at x = 0.5 and x = 0.5001 of D1
-        trap = make_trapezoid(2.0, 0.5)
+        trap = midline_trapezoid(2.0, 0.5)
         trap = replace(trap, u=np.array([1.25, 1.0]), v=np.array([1.0, 0.0]))
         h = 2.0 ** -10
         samples = np.linspace(0.0, 1.0, 10_001)
@@ -691,9 +680,7 @@ class TestExactSups:
         bottom = verify_mod._Chain(np.array(d1 + [2.5]), bottom_pts)
         top = verify_mod._Chain(np.array([0.5, 1.25, 2.0]),
                                 np.vstack([i0("H1", [0.0, 1.0]), i0("H2", 1.0)]))
-        boundary = SimpleNamespace(chain_for=lambda name: bottom if name[0] == "D" else top)
-
-        dev = boundary_deviation(trap, boundary)
+        dev = boundary_deviation(trap, (bottom, top))
         assert dev.deviation == h
         assert dev.per_edge["D1"]["sup_dev"] == h
         assert dev.istar_deviation == pytest.approx(h, abs=1e-15)
@@ -711,9 +698,8 @@ class TestExactSups:
         assert np.allclose(INCENTER[:2], [0.0, -1.0 / 3.0], atol=1e-15)
         top = np.array([0.05, 0.0])
         loop = np.array([top, top + 2.5 * (INCENTER[:2] - top), tri2[0]])
-        assert verify_mod._annulus_max(loop, tri2) == pytest.approx(1.0 / 3.0, abs=1e-15)
-        sampled = verify_mod._triangle_curve_distance_2d(
-            densify_polyline(loop, 1e-3, closed=True), tri2).max()
+        assert verify_mod._annulus_max(loop) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        sampled = verify_mod._triangle_curve_distance_2d(densify_polyline(loop, 1e-3, closed=True)).max()
         assert sampled < 1.0 / 3.0 - 1e-6
 
     @pytest.mark.parametrize("name", ["tri", "wrinkle3", "wrinkle4", "wrinkle5"])
@@ -729,11 +715,10 @@ class TestExactSups:
     @pytest.mark.parametrize("name", ["tri", "wrinkle3", "wrinkle4", "wrinkle5"])
     def test_annulus_at_or_above_dense_samples(self, name, band_states):
         _, state = band_states[name]
-        loop = band_mod.boundary_polyline(state.developed).points
-        tri2 = CANONICAL_TRIANGLE[:, :2]
-        exact = verify_mod._annulus_max(loop[:, :2], tri2)
+        loop = boundary_loop(state.developed)
+        exact = verify_mod._annulus_max(loop[:, :2])
         eta = 1e-4
         sampled = verify_mod._triangle_curve_distance_2d(
-            densify_polyline(loop, eta, closed=True)[:, :2], tri2).max()
+            densify_polyline(loop, eta, closed=True)[:, :2]).max()
         # the distance to a curve is 1-Lipschitz
         assert sampled - 1e-15 <= exact <= sampled + eta / 2 + 1e-15
