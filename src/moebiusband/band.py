@@ -131,7 +131,6 @@ class ValidationReport:
     max_boundary_residual: float
     foliation_violations: int
     passed: bool
-    details: dict = field(default_factory=dict, compare=False)
 
 
 def validate(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
@@ -183,13 +182,6 @@ def validate(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationR
         max_boundary_residual=max_boundary,
         foliation_violations=violations,
         passed=passed,
-        details={
-            "n_bends": n,
-            "min_flat_length": float(flat_len.min()),
-            "crossings": int(np.count_nonzero(crossing)),
-            "duplicates": int(np.count_nonzero(duplicate)),
-            "short_bends": int(np.count_nonzero(short)),
-        },
     )
 
 

@@ -12,10 +12,10 @@ Conventions used everywhere in this package:
   are the two copies of the cut chord; re-gluing them via
   g(x, y) = (x + lambda, 1 - y) recovers M_lambda.
 * The four trapezoid corners are the two copies of the cut endpoints
-  w = (0, 0) and x = (t, 1); the boundary of M_lambda is split into six
-  labeled edges D1, D2 (bottom, split at v), H1, H2 (top, split at u) and
-  the glued copies T1, T2 of the cut, where u and v are the endpoints of
-  a distinguished second chord.
+  w = (0, 0) and x = (t, 1).  The boundary of M_lambda is split into the
+  four edges D1, D2 (bottom, split at v) and H1, H2 (top, split at u),
+  where u and v are the endpoints of a distinguished second chord; the
+  slanted sides T1, T2 are the glued copies of the cut, not boundary.
 """
 
 from __future__ import annotations
@@ -32,18 +32,9 @@ T_OPT = 1.0 / SQRT3  # displacement of the optimal cut
 
 
 @dataclass(frozen=True)
-class TrapezoidEdge:
-    name: str
-    start: np.ndarray
-    end: np.ndarray
-
-    def length(self) -> float:
-        return float(np.linalg.norm(self.end - self.start))
-
-
-@dataclass(frozen=True)
 class FlatTrapezoid:
-    """The cut-open development of M_lambda with its six labeled edges.
+    """The cut-open development of M_lambda.  Only its four boundary edges
+    D1, D2, H1 and H2 are modelled; the cut copies T1, T2 are not.
 
     Vertices (development coordinates): w = (0,0) and x = (t,1) are the cut
     endpoints, with second copies g(x) = (lambda + t, 0) and
@@ -76,68 +67,16 @@ class FlatTrapezoid:
         u.setflags(write=False)
         v.setflags(write=False)
 
-    # the cut endpoints, and their copies under the glide map
-    # g(x, y) = (x + lam, 1 - y)
-    @property
-    def w(self) -> np.ndarray:
-        return np.array([0.0, 0.0])
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.array([self.t, 1.0])
-
-    @property
-    def x_bar(self) -> np.ndarray:
-        return np.array([self.lam + self.t, 0.0])
-
-    @property
-    def w_bar(self) -> np.ndarray:
-        return np.array([self.lam, 1.0])
-
     def len_h(self) -> float:
         return self.lam - self.t
 
     def len_d(self) -> float:
         return self.lam + self.t
 
-    def len_t(self) -> float:
-        return math.hypot(1.0, self.t)
-
-    def edges(self) -> list[TrapezoidEdge]:
-        """Six labeled edges in the order the boundary circle of M_lambda
-        traverses them (bottom chain, seam, top chain, seam)."""
-        return [
-            TrapezoidEdge("D1", self.w, self.v),
-            TrapezoidEdge("D2", self.v, self.x_bar),
-            TrapezoidEdge("T2", self.x_bar, self.w_bar),
-            TrapezoidEdge("H1", self.x, self.u),
-            TrapezoidEdge("H2", self.u, self.w_bar),
-            TrapezoidEdge("T1", self.w, self.x),
-        ]
-
-    def edge(self, name: str) -> TrapezoidEdge:
-        for e in self.edges():
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-    def check_invariants(self, atol: float = 1e-12) -> None:
-        """Raise unless the closed-form edge relations hold."""
-        lh = float(np.linalg.norm(self.u - self.x) + np.linalg.norm(self.w_bar - self.u))
-        ld = float(np.linalg.norm(self.v - self.w) + np.linalg.norm(self.x_bar - self.v))
-        if abs(lh - self.len_h()) > atol or abs(ld - self.len_d()) > atol:
-            raise StructureError("edge-chain lengths disagree with closed forms")
-        if abs((self.len_h() + self.t) - self.lam) > atol:
-            raise StructureError("len(H) + t != lambda")
-        if abs((self.len_d() - self.t) - self.lam) > atol:
-            raise StructureError("len(D) - t != lambda")
-        t1 = self.edge("T1")
-        t2 = self.edge("T2")
-        if abs(t1.length() - self.len_t()) > atol or abs(t2.length() - self.len_t()) > atol:
-            raise StructureError("slanted edges are not congruent copies of the cut")
-        # bilateral symmetry of the trapezoid shape about its vertical midline
-        mid_bottom = 0.5 * (self.w[0] + self.x_bar[0])
-        mid_top = 0.5 * (self.x[0] + self.w_bar[0])
-        if abs(mid_bottom - mid_top) > atol:
-            raise StructureError("trapezoid is not bilaterally symmetric")
-
+    def boundary_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The start and end points of D1, D2, H1 and H2, one row per edge:
+        D1 runs from w = (0, 0) to v and D2 from v to g(x) = (lambda + t, 0);
+        H1 runs from x = (t, 1) to u and H2 from u to g(w) = (lambda, 1)."""
+        starts = np.array([[0.0, 0.0], self.v, [self.t, 1.0], self.u])
+        ends = np.array([self.v, [self.lam + self.t, 0.0], self.u, [self.lam, 1.0]])
+        return starts, ends

@@ -118,8 +118,6 @@ class _Candidate:
     len_t: float
     len_b: float
     p_star: np.ndarray
-    foot_t: float
-    foot_b: float
 
 
 def _build_pose(bend_t_flat, bend_t_space, bend_b_space, p_star) -> RigidMotion:
@@ -220,7 +218,7 @@ def _classify(a: np.ndarray, b: np.ndarray, sa: np.ndarray, sb: np.ndarray,
 
     rows = zip(a[found].astype(float).tolist(), b[found].tolist(), perp[found].tolist(),
                off[found].tolist(), np.where(t_first, 1, 2).tolist(), pick(la, lb), pick(lb, la),
-               p_star[found], pick(r1, r2), pick(r2, r1))
+               p_star[found])
     return perp, off, [_Candidate(*row) for row in rows]
 
 
@@ -303,10 +301,8 @@ def develop_for(band: RuledBand, tp: TPattern) -> tuple[FlatTrapezoid, RuledBand
 
     Returns the labeled trapezoid (u, v are the B-bend endpoints) and the
     re-developed band (space data unchanged up to row order)."""
-    n = band.n_bends
     dev = redevelop(band, tp.param_t)
-    cut_flat, _ = interpolate_bend(band, tp.param_t)
-    x0 = cut_flat[0, 0]
+    x0 = tp.bend_t_flat[0, 0]   # the pose moves only space, not the flat cut leaf
     b_flat = tp.bend_b_flat.copy()
     if tp.param_b < tp.param_t:
         b_flat = b_flat[::-1].copy()
@@ -324,6 +320,4 @@ def develop_for(band: RuledBand, tp: TPattern) -> tuple[FlatTrapezoid, RuledBand
 
     t = dev.cut_displacement()
     v, u = b_flat[0], b_flat[1]
-    trap = FlatTrapezoid(lam=band.lam, t=t, u=u, v=v)
-    trap.check_invariants(atol=1e-9)
-    return trap, dev
+    return FlatTrapezoid(lam=band.lam, t=t, u=u, v=v), dev

@@ -167,10 +167,8 @@ def boundary_deviation(trap: FlatTrapezoid, chains: tuple[_Chain, _Chain]) -> Bo
     Each chain is evaluated once, at the breaks of both its edges and at
     their ends.  An arc length sums the chain's cached segment lengths
     between the end pieces."""
-    by_name = {e.name: e for e in trap.edges()}
-    edges = [by_name[name] for name in _BOUNDARY_EDGES]
-    x0 = np.array([e.start[0] for e in edges])
-    x1 = np.array([e.end[0] for e in edges])
+    starts, ends = trap.boundary_edges()
+    x0, x1 = starts[:, 0], ends[:, 0]
     fracs, images, end_images, arcs = [], [], [], []
     # the bottom chain carries D1 and D2, the top chain H1 and H2
     for k, chain in zip((0, 2), chains):
@@ -200,13 +198,13 @@ def boundary_deviation(trap: FlatTrapezoid, chains: tuple[_Chain, _Chain]) -> Bo
     dist = np.linalg.norm(np.stack([i0_pts - i_pts, i_pts - istar_pts, i0_pts - istar_pts]), axis=-1)
     sup_dev, sup_istar, sup_i0_star = np.maximum.reduceat(dist, first, axis=1).tolist()
     per_edge = {}
-    for k, (name, e, arc) in enumerate(zip(_BOUNDARY_EDGES, edges, arcs)):
+    for k, (name, arc) in enumerate(zip(_BOUNDARY_EDGES, arcs)):
         chord = float(np.linalg.norm(i_last[k] - i_first[k]))
         per_edge[name] = {
             "sup_dev": sup_dev[k],
             "sup_istar": sup_istar[k],
             "sup_i0_vs_istar": sup_i0_star[k],
-            "flat_length": e.length(),
+            "flat_length": float(np.linalg.norm(ends[k] - starts[k])),
             "arc_length": arc,
             "chord_length": chord,
             "slack": arc - chord,

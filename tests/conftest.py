@@ -69,10 +69,8 @@ def midline_trapezoid(lam: float, t: float) -> FlatTrapezoid:
     midpoints of the top and bottom sides."""
     if not (lam > 0.0 and math.isfinite(lam) and math.isfinite(t)):
         raise StructureError("need a positive finite aspect ratio")
-    trap = FlatTrapezoid(lam=lam, t=t, u=np.array([0.5 * (t + lam), 1.0]),
+    return FlatTrapezoid(lam=lam, t=t, u=np.array([0.5 * (t + lam), 1.0]),
                          v=np.array([0.5 * (lam + t), 0.0]))
-    trap.check_invariants()
-    return trap
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,13 @@
 """Nothing public in the package that no code of the package calls: every
 public function, class or method in `src/moebiusband` is named somewhere in
 the package's own modules or in the benchmark tracer, which replaces package
-functions by name.  A helper that only tests use belongs in the tests."""
+functions by name.  A helper that only tests use belongs in the tests.
+
+Likewise every annotated field of a class (a dataclass field) is named
+somewhere other than in a field definition.  The rule goes by name, so it
+cannot see a field that shares its name with a field read on another
+class: a write-only `details` on one report would pass while another
+report's `details` is read."""
 
 import ast
 from pathlib import Path
@@ -23,12 +29,23 @@ def _definitions(tree):
     return [entry for entry in out if not entry[1].startswith("_")]
 
 
+def _fields(tree):
+    """The annotated fields in the class bodies of a module, with lines."""
+    return [(f"{node.name}.{item.target.id}", item.target.id, item.lineno)
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
 def _references(tree):
     """Every name the module reads: identifiers, attributes, and string
-    constants that are a name as a whole (getattr lookups, tracer tables)."""
+    constants that are a name as a whole (getattr lookups, tracer tables).
+    The target of a field's definition is not a read."""
+    defined = {id(item.target) for node in tree.body if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, ast.AnnAssign)}
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and id(node) not in defined:
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -37,9 +54,21 @@ def _references(tree):
     return names
 
 
+def _referenced():
+    return set().union(*(_references(ast.parse(p.read_text())) for p in READERS))
+
+
 def test_every_public_name_is_used_in_the_package():
-    referenced = set().union(*(_references(ast.parse(p.read_text())) for p in READERS))
+    referenced = _referenced()
     unused = [f"{p.name}:{line} {qualname}"
               for p in MODULES for qualname, name, line in _definitions(ast.parse(p.read_text()))
               if name not in referenced]
     assert not unused, "public but unused in the package:\n" + "\n".join(unused)
+
+
+def test_every_field_is_read_in_the_package():
+    referenced = _referenced()
+    unused = [f"{p.name}:{line} {qualname}"
+              for p in MODULES for qualname, name, line in _fields(ast.parse(p.read_text()))
+              if name not in referenced]
+    assert not unused, "fields named nowhere but in their definition:\n" + "\n".join(unused)

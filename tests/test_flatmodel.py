@@ -12,19 +12,22 @@ from conftest import midline_trapezoid
 SQRT3 = math.sqrt(3.0)
 
 
+def _edge_lengths(trap):
+    """The lengths of D1, D2, H1 and H2."""
+    starts, ends = trap.boundary_edges()
+    return np.linalg.norm(ends - starts, axis=1).tolist()
+
+
 class TestMakeTrapezoid:
     def test_optimal_cut_lengths(self):
         trap = midline_trapezoid(SQRT3, 1.0 / SQRT3)
         assert trap.len_h() == pytest.approx(2.0 / SQRT3, abs=1e-12)
         assert trap.len_d() == pytest.approx(4.0 / SQRT3, abs=1e-12)
-        # the cut length coincides with the short side at the optimum
-        assert trap.len_t() == pytest.approx(2.0 / SQRT3, abs=1e-12)
 
     def test_zero_displacement_rectangle(self):
         trap = midline_trapezoid(2.0, 0.0)
         assert trap.len_h() == 2.0
         assert trap.len_d() == 2.0
-        assert trap.len_t() == 1.0
 
     def test_displacement_identity(self):
         trap = midline_trapezoid(SQRT3 + 0.01, 0.5)
@@ -38,11 +41,9 @@ class TestMakeTrapezoid:
 
     def test_measured_edges_match_closed_forms(self):
         trap = midline_trapezoid(1.9, 0.3)
-        e = {edge.name: edge.length() for edge in trap.edges()}
-        assert e["D1"] + e["D2"] == pytest.approx(trap.len_d(), abs=1e-12)
-        assert e["H1"] + e["H2"] == pytest.approx(trap.len_h(), abs=1e-12)
-        assert e["T1"] == pytest.approx(math.hypot(1.0, 0.3), abs=1e-12)
-        assert e["T2"] == pytest.approx(e["T1"], abs=1e-12)
+        d1, d2, h1, h2 = _edge_lengths(trap)
+        assert d1 + d2 == pytest.approx(trap.len_d(), abs=1e-12)
+        assert h1 + h2 == pytest.approx(trap.len_h(), abs=1e-12)
 
     @given(
         lam=st.floats(min_value=0.2, max_value=5.0),
@@ -52,30 +53,31 @@ class TestMakeTrapezoid:
     def test_length_sum_exact(self, lam, frac):
         trap = midline_trapezoid(lam, frac * lam)
         assert trap.len_h() + trap.len_d() == pytest.approx(2.0 * lam, abs=1e-12)
-        trap.check_invariants(atol=1e-9)
+        d1, d2, h1, h2 = _edge_lengths(trap)
+        assert d1 + d2 == pytest.approx(trap.len_d(), abs=1e-12)
+        assert h1 + h2 == pytest.approx(trap.len_h(), abs=1e-12)
 
 
 class TestBoundaryEdges:
-    def test_six_edges(self):
-        trap = midline_trapezoid(SQRT3, 1.0 / SQRT3)
-        edges = trap.edges()
-        assert len(edges) == 6
-        assert [e.name for e in edges] == ["D1", "D2", "T2", "H1", "H2", "T1"]
+    def test_four_edges(self):
+        # D1, D2 on the bottom side y = 0, H1, H2 on the top side y = 1
+        starts, ends = midline_trapezoid(SQRT3, 1.0 / SQRT3).boundary_edges()
+        assert starts.shape == ends.shape == (4, 2)
+        assert (starts[:, 1] == [0.0, 0.0, 1.0, 1.0]).all()
+        assert (ends[:, 1] == [0.0, 0.0, 1.0, 1.0]).all()
 
     def test_boundary_length_excludes_cut(self):
         # the cut copies T1, T2 are glued to each other, not boundary
         for lam, t in ((SQRT3, 1.0 / SQRT3), (2.0, 0.0)):
             trap = midline_trapezoid(lam, t)
-            length = sum(e.length() for e in trap.edges() if not e.name.startswith("T"))
-            assert length == pytest.approx(2.0 * lam, abs=1e-12)
+            assert sum(_edge_lengths(trap)) == pytest.approx(2.0 * lam, abs=1e-12)
 
     def test_chain_continuity(self):
         # the boundary walk is connected through the glued corners
         trap = midline_trapezoid(1.8, 0.4)
-        edges = {e.name: e for e in trap.edges()}
-        assert np.allclose(edges["D1"].end, edges["D2"].start)
-        assert np.allclose(edges["H1"].end, edges["H2"].start)
-        # D ends at the glued copy of the cut's top corner, H resumes there
-        assert np.allclose(edges["D2"].end, trap.x_bar)
-        assert np.allclose(edges["H1"].start, trap.x)
-
+        starts, ends = trap.boundary_edges()
+        assert (ends[0] == starts[1]).all() and (ends[0] == trap.v).all()
+        assert (ends[2] == starts[3]).all() and (ends[2] == trap.u).all()
+        # D ends at the glued copy g(x) of the cut's top corner x, where H starts
+        assert (ends[1] == [1.8 + 0.4, 0.0]).all()
+        assert (starts[2] == [0.4, 1.0]).all()

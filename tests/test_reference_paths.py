@@ -91,11 +91,10 @@ def reference_boundary_deviation(trap, chains):
     bottom, top = chains
     per_edge = {}
     sup_dev = sup_istar = sup_i0_star = 0.0
-    for name in verify_mod._BOUNDARY_EDGES:
-        e = trap.edge(name)
+    for name, start, end in zip(verify_mod._BOUNDARY_EDGES, *trap.boundary_edges()):
         chain = bottom if name.startswith("D") else top
-        x0, dx = e.start[0], e.end[0] - e.start[0]
-        lo, hi = sorted((e.start[0], e.end[0]))
+        x0, dx = start[0], end[0] - start[0]
+        lo, hi = sorted((start[0], end[0]))
         inner = chain.xs[(chain.xs > lo) & (chain.xs < hi)]
         f = np.concatenate([[0.0], (inner - x0) / dx, [1.0]])
         img0_a, img0_b = verify_mod._I0_EDGE_IMAGES[name]
@@ -105,13 +104,13 @@ def reference_boundary_deviation(trap, chains):
         dev_edge = float(np.linalg.norm(i0_pts - i_pts, axis=1).max())
         istar_edge = float(np.linalg.norm(i_pts - istar_pts, axis=1).max())
         i0_star_edge = float(np.linalg.norm(i0_pts - istar_pts, axis=1).max())
-        arc = chain.arc_between(float(e.start[0]), float(e.end[0]))
+        arc = chain.arc_between(float(start[0]), float(end[0]))
         chord = float(np.linalg.norm(i_pts[-1] - i_pts[0]))
         per_edge[name] = {
             "sup_dev": dev_edge,
             "sup_istar": istar_edge,
             "sup_i0_vs_istar": i0_star_edge,
-            "flat_length": e.length(),
+            "flat_length": float(np.linalg.norm(end - start)),
             "arc_length": arc,
             "chord_length": chord,
             "slack": arc - chord,

@@ -121,9 +121,9 @@ def _classify_roles(band: RuledBand, a: float, b: float) -> _Candidate | None:
     perp = float(ua @ ub)
     off = _offset_residual(band, a, b)
     if interior1 and not interior2:
-        return _Candidate(a, b, perp, off, 1, la, lb, p_star, r1, r2)
+        return _Candidate(a, b, perp, off, 1, la, lb, p_star)
     if interior2 and not interior1:
-        return _Candidate(a, b, perp, off, 2, lb, la, p_star, r2, r1)
+        return _Candidate(a, b, perp, off, 2, lb, la, p_star)
     return None
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moebiusband import band as band_mod
@@ -201,11 +201,11 @@ class TestCoverage:
         assert not premises["shrink"]
 
     @given(st.sampled_from(BAND_NAMES), st.floats(0.0, 1.0, exclude_max=True), st.booleans())
+    @example("wrinkle4", 0.23451020166982395, False)   # the cut 30.017305813737465 of 128
     @settings(max_examples=10, deadline=None)
     def test_coverage_invariant_under_recut_and_flip(self, band_states, name, cut, flipped):
         # hausdorff is band_to_triangle on these bands, read at the bend
-        # endpoints after the pose normalization of each copy, which can
-        # move it by an ulp
+        # endpoints after the pose normalization of each copy
         band, state = band_states[name]
         moved = redevelop(band, cut * band.n_bends)
         moved = flip(moved) if flipped else moved
@@ -214,7 +214,7 @@ class TestCoverage:
         eff2, cor = verify_eff2(moved).measured, verify_corollary(moved).measured
         for key in ("c_grid_uncovered", "triangle_coverage_max"):
             assert eff2[key] == base[0][key], key
-        assert abs(cor["hausdorff"] - base[1]["hausdorff"]) <= 4 * math.ulp(base[1]["hausdorff"])
+        assert cor["hausdorff"] == base[1]["hausdorff"]
 
 
 def _state_with_patches(state, patches):
@@ -634,15 +634,15 @@ def _sampled_sups(trap, chains, eta):
     edge, the three sampled sups and a Lipschitz bound, in the fraction, on
     each of the three compared maps."""
     out = {}
-    for name in verify_mod._BOUNDARY_EDGES:
-        e = trap.edge(name)
-        n = max(8, math.ceil(midline_trapezoid(SQRT3, T_OPT).edge(name).length() / eta))
+    opt_starts, opt_ends = midline_trapezoid(SQRT3, T_OPT).boundary_edges()
+    for k, (name, start, end) in enumerate(zip(verify_mod._BOUNDARY_EDGES, *trap.boundary_edges())):
+        n = max(8, math.ceil(np.linalg.norm(opt_ends[k] - opt_starts[k]) / eta))
         f = np.linspace(0.0, 1.0, n + 1)
         img_a, img_b = verify_mod._I0_EDGE_IMAGES[name]
         i0 = img_a + f[:, None] * (img_b - img_a)
         chain = chains[0] if name[0] == "D" else chains[1]
-        dx = e.end[0] - e.start[0]
-        i_pts = chain.eval(e.start[0] + f * dx)
+        dx = end[0] - start[0]
+        i_pts = chain.eval(start[0] + f * dx)
         istar = i_pts[0] + f[:, None] * (i_pts[-1] - i_pts[0])
         slope = (np.linalg.norm(np.diff(chain.pts, axis=0), axis=1) / np.diff(chain.xs)).max()
         lip = {"i0": np.linalg.norm(img_b - img_a), "i": slope * abs(dx),
