@@ -608,6 +608,10 @@ def write_json(band: RuledBand, path) -> None:
         fh.write(json.dumps(to_json_dict(band), indent=1) + "\n")
 
 
+_BAND_KEYS = {"format_version", "lambda", "closed", "bends"}
+_BEND_KEYS = {"flat", "space"}
+
+
 def from_json_dict(data: dict) -> RuledBand:
     try:
         version = data["format_version"]
@@ -622,6 +626,12 @@ def from_json_dict(data: dict) -> RuledBand:
         space = np.array([b["space"] for b in bends], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed band file: {exc}") from exc
+    # every bend is an object by now, so one union collects their keys
+    for what, keys, known in (("key", data.keys(), _BAND_KEYS),
+                              ("bend key", set().union(*bends), _BEND_KEYS)):
+        if unknown := sorted(keys - known):
+            raise StructureError(f"malformed band file: unknown {what} "
+                                 + ", ".join(map(repr, unknown)))
     if version != FORMAT_VERSION:
         raise StructureError(f"unsupported format_version {version!r}")
     if closed is not True:

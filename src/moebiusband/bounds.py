@@ -380,12 +380,12 @@ def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
 def random_perturbed_triangle(rng: np.random.Generator, eps: float) -> PerturbedTriangle:
     """Random triangle satisfying all offset1 hypotheses for this eps."""
     for _ in range(1000):
-        half_base = rng.uniform(0.2, 0.7)
-        height = rng.uniform(half_base * 1.05, 1.4)
+        half_base = _uniform(rng, 0.2, 0.7)
+        height = _uniform(rng, half_base * 1.05, 1.4)
         vee_star = 2.0 * math.hypot(half_base, height)
         if vee_star >= 3.0:
             continue
-        delta = rng.uniform(1.0, 3.0) * math.sqrt(13.0 * eps / 2.0)
+        delta = _uniform(rng, 1.0, 3.0) * math.sqrt(13.0 * eps / 2.0)
         side = _random_sign(rng)
         tri = PerturbedTriangle(
             p1=np.array([-half_base, 0.0]),
@@ -477,7 +477,25 @@ def curve_with_forced_deviation(rng: np.random.Generator, eps: float) -> CurveGr
 # ---------------------------------------------------------------------------
 
 
-GRID_BLOCK = 1 << 16  # grid points per block of hd_grid_certificate: 512 KiB arrays
+# grid points per block of a grid certificate: 64 KiB float64 arrays, below
+# glibc's 128 KiB mmap threshold, so each block is served from the heap and
+# no freed mapping raises that threshold
+GRID_BLOCK = 1 << 13
+
+
+def _index_blocks(start: int, stop: int):
+    """np.arange(start, stop) in consecutive blocks of at most GRID_BLOCK."""
+    for k0 in range(start, stop, GRID_BLOCK):
+        yield np.arange(k0, min(k0 + GRID_BLOCK, stop))
+
+
+def _linspace_at(start: float, stop: float, num: int, k: np.ndarray) -> np.ndarray:
+    """np.linspace(start, stop, num)[k], bitwise, for an integer array k:
+    numpy takes k * ((stop - start) / (num - 1)) + start and sets the last
+    point to stop."""
+    v = k * ((stop - start) / max(num - 1, 1)) + start
+    v[k == num - 1] = stop
+    return v
 
 
 def hd_grid_certificate(n: int = 1_000_000) -> dict:
@@ -490,9 +508,10 @@ def hd_grid_certificate(n: int = 1_000_000) -> dict:
     step = 1.0 / (n + 1)
 
     def blocks():
-        for k0 in range(1, n + 1, GRID_BLOCK):
-            t = np.arange(k0, min(k0 + GRID_BLOCK, n + 1)) * step
-            yield t, np.sqrt(1.0 + t * t) + t, np.sqrt(5.0 + t * t) - t
+        for k in _index_blocks(1, n + 1):
+            t = k * step
+            tt = t * t
+            yield t, np.sqrt(1.0 + tt) + t, np.sqrt(5.0 + tt) - t
 
     return _certify_blocks(blocks(), step)
 
@@ -507,8 +526,9 @@ def _certify_blocks(blocks, step: float) -> dict:
     h_last, d_last = -math.inf, math.inf
     h_increasing = d_decreasing = True
     for t, hv, dv in blocks:
-        h_increasing &= bool(np.all(np.diff(hv, prepend=h_last) > 0.0))
-        d_decreasing &= bool(np.all(np.diff(dv, prepend=d_last) < 0.0))
+        # a - b > 0 exactly when a > b, so these are the signs of np.diff
+        h_increasing = h_increasing and bool(hv[0] > h_last and (hv[1:] > hv[:-1]).all())
+        d_decreasing = d_decreasing and bool(dv[0] < d_last and (dv[1:] < dv[:-1]).all())
         h_last, d_last = hv[-1], dv[-1]
         m = np.maximum(hv, dv)
         i = int(np.argmin(m))
@@ -534,24 +554,34 @@ def sq_grid_certificate(n_side: int = 100) -> dict:
     """Margins of sq0: sqrt(L^2 + (13/4) eps) > L + eps for L < 3/2, and
     sq1: sqrt(L^2 + (9/2) eps) > L + eps/2 for L < 3/sqrt(2), both for
     0 < eps < 1/4, over the closed hypothesis rectangles; sq0 has its
-    single zero at the corner (3/2, 1/4)."""
-    ls0 = np.linspace(1.5 / n_side, 1.5, n_side)
-    es = np.linspace(0.25 / n_side, 0.25, n_side)
-    l_grid, e_grid = np.meshgrid(ls0, es, indexing="ij")
-    m0 = np.sqrt(l_grid**2 + 3.25 * e_grid) - (l_grid + e_grid)
-    ls1 = np.linspace((3.0 / math.sqrt(2.0)) / n_side, 3.0 / math.sqrt(2.0), n_side)
-    l1_grid, e1_grid = np.meshgrid(ls1, es, indexing="ij")
-    m1 = np.sqrt(l1_grid**2 + 4.5 * e1_grid) - (l1_grid + 0.5 * e1_grid)
-    i0 = np.unravel_index(int(np.argmin(m0)), m0.shape)
-    corner = (n_side - 1, n_side - 1)
-    zero_mask = np.abs(m0) <= 1e-12
+    single zero at the corner (3/2, 1/4).
+
+    The (L, eps) grid of each margin is the meshgrid of two linspaces of
+    n_side points, streamed in C order in blocks of GRID_BLOCK points,
+    carrying the least margins, the first grid point of the least sq0 and
+    the count of sq0's zeros."""
+    l1_max = 3.0 / math.sqrt(2.0)
+    min0 = min1 = math.inf
+    argmin0 = zeros = 0
+    for k in _index_blocks(0, n_side * n_side):
+        i, j = np.divmod(k, n_side)
+        e = _linspace_at(0.25 / n_side, 0.25, n_side, j)
+        l0 = _linspace_at(1.5 / n_side, 1.5, n_side, i)
+        m0 = np.sqrt(l0 * l0 + 3.25 * e) - (l0 + e)
+        l1 = _linspace_at(l1_max / n_side, l1_max, n_side, i)
+        m1 = np.sqrt(l1 * l1 + 4.5 * e) - (l1 + 0.5 * e)
+        a = int(np.argmin(m0))
+        if m0[a] < min0:
+            min0, argmin0 = m0[a], int(k[a])
+        min1 = min(min1, m1.min())
+        zeros += int(np.count_nonzero(np.abs(m0) <= 1e-12))
     return {
-        "sq0_min": float(m0.min()),
-        "sq0_nonnegative": bool(m0.min() >= -1e-12),
-        "sq0_zero_only_at_corner": bool(zero_mask.sum() == 1 and i0 == corner),
-        "sq1_min": float(m1.min()),
-        "sq1_strictly_positive": bool(m1.min() > 0.0),
-        "grid_points": int(m0.size),
+        "sq0_min": float(min0),
+        "sq0_nonnegative": bool(min0 >= -1e-12),
+        "sq0_zero_only_at_corner": zeros == 1 and argmin0 == n_side * n_side - 1,
+        "sq1_min": float(min1),
+        "sq1_strictly_positive": bool(min1 > 0.0),
+        "grid_points": n_side * n_side,
     }
 
 
@@ -560,13 +590,16 @@ def derivative_anchors(step: float = 1e-7) -> dict:
     bound |d/dt sqrt(1+t^2)| < 3/4 on (0, 1)."""
     hp = (h(T_OPT + step) - h(T_OPT - step)) / (2.0 * step)
     dp = (d(T_OPT + step) - d(T_OPT - step)) / (2.0 * step)
-    t = np.linspace(1e-6, 1.0 - 1e-6, 100_000)
-    fp = t / np.sqrt(1.0 + t * t)
+    # the slopes on np.linspace(1e-6, 1 - 1e-6, 100_000), in blocks
+    top = -math.inf
+    for k in _index_blocks(0, 100_000):
+        t = _linspace_at(1e-6, 1.0 - 1e-6, 100_000, k)
+        top = max(top, (t / np.sqrt(1.0 + t * t)).max())
     return {
         "h_prime": float(hp),
         "d_prime": float(dp),
         "h_prime_err": float(abs(hp - 1.5)),
         "d_prime_err": float(abs(dp + 0.75)),
-        "max_abs_fprime": float(fp.max()),
-        "fprime_below_3_4": bool(fp.max() < 0.75),
+        "max_abs_fprime": float(top),
+        "fprime_below_3_4": bool(top < 0.75),
     }

@@ -203,7 +203,7 @@ def _cmd_bounds_sweep(args, tol: ToleranceConfig) -> int:
     ok = 0
     least_offset1 = math.inf
     for _ in range(draws):
-        eps = float(rng.uniform(0.001, 0.24))
+        eps = bounds._uniform(rng, 0.001, 0.24)
         tri = bounds.random_perturbed_triangle(rng, eps)
         r = bounds.offset1_check(tri, eps)
         ok += r.hypotheses_ok and r.passed
@@ -213,7 +213,7 @@ def _cmd_bounds_sweep(args, tol: ToleranceConfig) -> int:
     ok = 0
     least_wiggle = least_graph = math.inf
     for _ in range(draws):
-        eps = float(rng.uniform(0.001, 0.1))
+        eps = bounds._uniform(rng, 0.001, 0.1)
         cg = bounds.curve_with_forced_deviation(rng, eps)
         wiggle, graph = bounds.wiggle_check(cg, eps), bounds.graph_check(cg)
         ok += wiggle.passed and graph.passed

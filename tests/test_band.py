@@ -550,3 +550,12 @@ class TestSerialization:
             from_json_dict({"format_version": 1, "bends": []})
         with pytest.raises(StructureError, match="format_version"):
             from_json_dict({"format_version": 99, "lambda": 2.0, "bends": []})
+
+    def test_unknown_keys_rejected_by_name(self, tri_band):
+        data = to_json_dict(tri_band)
+        data["bends"][5]["weight"] = 1.0
+        with pytest.raises(StructureError, match="unknown bend key 'weight'$"):
+            from_json_dict(data)
+        data.update(colour="red", closed=True)
+        with pytest.raises(StructureError, match="unknown key 'colour'$"):
+            from_json_dict(data)

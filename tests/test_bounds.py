@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -52,6 +53,87 @@ class TestSquareRootMargins:
         assert cert["sq0_zero_only_at_corner"]
         assert cert["sq1_strictly_positive"]
 
+    @pytest.mark.parametrize("n_side", [100, 317, 1000])
+    def test_streamed_equals_dense(self, n_side):
+        assert repr(bounds.sq_grid_certificate(n_side)) == repr(_dense_sq_grid_certificate(n_side))
+
+    @pytest.mark.parametrize("block", [7, 9_999, 10_000, 10_001, bounds.GRID_BLOCK])
+    def test_block_size_is_neutral(self, block, monkeypatch):
+        ref = repr(_dense_sq_grid_certificate(100))
+        monkeypatch.setattr(bounds, "GRID_BLOCK", block)
+        assert repr(bounds.sq_grid_certificate(100)) == ref
+
+
+def _dense_sq_grid_certificate(n_side):
+    """sq_grid_certificate on whole meshgrids, as it was computed before the
+    grid was streamed in blocks."""
+    ls0 = np.linspace(1.5 / n_side, 1.5, n_side)
+    es = np.linspace(0.25 / n_side, 0.25, n_side)
+    l_grid, e_grid = np.meshgrid(ls0, es, indexing="ij")
+    m0 = np.sqrt(l_grid**2 + 3.25 * e_grid) - (l_grid + e_grid)
+    ls1 = np.linspace((3.0 / math.sqrt(2.0)) / n_side, 3.0 / math.sqrt(2.0), n_side)
+    l1_grid, e1_grid = np.meshgrid(ls1, es, indexing="ij")
+    m1 = np.sqrt(l1_grid**2 + 4.5 * e1_grid) - (l1_grid + 0.5 * e1_grid)
+    i0 = np.unravel_index(int(np.argmin(m0)), m0.shape)
+    corner = (n_side - 1, n_side - 1)
+    zero_mask = np.abs(m0) <= 1e-12
+    return {
+        "sq0_min": float(m0.min()),
+        "sq0_nonnegative": bool(m0.min() >= -1e-12),
+        "sq0_zero_only_at_corner": bool(zero_mask.sum() == 1 and i0 == corner),
+        "sq1_min": float(m1.min()),
+        "sq1_strictly_positive": bool(m1.min() > 0.0),
+        "grid_points": int(m0.size),
+    }
+
+
+def _dense_derivative_anchors():
+    """derivative_anchors on the whole slope grid, as it was computed before
+    the grid was streamed in blocks."""
+    step = 1e-7
+    hp = (bounds.h(T0 + step) - bounds.h(T0 - step)) / (2.0 * step)
+    dp = (bounds.d(T0 + step) - bounds.d(T0 - step)) / (2.0 * step)
+    t = np.linspace(1e-6, 1.0 - 1e-6, 100_000)
+    fp = t / np.sqrt(1.0 + t * t)
+    return {
+        "h_prime": float(hp),
+        "d_prime": float(dp),
+        "h_prime_err": float(abs(hp - 1.5)),
+        "d_prime_err": float(abs(dp + 0.75)),
+        "max_abs_fprime": float(fp.max()),
+        "fprime_below_3_4": bool(fp.max() < 0.75),
+    }
+
+
+class TestDerivativeAnchors:
+    @pytest.mark.parametrize("block", [7, 99_999, 100_000, 100_001, bounds.GRID_BLOCK])
+    def test_streamed_equals_dense(self, block, monkeypatch):
+        ref = repr(_dense_derivative_anchors())
+        monkeypatch.setattr(bounds, "GRID_BLOCK", block)
+        assert repr(bounds.derivative_anchors()) == ref
+
+    @pytest.mark.parametrize("start, stop, num", [(1e-6, 1.0 - 1e-6, 100_000), (0.0, 1.0, 7),
+                                                  (1.5 / 317, 1.5, 317), (0.25, 0.25, 1)])
+    def test_linspace_at_is_linspace(self, start, stop, num):
+        k = np.random.default_rng(num).permutation(num)
+        assert np.array_equal(bounds._linspace_at(start, stop, num, k),
+                              np.linspace(start, stop, num)[k])
+
+
+# each certificate streams its grid, so its traced peak does not grow with
+# the grid; the dense sq_grid_certificate(1000) peaked at about 54 MiB
+@pytest.mark.parametrize("certificate", [lambda: bounds.hd_grid_certificate(1_000_000),
+                                         bounds.derivative_anchors,
+                                         lambda: bounds.sq_grid_certificate(1000)])
+def test_certificate_traced_peak_is_bounded(certificate):
+    tracemalloc.start()
+    try:
+        certificate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+
 
 def _dense_certificate(t, hv, dv):
     """The certificate of hd_grid_certificate on whole arrays, as it was
@@ -76,7 +158,7 @@ def _dense_hd_grid_certificate(n):
 
 class TestAspectGrid:
     @pytest.mark.parametrize("n", [10_000, bounds.GRID_BLOCK - 1, bounds.GRID_BLOCK,
-                                   bounds.GRID_BLOCK + 1, 1_000_000])
+                                   bounds.GRID_BLOCK + 1, 65_535, 65_536, 65_537, 1_000_000])
     def test_streamed_equals_dense(self, n):
         assert bounds.hd_grid_certificate(n) == _dense_hd_grid_certificate(n)
 

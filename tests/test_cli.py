@@ -63,6 +63,9 @@ MALFORMED_BANDS = {
                                        for b in d["bends"]]),
     "nan_coordinate": _edited(lambda d: d["bends"][3]["space"][0].__setitem__(0, math.nan)),
     "format_version": _edited(lambda d: d.update({"format_version": 99})),
+    # unknown keys were ignored
+    "unknown_key": _edited(lambda d: d.update({"colour": "red"})),
+    "unknown_bend_key": _edited(lambda d: d["bends"][3].update({"weight": 1.0})),
 }
 
 

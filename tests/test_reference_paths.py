@@ -419,10 +419,12 @@ class TestCurvePath:
             bounds.CurveGraphPair(pts, speed_tol=float(np.nextafter(resid, -1.0)))
 
 
-# every range the curve sweep draws from: the first angle's swing, the
-# phases, and the domain lengths (lo, 2.85) with lo = max(1.6, 8.1 sqrt(eps))
-# for eps up to 0.1
-@pytest.mark.parametrize("low, high", [(0.7, 1.0), (0.0, 2.0 * math.pi), (1.6, 2.85),
+# every fixed range the sweeps draw from: the eps of the offset and curve
+# sweeps; the offset sweep's half base and offset factor; the curve sweep's
+# first angle swing, phases, and domain lengths (lo, 2.85) with
+# lo = max(1.6, 8.1 sqrt(eps)) for eps up to 0.1
+@pytest.mark.parametrize("low, high", [(0.001, 0.24), (0.001, 0.1), (0.2, 0.7), (1.0, 3.0),
+                                       (0.7, 1.0), (0.0, 2.0 * math.pi), (1.6, 2.85),
                                        (8.1 * math.sqrt(0.05), 2.85),
                                        (8.1 * math.sqrt(0.1), 2.85)])
 def test_uniform_equals_rng_uniform(low, high):
@@ -433,9 +435,24 @@ def test_uniform_equals_rng_uniform(low, high):
     assert fast.bit_generator.state == slow.bit_generator.state
 
 
+def test_uniform_equals_rng_uniform_on_the_triangle_height():
+    # the offset sweep draws the height from (half_base * 1.05, 1.4), a low
+    # end that the draw before it sets
+    def draws(rng, uniform):
+        out = []
+        for _ in range(10_000):
+            half_base = uniform(rng, 0.2, 0.7)
+            out += [half_base, uniform(rng, half_base * 1.05, 1.4)]
+        return out
+
+    fast, slow = np.random.default_rng(19), np.random.default_rng(19)
+    assert _bits(draws(fast, bounds._uniform)) == _bits(draws(slow, reference_uniform))
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
 class TestSweepOutputs:
     """bounds-sweep's stdout and report are byte-identical with the curve
-    references swapped in."""
+    references and numpy's uniform draws swapped in."""
 
     @pytest.mark.parametrize("argv", [["--grid", "1000", "--seed", "7"],
                                       ["--grid", "10", "--seed", "3"]])

@@ -515,6 +515,25 @@ class TestPoseInvariance:
         assert reports[1].measured["c_grid_uncovered"] == 0
         assert reports[2].measured["triangle_to_band"] == 0.0
 
+    @pytest.mark.parametrize("name", ["wrinkle3", "wrinkle4", "wrinkle5"])
+    def test_hausdorff_under_poses_of_recut_and_flipped_copies(self, name, band_states):
+        # re-cutting and flipping alone leave hausdorff bitwise equal; a
+        # rigid pose moves it by rounding, up to 3.6e-16 on these copies
+        band, state = band_states[name]
+        base = verify_corollary(state).measured["hausdorff"]
+        rng = np.random.default_rng(BAND_NAMES.index(name))
+        for cut in np.linspace(0.05, 0.95, 15) * band.n_bends:
+            for flipped in (False, True):
+                copy = redevelop(band, cut)
+                copy = flip(copy) if flipped else copy
+                for proper in (True, False):
+                    motion = random_motion(rng, scale=1.5)
+                    if not proper:
+                        motion = RigidMotion(-motion.rotation, motion.translation)
+                    rep = verify_corollary(prepare(transform(copy, motion)))
+                    assert rep.passed
+                    assert abs(rep.measured["hausdorff"] - base) <= 1e-15, (cut, flipped, proper)
+
     def test_deviation_stable_under_rigid_motion(self, wrinkle4, wrinkle4_state):
         base = verify_eff(wrinkle4_state).measured["deviation"]
         rng = np.random.default_rng(99)
