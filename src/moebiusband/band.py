@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .geom import (
     DEFAULT_TOL,
+    Frozen,
     RigidMotion,
     StructureError,
     ToleranceConfig,
@@ -58,8 +59,7 @@ _REFL_L = np.array([[-0.5, -0.5 * SQRT3], [-0.5 * SQRT3, 0.5]])
 _REFL_R = np.array([[-0.5, 0.5 * SQRT3], [0.5 * SQRT3, 0.5]])
 
 
-@dataclass(frozen=True)
-class RuledBand:
+class RuledBand(Frozen):
     """Ordered bend foliation of an embedded band.
 
     flat: (N, 2, 2) development coordinates, rows [bottom, top] per bend,
@@ -71,21 +71,23 @@ class RuledBand:
     lam: float
     flat: np.ndarray
     space: np.ndarray
-    meta: dict | None = field(default=None, compare=False)
+    meta: dict | None
 
-    def __post_init__(self):
-        flat = np.asarray(self.flat, dtype=float)
-        space = np.asarray(self.space, dtype=float)
+    def __init__(self, lam: float, flat: np.ndarray, space: np.ndarray, meta: dict | None = None):
+        flat = np.asarray(flat, dtype=float)
+        space = np.asarray(space, dtype=float)
         if flat.ndim != 3 or flat.shape[1:] != (2, 2):
             raise StructureError("flat must have shape (N, 2, 2)")
         if space.shape != (flat.shape[0], 2, 3):
             raise StructureError("space must have shape (N, 2, 3)")
         if not (np.isfinite(flat).all() and np.isfinite(space).all()):
             raise StructureError("band coordinates must be finite")
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
+        if not (lam > 0.0 and math.isfinite(lam)):
             raise StructureError("aspect ratio must be positive")
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "space", space)
+        object.__setattr__(self, "meta", meta)
         flat.setflags(write=False)
         space.setflags(write=False)
 
@@ -125,8 +127,7 @@ class RuledBand:
         )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     max_ruling_residual: float
     max_boundary_residual: float
     foliation_violations: int
@@ -268,8 +269,7 @@ def build_triangular(n_per_fan: int = 48) -> RuledBand:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WrinkleConfig:
+class WrinkleConfig(NamedTuple):
     theta_scale: float = 1.0   # door angle theta = theta_scale * sqrt(eps)
     n_fan: int = 40
     n_door: int = 12
@@ -512,7 +512,7 @@ def points_to_triangles_distance(pts: np.ndarray, tris: np.ndarray) -> np.ndarra
 def transform(band: RuledBand, motion: RigidMotion) -> RuledBand:
     """Apply an ambient isometry to the space data."""
     space = motion.apply(band.space.reshape(-1, 3)).reshape(band.space.shape)
-    return replace(band, space=space)
+    return RuledBand(band.lam, band.flat, space, band.meta)
 
 
 def flip(band: RuledBand) -> RuledBand:
@@ -527,7 +527,7 @@ def flip(band: RuledBand) -> RuledBand:
     flat[:, :, 1] = 1.0 - flat[:, :, 1]
     flat[:, :, 0] -= flat[0, 0, 0]
     space = band.space[:, ::-1, :].copy()
-    return replace(band, flat=flat, space=space)
+    return RuledBand(band.lam, flat, space, band.meta)
 
 
 def redevelop(band: RuledBand, alpha: float) -> RuledBand:
@@ -557,7 +557,7 @@ def redevelop(band: RuledBand, alpha: float) -> RuledBand:
     flat = np.concatenate(flats)
     space = np.concatenate(spaces)
     flat[:, :, 0] -= flat[0, 0, 0]
-    return replace(band, flat=flat, space=space, meta=None)
+    return RuledBand(band.lam, flat, space)
 
 
 def interpolate_bend(band: RuledBand, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -632,7 +632,8 @@ def from_json_dict(data: dict) -> RuledBand:
         if unknown := sorted(keys - known):
             raise StructureError(f"malformed band file: unknown {what} "
                                  + ", ".join(map(repr, unknown)))
-    if version != FORMAT_VERSION:
+    # as for lambda: true == 1 and 1.0 == 1 would pass a bare comparison
+    if type(version) is not int or version != FORMAT_VERSION:
         raise StructureError(f"unsupported format_version {version!r}")
     if closed is not True:
         raise StructureError(f"closed must be true, got {closed!r}")

@@ -19,27 +19,35 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .flatmodel import SQRT3, T_OPT
-from .geom import StructureError
+from .geom import Frozen, StructureError
 
 _EQ_SLOP = 1e-12  # slop for inequalities that close non-strictly in the limit
 
 
-@dataclass(frozen=True)
-class MarginReport:
-    """Evaluation of one inequality: lhs >= rhs (+ margin = lhs - rhs)."""
-
+class _MarginFields(NamedTuple):
     name: str
     hypotheses: dict
     lhs: float
     rhs: float
     margin: float
     passed: bool
-    details: dict = field(default_factory=dict, compare=False)
+    details: dict
+
+
+class MarginReport(_MarginFields):
+    """Evaluation of one inequality: lhs >= rhs (+ margin = lhs - rhs).
+    `details` defaults to a fresh dict, which checkers may fill."""
+
+    __slots__ = ()
+
+    def __new__(cls, name, hypotheses, lhs, rhs, margin, passed, details=None):
+        return super().__new__(cls, name, hypotheses, lhs, rhs, margin, passed,
+                               {} if details is None else details)
 
     @property
     def hypotheses_ok(self) -> bool:
@@ -51,7 +59,7 @@ def _report(name, hypotheses, lhs, rhs, allow_equality=False, details=None) -> M
     ok = all(hypotheses.values())
     passed = ok and (margin >= -_EQ_SLOP if allow_equality else margin > 0.0)
     return MarginReport(name, dict(hypotheses), float(lhs), float(rhs),
-                        float(margin), bool(passed), details or {})
+                        float(margin), bool(passed), details)
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +84,7 @@ def g(y: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerturbedTriangle:
+class PerturbedTriangle(Frozen):
     """Triangle with horizontal base p1-p2 and bottom vertex q, compared
     against its isosceles twin q_star (same base and height, apex over the
     base midpoint).  q_star, its offset delta from q and the twin's slanted
@@ -86,14 +93,14 @@ class PerturbedTriangle:
     p1: np.ndarray
     p2: np.ndarray
     q: np.ndarray
-    q_star: np.ndarray = field(init=False, compare=False)
-    delta: float = field(init=False, compare=False)
-    vee_star: float = field(init=False, compare=False)
+    q_star: np.ndarray
+    delta: float
+    vee_star: float
 
-    def __post_init__(self):
-        p1 = np.asarray(self.p1, dtype=float)
-        p2 = np.asarray(self.p2, dtype=float)
-        q = np.asarray(self.q, dtype=float)
+    def __init__(self, p1: np.ndarray, p2: np.ndarray, q: np.ndarray):
+        p1 = np.asarray(p1, dtype=float)
+        p2 = np.asarray(p2, dtype=float)
+        q = np.asarray(q, dtype=float)
         if abs(p1[1] - p2[1]) > 1e-12:
             raise StructureError("base must be horizontal")
         if abs(q[1] - p1[1]) < 1e-15:
@@ -164,8 +171,7 @@ def _chord_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     return weights
 
 
-@dataclass(frozen=True)
-class CurveGraphPair:
+class CurveGraphPair(Frozen):
     """Sampled unit-speed curve on a segment domain, with its chord map.
 
     samples: (n, 3) points I(x_i) at equal parameter steps x_i spanning the
@@ -181,20 +187,21 @@ class CurveGraphPair:
     """
 
     samples: np.ndarray
-    speed_tol: float = 1e-6
-    domain_length: float = field(init=False, repr=False, compare=False)
-    _steps: np.ndarray = field(init=False, repr=False, compare=False)
-    _chord: np.ndarray = field(init=False, repr=False, compare=False)
-    _chord_length: float = field(init=False, repr=False, compare=False)
-    _deviation: float = field(init=False, repr=False, compare=False)
+    speed_tol: float
+    domain_length: float
+    _steps: np.ndarray
+    _chord: np.ndarray
+    _chord_length: float
+    _deviation: float
 
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
+    def __init__(self, samples: np.ndarray, speed_tol: float = 1e-6):
+        s = np.asarray(samples, dtype=float)
         if s.ndim != 2 or s.shape[0] < 2 or s.shape[1] != 3:
             raise StructureError("need (n, 3) curve samples with n >= 2")
         if not np.isfinite(s).all():
             raise StructureError("non-finite curve samples")
         object.__setattr__(self, "samples", s)
+        object.__setattr__(self, "speed_tol", speed_tol)
         s.setflags(write=False)
         n, rows = len(s), s.T
         w0, w1 = _chord_weights(n)
@@ -213,7 +220,7 @@ class CurveGraphPair:
         mean = length / (n - 1)
         resid = (max(steps.max() / mean - 1.0, 1.0 - steps.min() / mean)
                  if length > 0.0 else math.nan)
-        if not resid <= self.speed_tol:
+        if not resid <= speed_tol:
             raise StructureError(f"samples are not unit speed (max |speed-1| = {resid:.3e})")
         steps.setflags(write=False)
         chord.setflags(write=False)

@@ -20,7 +20,6 @@ subcommand exits 2 on any other value.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -78,7 +77,9 @@ def _tolerances() -> ToleranceConfig:
                 if not ok:
                     raise ValueError(f"{key} must be a positive finite number, "
                                      f"not {json.dumps(value)}")
-            tol = dataclasses.replace(tol, **{key: float(v) for key, v in overrides.items()})
+            # an unknown key fails as an unexpected keyword of the constructor
+            merged = vars(tol) | {key: float(v) for key, v in overrides.items()}
+            tol = ToleranceConfig(**merged)
         except (ValueError, TypeError) as exc:
             raise StructureError(f"bad MOEBIUS_TOL: {exc}") from exc
     return tol
@@ -258,7 +259,8 @@ def _cmd_sharpness_sweep(args, tol: ToleranceConfig) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if len(rows) >= 2:
+    # a line through one distinct epsilon has no slope
+    if len(set(eps_list)) >= 2:
         le = np.log([r[0] for r in rows])
         lh = np.log([r[2] for r in rows])
         slope = float(np.polyfit(le, lh, 1)[0])

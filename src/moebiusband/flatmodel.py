@@ -21,18 +21,16 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import StructureError
+from .geom import Frozen, StructureError
 
 SQRT3 = math.sqrt(3.0)
 T_OPT = 1.0 / SQRT3  # displacement of the optimal cut
 
 
-@dataclass(frozen=True)
-class FlatTrapezoid:
+class FlatTrapezoid(Frozen):
     """The cut-open development of M_lambda.  Only its four boundary edges
     D1, D2, H1 and H2 are modelled; the cut copies T1, T2 are not.
 
@@ -47,12 +45,11 @@ class FlatTrapezoid:
     u: np.ndarray
     v: np.ndarray
 
-    def __post_init__(self):
-        lam, t = self.lam, self.t
+    def __init__(self, lam: float, t: float, u: np.ndarray, v: np.ndarray):
         if not (lam > 0.0 and abs(t) < lam):
             raise StructureError("degenerate trapezoid: need |t| < lambda")
-        u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.v, dtype=float)
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
         if not (abs(u[1] - 1.0) < 1e-9 and abs(v[1]) < 1e-9):
             raise StructureError("u must lie on the top side, v on the bottom side")
         if not (t - 1e-9 < u[0] < lam + 1e-9):
@@ -62,6 +59,8 @@ class FlatTrapezoid:
         for name, val in (("u", u), ("v", v)):
             if not np.isfinite(val).all():
                 raise StructureError(f"non-finite vertex {name}")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "t", t)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         u.setflags(write=False)

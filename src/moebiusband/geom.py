@@ -8,8 +8,6 @@ All lengths are dimensionless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -17,8 +15,21 @@ class StructureError(ValueError):
     """Malformed input data: bad shapes, non-finite coordinates, empty sets."""
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
+class Frozen:
+    """Base of the package's value types that are plain classes.  Their
+    `__init__` sets each field once through object.__setattr__; after that,
+    assigning or deleting any attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ToleranceConfig(Frozen):
     """Central tolerance profile shared across the library.
 
     isometry: relative length residual accepted by band validation.
@@ -26,9 +37,15 @@ class ToleranceConfig:
     winding_residual: accepted distance of a winding number from an integer.
     """
 
-    isometry: float = 1e-9
-    root_residual: float = 1e-8
-    winding_residual: float = 1e-6
+    isometry: float
+    root_residual: float
+    winding_residual: float
+
+    def __init__(self, isometry: float = 1e-9, root_residual: float = 1e-8,
+                 winding_residual: float = 1e-6):
+        object.__setattr__(self, "isometry", isometry)
+        object.__setattr__(self, "root_residual", root_residual)
+        object.__setattr__(self, "winding_residual", winding_residual)
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -81,8 +98,7 @@ def point_segment_distance(p, a, b) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RigidMotion:
+class RigidMotion(Frozen):
     """Isometry of R^3: x -> rotation @ x + translation.
 
     The rotation block must be orthogonal; determinant may be -1 (improper
@@ -92,9 +108,9 @@ class RigidMotion:
     rotation: np.ndarray
     translation: np.ndarray
 
-    def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=float)
-        t = np.asarray(self.translation, dtype=float)
+    def __init__(self, rotation: np.ndarray, translation: np.ndarray):
+        r = np.asarray(rotation, dtype=float)
+        t = np.asarray(translation, dtype=float)
         if r.shape != (3, 3) or t.shape != (3,):
             raise StructureError("RigidMotion needs a 3x3 rotation and 3-vector")
         if not (np.isfinite(r).all() and np.isfinite(t).all()):

@@ -29,7 +29,7 @@ side of it prunes these families down to finitely many valid patterns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ class InvalidBandError(StructureError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class TPattern:
+class TPattern(NamedTuple):
     """A located T-pattern with its normalizing pose.
 
     param_t / param_b: foliation parameters of the two bends, with the
@@ -93,7 +92,7 @@ class TPattern:
     residual_perp: float
     residual_offset: float
     pose: RigidMotion
-    alternates: tuple = field(default=(), compare=False)
+    alternates: tuple = ()
 
     @property
     def len_t(self) -> float:
@@ -108,8 +107,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-@dataclass(frozen=True)
-class _Candidate:
+class _Candidate(NamedTuple):
     alpha: float
     beta: float
     perp: float

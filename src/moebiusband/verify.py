@@ -30,12 +30,11 @@ margin checks therefore allow a small slop where noted.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from contextlib import suppress
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +49,7 @@ from .band import (
 from .flatmodel import SQRT3, T_OPT, FlatTrapezoid
 from .geom import (
     DEFAULT_TOL,
+    Frozen,
     StructureError,
     ToleranceConfig,
     point_segment_distance,
@@ -142,8 +142,7 @@ class _Chain:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryDeviation:
+class BoundaryDeviation(NamedTuple):
     deviation: float          # sup |I0 - I o phi| over the boundary
     istar_deviation: float    # sup |I - I*| (chordwise-affine comparison)
     i0_vs_istar: float        # sup |I0 - I* o phi|
@@ -229,8 +228,7 @@ def _arc_length(chain: _Chain, i0: int, i1: int, p0: np.ndarray, p1: np.ndarray)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class _TheoremFields(NamedTuple):
     name: str
     lam: float
     epsilon: float
@@ -238,8 +236,19 @@ class TheoremReport:
     bounds: dict
     measured: dict
     checks: tuple
-    details: dict = field(default_factory=dict, compare=False)
-    notes: tuple = ()
+    details: dict
+    notes: tuple
+
+
+class TheoremReport(_TheoremFields):
+    """The verdict of one verifier.  `details` defaults to a fresh dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, name, lam, epsilon, passed, bounds, measured, checks,
+                details=None, notes=()):
+        return super().__new__(cls, name, lam, epsilon, passed, bounds, measured, checks,
+                               {} if details is None else details, notes)
 
     def to_dict(self) -> dict:
         return {
@@ -273,6 +282,8 @@ def write_report_json(reports: list[TheoremReport], path) -> None:
 
 
 def write_csv_summary(reports: list[TheoremReport], path) -> None:
+    import csv  # here, not at the top: only --csv needs it, and it costs start-up
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -297,8 +308,7 @@ def write_csv_summary(reports: list[TheoremReport], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PipelineState:
+class PipelineState(Frozen):
     """A band prepared for the verifiers; `prepare` makes it.  The boundary
     chains (read by eff alone), the ruled patches, the annulus and winding
     of the projected boundary loop and the two directed distances between
@@ -310,6 +320,14 @@ class PipelineState:
     trapezoid: FlatTrapezoid
     developed: RuledBand   # developed at the T bend, cut displacement >= 0
     tol: ToleranceConfig   # the tolerances `prepare` ran with
+
+    def __init__(self, band: RuledBand, pattern: TPattern, trapezoid: FlatTrapezoid,
+                 developed: RuledBand, tol: ToleranceConfig):
+        object.__setattr__(self, "band", band)
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "trapezoid", trapezoid)
+        object.__setattr__(self, "developed", developed)
+        object.__setattr__(self, "tol", tol)
 
     @cached_property
     def boundary(self) -> tuple[_Chain, _Chain]:

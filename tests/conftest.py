@@ -1,6 +1,6 @@
+import inspect
 import math
 import os
-from dataclasses import replace
 from functools import reduce
 from pathlib import Path
 
@@ -17,6 +17,14 @@ from moebiusband.verify import prepare
 # `pythonpath` setting reaches only this process.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+
+
+def replace(value, **changes):
+    """A new value of the same class, from the constructor arguments read off
+    `value` with `changes` in place of some; the constructor validates it
+    afresh.  An unknown name in `changes` is a TypeError."""
+    names = inspect.signature(type(value)).parameters
+    return type(value)(**({name: getattr(value, name) for name in names} | changes))
 
 
 def densify_segment(a, b, eta: float) -> np.ndarray:

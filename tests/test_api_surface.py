@@ -3,8 +3,9 @@ public function, class or method in `src/moebiusband` is named somewhere in
 the package's own modules or in the benchmark tracer, which replaces package
 functions by name.  A helper that only tests use belongs in the tests.
 
-Likewise every annotated field of a class (a dataclass field) is named
-somewhere other than in a field definition.  The rule goes by name, so it
+Likewise every field annotated in a class body, of a NamedTuple record or
+of a plain value class, is named somewhere other than in its definition or
+in the `object.__setattr__` that stores it.  The rule goes by name, so it
 cannot see a field that shares its name with a field read on another
 class: a write-only `details` on one report would pass while another
 report's `details` is read."""
@@ -40,12 +41,19 @@ def _fields(tree):
 def _references(tree):
     """Every name the module reads: identifiers, attributes, and string
     constants that are a name as a whole (getattr lookups, tracer tables).
-    The target of a field's definition is not a read."""
+    The target of a field's definition is not a read, nor is the name a
+    constructor stores a field under with `object.__setattr__(self, name, v)`."""
     defined = {id(item.target) for node in tree.body if isinstance(node, ast.ClassDef)
                for item in node.body if isinstance(item, ast.AnnAssign)}
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and id(node) not in defined:
+        # ast.walk reaches a call before its arguments
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__setattr__" and len(node.args) == 3):
+            defined.add(id(node.args[1]))
+        if id(node) in defined:
+            continue
+        if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)

@@ -1,7 +1,6 @@
 import io
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +31,7 @@ from moebiusband.band import (
 from moebiusband.geom import DEFAULT_TOL, StructureError
 from moebiusband.verify import _flat_layer_covers, prepare, verify_eff
 
-from conftest import boundary_loop, scale_bend
+from conftest import boundary_loop, replace, scale_bend
 
 SQRT3 = math.sqrt(3.0)
 

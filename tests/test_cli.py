@@ -2,7 +2,6 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from moebiusband.cli import main as cli_main
 from moebiusband.tpattern import InvalidBandError, find_tpattern
 from moebiusband.verify import prepare, verify_all
 
-from conftest import scale_bend
+from conftest import replace, scale_bend
 
 CLI = [sys.executable, "-m", "moebiusband.cli"]
 
@@ -63,6 +62,9 @@ MALFORMED_BANDS = {
                                        for b in d["bends"]]),
     "nan_coordinate": _edited(lambda d: d["bends"][3]["space"][0].__setitem__(0, math.nan)),
     "format_version": _edited(lambda d: d.update({"format_version": 99})),
+    # True == 1 and 1.0 == 1, so both read as version 1
+    "format_version_true": _edited(lambda d: d.update({"format_version": True})),
+    "format_version_float": _edited(lambda d: d.update({"format_version": 1.0})),
     # unknown keys were ignored
     "unknown_key": _edited(lambda d: d.update({"colour": "red"})),
     "unknown_bend_key": _edited(lambda d: d["bends"][3].update({"weight": 1.0})),
@@ -270,6 +272,18 @@ class TestDeterminism:
         lines = out1.read_text().strip().splitlines()
         assert lines[0] == "epsilon,lambda,hausdorff,ratio_to_sqrt_eps"
         assert len(lines) == 3
+
+    def test_sharpness_sweep_slope_needs_two_epsilons(self):
+        # np.polyfit through one distinct point warned and printed a slope
+        res = run("sharpness-sweep", "--epsilons", "1e-4,1e-4")
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert lines[0] == "epsilon,lambda,hausdorff,ratio_to_sqrt_eps"
+        assert len(lines) == 3 and lines[1] == lines[2]
+        assert res.stderr == ""
+        res = run("sharpness-sweep", "--epsilons", "1e-3,1e-4,1e-4")
+        assert res.returncode == 0, res.stderr
+        assert res.stderr.startswith("# log-log slope: ") and res.stderr.count("\n") == 1
 
     def test_bounds_sweep_small(self):
         res = run("bounds-sweep", "--grid", "120", "--seed", "7")

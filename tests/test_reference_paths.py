@@ -18,7 +18,6 @@ import hashlib
 import io
 import math
 from contextlib import redirect_stdout
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -190,17 +189,18 @@ class ReferenceCurveGraphPair(bounds.CurveGraphPair):
     """CurveGraphPair on the (n, 3) samples: np.linalg.norm over the rows,
     the chord map from its formula, and |speed - 1| at every step."""
 
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
+    def __init__(self, samples, speed_tol=1e-6):
+        s = np.asarray(samples, dtype=float)
         if s.ndim != 2 or s.shape[0] < 2 or s.shape[1] != 3:
             raise StructureError("need (n, 3) curve samples with n >= 2")
         if not np.isfinite(s).all():
             raise StructureError("non-finite curve samples")
         object.__setattr__(self, "samples", s)
+        object.__setattr__(self, "speed_tol", speed_tol)
         steps = np.linalg.norm(np.diff(s, axis=0), axis=1)
         length = float(steps.sum())
         resid = np.abs(steps / (length / (len(s) - 1)) - 1.0).max()
-        if not resid <= self.speed_tol:
+        if not resid <= speed_tol:
             raise StructureError(f"samples are not unit speed (max |speed-1| = {resid:.3e})")
         t = np.linspace(0.0, 1.0, len(s))[:, None]
         chord = (1.0 - t) * s[0] + t * s[-1]
@@ -313,9 +313,9 @@ class TestStages:
         state = prepare(_copy(bands[name], name, kind, posed))
         got = boundary_deviation(state.trapezoid, state.boundary)
         want = reference_boundary_deviation(state.trapezoid, reference_chains(state.developed))
-        for f in fields(BoundaryDeviation):
-            if f.name != "per_edge":
-                assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
+        for name in BoundaryDeviation._fields:
+            if name != "per_edge":
+                assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
         assert list(got.per_edge) == list(want.per_edge)
         for edge, record in want.per_edge.items():
             assert list(got.per_edge[edge]) == list(record)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 
@@ -323,8 +322,8 @@ def _scalar_candidates(band: RuledBand) -> list:
 def _assert_same_candidates(got: list, want: list) -> None:
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        for f in dataclasses.fields(w):
-            assert np.all(getattr(g, f.name) == getattr(w, f.name)), f.name
+        for name in w._fields:
+            assert np.all(getattr(g, name) == getattr(w, name)), name
 
 
 def _motion(seed: int, proper: bool) -> RigidMotion:

@@ -2,7 +2,6 @@ import io
 import json
 import math
 from contextlib import redirect_stdout
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +39,14 @@ from moebiusband.verify import (
     write_report_json,
 )
 
-from conftest import boundary_loop, densify_polyline, midline_trapezoid, random_motion, scale_bend
+from conftest import (
+    boundary_loop,
+    densify_polyline,
+    midline_trapezoid,
+    random_motion,
+    replace,
+    scale_bend,
+)
 
 SQRT3 = math.sqrt(3.0)
 
