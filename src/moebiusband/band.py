@@ -16,8 +16,6 @@ the triangular band with aspect ratio sqrt(3) + O(eps) whose image rises
 O(sqrt(eps)) out of the plane.
 """
 
-from __future__ import annotations
-
 import json
 import math
 from typing import NamedTuple
@@ -610,6 +608,9 @@ def write_json(band: RuledBand, path) -> None:
 
 _BAND_KEYS = {"format_version", "lambda", "closed", "bends"}
 _BEND_KEYS = {"flat", "space"}
+# below it, the difference of two points has a finite squared length:
+# 3 (2 * 2**510)**2 < 2**1024
+_COORD_LIMIT = 2.0 ** 510
 
 
 def from_json_dict(data: dict) -> RuledBand:
@@ -622,9 +623,11 @@ def from_json_dict(data: dict) -> RuledBand:
         lam = float(lam)
         closed = data.get("closed", True)
         bends = data["bends"]
-        flat = np.array([b["flat"] for b in bends], dtype=float)
-        space = np.array([b["space"] for b in bends], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        flat_rows = [b["flat"] for b in bends]
+        space_rows = [b["space"] for b in bends]
+        flat = np.array(flat_rows, dtype=float)
+        space = np.array(space_rows, dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StructureError(f"malformed band file: {exc}") from exc
     # every bend is an object by now, so one union collects their keys
     for what, keys, known in (("key", data.keys(), _BAND_KEYS),
@@ -637,7 +640,17 @@ def from_json_dict(data: dict) -> RuledBand:
         raise StructureError(f"unsupported format_version {version!r}")
     if closed is not True:
         raise StructureError(f"closed must be true, got {closed!r}")
-    return RuledBand(lam=lam, flat=flat, space=space)
+    band = RuledBand(lam=lam, flat=flat, space=space)
+    # np.array(..., dtype=float) read the string "0.5" as 0.5 and true as
+    # 1.0.  RuledBand has checked the shapes, so each row holds scalars only
+    if not_numbers := [x for rows in (flat_rows, space_rows) for bend in rows for row in bend
+                       for x in row if type(x) not in (float, int)]:
+        raise StructureError("malformed band file: coordinates must be numbers, "
+                             f"not {json.dumps(not_numbers[0])}")
+    if max(np.abs(flat).max(), np.abs(space).max()) >= _COORD_LIMIT:
+        raise StructureError("malformed band file: coordinates must lie below 2**510 "
+                             "in magnitude, where squared lengths stay finite")
+    return band
 
 
 def read_json(path) -> RuledBand:

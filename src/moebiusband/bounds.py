@@ -15,8 +15,6 @@ h(1/sqrt(3)) = d(1/sqrt(3)) = sqrt(3) and g(1) = sqrt(3), which pins the
 flat-folded triangle as the unique optimum.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from typing import NamedTuple
@@ -29,7 +27,9 @@ from .geom import Frozen, StructureError
 _EQ_SLOP = 1e-12  # slop for inequalities that close non-strictly in the limit
 
 
-class _MarginFields(NamedTuple):
+class MarginReport(NamedTuple):
+    """Evaluation of one inequality: lhs >= rhs (+ margin = lhs - rhs)."""
+
     name: str
     hypotheses: dict
     lhs: float
@@ -37,17 +37,6 @@ class _MarginFields(NamedTuple):
     margin: float
     passed: bool
     details: dict
-
-
-class MarginReport(_MarginFields):
-    """Evaluation of one inequality: lhs >= rhs (+ margin = lhs - rhs).
-    `details` defaults to a fresh dict, which checkers may fill."""
-
-    __slots__ = ()
-
-    def __new__(cls, name, hypotheses, lhs, rhs, margin, passed, details=None):
-        return super().__new__(cls, name, hypotheses, lhs, rhs, margin, passed,
-                               {} if details is None else details)
 
     @property
     def hypotheses_ok(self) -> bool:
@@ -59,7 +48,7 @@ def _report(name, hypotheses, lhs, rhs, allow_equality=False, details=None) -> M
     ok = all(hypotheses.values())
     passed = ok and (margin >= -_EQ_SLOP if allow_equality else margin > 0.0)
     return MarginReport(name, dict(hypotheses), float(lhs), float(rhs),
-                        float(margin), bool(passed), details)
+                        float(margin), bool(passed), {} if details is None else details)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +291,8 @@ def wiggle_check(cg: CurveGraphPair, eps: float) -> MarginReport:
 def lip_check(t: float, eps: float) -> MarginReport:
     """|t - 1/sqrt(3)| < 4 eps / 3 (and then t lies in (0, 1))."""
     hyp = {"0<eps<1/4": 0.0 < eps < 0.25}
-    rep = _report("lip", hyp, 4.0 * eps / 3.0, abs(t - T_OPT))
-    rep.details["t_in_unit_interval"] = 0.0 < t < 1.0
-    return rep
+    return _report("lip", hyp, 4.0 * eps / 3.0, abs(t - T_OPT),
+                   details={"t_in_unit_interval": 0.0 < t < 1.0})
 
 
 def length_check(len_h: float, len_d: float) -> MarginReport:
@@ -368,23 +356,25 @@ def tpattern_endpoint_check(endpoints: dict, eps: float) -> MarginReport:
 # Seeded random instances for the property sweeps
 # ---------------------------------------------------------------------------
 
+# the `rng` annotations are strings: evaluating np.random.Generator would
+# import numpy.random, about 6 MB, with the CLI
 
 _SIGNS = (-1.0, 1.0)
 
 
-def _random_sign(rng: np.random.Generator) -> float:
+def _random_sign(rng: "np.random.Generator") -> float:
     """-1.0 or 1.0 with equal odds: the draw of rng.choice([-1.0, 1.0]),
     which takes rng.integers(0, 2) as its index, without its overhead."""
     return _SIGNS[rng.integers(0, 2)]
 
 
-def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
+def _uniform(rng: "np.random.Generator", low: float, high: float) -> float:
     """A draw of rng.uniform(low, high), which numpy computes as
     low + (high - low) * rng.random(), without the overhead of its call."""
     return low + (high - low) * rng.random()
 
 
-def random_perturbed_triangle(rng: np.random.Generator, eps: float) -> PerturbedTriangle:
+def random_perturbed_triangle(rng: "np.random.Generator", eps: float) -> PerturbedTriangle:
     """Random triangle satisfying all offset1 hypotheses for this eps."""
     for _ in range(1000):
         half_base = _uniform(rng, 0.2, 0.7)
@@ -420,7 +410,7 @@ def _curve_tables(n: int) -> np.ndarray:
     return basis
 
 
-def random_unit_speed_curve(rng: np.random.Generator, length: float,
+def random_unit_speed_curve(rng: "np.random.Generator", length: float,
                             tilt: float, n: int = 1200) -> np.ndarray:
     """Unit-speed samples of a random smooth space curve, as the (n, 3)
     transposed view of a C-ordered (3, n) array of coordinate rows.
@@ -459,7 +449,7 @@ def random_unit_speed_curve(rng: np.random.Generator, length: float,
     return pts.T
 
 
-def curve_with_forced_deviation(rng: np.random.Generator, eps: float) -> CurveGraphPair:
+def curve_with_forced_deviation(rng: "np.random.Generator", eps: float) -> CurveGraphPair:
     """Random unit-speed curve whose sup distance to its chord map is at
     least 3 sqrt(eps) (tangent swing scaled up until the threshold holds)."""
     target = 3.0 * math.sqrt(eps)

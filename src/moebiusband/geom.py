@@ -122,28 +122,9 @@ class RigidMotion(Frozen):
         r.setflags(write=False)
         t.setflags(write=False)
 
-    @classmethod
-    def from_rows(cls, ex, ey, ez, origin) -> "RigidMotion":
-        """Motion sending `origin` to 0 and the given orthonormal frame to
-        the coordinate axes."""
-        r = np.vstack([ex, ey, ez]).astype(float)
-        t = -r @ np.asarray(origin, dtype=float)
-        return cls(r, t)
-
-    @classmethod
-    def translation_by(cls, v) -> "RigidMotion":
-        return cls(np.eye(3), np.asarray(v, dtype=float))
-
     def apply(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         return pts @ self.rotation.T + self.translation
-
-    def compose(self, other: "RigidMotion") -> "RigidMotion":
-        """self after other: (self*other)(x) = self(other(x))."""
-        return RigidMotion(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
 
 
 def rotation_about_line(point, direction, angle: float) -> RigidMotion:

@@ -26,8 +26,6 @@ line intersection in its interior while the other stays on one closed
 side of it prunes these families down to finitely many valid patterns.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -136,10 +134,10 @@ def _build_pose(bend_t_flat, bend_t_space, bend_b_space, p_star) -> RigidMotion:
     if ny < 1e-9:
         raise StructureError("degenerate T-pattern: collinear bends")
     ey = ey / ny
-    ez = cross3(ex, ey)
-    ray_pose = RigidMotion.from_rows(ex, ey, ez, p_star)
-    mid = ray_pose.apply(bend_t_space).mean(axis=0)
-    return RigidMotion.translation_by([-mid[0], 0.0, 0.0]).compose(ray_pose)
+    r = np.vstack([ex, ey, cross3(ex, ey)])
+    t = -r @ p_star
+    mid = (bend_t_space @ r.T + t).mean(axis=0)
+    return RigidMotion(r, t + [-mid[0], 0.0, 0.0])
 
 
 def _perp_roots(band: RuledBand) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -28,8 +28,6 @@ inequalities close non-strictly (the flat-folded limit attains them);
 margin checks therefore allow a small slop where noted.
 """
 
-from __future__ import annotations
-
 import json
 import math
 from contextlib import suppress
@@ -228,7 +226,9 @@ def _arc_length(chain: _Chain, i0: int, i1: int, p0: np.ndarray, p1: np.ndarray)
 # ---------------------------------------------------------------------------
 
 
-class _TheoremFields(NamedTuple):
+class TheoremReport(NamedTuple):
+    """The verdict of one verifier."""
+
     name: str
     lam: float
     epsilon: float
@@ -238,17 +238,6 @@ class _TheoremFields(NamedTuple):
     checks: tuple
     details: dict
     notes: tuple
-
-
-class TheoremReport(_TheoremFields):
-    """The verdict of one verifier.  `details` defaults to a fresh dict."""
-
-    __slots__ = ()
-
-    def __new__(cls, name, lam, epsilon, passed, bounds, measured, checks,
-                details=None, notes=()):
-        return super().__new__(cls, name, lam, epsilon, passed, bounds, measured, checks,
-                               {} if details is None else details, notes)
 
     def to_dict(self) -> dict:
         return {
@@ -643,6 +632,7 @@ def verify_eff2(state: PipelineState) -> TheoremReport:
         bounds={"six_sqrt": d6, "eighteen_sqrt": d18},
         measured=measured,
         checks=(),
+        details={},
         notes=tuple(notes),
     )
 
@@ -680,6 +670,7 @@ def verify_corollary(state: PipelineState) -> TheoremReport:
             "ratio_to_sqrt_eps": hausdorff / math.sqrt(eps),
         },
         checks=(),
+        details={},
         notes=(to_band_note,),
     )
 

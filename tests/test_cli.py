@@ -61,6 +61,17 @@ MALFORMED_BANDS = {
     "planar_space": _edited(lambda d: [b.update({"space": [p[:2] for p in b["space"]]})
                                        for b in d["bends"]]),
     "nan_coordinate": _edited(lambda d: d["bends"][3]["space"][0].__setitem__(0, math.nan)),
+    # np.array(..., dtype=float) read the string as its number, true as 1.0
+    # and false as 0.0, so these bands passed as the unedited one
+    "coordinate_numeric_string": _edited(
+        lambda d: d["bends"][3]["flat"][0].__setitem__(0, str(d["bends"][3]["flat"][0][0]))),
+    "coordinate_true": _edited(lambda d: d["bends"][3]["flat"][1].__setitem__(1, True)),
+    "coordinate_false": _edited(lambda d: d["bends"][3]["flat"][0].__setitem__(1, False)),
+    # squared lengths overflowed: RuntimeWarnings, ruling=nan and exit 1
+    "coordinate_1e308": _edited(lambda d: d["bends"][3]["flat"][0].__setitem__(0, 1e308)),
+    # an int past the float range raised OverflowError: a traceback
+    "coordinate_huge_integer": _edited(lambda d: d["bends"][3]["flat"][0].__setitem__(0, 10**400)),
+    "lambda_huge_integer": _edited(lambda d: d.update({"lambda": 10**400})),
     "format_version": _edited(lambda d: d.update({"format_version": 99})),
     # True == 1 and 1.0 == 1, so both read as version 1
     "format_version_true": _edited(lambda d: d.update({"format_version": True})),

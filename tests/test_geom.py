@@ -78,16 +78,6 @@ class TestRigidMotion:
             d1 = np.linalg.norm(m.apply(p) - m.apply(q), axis=1)
             assert np.abs(d0 - d1).max() < 1e-12
 
-    def test_compose_and_inverse(self):
-        rng = np.random.default_rng(3)
-        a = random_motion(rng)
-        b = random_motion(rng)
-        p = rng.normal(size=(5, 3))
-        assert np.allclose(a.compose(b).apply(p), a.apply(b.apply(p)), atol=1e-12)
-        # the transpose of an orthogonal rotation undoes it
-        inverse = RigidMotion(a.rotation.T, -a.rotation.T @ a.translation)
-        assert np.allclose(a.compose(inverse).apply(p), p, atol=1e-12)
-
     def test_improper_isometry_allowed(self):
         m = RigidMotion(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
         assert np.allclose(m.apply([0.0, 0.0, 2.0]), [0.0, 0.0, -2.0])

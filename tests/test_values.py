@@ -1,7 +1,7 @@
 """The package's value types: records are NamedTuples, validated types are
 plain classes whose `__init__` checks and stores each field.  Every value
-is immutable once built, and importing the CLI needs neither `dataclasses`
-nor `csv`."""
+is immutable once built.  Importing the CLI loads neither `dataclasses`,
+`csv` nor `numpy.random`, and compiles no annotation string."""
 
 import subprocess
 import sys
@@ -16,7 +16,6 @@ from moebiusband.geom import DEFAULT_TOL
 from moebiusband.tpattern import _candidates
 from moebiusband.verify import (
     PipelineState,
-    TheoremReport,
     boundary_deviation,
     prepare,
     verify_eff,
@@ -73,15 +72,6 @@ def test_values_are_immutable(values):
             value.extra = 1
 
 
-def test_reports_default_to_fresh_details():
-    # lip_check writes into the details of the report it made
-    for make in (lambda: bounds.MarginReport("x", {}, 1.0, 0.0, 1.0, True),
-                 lambda: TheoremReport("x", 2.0, 0.1, True, {}, {}, ())):
-        one, two = make(), make()
-        assert one.details == {} and one.details is not two.details
-    assert TheoremReport("x", 2.0, 0.1, True, {}, {}, ()).notes == ()
-
-
 def test_pipeline_state_caches_its_properties(tri_band):
     state = prepare(tri_band)
     names = [name for name, attr in vars(PipelineState).items()
@@ -96,8 +86,31 @@ def test_pipeline_state_caches_its_properties(tri_band):
 
 
 def test_cli_import_loads_no_dataclasses_or_csv():
-    # both cost start-up on every call; csv is imported by --csv alone
-    code = "import sys, moebiusband.cli; print(sorted({'dataclasses', 'csv'} & set(sys.modules)))"
+    # each costs start-up on every call; csv is imported by --csv alone, and
+    # numpy.random (about 6 MB) by bounds-sweep alone
+    code = ("import sys, moebiusband.cli; "
+            "print(sorted({'dataclasses', 'csv', 'numpy.random'} & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
+def test_cli_import_compiles_no_annotation_strings():
+    # a NamedTuple compiles each field annotation that is a string, as all
+    # are under `from __future__ import annotations`: about 1.4 ms of start-up
+    code = """
+import builtins
+import numpy
+compiled = []
+compile_ = builtins.compile
+def counting(source, filename, mode, *args, **kwargs):
+    if mode == "eval":
+        compiled.append(source)
+    return compile_(source, filename, mode, *args, **kwargs)
+builtins.compile = counting
+import moebiusband.cli
+print(compiled)
+"""
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"

@@ -1,0 +1,128 @@
+"""Digest every output of the command-line program, to compare two versions
+of the package byte for byte.
+
+The script runs `moebiusband.cli.main` in process on the triangular band,
+the wrinkle bands at eps 1e-3, 1e-4 and 1e-5, and flipped, re-cut and posed
+copies of them (fixed cuts, fixed seeds).  It runs `build-triangular`,
+`build-wrinkle`, `validate`, `tpattern`, `verify` (all theorems and each
+`--theorem`, with `--report` and `--csv`), `bounds-sweep --grid 100 --seed 7
+--report` and `sharpness-sweep`.  It prints one line per stdout and stderr
+and per file a command wrote,
+
+    <sha256> <stream or file> <exit code> <command line>
+
+and one per band copy it wrote itself, `<sha256> file=<name>`.
+
+Run it from the root of each checkout and compare the two listings:
+
+    PYTHONPATH=src python tools/output_digest.py > digest.txt
+    diff parent-digest.txt digest.txt
+
+Every file goes to a fresh temporary directory and is named relative to it,
+so no path enters a digest.  MOEBIUS_TOL is ignored: the default tolerances
+are in force.
+"""
+
+import hashlib
+import io
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+
+from moebiusband import cli
+from moebiusband.band import flip, read_json, redevelop, transform, write_json
+from moebiusband.geom import RigidMotion
+
+WRINKLE_EPS = ("1e-3", "1e-4", "1e-5")
+CUTS = (0.3, 0.7)           # re-cut at these fractions of the bend count
+POSES = ((1, True), (2, False), (3, True))   # (seed, proper)
+THEOREMS = (None, "eff", "eff2", "corollary")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _file_line(name: str, tail: str = "") -> None:
+    """Print the digest of a file, or dashes where it was not written."""
+    if not os.path.exists(name):
+        print(f"{'-' * 64} file={name}{tail}")
+        return
+    with open(name, "rb") as fh:
+        print(f"{_sha(fh.read())} file={name}{tail}")
+
+
+def _run(argv: list, files: tuple = ()) -> None:
+    """Run one command and print the digests of its streams and files."""
+    for name in files:
+        if os.path.exists(name):
+            os.remove(name)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    line = " ".join(argv)
+    print(f"{_sha(out.getvalue().encode())} stdout exit={code} {line}")
+    print(f"{_sha(err.getvalue().encode())} stderr exit={code} {line}")
+    for name in files:
+        _file_line(name, f" exit={code} {line}")
+
+
+def _motion(seed: int, proper: bool) -> RigidMotion:
+    """A random rotation, proper or improper, and translation."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if (np.linalg.det(q) > 0) != proper:
+        q[:, 0] = -q[:, 0]
+    return RigidMotion(q, rng.uniform(-2.0, 2.0, size=3))
+
+
+def _copies(name: str) -> list:
+    """Write the flipped, re-cut and posed copies of a band file."""
+    band = read_json(f"{name}.json")
+    copies = {f"{name}-flip": flip(band)}
+    for c in CUTS:
+        copies[f"{name}-cut{c}"] = redevelop(band, c * band.n_bends)
+        copies[f"{name}-flip-cut{c}"] = redevelop(flip(band), c * band.n_bends)
+    for seed, proper in POSES:
+        moved = transform(redevelop(band, CUTS[0] * band.n_bends), _motion(seed, proper))
+        copies[f"{name}-cut{CUTS[0]}-pose{seed}{'' if proper else '-improper'}"] = moved
+    for copy, moved in copies.items():
+        write_json(moved, f"{copy}.json")
+        _file_line(f"{copy}.json")
+    return list(copies)
+
+
+def main() -> None:
+    os.environ.pop("MOEBIUS_TOL", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            names = ["tri"] + [f"w{eps}" for eps in WRINKLE_EPS]
+            _run(["build-triangular", "-o", "tri.json"], ("tri.json",))
+            for eps in WRINKLE_EPS:
+                _run(["build-wrinkle", "--epsilon", eps, "-o", f"w{eps}.json"],
+                     (f"w{eps}.json",))
+            for name in list(names):
+                names += _copies(name)
+            for name in names:
+                path = f"{name}.json"
+                _run(["validate", "--input", path])
+                _run(["tpattern", "--input", path])
+                for theorem in THEOREMS:
+                    argv = ["verify", "--input", path, "--report", "report.json",
+                            "--csv", "summary.csv"]
+                    _run(argv + (["--theorem", theorem] if theorem else []),
+                         ("report.json", "summary.csv"))
+            _run(["bounds-sweep", "--grid", "100", "--seed", "7", "--report", "sweep.json"],
+                 ("sweep.json",))
+            _run(["sharpness-sweep", "--epsilons", ",".join(WRINKLE_EPS)])
+        finally:
+            os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    main()
