@@ -30,7 +30,7 @@ from .geom import (
     ToleranceConfig,
     rotation_about_line,
 )
-from .flatmodel import SQRT3, T_OPT
+from .flatmodel import SQRT3, T_OPT, glide
 
 FORMAT_VERSION = 1
 
@@ -103,24 +103,15 @@ class RuledBand(Frozen):
         """Horizontal displacement of the cut bend (bends[0])."""
         return float(self.flat[0, 1, 0] - self.flat[0, 0, 0])
 
-    def glued_first_bend(self) -> tuple[np.ndarray, np.ndarray]:
-        """The re-attached copy of bends[0] at the far end of the
-        development: rows stay [bottom, top], so the endpoint order is
-        exchanged relative to bends[0] (the Moebius half-twist)."""
-        g_flat = np.empty((2, 2))
-        g_flat[0] = [self.flat[0, 1, 0] + self.lam, 0.0]
-        g_flat[1] = [self.flat[0, 0, 0] + self.lam, 1.0]
-        g_space = self.space[0, ::-1].copy()
-        return g_flat, g_space
-
     def boundary_chains(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
         """The bottom (y=0) and top (y=1) boundary chains of the
         development, each as (x-values, space points) of the bend ends
-        followed by those of the glued copy of bends[0]."""
-        g_flat, g_space = self.glued_first_bend()
+        followed by those of the glued copy of bends[0], whose endpoints are
+        exchanged (the Moebius half-twist)."""
+        g_flat = glide(self.flat[0], self.lam)
         return tuple(
             (np.append(self.flat[:, side, 0], g_flat[side, 0]),
-             np.vstack([self.space[:, side], g_space[side][None, :]]))
+             np.vstack([self.space[:, side], self.space[0, 1 - side][None, :]]))
             for side in (0, 1)
         )
 
@@ -268,7 +259,6 @@ def build_triangular(n_per_fan: int = 48) -> RuledBand:
 
 
 class WrinkleConfig(NamedTuple):
-    theta_scale: float = 1.0   # door angle theta = theta_scale * sqrt(eps)
     n_fan: int = 40
     n_door: int = 12
     n_plug_side: int = 6
@@ -289,7 +279,7 @@ def build_wrinkle(epsilon: float, config: WrinkleConfig | None = None) -> RuledB
 
     The triangle covered by the middle fan of the triangular band is slit
     along its vertical midline; the two triangular doors rotate about their
-    outer sides by theta = theta_scale * sqrt(eps), opening a crack that
+    outer sides by theta = sqrt(eps), opening a crack that
     rises (sin theta)/2 out of the plane.  A vertical strip of width w is
     inserted into the flat band at the slit and folded into a planar plug
     whose vertical edges form a V isometric to the crack; the plug is glued
@@ -310,7 +300,7 @@ def build_wrinkle(epsilon: float, config: WrinkleConfig | None = None) -> RuledB
     cfg = config or WrinkleConfig()
     if not (WRINKLE_EPS_MIN <= epsilon <= WRINKLE_EPS_MAX):
         raise StructureError(f"epsilon must lie in [{WRINKLE_EPS_MIN:g}, {WRINKLE_EPS_MAX:g}]")
-    theta = cfg.theta_scale * math.sqrt(epsilon)
+    theta = math.sqrt(epsilon)
     rot_l = rotation_about_line(BASE_L, APEX - BASE_L, theta)
     rot_r = rotation_about_line(BASE_R, APEX - BASE_R, -theta)
     # the slit-edge tips after the door rotations, and the opening angle of
@@ -521,9 +511,7 @@ def flip(band: RuledBand) -> RuledBand:
     rows are swapped to keep the [bottom, top] convention and the
     development is re-anchored at the new bends[0] bottom endpoint.
     """
-    flat = band.flat[:, ::-1, :].copy()
-    flat[:, :, 1] = 1.0 - flat[:, :, 1]
-    flat[:, :, 0] -= flat[0, 0, 0]
+    flat = glide(band.flat, -band.flat[0, 1, 0])
     space = band.space[:, ::-1, :].copy()
     return RuledBand(band.lam, flat, space, band.meta)
 
@@ -541,12 +529,8 @@ def redevelop(band: RuledBand, alpha: float) -> RuledBand:
     i0 = math.ceil(alpha)
     frac = alpha - math.floor(alpha)
 
-    # bends i0.. as they are, then bends ..i0 glided: endpoints exchanged,
-    # x -> x + lambda, y -> 1 - y
-    glided = band.flat[:i0, ::-1].copy()
-    glided[:, :, 0] += band.lam
-    glided[:, :, 1] = 1.0 - glided[:, :, 1]
-    flats = [band.flat[i0:], glided]
+    # bends i0.. as they are, then bends ..i0 glided
+    flats = [band.flat[i0:], glide(band.flat[:i0], band.lam)]
     spaces = [band.space[i0:], band.space[:i0, ::-1]]
     if frac > 0.0:
         leaf_flat, leaf_space = interpolate_bend(band, alpha)
@@ -574,7 +558,7 @@ def interpolate_bend(band: RuledBand, p: float) -> tuple[np.ndarray, np.ndarray]
     if i + 1 < n:
         f1, s1 = band.flat[i + 1], band.space[i + 1]
     else:
-        f1, s1 = band.glued_first_bend()
+        f1, s1 = glide(band.flat[0], band.lam), band.space[0, ::-1]
     # an endpoint the two bends share (a fan vertex) stays bitwise exact
     return (np.where(f0 == f1, f0, (1.0 - f) * f0 + f * f1),
             np.where(s0 == s1, s0, (1.0 - f) * s0 + f * s1))
@@ -640,13 +624,15 @@ def from_json_dict(data: dict) -> RuledBand:
         raise StructureError(f"unsupported format_version {version!r}")
     if closed is not True:
         raise StructureError(f"closed must be true, got {closed!r}")
-    band = RuledBand(lam=lam, flat=flat, space=space)
-    # np.array(..., dtype=float) read the string "0.5" as 0.5 and true as
-    # 1.0.  RuledBand has checked the shapes, so each row holds scalars only
-    if not_numbers := [x for rows in (flat_rows, space_rows) for bend in rows for row in bend
-                       for x in row if type(x) not in (float, int)]:
+    # np.array(..., dtype=float) read the string "0.5" as 0.5, true as 1.0
+    # and null as NaN.  Where both arrays have three axes, each row holds
+    # scalars only; any other shape is left to RuledBand to reject
+    if flat.ndim == space.ndim == 3 and (
+            not_numbers := [x for rows in (flat_rows, space_rows) for bend in rows for row in bend
+                            for x in row if type(x) not in (float, int)]):
         raise StructureError("malformed band file: coordinates must be numbers, "
                              f"not {json.dumps(not_numbers[0])}")
+    band = RuledBand(lam=lam, flat=flat, space=space)
     if max(np.abs(flat).max(), np.abs(space).max()) >= _COORD_LIMIT:
         raise StructureError("malformed band file: coordinates must lie below 2**510 "
                              "in magnitude, where squared lengths stay finite")

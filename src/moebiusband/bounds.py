@@ -582,9 +582,10 @@ def sq_grid_certificate(n_side: int = 100) -> dict:
     }
 
 
-def derivative_anchors(step: float = 1e-7) -> dict:
-    """Central finite differences of h and d at 1/sqrt(3), and the slope
-    bound |d/dt sqrt(1+t^2)| < 3/4 on (0, 1)."""
+def derivative_anchors() -> dict:
+    """Central finite differences of h and d at 1/sqrt(3), step 1e-7, and
+    the slope bound |d/dt sqrt(1+t^2)| < 3/4 on (0, 1)."""
+    step = 1e-7
     hp = (h(T_OPT + step) - h(T_OPT - step)) / (2.0 * step)
     dp = (d(T_OPT + step) - d(T_OPT - step)) / (2.0 * step)
     # the slopes on np.linspace(1e-6, 1 - 1e-6, 100_000), in blocks

@@ -189,7 +189,7 @@ def _cmd_bounds_sweep(args, tol: ToleranceConfig) -> int:
     cert = bounds.hd_grid_certificate(max(n * n, 10_000))
     lines.append(
         ("aspect-grid",
-         cert["min_above_sqrt3"] and cert["argmin_near_t_opt"]
+         cert["min_above_sqrt3"] and cert["others_strictly_above"] and cert["argmin_near_t_opt"]
          and cert["h_increasing"] and cert["d_decreasing"],
          {"min_minus_sqrt3": cert["min_value"] - SQRT3, "argmin_t": cert["argmin_t"]})
     )

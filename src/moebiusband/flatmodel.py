@@ -30,6 +30,17 @@ SQRT3 = math.sqrt(3.0)
 T_OPT = 1.0 / SQRT3  # displacement of the optimal cut
 
 
+def glide(flat: np.ndarray, dx: float) -> np.ndarray:
+    """Flat bends (..., 2, 2) mapped by (x, y) -> (x + dx, 1 - y), with the
+    endpoint rows exchanged so that they stay [bottom, top].  With
+    dx = lambda this is the glide g; with dx = -x it is a flip re-anchored
+    at an end of x-coordinate x."""
+    out = flat[..., ::-1, :].copy()
+    out[..., 0] += dx
+    out[..., 1] = 1.0 - out[..., 1]
+    return out
+
+
 class FlatTrapezoid(Frozen):
     """The cut-open development of M_lambda.  Only its four boundary edges
     D1, D2, H1 and H2 are modelled; the cut copies T1, T2 are not.

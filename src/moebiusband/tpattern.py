@@ -40,7 +40,7 @@ from .band import (
     transform,
     validate,
 )
-from .flatmodel import FlatTrapezoid
+from .flatmodel import FlatTrapezoid, glide
 from .geom import (
     DEFAULT_TOL,
     RigidMotion,
@@ -299,20 +299,13 @@ def develop_for(band: RuledBand, tp: TPattern) -> tuple[FlatTrapezoid, RuledBand
     re-developed band (space data unchanged up to row order)."""
     dev = redevelop(band, tp.param_t)
     x0 = tp.bend_t_flat[0, 0]   # the pose moves only space, not the flat cut leaf
-    b_flat = tp.bend_b_flat.copy()
-    if tp.param_b < tp.param_t:
-        b_flat = b_flat[::-1].copy()
-        b_flat[:, 0] += band.lam
-        b_flat[:, 1] = 1.0 - b_flat[:, 1]
+    # the B leaf before the cut lies past the far end of the development
+    b_flat = glide(tp.bend_b_flat, band.lam) if tp.param_b < tp.param_t else tp.bend_b_flat.copy()
     b_flat[:, 0] -= x0
 
-    t_raw = dev.cut_displacement()
-    if t_raw < 0.0:
-        shift = dev.flat[0, 1, 0]
+    if dev.cut_displacement() < 0.0:
+        b_flat = glide(b_flat, -dev.flat[0, 1, 0])
         dev = flip(dev)
-        b_flat = b_flat[::-1].copy()
-        b_flat[:, 0] -= shift
-        b_flat[:, 1] = 1.0 - b_flat[:, 1]
 
     t = dev.cut_displacement()
     v, u = b_flat[0], b_flat[1]

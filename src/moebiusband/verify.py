@@ -304,15 +304,13 @@ class PipelineState(Frozen):
     the band and the solid canonical triangle are computed once, on first
     use."""
 
-    band: RuledBand        # pose-normalized band
-    pattern: TPattern      # the pattern as found; its pose carried the input band to `band`
+    pattern: TPattern      # the pattern as found; its pose normalizes the input band
     trapezoid: FlatTrapezoid
-    developed: RuledBand   # developed at the T bend, cut displacement >= 0
+    developed: RuledBand   # pose-normalized, developed at the T bend, cut displacement >= 0
     tol: ToleranceConfig   # the tolerances `prepare` ran with
 
-    def __init__(self, band: RuledBand, pattern: TPattern, trapezoid: FlatTrapezoid,
-                 developed: RuledBand, tol: ToleranceConfig):
-        object.__setattr__(self, "band", band)
+    def __init__(self, pattern: TPattern, trapezoid: FlatTrapezoid, developed: RuledBand,
+                 tol: ToleranceConfig):
         object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "trapezoid", trapezoid)
         object.__setattr__(self, "developed", developed)
@@ -396,9 +394,8 @@ def prepare(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> PipelineStat
     the pattern's normalized pose and develop it at the T bend.  A band that
     fails validation raises InvalidBandError (from find_tpattern)."""
     tp = find_tpattern(band, tol)
-    moved = normalize_pose(band, tp)
-    trap, dev = develop_for(moved, tp)
-    return PipelineState(moved, tp, trap, dev, tol)
+    trap, dev = develop_for(normalize_pose(band, tp), tp)
+    return PipelineState(tp, trap, dev, tol)
 
 
 def _margin_checks(state: PipelineState, dev_report: BoundaryDeviation, eps: float) -> tuple:
@@ -445,7 +442,7 @@ def _edge_slack_audit(dev_report: BoundaryDeviation, eps: float,
 
 def verify_eff(state: PipelineState) -> TheoremReport:
     """Boundary bound: sup |I0 - psi o I o phi| < 6 sqrt(eps)."""
-    band = state.band
+    band = state.developed
     check_scope("eff", band)
     eps = measured_eps(band)
     dev_rep = boundary_deviation(state.trapezoid, state.boundary)
@@ -578,7 +575,7 @@ def verify_eff2(state: PipelineState) -> TheoremReport:
     """Containment within 6 sqrt(eps) of the solid canonical triangle, and
     coverage of the triangle within 18 sqrt(eps) (the latter for
     eps < 1/384, certified through the projected annulus and winding)."""
-    band = state.band
+    band = state.developed
     check_scope("eff2", band)
     eps = measured_eps(band)
     d6 = 6.0 * math.sqrt(eps)
@@ -649,7 +646,7 @@ def verify_corollary(state: PipelineState) -> TheoremReport:
     loop's premises fail, and a note says which.  Both come from the
     PipelineState, so eff2 and corollary share one computation.
     """
-    band = state.band
+    band = state.developed
     check_scope("corollary", band)
     eps = measured_eps(band)
     d18 = 18.0 * math.sqrt(eps)

@@ -28,6 +28,7 @@ from moebiusband.band import (
     validate,
     write_json,
 )
+from moebiusband.flatmodel import glide
 from moebiusband.geom import DEFAULT_TOL, StructureError
 from moebiusband.verify import _flat_layer_covers, prepare, verify_eff
 
@@ -514,13 +515,29 @@ class TestBoundaryChains:
     def test_chains_end_with_glued_first_bend(self, band_name, copy, request):
         band = request.getfixturevalue(band_name)
         band = {"plain": band, "flip": flip(band), "recut": redevelop(band, 17.25)}[copy]
-        g_flat, g_space = band.glued_first_bend()
+        g_flat, g_space = glide(band.flat[0], band.lam), band.space[0, ::-1]
         for side, (xs, pts) in enumerate(band.boundary_chains()):
             assert np.array_equal(xs, np.append(band.flat[:, side, 0], g_flat[side, 0]))
             assert np.array_equal(pts, np.vstack([band.space[:, side], g_space[side][None, :]]))
         tris = surface_triangles(band)
         (_, bot), (_, top) = band.boundary_chains()
         assert np.array_equal(tris[: band.n_bends], np.stack([bot[:-1], bot[1:], top[1:]], axis=1))
+
+    def test_wrap_leaf_is_the_glided_first_bend(self, tri_band):
+        # bend 0's ends sit 1e-10 off the boundary lines, which validation
+        # allows.  The leaf at p = N is bend 0 glided, y -> 1 - y included,
+        # as redevelop appends it past the far end of the development
+        flat = tri_band.flat.copy()
+        flat[0, :, 1] = [1e-10, 1.0 - 1e-10]
+        band = replace(tri_band, flat=flat)
+        assert validate(band).passed
+        leaf_flat, leaf_space = interpolate_bend(band, band.n_bends)
+        dev = redevelop(band, 1)
+        assert np.array_equal(leaf_flat[:, 1], dev.flat[-1, :, 1])
+        assert np.array_equal(leaf_flat[:, 1], [1.0 - (1.0 - 1e-10), 1.0 - 1e-10])
+        # redevelop re-anchors x at bend 1's bottom end
+        assert np.array_equal(leaf_flat[:, 0] - band.flat[1, 0, 0], dev.flat[-1, :, 0])
+        assert np.array_equal(leaf_space, dev.space[-1])
 
 
 class TestSerialization:

@@ -61,6 +61,8 @@ MALFORMED_BANDS = {
     "planar_space": _edited(lambda d: [b.update({"space": [p[:2] for p in b["space"]]})
                                        for b in d["bends"]]),
     "nan_coordinate": _edited(lambda d: d["bends"][3]["space"][0].__setitem__(0, math.nan)),
+    # np.array(..., dtype=float) read null as NaN: "coordinates must be finite"
+    "coordinate_null": _edited(lambda d: d["bends"][3]["space"][0].__setitem__(2, None)),
     # np.array(..., dtype=float) read the string as its number, true as 1.0
     # and false as 0.0, so these bands passed as the unedited one
     "coordinate_numeric_string": _edited(
@@ -179,6 +181,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("case, message", [
+        ("coordinate_null", "coordinates must be numbers, not null"),
+        ("nan_coordinate", "band coordinates must be finite"),
+    ])
+    def test_malformed_coordinate_message(self, tri_file, tmp_path, case, message, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(MALFORMED_BANDS[case](json.loads(tri_file.read_text())))
+        assert cli_main(["validate", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.endswith(f" {message}\n")
 
     @pytest.mark.parametrize("command", ["validate", "tpattern", "verify"])
     def test_non_utf8_band_exits_2(self, tmp_path, command, capsys):
@@ -303,6 +315,19 @@ class TestDeterminism:
 
 
 class TestBoundsReport:
+    def test_aspect_grid_needs_a_unique_minimum(self, monkeypatch, capsys):
+        # a second grid point at the least value breaks the uniqueness half
+        # of the certificate, which the verdict once ignored
+        certificate = bounds.hd_grid_certificate
+
+        def tied(n):
+            return certificate(n) | {"others_strictly_above": False}
+
+        monkeypatch.setattr(bounds, "hd_grid_certificate", tied)
+        assert cli_main(["bounds-sweep", "--grid", "0", "--seed", "7"]) == 1
+        out = capsys.readouterr().out
+        assert "aspect-grid: FAIL\n" in out and out.count("FAIL") == 1
+
     def test_report_holds_least_margins(self, tmp_path, capsys):
         assert cli_main(["bounds-sweep", "--grid", "120", "--seed", "7"]) == 0
         plain = capsys.readouterr().out

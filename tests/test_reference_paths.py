@@ -7,8 +7,13 @@ per-edge `boundary_deviation` with its arc lengths re-summed from the chain
 points, the root scan over the full sign matrix, and the random curves and
 their chord comparisons on (n, 3) point arrays.  The boundary loop with its
 near-duplicate points dropped is the loop the package built before it read
-the loop straight from the bend ends.  The package must give bitwise the
-same values and leave the random generator in the same state.
+the loop straight from the bend ends.  The glued copy of bend 0 in the
+boundary chains and the wrap bracket of `interpolate_bend`, the glided
+bends of `redevelop`, `flip`, and the glided and flipped B leaf of
+`develop_for` are the five copies of the glide (x, y) -> (x + dx, 1 - y)
+written out by hand, as the package had them before `flatmodel.glide`.
+The package must give bitwise the same values and leave the random
+generator in the same state.
 `TestCliOutputs` and `TestSweepOutputs` swap every reference in at once and
 compare the CLI's outputs; a later change that rewrites a stage for speed
 can add its old form here as a reference.
@@ -29,16 +34,19 @@ from moebiusband import tpattern as tpattern_mod
 from moebiusband import verify as verify_mod
 from moebiusband.band import (
     INCENTER,
+    RuledBand,
     build_triangular,
     build_wrinkle,
     flip,
+    interpolate_bend,
     redevelop,
     transform,
     write_json,
 )
 from moebiusband.cli import main as cli_main
+from moebiusband.flatmodel import FlatTrapezoid
 from moebiusband.geom import RigidMotion, StructureError, row_dot, winding_number
-from moebiusband.tpattern import _DIAGONAL_EXCLUSION
+from moebiusband.tpattern import _DIAGONAL_EXCLUSION, develop_for, find_tpattern, normalize_pose
 from moebiusband.verify import BoundaryDeviation, boundary_deviation, prepare
 
 from conftest import boundary_loop, random_motion
@@ -163,6 +171,87 @@ def reference_perp_roots(band):
     a, k = np.nonzero(window & ((g0 == 0.0) | ((g0 < 0.0) != (g1 < 0.0))))
     d0, d1 = g0[a, k], g1[a, k]
     return a, k, k + np.divide(d0, d0 - d1, out=np.zeros_like(d0), where=d0 != 0.0)
+
+
+def reference_glued_first_bend(band):
+    """The copy of bends[0] re-attached at the far end of the development:
+    x + lambda with the endpoints exchanged, y written as 0 and 1."""
+    g_flat = np.empty((2, 2))
+    g_flat[0] = [band.flat[0, 1, 0] + band.lam, 0.0]
+    g_flat[1] = [band.flat[0, 0, 0] + band.lam, 1.0]
+    return g_flat, band.space[0, ::-1].copy()
+
+
+def reference_boundary_chains(band):
+    g_flat, g_space = reference_glued_first_bend(band)
+    return tuple((np.append(band.flat[:, side, 0], g_flat[side, 0]),
+                  np.vstack([band.space[:, side], g_space[side][None, :]])) for side in (0, 1))
+
+
+def reference_interpolate_bend(band, p):
+    """interpolate_bend with the glued first bend closing the wrap bracket."""
+    n = band.n_bends
+    if not (0.0 <= p <= n):
+        raise StructureError("bend parameter out of range")
+    i = int(math.floor(p))
+    f = p - i
+    if i >= n:
+        i, f = n - 1, 1.0
+    f0, s0 = band.flat[i], band.space[i]
+    if i + 1 < n:
+        f1, s1 = band.flat[i + 1], band.space[i + 1]
+    else:
+        f1, s1 = reference_glued_first_bend(band)
+    return (np.where(f0 == f1, f0, (1.0 - f) * f0 + f * f1),
+            np.where(s0 == s1, s0, (1.0 - f) * s0 + f * s1))
+
+
+def reference_flip(band):
+    flat = band.flat[:, ::-1, :].copy()
+    flat[:, :, 1] = 1.0 - flat[:, :, 1]
+    flat[:, :, 0] -= flat[0, 0, 0]
+    space = band.space[:, ::-1, :].copy()
+    return RuledBand(band.lam, flat, space, band.meta)
+
+
+def reference_redevelop(band, alpha):
+    n = band.n_bends
+    alpha = float(alpha) % n
+    if abs(alpha - round(alpha)) <= 1e-12:
+        alpha = float(round(alpha) % n)
+    i0 = math.ceil(alpha)
+    frac = alpha - math.floor(alpha)
+    glided = band.flat[:i0, ::-1].copy()
+    glided[:, :, 0] += band.lam
+    glided[:, :, 1] = 1.0 - glided[:, :, 1]
+    flats = [band.flat[i0:], glided]
+    spaces = [band.space[i0:], band.space[:i0, ::-1]]
+    if frac > 0.0:
+        leaf_flat, leaf_space = reference_interpolate_bend(band, alpha)
+        flats.insert(0, leaf_flat[None])
+        spaces.insert(0, leaf_space[None])
+    flat = np.concatenate(flats)
+    space = np.concatenate(spaces)
+    flat[:, :, 0] -= flat[0, 0, 0]
+    return RuledBand(band.lam, flat, space)
+
+
+def reference_develop_for(band, tp):
+    dev = reference_redevelop(band, tp.param_t)
+    x0 = tp.bend_t_flat[0, 0]
+    b_flat = tp.bend_b_flat.copy()
+    if tp.param_b < tp.param_t:
+        b_flat = b_flat[::-1].copy()
+        b_flat[:, 0] += band.lam
+        b_flat[:, 1] = 1.0 - b_flat[:, 1]
+    b_flat[:, 0] -= x0
+    if dev.cut_displacement() < 0.0:
+        shift = dev.flat[0, 1, 0]
+        dev = reference_flip(dev)
+        b_flat = b_flat[::-1].copy()
+        b_flat[:, 0] -= shift
+        b_flat[:, 1] = 1.0 - b_flat[:, 1]
+    return FlatTrapezoid(lam=band.lam, t=dev.cut_displacement(), u=b_flat[1], v=b_flat[0]), dev
 
 
 def reference_unit_speed_curve(rng, length, tilt, n=1200):
@@ -338,6 +427,58 @@ class TestStages:
             assert g.dtype == w.dtype and _bits(g) == _bits(w)
 
 
+def _same_band(got, want):
+    return (got.lam == want.lam and _bits(got.flat) == _bits(want.flat)
+            and _bits(got.space) == _bits(want.space))
+
+
+@pytest.mark.parametrize("posed", [False, True])
+@pytest.mark.parametrize("kind", COPIES)
+@pytest.mark.parametrize("name", BANDS)
+class TestGlide:
+    """flatmodel.glide in place of the copies written out by hand."""
+
+    def test_chains_and_leaves(self, bands, name, kind, posed):
+        band = _copy(bands[name], name, kind, posed)
+        n = band.n_bends
+        for got, want in zip(band.boundary_chains(), reference_boundary_chains(band)):
+            assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+        # the last three lie in the wrap bracket (N - 1, N]
+        for p in (0.0, 17.25, n - 1.0, n - 0.5, n - 1e-9, float(n)):
+            got, want = interpolate_bend(band, p), reference_interpolate_bend(band, p)
+            assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1]), p
+
+    def test_flip_and_redevelop(self, bands, name, kind, posed):
+        band = _copy(bands[name], name, kind, posed)
+        n = band.n_bends
+        assert _same_band(flip(band), reference_flip(band))
+        # cuts at a bend, inside a patch, inside the wrap patch and at p = N
+        for cut in (1.0, 17.25, 0.3 * n, n - 0.5, n - 1e-7, float(n)):
+            assert _same_band(redevelop(band, cut), reference_redevelop(band, cut)), cut
+
+
+def test_develop_for_equals_the_reference():
+    """Both B-leaf branches of develop_for, the glide past the far end and
+    the flip of a negative cut displacement, run on these copies."""
+    bands = {"tri": build_triangular(), "wrinkle4": build_wrinkle(1e-4)}
+    branches = set()
+    for name, band in bands.items():
+        for kind in COPIES:
+            for posed in (False, True):
+                for cut in (0.0, 0.3, 0.999):
+                    copy = redevelop(_copy(band, name, kind, posed), cut * band.n_bends)
+                    tp = find_tpattern(copy)
+                    moved = normalize_pose(copy, tp)
+                    (trap, dev), (want_trap, want_dev) = (develop_for(moved, tp),
+                                                          reference_develop_for(moved, tp))
+                    assert _same_band(dev, want_dev)
+                    for field in ("lam", "t", "u", "v"):
+                        assert _bits(getattr(trap, field)) == _bits(getattr(want_trap, field))
+                    branches.add((tp.param_b < tp.param_t,
+                                  reference_redevelop(moved, tp.param_t).cut_displacement() < 0.0))
+    assert branches == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def cli_digest(path, tmp) -> str:
     """sha256 of the exit codes and outputs of `verify --report --csv` and
     `tpattern` on one band file, run in this process."""
@@ -369,6 +510,9 @@ class TestCliOutputs:
                 patched.setattr(verify_mod, "boundary_deviation", reference_boundary_deviation)
                 patched.setattr(verify_mod.PipelineState, "loop", property(reference_loop))
                 patched.setattr(tpattern_mod, "_perp_roots", reference_perp_roots)
+                patched.setattr(RuledBand, "boundary_chains", reference_boundary_chains)
+                patched.setattr(tpattern_mod, "interpolate_bend", reference_interpolate_bend)
+                patched.setattr(verify_mod, "develop_for", reference_develop_for)
                 assert isinstance(prepare(bands[name]).boundary[0], ReferenceChain)
                 want = cli_digest(path, tmp_path)
             assert got == want, posed

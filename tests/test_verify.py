@@ -551,13 +551,13 @@ class TestPoseInvariance:
 
 class TestScope:
     def test_eff_out_of_scope(self, tri_state):
-        fat = replace(tri_state, band=replace(tri_state.band, lam=SQRT3 + 0.3))
+        fat = replace(tri_state, developed=replace(tri_state.developed, lam=SQRT3 + 0.3))
         for verifier in (verify_eff, verify_eff2):
             with pytest.raises(OutOfScopeError, match="out of theorem scope"):
                 verifier(fat)
 
     def test_corollary_out_of_scope(self, tri_state):
-        fat = replace(tri_state, band=replace(tri_state.band, lam=SQRT3 + 0.1))
+        fat = replace(tri_state, developed=replace(tri_state.developed, lam=SQRT3 + 0.1))
         with pytest.raises(OutOfScopeError, match="out of theorem scope"):
             verify_corollary(fat)
 

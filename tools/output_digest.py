@@ -3,11 +3,11 @@ of the package byte for byte.
 
 The script runs `moebiusband.cli.main` in process on the triangular band,
 the wrinkle bands at eps 1e-3, 1e-4 and 1e-5, and flipped, re-cut and posed
-copies of them (fixed cuts, fixed seeds).  It runs `build-triangular`,
-`build-wrinkle`, `validate`, `tpattern`, `verify` (all theorems and each
-`--theorem`, with `--report` and `--csv`), `bounds-sweep --grid 100 --seed 7
---report` and `sharpness-sweep`.  It prints one line per stdout and stderr
-and per file a command wrote,
+copies of them (fixed cuts, one inside the wrap patch, fixed seeds).  It
+runs `build-triangular`, `build-wrinkle`, `validate`, `tpattern`, `verify`
+(all theorems and each `--theorem`, with `--report` and `--csv`),
+`bounds-sweep --grid 100 --seed 7 --report` and `sharpness-sweep`.  It
+prints one line per stdout and stderr and per file a command wrote,
 
     <sha256> <stream or file> <exit code> <command line>
 
@@ -36,7 +36,9 @@ from moebiusband.band import flip, read_json, redevelop, transform, write_json
 from moebiusband.geom import RigidMotion
 
 WRINKLE_EPS = ("1e-3", "1e-4", "1e-5")
-CUTS = (0.3, 0.7)           # re-cut at these fractions of the bend count
+# re-cut at these fractions of the bend count; 0.999 cuts inside the wrap
+# patch between the last bend and the glued copy of bend 0
+CUTS = (0.3, 0.7, 0.999)
 POSES = ((1, True), (2, False), (3, True))   # (seed, proper)
 THEOREMS = (None, "eff", "eff2", "corollary")
 
