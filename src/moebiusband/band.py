@@ -18,6 +18,7 @@ O(sqrt(eps)) out of the plane.
 
 import json
 import math
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -103,17 +104,40 @@ class RuledBand(Frozen):
         """Horizontal displacement of the cut bend (bends[0])."""
         return float(self.flat[0, 1, 0] - self.flat[0, 0, 0])
 
+    @cached_property
+    def lifted(self) -> tuple[np.ndarray, np.ndarray]:
+        """The bends over the orientation double cover of the parameter
+        circle, (2N, 2, 2) flat and (2N, 2, 3) space, read-only: bend N + k
+        is bend k glided by lambda, its space segment reversed."""
+        flat = np.concatenate([self.flat, glide(self.flat, self.lam)])
+        space = np.concatenate([self.space, self.space[:, ::-1]])
+        for a in (flat, space):
+            a.setflags(write=False)
+        return flat, space
+
     def boundary_chains(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
         """The bottom (y=0) and top (y=1) boundary chains of the
-        development, each as (x-values, space points) of the bend ends
-        followed by those of the glued copy of bends[0], whose endpoints are
-        exchanged (the Moebius half-twist)."""
-        g_flat = glide(self.flat[0], self.lam)
-        return tuple(
-            (np.append(self.flat[:, side, 0], g_flat[side, 0]),
-             np.vstack([self.space[:, side], self.space[0, 1 - side][None, :]]))
-            for side in (0, 1)
-        )
+        development, each as (x-values, space points) of the ends of the
+        lifted bends 0 to N: the bends, then the glued copy of bends[0]."""
+        flat, space = self.lifted
+        return tuple((flat[:self.n_bends + 1, side, 0], space[:self.n_bends + 1, side])
+                     for side in (0, 1))
+
+
+def shared_ends(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Which ends, [bottom, top], of flat bends a and b lie within 1e-14 in
+    x: a shared end, and where both do, a duplicate bend to `validate`."""
+    return np.abs(b[..., 0] - a[..., 0]) < 1e-14
+
+
+def stored_bend(band: RuledBand, p: float) -> int | None:
+    """The lifted bend that the leaf at lifted parameter p is read as: one
+    within 1e-12 of p, else one it duplicates to `validate`, else None."""
+    if abs(p - (j := round(p))) <= 1e-12:
+        return j
+    flat, i = band.lifted[0], math.floor(p)
+    leaf = leaf_between(flat[i], flat[i + 1], p - i)
+    return next((j for j in (i, i + 1) if shared_ends(leaf, flat[j]).all()), None)
 
 
 class ValidationReport(NamedTuple):
@@ -135,7 +159,7 @@ def validate(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationR
     n = band.n_bends
     if n < 8:
         raise StructureError(f"need at least 8 bends, got {n}")
-    flat, space = band.flat, band.space
+    flat = band.flat
     if np.max(np.abs(flat[:, 0, 1])) > 1e-9 or np.max(np.abs(flat[:, 1, 1] - 1.0)) > 1e-9:
         raise StructureError("bend endpoints must lie on the boundary lines y=0, y=1")
     if abs(flat[0, 0, 0]) > 1e-9 or abs(flat[0, 0, 1]) > 1e-9:
@@ -146,18 +170,15 @@ def validate(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationR
     ruling = np.abs(space_len - flat_len) / np.maximum(1.0, flat_len)
     max_ruling = float(ruling.max())
 
-    (bot_x, bot_sp), (top_x, top_sp) = band.boundary_chains()
+    # the boundary edges between the lifted bends 0 to N, the glued wrap
+    # edge last: x-steps and space lengths of [bottom, top]
+    lifted_flat, lifted_space = band.lifted
+    d = np.diff(lifted_flat[:n + 1, :, 0], axis=0)
+    res = np.abs(np.linalg.norm(np.diff(lifted_space[:n + 1], axis=0), axis=2) - d)
+    max_boundary = float(res.max())
 
-    d_bot = np.diff(bot_x)
-    d_top = np.diff(top_x)
-    res_bot = np.abs(np.linalg.norm(np.diff(bot_sp, axis=0), axis=1) - d_bot)
-    res_top = np.abs(np.linalg.norm(np.diff(top_sp, axis=0), axis=1) - d_top)
-    max_boundary = float(max(res_bot.max(), res_top.max()))
-
-    violations = 0
-    crossing = (d_bot < -1e-12) | (d_top < -1e-12)
-    violations += int(np.count_nonzero(crossing))
-    duplicate = (np.abs(d_bot) < 1e-14) & (np.abs(d_top) < 1e-14)
+    violations = int(np.count_nonzero((d < -1e-12).any(axis=1)))
+    duplicate = shared_ends(lifted_flat[:n], lifted_flat[1:n + 1]).all(axis=1)
     violations += int(np.count_nonzero(duplicate))
     short = flat_len < 1.0 - 1e-9
     violations += int(np.count_nonzero(short))
@@ -518,21 +539,18 @@ def flip(band: RuledBand) -> RuledBand:
 
 def redevelop(band: RuledBand, alpha: float) -> RuledBand:
     """Develop the band cut open along the (possibly interpolated) leaf at
-    parameter alpha in [0, N).  Bends before the cut move past the far end
-    of the development via the glide map."""
+    parameter alpha in [0, N), which `stored_bend` may read as a stored
+    bend: the leaf, then the lifted bends ceil(alpha) to ceil(alpha) + N,
+    so bends before the cut move past the far end via the glide map."""
     n = band.n_bends
     alpha = float(alpha) % n
-    # a cut within 1e-12 of a stored bend is that bend
-    if abs(alpha - round(alpha)) <= 1e-12:
-        alpha = float(round(alpha) % n)
+    if (j := stored_bend(band, alpha)) is not None:
+        alpha = float(j % n)
     # a cut in the wrap patch (N-1, N) gives i0 = N: every bend glides
     i0 = math.ceil(alpha)
-    frac = alpha - math.floor(alpha)
-
-    # bends i0.. as they are, then bends ..i0 glided
-    flats = [band.flat[i0:], glide(band.flat[:i0], band.lam)]
-    spaces = [band.space[i0:], band.space[:i0, ::-1]]
-    if frac > 0.0:
+    flat, space = band.lifted
+    flats, spaces = [flat[i0:i0 + n]], [space[i0:i0 + n]]
+    if alpha < i0:
         leaf_flat, leaf_space = interpolate_bend(band, alpha)
         flats.insert(0, leaf_flat[None])
         spaces.insert(0, leaf_space[None])
@@ -542,11 +560,17 @@ def redevelop(band: RuledBand, alpha: float) -> RuledBand:
     return RuledBand(band.lam, flat, space)
 
 
+def leaf_between(b0: np.ndarray, b1: np.ndarray, f) -> np.ndarray:
+    """(1 - f) b0 + f b1, the leaf at fraction f from bend b0 to bend b1;
+    an endpoint the two bends share (a fan vertex) stays bitwise exact."""
+    return np.where(b0 == b1, b0, (1.0 - f) * b0 + f * b1)
+
+
 def interpolate_bend(band: RuledBand, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Leaf of the foliation at fractional parameter p in [0, N], linearly
-    interpolating endpoints between adjacent stored bends.  At p = N the
-    glued copy of bends[0] is used, so the interpolation is continuous
-    across the cut (with exchanged endpoints)."""
+    """Leaf of the foliation at fractional parameter p in [0, N] between
+    adjacent lifted bends.  At p = N it is the glued copy of bends[0], so
+    the interpolation is continuous across the cut (with exchanged
+    endpoints)."""
     n = band.n_bends
     if not (0.0 <= p <= n):
         raise StructureError("bend parameter out of range")
@@ -554,14 +578,8 @@ def interpolate_bend(band: RuledBand, p: float) -> tuple[np.ndarray, np.ndarray]
     f = p - i
     if i >= n:
         i, f = n - 1, 1.0
-    f0, s0 = band.flat[i], band.space[i]
-    if i + 1 < n:
-        f1, s1 = band.flat[i + 1], band.space[i + 1]
-    else:
-        f1, s1 = glide(band.flat[0], band.lam), band.space[0, ::-1]
-    # an endpoint the two bends share (a fan vertex) stays bitwise exact
-    return (np.where(f0 == f1, f0, (1.0 - f) * f0 + f * f1),
-            np.where(s0 == s1, s0, (1.0 - f) * s0 + f * s1))
+    flat, space = band.lifted
+    return leaf_between(flat[i], flat[i + 1], f), leaf_between(space[i], space[i + 1], f)
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,9 @@ def glide(flat: np.ndarray, dx: float) -> np.ndarray:
     endpoint rows exchanged so that they stay [bottom, top].  With
     dx = lambda this is the glide g; with dx = -x it is a flip re-anchored
     at an end of x-coordinate x."""
-    out = flat[..., ::-1, :].copy()
-    out[..., 0] += dx
-    out[..., 1] = 1.0 - out[..., 1]
+    out = np.empty(flat.shape)
+    np.add(flat[..., ::-1, 0], dx, out=out[..., 0])
+    np.subtract(1.0, flat[..., ::-1, 1], out=out[..., 1])
     return out
 
 

@@ -36,7 +36,10 @@ from .band import (
     ValidationReport,
     flip,
     interpolate_bend,
+    leaf_between,
     redevelop,
+    shared_ends,
+    stored_bend,
     transform,
     validate,
 )
@@ -152,28 +155,19 @@ def _perp_roots(band: RuledBand) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     which end before the glued copy of bend 0 at 2N: two strided views of
     the product read that window directly."""
     n = band.n_bends
-    v = band.space[:, 1] - band.space[:, 0]
-    g = (v / np.linalg.norm(v, axis=1, keepdims=True)) @ np.concatenate([v, -v]).T
+    lifted = band.lifted[1]
+    v = lifted[:, 1] - lifted[:, 0]
+    g = (v[:n] / np.linalg.norm(v[:n], axis=1, keepdims=True)) @ v.T
     # g0[a, j], g1[a, j] = g[a, k], g[a, k + 1] at k = a + _DIAGONAL_EXCLUSION + j
     shape, strides = (n, n - 2 * _DIAGONAL_EXCLUSION), (g.strides[0] + g.strides[1], g.strides[1])
-    g0, g1 = (np.lib.stride_tricks.as_strided(g[:, _DIAGONAL_EXCLUSION + s:], shape, strides,
-                                              writeable=False) for s in (0, 1))
+    g0, g1 = (np.ndarray(shape, g.dtype, g, (_DIAGONAL_EXCLUSION + s) * g.itemsize, strides)
+              for s in (0, 1))
     # row-major, as np.nonzero of the mask lists them
     a, j = np.divmod(np.flatnonzero((g0 == 0.0) | ((g0 < 0.0) != (g1 < 0.0))), shape[1])
     d0, d1 = g0[a, j], g1[a, j]
     # where d0 != 0 the signs of d0 and d1 differ, so d0 - d1 != 0
     k = a + _DIAGONAL_EXCLUSION + j
     return a, k, k + np.divide(d0, d0 - d1, out=np.zeros_like(d0), where=d0 != 0.0)
-
-
-def _root_segments(band: RuledBand, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The space segments at every root (a, b), bitwise as interpolating
-    the lifted bends one root at a time gives them."""
-    lifted = np.concatenate([band.space, band.space[:, ::-1]])
-    i = np.floor(b).astype(np.intp)
-    f = (b - i)[:, None, None]
-    s0, s1 = lifted[i], lifted[i + 1]
-    return band.space[a], np.where(s0 == s1, s0, (1.0 - f) * s0 + f * s1)
 
 
 def _classify(a: np.ndarray, b: np.ndarray, sa: np.ndarray, sb: np.ndarray,
@@ -224,7 +218,10 @@ def _candidates(band: RuledBand, tol: ToleranceConfig) -> list[_Candidate]:
     from one sign matrix (_perp_roots), and one array pass (_classify)
     computes the residuals and roles of all of them."""
     a, _, b = _perp_roots(band)
-    perp, off, candidates = _classify(a, b, *_root_segments(band, a, b), tol)
+    lifted = band.lifted[1]
+    i = np.floor(b).astype(np.intp)
+    sb = leaf_between(lifted[i], lifted[i + 1], (b - i)[:, None, None])
+    perp, off, candidates = _classify(a, b, lifted[a], sb, tol)
     if not candidates:
         near = np.hypot(perp, off).min(initial=math.inf)
         raise NoTPatternError(f"no T-pattern detected (minimal residual {near:.3e})")
@@ -235,50 +232,44 @@ def find_tpattern(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> TPatte
     """Locate a T-pattern from the exact zeros of F1 at every stored bend.
 
     Zeros that take T/B roles (_candidates) are ranked by decreasing B-bend
-    length (ties by decreasing T-bend length, then lexicographically by
-    parameters); the best valid zero is returned, the rest are reported as
+    length, then T-bend length, then with a T leaf inside a fan last, then
+    by parameters.  The deck transformation b -> b + N lists each bend pair
+    twice; the best is returned, the other pairs are reported once each as
     alternates.
     """
     report = validate(band, tol)
     if not report.passed:
         raise InvalidBandError(report)
     n = band.n_bends
-    candidates = _candidates(band, tol)
+    # a T leaf inside a fan: a leaf strictly between two lifted bends that
+    # share an end, or a bend that shares one of its ends with both
+    # neighbours (bend 0 is lifted bend N, between N - 1 and N + 1)
+    shared = shared_ends(band.lifted[0][:-1], band.lifted[0][1:])
+    both = shared[:-1] & shared[1:]
+    leaf_in_fan, bend_in_fan = shared[:, 0] | shared[:, 1], both[:, 0] | both[:, 1]
 
     def rank(c: _Candidate):
-        return (-round(c.len_b / 1e-9), -round(c.len_t / 1e-9), c.alpha, c.beta)
+        p = c.alpha if c.seg_t_idx == 1 else c.beta
+        j = stored_bend(band, p)
+        in_fan = leaf_in_fan[math.floor(p)] if j is None else bend_in_fan[(j % n or n) - 1]
+        return (-round(c.len_b / 1e-9), -round(c.len_t / 1e-9), bool(in_fan), c.alpha, c.beta)
 
-    candidates.sort(key=rank)
-    best = candidates[0]
+    # the first candidate of each unordered bend pair {alpha, beta mod N}
+    patterns = {}
+    for c in sorted(_candidates(band, tol), key=rank):
+        b = stored_bend(band, c.beta)
+        patterns.setdefault(frozenset((c.alpha, (c.beta if b is None else b) % n)), c)
+    best, *others = patterns.values()
     p_t, p_b = (best.alpha, best.beta) if best.seg_t_idx == 1 else (best.beta, best.alpha)
-    p_t_mod = p_t % n
-    p_b_mod = p_b % n
-    bend_t_flat, bend_t_space = interpolate_bend(band, p_t_mod)
-    bend_b_flat, bend_b_space = interpolate_bend(band, p_b_mod)
+    p_t, p_b = p_t % n, p_b % n
+    bend_t_flat, bend_t_space = interpolate_bend(band, p_t)
+    bend_b_flat, bend_b_space = interpolate_bend(band, p_b)
     pose = _build_pose(bend_t_flat, bend_t_space, bend_b_space, best.p_star)
-    alternates = tuple(
-        {
-            "alpha": c.alpha,
-            "beta": c.beta,
-            "len_t": c.len_t,
-            "len_b": c.len_b,
-            "perp": c.perp,
-            "offset": c.offset,
-        }
-        for c in candidates[1:]
-    )
-    return TPattern(
-        param_t=p_t_mod,
-        param_b=p_b_mod,
-        bend_t_flat=bend_t_flat,
-        bend_t_space=bend_t_space,
-        bend_b_flat=bend_b_flat,
-        bend_b_space=bend_b_space,
-        residual_perp=best.perp,
-        residual_offset=best.offset,
-        pose=pose,
-        alternates=alternates,
-    )
+    alternates = tuple({key: getattr(c, key) for key in ("alpha", "beta", "len_t", "len_b", "perp", "offset")}
+                       for c in others)
+    return TPattern(param_t=p_t, param_b=p_b, bend_t_flat=bend_t_flat, bend_t_space=bend_t_space,
+                    bend_b_flat=bend_b_flat, bend_b_space=bend_b_space, residual_perp=best.perp,
+                    residual_offset=best.offset, pose=pose, alternates=alternates)
 
 
 def normalize_pose(band: RuledBand, tp: TPattern) -> RuledBand:

@@ -337,12 +337,11 @@ class PipelineState(Frozen):
 
     @cached_property
     def loop(self) -> np.ndarray:
-        """The xy-projection of the boundary loop of `developed`, as its
-        bend ends.  The boundary circle traverses the bottom feet in bend
-        order, crosses the glued cut, then traverses the top feet in bend
-        order."""
-        ends = self.developed.space[:, :, :2]
-        return np.vstack([ends[:, 0], ends[:, 1]])
+        """The xy-projection of the boundary loop of `developed`, as the
+        bottom ends of its lifted bends.  The boundary circle traverses the
+        bottom feet in bend order, crosses the glued cut, then traverses the
+        top feet in bend order."""
+        return self.developed.lifted[1][:, 0, :2]
 
     @cached_property
     def annulus_max(self) -> float:

@@ -496,6 +496,20 @@ class TestDevelopment:
         assert validate(dev, DEFAULT_TOL).passed
         assert np.array_equal(dev.space, redevelop(band, round(alpha)).space)
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5])
+    def test_cut_beside_a_bend_validates(self, eps):
+        # neighbouring plug bends lie about 3.6e-7 apart in x at eps 1e-5,
+        # so a cut up to 1e-7 from one can give a leaf whose ends both lie
+        # within 1e-14 of that bend's in x, a duplicate to validate;
+        # redevelop reads such a cut as that bend
+        band = build_wrinkle(eps)
+        n = band.n_bends
+        failed = [(k, s * d) for k in range(n) for d in (1e-11, 1e-10, 5e-10, 1e-9, 1e-8, 1e-7)
+                  for s in (-1, 1) if not validate(redevelop(band, (k + s * d) % n)).passed]
+        assert not failed
+        # 55 is a plug bend; the leaf 1e-10 past it lies within 3.6e-15 of it in x
+        assert np.array_equal(redevelop(band, 55 + 1e-10).space, redevelop(band, 55).space)
+
     def test_redevelop_identity(self, tri_band):
         dev = redevelop(tri_band, 0)
         assert np.allclose(dev.flat, tri_band.flat, atol=1e-12)

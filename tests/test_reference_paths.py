@@ -12,6 +12,9 @@ boundary chains and the wrap bracket of `interpolate_bend`, the glided
 bends of `redevelop`, `flip`, and the glided and flipped B leaf of
 `develop_for` are the five copies of the glide (x, y) -> (x + dx, 1 - y)
 written out by hand, as the package had them before `flatmodel.glide`.
+The root segments of the T-pattern search are interpolated on the bends
+and their reversals stacked by hand, as the package did before it read
+them from `RuledBand.lifted`.
 The package must give bitwise the same values and leave the random
 generator in the same state.
 `TestCliOutputs` and `TestSweepOutputs` swap every reference in at once and
@@ -45,7 +48,7 @@ from moebiusband.band import (
 )
 from moebiusband.cli import main as cli_main
 from moebiusband.flatmodel import FlatTrapezoid
-from moebiusband.geom import RigidMotion, StructureError, row_dot, winding_number
+from moebiusband.geom import DEFAULT_TOL, RigidMotion, StructureError, row_dot, winding_number
 from moebiusband.tpattern import _DIAGONAL_EXCLUSION, develop_for, find_tpattern, normalize_pose
 from moebiusband.verify import BoundaryDeviation, boundary_deviation, prepare
 
@@ -171,6 +174,25 @@ def reference_perp_roots(band):
     a, k = np.nonzero(window & ((g0 == 0.0) | ((g0 < 0.0) != (g1 < 0.0))))
     d0, d1 = g0[a, k], g1[a, k]
     return a, k, k + np.divide(d0, d0 - d1, out=np.zeros_like(d0), where=d0 != 0.0)
+
+
+def reference_root_segments(band, a, b):
+    """The space segments at every root (a, b): bend a, and the leaf at
+    lifted parameter b of the bends followed by the bends reversed."""
+    lifted = np.concatenate([band.space, band.space[:, ::-1]])
+    i = np.floor(b).astype(np.intp)
+    f = (b - i)[:, None, None]
+    s0, s1 = lifted[i], lifted[i + 1]
+    return band.space[a], np.where(s0 == s1, s0, (1.0 - f) * s0 + f * s1)
+
+
+def reference_candidates(band, tol):
+    """tpattern._candidates with the reference root segments."""
+    a, _, b = tpattern_mod._perp_roots(band)
+    perp, off, candidates = tpattern_mod._classify(a, b, *reference_root_segments(band, a, b), tol)
+    if not candidates:
+        raise tpattern_mod.NoTPatternError("no T-pattern detected")
+    return candidates
 
 
 def reference_glued_first_bend(band):
@@ -426,6 +448,21 @@ class TestStages:
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and _bits(g) == _bits(w)
 
+    def test_root_segments(self, bands, name, kind, posed, monkeypatch):
+        # the segments that _candidates hands to _classify, read off the lift
+        seen = []
+
+        def classify(a, b, sa, sb, tol, real=tpattern_mod._classify):
+            seen.append((a, b, sa, sb))
+            return real(a, b, sa, sb, tol)
+
+        monkeypatch.setattr(tpattern_mod, "_classify", classify)
+        band = _copy(bands[name], name, kind, posed)
+        tpattern_mod._candidates(band, DEFAULT_TOL)
+        (a, b, *got), = seen
+        for g, w in zip(got, reference_root_segments(band, a, b)):
+            assert g.shape == w.shape and _bits(g) == _bits(w)
+
 
 def _same_band(got, want):
     return (got.lam == want.lam and _bits(got.flat) == _bits(want.flat)
@@ -510,6 +547,7 @@ class TestCliOutputs:
                 patched.setattr(verify_mod, "boundary_deviation", reference_boundary_deviation)
                 patched.setattr(verify_mod.PipelineState, "loop", property(reference_loop))
                 patched.setattr(tpattern_mod, "_perp_roots", reference_perp_roots)
+                patched.setattr(tpattern_mod, "_candidates", reference_candidates)
                 patched.setattr(RuledBand, "boundary_chains", reference_boundary_chains)
                 patched.setattr(tpattern_mod, "interpolate_bend", reference_interpolate_bend)
                 patched.setattr(verify_mod, "develop_for", reference_develop_for)

@@ -393,3 +393,31 @@ class TestRoleClassification:
         _, _, got = _classify(np.array([0]), np.array([1.0]), sa[None], sb[None],
                               ToleranceConfig(root_residual=math.inf))
         _assert_same_candidates(got, [] if want is None else [want])
+
+
+class TestOnePatternPerPair:
+    """The deck transformation b -> b + N lists a pattern once per
+    orientation of a bend; the best pattern and its alternates hold each
+    unordered bend pair once."""
+
+    @pytest.mark.parametrize("copy", ["unposed", "flipped", "proper", "improper"])
+    @pytest.mark.parametrize("name,count", [("triangular", 3), ("1e-3", 2), ("1e-4", 2), ("1e-5", 2)])
+    def test_each_pair_once(self, name, count, copy):
+        band = _fixed_band(name)
+        if copy == "flipped":
+            band = flip(band)
+        elif copy != "unposed":
+            band = transform(band, _motion(19, copy == "proper"))
+        tp = find_tpattern(band)
+        pairs = [(tp.param_t, tp.param_b)] + [(a["alpha"], a["beta"]) for a in tp.alternates]
+        assert len({frozenset(round(p) % band.n_bends for p in pair) for pair in pairs}) == len(pairs)
+        assert len(pairs) == count
+
+    def test_near_integer_t_reads_as_its_bend(self):
+        # the T leaf 87.99999999999999 lies within 1e-12 of bend 88, the end
+        # leaf of a door's fan; read as a leaf of the bracket (87, 88) inside
+        # that fan, it would lose the tie to its pair's other representative
+        # (88, 148)
+        tp = find_tpattern(transform(_fixed_band("1e-3"), _motion(19, False)))
+        assert (tp.param_t, tp.param_b) == (87.99999999999999, 20.0)
+        assert [(a["alpha"], a["beta"]) for a in tp.alternates] == [(40.0, 108.0)]

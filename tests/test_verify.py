@@ -208,6 +208,9 @@ class TestCoverage:
 
     @given(st.sampled_from(BAND_NAMES), st.floats(0.0, 1.0, exclude_max=True), st.booleans())
     @example("wrinkle4", 0.23451020166982395, False)   # the cut 30.017305813737465 of 128
+    # the cut 1.44e-10 beside bend 0, the T bend, whose leaf ties it
+    @example("tri", 1e-12, False)
+    @example("tri", 1e-12, True)
     @settings(max_examples=10, deadline=None)
     def test_coverage_invariant_under_recut_and_flip(self, band_states, name, cut, flipped):
         # hausdorff is band_to_triangle on these bands, read at the bend
@@ -221,6 +224,25 @@ class TestCoverage:
         for key in ("c_grid_uncovered", "triangle_coverage_max"):
             assert eff2[key] == base[0][key], key
         assert cor["hausdorff"] == base[1]["hausdorff"]
+
+    @pytest.mark.parametrize("name", BAND_NAMES)
+    def test_coverage_invariant_under_cuts_beside_pattern_bends(self, name, band_states):
+        # a cut leaf beside a bend of a pattern ties that bend at the rank's
+        # 1e-9 rounding and lies inside a fan, so it loses the tie: every
+        # copy chooses a pattern of the uncut band's class, and reads its
+        # numbers bitwise
+        band, state = band_states[name]
+        n, tp = band.n_bends, state.pattern
+        base = (verify_corollary(state).measured["hausdorff"],
+                verify_eff2(state).measured["triangle_coverage_max"])
+        params = [tp.param_t, tp.param_b] + [a[key] for a in tp.alternates for key in ("alpha", "beta")]
+        for k in sorted({round(p) % n for p in params}):
+            for delta in (-5e-10, 1e-11, 1e-9):
+                for flipped in (False, True):
+                    copy = prepare(redevelop(flip(band) if flipped else band, (k + delta) % n))
+                    got = (verify_corollary(copy).measured["hausdorff"],
+                           verify_eff2(copy).measured["triangle_coverage_max"])
+                    assert got == base, (k, delta, flipped)
 
 
 def _state_with_patches(state, patches):
@@ -250,12 +272,12 @@ class TestSharedGeometry:
         assert eff2["triangle_coverage_max"] == cor["triangle_to_band"] == dense
 
     def test_exact_near_zero_at_a_cut_beside_a_bend(self, tri_band):
-        # the cut leaf 1.44e-10 past bend 0 becomes the T bend, so the pose
-        # tilts, and the flat layer's edges beside that leaf leave its lines;
-        # the loop bound reads 2 x 3.75e-12 and the containment about 3e-12
+        # the cut leaf 1.44e-10 past bend 0 ties the T bend 0 and lies inside
+        # the left fan, so bend 0 stays the T bend, the pose stays the uncut
+        # band's and the flat layer certifies the coverage
         measured = verify_eff2(prepare(redevelop(tri_band, 1.44e-10))).measured
-        assert measured["containment_max"] <= 1e-11
-        assert measured["triangle_coverage_max"] <= 1e-11
+        assert measured["containment_max"] == 0.0
+        assert measured["triangle_coverage_max"] == 0.0
 
     def _count(self, monkeypatch):
         calls = {"certificate": 0, "annulus": 0, "winding": 0, "kernel": 0, "chains": 0}

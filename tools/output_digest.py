@@ -3,7 +3,8 @@ of the package byte for byte.
 
 The script runs `moebiusband.cli.main` in process on the triangular band,
 the wrinkle bands at eps 1e-3, 1e-4 and 1e-5, and flipped, re-cut and posed
-copies of them (fixed cuts, one inside the wrap patch, fixed seeds).  It
+copies of them (fixed cuts, one inside the wrap patch, fixed seeds), and
+copies cut beside a bend of a T-pattern, whose cut leaf ties that bend.  It
 runs `build-triangular`, `build-wrinkle`, `validate`, `tpattern`, `verify`
 (all theorems and each `--theorem`, with `--report` and `--csv`),
 `bounds-sweep --grid 100 --seed 7 --report` and `sharpness-sweep`.  It
@@ -39,6 +40,11 @@ WRINKLE_EPS = ("1e-3", "1e-4", "1e-5")
 # re-cut at these fractions of the bend count; 0.999 cuts inside the wrap
 # patch between the last bend and the glued copy of bend 0
 CUTS = (0.3, 0.7, 0.999)
+# cuts beside a pattern bend: these fractions of the bend count lie beside
+# bend 0, the T bend of the triangular band, and the cut 20 + 1e-9 lies
+# beside bend 20, the B bend of the wrinkle bands
+NEAR_CUTS = (1e-12, 5e-10)
+WRINKLE_B_CUT = 20 + 1e-9
 POSES = ((1, True), (2, False), (3, True))   # (seed, proper)
 THEOREMS = (None, "eff", "eff2", "corollary")
 
@@ -88,6 +94,10 @@ def _copies(name: str) -> list:
     for c in CUTS:
         copies[f"{name}-cut{c}"] = redevelop(band, c * band.n_bends)
         copies[f"{name}-flip-cut{c}"] = redevelop(flip(band), c * band.n_bends)
+    for c in NEAR_CUTS:
+        copies[f"{name}-cut{c:g}"] = redevelop(band, c * band.n_bends)
+    if name.startswith("w"):
+        copies[f"{name}-cut{WRINKLE_B_CUT!r}"] = redevelop(band, WRINKLE_B_CUT)
     for seed, proper in POSES:
         moved = transform(redevelop(band, CUTS[0] * band.n_bends), _motion(seed, proper))
         copies[f"{name}-cut{CUTS[0]}-pose{seed}{'' if proper else '-improper'}"] = moved
