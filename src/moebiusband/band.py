@@ -70,9 +70,8 @@ class RuledBand(Frozen):
     lam: float
     flat: np.ndarray
     space: np.ndarray
-    meta: dict | None
 
-    def __init__(self, lam: float, flat: np.ndarray, space: np.ndarray, meta: dict | None = None):
+    def __init__(self, lam: float, flat: np.ndarray, space: np.ndarray):
         flat = np.asarray(flat, dtype=float)
         space = np.asarray(space, dtype=float)
         if flat.ndim != 3 or flat.shape[1:] != (2, 2):
@@ -86,7 +85,6 @@ class RuledBand(Frozen):
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "meta", meta)
         flat.setflags(write=False)
         space.setflags(write=False)
 
@@ -212,8 +210,7 @@ def _fold(pts: np.ndarray, refl: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assemble(lam: float, pieces: list[tuple[np.ndarray, np.ndarray]], shift: float,
-              meta: dict | None = None) -> RuledBand:
+def _assemble(lam: float, pieces: list[tuple[np.ndarray, np.ndarray]], shift: float) -> RuledBand:
     """Stack per-piece (flat, space) bend arrays and move to development
     coordinates (bends[0] bottom endpoint at the origin)."""
     flat = np.concatenate([p[0] for p in pieces], axis=0)
@@ -222,7 +219,7 @@ def _assemble(lam: float, pieces: list[tuple[np.ndarray, np.ndarray]], shift: fl
     flat[:, :, 0] += shift
     flat[:, :, 0] -= flat[0, 0, 0]
     flat[0, 0, 0] = 0.0
-    return RuledBand(lam=lam, flat=flat, space=space, meta=meta)
+    return RuledBand(lam=lam, flat=flat, space=space)
 
 
 def _fan(bottoms: np.ndarray, tops: np.ndarray,
@@ -234,6 +231,21 @@ def _fan(bottoms: np.ndarray, tops: np.ndarray,
     flat[:, 1, 1] = 1.0
     space = np.stack([space_bottoms, space_tops], axis=1)
     return flat, space
+
+
+def _outer_fans(n: int, half: float) -> tuple[tuple[np.ndarray, np.ndarray],
+                                                 tuple[np.ndarray, np.ndarray]]:
+    """The triangular band's two flaps as fans of bends, folded onto the
+    triangle's sides: the left fan (n + 1 bends from the bottom edge to its
+    top vertex, the cut bend first) and the right fan (n - 1 bends, without
+    the glued copy of the cut bend), with flat x moved by -half and +half."""
+    fans = []
+    for s, sign, refl, base in ((np.linspace(-SIDE, 0.0, n + 1), -1.0, _REFL_L, BASE_L),
+                                (np.linspace(0.0, SIDE, n + 1)[1:-1], 1.0, _REFL_R, BASE_R)):
+        k = len(s)
+        fans.append(_fan(s + sign * half, np.full(k, sign * (T_OPT + half)),
+                         _fold(np.stack([s, np.zeros(k)], axis=1), refl), np.tile(base, (k, 1))))
+    return fans[0], fans[1]
 
 
 def build_triangular(n_per_fan: int = 48) -> RuledBand:
@@ -248,30 +260,13 @@ def build_triangular(n_per_fan: int = 48) -> RuledBand:
     if n_per_fan < 4 or n_per_fan % 2:
         raise StructureError("n_per_fan must be an even integer >= 4")
     n = n_per_fan
-
-    # left fan: bends from the bottom edge to the fixed top vertex
-    s = np.linspace(-SIDE, 0.0, n + 1)
-    fan_l = _fan(
-        s,
-        np.full(n + 1, -T_OPT),
-        _fold(np.stack([s, np.zeros(n + 1)], axis=1), _REFL_L),
-        np.tile(BASE_L, (n + 1, 1)),
-    )
+    fan_l, fan_r = _outer_fans(n, 0.0)
     # middle fan: bends from the bottom vertex to the top edge
     sig = np.linspace(-T_OPT, T_OPT, n + 1)[1:]
     mid_tops = np.zeros((n, 3))
     mid_tops[:, 0] = sig
     fan_m = _fan(np.zeros(n), sig, np.tile(APEX, (n, 1)), mid_tops)
-    # right fan, excluding the final bend (it is the glued copy of bends[0])
-    s = np.linspace(0.0, SIDE, n + 1)[1:-1]
-    fan_r = _fan(
-        s,
-        np.full(n - 1, T_OPT),
-        _fold(np.stack([s, np.zeros(n - 1)], axis=1), _REFL_R),
-        np.tile(BASE_R, (n - 1, 1)),
-    )
-    return _assemble(SQRT3, [fan_l, fan_m, fan_r], shift=SIDE,
-                     meta={"kind": "triangular", "n_per_fan": n})
+    return _assemble(SQRT3, [fan_l, fan_m, fan_r], shift=SIDE)
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +354,12 @@ def build_wrinkle(epsilon: float, config: WrinkleConfig | None = None) -> RuledB
     n1, n2, n3, n4 = cfg.n_fan, cfg.n_door, cfg.n_plug_side, cfg.n_plug_mid
     x0w = -T_OPT - half   # top vertex of the left flap
     w0w = T_OPT + half    # top vertex of the right flap
-    pieces = []
+    # the outer fans are the triangular band's flaps, moved apart by the
+    # plug's width in the flat band; the cut bend and the left hinge are the
+    # left fan's
+    fan_l, fan_r = _outer_fans(n1, half)
+    pieces = [fan_l]
 
-    # left fan (includes the cut bend and the left hinge): the flap of the
-    # triangular band, folded as there and moved by -half in the flat band
-    s = np.linspace(-SIDE, 0.0, n1 + 1)
-    pieces.append(_fan(
-        s - half, np.full(n1 + 1, x0w),
-        _fold(np.stack([s, np.zeros(n1 + 1)], axis=1), _REFL_L),
-        np.tile(BASE_L, (n1 + 1, 1)),
-    ))
     # left door: fan from the bottom slit foot, sweeping hinge -> seam
     tops = np.linspace(x0w, -half, n2 + 1)[1:]
     pieces.append(_fan(
@@ -406,28 +397,8 @@ def build_wrinkle(epsilon: float, config: WrinkleConfig | None = None) -> RuledB
         np.tile(APEX, (n2, 1)),
         door(np.stack([tops, np.ones(n2)], axis=1), rot_r, -half),
     ))
-    # right fan, excluding the glued copy of the cut bend, moved by +half
-    s = np.linspace(0.0, SIDE, n1 + 1)[1:-1]
-    pieces.append(_fan(
-        s + half, np.full(n1 - 1, w0w),
-        _fold(np.stack([s, np.zeros(n1 - 1)], axis=1), _REFL_R),
-        np.tile(BASE_R, (n1 - 1, 1)),
-    ))
-
-    crack_height = 0.5 * math.sin(theta)
-    meta = {
-        "kind": "wrinkle",
-        "epsilon": epsilon,
-        "theta": theta,
-        "gamma": gamma,
-        "width": width,
-        "crease_offset": c,
-        "lambda": lam,
-        "eps_excess": width,
-        "excess_coeff": width / epsilon,
-        "crack_height": crack_height,
-    }
-    return _assemble(lam, pieces, shift=SIDE + half, meta=meta)
+    pieces.append(fan_r)
+    return _assemble(lam, pieces, shift=SIDE + half)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +492,7 @@ def points_to_triangles_distance(pts: np.ndarray, tris: np.ndarray) -> np.ndarra
 def transform(band: RuledBand, motion: RigidMotion) -> RuledBand:
     """Apply an ambient isometry to the space data."""
     space = motion.apply(band.space.reshape(-1, 3)).reshape(band.space.shape)
-    return RuledBand(band.lam, band.flat, space, band.meta)
+    return RuledBand(band.lam, band.flat, space)
 
 
 def flip(band: RuledBand) -> RuledBand:
@@ -534,7 +505,7 @@ def flip(band: RuledBand) -> RuledBand:
     """
     flat = glide(band.flat, -band.flat[0, 1, 0])
     space = band.space[:, ::-1, :].copy()
-    return RuledBand(band.lam, flat, space, band.meta)
+    return RuledBand(band.lam, flat, space)
 
 
 def redevelop(band: RuledBand, alpha: float) -> RuledBand:

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .band import APEX, BASE_L, BASE_R
 from .flatmodel import SQRT3, T_OPT
 from .geom import Frozen, StructureError
 
@@ -337,12 +338,7 @@ def key_check(len_d: float, t: float) -> MarginReport:
 def tpattern_endpoint_check(endpoints: dict, eps: float) -> MarginReport:
     """All four endpoints of the normalized (T', B') lie within
     3 sqrt(eps) of the optimal pattern ((+-1/sqrt(3),0,0), (0,0,0)-(0,-1,0))."""
-    ref = {
-        "w": np.array([T_OPT, 0.0, 0.0]),
-        "x": np.array([-T_OPT, 0.0, 0.0]),
-        "u": np.zeros(3),
-        "v": np.array([0.0, -1.0, 0.0]),
-    }
+    ref = {"w": BASE_R, "x": BASE_L, "u": np.zeros(3), "v": APEX}
     dists = {
         k: float(np.linalg.norm(np.asarray(endpoints[k], dtype=float) - ref[k]))
         for k in ("w", "x", "u", "v")

@@ -96,10 +96,10 @@ def _cmd_build_triangular(args, tol: ToleranceConfig) -> int:
 def _cmd_build_wrinkle(args, tol: ToleranceConfig) -> int:
     band = build_wrinkle(args.epsilon)
     write_json(band, args.output)
-    meta = band.meta
+    excess = band.lam - SQRT3
     print(f"wrote wrinkle band eps={args.epsilon:g} "
-          f"(lambda-sqrt3={meta['eps_excess']:.6e}, coeff={meta['excess_coeff']:.4f}, "
-          f"crack height={meta['crack_height']:.6e}) to {args.output}")
+          f"(lambda-sqrt3={excess:.6e}, coeff={excess / args.epsilon:.4f}, "
+          f"crack height={0.5 * math.sin(math.sqrt(args.epsilon)):.6e}) to {args.output}")
     return EXIT_PASS
 
 

@@ -275,8 +275,7 @@ def find_tpattern(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> TPatte
 def normalize_pose(band: RuledBand, tp: TPattern) -> RuledBand:
     """The band moved by the pattern's normalizing pose: T bend into the
     X-axis with its midpoint translated to the origin, B bend into the
-    negative Y-ray.  The pattern stays as found; every field that
-    `develop_for` reads is independent of the pose."""
+    negative Y-ray."""
     if tp.len_t < 1e-12 or tp.len_b < 1e-12:
         raise StructureError("degenerate (zero-length) T-pattern bends")
     return transform(band, tp.pose)
@@ -289,7 +288,7 @@ def develop_for(band: RuledBand, tp: TPattern) -> tuple[FlatTrapezoid, RuledBand
     Returns the labeled trapezoid (u, v are the B-bend endpoints) and the
     re-developed band (space data unchanged up to row order)."""
     dev = redevelop(band, tp.param_t)
-    x0 = tp.bend_t_flat[0, 0]   # the pose moves only space, not the flat cut leaf
+    x0 = tp.bend_t_flat[0, 0]
     # the B leaf before the cut lies past the far end of the development
     b_flat = glide(tp.bend_b_flat, band.lam) if tp.param_b < tp.param_t else tp.bend_b_flat.copy()
     b_flat[:, 0] -= x0

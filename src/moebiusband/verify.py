@@ -38,13 +38,16 @@ import numpy as np
 
 from . import bounds
 from .band import (
+    APEX,
+    BASE_L,
+    BASE_R,
     CANONICAL_TRIANGLE,
     INCENTER,
     RuledBand,
     points_to_triangles_distance,
     surface_triangles,
 )
-from .flatmodel import SQRT3, T_OPT, FlatTrapezoid
+from .flatmodel import SQRT3, FlatTrapezoid
 from .geom import (
     DEFAULT_TOL,
     Frozen,
@@ -61,10 +64,10 @@ COVERAGE_EPS_CAP = 1.0 / 384.0
 
 # boundary images of the four boundary edges under the canonical triangle map
 _I0_EDGE_IMAGES = {
-    "D1": (np.array([T_OPT, 0.0, 0.0]), np.array([0.0, -1.0, 0.0])),
-    "D2": (np.array([0.0, -1.0, 0.0]), np.array([-T_OPT, 0.0, 0.0])),
-    "H1": (np.array([-T_OPT, 0.0, 0.0]), np.zeros(3)),
-    "H2": (np.zeros(3), np.array([T_OPT, 0.0, 0.0])),
+    "D1": (BASE_R, APEX),
+    "D2": (APEX, BASE_L),
+    "H1": (BASE_L, np.zeros(3)),
+    "H2": (np.zeros(3), BASE_R),
 }
 _BOUNDARY_EDGES = tuple(_I0_EDGE_IMAGES)
 # the start and end images of those edges, one row per edge
@@ -240,28 +243,12 @@ class TheoremReport(NamedTuple):
     notes: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lambda": self.lam,
-            "epsilon": self.epsilon,
-            "passed": bool(self.passed),
-            "bounds": self.bounds,
-            "measured": self.measured,
-            "checks": [
-                {
-                    "name": c.name,
-                    "hypotheses": c.hypotheses,
-                    "lhs": c.lhs,
-                    "rhs": c.rhs,
-                    "margin": c.margin,
-                    "passed": bool(c.passed),
-                    "details": c.details,
-                }
-                for c in self.checks
-            ],
-            "details": self.details,
-            "notes": list(self.notes),
-        }
+        """The report as JSON writes it: its fields, lam as "lambda", with
+        each check as a dict of its own fields."""
+        out = {("lambda" if name == "lam" else name): value
+               for name, value in self._asdict().items()}
+        out["checks"] = [c._asdict() for c in self.checks]
+        return out
 
 
 def write_report_json(reports: list[TheoremReport], path) -> None:
@@ -304,7 +291,7 @@ class PipelineState(Frozen):
     the band and the solid canonical triangle are computed once, on first
     use."""
 
-    pattern: TPattern      # the pattern as found; its pose normalizes the input band
+    pattern: TPattern      # the pattern found on the input band; its pose normalizes `developed`
     trapezoid: FlatTrapezoid
     developed: RuledBand   # pose-normalized, developed at the T bend, cut displacement >= 0
     tol: ToleranceConfig   # the tolerances `prepare` ran with
@@ -389,12 +376,13 @@ class PipelineState(Frozen):
 
 
 def prepare(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> PipelineState:
-    """The band prepared for the verifiers: find its T-pattern, move it into
-    the pattern's normalized pose and develop it at the T bend.  A band that
-    fails validation raises InvalidBandError (from find_tpattern)."""
+    """The band prepared for the verifiers: find its T-pattern, develop it at
+    the T bend and move the developed band into the pattern's normalized
+    pose.  A band that fails validation raises InvalidBandError (from
+    find_tpattern)."""
     tp = find_tpattern(band, tol)
-    trap, dev = develop_for(normalize_pose(band, tp), tp)
-    return PipelineState(tp, trap, dev, tol)
+    trap, dev = develop_for(band, tp)
+    return PipelineState(tp, trap, normalize_pose(dev, tp), tol)
 
 
 def _margin_checks(state: PipelineState, dev_report: BoundaryDeviation, eps: float) -> tuple:

@@ -59,7 +59,7 @@ def scale_bend(band, index: int, factor: float):
     space = band.space.copy()
     mid = 0.5 * (space[index, 0] + space[index, 1])
     space[index] = mid + factor * (space[index] - mid)
-    return replace(band, space=space, meta=None)
+    return replace(band, space=space)
 
 
 def random_motion(rng: np.random.Generator, scale: float = 1.0) -> RigidMotion:

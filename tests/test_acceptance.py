@@ -181,10 +181,11 @@ def test_criterion_6_sharpness(sweep_results):
 
 
 def test_crack_height_oracle(sweep_results):
-    # the wrinkle's crack height is the generator's closed form; the measured
-    # containment maximum exceeds it by a relative 0.0469 eps^2 at every eps
+    # the wrinkle's crack height is 0.5 sin(sqrt(eps)): the door tips, 1/2
+    # from their hinges, turn by sqrt(eps).  The measured containment
+    # maximum exceeds it by a relative 0.0469 eps^2 at every eps
     for rec in sweep_results:
-        crack = rec["band"].meta["crack_height"]
+        crack = 0.5 * math.sin(math.sqrt(rec["eps"]))
         gap = (rec["eff2"].measured["containment_max"] - crack) / crack
         assert 0.046 <= gap / rec["eps"] ** 2 <= 0.048, rec["eps"]
 

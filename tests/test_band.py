@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import math
@@ -20,6 +21,7 @@ from moebiusband.band import (
     from_json_dict,
     interpolate_bend,
     points_to_triangles_distance,
+    read_json,
     redevelop,
     sample_surface,
     surface_triangles,
@@ -86,7 +88,8 @@ class TestSampling:
         eta = 1e-3
         pts = sample_surface(wrinkle4, eta)
         zmax = np.abs(pts[:, 2]).max()
-        assert zmax == pytest.approx(wrinkle4.meta["crack_height"], abs=eta)
+        # the crack height at eps = 1e-4
+        assert zmax == pytest.approx(0.5 * math.sin(math.sqrt(1e-4)), abs=eta)
 
     def test_surface_triangles_shape(self, tri_band):
         tris = surface_triangles(tri_band)
@@ -117,6 +120,18 @@ class TestValidationNegative:
             validate(RuledBand(tri_band.lam, flat, tri_band.space))
 
 
+def _plug_constants(eps):
+    """The crack angle gamma, the strip width w = 2 tan(gamma/2) and the
+    crease offset c = tan(gamma/4) of the wrinkle's plug at eps.  Each door
+    turns by theta = sqrt(eps) about a side of the triangle, 1/2 from the
+    slit's top end, which so moves (sqrt(3)/4)(1 - cos theta) off the plane
+    x = 0.  The slit edge has length 1, so the crack V opens by gamma with
+    sin(gamma/2) = (sqrt(3)/2) sin(theta/2)^2."""
+    theta = math.sqrt(eps)
+    gamma = 2.0 * math.asin(0.5 * SQRT3 * math.sin(0.5 * theta) ** 2)
+    return gamma, 2.0 * math.tan(0.5 * gamma), math.tan(0.25 * gamma)
+
+
 def _strip_fold(width, c):
     """Reference strip fold, computed step by step: the strip
     [-w/2, w/2] x [0, 1] folded along the creases from its top
@@ -142,14 +157,14 @@ class TestWrinkleFamily:
         # over the whole accepted range
         for eps in np.geomspace(WRINKLE_EPS_MIN, WRINKLE_EPS_MAX, 60):
             band = build_wrinkle(float(eps))
-            meta = band.meta
-            width, c, gamma = meta["width"], meta["crease_offset"], meta["gamma"]
+            gamma, width, c = _plug_constants(float(eps))
             angle, corner_l, corner_r = _strip_fold(width, c)
             # the folded V opens by the crack angle (measured within 8.7e-16 relative)
             assert abs(angle - gamma) <= 4e-15 * gamma, eps
             assert abs(width * c * c + 4.0 * c - width) <= 1e-15 * width, eps
-            # lambda reads the closed form up to its own rounding (half an
-            # ulp of sqrt(3) is 1.1e-16)
+            # lambda reads the closed form to 2.1e-16: its own rounding (half
+            # an ulp of sqrt(3) is 1.1e-16) and that of the generator's
+            # gamma, read off the rotated door tips to about 1e-16
             assert abs(band.lam - SQRT3 - 2.0 * math.tan(gamma / 2.0)) <= 2.3e-16, eps
             assert np.abs(corner_l - corner_r).max() <= 1e-17, eps
             # the bends from the two seam feet (the only shared bottom feet)
@@ -236,13 +251,14 @@ class TestWrinkleFamily:
             assert rep.max_boundary_residual < 1e-14, eps
 
     def test_frozen_solved_constants(self, wrinkle4):
-        # regression values of the closed-form plug at eps = 1e-4
-        meta = wrinkle4.meta
-        assert meta["theta"] == pytest.approx(1e-2, abs=0.0)
-        assert meta["width"] == pytest.approx(4.3300909356e-05, rel=1e-9)
-        assert meta["crease_offset"] == pytest.approx(1.0825227338e-05, rel=1e-9)
-        assert meta["crack_height"] == pytest.approx(4.9999166671e-03, rel=1e-9)
-        assert meta["excess_coeff"] == pytest.approx(math.sqrt(3.0) / 4.0, rel=1e-4)
+        # regression values of the closed-form plug at eps = 1e-4, and the
+        # band's lambda - sqrt(3), which is the plug's width
+        _, width, c = _plug_constants(1e-4)
+        assert width == pytest.approx(4.3300909356e-05, rel=1e-9)
+        assert wrinkle4.lam - SQRT3 == pytest.approx(4.3300909356e-05, rel=1e-9)
+        assert c == pytest.approx(1.0825227338e-05, rel=1e-9)
+        assert 0.5 * math.sin(math.sqrt(1e-4)) == pytest.approx(4.9999166671e-03, rel=1e-9)
+        assert (wrinkle4.lam - SQRT3) / 1e-4 == pytest.approx(math.sqrt(3.0) / 4.0, rel=1e-4)
 
     def test_surface_within_containment_budget(self, wrinkle4):
         eps_excess = wrinkle4.lam - SQRT3
@@ -448,7 +464,7 @@ def _redevelop_loop(band: RuledBand, alpha: float) -> RuledBand:
     flat = np.stack(flats)
     space = np.stack(spaces)
     flat[:, :, 0] -= flat[0, 0, 0]
-    return replace(band, flat=flat, space=space, meta=None)
+    return replace(band, flat=flat, space=space)
 
 
 class TestDevelopment:
@@ -463,7 +479,7 @@ class TestDevelopment:
         for alpha in cuts:
             got, want = redevelop(band, alpha), _redevelop_loop(band, alpha)
             assert np.array_equal(got.flat, want.flat) and np.array_equal(got.space, want.space), alpha
-            assert got.lam == want.lam and got.meta is None
+            assert got.lam == want.lam
 
     def test_redevelop_at_integer_keeps_validity(self, tri_band):
         for k in (1, 40, 100):
@@ -555,12 +571,25 @@ class TestBoundaryChains:
 
 
 class TestSerialization:
-    def test_round_trip_exact(self, wrinkle4, tmp_path):
-        data = to_json_dict(wrinkle4)
-        back = from_json_dict(json.loads(json.dumps(data)))
-        assert back.lam == wrinkle4.lam
-        assert np.array_equal(back.flat, wrinkle4.flat)
-        assert np.array_equal(back.space, wrinkle4.space)
+    def test_round_trip_exact(self, tri_band, wrinkle4, tmp_path):
+        # a band holds what its file holds: reading a band file back gives
+        # every constructor argument of the band written, bitwise.  That is
+        # the band itself where it starts at its bend of least midpoint, as
+        # the four bands and their flips do, else the band re-developed there
+        bands = [tri_band, build_wrinkle(1e-3), wrinkle4, build_wrinkle(1e-5)]
+        copies = bands + [flip(b) for b in bands] + [redevelop(wrinkle4, 0.3 * wrinkle4.n_bends)]
+        for k, band in enumerate(copies):
+            j = int(np.argmin(band.flat[:, 0, 0] + band.flat[:, 1, 0]))
+            assert j == 0 or k == 8, k
+            written = band if j == 0 else redevelop(band, j)
+            write_json(band, tmp_path / "band.json")
+            back = read_json(tmp_path / "band.json")
+            for name in inspect.signature(RuledBand).parameters:
+                got, want = getattr(back, name), getattr(written, name)
+                if isinstance(want, np.ndarray):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (k, name)
+                else:
+                    assert type(got) is type(want) and got == want, (k, name)
 
     def test_write_json_bytes(self, wrinkle4, tmp_path):
         path = tmp_path / "w.json"

@@ -233,7 +233,7 @@ def reference_flip(band):
     flat[:, :, 1] = 1.0 - flat[:, :, 1]
     flat[:, :, 0] -= flat[0, 0, 0]
     space = band.space[:, ::-1, :].copy()
-    return RuledBand(band.lam, flat, space, band.meta)
+    return RuledBand(band.lam, flat, space)
 
 
 def reference_redevelop(band, alpha):

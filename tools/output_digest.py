@@ -5,7 +5,8 @@ The script runs `moebiusband.cli.main` in process on the triangular band,
 the wrinkle bands at eps 1e-3, 1e-4 and 1e-5, and flipped, re-cut and posed
 copies of them (fixed cuts, one inside the wrap patch, fixed seeds), and
 copies cut beside a bend of a T-pattern, whose cut leaf ties that bend.  It
-runs `build-triangular`, `build-wrinkle`, `validate`, `tpattern`, `verify`
+runs `build-triangular`, `build-wrinkle` (also at the ends of its range,
+1e-8 and 1e-2, whose bands it only builds), `validate`, `tpattern`, `verify`
 (all theorems and each `--theorem`, with `--report` and `--csv`),
 `bounds-sweep --grid 100 --seed 7 --report` and `sharpness-sweep`.  It
 prints one line per stdout and stderr and per file a command wrote,
@@ -37,6 +38,8 @@ from moebiusband.band import flip, read_json, redevelop, transform, write_json
 from moebiusband.geom import RigidMotion
 
 WRINKLE_EPS = ("1e-3", "1e-4", "1e-5")
+# built only, for build-wrinkle's printed line at the ends of its range
+WRINKLE_EPS_ENDS = ("1e-8", "1e-2")
 # re-cut at these fractions of the bend count; 0.999 cuts inside the wrap
 # patch between the last bend and the glued copy of bend 0
 CUTS = (0.3, 0.7, 0.999)
@@ -115,7 +118,7 @@ def main() -> None:
         try:
             names = ["tri"] + [f"w{eps}" for eps in WRINKLE_EPS]
             _run(["build-triangular", "-o", "tri.json"], ("tri.json",))
-            for eps in WRINKLE_EPS:
+            for eps in WRINKLE_EPS + WRINKLE_EPS_ENDS:
                 _run(["build-wrinkle", "--epsilon", eps, "-o", f"w{eps}.json"],
                      (f"w{eps}.json",))
             for name in list(names):
