@@ -181,17 +181,8 @@ def validate(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationR
     short = flat_len < 1.0 - 1e-9
     violations += int(np.count_nonzero(short))
 
-    passed = (
-        max_ruling <= tol.isometry
-        and max_boundary <= tol.isometry
-        and violations == 0
-    )
-    return ValidationReport(
-        max_ruling_residual=max_ruling,
-        max_boundary_residual=max_boundary,
-        foliation_violations=violations,
-        passed=passed,
-    )
+    passed = max_ruling <= tol.isometry and max_boundary <= tol.isometry and violations == 0
+    return ValidationReport(max_ruling, max_boundary, violations, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -580,10 +571,27 @@ def write_json(band: RuledBand, path) -> None:
 
 
 _BAND_KEYS = {"format_version", "lambda", "closed", "bends"}
-_BEND_KEYS = {"flat", "space"}
+# each bend key and the width of its two rows
+_BEND_KEYS = {"flat": 2, "space": 3}
 # below it, the difference of two points has a finite squared length:
 # 3 (2 * 2**510)**2 < 2**1024
 _COORD_LIMIT = 2.0 ** 510
+
+
+def _coordinates(pairs: list, key: str, width: int) -> np.ndarray:
+    """The bends' `key` values, each two arrays of `width` JSON numbers, as
+    one (N, 2, width) array built from one flat list."""
+    for i, pair in enumerate(pairs):
+        if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is type(pair[1]) is list
+                and len(pair[0]) == len(pair[1]) == width):
+            raise ValueError(f"bend {i} {key} must be two arrays of {width} numbers")
+    values = [x for pair in pairs for row in pair for x in row]
+    # np.array(..., dtype=float) would read "0.5" as 0.5, true as 1.0 and null as NaN
+    if not set(map(type, values)) <= {float, int}:
+        k = next(k for k, x in enumerate(values) if type(x) not in (float, int))
+        raise TypeError(f"bend {k // (2 * width)} {key} coordinates must be numbers, "
+                        f"not {json.dumps(values[k])}")
+    return np.array(values, dtype=float).reshape(-1, 2, width)
 
 
 def from_json_dict(data: dict) -> RuledBand:
@@ -596,15 +604,12 @@ def from_json_dict(data: dict) -> RuledBand:
         lam = float(lam)
         closed = data.get("closed", True)
         bends = data["bends"]
-        flat_rows = [b["flat"] for b in bends]
-        space_rows = [b["space"] for b in bends]
-        flat = np.array(flat_rows, dtype=float)
-        space = np.array(space_rows, dtype=float)
+        flat, space = (_coordinates([b[k] for b in bends], k, w) for k, w in _BEND_KEYS.items())
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StructureError(f"malformed band file: {exc}") from exc
     # every bend is an object by now, so one union collects their keys
     for what, keys, known in (("key", data.keys(), _BAND_KEYS),
-                              ("bend key", set().union(*bends), _BEND_KEYS)):
+                              ("bend key", set().union(*bends), _BEND_KEYS.keys())):
         if unknown := sorted(keys - known):
             raise StructureError(f"malformed band file: unknown {what} "
                                  + ", ".join(map(repr, unknown)))
@@ -613,14 +618,8 @@ def from_json_dict(data: dict) -> RuledBand:
         raise StructureError(f"unsupported format_version {version!r}")
     if closed is not True:
         raise StructureError(f"closed must be true, got {closed!r}")
-    # np.array(..., dtype=float) read the string "0.5" as 0.5, true as 1.0
-    # and null as NaN.  Where both arrays have three axes, each row holds
-    # scalars only; any other shape is left to RuledBand to reject
-    if flat.ndim == space.ndim == 3 and (
-            not_numbers := [x for rows in (flat_rows, space_rows) for bend in rows for row in bend
-                            for x in row if type(x) not in (float, int)]):
-        raise StructureError("malformed band file: coordinates must be numbers, "
-                             f"not {json.dumps(not_numbers[0])}")
+    if not bends:
+        raise StructureError("malformed band file: no bends")
     band = RuledBand(lam=lam, flat=flat, space=space)
     if max(np.abs(flat).max(), np.abs(space).max()) >= _COORD_LIMIT:
         raise StructureError("malformed band file: coordinates must lie below 2**510 "
@@ -634,6 +633,7 @@ def read_json(path) -> RuledBand:
             data = json.load(fh)
         except UnicodeDecodeError as exc:
             raise StructureError(f"band file is not UTF-8: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        # json's C scanner refuses nesting deeper than the recursion limit
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise StructureError(f"invalid JSON: {exc}") from exc
     return from_json_dict(data)

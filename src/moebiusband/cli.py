@@ -80,7 +80,8 @@ def _tolerances() -> ToleranceConfig:
             # an unknown key fails as an unexpected keyword of the constructor
             merged = vars(tol) | {key: float(v) for key, v in overrides.items()}
             tol = ToleranceConfig(**merged)
-        except (ValueError, TypeError) as exc:
+        # json refuses nesting deeper than the recursion limit
+        except (ValueError, TypeError, RecursionError) as exc:
             raise StructureError(f"bad MOEBIUS_TOL: {exc}") from exc
     return tol
 
@@ -229,9 +230,9 @@ def _cmd_bounds_sweep(args, tol: ToleranceConfig) -> int:
         report = {"grid": n, "seed": args.seed,
                   "lines": {name.split("[")[0]: {"passed": passed, **margins}
                             for name, passed, margins in lines}}
+        # one write: json.dump with an indent writes each of its chunks apart
         with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(report, indent=2) + "\n")
     return EXIT_PASS if all(passed for _, passed, _ in lines) else EXIT_FAIL
 
 

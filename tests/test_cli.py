@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import subprocess
@@ -81,6 +82,21 @@ MALFORMED_BANDS = {
     # unknown keys were ignored
     "unknown_key": _edited(lambda d: d.update({"colour": "red"})),
     "unknown_bend_key": _edited(lambda d: d["bends"][3].update({"weight": 1.0})),
+    # json.load raised RecursionError: a traceback
+    "deep_nesting": lambda data: "[" * 100_000,
+    # the coordinate count is kept, so only a per-bend shape check catches
+    # these; numpy reported each as an "inhomogeneous shape"
+    "flat_rows_of_3_and_1": _edited(
+        lambda d: d["bends"][3].update({"flat": [[*d["bends"][3]["flat"][0], 0.5], [1.0]]})),
+    "space_rows_of_2_and_4": _edited(
+        lambda d: d["bends"][3].update({"space": [d["bends"][3]["space"][0][:2],
+                                                  [d["bends"][3]["space"][0][2],
+                                                   *d["bends"][3]["space"][1]]]})),
+    "row_string": _edited(lambda d: d["bends"][3]["flat"].__setitem__(0, "ab")),
+    "row_object": _edited(lambda d: d["bends"][3]["flat"].__setitem__(0, {"x": 0.5, "y": 0.0})),
+    "flat_three_rows": _edited(
+        lambda d: d["bends"][3].update({"flat": [d["bends"][3]["flat"][0],
+                                                 *([x] for x in d["bends"][3]["flat"][1])]})),
 }
 
 
@@ -185,6 +201,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("case, message", [
         ("coordinate_null", "coordinates must be numbers, not null"),
         ("nan_coordinate", "band coordinates must be finite"),
+        ("coordinate_true", "bend 3 flat coordinates must be numbers, not true"),
+        ("flat_rows_of_3_and_1", "bend 3 flat must be two arrays of 2 numbers"),
     ])
     def test_malformed_coordinate_message(self, tri_file, tmp_path, case, message, capsys):
         path = tmp_path / "bad.json"
@@ -350,6 +368,15 @@ class TestBoundsReport:
         assert lines["curve-sweep"]["wiggle_min"] > 0.0
         assert lines["curve-sweep"]["graph_min"] >= -1e-12
 
+    def test_report_bytes(self, tmp_path):
+        report = tmp_path / "margins.json"
+        assert cli_main(["bounds-sweep", "--grid", "0", "--seed", "7",
+                         "--report", str(report)]) == 0
+        # the bytes that json.dump writes chunk by chunk, then a newline
+        want = io.StringIO()
+        json.dump(json.loads(report.read_text()), want, indent=2)
+        assert report.read_text() == want.getvalue() + "\n"
+
     def test_report_minima_follow_the_draws(self, tmp_path):
         # the sweeps draw from one generator, offset1 first, then the curves
         report = tmp_path / "margins.json"
@@ -458,6 +485,16 @@ class TestToleranceEnv:
         assert cli_main([a.format(out=out) for a in argv]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: bad MOEBIUS_TOL")
+        assert captured.out == "" and not out.exists()
+
+    def test_deep_nesting_exits_2(self, tmp_path, monkeypatch, capsys):
+        # json.loads raised RecursionError: a traceback
+        out = tmp_path / "band.json"
+        monkeypatch.setenv("MOEBIUS_TOL", "[" * 50_000)
+        assert cli_main(["build-triangular", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad MOEBIUS_TOL: ")
+        assert captured.err.count("\n") == 1
         assert captured.out == "" and not out.exists()
 
 

@@ -15,6 +15,9 @@ written out by hand, as the package had them before `flatmodel.glide`.
 The root segments of the T-pattern search are interpolated on the bends
 and their reversals stacked by hand, as the package did before it read
 them from `RuledBand.lifted`.
+`reference_from_json_dict` is the band file reader as it was before it
+checked each bend's shape itself: it let numpy find the shapes of the
+nested coordinate lists, then checked their types in a second pass.
 The package must give bitwise the same values and leave the random
 generator in the same state.
 `TestCliOutputs` and `TestSweepOutputs` swap every reference in at once and
@@ -22,8 +25,10 @@ compare the CLI's outputs; a later change that rewrites a stage for speed
 can add its old form here as a reference.
 """
 
+import copy
 import hashlib
 import io
+import json
 import math
 from contextlib import redirect_stdout
 
@@ -36,13 +41,17 @@ from moebiusband import bounds
 from moebiusband import tpattern as tpattern_mod
 from moebiusband import verify as verify_mod
 from moebiusband.band import (
+    FORMAT_VERSION,
     INCENTER,
     RuledBand,
     build_triangular,
     build_wrinkle,
     flip,
+    from_json_dict,
     interpolate_bend,
+    read_json,
     redevelop,
+    to_json_dict,
     transform,
     write_json,
 )
@@ -330,6 +339,42 @@ class ReferenceCurveGraphPair(bounds.CurveGraphPair):
 
 def reference_uniform(rng, low, high):
     return rng.uniform(low, high)
+
+
+def reference_from_json_dict(data: dict) -> RuledBand:
+    try:
+        version = data["format_version"]
+        lam = data["lambda"]
+        if isinstance(lam, bool) or not isinstance(lam, (int, float)):
+            raise TypeError(f"lambda must be a number, not {json.dumps(lam)}")
+        lam = float(lam)
+        closed = data.get("closed", True)
+        bends = data["bends"]
+        flat_rows = [b["flat"] for b in bends]
+        space_rows = [b["space"] for b in bends]
+        flat = np.array(flat_rows, dtype=float)
+        space = np.array(space_rows, dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise StructureError(f"malformed band file: {exc}") from exc
+    for what, keys, known in (("key", data.keys(), {"format_version", "lambda", "closed", "bends"}),
+                              ("bend key", set().union(*bends), {"flat", "space"})):
+        if unknown := sorted(keys - known):
+            raise StructureError(f"malformed band file: unknown {what} "
+                                 + ", ".join(map(repr, unknown)))
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise StructureError(f"unsupported format_version {version!r}")
+    if closed is not True:
+        raise StructureError(f"closed must be true, got {closed!r}")
+    if flat.ndim == space.ndim == 3 and (
+            not_numbers := [x for rows in (flat_rows, space_rows) for bend in rows for row in bend
+                            for x in row if type(x) not in (float, int)]):
+        raise StructureError("malformed band file: coordinates must be numbers, "
+                             f"not {json.dumps(not_numbers[0])}")
+    band = RuledBand(lam=lam, flat=flat, space=space)
+    if max(np.abs(flat).max(), np.abs(space).max()) >= 2.0 ** 510:
+        raise StructureError("malformed band file: coordinates must lie below 2**510 "
+                             "in magnitude, where squared lengths stay finite")
+    return band
 
 
 # ---------------------------------------------------------------------------
@@ -653,3 +698,86 @@ class TestSweepOutputs:
             patched.setattr(bounds, "_uniform", reference_uniform)
             want = run()
         assert got == want and got[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# The band file reader
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("posed", [False, True])
+@pytest.mark.parametrize("kind", COPIES)
+@pytest.mark.parametrize("name", BANDS)
+def test_read_json_equals_the_reference(bands, name, kind, posed, tmp_path):
+    """Band files written by `write_json` and by a compact json.dump."""
+    band = _copy(bands[name], name, kind, posed)
+    indented, compact = tmp_path / "indented.json", tmp_path / "compact.json"
+    write_json(band, indented)
+    with open(compact, "w") as fh:
+        json.dump(to_json_dict(band), fh)
+    for path in (indented, compact):
+        with open(path) as fh:
+            want = reference_from_json_dict(json.load(fh))
+        assert _same_band(read_json(path), want), path.name
+
+
+# what a mutation puts in place of a leaf, a row or a bend
+_REPLACEMENTS = ["0.5", "ab", True, False, None, {"x": 0.5, "y": 1.0}, [[0.5, 1.0]],
+                 1e308, 2 ** 70, 10 ** 400]
+# (level, bend, key, row, leaf, operation): the bend index is taken modulo
+# the bend count, the row and leaf indices modulo their lengths
+_MUTATION = st.tuples(st.sampled_from(["bend", "row", "leaf"]), st.integers(0, 10 ** 6),
+                      st.sampled_from(["flat", "space"]), st.integers(0, 3), st.integers(0, 3),
+                      st.sampled_from(["drop", "repeat", "empty", *_REPLACEMENTS]))
+
+
+def _mutate(data: dict, mutation) -> None:
+    """Replace, drop or repeat one bend, row or leaf of a band dict in
+    place, or empty its bends.  A mutation whose target an earlier one
+    replaced or removed does nothing."""
+    level, i, key, r, c, op = mutation
+    bends = data["bends"]
+    if op == "empty":
+        bends.clear()
+        return
+    container, index = bends, i
+    try:
+        if level != "bend":
+            container, index = bends[i % len(bends)][key], r
+        if level == "leaf":
+            container, index = container[r % len(container)], c
+    except (TypeError, KeyError, ZeroDivisionError):
+        return
+    if type(container) is not list or not container:
+        return
+    index %= len(container)
+    if op == "drop":
+        del container[index]
+    elif op == "repeat":
+        container.insert(index, copy.deepcopy(container[index]))
+    else:
+        container[index] = copy.deepcopy(op)
+
+
+def _read(reader, data: dict) -> RuledBand | None:
+    """The band a reader makes of a band dict, None where it raises
+    StructureError; any other exception propagates."""
+    try:
+        return reader(data)
+    except StructureError:
+        return None
+
+
+@given(st.sampled_from(BANDS), st.sampled_from(COPIES), st.booleans(),
+       st.lists(_MUTATION, min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_mutated_band_dicts_read_as_the_reference(bands, name, kind, posed, mutations):
+    """Both readers accept a mutated band dict with bitwise the same band,
+    or both raise StructureError."""
+    data = to_json_dict(_copy(bands[name], name, kind, posed))
+    for mutation in mutations:
+        _mutate(data, mutation)
+    got = _read(from_json_dict, copy.deepcopy(data))
+    want = _read(reference_from_json_dict, data)
+    assert (got is None) == (want is None)
+    assert got is None or _same_band(got, want)

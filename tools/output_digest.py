@@ -9,15 +9,23 @@ runs `build-triangular`, `build-wrinkle` (also at the ends of its range,
 1e-8 and 1e-2, whose bands it only builds), `validate`, `tpattern`, `verify`
 (all theorems and each `--theorem`, with `--report` and `--csv`),
 `bounds-sweep --grid 100 --seed 7 --report` and `sharpness-sweep`.  It
+also runs `validate`, `tpattern` and `verify` on each malformed band file
+of `tests/test_cli.py::MALFORMED_BANDS`, made from the triangular band and
+named `malformed-<case>.json`, so a changed error message shows.  It
 prints one line per stdout and stderr and per file a command wrote,
 
     <sha256> <stream or file> <exit code> <command line>
 
-and one per band copy it wrote itself, `<sha256> file=<name>`.
+and one per band copy it wrote itself, `<sha256> file=<name>`.  Where a
+command raises instead of returning, the exit code is the exception's
+name and the streams hold what it wrote before.
 
-Run it from the root of each checkout and compare the two listings:
+The malformed cases are read from the `tests` directory beside this
+script, so to compare two versions of the package on the same cases, run
+one copy of it with each version's `src` first on the path:
 
     PYTHONPATH=src python tools/output_digest.py > digest.txt
+    PYTHONPATH=../parent/src python tools/output_digest.py > parent-digest.txt
     diff parent-digest.txt digest.txt
 
 Every file goes to a fresh temporary directory and is named relative to it,
@@ -27,7 +35,9 @@ are in force.
 
 import hashlib
 import io
+import json
 import os
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -36,6 +46,9 @@ import numpy as np
 from moebiusband import cli
 from moebiusband.band import flip, read_json, redevelop, transform, write_json
 from moebiusband.geom import RigidMotion
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+from test_cli import MALFORMED_BANDS
 
 WRINKLE_EPS = ("1e-3", "1e-4", "1e-5")
 # built only, for build-wrinkle's printed line at the ends of its range
@@ -72,7 +85,10 @@ def _run(argv: list, files: tuple = ()) -> None:
             os.remove(name)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            code = type(exc).__name__
     line = " ".join(argv)
     print(f"{_sha(out.getvalue().encode())} stdout exit={code} {line}")
     print(f"{_sha(err.getvalue().encode())} stderr exit={code} {line}")
@@ -132,6 +148,13 @@ def main() -> None:
                             "--csv", "summary.csv"]
                     _run(argv + (["--theorem", theorem] if theorem else []),
                          ("report.json", "summary.csv"))
+            for case in sorted(MALFORMED_BANDS):
+                with open("tri.json") as fh:
+                    text = MALFORMED_BANDS[case](json.load(fh))
+                with open(f"malformed-{case}.json", "w") as fh:
+                    fh.write(text)
+                for command in ("validate", "tpattern", "verify"):
+                    _run([command, "--input", f"malformed-{case}.json"])
             _run(["bounds-sweep", "--grid", "100", "--seed", "7", "--report", "sweep.json"],
                  ("sweep.json",))
             _run(["sharpness-sweep", "--epsilons", ",".join(WRINKLE_EPS)])
