@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .band import APEX, BASE_L, BASE_R
-from .flatmodel import SQRT3, T_OPT
+from .flatmodel import T_OPT
 from .geom import Frozen, StructureError
 
 _EQ_SLOP = 1e-12  # slop for inequalities that close non-strictly in the limit
@@ -466,134 +466,101 @@ def curve_with_forced_deviation(rng: "np.random.Generator", eps: float) -> Curve
 
 
 # ---------------------------------------------------------------------------
-# Grid certifications
+# Closed-form certificates of the scalar lemmas
 # ---------------------------------------------------------------------------
 
-
-# grid points per block of a grid certificate: 64 KiB float64 arrays, below
-# glibc's 128 KiB mmap threshold, so each block is served from the heap and
-# no freed mapping raises that threshold
-GRID_BLOCK = 1 << 13
+# Each certificate imports fractions itself: with decimal it costs about
+# 2 ms of start-up, and only `bounds-sweep` needs it.
 
 
-def _index_blocks(start: int, stop: int):
-    """np.arange(start, stop) in consecutive blocks of at most GRID_BLOCK."""
-    for k0 in range(start, stop, GRID_BLOCK):
-        yield np.arange(k0, min(k0 + GRID_BLOCK, stop))
+def _rational_sqrt(q):
+    """The square root of the Fraction q, which must be the square of a
+    rational."""
+    from fractions import Fraction
+    root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+    if root * root != q:
+        raise ArithmeticError(f"{q} is not the square of a rational")
+    return root
 
 
-def _linspace_at(start: float, stop: float, num: int, k: np.ndarray) -> np.ndarray:
-    """np.linspace(start, stop, num)[k], bitwise, for an integer array k:
-    numpy takes k * ((stop - start) / (num - 1)) + start and sets the last
-    point to stop."""
-    v = k * ((stop - start) / max(num - 1, 1)) + start
-    v[k == num - 1] = stop
-    return v
+def hd_grid_certificate() -> dict:
+    """max(h, d) >= sqrt(3) on all of (0, 1), with equality at t = 1/sqrt(3)
+    alone.
 
-
-def hd_grid_certificate(n: int = 1_000_000) -> dict:
-    """max(h, d) >= sqrt(3) on a t-grid over (0, 1), minimized next to
-    t = 1/sqrt(3); h increasing and d decreasing by finite differences.
-
-    The grid t_k = k / (n + 1), k = 1..n, is bitwise the interior of
-    linspace(0, 1, n + 2); it is streamed in blocks of GRID_BLOCK points.
+    h' = 1 + t / sqrt(1 + t^2) > 0 and d' = t / sqrt(5 + t^2) - 1 < 0 for
+    every t, as |t| < sqrt(c + t^2) for c > 0.  So h increases, d decreases,
+    and max(h, d) has one minimum, where h = d.  With s = t^2 that crossing
+    is sqrt(1 + s) + 2 t = sqrt(5 + s); squaring (both sides positive) gives
+    t sqrt(1 + s) = 1 - s, and squaring again (1 - s >= 0) gives
+    s (1 + s) = (1 - s)^2, that is 3 s = 1.  At s = 1/3 the squares
+    h^2 = 1 + 2 s + 2 sqrt(s (1 + s)) and d^2 = 5 + 2 s - 2 sqrt(s (5 + s))
+    are rational, as sqrt(4/9) = 2/3 and sqrt(16/9) = 4/3, and both are 3.
     """
-    step = 1.0 / (n + 1)
-
-    def blocks():
-        for k in _index_blocks(1, n + 1):
-            t = k * step
-            tt = t * t
-            yield t, np.sqrt(1.0 + tt) + t, np.sqrt(5.0 + tt) - t
-
-    return _certify_blocks(blocks(), step)
-
-
-def _certify_blocks(blocks, step: float) -> dict:
-    """The certificate of `hd_grid_certificate` from consecutive (t, h, d)
-    blocks of a grid with spacing `step`, carrying the least value, its
-    first grid point, the least of the other values, and the last h and d
-    for the differences across blocks."""
-    best = others = math.inf
-    best_t = math.nan
-    h_last, d_last = -math.inf, math.inf
-    h_increasing = d_decreasing = True
-    for t, hv, dv in blocks:
-        # a - b > 0 exactly when a > b, so these are the signs of np.diff
-        h_increasing = h_increasing and bool(hv[0] > h_last and (hv[1:] > hv[:-1]).all())
-        d_decreasing = d_decreasing and bool(dv[0] < d_last and (dv[1:] < dv[:-1]).all())
-        h_last, d_last = hv[-1], dv[-1]
-        m = np.maximum(hv, dv)
-        i = int(np.argmin(m))
-        low = m[i]
-        m[i] = math.inf
-        if low < best:
-            others = min(best, m.min())
-            best, best_t = low, t[i]
-        else:
-            others = min(others, low)
+    from fractions import Fraction
+    s = Fraction(1, 3)
+    h_sq = 1 + 2 * s + 2 * _rational_sqrt(s * (1 + s))
+    d_sq = 5 + 2 * s - 2 * _rational_sqrt(s * (5 + s))
     return {
-        "min_value": float(best),
-        "argmin_t": float(best_t),
-        "argmin_near_t_opt": bool(abs(best_t - T_OPT) <= step * 1.000001),
-        "min_above_sqrt3": bool(best >= SQRT3 - 1e-12),
-        "others_strictly_above": bool(others > SQRT3 - 1e-12),
-        "h_increasing": h_increasing,
-        "d_decreasing": d_decreasing,
+        "min_value": math.sqrt(h_sq),
+        # 1 / sqrt(1 / s) rounds as T_OPT = 1 / sqrt(3) does
+        "argmin_t": 1.0 / math.sqrt(1 / s),
+        "crossing_at_t_opt": s * (1 + s) == (1 - s) ** 2 and s <= 1,
+        "min_is_sqrt3": h_sq == d_sq == 3,
     }
 
 
-def sq_grid_certificate(n_side: int = 100) -> dict:
-    """Margins of sq0: sqrt(L^2 + (13/4) eps) > L + eps for L < 3/2, and
-    sq1: sqrt(L^2 + (9/2) eps) > L + eps/2 for L < 3/sqrt(2), both for
-    0 < eps < 1/4, over the closed hypothesis rectangles; sq0 has its
-    single zero at the corner (3/2, 1/4).
+def sq_grid_certificate() -> dict:
+    """The square-root margins on their closed hypothesis rectangles:
+    sq0, sqrt(L^2 + 13 eps / 4) > L + eps for 0 <= L <= 3/2, and
+    sq1, sqrt(L^2 + 9 eps / 2) > L + eps / 2 for 0 <= L <= 3/sqrt(2), both
+    for 0 < eps <= 1/4.
 
-    The (L, eps) grid of each margin is the meshgrid of two linspaces of
-    n_side points, streamed in C order in blocks of GRID_BLOCK points,
-    carrying the least margins, the first grid point of the least sq0 and
-    the count of sq0's zeros."""
-    l1_max = 3.0 / math.sqrt(2.0)
-    min0 = min1 = math.inf
-    argmin0 = zeros = 0
-    for k in _index_blocks(0, n_side * n_side):
-        i, j = np.divmod(k, n_side)
-        e = _linspace_at(0.25 / n_side, 0.25, n_side, j)
-        l0 = _linspace_at(1.5 / n_side, 1.5, n_side, i)
-        m0 = np.sqrt(l0 * l0 + 3.25 * e) - (l0 + e)
-        l1 = _linspace_at(l1_max / n_side, l1_max, n_side, i)
-        m1 = np.sqrt(l1 * l1 + 4.5 * e) - (l1 + 0.5 * e)
-        a = int(np.argmin(m0))
-        if m0[a] < min0:
-            min0, argmin0 = m0[a], int(k[a])
-        min1 = min(min1, m1.min())
-        zeros += int(np.count_nonzero(np.abs(m0) <= 1e-12))
+    For eps > 0 both sides are positive, so squaring is exact, and dividing
+    by eps leaves affine margins: sq0 holds iff 13/4 - 2 L - eps > 0, sq1 iff
+    9/2 - L - eps/4 > 0.  An affine function on a rectangle takes its least
+    value at a corner, and there alone unless another corner ties it.
+    sq0's corners are rational: its least margin is exactly 0, at
+    (3/2, 1/4) alone, where the inequality closes with equality.  sq1 is
+    positive at a corner iff L^2 < (9/2 - eps/4)^2, which holds at all four
+    (L^2 = 0 or 9/2).  Its margin falls in L and eps, so its least value is
+    9/2 - 3/sqrt(2) - 1/16, about 2.316, at (3/sqrt(2), 1/4).
+    """
+    from fractions import Fraction
+    eps_ends = (Fraction(0), Fraction(1, 4))
+    sq0 = {(l, e): Fraction(13, 4) - 2 * l - e
+           for l in (Fraction(0), Fraction(3, 2)) for e in eps_ends}
+    min0 = min(sq0.values())
     return {
         "sq0_min": float(min0),
-        "sq0_nonnegative": bool(min0 >= -1e-12),
-        "sq0_zero_only_at_corner": zeros == 1 and argmin0 == n_side * n_side - 1,
-        "sq1_min": float(min1),
-        "sq1_strictly_positive": bool(min1 > 0.0),
-        "grid_points": n_side * n_side,
+        "sq0_nonnegative": min0 >= 0,
+        "sq0_zero_only_at_corner": [c for c, m in sq0.items() if m == 0] == [(1.5, 0.25)],
+        "sq1_min": 4.5 - 3.0 / math.sqrt(2.0) - 0.25 / 4,
+        "sq1_strictly_positive": all(l_sq < (Fraction(9, 2) - e / 4) ** 2
+                                     for l_sq in (0, Fraction(9, 2)) for e in eps_ends),
     }
 
 
 def derivative_anchors() -> dict:
-    """Central finite differences of h and d at 1/sqrt(3), step 1e-7, and
-    the slope bound |d/dt sqrt(1+t^2)| < 3/4 on (0, 1)."""
-    step = 1e-7
-    hp = (h(T_OPT + step) - h(T_OPT - step)) / (2.0 * step)
-    dp = (d(T_OPT + step) - d(T_OPT - step)) / (2.0 * step)
-    # the slopes on np.linspace(1e-6, 1 - 1e-6, 100_000), in blocks
-    top = -math.inf
-    for k in _index_blocks(0, 100_000):
-        t = _linspace_at(1e-6, 1.0 - 1e-6, 100_000, k)
-        top = max(top, (t / np.sqrt(1.0 + t * t)).max())
+    """The slopes h'(1/sqrt(3)) = 3/2 and d'(1/sqrt(3)) = -3/4, and the bound
+    |d/dt sqrt(1 + t^2)| < 3/4 on (0, 1), in closed form.
+
+    h' = 1 + t / sqrt(1 + t^2) and d' = t / sqrt(5 + t^2) - 1, where
+    t / sqrt(c + t^2) = sqrt(s / (c + s)) with s = t^2 = 1/3 is
+    sqrt(1/4) = 1/2 for c = 1 and sqrt(1/16) = 1/4 for c = 5.  The slope
+    t / sqrt(1 + t^2) of sqrt(1 + t^2) has derivative (1 + t^2)^(-3/2) > 0,
+    so its supremum on (0, 1) is its value 1/sqrt(2) at t = 1, below 3/4 as
+    1/2 < 9/16.
+    """
+    from fractions import Fraction
+    s = Fraction(1, 3)
+    hp = 1 + _rational_sqrt(s / (1 + s))
+    dp = _rational_sqrt(s / (5 + s)) - 1
+    sup_sq = Fraction(1, 2)   # t^2 / (1 + t^2) at t = 1
     return {
         "h_prime": float(hp),
         "d_prime": float(dp),
-        "h_prime_err": float(abs(hp - 1.5)),
-        "d_prime_err": float(abs(dp + 0.75)),
-        "max_abs_fprime": float(top),
-        "fprime_below_3_4": bool(top < 0.75),
+        "h_prime_err": float(abs(hp - Fraction(3, 2))),
+        "d_prime_err": float(abs(dp + Fraction(3, 4))),
+        "max_abs_fprime": 1.0 / math.sqrt(1 / sup_sq),
+        "fprime_below_3_4": sup_sq < Fraction(3, 4) ** 2,
     }

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from moebiusband import bounds
 from moebiusband.band import build_triangular, build_wrinkle
 from moebiusband.flatmodel import FlatTrapezoid
 from moebiusband.geom import RigidMotion, StructureError, point_segment_distance
@@ -119,3 +120,72 @@ def loop_hausdorff():
         return max(_samples_to_loop(densify_polyline(a, eta, closed=True), b),
                    _samples_to_loop(densify_polyline(b, eta, closed=True), a))
     return hausdorff
+
+
+# Grid references of the closed-form certificates in `bounds`: the scalar
+# lemmas sampled on grids, which the tests hold to the closed forms.
+
+def dense_hd_grid_certificate(n):
+    """max(h, d) on the n interior points of linspace(0, 1, n + 2): its least
+    value and first argmin, whether that argmin lies within one step of
+    1/sqrt(3), whether every value is at least sqrt(3) - 1e-12 and every other
+    value above it, and whether h increases and d decreases on the grid."""
+    t = np.linspace(0.0, 1.0, n + 2)[1:-1]
+    hv, dv = np.sqrt(1.0 + t * t) + t, np.sqrt(5.0 + t * t) - t
+    m = np.maximum(hv, dv)
+    i = int(np.argmin(m))
+    return {
+        "min_value": float(m[i]),
+        "argmin_t": float(t[i]),
+        "argmin_near_t_opt": bool(abs(t[i] - 1.0 / math.sqrt(3.0)) <= (t[1] - t[0]) * 1.000001),
+        "min_above_sqrt3": bool(m.min() >= math.sqrt(3.0) - 1e-12),
+        "others_strictly_above": bool(np.delete(m, i).min() > math.sqrt(3.0) - 1e-12),
+        "h_increasing": bool(np.all(np.diff(hv) > 0.0)),
+        "d_decreasing": bool(np.all(np.diff(dv) < 0.0)),
+    }
+
+
+def sq_margin_grids(n_side):
+    """The (L, eps) grids of the square-root margins, each the meshgrid of two
+    linspaces of n_side points: L for sq0 up to 3/2, L for sq1 up to
+    3/sqrt(2), and eps up to 1/4."""
+    es = np.linspace(0.25 / n_side, 0.25, n_side)
+    l1_max = 3.0 / math.sqrt(2.0)
+    l0, e = np.meshgrid(np.linspace(1.5 / n_side, 1.5, n_side), es, indexing="ij")
+    l1, _ = np.meshgrid(np.linspace(l1_max / n_side, l1_max, n_side), es, indexing="ij")
+    return l0, l1, e
+
+
+def sq_margins(l0, l1, e):
+    """The unsquared margins of sq0 and sq1 on their grids."""
+    return (np.sqrt(l0**2 + 3.25 * e) - (l0 + e),
+            np.sqrt(l1**2 + 4.5 * e) - (l1 + 0.5 * e))
+
+
+def dense_sq_grid_certificate(n_side):
+    """The square-root margins on their n_side by n_side grids: the least of
+    each, and whether sq0 is nonnegative with its one zero at the corner
+    (3/2, 1/4) and sq1 positive."""
+    m0, m1 = sq_margins(*sq_margin_grids(n_side))
+    i0 = np.unravel_index(int(np.argmin(m0)), m0.shape)
+    zero_mask = np.abs(m0) <= 1e-12
+    return {
+        "sq0_min": float(m0.min()),
+        "sq0_nonnegative": bool(m0.min() >= -1e-12),
+        "sq0_zero_only_at_corner": bool(zero_mask.sum() == 1 and i0 == (n_side - 1, n_side - 1)),
+        "sq1_min": float(m1.min()),
+        "sq1_strictly_positive": bool(m1.min() > 0.0),
+        "grid_points": int(m0.size),
+    }
+
+
+def dense_derivative_anchors():
+    """Central finite differences of h and d at 1/sqrt(3), step 1e-7, and the
+    largest slope t / sqrt(1 + t^2) on linspace(1e-6, 1 - 1e-6, 100_000)."""
+    t0, step = 1.0 / math.sqrt(3.0), 1e-7
+    t = np.linspace(1e-6, 1.0 - 1e-6, 100_000)
+    return {
+        "h_prime": (bounds.h(t0 + step) - bounds.h(t0 - step)) / (2.0 * step),
+        "d_prime": (bounds.d(t0 + step) - bounds.d(t0 - step)) / (2.0 * step),
+        "max_abs_fprime": float((t / np.sqrt(1.0 + t * t)).max()),
+    }

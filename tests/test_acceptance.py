@@ -29,7 +29,14 @@ from moebiusband.verify import (
     verify_eff2,
 )
 
-from conftest import boundary_loop, random_motion, scale_bend
+from conftest import (
+    boundary_loop,
+    dense_derivative_anchors,
+    dense_hd_grid_certificate,
+    dense_sq_grid_certificate,
+    random_motion,
+    scale_bend,
+)
 
 SQRT3 = math.sqrt(3.0)
 T0 = 1.0 / SQRT3
@@ -67,6 +74,10 @@ def test_criterion_1_anchor_identities():
     der = bounds.derivative_anchors()
     assert der["h_prime_err"] < 1e-6
     assert der["d_prime_err"] < 1e-6
+    # the closed-form slopes agree with central finite differences
+    fd = dense_derivative_anchors()
+    assert abs(fd["h_prime"] - der["h_prime"]) < 1e-6
+    assert abs(fd["d_prime"] - der["d_prime"]) < 1e-6
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(1, f"anchor identities and derivatives ({elapsed:.3f} s)")
@@ -74,18 +85,26 @@ def test_criterion_1_anchor_identities():
 
 def test_criterion_2_lemma_grids():
     t0 = time.perf_counter()
-    sq = bounds.sq_grid_certificate(100)
-    assert sq["grid_points"] == 10_000
+    # the lemmas in closed form on their whole domains, and sampled on grids
+    sq = bounds.sq_grid_certificate()
     assert sq["sq0_nonnegative"]
     assert sq["sq0_zero_only_at_corner"]
     assert sq["sq1_strictly_positive"]
-    cert = bounds.hd_grid_certificate(1_000_000)
-    assert cert["min_above_sqrt3"]
-    assert cert["argmin_near_t_opt"]
-    assert cert["others_strictly_above"]
+    sq_grid = dense_sq_grid_certificate(100)
+    assert sq_grid["grid_points"] == 10_000
+    assert sq_grid["sq0_nonnegative"]
+    assert sq_grid["sq0_zero_only_at_corner"]
+    assert sq_grid["sq1_strictly_positive"]
+    cert = bounds.hd_grid_certificate()
+    assert cert["min_is_sqrt3"]
+    assert cert["crossing_at_t_opt"]
+    grid = dense_hd_grid_certificate(1_000_000)
+    assert grid["min_above_sqrt3"]
+    assert grid["argmin_near_t_opt"]
+    assert grid["others_strictly_above"]
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
-    _report(2, f"square-root and aspect grids certified ({elapsed:.2f} s)")
+    _report(2, f"square-root and aspect lemmas certified ({elapsed:.2f} s)")
 
 
 def test_criterion_3_perturbation_sweeps():

@@ -2,8 +2,8 @@ import json
 import math
 import subprocess
 import sys
-import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +12,14 @@ from hypothesis import strategies as st
 
 from moebiusband import bounds, cli
 from moebiusband.geom import StructureError
+
+from conftest import (
+    dense_derivative_anchors,
+    dense_hd_grid_certificate,
+    dense_sq_grid_certificate,
+    sq_margin_grids,
+    sq_margins,
+)
 
 SQRT3 = math.sqrt(3.0)
 T0 = 1.0 / SQRT3
@@ -47,157 +55,64 @@ class TestClosedForms:
 
 class TestSquareRootMargins:
     def test_grid_certificate(self):
-        cert = bounds.sq_grid_certificate(100)
-        assert cert["grid_points"] == 10_000
+        cert = bounds.sq_grid_certificate()
         assert cert["sq0_nonnegative"]
         assert cert["sq0_zero_only_at_corner"]
         assert cert["sq1_strictly_positive"]
+        assert cert["sq0_min"] == 0.0
+        assert cert["sq1_min"] == 4.5 - 3 / math.sqrt(2) - 1 / 16
 
-    @pytest.mark.parametrize("n_side", [100, 317, 1000])
-    def test_streamed_equals_dense(self, n_side):
-        assert repr(bounds.sq_grid_certificate(n_side)) == repr(_dense_sq_grid_certificate(n_side))
-
-    @pytest.mark.parametrize("block", [7, 9_999, 10_000, 10_001, bounds.GRID_BLOCK])
-    def test_block_size_is_neutral(self, block, monkeypatch):
-        ref = repr(_dense_sq_grid_certificate(100))
-        monkeypatch.setattr(bounds, "GRID_BLOCK", block)
-        assert repr(bounds.sq_grid_certificate(100)) == ref
-
-
-def _dense_sq_grid_certificate(n_side):
-    """sq_grid_certificate on whole meshgrids, as it was computed before the
-    grid was streamed in blocks."""
-    ls0 = np.linspace(1.5 / n_side, 1.5, n_side)
-    es = np.linspace(0.25 / n_side, 0.25, n_side)
-    l_grid, e_grid = np.meshgrid(ls0, es, indexing="ij")
-    m0 = np.sqrt(l_grid**2 + 3.25 * e_grid) - (l_grid + e_grid)
-    ls1 = np.linspace((3.0 / math.sqrt(2.0)) / n_side, 3.0 / math.sqrt(2.0), n_side)
-    l1_grid, e1_grid = np.meshgrid(ls1, es, indexing="ij")
-    m1 = np.sqrt(l1_grid**2 + 4.5 * e1_grid) - (l1_grid + 0.5 * e1_grid)
-    i0 = np.unravel_index(int(np.argmin(m0)), m0.shape)
-    corner = (n_side - 1, n_side - 1)
-    zero_mask = np.abs(m0) <= 1e-12
-    return {
-        "sq0_min": float(m0.min()),
-        "sq0_nonnegative": bool(m0.min() >= -1e-12),
-        "sq0_zero_only_at_corner": bool(zero_mask.sum() == 1 and i0 == corner),
-        "sq1_min": float(m1.min()),
-        "sq1_strictly_positive": bool(m1.min() > 0.0),
-        "grid_points": int(m0.size),
-    }
-
-
-def _dense_derivative_anchors():
-    """derivative_anchors on the whole slope grid, as it was computed before
-    the grid was streamed in blocks."""
-    step = 1e-7
-    hp = (bounds.h(T0 + step) - bounds.h(T0 - step)) / (2.0 * step)
-    dp = (bounds.d(T0 + step) - bounds.d(T0 - step)) / (2.0 * step)
-    t = np.linspace(1e-6, 1.0 - 1e-6, 100_000)
-    fp = t / np.sqrt(1.0 + t * t)
-    return {
-        "h_prime": float(hp),
-        "d_prime": float(dp),
-        "h_prime_err": float(abs(hp - 1.5)),
-        "d_prime_err": float(abs(dp + 0.75)),
-        "max_abs_fprime": float(fp.max()),
-        "fprime_below_3_4": bool(fp.max() < 0.75),
-    }
+    @pytest.mark.parametrize("n_side", [100, 1000])
+    def test_grid_holds_to_the_closed_form(self, n_side):
+        # every grid point's reduced margin is at or above the certificate's
+        # least value and has the sign of the unsquared margin there
+        cert = bounds.sq_grid_certificate()
+        l0, l1, e = sq_margin_grids(n_side)
+        reduced0, reduced1 = 3.25 - 2.0 * l0 - e, 4.5 - l1 - e / 4
+        assert reduced0.min() >= cert["sq0_min"]
+        assert reduced1.min() >= cert["sq1_min"]
+        m0, m1 = sq_margins(l0, l1, e)
+        assert np.array_equal(np.sign(reduced0), np.sign(m0))
+        assert np.array_equal(np.sign(reduced1), np.sign(m1))
+        ref = dense_sq_grid_certificate(n_side)
+        assert ref["grid_points"] == n_side * n_side
+        assert ref["sq0_nonnegative"] and ref["sq0_zero_only_at_corner"]
+        assert ref["sq1_strictly_positive"]
 
 
 class TestDerivativeAnchors:
-    @pytest.mark.parametrize("block", [7, 99_999, 100_000, 100_001, bounds.GRID_BLOCK])
-    def test_streamed_equals_dense(self, block, monkeypatch):
-        ref = repr(_dense_derivative_anchors())
-        monkeypatch.setattr(bounds, "GRID_BLOCK", block)
-        assert repr(bounds.derivative_anchors()) == ref
+    def test_grid_holds_to_the_closed_form(self):
+        der, ref = bounds.derivative_anchors(), dense_derivative_anchors()
+        assert (der["h_prime"], der["d_prime"]) == (1.5, -0.75)
+        assert abs(ref["h_prime"] - der["h_prime"]) <= 1e-6
+        assert abs(ref["d_prime"] - der["d_prime"]) <= 1e-6
+        assert ref["max_abs_fprime"] <= der["max_abs_fprime"]
 
-    @pytest.mark.parametrize("start, stop, num", [(1e-6, 1.0 - 1e-6, 100_000), (0.0, 1.0, 7),
-                                                  (1.5 / 317, 1.5, 317), (0.25, 0.25, 1)])
-    def test_linspace_at_is_linspace(self, start, stop, num):
-        k = np.random.default_rng(num).permutation(num)
-        assert np.array_equal(bounds._linspace_at(start, stop, num, k),
-                              np.linspace(start, stop, num)[k])
-
-
-# each certificate streams its grid, so its traced peak does not grow with
-# the grid; the dense sq_grid_certificate(1000) peaked at about 54 MiB
-@pytest.mark.parametrize("certificate", [lambda: bounds.hd_grid_certificate(1_000_000),
-                                         bounds.derivative_anchors,
-                                         lambda: bounds.sq_grid_certificate(1000)])
-def test_certificate_traced_peak_is_bounded(certificate):
-    tracemalloc.start()
-    try:
-        certificate()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1 << 20
-
-
-def _dense_certificate(t, hv, dv):
-    """The certificate of hd_grid_certificate on whole arrays, as it was
-    computed before the grid was streamed in blocks."""
-    m = np.maximum(hv, dv)
-    i = int(np.argmin(m))
-    return {
-        "min_value": float(m[i]),
-        "argmin_t": float(t[i]),
-        "argmin_near_t_opt": bool(abs(t[i] - T0) <= (t[1] - t[0]) * 1.000001),
-        "min_above_sqrt3": bool(m.min() >= SQRT3 - 1e-12),
-        "others_strictly_above": bool(np.delete(m, i).min() > SQRT3 - 1e-12),
-        "h_increasing": bool(np.all(np.diff(hv) > 0.0)),
-        "d_decreasing": bool(np.all(np.diff(dv) < 0.0)),
-    }
-
-
-def _dense_hd_grid_certificate(n):
-    t = np.linspace(0.0, 1.0, n + 2)[1:-1]
-    return _dense_certificate(t, np.sqrt(1.0 + t * t) + t, np.sqrt(5.0 + t * t) - t)
+    def test_rational_sqrt(self):
+        assert bounds._rational_sqrt(Fraction(16, 9)) == Fraction(4, 3)
+        with pytest.raises(ArithmeticError):
+            bounds._rational_sqrt(Fraction(1, 2))
 
 
 class TestAspectGrid:
-    @pytest.mark.parametrize("n", [10_000, bounds.GRID_BLOCK - 1, bounds.GRID_BLOCK,
-                                   bounds.GRID_BLOCK + 1, 65_535, 65_536, 65_537, 1_000_000])
-    def test_streamed_equals_dense(self, n):
-        assert bounds.hd_grid_certificate(n) == _dense_hd_grid_certificate(n)
-
-    @pytest.mark.parametrize("block", [1, 2, 7, 64])
-    def test_block_size_is_neutral(self, block, monkeypatch):
-        # many block boundaries, one inside the run of values next to the minimum
-        ref = _dense_hd_grid_certificate(1000)
-        monkeypatch.setattr(bounds, "GRID_BLOCK", block)
-        assert bounds.hd_grid_certificate(1000) == ref
-
-    def test_blocks_carry_minimum_and_monotonicity(self):
-        # on the real grid the monotonicity flags and the least of the other
-        # values never change; here ties, plateaus and repeated minima fall
-        # on block boundaries
-        rng = np.random.default_rng(3)
-        levels = np.array([SQRT3 - 1e-9, SQRT3 - 1e-13, SQRT3, SQRT3 + 1e-3, 2.0])
-        seen = {"others_strictly_above": set(), "h_increasing": set(), "d_decreasing": set()}
-        for _ in range(400):
-            size = int(rng.integers(2, 30))
-            t = np.arange(size) * 0.05 + T0 - 0.5
-            hv, dv = rng.choice(levels, size), rng.choice(levels, size)
-            if rng.uniform() < 0.5:
-                hv.sort()
-                dv[::-1].sort()
-            cuts = np.sort(rng.choice(np.arange(1, size), rng.integers(0, size), replace=False))
-            blocks = zip(*(np.split(a, cuts) for a in (t, hv, dv)))
-            cert = bounds._certify_blocks(blocks, 0.05)
-            assert cert == _dense_certificate(t, hv, dv)
-            for key, values in seen.items():
-                values.add(cert[key])
-        assert all(values == {True, False} for values in seen.values())
+    @pytest.mark.parametrize("n", [10_000, 65_537])
+    def test_grid_holds_to_the_closed_form(self, n):
+        # every grid value is at or above sqrt(3) - 1e-12, and the grid's
+        # argmin lies within one step of the closed form's
+        cert, ref = bounds.hd_grid_certificate(), dense_hd_grid_certificate(n)
+        assert ref["min_value"] >= cert["min_value"] - 1e-12
+        assert abs(ref["argmin_t"] - cert["argmin_t"]) <= 1.000001 / (n + 1)
 
     def test_million_point_grid(self):
-        cert = bounds.hd_grid_certificate(1_000_000)
-        assert cert["min_above_sqrt3"]
-        assert cert["argmin_near_t_opt"]
-        assert cert["others_strictly_above"]
-        assert cert["h_increasing"]
-        assert cert["d_decreasing"]
+        cert = bounds.hd_grid_certificate()
+        assert cert["min_is_sqrt3"] and cert["crossing_at_t_opt"]
+        assert (cert["min_value"], cert["argmin_t"]) == (SQRT3, T0)
+        ref = dense_hd_grid_certificate(1_000_000)
+        assert ref["min_above_sqrt3"]
+        assert ref["argmin_near_t_opt"]
+        assert ref["others_strictly_above"]
+        assert ref["h_increasing"]
+        assert ref["d_decreasing"]
 
 
 class TestOffset1:

@@ -332,19 +332,54 @@ class TestDeterminism:
         assert "FAIL" not in res.stdout
 
 
+# every flag and error that `bounds-sweep` reads from the three certificates,
+# with a value that fails it, and the line it decides
+VERDICT_INPUTS = [
+    ("derivative_anchors", "h_prime_err", 1e-6, "derivative-anchors"),
+    ("derivative_anchors", "d_prime_err", 1e-6, "derivative-anchors"),
+    ("derivative_anchors", "fprime_below_3_4", False, "derivative-anchors"),
+    ("hd_grid_certificate", "min_is_sqrt3", False, "aspect-grid"),
+    ("hd_grid_certificate", "crossing_at_t_opt", False, "aspect-grid"),
+    ("sq_grid_certificate", "sq0_nonnegative", False, "sqrt-margins-grid"),
+    ("sq_grid_certificate", "sq0_zero_only_at_corner", False, "sqrt-margins-grid"),
+    ("sq_grid_certificate", "sq1_strictly_positive", False, "sqrt-margins-grid"),
+]
+# the report entries that no draw enters
+CERTIFICATE_LINES = ("anchor-identities", "derivative-anchors", "aspect-grid",
+                     "sqrt-margins-grid")
+
+
 class TestBoundsReport:
-    def test_aspect_grid_needs_a_unique_minimum(self, monkeypatch, capsys):
-        # a second grid point at the least value breaks the uniqueness half
-        # of the certificate, which the verdict once ignored
-        certificate = bounds.hd_grid_certificate
+    def test_verdict_inputs_cover_every_flag(self):
+        for name in {certificate for certificate, *_ in VERDICT_INPUTS}:
+            keys = {k for k, v in getattr(bounds, name)().items()
+                    if isinstance(v, bool) or k.endswith("_err")}
+            assert keys == {key for certificate, key, *_ in VERDICT_INPUTS if certificate == name}
 
-        def tied(n):
-            return certificate(n) | {"others_strictly_above": False}
-
-        monkeypatch.setattr(bounds, "hd_grid_certificate", tied)
+    @pytest.mark.parametrize("certificate, key, value, line", VERDICT_INPUTS,
+                             ids=[f"{c}-{k}" for c, k, *_ in VERDICT_INPUTS])
+    def test_each_verdict_input_takes_effect(self, certificate, key, value, line,
+                                             monkeypatch, capsys):
+        original = getattr(bounds, certificate)
+        monkeypatch.setattr(bounds, certificate, lambda: original() | {key: value})
         assert cli_main(["bounds-sweep", "--grid", "0", "--seed", "7"]) == 1
         out = capsys.readouterr().out
-        assert "aspect-grid: FAIL\n" in out and out.count("FAIL") == 1
+        assert f"{line}: FAIL\n" in out and out.count("FAIL") == 1
+
+    def test_report_certificate_entries(self, tmp_path):
+        # the certificates are closed forms: --grid sets only the draws
+        entries = []
+        for grid in ("0", "120", "1000"):
+            report = tmp_path / f"margins-{grid}.json"
+            assert cli_main(["bounds-sweep", "--grid", grid, "--seed", "7",
+                             "--report", str(report)]) == 0
+            lines = json.loads(report.read_text())["lines"]
+            entries.append(repr({name: lines[name] for name in CERTIFICATE_LINES}))
+        assert entries[0] == entries[1] == entries[2]
+        assert lines["aspect-grid"]["min_minus_sqrt3"] == 0.0
+        assert lines["sqrt-margins-grid"]["sq0_min"] == 0.0
+        assert lines["sqrt-margins-grid"]["sq1_min"] == 4.5 - 3 / math.sqrt(2) - 1 / 16
+        assert lines["derivative-anchors"]["max_abs_fprime"] == 1 / math.sqrt(2)
 
     def test_report_holds_least_margins(self, tmp_path, capsys):
         assert cli_main(["bounds-sweep", "--grid", "120", "--seed", "7"]) == 0
