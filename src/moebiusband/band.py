@@ -29,6 +29,7 @@ from .geom import (
     RigidMotion,
     StructureError,
     ToleranceConfig,
+    point_segment_distance,
     rotation_about_line,
 )
 from .flatmodel import SQRT3, T_OPT, glide
@@ -51,6 +52,11 @@ INCENTER = np.array([0.0, -1.0 / 3.0, 0.0])
 # 2.6e-8 of that at eps 1e-8, 2.6e-6 at 1e-10.
 WRINKLE_EPS_MIN = 1e-8
 WRINKLE_EPS_MAX = 1e-2
+
+# the largest n_per_fan build_triangular accepts.  The band has 3 n bends,
+# and find_tpattern's N x 2N sign matrix takes 144 MB at N = 3,000; at
+# 100,000,000 the process ran out of memory
+N_PER_FAN_MAX = 1000
 
 # reflections (about lines through the origin) used by the flat folding:
 # _REFL_L fixes the line through (-1/sqrt(3), 1), _REFL_R its mirror image.
@@ -248,8 +254,9 @@ def build_triangular(n_per_fan: int = 48) -> RuledBand:
     triangle base in the X-axis and the central bend of the middle fan maps
     onto the segment from the origin to (0, -1, 0).
     """
-    if n_per_fan < 4 or n_per_fan % 2:
-        raise StructureError("n_per_fan must be an even integer >= 4")
+    if not 4 <= n_per_fan <= N_PER_FAN_MAX or n_per_fan % 2:
+        raise StructureError(f"n_per_fan must be an even integer in [4, {N_PER_FAN_MAX}], "
+                             f"not {n_per_fan}")
     n = n_per_fan
     fan_l, fan_r = _outer_fans(n, 0.0)
     # middle fan: bends from the bottom vertex to the top edge
@@ -423,56 +430,38 @@ def surface_triangles(band: RuledBand) -> np.ndarray:
 
 
 def points_to_triangles_distance(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Exact distance from each point to the nearest of the given triangles.
+    """Exact distance from each point to the nearest of the given solid
+    triangles, which must lie in the plane z = 0.
 
-    The distance to a triangle is its plane distance |p.n - a.n| / |n| where
-    the point lies on the inner side of all three edge lines and in no
-    vertex region (Ericson, "Real-Time Collision Detection", 5.1.5),
-    otherwise the distance to the nearest edge.  Both tests allow 1e-12: a
-    point that far outside an edge line, or past the edges at a vertex,
-    still counts as inside, so a point on an edge reads the plane distance.
-    A triangle with n = 0 has edge distances only.  Edge distances are
-    taken from the differences p - a, so nothing cancels near 0.
+    For a point p it is hypot(d_xy, p_z), with d_xy the planar distance from
+    p's xy to the triangle: 0 where the xy lies on the inner side of all
+    three edge lines, whatever the triangle's orientation, or within 1e-12
+    of an edge, so that a point on an edge reads 0 through rounding;
+    elsewhere the distance to the nearest edge.  The slop is measured from
+    the edges, not from the edge lines, which beyond the tip of a sliver
+    meet far outside it.  A triangle of zero area has edge distances only.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     tris = np.asarray(tris, dtype=float)
-    k = len(tris)
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    nrm = np.cross(b - a, c - a)
-    n_len = np.sqrt(np.einsum("ij,ij->i", nrm, nrm))
-    a_n = np.einsum("ij,ij->i", a, nrm)
-
-    # edge e runs from e_a to e_a + e_v; it leaves vertex e and enters the next
-    e_a = np.concatenate([a, b, c], axis=0)
-    e_v = np.concatenate([b - a, c - b, a - c], axis=0)
-    e_vv = np.einsum("ij,ij->i", e_v, e_v)
-    # (p - e_a).e_v past which p lies beyond either end by more than 1e-12
-    before, after = -1e-12 * np.sqrt(e_vv), e_vv + 1e-12 * np.sqrt(e_vv)
-    # (p - e_a).(n x e_v) / |n x e_v| is how far p lies inside edge e's line
-    inward = np.cross(nrm, e_v.reshape(3, k, 3)).reshape(-1, 3)
-    a_in = np.einsum("ij,ij->i", e_a, inward)
-    slop = -1e-12 * np.sqrt(np.einsum("ij,ij->i", inward, inward))
-
-    # nearest point on each edge: p - (e_a + t e_v), t clipped to [0, 1]
-    d = [pts[:, i, None] - e_a[:, i] for i in range(3)]
-    t = d[0] * e_v[:, 0] + d[1] * e_v[:, 1] + d[2] * e_v[:, 2]
-    # the vertex region of vertex e: before edge e and after the edge
-    # entering it.  Its test has no normal in it, so it holds on
-    # slivers, where the edge-line tests would pass points beyond a tip
-    enter = t > after
-    corner = (t < before) & np.concatenate([enter[:, 2 * k:], enter[:, :2 * k]], axis=1)
-    inner = (pts @ inward.T - a_in >= slop) & ~corner
-    # on a zero-length edge t is left at its dot product, 0
-    np.divide(t, e_vv, out=t, where=e_vv > 0.0)
-    np.clip(t, 0.0, 1.0, out=t)
-    for i in range(3):
-        d[i] -= t * e_v[:, i]
-        d[i] *= d[i]
-    d_edge = np.sqrt((d[0] + d[1] + d[2]).min(axis=1))
-    inside = inner[:, :k] & inner[:, k:2 * k] & inner[:, 2 * k:] & (n_len > 0.0)
-    d_plane = np.divide(np.abs(pts @ nrm.T - a_n), n_len, out=np.full(inside.shape, np.inf),
-                        where=inside)
-    return np.minimum(d_edge, d_plane.min(axis=1))
+    if (tris[..., 2] != 0.0).any():
+        raise StructureError("points_to_triangles_distance takes triangles in the plane z = 0")
+    # edge e of a triangle runs from its vertex e to the next, by v, and
+    # each point is taken relative to both its ends: (n, k, 3, 2)
+    a = tris[:, :, :2]
+    b = np.roll(a, -1, axis=1)
+    v = b - a
+    start, end = (pts[:, None, None, :2] - x for x in (a, b))
+    d_xy = point_segment_distance(start, np.zeros(2), v).min(axis=2)
+    # the side of each edge line the point lies on, from the edge's nearer
+    # end: it rounds by u times the distance from that end, so a point past
+    # the tip of a sliver is not read inside; twice the area, from vertex 0
+    nearer = np.einsum("...i,...i", start, start) <= np.einsum("...i,...i", end, end)
+    near = np.where(nearer[..., None], start, end)
+    side = near[..., 0] * v[..., 1] - near[..., 1] * v[..., 0]
+    area = v[:, 2, 0] * v[:, 0, 1] - v[:, 2, 1] * v[:, 0, 0]
+    inside = (side >= 0.0).all(axis=2) | (side <= 0.0).all(axis=2) | (d_xy <= 1e-12)
+    d_xy[inside & (area != 0.0)] = 0.0
+    return np.hypot(d_xy.min(axis=1), pts[:, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -550,16 +539,13 @@ def interpolate_bend(band: RuledBand, p: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def to_json_dict(band: RuledBand) -> dict:
-    mids = 0.5 * (band.flat[:, 0, 0] + band.flat[:, 1, 0])
-    j = int(np.argmin(mids))
-    out = band if j == 0 else redevelop(band, j)
     return {
         "format_version": FORMAT_VERSION,
-        "lambda": out.lam,
+        "lambda": band.lam,
         "closed": True,
         "bends": [
             {"flat": bf.tolist(), "space": bs.tolist()}
-            for bf, bs in zip(out.flat, out.space)
+            for bf, bs in zip(band.flat, band.space)
         ],
     }
 

@@ -318,7 +318,8 @@ class PipelineState(Frozen):
     def band_to_triangle(self) -> float:
         """Exact distance from the band to the solid canonical triangle.
         Distance to a convex set is convex, so its maximum over each ruled
-        patch sits at a vertex: the maximum over the bend endpoints."""
+        patch sits at a vertex: the maximum over the bend endpoints of
+        hypot(d_xy, z), the triangle lying in z = 0."""
         ends = self.developed.space.reshape(-1, 3)
         return float(points_to_triangles_distance(ends, CANONICAL_TRIANGLE[None]).max())
 
@@ -349,7 +350,8 @@ class PipelineState(Frozen):
 
         Where `_flat_layer_covers` certifies the flat patches, every point
         of the triangle lies within hypot(2 _RIM, _FLAT_Z) = 2.2e-13 of the
-        band, below the exact kernel's slop of 1e-12, and this reads 0.0.
+        band, below the 1e-12 slop of `points_to_triangles_distance`, and
+        this reads 0.0.
 
         Otherwise, with a = annulus_max < 1/3 and the winding about the
         incenter +-1, it reads 2 a + max|z| over the bend endpoints.  A
@@ -473,7 +475,8 @@ def verify_eff(state: PipelineState) -> TheoremReport:
 _FLAT_Z = 1e-13
 # how far the remaining edges of a certified flat layer may lie from the
 # triangle's edge lines: every point of the triangle then lies within
-# hypot(2 _RIM, _FLAT_Z) = 2.2e-13 of the band, below the kernel's 1e-12 slop
+# hypot(2 _RIM, _FLAT_Z) = 2.2e-13 of the band, below the 1e-12 slop of
+# points_to_triangles_distance, which reads band_to_triangle
 _RIM = 9.8e-14
 # the xy corners of CANONICAL_TRIANGLE, each edge running from a corner to
 # the next; the unit normals of the edge lines, and their offsets: a point p

@@ -63,6 +63,61 @@ def scale_bend(band, index: int, factor: float):
     return replace(band, space=space)
 
 
+def reference_triangles_distance(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Distance from each point to the nearest of the given triangles, in
+    any position in R^3: the general kernel that `band.points_to_triangles_distance`
+    was before it took triangles in z = 0 alone, kept as the tests' reference.
+
+    The distance to a triangle is its plane distance |p.n - a.n| / |n| where
+    the point lies on the inner side of all three edge lines and in no
+    vertex region (Ericson, "Real-Time Collision Detection", 5.1.5),
+    otherwise the distance to the nearest edge.  Both tests allow 1e-12: a
+    point that far outside an edge line, or past the edges at a vertex,
+    still counts as inside, so a point on an edge reads the plane distance.
+    A triangle with n = 0 has edge distances only.  Edge distances are
+    taken from the differences p - a, so nothing cancels near 0.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    tris = np.asarray(tris, dtype=float)
+    k = len(tris)
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    nrm = np.cross(b - a, c - a)
+    n_len = np.sqrt(np.einsum("ij,ij->i", nrm, nrm))
+    a_n = np.einsum("ij,ij->i", a, nrm)
+
+    # edge e runs from e_a to e_a + e_v; it leaves vertex e and enters the next
+    e_a = np.concatenate([a, b, c], axis=0)
+    e_v = np.concatenate([b - a, c - b, a - c], axis=0)
+    e_vv = np.einsum("ij,ij->i", e_v, e_v)
+    # (p - e_a).e_v past which p lies beyond either end by more than 1e-12
+    before, after = -1e-12 * np.sqrt(e_vv), e_vv + 1e-12 * np.sqrt(e_vv)
+    # (p - e_a).(n x e_v) / |n x e_v| is how far p lies inside edge e's line
+    inward = np.cross(nrm, e_v.reshape(3, k, 3)).reshape(-1, 3)
+    a_in = np.einsum("ij,ij->i", e_a, inward)
+    slop = -1e-12 * np.sqrt(np.einsum("ij,ij->i", inward, inward))
+
+    # nearest point on each edge: p - (e_a + t e_v), t clipped to [0, 1]
+    d = [pts[:, i, None] - e_a[:, i] for i in range(3)]
+    t = d[0] * e_v[:, 0] + d[1] * e_v[:, 1] + d[2] * e_v[:, 2]
+    # the vertex region of vertex e: before edge e and after the edge
+    # entering it.  Its test has no normal in it, so it holds on
+    # slivers, where the edge-line tests would pass points beyond a tip
+    enter = t > after
+    corner = (t < before) & np.concatenate([enter[:, 2 * k:], enter[:, :2 * k]], axis=1)
+    inner = (pts @ inward.T - a_in >= slop) & ~corner
+    # on a zero-length edge t is left at its dot product, 0
+    np.divide(t, e_vv, out=t, where=e_vv > 0.0)
+    np.clip(t, 0.0, 1.0, out=t)
+    for i in range(3):
+        d[i] -= t * e_v[:, i]
+        d[i] *= d[i]
+    d_edge = np.sqrt((d[0] + d[1] + d[2]).min(axis=1))
+    inside = inner[:, :k] & inner[:, k:2 * k] & inner[:, 2 * k:] & (n_len > 0.0)
+    d_plane = np.divide(np.abs(pts @ nrm.T - a_n), n_len, out=np.full(inside.shape, np.inf),
+                        where=inside)
+    return np.minimum(d_edge, d_plane.min(axis=1))
+
+
 def random_motion(rng: np.random.Generator, scale: float = 1.0) -> RigidMotion:
     """Haar-ish random proper rotation plus a bounded random translation."""
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from moebiusband import band as band_mod
 from moebiusband import bounds
 from moebiusband import cli as cli_mod
 from moebiusband import tpattern as tpattern_mod
@@ -248,6 +249,21 @@ class TestExitCodes:
         for eps in ("1e-8", "1e-7"):
             assert cli_main(["build-wrinkle", "--epsilon", eps, "-o", str(out)]) == 0
             assert cli_main(["validate", "--input", str(out)]) == 0
+
+    @pytest.mark.parametrize("value", ["2", "7", "1002", "100000000"])
+    def test_bends_per_fan_out_of_range_exits_2(self, value, tmp_path, monkeypatch, capsys):
+        # 100,000,000 ran out of memory, killed with no message
+        monkeypatch.setattr(band_mod, "_outer_fans", lambda *a: pytest.fail("band built"))
+        out = tmp_path / "x.json"
+        assert cli_main(["build-triangular", "--bends-per-fan", value, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: n_per_fan must be an even integer in [4, 1000], not {value}\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_bends_per_fan_at_maximum_builds(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert cli_main(["build-triangular", "--bends-per-fan", "1000", "-o", str(out)]) == 0
+        assert "(3000 bends," in capsys.readouterr().out
 
     def test_sharpness_sweep_below_floor_exits_2(self, capsys):
         assert cli_main(["sharpness-sweep", "--epsilons", "1e-3,1e-9"]) == 2

@@ -15,7 +15,6 @@ from moebiusband.band import (
     INCENTER,
     build_wrinkle,
     flip,
-    points_to_triangles_distance,
     redevelop,
     surface_triangles,
     transform,
@@ -44,6 +43,7 @@ from conftest import (
     densify_polyline,
     midline_trapezoid,
     random_motion,
+    reference_triangles_distance,
     replace,
     scale_bend,
 )
@@ -134,7 +134,7 @@ def _canonical_lattice(pitch=2e-2):
 def _dense_triangle_to_band(patches, pitch=2e-2):
     """Largest distance from the lattice to the patches: a lower bound on
     the supremum over the triangle."""
-    return float(points_to_triangles_distance(_canonical_lattice(pitch)[0], patches).max())
+    return float(reference_triangles_distance(_canonical_lattice(pitch)[0], patches).max())
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +157,7 @@ class TestCoverage:
     def test_c_grid_is_the_shrunk_triangle(self, name, band_states):
         # eff2 reads no point of the shrunk triangle C: where the annulus
         # and winding premises hold, C is covered.  Check that against the
-        # exact kernel on the xy-projected patches, at the lattice points of
+        # reference kernel on the xy-projected patches, at the lattice points of
         # C, on the band and on perturbations of its bend endpoints
         band, state = band_states[name]
         d6 = 6.0 * math.sqrt(measured_eps(band))
@@ -194,7 +194,7 @@ class TestCoverage:
             premises[perturb] = moved.annulus_max <= d6 and moved.winding in (-1, 1)
             if premises[perturb]:
                 projected = moved.patches * [1.0, 1.0, 0.0]
-                assert (points_to_triangles_distance(points[sample], projected) <= 1e-12).all(), perturb
+                assert (reference_triangles_distance(points[sample], projected) <= 1e-12).all(), perturb
             else:
                 # eff2 fails and names the failed premise instead
                 rep = verify_eff2(moved)
@@ -267,7 +267,7 @@ class TestSharedGeometry:
         eff2 = verify_eff2(state).measured
         cor = verify_corollary(state).measured
         ends = state.developed.space.reshape(-1, 3)
-        endpoint_max = float(points_to_triangles_distance(ends, CANONICAL_TRIANGLE[None]).max())
+        endpoint_max = float(reference_triangles_distance(ends, CANONICAL_TRIANGLE[None]).max())
         assert eff2["containment_max"] == cor["band_to_triangle"] == endpoint_max
         dense = _dense_triangle_to_band(surface_triangles(state.developed))
         assert eff2["triangle_coverage_max"] == cor["triangle_to_band"] == dense
@@ -521,8 +521,8 @@ class TestPoseInvariance:
     @pytest.mark.parametrize("name", BAND_NAMES)
     def test_posed_band_settles_every_point(self, name, proper, band_states, monkeypatch):
         # pose normalization leaves the flat patches within _FLAT_Z of z = 0,
-        # so the flat layer certifies the coverage and the exact kernel runs
-        # on no point of the triangle
+        # so the flat layer certifies the coverage and the point-to-triangle
+        # distance runs on no point of the triangle
         band, state = band_states[name]
         motion = random_motion(np.random.default_rng(17), scale=1.5)
         if not proper:
@@ -530,8 +530,9 @@ class TestPoseInvariance:
         moved = transform(band, motion)
         posed = prepare(moved)
         base = [r.passed for r in (verify_eff(state), verify_eff2(state), verify_corollary(state))]
-        # band_to_triangle reads the bend endpoints with the exact kernel;
-        # count only what triangle_to_band asks of it
+        # band_to_triangle reads the bend endpoints with the closed form
+        # against the canonical triangle; count only what triangle_to_band
+        # asks of it
         posed.band_to_triangle
         kernel_calls = []
         monkeypatch.setattr(verify_mod, "points_to_triangles_distance",

@@ -18,7 +18,14 @@ prints one line per stdout and stderr and per file a command wrote,
 
 and one per band copy it wrote itself, `<sha256> file=<name>`.  Where a
 command raises instead of returning, the exit code is the exception's
-name and the streams hold what it wrote before.
+name and the streams hold what it wrote before.  The first line names the
+numpy and Python versions, since the digests depend on numpy's rounding.
+
+`output_digest.txt` beside this script is the listing of the committed
+package, and `tests/test_output_digest.py` compares the current outputs
+with it.  After a deliberate output change, regenerate it with
+
+    PYTHONPATH=src python tools/output_digest.py > tools/output_digest.txt
 
 The malformed cases are read from the `tests` directory beside this
 script, so to compare two versions of the package on the same cases, run
@@ -37,6 +44,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -126,8 +134,14 @@ def _copies(name: str) -> list:
     return list(copies)
 
 
+def header() -> str:
+    """The listing's first line: the versions its digests were made with."""
+    return f"# numpy {np.__version__}, Python {platform.python_version()}"
+
+
 def main() -> None:
     os.environ.pop("MOEBIUS_TOL", None)
+    print(header())
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
