@@ -88,11 +88,7 @@ class RuledBand(Frozen):
             raise StructureError("band coordinates must be finite")
         if not (lam > 0.0 and math.isfinite(lam)):
             raise StructureError("aspect ratio must be positive")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "space", space)
-        flat.setflags(write=False)
-        space.setflags(write=False)
+        self._store(lam=lam, flat=flat, space=space)
 
     @property
     def n_bends(self) -> int:
@@ -527,8 +523,6 @@ def interpolate_bend(band: RuledBand, p: float) -> tuple[np.ndarray, np.ndarray]
         raise StructureError("bend parameter out of range")
     i = int(math.floor(p))
     f = p - i
-    if i >= n:
-        i, f = n - 1, 1.0
     flat, space = band.lifted
     return leaf_between(flat[i], flat[i + 1], f), leaf_between(space[i], space[i + 1], f)
 

@@ -76,14 +76,14 @@ def g(y: float) -> float:
 
 class PerturbedTriangle(Frozen):
     """Triangle with horizontal base p1-p2 and bottom vertex q, compared
-    against its isosceles twin q_star (same base and height, apex over the
-    base midpoint).  q_star, its offset delta from q and the twin's slanted
-    length vee_star are computed once, on construction."""
+    against its isosceles twin (same base and height, apex q_star over the
+    base midpoint).  The offset delta of q from q_star and the twin's
+    slanted length vee_star are computed once, on construction; p1, p2
+    and q are read-only, so they cannot drift from them."""
 
     p1: np.ndarray
     p2: np.ndarray
     q: np.ndarray
-    q_star: np.ndarray
     delta: float
     vee_star: float
 
@@ -95,15 +95,9 @@ class PerturbedTriangle(Frozen):
             raise StructureError("base must be horizontal")
         if abs(q[1] - p1[1]) < 1e-15:
             raise StructureError("degenerate triangle: zero height")
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
-        object.__setattr__(self, "q", q)
         q_star = np.array([0.5 * (p1[0] + p2[0]), q[1]])
-        q_star.setflags(write=False)
-        object.__setattr__(self, "q_star", q_star)
-        object.__setattr__(self, "delta", abs(float(q[0] - q_star[0])))
-        object.__setattr__(self, "vee_star",
-                           float(np.linalg.norm(p1 - q_star) + np.linalg.norm(p2 - q_star)))
+        self._store(p1=p1, p2=p2, q=q, delta=abs(float(q[0] - q_star[0])),
+                    vee_star=float(np.linalg.norm(p1 - q_star) + np.linalg.norm(p2 - q_star)))
 
     @property
     def height(self) -> float:
@@ -177,7 +171,6 @@ class CurveGraphPair(Frozen):
     """
 
     samples: np.ndarray
-    speed_tol: float
     domain_length: float
     _steps: np.ndarray
     _chord: np.ndarray
@@ -190,9 +183,6 @@ class CurveGraphPair(Frozen):
             raise StructureError("need (n, 3) curve samples with n >= 2")
         if not np.isfinite(s).all():
             raise StructureError("non-finite curve samples")
-        object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "speed_tol", speed_tol)
-        s.setflags(write=False)
         n, rows = len(s), s.T
         w0, w1 = _chord_weights(n)
         chord = rows[:, :1] * w0 + rows[:, -1:] * w1
@@ -212,20 +202,13 @@ class CurveGraphPair(Frozen):
                  if length > 0.0 else math.nan)
         if not resid <= speed_tol:
             raise StructureError(f"samples are not unit speed (max |speed-1| = {resid:.3e})")
-        steps.setflags(write=False)
-        chord.setflags(write=False)
-        object.__setattr__(self, "domain_length", length)
-        object.__setattr__(self, "_steps", steps)
-        object.__setattr__(self, "_chord", chord)
-        object.__setattr__(self, "_chord_length", float(np.linalg.norm(s[-1] - s[0])))
-        object.__setattr__(self, "_deviation", float(norms[n - 1:].max()))
+        self._store(samples=s, domain_length=length, _steps=steps, _chord=chord,
+                    _chord_length=float(np.linalg.norm(s[-1] - s[0])),
+                    _deviation=float(norms[n - 1:].max()))
 
     @property
     def n(self) -> int:
         return len(self.samples)
-
-    def curve_length(self) -> float:
-        return self.domain_length
 
     def chord_length(self) -> float:
         return self._chord_length
@@ -248,7 +231,7 @@ def graph_check(cg: CurveGraphPair) -> MarginReport:
     """Graph comparison: len(G*) <= len(G) <= 3 sqrt(2), and the graph gap
     is bounded by the curve-vs-chord gap."""
     len_g, len_gs = cg.graph_lengths()
-    len_c, len_ch = cg.curve_length(), cg.chord_length()
+    len_c, len_ch = cg.domain_length, cg.chord_length()
     hyp = {"domain<3": cg.domain_length < 3.0}
     rep = _report(
         "graph", hyp,
@@ -279,7 +262,7 @@ def wiggle_check(cg: CurveGraphPair, eps: float) -> MarginReport:
         "deviation>=3sqrt(eps)": dev >= 3.0 * math.sqrt(eps) - 1e-15,
     }
     return _report(
-        "wiggle", hyp, cg.curve_length(), cg.chord_length() + eps,
+        "wiggle", hyp, cg.domain_length, cg.chord_length() + eps,
         details={"sup_deviation": dev},
     )
 

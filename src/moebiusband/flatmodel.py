@@ -67,15 +67,7 @@ class FlatTrapezoid(Frozen):
             raise StructureError("u outside the top side")
         if not (-1e-9 < v[0] < lam + t + 1e-9):
             raise StructureError("v outside the bottom side")
-        for name, val in (("u", u), ("v", v)):
-            if not np.isfinite(val).all():
-                raise StructureError(f"non-finite vertex {name}")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        u.setflags(write=False)
-        v.setflags(write=False)
+        self._store(lam=lam, t=t, u=u, v=v)
 
     def len_h(self) -> float:
         return self.lam - self.t

@@ -17,10 +17,18 @@ class StructureError(ValueError):
 
 class Frozen:
     """Base of the package's value types that are plain classes.  Their
-    `__init__` sets each field once through object.__setattr__; after that,
-    assigning or deleting any attribute raises AttributeError."""
+    `__init__` checks its arguments and stores every field in one call to
+    `_store`, which makes each ndarray field read-only, the caller's array
+    too where the field is that array; after that, assigning or deleting
+    any attribute raises AttributeError."""
 
     __slots__ = ()
+
+    def _store(self, **fields) -> None:
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -43,9 +51,8 @@ class ToleranceConfig(Frozen):
 
     def __init__(self, isometry: float = 1e-9, root_residual: float = 1e-8,
                  winding_residual: float = 1e-6):
-        object.__setattr__(self, "isometry", isometry)
-        object.__setattr__(self, "root_residual", root_residual)
-        object.__setattr__(self, "winding_residual", winding_residual)
+        self._store(isometry=isometry, root_residual=root_residual,
+                    winding_residual=winding_residual)
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -117,10 +124,7 @@ class RigidMotion(Frozen):
             raise StructureError("RigidMotion coordinates must be finite")
         if np.abs(r @ r.T - np.eye(3)).max() > 1e-9:
             raise StructureError("rotation block is not orthogonal")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
-        r.setflags(write=False)
-        t.setflags(write=False)
+        self._store(rotation=r, translation=t)
 
     def apply(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)

@@ -298,10 +298,7 @@ class PipelineState(Frozen):
 
     def __init__(self, pattern: TPattern, trapezoid: FlatTrapezoid, developed: RuledBand,
                  tol: ToleranceConfig):
-        object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "trapezoid", trapezoid)
-        object.__setattr__(self, "developed", developed)
-        object.__setattr__(self, "tol", tol)
+        self._store(pattern=pattern, trapezoid=trapezoid, developed=developed, tol=tol)
 
     @cached_property
     def boundary(self) -> tuple[_Chain, _Chain]:

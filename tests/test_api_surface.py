@@ -3,10 +3,13 @@ public function, class or method in `src/moebiusband` is named somewhere in
 the package's own modules or in the benchmark tracer, which replaces package
 functions by name.  A helper that only tests use belongs in the tests.
 
-Likewise every field annotated in a class body, of a NamedTuple record or
-of a plain value class, is named somewhere other than in its definition or
-in the `object.__setattr__` that stores it.  The rule goes by name, so it
-cannot see a field that shares its name with a field read on another
+Likewise every field annotated in a class body is read somewhere.  A field
+of a `Frozen` value type must be read as an attribute, `x.field`: a local
+or parameter of the same name, such as the one its constructor stores,
+does not count.  A field of a NamedTuple record may be named anywhere
+other than in its definition, since records are also read through
+`getattr` with the name as a string.  Either rule goes by name,
+so it cannot see a field that shares its name with a field read on another
 class: a write-only `details` on one report would pass while another
 report's `details` is read."""
 
@@ -31,8 +34,10 @@ def _definitions(tree):
 
 
 def _fields(tree):
-    """The annotated fields in the class bodies of a module, with lines."""
-    return [(f"{node.name}.{item.target.id}", item.target.id, item.lineno)
+    """The annotated fields in the class bodies of a module, with lines, and
+    whether their class derives from `Frozen`."""
+    return [(f"{node.name}.{item.target.id}", item.target.id, item.lineno,
+             any(isinstance(base, ast.Name) and base.id == "Frozen" for base in node.bases))
             for node in tree.body if isinstance(node, ast.ClassDef)
             for item in node.body
             if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
@@ -41,16 +46,11 @@ def _fields(tree):
 def _references(tree):
     """Every name the module reads: identifiers, attributes, and string
     constants that are a name as a whole (getattr lookups, tracer tables).
-    The target of a field's definition is not a read, nor is the name a
-    constructor stores a field under with `object.__setattr__(self, name, v)`."""
+    The target of a field's definition is not a read."""
     defined = {id(item.target) for node in tree.body if isinstance(node, ast.ClassDef)
                for item in node.body if isinstance(item, ast.AnnAssign)}
     names = set()
     for node in ast.walk(tree):
-        # ast.walk reaches a call before its arguments
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "__setattr__" and len(node.args) == 3):
-            defined.add(id(node.args[1]))
         if id(node) in defined:
             continue
         if isinstance(node, ast.Name):
@@ -60,6 +60,12 @@ def _references(tree):
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
     return names
+
+
+def _attribute_reads(tree):
+    """The attribute names the module reads, as in `x.name`."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
 def _referenced():
@@ -76,7 +82,8 @@ def test_every_public_name_is_used_in_the_package():
 
 def test_every_field_is_read_in_the_package():
     referenced = _referenced()
+    attributes = set().union(*(_attribute_reads(ast.parse(p.read_text())) for p in READERS))
     unused = [f"{p.name}:{line} {qualname}"
-              for p in MODULES for qualname, name, line in _fields(ast.parse(p.read_text()))
-              if name not in referenced]
+              for p in MODULES for qualname, name, line, frozen in _fields(ast.parse(p.read_text()))
+              if name not in (attributes if frozen else referenced)]
     assert not unused, "fields named nowhere but in their definition:\n" + "\n".join(unused)

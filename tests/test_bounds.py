@@ -314,7 +314,6 @@ class TestCurveChecks:
         t = np.linspace(0.0, 1.0, cg.n)[:, None]
         chord = (1.0 - t) * s[0] + t * s[-1]
         assert cg.domain_length == float(d_curve.sum())
-        assert cg.curve_length() == float(d_curve.sum())
         assert cg.chord_length() == float(np.linalg.norm(s[-1] - s[0]))
         assert np.array_equal(cg._chord.T, chord)
         assert cg.sup_deviation() == float(np.linalg.norm(s - chord, axis=1).max())

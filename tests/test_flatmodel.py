@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moebiusband.flatmodel import FlatTrapezoid
 from moebiusband.geom import StructureError
 
 from conftest import midline_trapezoid
@@ -38,6 +39,21 @@ class TestMakeTrapezoid:
             midline_trapezoid(1.0, 1.0)
         with pytest.raises(StructureError, match="degenerate trapezoid"):
             midline_trapezoid(1.0, -1.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("vertex,coord,message", [
+        ("u", 0, "u outside the top side"),
+        ("u", 1, "u must lie on the top side, v on the bottom side"),
+        ("v", 0, "v outside the bottom side"),
+        ("v", 1, "u must lie on the top side, v on the bottom side"),
+    ])
+    def test_non_finite_vertex_rejected(self, vertex, coord, message, bad):
+        # NaN fails every comparison and an infinity lies off either side,
+        # so the range tests reject a non-finite vertex
+        ends = {"u": np.array([1.0, 1.0]), "v": np.array([1.0, 0.0])}
+        ends[vertex][coord] = bad
+        with pytest.raises(StructureError, match=f"^{message}$"):
+            FlatTrapezoid(lam=SQRT3, t=0.5, **ends)
 
     def test_measured_edges_match_closed_forms(self):
         trap = midline_trapezoid(1.9, 0.3)

@@ -315,8 +315,6 @@ class ReferenceCurveGraphPair(bounds.CurveGraphPair):
             raise StructureError("need (n, 3) curve samples with n >= 2")
         if not np.isfinite(s).all():
             raise StructureError("non-finite curve samples")
-        object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "speed_tol", speed_tol)
         steps = np.linalg.norm(np.diff(s, axis=0), axis=1)
         length = float(steps.sum())
         resid = np.abs(steps / (length / (len(s) - 1)) - 1.0).max()
@@ -324,11 +322,9 @@ class ReferenceCurveGraphPair(bounds.CurveGraphPair):
             raise StructureError(f"samples are not unit speed (max |speed-1| = {resid:.3e})")
         t = np.linspace(0.0, 1.0, len(s))[:, None]
         chord = (1.0 - t) * s[0] + t * s[-1]
-        object.__setattr__(self, "domain_length", length)
-        object.__setattr__(self, "_steps", steps)
-        object.__setattr__(self, "_chord", chord)
-        object.__setattr__(self, "_chord_length", float(np.linalg.norm(s[-1] - s[0])))
-        object.__setattr__(self, "_deviation", float(np.linalg.norm(s - chord, axis=1).max()))
+        self._store(samples=s, domain_length=length, _steps=steps, _chord=chord,
+                    _chord_length=float(np.linalg.norm(s[-1] - s[0])),
+                    _deviation=float(np.linalg.norm(s - chord, axis=1).max()))
 
     def graph_lengths(self):
         dx = np.full(self.n - 1, self.domain_length / (self.n - 1))

@@ -1,6 +1,7 @@
 """The package's value types: records are NamedTuples, validated types are
-plain classes whose `__init__` checks and stores each field.  Every value
-is immutable once built.  Importing the CLI loads neither `dataclasses`,
+plain `Frozen` classes whose `__init__` checks each field and stores it
+once, which makes an ndarray field read-only.  Every value is immutable
+once built.  Importing the CLI loads neither `dataclasses`,
 `csv` nor `numpy.random`, and compiles no annotation string."""
 
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 from moebiusband import bounds
 from moebiusband.band import WrinkleConfig, validate
-from moebiusband.geom import DEFAULT_TOL
+from moebiusband.geom import DEFAULT_TOL, Frozen
 from moebiusband.tpattern import _candidates
 from moebiusband.verify import (
     PipelineState,
@@ -70,6 +71,32 @@ def test_values_are_immutable(values):
             assert getattr(value, name) is field
         with pytest.raises(AttributeError):
             value.extra = 1
+
+
+def test_value_type_arrays_are_read_only(values):
+    with_arrays = set()
+    for value in values:
+        if not isinstance(value, Frozen):
+            continue
+        for name in _fields(value):
+            field = getattr(value, name)
+            if isinstance(field, np.ndarray):
+                assert not field.flags.writeable, f"{type(value).__name__}.{name}"
+                with_arrays.add(type(value).__name__)
+    assert with_arrays == {"RuledBand", "RigidMotion", "FlatTrapezoid",
+                           "PerturbedTriangle", "CurveGraphPair"}
+
+
+def test_perturbed_triangle_vertices_cannot_drift():
+    # the triangle stores the caller's arrays; delta and vee_star are
+    # computed from them once, so a write to q must not reach vee()
+    q = np.array([0.1, -1.0])
+    tri = bounds.PerturbedTriangle(np.array([-0.5, 0.0]), np.array([0.5, 0.0]), q)
+    vee = tri.vee()
+    for vertex in (q, tri.p1, tri.p2, tri.q):
+        with pytest.raises(ValueError, match="read-only"):
+            vertex[0] = 0.3
+    assert tri.vee() == vee and tri.delta == 0.1
 
 
 def test_pipeline_state_caches_its_properties(tri_band):

@@ -6,9 +6,14 @@ the wrinkle bands at eps 1e-3, 1e-4 and 1e-5, and flipped, re-cut and posed
 copies of them (fixed cuts, one inside the wrap patch, fixed seeds), and
 copies cut beside a bend of a T-pattern, whose cut leaf ties that bend.  It
 runs `build-triangular`, `build-wrinkle` (also at the ends of its range,
-1e-8 and 1e-2, whose bands it only builds), `validate`, `tpattern`, `verify`
-(all theorems and each `--theorem`, with `--report` and `--csv`),
-`bounds-sweep --grid 100 --seed 7 --report` and `sharpness-sweep`.  It
+1e-8 and 1e-2), `validate`, `tpattern`, `verify` (all theorems and each
+`--theorem`, with `--report` and `--csv`), `bounds-sweep --grid 100 --seed
+7 --report` and `sharpness-sweep`.  The same `validate`, `tpattern` and
+`verify` commands run on three bands that reach paths the others do not:
+the triangular band with bend 5's top end moved 1e-6 in y, which fails
+validation; the triangular band cut at 1e-6 with the cut leaf's fan vertex
+interpolated too, whose triangle-to-band distance comes from the boundary
+loop; and the wrinkle band at 1e-2, outside the corollary's scope.  It
 also runs `validate`, `tpattern` and `verify` on each malformed band file
 of `tests/test_cli.py::MALFORMED_BANDS`, made from the triangular band and
 named `malformed-<case>.json`, so a changed error message shows.  It
@@ -52,7 +57,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 
 from moebiusband import cli
-from moebiusband.band import flip, read_json, redevelop, transform, write_json
+from moebiusband.band import RuledBand, flip, read_json, redevelop, transform, write_json
 from moebiusband.geom import RigidMotion
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
@@ -134,6 +139,26 @@ def _copies(name: str) -> list:
     return list(copies)
 
 
+def _edge_cases() -> list:
+    """Write the triangular band with bend 5's top end moved 1e-6 in y, which
+    fails validation, and the band cut at 1e-6 with the cut leaf's fan
+    vertex interpolated too, whose triangle-to-band distance comes from the
+    boundary loop.  Return their names and the wrinkle band at 1e-2's,
+    outside the corollary's scope."""
+    tri = read_json("tri.json")
+    space = tri.space.copy()
+    space[5, 1, 1] += 1e-6
+    copies = {"tri-bend5-top-y1e-6": RuledBand(tri.lam, tri.flat, space)}
+    cut = redevelop(tri, 1e-6)
+    space = cut.space.copy()
+    space[0] = (1.0 - 1e-6) * tri.space[0] + 1e-6 * tri.space[1]
+    copies["tri-cut1e-6-chord"] = RuledBand(cut.lam, cut.flat, space)
+    for copy, band in copies.items():
+        write_json(band, f"{copy}.json")
+        _file_line(f"{copy}.json")
+    return list(copies) + ["w1e-2"]
+
+
 def header() -> str:
     """The listing's first line: the versions its digests were made with."""
     return f"# numpy {np.__version__}, Python {platform.python_version()}"
@@ -153,7 +178,7 @@ def main() -> None:
                      (f"w{eps}.json",))
             for name in list(names):
                 names += _copies(name)
-            for name in names:
+            for name in names + _edge_cases():
                 path = f"{name}.json"
                 _run(["validate", "--input", path])
                 _run(["tpattern", "--input", path])
