@@ -77,15 +77,15 @@ def g(y: float) -> float:
 class PerturbedTriangle(Frozen):
     """Triangle with horizontal base p1-p2 and bottom vertex q, compared
     against its isosceles twin (same base and height, apex q_star over the
-    base midpoint).  The offset delta of q from q_star and the twin's
-    slanted length vee_star are computed once, on construction; p1, p2
-    and q are read-only, so they cannot drift from them."""
+    base midpoint).  What offset1 reads is stored once, on construction,
+    and the vertices are not kept: the offset delta of q from q_star, the
+    slanted lengths vee = |p1 - q| + |p2 - q| and vee_star of the twin, and
+    whether the twin's sides are steeper than 1 (true on a base of length 0)."""
 
-    p1: np.ndarray
-    p2: np.ndarray
-    q: np.ndarray
     delta: float
+    vee: float
     vee_star: float
+    star_slopes_exceed_one: bool
 
     def __init__(self, p1: np.ndarray, p2: np.ndarray, q: np.ndarray):
         p1 = np.asarray(p1, dtype=float)
@@ -96,32 +96,23 @@ class PerturbedTriangle(Frozen):
         if abs(q[1] - p1[1]) < 1e-15:
             raise StructureError("degenerate triangle: zero height")
         q_star = np.array([0.5 * (p1[0] + p2[0]), q[1]])
-        self._store(p1=p1, p2=p2, q=q, delta=abs(float(q[0] - q_star[0])),
-                    vee_star=float(np.linalg.norm(p1 - q_star) + np.linalg.norm(p2 - q_star)))
-
-    @property
-    def height(self) -> float:
-        return abs(float(self.q[1] - self.p1[1]))
-
-    def vee(self) -> float:
-        return float(np.linalg.norm(self.p1 - self.q) + np.linalg.norm(self.p2 - self.q))
-
-    def star_slopes_exceed_one(self) -> bool:
-        half_base = 0.5 * abs(float(self.p2[0] - self.p1[0]))
-        if half_base == 0.0:
-            return True
-        return self.height / half_base > 1.0
+        half_base = 0.5 * abs(float(p2[0] - p1[0]))
+        self._store(delta=abs(float(q[0] - q_star[0])),
+                    vee=float(np.linalg.norm(p1 - q) + np.linalg.norm(p2 - q)),
+                    vee_star=float(np.linalg.norm(p1 - q_star) + np.linalg.norm(p2 - q_star)),
+                    star_slopes_exceed_one=(half_base == 0.0
+                                            or abs(float(q[1] - p1[1])) / half_base > 1.0))
 
 
 def offset1_check(tri: PerturbedTriangle, eps: float) -> MarginReport:
     """If the bottom vertex sits >= sqrt(13 eps / 2) off the isosceles
     position then the slanted sides are longer than the isosceles ones by
     more than 2 eps."""
-    vee, vee_star = tri.vee(), tri.vee_star
+    vee, vee_star = tri.vee, tri.vee_star
     hyp = {
         "0<eps<1/4": 0.0 < eps < 0.25,
         "vee*<3": vee_star < 3.0,
-        "star_slopes>1": tri.star_slopes_exceed_one(),
+        "star_slopes>1": tri.star_slopes_exceed_one,
         "delta>=sqrt(13eps/2)": tri.delta >= math.sqrt(13.0 * eps / 2.0) - 1e-15,
     }
     return _report(
@@ -172,10 +163,10 @@ class CurveGraphPair(Frozen):
 
     samples: np.ndarray
     domain_length: float
+    chord_length: float
+    deviation: float
     _steps: np.ndarray
     _chord: np.ndarray
-    _chord_length: float
-    _deviation: float
 
     def __init__(self, samples: np.ndarray, speed_tol: float = 1e-6):
         s = np.asarray(samples, dtype=float)
@@ -202,24 +193,14 @@ class CurveGraphPair(Frozen):
                  if length > 0.0 else math.nan)
         if not resid <= speed_tol:
             raise StructureError(f"samples are not unit speed (max |speed-1| = {resid:.3e})")
-        self._store(samples=s, domain_length=length, _steps=steps, _chord=chord,
-                    _chord_length=float(np.linalg.norm(s[-1] - s[0])),
-                    _deviation=float(norms[n - 1:].max()))
-
-    @property
-    def n(self) -> int:
-        return len(self.samples)
-
-    def chord_length(self) -> float:
-        return self._chord_length
-
-    def sup_deviation(self) -> float:
-        return self._deviation
+        self._store(samples=s, domain_length=length,
+                    chord_length=float(np.linalg.norm(s[-1] - s[0])),
+                    deviation=float(norms[n - 1:].max()), _steps=steps, _chord=chord)
 
     def graph_lengths(self) -> tuple[float, float]:
         """Polyline lengths of the graphs of the curve and of its chord map
         in R^4 (trapezoid-rule quadrature on the given samples)."""
-        step = self.domain_length / (self.n - 1)
+        step = self.domain_length / (len(self.samples) - 1)
         dx2 = step * step
         d_chord = _norms(self._chord[:, 1:] - self._chord[:, :-1])
         len_graph = float(np.sqrt(dx2 + self._steps * self._steps).sum())
@@ -231,7 +212,7 @@ def graph_check(cg: CurveGraphPair) -> MarginReport:
     """Graph comparison: len(G*) <= len(G) <= 3 sqrt(2), and the graph gap
     is bounded by the curve-vs-chord gap."""
     len_g, len_gs = cg.graph_lengths()
-    len_c, len_ch = cg.domain_length, cg.chord_length()
+    len_c, len_ch = cg.domain_length, cg.chord_length
     hyp = {"domain<3": cg.domain_length < 3.0}
     rep = _report(
         "graph", hyp,
@@ -255,14 +236,14 @@ def graph_check(cg: CurveGraphPair) -> MarginReport:
 def wiggle_check(cg: CurveGraphPair, eps: float) -> MarginReport:
     """If the curve strays >= 3 sqrt(eps) from its chord map somewhere,
     its length exceeds the chord length by more than eps."""
-    dev = cg.sup_deviation()
+    dev = cg.deviation
     hyp = {
         "0<eps<1/4": 0.0 < eps < 0.25,
         "domain<3": cg.domain_length < 3.0,
         "deviation>=3sqrt(eps)": dev >= 3.0 * math.sqrt(eps) - 1e-15,
     }
     return _report(
-        "wiggle", hyp, cg.domain_length, cg.chord_length() + eps,
+        "wiggle", hyp, cg.domain_length, cg.chord_length + eps,
         details={"sup_deviation": dev},
     )
 
@@ -368,7 +349,7 @@ def random_perturbed_triangle(rng: "np.random.Generator", eps: float) -> Perturb
             p2=np.array([half_base, 0.0]),
             q=np.array([side * delta, -height]),
         )
-        if tri.star_slopes_exceed_one() and tri.vee_star < 3.0:
+        if tri.star_slopes_exceed_one and tri.vee_star < 3.0:
             return tri
     raise RuntimeError("failed to sample a triangle meeting the hypotheses")
 
@@ -439,7 +420,7 @@ def curve_with_forced_deviation(rng: "np.random.Generator", eps: float) -> Curve
     tilt = 3.0 * target / length
     for _ in range(80):
         cg = CurveGraphPair(random_unit_speed_curve(rng, length, tilt), speed_tol=1e-8)
-        if cg.sup_deviation() >= target:
+        if cg.deviation >= target:
             return cg
         tilt *= 1.35
         if tilt > 2.6:

@@ -132,7 +132,7 @@ def _cmd_tpattern(args, tol: ToleranceConfig) -> int:
           f"len_T={tp.len_t:.9f} len_B={tp.len_b:.9f}")
     print(f"  residuals: perp={tp.residual_perp:.3e} offset={tp.residual_offset:.3e} "
           f"alternates={len(tp.alternates)}")
-    print(f"  unfolded: t={trap.t:.12f} len_H={trap.len_h():.9f} len_D={trap.len_d():.9f}")
+    print(f"  unfolded: t={trap.t:.12f} len_H={trap.len_h:.9f} len_D={trap.len_d:.9f}")
     return EXIT_PASS
 
 

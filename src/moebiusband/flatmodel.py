@@ -48,32 +48,33 @@ class FlatTrapezoid(Frozen):
     Vertices (development coordinates): w = (0,0) and x = (t,1) are the cut
     endpoints, with second copies g(x) = (lambda + t, 0) and
     g(w) = (lambda, 1); u (on the top side) and v (on the bottom side) are
-    the endpoints of the distinguished second chord.
+    the endpoints of the distinguished second chord.  The side lengths
+    len_h = lambda - t (top) and len_d = lambda + t (bottom) are stored
+    once, on construction.
     """
 
     lam: float
     t: float
     u: np.ndarray
     v: np.ndarray
+    len_h: float
+    len_d: float
 
     def __init__(self, lam: float, t: float, u: np.ndarray, v: np.ndarray):
         if not (lam > 0.0 and abs(t) < lam):
             raise StructureError("degenerate trapezoid: need |t| < lambda")
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
+        for name, p in (("u", u), ("v", v)):
+            if p.shape != (2,):
+                raise StructureError(f"{name} must be a point (x, y), got shape {p.shape}")
         if not (abs(u[1] - 1.0) < 1e-9 and abs(v[1]) < 1e-9):
             raise StructureError("u must lie on the top side, v on the bottom side")
         if not (t - 1e-9 < u[0] < lam + 1e-9):
             raise StructureError("u outside the top side")
         if not (-1e-9 < v[0] < lam + t + 1e-9):
             raise StructureError("v outside the bottom side")
-        self._store(lam=lam, t=t, u=u, v=v)
-
-    def len_h(self) -> float:
-        return self.lam - self.t
-
-    def len_d(self) -> float:
-        return self.lam + self.t
+        self._store(lam=lam, t=t, u=u, v=v, len_h=lam - t, len_d=lam + t)
 
     def boundary_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """The start and end points of D1, D2, H1 and H2, one row per edge:

@@ -76,7 +76,7 @@ class TPattern(NamedTuple):
     T-role bend the one whose segment contains the line intersection in
     its interior and the B-role bend the one lying on one closed side.
     bend_t_space / bend_b_space: the two bends in the pose of the band the
-    pattern was found in.
+    pattern was found in; len_t / len_b: their lengths.
     pose: isometry carrying the band to the normalized position: the
     T bend in the X-axis with its midpoint at the origin, the B bend in
     the negative ray of the Y-axis (exactly so when the two bends'
@@ -90,18 +90,12 @@ class TPattern(NamedTuple):
     bend_t_space: np.ndarray
     bend_b_flat: np.ndarray
     bend_b_space: np.ndarray
+    len_t: float
+    len_b: float
     residual_perp: float
     residual_offset: float
     pose: RigidMotion
     alternates: tuple = ()
-
-    @property
-    def len_t(self) -> float:
-        return float(np.linalg.norm(self.bend_t_space[1] - self.bend_t_space[0]))
-
-    @property
-    def len_b(self) -> float:
-        return float(np.linalg.norm(self.bend_b_space[1] - self.bend_b_space[0]))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -268,8 +262,11 @@ def find_tpattern(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> TPatte
     alternates = tuple({key: getattr(c, key) for key in ("alpha", "beta", "len_t", "len_b", "perp", "offset")}
                        for c in others)
     return TPattern(param_t=p_t, param_b=p_b, bend_t_flat=bend_t_flat, bend_t_space=bend_t_space,
-                    bend_b_flat=bend_b_flat, bend_b_space=bend_b_space, residual_perp=best.perp,
-                    residual_offset=best.offset, pose=pose, alternates=alternates)
+                    bend_b_flat=bend_b_flat, bend_b_space=bend_b_space,
+                    len_t=float(np.linalg.norm(bend_t_space[1] - bend_t_space[0])),
+                    len_b=float(np.linalg.norm(bend_b_space[1] - bend_b_space[0])),
+                    residual_perp=best.perp, residual_offset=best.offset, pose=pose,
+                    alternates=alternates)
 
 
 def normalize_pose(band: RuledBand, tp: TPattern) -> RuledBand:

@@ -103,28 +103,17 @@ class _Chain:
     space image parametrized by the development x-coordinate.
 
     A point is kept where its x exceeds that of the last kept point by more
-    than 1e-13; a dropped point must lie within 1e-7 of that kept point.  An
-    exact repeat of the previous x is never kept, so the greedy rule runs
-    only over the few other steps of at most 1e-13.  `seg` holds the length
-    of each segment between kept points."""
+    than 1e-13; a dropped point must lie within 1e-7 of that kept point.
+    `seg` holds the length of each segment between kept points."""
 
     def __init__(self, xs: np.ndarray, pts: np.ndarray):
-        # the first point and each point whose x differs from the one before
-        idx = np.flatnonzero(np.concatenate([[True], np.diff(xs) != 0.0]))
-        keep = np.ones(len(idx), dtype=bool)
-        i = 0   # the points idx[:i] are settled, and idx[i - 1] is kept
-        for j in np.flatnonzero(np.diff(xs[idx]) <= 1e-13) + 1:
-            if j < i:
-                continue
-            last, i = j - 1, j
-            while i < len(idx) and xs[idx[i]] - xs[idx[last]] <= 1e-13:
-                keep[i] = False
-                i += 1
-            i += 1
-        kept = np.zeros(len(xs), dtype=bool)
-        kept[idx[keep]] = True
-        # each point against the last point kept at or before it
-        anchor = np.maximum.accumulate(np.where(kept, np.arange(len(xs)), 0))
+        kept, anchor, last = [], [], -math.inf
+        for i, x in enumerate(xs.tolist()):
+            if x - last > 1e-13:
+                kept.append(i)
+                last = x
+            # each point against the last point kept at or before it
+            anchor.append(kept[-1])
         if (np.linalg.norm(pts - pts[anchor], axis=1) > 1e-7).any():
             raise StructureError("boundary chain is not a function of x")
         self.xs = xs[kept]
@@ -397,11 +386,11 @@ def _margin_checks(state: PipelineState, dev_report: BoundaryDeviation, eps: flo
     }
     return (
         bounds.lip_check(trap.t, eps),
-        bounds.length_check(trap.len_h(), trap.len_d()),
+        bounds.length_check(trap.len_h, trap.len_d),
         bounds.base_check(len_t_prime, trap.t, eps),
         bounds.height_check(-float(v_prime[1]), eps),
         bounds.offset_check(abs(float(v_prime[0])), eps),
-        bounds.key_check(trap.len_d(), trap.t),
+        bounds.key_check(trap.len_d, trap.t),
         bounds.tpattern_endpoint_check(endpoints, eps),
     )
 

@@ -286,6 +286,24 @@ def _along(a, v, t):
     return [x + t * y for x, y in zip(a, v)]
 
 
+def _exact_sqrt(q: Fraction) -> float:
+    """sqrt(q) for a Fraction q >= 0, rounded from float(q / 4^k) as
+    math.sqrt(q) rounds from float(q): q / 4^k lies in [1/2, 4), so a q
+    below the least float does not read 0, and the root of 4^k is 2^k."""
+    if q == 0:
+        return 0.0
+    k = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    return math.ldexp(math.sqrt(q / Fraction(4) ** k), k)
+
+
+def _exact_normal(tri) -> list:
+    """(b - a) x (c - a) of the triangle (a, b, c), as Fractions."""
+    a, b, c = ([Fraction(float(x)) for x in v] for v in tri)
+    ab, ac = _sub(b, a), _sub(c, a)
+    return [ab[1] * ac[2] - ab[2] * ac[1], ab[2] * ac[0] - ab[0] * ac[2],
+            ab[0] * ac[1] - ab[1] * ac[0]]
+
+
 def _exact_triangle_distance(p, tri) -> float:
     """Distance from p to the triangle tri: the closest point of Ericson,
     "Real-Time Collision Detection", 5.1.5, in exact rational arithmetic,
@@ -296,8 +314,7 @@ def _exact_triangle_distance(p, tri) -> float:
     p = [Fraction(float(x)) for x in p]
     a, b, c = ([Fraction(float(x)) for x in v] for v in tri)
     ab, ac, ap = _sub(b, a), _sub(c, a), _sub(p, a)
-    normal = [ab[1] * ac[2] - ab[2] * ac[1], ab[2] * ac[0] - ab[0] * ac[2],
-              ab[0] * ac[1] - ab[1] * ac[0]]
+    normal = _exact_normal(tri)
 
     def gap(q):
         d = _sub(p, q)
@@ -309,30 +326,30 @@ def _exact_triangle_distance(p, tri) -> float:
             vv = _dot(uv, uv)
             t = 0 if vv == 0 else min(max(_dot(_sub(p, u), uv) / vv, 0), 1)
             return gap(_along(u, uv, t))
-        return math.sqrt(min(to_edge(a, b), to_edge(b, c), to_edge(c, a)))
+        return _exact_sqrt(min(to_edge(a, b), to_edge(b, c), to_edge(c, a)))
     d1, d2 = _dot(ab, ap), _dot(ac, ap)
     if d1 <= 0 and d2 <= 0:
-        return math.sqrt(gap(a))
+        return _exact_sqrt(gap(a))
     bp = _sub(p, b)
     d3, d4 = _dot(ab, bp), _dot(ac, bp)
     if d3 >= 0 and d4 <= d3:
-        return math.sqrt(gap(b))
+        return _exact_sqrt(gap(b))
     vc = d1 * d4 - d3 * d2
     if vc <= 0 and d1 >= 0 and d3 <= 0:
-        return math.sqrt(gap(_along(a, ab, d1 / (d1 - d3))))
+        return _exact_sqrt(gap(_along(a, ab, d1 / (d1 - d3))))
     cp = _sub(p, c)
     d5, d6 = _dot(ab, cp), _dot(ac, cp)
     if d6 >= 0 and d5 <= d6:
-        return math.sqrt(gap(c))
+        return _exact_sqrt(gap(c))
     vb = d5 * d2 - d1 * d6
     if vb <= 0 and d2 >= 0 and d6 <= 0:
-        return math.sqrt(gap(_along(a, ac, d2 / (d2 - d6))))
+        return _exact_sqrt(gap(_along(a, ac, d2 / (d2 - d6))))
     va = d3 * d6 - d5 * d4
     if va <= 0 and d4 - d3 >= 0 and d5 - d6 >= 0:
         w = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        return math.sqrt(gap(_along(b, _sub(c, b), w)))
+        return _exact_sqrt(gap(_along(b, _sub(c, b), w)))
     denom = va + vb + vc
-    return math.sqrt(gap(_along(_along(a, ab, vb / denom), ac, vc / denom)))
+    return _exact_sqrt(gap(_along(_along(a, ab, vb / denom), ac, vc / denom)))
 
 
 _COORD = st.floats(-2.0, 2.0)
@@ -386,9 +403,12 @@ def _triangles_and_points(draw):
 
 
 def _distance_bound(p, tri) -> float:
-    """The bound of `TestTriangleDistance.test_matches_exact_closest_point`."""
+    """The bound of `TestTriangleDistance.test_matches_exact_closest_point`.
+    |n| is taken from the exact normal: its float square can underflow to 0
+    on a triangle with an interior."""
     e0, e1 = tri[1] - tri[0], tri[2] - tri[0]
-    n = np.linalg.norm(np.cross(e0, e1))
+    normal = _exact_normal(tri)
+    n = _exact_sqrt(_dot(normal, normal))
     r = math.sqrt(3.0) * max(np.abs(p).max(), np.abs(tri).max())
     bound = 128 * 2.0 ** -53 * r
     if n > 0.0:
@@ -417,8 +437,8 @@ class TestTriangleDistance:
             B = 128 u R (1 + |e0| |e1| / |n|) + 1.5e-12
 
         of the exact distance, where u = 2^-53, R bounds the norm of the
-        point and of every vertex, e0 = b - a, e1 = c - a and n = e0 x e1 as
-        the kernel computes them; B = 128 u R where n = 0.  So the least
+        point and of every vertex, e0 = b - a and e1 = c - a as the kernel
+        computes them, and n = e0 x e1 exactly; B = 128 u R where n = 0.  So the least
         over the triangles is within the largest B.
 
         Edge distances from differences are off by a few u R.  The plane
@@ -531,6 +551,10 @@ class TestPlanarTriangleDistance:
     @example(([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 4e-6, 0.0]]], [[-2e-7, 0.0, 0.5]]))
     @example(([[[0.1, 0.2, 0.0], [1.3, 0.9, 0.0], [0.09999999949612898, 0.20000000086377892, 0.0]]],
               [[1.3000000431889451, 0.9000000251935513, 0.0]]))
+    # a point 9.9e-225 above a point triangle, whose square underflows, and
+    # one 1e-12 from a sliver 2e-258 wide, whose normal's square underflows
+    @example(([[[0.0, 0.0, 0.0]] * 3], [[0.0, 0.0, 9.9e-225]]))
+    @example(([[[0.0, 0.0, 0.0], [0.0, 2e-258, 0.0], [1.0, 0.0, 0.0]]], [[0.0, 1e-12, 0.0]]))
     def test_matches_exact_closest_point(self, case):
         """The closed form stays within the bound B of
         `TestTriangleDistance` of the exact distance.

@@ -283,7 +283,7 @@ class TestCurveChecks:
     def test_tent_wiggle_margin(self):
         cg = self._tent()
         rep = bounds.wiggle_check(cg, 0.01)
-        assert cg.sup_deviation() == pytest.approx(0.3, abs=1e-12)
+        assert cg.deviation == pytest.approx(0.3, abs=1e-12)
         assert rep.hypotheses_ok and rep.passed
         assert rep.margin == pytest.approx(2.0 * math.sqrt(1.09) - 2.0 - 0.01, abs=1e-9)
 
@@ -311,13 +311,14 @@ class TestCurveChecks:
         cg = bounds.curve_with_forced_deviation(np.random.default_rng(seed), 0.01)
         s = cg.samples
         d_curve = np.linalg.norm(np.diff(s, axis=0), axis=1)
-        t = np.linspace(0.0, 1.0, cg.n)[:, None]
+        n = len(s)
+        t = np.linspace(0.0, 1.0, n)[:, None]
         chord = (1.0 - t) * s[0] + t * s[-1]
         assert cg.domain_length == float(d_curve.sum())
-        assert cg.chord_length() == float(np.linalg.norm(s[-1] - s[0]))
+        assert cg.chord_length == float(np.linalg.norm(s[-1] - s[0]))
         assert np.array_equal(cg._chord.T, chord)
-        assert cg.sup_deviation() == float(np.linalg.norm(s - chord, axis=1).max())
-        dx = np.full(cg.n - 1, cg.domain_length / (cg.n - 1))
+        assert cg.deviation == float(np.linalg.norm(s - chord, axis=1).max())
+        dx = np.full(n - 1, cg.domain_length / (n - 1))
         d_chord = np.linalg.norm(np.diff(chord, axis=0), axis=1)
         assert cg.graph_lengths() == (float(np.sqrt(dx * dx + d_curve * d_curve).sum()),
                                       float(np.sqrt(dx * dx + d_chord * d_chord).sum()))

@@ -22,17 +22,17 @@ def _edge_lengths(trap):
 class TestMakeTrapezoid:
     def test_optimal_cut_lengths(self):
         trap = midline_trapezoid(SQRT3, 1.0 / SQRT3)
-        assert trap.len_h() == pytest.approx(2.0 / SQRT3, abs=1e-12)
-        assert trap.len_d() == pytest.approx(4.0 / SQRT3, abs=1e-12)
+        assert trap.len_h == pytest.approx(2.0 / SQRT3, abs=1e-12)
+        assert trap.len_d == pytest.approx(4.0 / SQRT3, abs=1e-12)
 
     def test_zero_displacement_rectangle(self):
         trap = midline_trapezoid(2.0, 0.0)
-        assert trap.len_h() == 2.0
-        assert trap.len_d() == 2.0
+        assert trap.len_h == 2.0
+        assert trap.len_d == 2.0
 
     def test_displacement_identity(self):
         trap = midline_trapezoid(SQRT3 + 0.01, 0.5)
-        assert trap.len_d() - trap.len_h() == pytest.approx(1.0, abs=1e-12)
+        assert trap.len_d - trap.len_h == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_rejected(self):
         with pytest.raises(StructureError, match="degenerate trapezoid"):
@@ -55,11 +55,23 @@ class TestMakeTrapezoid:
         with pytest.raises(StructureError, match=f"^{message}$"):
             FlatTrapezoid(lam=SQRT3, t=0.5, **ends)
 
+    @pytest.mark.parametrize("u,v,name", [
+        ([1.0, 1.0, math.nan], [1.0, 0.0, 7.0, 8.0], "u"),
+        ([1.0, 1.0], [1.0, 0.0, 7.0], "v"),
+        ([1.0], [1.0, 0.0], "u"),
+        ([1.0, 1.0], [[1.0, 0.0]], "v"),
+    ])
+    def test_vertex_of_wrong_shape_rejected(self, u, v, name):
+        # the range tests read entries 0 and 1 alone, and boundary_edges
+        # could not stack a vertex of another shape
+        with pytest.raises(StructureError, match=f"^{name} must be a point"):
+            FlatTrapezoid(1.8, 0.5, u, v)
+
     def test_measured_edges_match_closed_forms(self):
         trap = midline_trapezoid(1.9, 0.3)
         d1, d2, h1, h2 = _edge_lengths(trap)
-        assert d1 + d2 == pytest.approx(trap.len_d(), abs=1e-12)
-        assert h1 + h2 == pytest.approx(trap.len_h(), abs=1e-12)
+        assert d1 + d2 == pytest.approx(trap.len_d, abs=1e-12)
+        assert h1 + h2 == pytest.approx(trap.len_h, abs=1e-12)
 
     @given(
         lam=st.floats(min_value=0.2, max_value=5.0),
@@ -68,10 +80,10 @@ class TestMakeTrapezoid:
     @settings(max_examples=200, deadline=None)
     def test_length_sum_exact(self, lam, frac):
         trap = midline_trapezoid(lam, frac * lam)
-        assert trap.len_h() + trap.len_d() == pytest.approx(2.0 * lam, abs=1e-12)
+        assert trap.len_h + trap.len_d == pytest.approx(2.0 * lam, abs=1e-12)
         d1, d2, h1, h2 = _edge_lengths(trap)
-        assert d1 + d2 == pytest.approx(trap.len_d(), abs=1e-12)
-        assert h1 + h2 == pytest.approx(trap.len_h(), abs=1e-12)
+        assert d1 + d2 == pytest.approx(trap.len_d, abs=1e-12)
+        assert h1 + h2 == pytest.approx(trap.len_h, abs=1e-12)
 
 
 class TestBoundaryEdges:

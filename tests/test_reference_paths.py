@@ -322,12 +322,14 @@ class ReferenceCurveGraphPair(bounds.CurveGraphPair):
             raise StructureError(f"samples are not unit speed (max |speed-1| = {resid:.3e})")
         t = np.linspace(0.0, 1.0, len(s))[:, None]
         chord = (1.0 - t) * s[0] + t * s[-1]
-        self._store(samples=s, domain_length=length, _steps=steps, _chord=chord,
-                    _chord_length=float(np.linalg.norm(s[-1] - s[0])),
-                    _deviation=float(np.linalg.norm(s - chord, axis=1).max()))
+        self._store(samples=s, domain_length=length,
+                    chord_length=float(np.linalg.norm(s[-1] - s[0])),
+                    deviation=float(np.linalg.norm(s - chord, axis=1).max()),
+                    _steps=steps, _chord=chord)
 
     def graph_lengths(self):
-        dx = np.full(self.n - 1, self.domain_length / (self.n - 1))
+        n = len(self.samples)
+        dx = np.full(n - 1, self.domain_length / (n - 1))
         d_chord = np.linalg.norm(np.diff(self._chord, axis=0), axis=1)
         return (float(np.sqrt(dx * dx + self._steps * self._steps).sum()),
                 float(np.sqrt(dx * dx + d_chord * d_chord).sum()))
@@ -604,8 +606,8 @@ class TestCliOutputs:
 
 def _pair_fields(cg, chord):
     return {"samples": cg.samples, "steps": cg._steps, "chord": chord,
-            "sup_deviation": cg.sup_deviation(), "domain_length": cg.domain_length,
-            "chord_length": cg.chord_length(), "graph_lengths": cg.graph_lengths()}
+            "deviation": cg.deviation, "domain_length": cg.domain_length,
+            "chord_length": cg.chord_length, "graph_lengths": cg.graph_lengths()}
 
 
 class TestCurvePath:

@@ -285,14 +285,16 @@ class TestUnfoldSynthetic:
             bend_t_space=band.space[0],
             bend_b_flat=band.flat[6],
             bend_b_space=band.space[6],
+            len_t=1.0,
+            len_b=1.0,
             residual_perp=0.0,
             residual_offset=0.0,
             pose=RigidMotion(np.eye(3), np.zeros(3)),
         )
         trap, dev = develop_for(band, tp)
         assert trap.t == pytest.approx(0.0, abs=1e-12)
-        assert trap.len_h() == pytest.approx(2.0)
-        assert trap.len_d() == pytest.approx(2.0)
+        assert trap.len_h == pytest.approx(2.0)
+        assert trap.len_d == pytest.approx(2.0)
 
 
 class TestFailureModes:

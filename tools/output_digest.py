@@ -7,8 +7,9 @@ copies of them (fixed cuts, one inside the wrap patch, fixed seeds), and
 copies cut beside a bend of a T-pattern, whose cut leaf ties that bend.  It
 runs `build-triangular`, `build-wrinkle` (also at the ends of its range,
 1e-8 and 1e-2), `validate`, `tpattern`, `verify` (all theorems and each
-`--theorem`, with `--report` and `--csv`), `bounds-sweep --grid 100 --seed
-7 --report` and `sharpness-sweep`.  The same `validate`, `tpattern` and
+`--theorem`, with `--report` and `--csv`), `bounds-sweep --seed 7 --report`
+at `--grid 100` (500 draws per sweep) and at the benchmark's `--grid 1000`,
+and `sharpness-sweep`.  The same `validate`, `tpattern` and
 `verify` commands run on three bands that reach paths the others do not:
 the triangular band with bend 5's top end moved 1e-6 in y, which fails
 validation; the triangular band cut at 1e-6 with the cut leaf's fan vertex
@@ -194,8 +195,9 @@ def main() -> None:
                     fh.write(text)
                 for command in ("validate", "tpattern", "verify"):
                     _run([command, "--input", f"malformed-{case}.json"])
-            _run(["bounds-sweep", "--grid", "100", "--seed", "7", "--report", "sweep.json"],
-                 ("sweep.json",))
+            for grid in ("100", "1000"):
+                _run(["bounds-sweep", "--grid", grid, "--seed", "7", "--report", "sweep.json"],
+                     ("sweep.json",))
             _run(["sharpness-sweep", "--epsilons", ",".join(WRINKLE_EPS)])
         finally:
             os.chdir(cwd)
