@@ -75,10 +75,18 @@ def reference_triangles_distance(pts: np.ndarray, tris: np.ndarray) -> np.ndarra
     point that far outside an edge line, or past the edges at a vertex,
     still counts as inside, so a point on an edge reads the plane distance.
     A triangle with n = 0 has edge distances only.  Edge distances are
-    taken from the differences p - a, so nothing cancels near 0.
+    taken from the differences p - a, so nothing cancels near 0.  Inputs
+    whose largest coordinate is below 1/2 are scaled up by a power of 2,
+    at most 2^900, towards that size, with the slop, and the distances
+    scaled back, so that no square underflows; the scaling is exact, and
+    leaves the other inputs unchanged.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     tris = np.asarray(tris, dtype=float)
+    top = max(np.abs(pts).max(initial=0.0), np.abs(tris).max(initial=0.0))
+    # at most 2^900, so that the slop stays finite
+    scale = 2.0 ** min(900, max(0, -math.frexp(top)[1]))
+    pts, tris, slop = pts * scale, tris * scale, 1e-12 * scale
     k = len(tris)
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
     nrm = np.cross(b - a, c - a)
@@ -90,11 +98,11 @@ def reference_triangles_distance(pts: np.ndarray, tris: np.ndarray) -> np.ndarra
     e_v = np.concatenate([b - a, c - b, a - c], axis=0)
     e_vv = np.einsum("ij,ij->i", e_v, e_v)
     # (p - e_a).e_v past which p lies beyond either end by more than 1e-12
-    before, after = -1e-12 * np.sqrt(e_vv), e_vv + 1e-12 * np.sqrt(e_vv)
+    before, after = -slop * np.sqrt(e_vv), e_vv + slop * np.sqrt(e_vv)
     # (p - e_a).(n x e_v) / |n x e_v| is how far p lies inside edge e's line
     inward = np.cross(nrm, e_v.reshape(3, k, 3)).reshape(-1, 3)
     a_in = np.einsum("ij,ij->i", e_a, inward)
-    slop = -1e-12 * np.sqrt(np.einsum("ij,ij->i", inward, inward))
+    outside = -slop * np.sqrt(np.einsum("ij,ij->i", inward, inward))
 
     # nearest point on each edge: p - (e_a + t e_v), t clipped to [0, 1]
     d = [pts[:, i, None] - e_a[:, i] for i in range(3)]
@@ -104,7 +112,7 @@ def reference_triangles_distance(pts: np.ndarray, tris: np.ndarray) -> np.ndarra
     # slivers, where the edge-line tests would pass points beyond a tip
     enter = t > after
     corner = (t < before) & np.concatenate([enter[:, 2 * k:], enter[:, :2 * k]], axis=1)
-    inner = (pts @ inward.T - a_in >= slop) & ~corner
+    inner = (pts @ inward.T - a_in >= outside) & ~corner
     # on a zero-length edge t is left at its dot product, 0
     np.divide(t, e_vv, out=t, where=e_vv > 0.0)
     np.clip(t, 0.0, 1.0, out=t)
@@ -115,7 +123,7 @@ def reference_triangles_distance(pts: np.ndarray, tris: np.ndarray) -> np.ndarra
     inside = inner[:, :k] & inner[:, k:2 * k] & inner[:, 2 * k:] & (n_len > 0.0)
     d_plane = np.divide(np.abs(pts @ nrm.T - a_n), n_len, out=np.full(inside.shape, np.inf),
                         where=inside)
-    return np.minimum(d_edge, d_plane.min(axis=1))
+    return np.minimum(d_edge, d_plane.min(axis=1)) / scale
 
 
 def random_motion(rng: np.random.Generator, scale: float = 1.0) -> RigidMotion:

@@ -431,6 +431,8 @@ class TestTriangleDistance:
     # edge line by more than 1e-12
     @example(([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1e-14, 0.0]]], [[-100.0, 0.0, 0.0]]))
     @example(([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 4e-6, 0.0]]], [[-2e-7, 0.0, 0.0]]))
+    # a point 5.9e-295 above a point triangle, whose square underflows
+    @example(([[[0.0, 0.0, 0.0]] * 3], [[0.0, 0.0, 5.9e-295]]))
     def test_matches_exact_closest_point(self, case):
         """The distance to each triangle is within
 
