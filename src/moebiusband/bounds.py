@@ -126,14 +126,19 @@ def offset1_check(tri: PerturbedTriangle, eps: float) -> MarginReport:
 # ---------------------------------------------------------------------------
 
 
-def _norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the points whose x, y and z coordinates are the
-    three rows of `rows`, which this squares in place.  The squares are
-    summed x + y + z, as np.linalg.norm(v, axis=1) sums the rows of an
-    (m, 3) array v, so the two agree bitwise; each sum runs over whole
-    contiguous rows instead of reducing m rows of three."""
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms of the points whose x, y and z coordinates
+    are the three rows of `rows`, which this squares in place.  The squares
+    are summed x + y + z, as np.linalg.norm(v, axis=1) sums the rows of an
+    (m, 3) array v, so their roots agree with it bitwise; each sum runs over
+    whole contiguous rows instead of reducing m rows of three."""
     rows *= rows
-    return np.sqrt(rows[0] + rows[1] + rows[2])
+    return rows[0] + rows[1] + rows[2]
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """The roots of `_squared_norms(rows)`."""
+    return np.sqrt(_squared_norms(rows))
 
 
 @functools.lru_cache(maxsize=8)
@@ -146,15 +151,25 @@ def _chord_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     return weights
 
 
+def _deviation(rows: np.ndarray, chord: np.ndarray) -> float:
+    """The sup distance between the sampled curve and chord map whose x, y
+    and z coordinates are the rows of the (3, n) arrays `rows` and `chord`;
+    nan or inf if a sample is not finite.  sqrt is monotone, so the root
+    of the largest squared distance is bitwise the largest distance."""
+    return math.sqrt(_squared_norms(rows - chord).max())
+
+
 class CurveGraphPair(Frozen):
     """Sampled unit-speed curve on a segment domain, with its chord map.
 
     samples: (n, 3) points I(x_i) at equal parameter steps x_i spanning the
-    domain segment; the sampling must be unit speed step by step.  The
-    chord map is the affine map with the same endpoints; the graphs live in
-    R^4 = domain x R^3.  The step lengths, the domain length, the chord
-    samples, the chord length and the sup deviation are computed once, on
-    construction.
+    domain segment; the samples must be finite and the sampling unit speed
+    step by step, to `speed_tol`.  The chord map is the affine map with the
+    same endpoints; the graphs live in R^4 = domain x R^3.  The step
+    lengths, the domain length, the chord samples, the chord length and the
+    sup deviation are computed once, on construction, the deviation by
+    `_deviation`, the formula `curve_with_forced_deviation` decides its
+    attempts with.
 
     The work runs on (3, n) coordinate rows, `samples.T`, so each numpy call
     sweeps three contiguous rows of an array that `random_unit_speed_curve`
@@ -175,15 +190,7 @@ class CurveGraphPair(Frozen):
         if not np.isfinite(s).all():
             raise StructureError("non-finite curve samples")
         n, rows = len(s), s.T
-        w0, w1 = _chord_weights(n)
-        chord = rows[:, :1] * w0 + rows[:, -1:] * w1
-        # columns :n-1 hold the steps, n-1: the deviations from the chord,
-        # so one pass squares and sums both
-        diffs = np.empty((3, 2 * n - 1))
-        np.subtract(rows[:, 1:], rows[:, :-1], out=diffs[:, :n - 1])
-        np.subtract(rows, chord, out=diffs[:, n - 1:])
-        norms = _norms(diffs)
-        steps = norms[:n - 1]
+        steps = _norms(rows[:, 1:] - rows[:, :-1])
         length = float(steps.sum())
         # dividing by the mean step and subtracting 1 are monotone, so the
         # largest |speed - 1| sits at the longest or the shortest step; a
@@ -193,9 +200,11 @@ class CurveGraphPair(Frozen):
                  if length > 0.0 else math.nan)
         if not resid <= speed_tol:
             raise StructureError(f"samples are not unit speed (max |speed-1| = {resid:.3e})")
+        w0, w1 = _chord_weights(n)
+        chord = rows[:, :1] * w0 + rows[:, -1:] * w1
         self._store(samples=s, domain_length=length,
                     chord_length=float(np.linalg.norm(s[-1] - s[0])),
-                    deviation=float(norms[n - 1:].max()), _steps=steps, _chord=chord)
+                    deviation=_deviation(rows, chord), _steps=steps, _chord=chord)
 
     def graph_lengths(self) -> tuple[float, float]:
         """Polyline lengths of the graphs of the curve and of its chord map
@@ -384,6 +393,19 @@ def random_unit_speed_curve(rng: "np.random.Generator", length: float,
     Each mode amp * sin(pi k s + phase) * sin(pi s) is expanded by angle
     addition into amp cos(phase) and amp sin(phase) times two fixed basis
     rows, so both angles come from one (2, 7) by (7, n - 1) matrix product.
+
+    The samples start exactly at 0, and their speed residual, the largest
+    |step / mean step - 1| that CurveGraphPair checks, is at most
+    (3 (n - 1) / 2 + 64) u with u = 2^-53: 2.1e-13 at n = 1200, more than
+    four decades below the 1e-8 that `curve_with_forced_deviation` asks.
+    Each step is h T with h = length / (n - 1) and T a unit vector to a few
+    ulps.  The running sum rounds point i + 1 by at most u times its norm,
+    and that norm is at most (i + 1) h, the arc length to it; the difference
+    of two points recovers their step to within that rounding and an ulp.
+    So step i is h (1 + e_i) with |e_i| <= (i + 1) u plus a few u, the mean
+    of the e_i is at most n u / 2 plus a few u, and the residual is at most
+    their sum, (n - 1) u + n u / 2; 64 u covers the few-ulp errors of the
+    tangents, the norms and the pairwise sum of the steps.
     """
     # a coherent full-period swing carries the bulk of the bulge away from
     # the chord; higher random modes (both angles) roughen it
@@ -411,7 +433,13 @@ def random_unit_speed_curve(rng: "np.random.Generator", length: float,
 
 def curve_with_forced_deviation(rng: "np.random.Generator", eps: float) -> CurveGraphPair:
     """Random unit-speed curve whose sup distance to its chord map is at
-    least 3 sqrt(eps) (tangent swing scaled up until the threshold holds)."""
+    least 3 sqrt(eps) (tangent swing scaled up until the threshold holds).
+
+    Each attempt is decided on its chord deviation alone, by the formula of
+    `CurveGraphPair.deviation`; only the curve it keeps is validated as a
+    CurveGraphPair (finite samples, unit speed to 1e-8).  The discarded
+    curves would pass that check too: their speed residual is bounded in
+    `random_unit_speed_curve`'s docstring, far below 1e-8."""
     target = 3.0 * math.sqrt(eps)
     lo = max(1.6, 2.7 * target)
     if lo >= 2.85:
@@ -419,9 +447,15 @@ def curve_with_forced_deviation(rng: "np.random.Generator", eps: float) -> Curve
     length = _uniform(rng, lo, 2.85)
     tilt = 3.0 * target / length
     for _ in range(80):
-        cg = CurveGraphPair(random_unit_speed_curve(rng, length, tilt), speed_tol=1e-8)
-        if cg.deviation >= target:
-            return cg
+        rows = random_unit_speed_curve(rng, length, tilt).T
+        # the curve starts at 0, so its chord map is t times its end: the
+        # pair's (1 - t) * 0 terms add zeros, whose signs the squares drop.
+        # Non-finite samples give a nan or inf deviation, with no warning,
+        # which is not below the target, so the pair rejects them.
+        with np.errstate(invalid="ignore"):
+            dev = _deviation(rows, rows[:, -1:] * _chord_weights(rows.shape[1])[1])
+        if not dev < target:
+            return CurveGraphPair(rows.T, speed_tol=1e-8)
         tilt *= 1.35
         if tilt > 2.6:
             length = _uniform(rng, lo, 2.85)

@@ -257,6 +257,62 @@ class TestCurveSweep:
             assert abs(got - want) <= MARGIN_BOUND
 
 
+# the speed-residual bound of `random_unit_speed_curve`'s docstring at the
+# sweep's n = 1200 points, with u = 2^-53
+SPEED_BOUND = (1.5 * (1200 - 1) + 64) * 2.0 ** -53
+
+
+class TestForcedDeviation:
+    """`curve_with_forced_deviation` validates only the curve it accepts."""
+
+    def _attempts(self, monkeypatch, record):
+        draw = bounds.random_unit_speed_curve
+
+        def recording(rng, length, tilt, n=1200):
+            pts = draw(rng, length, tilt, n)
+            record(pts)
+            return pts
+
+        monkeypatch.setattr(bounds, "random_unit_speed_curve", recording)
+
+    @pytest.mark.parametrize("grid, seed, attempts", [(1000, 7, 2640), (1000, 1234, 2672),
+                                                      (0, 11, 1307)])
+    def test_every_attempt_within_the_speed_bound(self, grid, seed, attempts,
+                                                  monkeypatch, capsys):
+        # the residual as CurveGraphPair reads it, on discarded curves too
+        resids = []
+
+        def residual(pts):
+            steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+            resids.append(float(np.abs(steps / (steps.sum() / (len(pts) - 1)) - 1.0).max()))
+
+        self._attempts(monkeypatch, residual)
+        assert cli.main(["bounds-sweep", "--grid", str(grid), "--seed", str(seed)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert len(resids) == attempts
+        assert max(resids) < SPEED_BOUND
+        assert SPEED_BOUND * 1e4 <= 1e-8  # four decades below the sweep's speed_tol
+
+    @pytest.mark.parametrize("index, value", [(0, math.nan), (600, math.nan), (-1, math.nan),
+                                              (600, math.inf), (-1, -math.inf)])
+    def test_non_finite_attempt_raises(self, index, value, monkeypatch, capsys):
+        # a nan deviation is not read as a rejection: the first attempt raises
+        draws = []
+
+        def spoil(pts):
+            pts[index, 1] = value
+            draws.append(pts)
+
+        self._attempts(monkeypatch, spoil)
+        with pytest.raises(StructureError, match="^non-finite curve samples$"):
+            bounds.curve_with_forced_deviation(np.random.default_rng(5), 0.01)
+        assert len(draws) == 1
+        draws.clear()
+        assert cli.main(["bounds-sweep", "--grid", "0", "--seed", "5"]) == 2
+        assert capsys.readouterr().err == "error: non-finite curve samples\n"
+        assert len(draws) == 1
+
+
 def test_import_builds_no_curve_basis():
     code = ("import moebiusband\n"
             "from moebiusband import bounds\n"

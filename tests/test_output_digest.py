@@ -24,7 +24,10 @@ def test_outputs_match_the_pinned_listing(monkeypatch):
 
     The digests depend on numpy's rounding, so on a numpy or Python version
     other than the one the listing's first line names, this skips and names
-    both.  After a deliberate output change, regenerate the listing with
+    both.  They depend on the BLAS kernel too, which the first line does not
+    name (see the docstring of `tools/output_digest.py`): on a CPU for which
+    OpenBLAS picks a kernel without fused multiply-adds, this can fail with
+    the same versions.  After a deliberate output change, regenerate the listing with
 
         PYTHONPATH=src python tools/output_digest.py > tools/output_digest.txt
 

@@ -5,7 +5,10 @@ Each reference below is the straightforward form of a stage that the
 package computes in fewer numpy calls: the per-point `_Chain` filter, the
 per-edge `boundary_deviation` with its arc lengths re-summed from the chain
 points, the root scan over the full sign matrix, and the random curves and
-their chord comparisons on (n, 3) point arrays.  The boundary loop with its
+their chord comparisons on (n, 3) point arrays, with the chord deviation
+that decides each curve attempt.  `reference_curve_with_forced_deviation`
+is the attempt loop as it was when it built a validated CurveGraphPair
+from every attempt, discarded or not.  The boundary loop with its
 near-duplicate points dropped is the loop the package built before it read
 the loop straight from the bend ends.  The glued copy of bend 0 in the
 boundary chains and the wrap bracket of `interpolate_bend`, the glided
@@ -335,6 +338,35 @@ class ReferenceCurveGraphPair(bounds.CurveGraphPair):
                 float(np.sqrt(dx * dx + d_chord * d_chord).sum()))
 
 
+def reference_deviation(rows, chord):
+    """bounds._deviation on the (n, 3) samples of the curve whose rows are
+    `rows`, from the chord map's formula, whatever `chord` is given."""
+    s = rows.T
+    t = np.linspace(0.0, 1.0, len(s))[:, None]
+    return float(np.linalg.norm(s - ((1.0 - t) * s[0] + t * s[-1]), axis=1).max())
+
+
+def reference_curve_with_forced_deviation(rng, eps):
+    """curve_with_forced_deviation as it was when it validated every attempt
+    as a CurveGraphPair and read the pair's deviation."""
+    target = 3.0 * math.sqrt(eps)
+    lo = max(1.6, 2.7 * target)
+    if lo >= 2.85:
+        raise StructureError("eps too large to force the deviation on a domain < 3")
+    length = bounds._uniform(rng, lo, 2.85)
+    tilt = 3.0 * target / length
+    for _ in range(80):
+        cg = bounds.CurveGraphPair(bounds.random_unit_speed_curve(rng, length, tilt),
+                                   speed_tol=1e-8)
+        if cg.deviation >= target:
+            return cg
+        tilt *= 1.35
+        if tilt > 2.6:
+            length = bounds._uniform(rng, lo, 2.85)
+            tilt = 3.0 * target / length
+    raise RuntimeError("failed to force the deviation threshold")
+
+
 def reference_uniform(rng, low, high):
     return rng.uniform(low, high)
 
@@ -644,6 +676,40 @@ class TestCurvePath:
             bounds.CurveGraphPair(pts, speed_tol=float(np.nextafter(resid, -1.0)))
 
 
+class TestForcedDeviation:
+    """Each accept decision on the chord deviation alone is the decision of
+    the loop that validated every attempt."""
+
+    @pytest.mark.parametrize("seed, attempts", [(7, 2640), (1234, 2672)])
+    def test_equals_the_loop_that_validates_every_attempt(self, seed, attempts,
+                                                           monkeypatch, capsys):
+        draw, forced = bounds.random_unit_speed_curve, bounds.curve_with_forced_deviation
+        draws, per_draw = [], []
+
+        def counting(rng, length, tilt, n=1200):
+            draws.append(n)
+            return draw(rng, length, tilt, n)
+
+        def checked(rng, eps):
+            twin = np.random.default_rng()
+            twin.bit_generator.state = rng.bit_generator.state
+            want = reference_curve_with_forced_deviation(twin, eps)
+            before = len(draws)
+            got = forced(rng, eps)
+            per_draw.append(len(draws) - before)
+            assert rng.bit_generator.state == twin.bit_generator.state
+            for field in ("samples", "deviation", "domain_length", "chord_length"):
+                assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
+            assert _bits(got.graph_lengths()) == _bits(want.graph_lengths())
+            return got
+
+        monkeypatch.setattr(bounds, "random_unit_speed_curve", counting)
+        monkeypatch.setattr(bounds, "curve_with_forced_deviation", checked)
+        assert cli_main(["bounds-sweep", "--grid", "1000", "--seed", str(seed)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert len(per_draw) == 1000 and sum(per_draw) == attempts
+
+
 # every fixed range the sweeps draw from: the eps of the offset and curve
 # sweeps; the offset sweep's half base and offset factor; the curve sweep's
 # first angle swing, phases, and domain lengths (lo, 2.85) with
@@ -693,6 +759,7 @@ class TestSweepOutputs:
         with pytest.MonkeyPatch.context() as patched:
             patched.setattr(bounds, "random_unit_speed_curve", reference_unit_speed_curve)
             patched.setattr(bounds, "CurveGraphPair", ReferenceCurveGraphPair)
+            patched.setattr(bounds, "_deviation", reference_deviation)
             patched.setattr(bounds, "_uniform", reference_uniform)
             want = run()
         assert got == want and got[0] == 0

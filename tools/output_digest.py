@@ -26,6 +26,14 @@ and one per band copy it wrote itself, `<sha256> file=<name>`.  Where a
 command raises instead of returning, the exit code is the exception's
 name and the streams hold what it wrote before.  The first line names the
 numpy and Python versions, since the digests depend on numpy's rounding.
+They also depend on the BLAS kernel that numpy's OpenBLAS picks for the
+CPU, which the first line does not name: np.linalg.norm of a single vector
+and the 1-D `@` products are BLAS dot products, and the Haswell kernel
+fuses their multiply-adds (the norm of (x, y) is sqrt(fma(y, y, x * x)),
+which differs from math.sqrt(x * x + y * y) in the last bit for about 8%
+of random 2-vectors).  So `PerturbedTriangle`'s `vee`, and with it the
+`offset1_min` of `bounds-sweep`, can round differently on a CPU whose
+kernel does not fuse them, with the same numpy and Python.
 
 `output_digest.txt` beside this script is the listing of the committed
 package, and `tests/test_output_digest.py` compares the current outputs
