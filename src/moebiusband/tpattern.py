@@ -75,21 +75,19 @@ class TPattern(NamedTuple):
     param_t / param_b: foliation parameters of the two bends, with the
     T-role bend the one whose segment contains the line intersection in
     its interior and the B-role bend the one lying on one closed side.
-    bend_t_space / bend_b_space: the two bends in the pose of the band the
-    pattern was found in; len_t / len_b: their lengths.
+    bend_t_flat / bend_b_flat: the two bends in the development, as
+    `interpolate_bend(band, param_t)` and `(band, param_b)` give them with
+    the bends in space; len_t / len_b: the lengths of the bends in space.
     pose: isometry carrying the band to the normalized position: the
     T bend in the X-axis with its midpoint at the origin, the B bend in
     the negative ray of the Y-axis (exactly so when the two bends'
     intersection sits at the T midpoint, as for the generated bands).
-    `pose.apply(bend_t_space)` is the normalized T bend.
     """
 
     param_t: float
     param_b: float
     bend_t_flat: np.ndarray
-    bend_t_space: np.ndarray
     bend_b_flat: np.ndarray
-    bend_b_space: np.ndarray
     len_t: float
     len_b: float
     residual_perp: float
@@ -261,8 +259,7 @@ def find_tpattern(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> TPatte
     pose = _build_pose(bend_t_flat, bend_t_space, bend_b_space, best.p_star)
     alternates = tuple({key: getattr(c, key) for key in ("alpha", "beta", "len_t", "len_b", "perp", "offset")}
                        for c in others)
-    return TPattern(param_t=p_t, param_b=p_b, bend_t_flat=bend_t_flat, bend_t_space=bend_t_space,
-                    bend_b_flat=bend_b_flat, bend_b_space=bend_b_space,
+    return TPattern(param_t=p_t, param_b=p_b, bend_t_flat=bend_t_flat, bend_b_flat=bend_b_flat,
                     len_t=float(np.linalg.norm(bend_t_space[1] - bend_t_space[0])),
                     len_b=float(np.linalg.norm(bend_b_space[1] - bend_b_space[0])),
                     residual_perp=best.perp, residual_offset=best.offset, pose=pose,

@@ -326,7 +326,7 @@ class PipelineState(Frozen):
     @cached_property
     def winding(self) -> int:
         """Winding number of the projected boundary loop about the incenter."""
-        return winding_number(self.loop, INCENTER[:2], self.tol)
+        return winding_number(self.loop, np.roll(self.loop, -1, axis=0), INCENTER[:2])
 
     @cached_property
     def coverage(self) -> tuple[float, str]:
@@ -344,9 +344,10 @@ class PipelineState(Frozen):
         point of the triangle farther than a from its boundary curve is off
         the loop, and it has the incenter's odd winding, since those points
         form a triangle about the incenter that the loop does not meet.  The
-        projected band is a mod-2 chain bounded by the loop, so an odd
-        number of projected patches hold the point, and it lies within that
-        patch's |z|, at most max|z|, of the band.  Every other point of the
+        projected band is a mod-2 chain bounded by the loop, so by the
+        cycle lemma of `winding_number`, taken mod 2, an odd number of
+        projected patches hold the point, and it lies within that patch's
+        |z|, at most max|z|, of the band.  Every other point of the
         triangle lies within 2 a of such points (a corner of the
         equilateral triangle is the farthest).  Where a premise fails this
         reads inf."""
@@ -465,13 +466,17 @@ _FLAT_Z = 1e-13
 # points_to_triangles_distance, which reads band_to_triangle
 _RIM = 9.8e-14
 # the xy corners of CANONICAL_TRIANGLE, each edge running from a corner to
-# the next; the unit normals of the edge lines, and their offsets: a point p
-# lies |p @ normal - offset| from the line
+# the next, and the unit normals of the edge lines
 _CORNERS = CANONICAL_TRIANGLE[:, :2]
 _NEXT_CORNERS = CANONICAL_TRIANGLE[[1, 2, 0], :2]
 _SIDES = _NEXT_CORNERS - _CORNERS
 _LINE_NORMALS = np.stack([-_SIDES[:, 1], _SIDES[:, 0]], axis=1) / np.linalg.norm(_SIDES, axis=1)[:, None]
-_LINE_OFFSETS = np.einsum("ej,ej->e", _CORNERS, _LINE_NORMALS)
+
+
+def _line_distances(pts: np.ndarray) -> np.ndarray:
+    """Signed distances of the (n, 2) points from the triangle's three edge
+    lines, (n, 3), all three negative inside the triangle."""
+    return np.einsum("nij,ij->ni", pts[:, None, :] - _CORNERS, _LINE_NORMALS)
 
 
 def _flat(patches: np.ndarray) -> np.ndarray:
@@ -479,26 +484,11 @@ def _flat(patches: np.ndarray) -> np.ndarray:
     return (np.abs(patches[:, :, 2]) <= _FLAT_Z).all(axis=1)
 
 
-def _flat_layer_covers(patches: np.ndarray) -> bool:
-    """Whether the flat patches hold every point of the canonical triangle
-    up to _RIM, certified from the degree of the flat layer.
-
-    The flat patches whose xy-projection is positively oriented form a
-    2-chain in the plane, and the winding number of its boundary cycle
-    about a point off it is the number of those patches that hold the
-    point (Jacobson, Kavan & Sorkine-Hornung, "Robust inside-outside
-    segmentation using generalized winding numbers", ACM TOG 32(4), 2013).
-    The directed edges of the chain cancel against their reversals where
-    the endpoints are bitwise equal, -0.0 read as 0.0.  The certificate
-    holds where every remaining edge has both endpoints within _RIM of one
-    and the same edge line of the triangle, and the cycle winds a nonzero
-    number of times about the incenter.  Then no edge separates the
-    incenter from a point of the triangle farther than _RIM from all three
-    edge lines, so a flat patch holds that point, and the rest of the
-    triangle lies within 2 _RIM of such points (a corner of the equilateral
-    triangle is the farthest).  A chord across the triangle
-    fails the certificate.  The edges stay 1/3 - _RIM or more from the
-    incenter, so the rounded sum of their arctan2 angles is the winding."""
+def _flat_cycle(patches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary cycle of the flat patches whose xy-projection is
+    positively oriented: its directed edges as (k, 2, 2) ends, and the
+    count of each.  The edges of the patches cancel against their reversals
+    where the endpoints are bitwise equal, -0.0 read as 0.0."""
     tris = patches[_flat(patches), :, :2] + 0.0
     e0, e1 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
     tris = tris[e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0] > 0.0]
@@ -512,14 +502,34 @@ def _flat_layer_covers(patches: np.ndarray) -> bool:
     first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     count = np.bincount(np.cumsum(first) - 1, weights=np.where(back[order], -1.0, 1.0))
     left = count != 0.0
-    ends, count = keys[first][left].reshape(-1, 2, 2), count[left]
+    return keys[first][left].reshape(-1, 2, 2), count[left]
+
+
+def _flat_layer_covers(patches: np.ndarray) -> bool:
+    """Whether the flat patches hold every point of the canonical triangle
+    up to _RIM, certified from the degree of the flat layer.
+
+    The positively oriented flat patches form a 2-chain in the plane, so
+    by the cycle lemma of `winding_number` the winding of its boundary
+    cycle (`_flat_cycle`, each edge weighted by its count) about a point
+    off the cycle counts the patches that hold the point.  The certificate
+    holds where every edge of the cycle has both endpoints within _RIM of
+    one and the same edge line of the triangle, and the cycle winds a
+    nonzero number of times about the incenter.  Then no edge separates the
+    incenter from a point of the triangle farther than _RIM from all three
+    edge lines, so a flat patch holds that point, and the rest of the
+    triangle lies within 2 _RIM of such points (a corner of the equilateral
+    triangle is the farthest).  A chord across the triangle fails the
+    certificate.  The winding is taken after the edge-line test: an edge
+    inside a broken layer can run through the incenter, which
+    `winding_number` rejects, while the edges that pass the test stay
+    1/3 - _RIM or more from it."""
+    ends, count = _flat_cycle(patches)
     # distance of each end to each edge line of the triangle: (edges, 2, 3)
-    dist = np.abs(ends @ _LINE_NORMALS.T - _LINE_OFFSETS)
+    dist = np.abs(_line_distances(ends.reshape(-1, 2))).reshape(-1, 2, 3)
     if not (dist.max(axis=1) <= _RIM).any(axis=1).all():
         return False
-    a, b = ends[:, 0] - INCENTER[:2], ends[:, 1] - INCENTER[:2]
-    turn = np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], np.einsum("kj,kj->k", a, b))
-    return round(float(count @ turn) / (2.0 * math.pi)) != 0
+    return winding_number(ends[:, 0], ends[:, 1], INCENTER[:2], count) != 0
 
 
 def _triangle_curve_distance_2d(pts: np.ndarray) -> np.ndarray:
@@ -536,8 +546,8 @@ def _annulus_max(loop: np.ndarray) -> float:
     affine edge-line distances.  So on each segment of the loop the maximum
     sits at an end or where two edge-line distances are equal (a bisector
     crossing); every such point is a point of the loop."""
-    # signed edge-line distances (one sign inside) at every vertex, pairwise differences
-    dist = np.einsum("nij,ij->ni", loop[:, None, :] - _CORNERS, _LINE_NORMALS)
+    # signed edge-line distances at every vertex, pairwise differences
+    dist = _line_distances(loop)
     gap = dist - np.roll(dist, -1, axis=1)
     gap_next = np.roll(gap, -1, axis=0)
     k, pair = np.nonzero((gap < 0.0) != (gap_next < 0.0))

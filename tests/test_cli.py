@@ -13,6 +13,7 @@ from moebiusband import cli as cli_mod
 from moebiusband import tpattern as tpattern_mod
 from moebiusband.band import read_json, write_json
 from moebiusband.cli import main as cli_main
+from moebiusband.geom import DEFAULT_TOL
 from moebiusband.tpattern import InvalidBandError, find_tpattern
 from moebiusband.verify import prepare, verify_all
 
@@ -470,6 +471,54 @@ class TestToleranceEnv:
             capture_output=True, text=True, env=env,
         )
         assert res.returncode == 1
+
+    @staticmethod
+    def _moved_bend_file(tri_file, tmp_path):
+        # the top of bend 5 moved 1e-6 along its bend: over the default
+        # isometry tolerance 1e-9, within 1e-5
+        band = read_json(tri_file)
+        space = band.space.copy()
+        seg = space[5, 1] - space[5, 0]
+        space[5, 1] += 1e-6 * seg / np.linalg.norm(seg)
+        path = tmp_path / "moved.json"
+        write_json(replace(band, space=space), path)
+        return path
+
+    @pytest.mark.parametrize("key", list(vars(DEFAULT_TOL)))
+    def test_every_key_takes_effect(self, key, tri_file, wrinkle_file, tmp_path, monkeypatch,
+                                    capsys):
+        # each ToleranceConfig field changes a CLI outcome: the command, the
+        # value, the exit codes at the default and under the value, and the
+        # text that the output under the value holds.  A field missing here
+        # fails: a key that decides nothing must go
+        effects = {
+            "root_residual": (["tpattern", "--input", str(wrinkle_file)], 1e-20, 0, 1,
+                              "error: no T-pattern detected"),
+            "isometry": (["validate", "--input", str(self._moved_bend_file(tri_file, tmp_path))],
+                         1e-5, 1, 0, "pass=True"),
+        }
+        argv, value, default_code, code, text = effects[key]
+        monkeypatch.delenv("MOEBIUS_TOL", raising=False)
+        assert cli_main(argv) == default_code
+        capsys.readouterr()
+        monkeypatch.setenv("MOEBIUS_TOL", json.dumps({key: value}))
+        assert cli_main(argv) == code
+        captured = capsys.readouterr()
+        assert text in captured.out + captured.err
+
+    def test_winding_residual_exits_2(self, tri_file):
+        # the winding residual is gone: the winding sums of valid bands lie
+        # within 3.1e-15 of an integer (a 6,000-vertex loop), so no value of
+        # the key could do more than fail a valid band
+        import os
+
+        env = dict(os.environ, MOEBIUS_TOL='{"winding_residual": 1e-6}')
+        res = subprocess.run(CLI + ["verify", "--input", str(tri_file)],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: bad MOEBIUS_TOL: ")
+        assert res.stderr.count("\n") == 1 and "winding_residual" in res.stderr
+        assert "Traceback" not in res.stderr and res.stdout == ""
 
     def test_bad_env_exits_2(self, wrinkle_file):
         import os

@@ -32,34 +32,45 @@ def scalar_point_segment_distance(p, a, b) -> float:
     return float(np.linalg.norm(p - (a + t * ab)))
 
 
+def _edges(loop):
+    """The directed edges of a closed loop of (n, 2) vertices, as starts
+    and ends."""
+    loop = np.asarray(loop, dtype=float)
+    return loop, np.roll(loop, -1, axis=0)
+
+
+def loop_winding(loop, point):
+    return winding_number(*_edges(loop), point)
+
+
 class TestWinding:
     SQUARE = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
     def test_ccw_square_origin(self):
-        assert winding_number(self.SQUARE, [0.0, 0.0]) == 1
+        assert loop_winding(self.SQUARE, [0.0, 0.0]) == 1
 
     def test_point_outside(self):
-        assert winding_number(self.SQUARE, [5.0, 5.0]) == 0
+        assert loop_winding(self.SQUARE, [5.0, 5.0]) == 0
 
     def test_cw_square_origin(self):
-        assert winding_number(self.SQUARE[::-1], [0.0, 0.0]) == -1
+        assert loop_winding(self.SQUARE[::-1], [0.0, 0.0]) == -1
 
     @given(st.integers(min_value=0, max_value=7))
     @settings(max_examples=8, deadline=None)
     def test_invariant_under_start_rotation(self, k):
         loop = np.roll(self.SQUARE, -k, axis=0)
-        assert winding_number(loop, [0.2, -0.3]) == 1
+        assert loop_winding(loop, [0.2, -0.3]) == 1
 
     def test_point_on_loop_rejected(self):
         with pytest.raises(StructureError, match="on the loop"):
-            winding_number(self.SQUARE, [1.0, 0.0])
+            loop_winding(self.SQUARE, [1.0, 0.0])
 
     def test_near_collinear_edges(self):
         # many collinear vertices along each side must not confuse the count
         side = np.linspace(0.0, 1.0, 50)
         bot = np.stack([side, np.zeros_like(side)], axis=1)
         top = np.stack([side[::-1], np.ones_like(side)], axis=1)
-        assert winding_number(np.vstack([bot, top]), [0.5, 0.5]) == 1
+        assert loop_winding(np.vstack([bot, top]), [0.5, 0.5]) == 1
 
 
 class TestRigidMotion:
@@ -117,16 +128,20 @@ def _reference_loop_points(pts):
     return pts[keep]
 
 
-def _reference_winding(pts, point):
+def _reference_winding(starts, ends, point, weights=None):
     """The winding number with the scalar point-on-loop test, one edge at a
-    time."""
-    rel = np.asarray(pts, dtype=float) - np.asarray(point, dtype=float)
-    for a, b in zip(rel, np.roll(rel, -1, axis=0)):
+    time: each edge's weight times the difference of the angles of its ends
+    about the point, wrapped into [-pi, pi), summed."""
+    weights = np.ones(len(starts)) if weights is None else weights
+    point = np.asarray(point, dtype=float)
+    total = 0.0
+    for a, b, w in zip(np.asarray(starts, dtype=float) - point,
+                       np.asarray(ends, dtype=float) - point, weights):
         if scalar_point_segment_distance(np.zeros(2), a, b) < 1e-12:
             raise StructureError("point lies on the loop")
-    ang = np.arctan2(rel[:, 1], rel[:, 0])
-    inc = (np.diff(np.concatenate([ang, ang[:1]])) + np.pi) % (2.0 * np.pi) - np.pi
-    return round(float(inc.sum()) / (2.0 * np.pi))
+        turn = math.atan2(b[1], b[0]) - math.atan2(a[1], a[0])
+        total += w * ((turn + math.pi) % (2.0 * math.pi) - math.pi)
+    return round(total / (2.0 * math.pi))
 
 
 def _outcome(f, *args):
@@ -136,8 +151,9 @@ def _outcome(f, *args):
         return str(exc)
 
 
-def _assert_winding_as_reference(pts, point):
-    assert _outcome(winding_number, pts, point) == _outcome(_reference_winding, pts, point)
+def _assert_winding_as_reference(starts, ends, point, weights=None):
+    assert (_outcome(winding_number, starts, ends, point, weights)
+            == _outcome(_reference_winding, starts, ends, point, weights))
 
 
 class TestScreens:
@@ -154,14 +170,14 @@ class TestScreens:
         # the right edge of the square runs along x = 1
         point = [1.0 - offset, 0.3]
         expected = "point lies on the loop" if on_loop else int(offset > 0)
-        assert _outcome(_reference_winding, self.SQUARE, point) == expected
-        _assert_winding_as_reference(self.SQUARE, point)
+        assert _outcome(_reference_winding, *_edges(self.SQUARE), point) == expected
+        _assert_winding_as_reference(*_edges(self.SQUARE), point)
 
     @pytest.mark.parametrize("vertex", range(4))
     def test_point_at_a_vertex(self, vertex):
         with pytest.raises(StructureError, match="on the loop"):
-            winding_number(self.SQUARE, self.SQUARE[vertex])
-        _assert_winding_as_reference(self.SQUARE, self.SQUARE[vertex])
+            loop_winding(self.SQUARE, self.SQUARE[vertex])
+        _assert_winding_as_reference(*_edges(self.SQUARE), self.SQUARE[vertex])
 
     @given(st.integers(-8, 8), st.sampled_from([1e-3, 1.0, 1e3]),
            st.floats(0.0, 1.0), st.integers(0, 3))
@@ -175,7 +191,39 @@ class TestScreens:
         a, b = pts[edge], pts[(edge + 1) % 4]
         normal = np.array([b[1] - a[1], a[0] - b[0]]) / np.linalg.norm(b - a)
         point = a + f * (b - a) + 1e-12 * (1.0 + ulps * 2.0 ** -52) * normal
-        _assert_winding_as_reference(pts, point)
+        _assert_winding_as_reference(*_edges(pts), point)
+
+    @pytest.mark.parametrize("point, expected", [
+        ([0.0, 0.0], (2, -1, 1)), ([0.8, 0.8], (2, -1, 2)), ([5.0, 0.0], (0, 0, 0)),
+    ])
+    def test_weighted_edges(self, point, expected):
+        # the square counted twice, the square counted -1 times, and the
+        # square counted twice with a half-size square inside it counted -1
+        # times: the origin lies in both squares, (0.8, 0.8) in the big one
+        starts, ends = _edges(self.SQUARE)
+        inner = 0.5 * starts, 0.5 * ends
+        cases = [(starts, ends, np.full(4, 2.0)), (starts, ends, np.full(4, -1.0)),
+                 (np.vstack([starts, inner[0]]), np.vstack([ends, inner[1]]),
+                  np.repeat([2.0, -1.0], 4))]
+        for (s, e, w), want in zip(cases, expected):
+            assert _reference_winding(s, e, point, w) == want
+            _assert_winding_as_reference(s, e, point, w)
+
+    @pytest.mark.parametrize("point", [[0.3, 0.2], [0.5, 0.0], [2.0, -1.0]])
+    def test_cancelling_edges(self, point):
+        # an edge and its reversal wind 0 times about a point off them; on
+        # them, the point is rejected all the same
+        starts = np.array([[0.0, 0.0], [1.0, 0.0]])
+        ends = starts[::-1]
+        want = "point lies on the loop" if point[1] == 0.0 and 0.0 <= point[0] <= 1.0 else 0
+        assert _outcome(_reference_winding, starts, ends, point, [1.0, 1.0]) == want
+        _assert_winding_as_reference(starts, ends, point, [1.0, 1.0])
+
+    def test_empty_cycle(self):
+        none = np.zeros((0, 2))
+        assert winding_number(none, none, [0.0, 0.0]) == 0
+        assert winding_number(none, none, [0.0, 0.0], np.zeros(0)) == 0
+        assert _reference_winding(none, none, [0.0, 0.0]) == 0
 
     @pytest.mark.parametrize("case", ["exact", "chain", "closing", "near_threshold"])
     def test_duplicate_drop_as_scalar(self, case):

@@ -10,7 +10,10 @@ that decides each curve attempt.  `reference_curve_with_forced_deviation`
 is the attempt loop as it was when it built a validated CurveGraphPair
 from every attempt, discarded or not.  The boundary loop with its
 near-duplicate points dropped is the loop the package built before it read
-the loop straight from the bend ends.  The glued copy of bend 0 in the
+the loop straight from the bend ends.  The two winding sums, the wrapped
+angle differences of the loop's vertices and the counted arctan2 angles of
+the flat layer's boundary cycle, are how the package summed each cycle
+before one `winding_number` took both.  The glued copy of bend 0 in the
 boundary chains and the wrap bracket of `interpolate_bend`, the glided
 bends of `redevelop`, `flip`, and the glided and flipped B leaf of
 `develop_for` are the five copies of the glide (x, y) -> (x + dx, 1 - y)
@@ -172,6 +175,42 @@ def reference_loop(state):
     """PipelineState.loop from the boundary loop in space without its
     near-duplicate points."""
     return loop_without_duplicates(boundary_loop(state.developed))[:, :2]
+
+
+def reference_loop_winding(loop, point):
+    """The winding number of a closed loop about a point off it, summed from
+    the angles of its vertices about the point: their consecutive
+    differences, wrapped into [-pi, pi)."""
+    rel = loop - point
+    ang = np.arctan2(rel[:, 1], rel[:, 0])
+    inc = (np.diff(np.concatenate([ang, ang[:1]])) + np.pi) % (2.0 * np.pi) - np.pi
+    return round(float(inc.sum()) / (2.0 * np.pi))
+
+
+def reference_cycle_winding(ends, count, point):
+    """The winding number about a point off it of a cycle of directed edges,
+    (k, 2, 2) ends, edge i counted count[i] times: the counted arctan2
+    angles of the edges, summed."""
+    a, b = ends[:, 0] - point, ends[:, 1] - point
+    turn = np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0], np.einsum("kj,kj->k", a, b))
+    return round(float(count @ turn) / (2.0 * math.pi))
+
+
+def reference_winding_number(starts, ends, point, weights=None):
+    """`winding_number` for its two callers, each with its own sum: the
+    boundary loop (no weights; the ends are the loop rolled by one) and the
+    flat layer's boundary cycle."""
+    if weights is None:
+        return reference_loop_winding(starts, point)
+    return reference_cycle_winding(np.stack([starts, ends], axis=1), weights, point)
+
+
+def flat_cycle_windings(patches):
+    """The winding number about the incenter of the boundary cycle of the
+    flat layer of `patches`, from `winding_number` and from the reference."""
+    ends, count = verify_mod._flat_cycle(patches)
+    return (winding_number(ends[:, 0], ends[:, 1], INCENTER[:2], count),
+            reference_cycle_winding(ends, count, INCENTER[:2]))
 
 
 def reference_perp_roots(band):
@@ -514,7 +553,12 @@ class TestStages:
         want = reference_loop(state)
         assert len(want) < len(state.loop)
         assert _bits(state.annulus_max) == _bits(verify_mod._annulus_max(want))
-        assert state.winding == winding_number(want, INCENTER[:2], state.tol)
+        assert state.winding == reference_loop_winding(want, INCENTER[:2])
+        assert state.winding == reference_loop_winding(state.loop, INCENTER[:2])
+
+    def test_flat_cycle_winding(self, bands, name, kind, posed):
+        got, want = flat_cycle_windings(prepare(_copy(bands[name], name, kind, posed)).patches)
+        assert got == want == 1
 
     def test_perp_roots(self, bands, name, kind, posed):
         band = _copy(bands[name], name, kind, posed)
@@ -626,6 +670,7 @@ class TestCliOutputs:
                 patched.setattr(RuledBand, "boundary_chains", reference_boundary_chains)
                 patched.setattr(tpattern_mod, "interpolate_bend", reference_interpolate_bend)
                 patched.setattr(verify_mod, "develop_for", reference_develop_for)
+                patched.setattr(verify_mod, "winding_number", reference_winding_number)
                 assert isinstance(prepare(bands[name]).boundary[0], ReferenceChain)
                 want = cli_digest(path, tmp_path)
             assert got == want, posed

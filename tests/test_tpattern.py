@@ -36,9 +36,14 @@ SQRT3 = math.sqrt(3.0)
 T0 = 1.0 / SQRT3
 
 
-def normalized_bends(tp: TPattern) -> tuple[np.ndarray, np.ndarray]:
+def space_bends(band: RuledBand, tp: TPattern) -> tuple[np.ndarray, np.ndarray]:
+    """The T and B bends of a pattern found on `band`, in space."""
+    return interpolate_bend(band, tp.param_t)[1], interpolate_bend(band, tp.param_b)[1]
+
+
+def normalized_bends(band: RuledBand, tp: TPattern) -> tuple[np.ndarray, np.ndarray]:
     """The T and B bends of a pattern, moved by its normalizing pose."""
-    return tp.pose.apply(tp.bend_t_space), tp.pose.apply(tp.bend_b_space)
+    return tuple(tp.pose.apply(bend) for bend in space_bends(band, tp))
 
 
 def pose_residuals(t_sp: np.ndarray, b_sp: np.ndarray) -> dict:
@@ -136,16 +141,17 @@ class TestTriangularPattern:
         assert abs(tp.residual_perp) < 1e-10
         assert abs(tp.residual_offset) < 1e-10
         # T maps onto the X-axis base, B onto the dropped vertical segment
-        assert np.allclose(np.abs(tp.bend_t_space[:, 0]), T0, atol=1e-12)
-        assert np.allclose(tp.bend_t_space[:, 1:], 0.0, atol=1e-12)
-        assert np.allclose(sorted(tp.bend_b_space[:, 1]), [-1.0, 0.0], atol=1e-12)
-        assert np.allclose(tp.bend_b_space[:, [0, 2]], 0.0, atol=1e-12)
+        bend_t, bend_b = space_bends(tri_band, tp)
+        assert np.allclose(np.abs(bend_t[:, 0]), T0, atol=1e-12)
+        assert np.allclose(bend_t[:, 1:], 0.0, atol=1e-12)
+        assert np.allclose(sorted(bend_b[:, 1]), [-1.0, 0.0], atol=1e-12)
+        assert np.allclose(bend_b[:, [0, 2]], 0.0, atol=1e-12)
 
     def test_already_canonical_pose(self, tri_band):
         tp = find_tpattern(tri_band)
         moved = normalize_pose(tri_band, tp)
         assert np.abs(moved.space - tri_band.space).max() < 1e-12
-        res = pose_residuals(*normalized_bends(tp))
+        res = pose_residuals(*normalized_bends(tri_band, tp))
         assert max(res.values()) < 1e-12
 
     def test_unfold_t(self, tri_band):
@@ -182,7 +188,7 @@ class TestWrinklePattern:
 
     def test_normalized_midpoint_at_origin(self, wrinkle4):
         tp = find_tpattern(wrinkle4)
-        res = pose_residuals(*normalized_bends(tp))
+        res = pose_residuals(*normalized_bends(wrinkle4, tp))
         assert res["t_midpoint"] < 1e-10
         assert res["t_off_axis"] < 1e-10
         assert res["b_off_axis"] < 1e-8
@@ -190,8 +196,8 @@ class TestWrinklePattern:
 
     def test_idempotent_normalization(self, wrinkle4):
         tp = find_tpattern(wrinkle4)
-        tp2 = find_tpattern(normalize_pose(wrinkle4, tp))
-        res = pose_residuals(tp2.bend_t_space, tp2.bend_b_space)
+        normalized = normalize_pose(wrinkle4, tp)
+        res = pose_residuals(*space_bends(normalized, find_tpattern(normalized)))
         # the re-found pattern is already normalized
         assert res["t_off_axis"] < 1e-8 and res["b_off_axis"] < 1e-8
 
@@ -282,9 +288,7 @@ class TestUnfoldSynthetic:
             param_t=0.0,
             param_b=6.0,
             bend_t_flat=band.flat[0],
-            bend_t_space=band.space[0],
             bend_b_flat=band.flat[6],
-            bend_b_space=band.space[6],
             len_t=1.0,
             len_b=1.0,
             residual_perp=0.0,

@@ -22,7 +22,13 @@ from moebiusband.band import (
 )
 from moebiusband.cli import main as cli_main
 from moebiusband.flatmodel import T_OPT
-from moebiusband.geom import DEFAULT_TOL, RigidMotion, StructureError
+from moebiusband.geom import (
+    DEFAULT_TOL,
+    RigidMotion,
+    StructureError,
+    point_segment_distance,
+    winding_number,
+)
 from moebiusband.tpattern import find_tpattern
 from moebiusband.verify import (
     EPS_FLOOR,
@@ -47,6 +53,7 @@ from conftest import (
     replace,
     scale_bend,
 )
+from test_reference_paths import flat_cycle_windings, reference_loop_winding
 
 SQRT3 = math.sqrt(3.0)
 
@@ -281,12 +288,15 @@ class TestSharedGeometry:
         assert measured["triangle_coverage_max"] == 0.0
 
     def _count(self, monkeypatch):
-        calls = {"certificate": 0, "annulus": 0, "winding": 0, "kernel": 0, "chains": 0}
+        # winding_number counts as "winding" for the loop and as "cycle" for
+        # the flat layer's boundary cycle, the one caller that passes weights
+        calls = {"certificate": 0, "annulus": 0, "winding": 0, "cycle": 0, "kernel": 0,
+                 "chains": 0}
         for key, name in (("certificate", "_flat_layer_covers"), ("annulus", "_annulus_max"),
                           ("winding", "winding_number"), ("kernel", "points_to_triangles_distance"),
                           ("chains", "_Chain")):
             def counting(*args, key=key, real=getattr(verify_mod, name)):
-                calls[key] += 1
+                calls["cycle" if key == "winding" and len(args) == 4 else key] += 1
                 return real(*args)
 
             monkeypatch.setattr(verify_mod, name, counting)
@@ -295,16 +305,17 @@ class TestSharedGeometry:
     def test_verify_all_measures_once(self, tri_band, wrinkle4_state, monkeypatch):
         calls = self._count(monkeypatch)
         assert [r.name for r in verify_all(tri_band)] == ["eff", "eff2", "corollary"]
-        assert calls["certificate"] == calls["annulus"] == calls["winding"] == 1
-        # a lifted band fails the certificate; eff2 and corollary share its
-        # loop bound
+        assert calls["certificate"] == calls["annulus"] == calls["winding"] == calls["cycle"] == 1
+        # a lifted band fails the certificate's edge-line test before its winding;
+        # eff2 and corollary share its loop bound
         lifted = wrinkle4_state.patches.copy()
         lifted[::2, :, 2] += 0.01
         state = _state_with_patches(wrinkle4_state, lifted)
-        calls.update(certificate=0, annulus=0, winding=0)
+        calls.update(certificate=0, annulus=0, winding=0, cycle=0)
         verify_eff2(state)
         verify_corollary(state)
         assert calls["certificate"] == calls["annulus"] == calls["winding"] == 1
+        assert calls["cycle"] == 0
         assert state.coverage[1] == LOOP_NOTE
 
     def test_cli_measures_once_and_eff_never(self, wrinkle4, tmp_path, monkeypatch):
@@ -312,11 +323,12 @@ class TestSharedGeometry:
         write_json(wrinkle4, path)
         calls = self._count(monkeypatch)
         assert cli_main(["verify", "--input", str(path)]) == 0
-        assert calls["certificate"] == calls["annulus"] == calls["winding"] == 1
+        assert calls["certificate"] == calls["annulus"] == calls["winding"] == calls["cycle"] == 1
         assert calls["chains"] == 2
-        calls.update(certificate=0, annulus=0, winding=0, kernel=0, chains=0)
+        calls.update(certificate=0, annulus=0, winding=0, cycle=0, kernel=0, chains=0)
         assert cli_main(["verify", "--input", str(path), "--theorem", "eff"]) == 0
-        assert calls == {"certificate": 0, "annulus": 0, "winding": 0, "kernel": 0, "chains": 2}
+        assert calls == {"certificate": 0, "annulus": 0, "winding": 0, "cycle": 0, "kernel": 0,
+                         "chains": 2}
         # only eff reads the boundary chains
         for argv in (["verify", "--theorem", "eff2"], ["verify", "--theorem", "corollary"],
                      ["tpattern"]):
@@ -332,9 +344,9 @@ class TestSharedGeometry:
         write_json(band_states[name][0], path)
         calls = self._count(monkeypatch)
         for theorem in (["--theorem", "eff2"], ["--theorem", "corollary"], []):
-            calls.update(certificate=0, winding=0)
+            calls.update(certificate=0, winding=0, cycle=0)
             assert cli_main(["verify", "--input", str(path), *theorem]) == 0
-            assert calls["certificate"] == 1, theorem
+            assert calls["certificate"] == calls["cycle"] == 1, theorem
             assert calls["winding"] == (0 if "corollary" in theorem else 1), theorem
 
     def test_patches_built_once(self, tri_band, monkeypatch):
@@ -399,8 +411,29 @@ class TestFlatLayerCertificate:
                     cases.append(patches)
         for patches in cases:
             assert not verify_mod._flat_layer_covers(patches)
+            got, want = flat_cycle_windings(patches)
+            assert got == want
         # the positive layer alone leaves a hole or a lifted patch
         assert max(_dense_triangle_to_band(patches) for patches in cases) > 0.0
+
+    def test_edge_through_the_incenter_fails_before_the_winding(self, band_states):
+        # a patch removed beside the middle fan's central bend (0, 0)-(0, -1)
+        # leaves that bend in the cycle, through the incenter: the edge-line
+        # test fails the certificate before the winding, which rejects the
+        # incenter as a point on the cycle
+        patches = band_states["tri"][1].patches
+        xy = patches[:, :, :2]
+        beside = [k for k in np.flatnonzero(_flat_area2(patches) > 0.0)
+                  if (xy[k] == [0.0, 0.0]).all(axis=1).any()
+                  and (xy[k] == [0.0, -1.0]).all(axis=1).any()]
+        assert len(beside) == 2
+        for k in beside:
+            removed = np.delete(patches, k, axis=0)
+            assert not verify_mod._flat_layer_covers(removed)
+            ends, count = verify_mod._flat_cycle(removed)
+            assert (point_segment_distance(INCENTER[:2], ends[:, 0], ends[:, 1]) < 1e-12).any()
+            with pytest.raises(StructureError, match="on the loop"):
+                winding_number(ends[:, 0], ends[:, 1], INCENTER[:2], count)
 
     @pytest.mark.parametrize("control", ["removed", "lifted", "chord", "lift", "jitter", "shrunk"])
     def test_loop_bound_above_dense(self, control, band_states):
@@ -438,6 +471,9 @@ class TestFlatLayerCertificate:
                 states.append(_state_with_space(state, space, flat))
         for state in states:
             assert not verify_mod._flat_layer_covers(state.patches)
+            got, want = flat_cycle_windings(state.patches)
+            assert got == want
+            assert state.winding == reference_loop_winding(state.loop, INCENTER[:2])
             bound, note = state.coverage
             assert note == LOOP_NOTE
             assert bound >= _dense_triangle_to_band(state.patches)
