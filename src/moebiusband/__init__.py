@@ -22,10 +22,8 @@ from .bounds import (
 )
 from .flatmodel import FlatTrapezoid
 from .geom import (
-    DEFAULT_TOL,
     RigidMotion,
     StructureError,
-    ToleranceConfig,
     winding_number,
 )
 from .tpattern import (

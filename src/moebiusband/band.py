@@ -24,17 +24,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .geom import (
-    DEFAULT_TOL,
     Frozen,
     RigidMotion,
     StructureError,
-    ToleranceConfig,
     point_segment_distance,
     rotation_about_line,
 )
 from .flatmodel import SQRT3, T_OPT, glide
 
 FORMAT_VERSION = 1
+
+ISOMETRY_TOL = 1e-9  # the relative length residual `validate` accepts
 
 SIDE = 2.0 / SQRT3  # side length of the canonical triangle (perimeter 2*sqrt(3))
 APEX = np.array([0.0, -1.0, 0.0])
@@ -147,11 +147,11 @@ class ValidationReport(NamedTuple):
     passed: bool
 
 
-def validate(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
+def validate(band: RuledBand) -> ValidationReport:
     """Check the discrete necessary conditions for an isometric embedding.
 
     Verified: bend endpoints on the boundary lines, ruling isometry
-    (|space length - flat length| <= tol relative), boundary arc-length
+    (|space length - flat length| <= ISOMETRY_TOL relative), boundary arc-length
     isometry edge by edge including the glued wrap, foliation ordering
     (no consecutive crossings or duplicate bends) and the width-1 chord
     bound flat length >= 1.
@@ -183,7 +183,7 @@ def validate(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> ValidationR
     short = flat_len < 1.0 - 1e-9
     violations += int(np.count_nonzero(short))
 
-    passed = max_ruling <= tol.isometry and max_boundary <= tol.isometry and violations == 0
+    passed = max_ruling <= ISOMETRY_TOL and max_boundary <= ISOMETRY_TOL and violations == 0
     return ValidationReport(max_ruling, max_boundary, violations, passed)
 
 

@@ -26,6 +26,7 @@ from .flatmodel import T_OPT
 from .geom import Frozen, StructureError
 
 _EQ_SLOP = 1e-12  # slop for inequalities that close non-strictly in the limit
+_SPEED_TOL = 1e-8  # largest |speed - 1| of a CurveGraphPair's sampling
 
 
 class MarginReport(NamedTuple):
@@ -164,7 +165,7 @@ class CurveGraphPair(Frozen):
 
     samples: (n, 3) points I(x_i) at equal parameter steps x_i spanning the
     domain segment; the samples must be finite and the sampling unit speed
-    step by step, to `speed_tol`.  The chord map is the affine map with the
+    step by step, to _SPEED_TOL.  The chord map is the affine map with the
     same endpoints; the graphs live in R^4 = domain x R^3.  The step
     lengths, the domain length, the chord samples, the chord length and the
     sup deviation are computed once, on construction, the deviation by
@@ -183,7 +184,7 @@ class CurveGraphPair(Frozen):
     _steps: np.ndarray
     _chord: np.ndarray
 
-    def __init__(self, samples: np.ndarray, speed_tol: float = 1e-6):
+    def __init__(self, samples: np.ndarray):
         s = np.asarray(samples, dtype=float)
         if s.ndim != 2 or s.shape[0] < 2 or s.shape[1] != 3:
             raise StructureError("need (n, 3) curve samples with n >= 2")
@@ -198,7 +199,7 @@ class CurveGraphPair(Frozen):
         mean = length / (n - 1)
         resid = (max(steps.max() / mean - 1.0, 1.0 - steps.min() / mean)
                  if length > 0.0 else math.nan)
-        if not resid <= speed_tol:
+        if not resid <= _SPEED_TOL:
             raise StructureError(f"samples are not unit speed (max |speed-1| = {resid:.3e})")
         w0, w1 = _chord_weights(n)
         chord = rows[:, :1] * w0 + rows[:, -1:] * w1
@@ -455,7 +456,7 @@ def curve_with_forced_deviation(rng: "np.random.Generator", eps: float) -> Curve
         with np.errstate(invalid="ignore"):
             dev = _deviation(rows, rows[:, -1:] * _chord_weights(rows.shape[1])[1])
         if not dev < target:
-            return CurveGraphPair(rows.T, speed_tol=1e-8)
+            return CurveGraphPair(rows.T)
         tilt *= 1.35
         if tilt > 2.6:
             length = _uniform(rng, lo, 2.85)

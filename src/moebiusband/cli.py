@@ -11,10 +11,9 @@ Subcommands:
 
 Exit codes: 0 = pass, 1 = verification failure, 2 = structural error or
 bad usage.  All randomness sits behind --seed; identical arguments and
-seed produce byte-identical CSV output.  The MOEBIUS_TOL environment
-variable may hold a JSON object overriding ToleranceConfig fields with
-positive finite numbers, e.g. MOEBIUS_TOL='{"isometry": 1e-8}'; every
-subcommand exits 2 on any other value.
+seed produce byte-identical CSV output.  The tolerances are fixed
+(band.ISOMETRY_TOL = 1e-9, tpattern._ROOT_RESIDUAL = 1e-8), so a non-empty
+MOEBIUS_TOL environment variable ends every subcommand with exit 2 at once.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .band import (
     write_json,
 )
 from .flatmodel import SQRT3
-from .geom import DEFAULT_TOL, StructureError, ToleranceConfig
+from .geom import StructureError
 from .tpattern import InvalidBandError, NoTPatternError
 from .verify import (
     OutOfScopeError,
@@ -59,34 +58,7 @@ EXIT_ERROR = 2
 DEFAULT_SEED = 1234
 
 
-def _tolerances() -> ToleranceConfig:
-    """The tolerances in force: DEFAULT_TOL, overridden by the JSON object in
-    MOEBIUS_TOL, each value a positive finite number."""
-    tol = DEFAULT_TOL
-    env = os.environ.get("MOEBIUS_TOL")
-    if env:
-        try:
-            overrides = json.loads(env)
-            if not isinstance(overrides, dict):
-                raise ValueError("not a JSON object")
-            for key, value in overrides.items():
-                try:
-                    ok = not isinstance(value, bool) and math.isfinite(value) and value > 0
-                except (TypeError, OverflowError):
-                    ok = False
-                if not ok:
-                    raise ValueError(f"{key} must be a positive finite number, "
-                                     f"not {json.dumps(value)}")
-            # an unknown key fails as an unexpected keyword of the constructor
-            merged = vars(tol) | {key: float(v) for key, v in overrides.items()}
-            tol = ToleranceConfig(**merged)
-        # json refuses nesting deeper than the recursion limit
-        except (ValueError, TypeError, RecursionError) as exc:
-            raise StructureError(f"bad MOEBIUS_TOL: {exc}") from exc
-    return tol
-
-
-def _cmd_build_triangular(args, tol: ToleranceConfig) -> int:
+def _cmd_build_triangular(args) -> int:
     band = build_triangular(n_per_fan=args.bends_per_fan)
     write_json(band, args.output)
     print(f"wrote triangular band ({band.n_bends} bends, lambda={band.lam:.12f}) "
@@ -94,7 +66,7 @@ def _cmd_build_triangular(args, tol: ToleranceConfig) -> int:
     return EXIT_PASS
 
 
-def _cmd_build_wrinkle(args, tol: ToleranceConfig) -> int:
+def _cmd_build_wrinkle(args) -> int:
     band = build_wrinkle(args.epsilon)
     write_json(band, args.output)
     excess = band.lam - SQRT3
@@ -104,9 +76,9 @@ def _cmd_build_wrinkle(args, tol: ToleranceConfig) -> int:
     return EXIT_PASS
 
 
-def _cmd_validate(args, tol: ToleranceConfig) -> int:
+def _cmd_validate(args) -> int:
     band = read_json(args.input)
-    rep = validate(band, tol)
+    rep = validate(band)
     print(f"validate {args.input}: pass={rep.passed} "
           f"ruling={rep.max_ruling_residual:.3e} boundary={rep.max_boundary_residual:.3e} "
           f"foliation_violations={rep.foliation_violations}")
@@ -121,10 +93,10 @@ def _validation_failed(rep) -> int:
     return EXIT_FAIL
 
 
-def _cmd_tpattern(args, tol: ToleranceConfig) -> int:
+def _cmd_tpattern(args) -> int:
     band = read_json(args.input)
     try:
-        state = prepare(band, tol)
+        state = prepare(band)
     except InvalidBandError as exc:
         return _validation_failed(exc.report)
     tp, trap = state.pattern, state.trapezoid
@@ -139,15 +111,15 @@ def _cmd_tpattern(args, tol: ToleranceConfig) -> int:
 _THEOREMS = ("eff", "eff2", "corollary")   # --theorem X runs verify_X
 
 
-def _cmd_verify(args, tol: ToleranceConfig) -> int:
+def _cmd_verify(args) -> int:
     band = read_json(args.input)
     try:
         if args.theorem is None:
-            reports = verify_all(band, tol)
+            reports = verify_all(band)
         else:
             check_scope(args.theorem, band)
             # looked up at each call, so a replaced module attribute takes effect
-            reports = [globals()[f"verify_{args.theorem}"](prepare(band, tol))]
+            reports = [globals()[f"verify_{args.theorem}"](prepare(band))]
     except InvalidBandError as exc:
         return _validation_failed(exc.report)
     for r in reports:
@@ -161,7 +133,7 @@ def _cmd_verify(args, tol: ToleranceConfig) -> int:
     return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
 
 
-def _cmd_bounds_sweep(args, tol: ToleranceConfig) -> int:
+def _cmd_bounds_sweep(args) -> int:
     for name in ("grid", "seed"):
         if getattr(args, name) < 0:
             raise StructureError(f"--{name} must be a non-negative integer, "
@@ -233,7 +205,7 @@ def _cmd_bounds_sweep(args, tol: ToleranceConfig) -> int:
     return EXIT_PASS if all(passed for _, passed, _ in lines) else EXIT_FAIL
 
 
-def _cmd_sharpness_sweep(args, tol: ToleranceConfig) -> int:
+def _cmd_sharpness_sweep(args) -> int:
     try:
         eps_list = sorted(float(e) for e in args.epsilons.split(","))
     except ValueError as exc:
@@ -244,7 +216,7 @@ def _cmd_sharpness_sweep(args, tol: ToleranceConfig) -> int:
     for eps in eps_list:
         band = build_wrinkle(eps)
         check_scope("corollary", band)
-        rep = verify_corollary(prepare(band, tol))
+        rep = verify_corollary(prepare(band))
         rows.append((eps, band.lam, rep.measured["hausdorff"],
                      rep.measured["ratio_to_sqrt_eps"], rep.passed))
     out = args.output
@@ -326,8 +298,11 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_PASS
+    if os.environ.get("MOEBIUS_TOL"):
+        print("error: MOEBIUS_TOL is set, but the tolerances are fixed", file=sys.stderr)
+        return EXIT_ERROR
     try:
-        return args.func(args, _tolerances())
+        return args.func(args)
     except NoTPatternError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

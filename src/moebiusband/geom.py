@@ -37,23 +37,6 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class ToleranceConfig(Frozen):
-    """Central tolerance profile shared across the library.
-
-    isometry: relative length residual accepted by band validation.
-    root_residual: accepted residual for numeric root finding (T-patterns).
-    """
-
-    isometry: float
-    root_residual: float
-
-    def __init__(self, isometry: float = 1e-9, root_residual: float = 1e-8):
-        self._store(isometry=isometry, root_residual=root_residual)
-
-
-DEFAULT_TOL = ToleranceConfig()
-
-
 def row_dot(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Dot products of the rows of two (..., d) arrays, as a stack of
     (1xd)(dx1) matrix products.  numpy takes each through the BLAS dot of

@@ -45,16 +45,15 @@ from .band import (
 )
 from .flatmodel import FlatTrapezoid, glide
 from .geom import (
-    DEFAULT_TOL,
     RigidMotion,
     StructureError,
-    ToleranceConfig,
     cross3,
     row_dot,
 )
 
 _DIAGONAL_EXCLUSION = 3  # minimal bend-step separation of a candidate pair
 _FOOT_MARGIN = 1e-6      # relative margin classifying interior/endpoint feet
+_ROOT_RESIDUAL = 1e-8    # largest |F1| and |F2| a T-pattern root may have
 
 
 class NoTPatternError(StructureError):
@@ -162,10 +161,10 @@ def _perp_roots(band: RuledBand) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, k, k + np.divide(d0, d0 - d1, out=np.zeros_like(d0), where=d0 != 0.0)
 
 
-def _classify(a: np.ndarray, b: np.ndarray, sa: np.ndarray, sb: np.ndarray,
-              tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, list[_Candidate]]:
+def _classify(a: np.ndarray, b: np.ndarray, sa: np.ndarray,
+              sb: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[_Candidate]]:
     """F1 and F2 at every root (a, b) with segments (sa, sb), and the roots
-    whose F1 and F2 are within tol.root_residual and whose bends take T/B
+    whose F1 and F2 are within _ROOT_RESIDUAL and whose bends take T/B
     roles, in root order.
 
     Roles are assigned by where the carrier lines meet: the T segment must
@@ -191,7 +190,7 @@ def _classify(a: np.ndarray, b: np.ndarray, sa: np.ndarray, sb: np.ndarray,
     r1, r2 = s1 / la, s2 / lb
     p_star = 0.5 * ((sa[:, 0] + s1[:, None] * ua) + (sb[:, 0] + s2[:, None] * ub))
     interior1, interior2 = ((_FOOT_MARGIN < r) & (r < 1.0 - _FOOT_MARGIN) for r in (r1, r2))
-    found = ((np.abs(perp) <= tol.root_residual) & (np.abs(off) <= tol.root_residual)
+    found = ((np.abs(perp) <= _ROOT_RESIDUAL) & (np.abs(off) <= _ROOT_RESIDUAL)
              & (denom >= 1e-18) & (interior1 != interior2))
     t_first = interior1[found]
 
@@ -204,8 +203,8 @@ def _classify(a: np.ndarray, b: np.ndarray, sa: np.ndarray, sb: np.ndarray,
     return perp, off, [_Candidate(*row) for row in rows]
 
 
-def _candidates(band: RuledBand, tol: ToleranceConfig) -> list[_Candidate]:
-    """Every root whose F1 and F2 are within tol.root_residual and whose
+def _candidates(band: RuledBand) -> list[_Candidate]:
+    """Every root whose F1 and F2 are within _ROOT_RESIDUAL and whose
     bends take T/B roles, in root order.  The roots come in closed form
     from one sign matrix (_perp_roots), and one array pass (_classify)
     computes the residuals and roles of all of them."""
@@ -213,14 +212,14 @@ def _candidates(band: RuledBand, tol: ToleranceConfig) -> list[_Candidate]:
     lifted = band.lifted[1]
     i = np.floor(b).astype(np.intp)
     sb = leaf_between(lifted[i], lifted[i + 1], (b - i)[:, None, None])
-    perp, off, candidates = _classify(a, b, lifted[a], sb, tol)
+    perp, off, candidates = _classify(a, b, lifted[a], sb)
     if not candidates:
         near = np.hypot(perp, off).min(initial=math.inf)
         raise NoTPatternError(f"no T-pattern detected (minimal residual {near:.3e})")
     return candidates
 
 
-def find_tpattern(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> TPattern:
+def find_tpattern(band: RuledBand) -> TPattern:
     """Locate a T-pattern from the exact zeros of F1 at every stored bend.
 
     Zeros that take T/B roles (_candidates) are ranked by decreasing B-bend
@@ -229,7 +228,7 @@ def find_tpattern(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> TPatte
     twice; the best is returned, the other pairs are reported once each as
     alternates.
     """
-    report = validate(band, tol)
+    report = validate(band)
     if not report.passed:
         raise InvalidBandError(report)
     n = band.n_bends
@@ -248,7 +247,7 @@ def find_tpattern(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> TPatte
 
     # the first candidate of each unordered bend pair {alpha, beta mod N}
     patterns = {}
-    for c in sorted(_candidates(band, tol), key=rank):
+    for c in sorted(_candidates(band), key=rank):
         b = stored_bend(band, c.beta)
         patterns.setdefault(frozenset((c.alpha, (c.beta if b is None else b) % n)), c)
     best, *others = patterns.values()

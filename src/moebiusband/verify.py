@@ -43,16 +43,15 @@ from .band import (
     BASE_R,
     CANONICAL_TRIANGLE,
     INCENTER,
+    ISOMETRY_TOL,
     RuledBand,
     points_to_triangles_distance,
     surface_triangles,
 )
 from .flatmodel import SQRT3, FlatTrapezoid
 from .geom import (
-    DEFAULT_TOL,
     Frozen,
     StructureError,
-    ToleranceConfig,
     point_segment_distance,
     winding_number,
 )
@@ -283,11 +282,9 @@ class PipelineState(Frozen):
     pattern: TPattern      # the pattern found on the input band; its pose normalizes `developed`
     trapezoid: FlatTrapezoid
     developed: RuledBand   # pose-normalized, developed at the T bend, cut displacement >= 0
-    tol: ToleranceConfig   # the tolerances `prepare` ran with
 
-    def __init__(self, pattern: TPattern, trapezoid: FlatTrapezoid, developed: RuledBand,
-                 tol: ToleranceConfig):
-        self._store(pattern=pattern, trapezoid=trapezoid, developed=developed, tol=tol)
+    def __init__(self, pattern: TPattern, trapezoid: FlatTrapezoid, developed: RuledBand):
+        self._store(pattern=pattern, trapezoid=trapezoid, developed=developed)
 
     @cached_property
     def boundary(self) -> tuple[_Chain, _Chain]:
@@ -364,14 +361,14 @@ class PipelineState(Frozen):
                 "triangle_to_band from the boundary loop: 2 annulus_max + max|z|")
 
 
-def prepare(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> PipelineState:
+def prepare(band: RuledBand) -> PipelineState:
     """The band prepared for the verifiers: find its T-pattern, develop it at
     the T bend and move the developed band into the pattern's normalized
     pose.  A band that fails validation raises InvalidBandError (from
     find_tpattern)."""
-    tp = find_tpattern(band, tol)
+    tp = find_tpattern(band)
     trap, dev = develop_for(band, tp)
-    return PipelineState(tp, trap, normalize_pose(dev, tp), tol)
+    return PipelineState(tp, trap, normalize_pose(dev, tp))
 
 
 def _margin_checks(state: PipelineState, dev_report: BoundaryDeviation, eps: float) -> tuple:
@@ -396,20 +393,18 @@ def _margin_checks(state: PipelineState, dev_report: BoundaryDeviation, eps: flo
     )
 
 
-def _edge_slack_audit(dev_report: BoundaryDeviation, eps: float,
-                      tol: ToleranceConfig) -> dict:
+def _edge_slack_audit(dev_report: BoundaryDeviation, eps: float) -> dict:
     """Per-edge slack bound: each of the four boundary edges is shorter
     than 3 and carries at most eps of slack over its chord.
 
     Non-strict at the measured eps (the flat-folded limit attains it), and
-    slackened by the isometry tolerance: measured arc lengths are only
-    trusted to that accuracy.
+    slackened by ISOMETRY_TOL: measured arc lengths are only trusted to
+    that accuracy.
     """
-    slop = max(1e-12, tol.isometry)
     out = {}
     ok = True
     for name, rec in dev_report.per_edge.items():
-        edge_ok = rec["flat_length"] < 3.0 and rec["slack"] <= eps + slop
+        edge_ok = rec["flat_length"] < 3.0 and rec["slack"] <= eps + ISOMETRY_TOL
         out[name] = {"slack": rec["slack"], "flat_length": rec["flat_length"], "ok": edge_ok}
         ok = ok and edge_ok
     out["ok"] = ok
@@ -424,7 +419,7 @@ def verify_eff(state: PipelineState) -> TheoremReport:
     dev_rep = boundary_deviation(state.trapezoid, state.boundary)
     checks = _margin_checks(state, dev_rep, eps)
     bound6 = 6.0 * math.sqrt(eps)
-    slack_audit = _edge_slack_audit(dev_rep, eps, state.tol)
+    slack_audit = _edge_slack_audit(dev_rep, eps)
     est1_gap = dev_rep.deviation - (dev_rep.i0_vs_istar + dev_rep.istar_deviation)
     passed = dev_rep.deviation < bound6
     return TheoremReport(
@@ -658,12 +653,12 @@ def verify_corollary(state: PipelineState) -> TheoremReport:
     )
 
 
-def verify_all(band: RuledBand, tol: ToleranceConfig = DEFAULT_TOL) -> list[TheoremReport]:
+def verify_all(band: RuledBand) -> list[TheoremReport]:
     """Run every verifier that is in scope for the band's aspect ratio.
     A band outside eff's scope raises OutOfScopeError before `prepare`; a
     band that fails validation raises InvalidBandError (from prepare)."""
     check_scope("eff", band)
-    state = prepare(band, tol)
+    state = prepare(band)
     reports = [verify_eff(state), verify_eff2(state)]
     # corollary's scope is narrower; out of it, it is left out
     with suppress(OutOfScopeError):

@@ -19,7 +19,6 @@ from moebiusband.band import (
     transform,
     validate,
 )
-from moebiusband.geom import DEFAULT_TOL
 from moebiusband.tpattern import develop_for, find_tpattern, normalize_pose
 from moebiusband.verify import (
     measured_eps,
@@ -53,7 +52,7 @@ def sweep_results():
     out = []
     for eps in EPS_SWEEP:
         band = build_wrinkle(eps)
-        state = prepare(band, DEFAULT_TOL)
+        state = prepare(band)
         out.append(
             {
                 "eps": eps,
@@ -151,7 +150,7 @@ def test_criterion_3_perturbation_sweeps():
 def test_criterion_4_triangular_band(loop_hausdorff):
     eta = 1e-4
     band = build_triangular()
-    rep = validate(band, DEFAULT_TOL)
+    rep = validate(band)
     assert rep.passed and rep.max_ruling_residual < 1e-9
 
     bdry_h = loop_hausdorff(boundary_loop(band), CANONICAL_TRIANGLE, eta)
@@ -219,7 +218,7 @@ def test_sharpness_slope_oracle(sweep_results):
 def test_criterion_7_negative_controls(tmp_path):
     band = build_triangular()
     bad = scale_bend(band, 10, 1.01)
-    rep = validate(bad, DEFAULT_TOL)
+    rep = validate(bad)
     assert not rep.passed
     assert rep.max_ruling_residual == pytest.approx(0.01, rel=0.3)
 

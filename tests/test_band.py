@@ -32,7 +32,7 @@ from moebiusband.band import (
     write_json,
 )
 from moebiusband.flatmodel import glide
-from moebiusband.geom import DEFAULT_TOL, RigidMotion, StructureError
+from moebiusband.geom import RigidMotion, StructureError
 from moebiusband.verify import _flat_layer_covers, prepare, verify_eff
 
 from conftest import (
@@ -253,7 +253,7 @@ class TestWrinkleFamily:
         scan = np.concatenate([np.geomspace(WRINKLE_EPS_MIN, 2.0 * WRINKLE_EPS_MIN, 120),
                                np.geomspace(2.0 * WRINKLE_EPS_MIN, WRINKLE_EPS_MAX, 120)])
         for eps in scan:
-            rep = validate(build_wrinkle(float(eps)), DEFAULT_TOL)
+            rep = validate(build_wrinkle(float(eps)))
             assert rep.passed, (eps, rep.max_boundary_residual)
             assert rep.max_boundary_residual < 1e-14, eps
 
@@ -636,7 +636,7 @@ class TestDevelopment:
     def test_redevelop_at_integer_keeps_validity(self, tri_band):
         for k in (1, 40, 100):
             dev = redevelop(tri_band, k)
-            rep = validate(dev, DEFAULT_TOL)
+            rep = validate(dev)
             assert rep.passed
             assert np.allclose(dev.flat[0, 0], [0.0, 0.0], atol=1e-12)
 
@@ -648,7 +648,7 @@ class TestDevelopment:
         n = band.n_bends
         for alpha in (n - 0.9, n - 0.5, n - 1e-6):
             dev = redevelop(band, alpha)
-            assert validate(dev, DEFAULT_TOL).passed, alpha
+            assert validate(dev).passed, alpha
             state = prepare(dev)
             assert state.trapezoid.t == pytest.approx(1.0 / SQRT3, abs=1e-12)
             rep = verify_eff(state)
@@ -661,7 +661,7 @@ class TestDevelopment:
         band = build_wrinkle(1e-3)
         dev = redevelop(band, alpha)
         assert dev.n_bends == band.n_bends
-        assert validate(dev, DEFAULT_TOL).passed
+        assert validate(dev).passed
         assert np.array_equal(dev.space, redevelop(band, round(alpha)).space)
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5])

@@ -291,7 +291,7 @@ class TestForcedDeviation:
         assert "FAIL" not in capsys.readouterr().out
         assert len(resids) == attempts
         assert max(resids) < SPEED_BOUND
-        assert SPEED_BOUND * 1e4 <= 1e-8  # four decades below the sweep's speed_tol
+        assert SPEED_BOUND * 1e4 <= bounds._SPEED_TOL  # four decades below the pair's tolerance
 
     @pytest.mark.parametrize("index, value", [(0, math.nan), (600, math.nan), (-1, math.nan),
                                               (600, math.inf), (-1, -math.inf)])
@@ -349,7 +349,7 @@ class TestCurveChecks:
         r = 1.5
         phi = np.linspace(0.0, 2.0 / r, n)
         pts = np.stack([r * np.sin(phi), r * (1.0 - np.cos(phi)), np.zeros(n)], axis=1)
-        cg = bounds.CurveGraphPair(pts, speed_tol=1e-5)
+        cg = bounds.CurveGraphPair(pts)
         rep = bounds.graph_check(cg)
         assert rep.passed
         assert rep.margin > 0.0

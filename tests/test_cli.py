@@ -13,7 +13,6 @@ from moebiusband import cli as cli_mod
 from moebiusband import tpattern as tpattern_mod
 from moebiusband.band import read_json, write_json
 from moebiusband.cli import main as cli_main
-from moebiusband.geom import DEFAULT_TOL
 from moebiusband.tpattern import InvalidBandError, find_tpattern
 from moebiusband.verify import prepare, verify_all
 
@@ -293,7 +292,7 @@ class TestOnePerProcess:
         calls = []
         real = tpattern_mod.validate
         monkeypatch.setattr(tpattern_mod, "validate",
-                            lambda band, tol: calls.append(1) or real(band, tol))
+                            lambda band: calls.append(1) or real(band))
         monkeypatch.setattr(cli_mod, "validate", lambda *a: pytest.fail("validated twice"))
         assert cli_main([argv[0], "--input", str(wrinkle_file), *argv[1:]]) == 0
         assert calls == [1]
@@ -452,30 +451,49 @@ class TestBoundsReport:
                                         "graph_min": min(graph)}
 
 
+# what every subcommand prints, and nothing else, when MOEBIUS_TOL is set
+REJECTED = "error: MOEBIUS_TOL is set, but the tolerances are fixed\n"
+
+
+@pytest.fixture(scope="module")
+def stretched_file(tmp_path_factory):
+    """The wrinkle band at eps 1e-2 with every space coordinate scaled by
+    1.01: 1% stretched, so no paper band."""
+    band = band_mod.build_wrinkle(1e-2)
+    path = tmp_path_factory.mktemp("bands") / "stretched.json"
+    write_json(replace(band, space=1.01 * band.space), path)
+    return path
+
+
 class TestToleranceEnv:
-    def test_override_changes_outcome(self, wrinkle_file, tmp_path):
+    """The tolerances are fixed: a non-empty MOEBIUS_TOL, whatever it
+    holds, ends every subcommand with exit 2 and one line on stderr before
+    it reads or writes anything."""
+
+    @staticmethod
+    def _rejected(argv, value, monkeypatch, capsys):
+        monkeypatch.setenv("MOEBIUS_TOL", value)
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == REJECTED and captured.out == ""
+
+    def test_stretched_band_fails_under_any_env(self, stretched_file, capsys):
         import os
 
-        # one endpoint moved 1e-12 along its bend: within the default
-        # isometry tolerance 1e-9, far over 1e-14
-        band = read_json(wrinkle_file)
-        space = band.space.copy()
-        seg = space[5, 1] - space[5, 0]
-        space[5, 1] += 1e-12 * seg / np.linalg.norm(seg)
-        moved = tmp_path / "moved.json"
-        write_json(replace(band, space=space), moved)
-        assert run("validate", "--input", str(moved)).returncode == 0
-        env = dict(os.environ, MOEBIUS_TOL='{"isometry": 1e-14}')
-        res = subprocess.run(
-            CLI + ["validate", "--input", str(moved)],
-            capture_output=True, text=True, env=env,
-        )
-        assert res.returncode == 1
+        # an isometry tolerance of 0.03 would pass this band
+        for command in ("validate", "verify"):
+            assert cli_main([command, "--input", str(stretched_file)]) == 1
+        assert "validation failed: ruling=1.000e-02" in capsys.readouterr().out
+        env = dict(os.environ, MOEBIUS_TOL='{"isometry": 0.03}')
+        res = subprocess.run(CLI + ["verify", "--input", str(stretched_file)],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 2
+        assert res.stderr == REJECTED and res.stdout == ""
 
     @staticmethod
     def _moved_bend_file(tri_file, tmp_path):
-        # the top of bend 5 moved 1e-6 along its bend: over the default
-        # isometry tolerance 1e-9, within 1e-5
+        # the top of bend 5 moved 1e-6 along its bend: over the isometry
+        # tolerance 1e-9, within 1e-5
         band = read_json(tri_file)
         space = band.space.copy()
         seg = space[5, 1] - space[5, 0]
@@ -484,41 +502,25 @@ class TestToleranceEnv:
         write_json(replace(band, space=space), path)
         return path
 
-    @pytest.mark.parametrize("key", list(vars(DEFAULT_TOL)))
-    def test_every_key_takes_effect(self, key, tri_file, wrinkle_file, tmp_path, monkeypatch,
+    @pytest.mark.parametrize("key", ["isometry", "root_residual"])
+    def test_former_key_is_rejected(self, key, tri_file, wrinkle_file, tmp_path, monkeypatch,
                                     capsys):
-        # each ToleranceConfig field changes a CLI outcome: the command, the
-        # value, the exit codes at the default and under the value, and the
-        # text that the output under the value holds.  A field missing here
-        # fails: a key that decides nothing must go
+        # each former key at a value that once changed the command's exit
+        # code: the command, the value and the exit code without it
         effects = {
-            "root_residual": (["tpattern", "--input", str(wrinkle_file)], 1e-20, 0, 1,
-                              "error: no T-pattern detected"),
+            "root_residual": (["tpattern", "--input", str(wrinkle_file)], 1e-20, 0),
             "isometry": (["validate", "--input", str(self._moved_bend_file(tri_file, tmp_path))],
-                         1e-5, 1, 0, "pass=True"),
+                         1e-5, 1),
         }
-        argv, value, default_code, code, text = effects[key]
+        argv, value, code = effects[key]
         monkeypatch.delenv("MOEBIUS_TOL", raising=False)
-        assert cli_main(argv) == default_code
-        capsys.readouterr()
-        monkeypatch.setenv("MOEBIUS_TOL", json.dumps({key: value}))
         assert cli_main(argv) == code
-        captured = capsys.readouterr()
-        assert text in captured.out + captured.err
+        capsys.readouterr()
+        self._rejected(argv, json.dumps({key: value}), monkeypatch, capsys)
 
-    def test_winding_residual_exits_2(self, tri_file):
-        # the winding residual is gone: the winding sums of valid bands lie
-        # within 3.1e-15 of an integer (a 6,000-vertex loop), so no value of
-        # the key could do more than fail a valid band
-        import os
-
-        env = dict(os.environ, MOEBIUS_TOL='{"winding_residual": 1e-6}')
-        res = subprocess.run(CLI + ["verify", "--input", str(tri_file)],
-                             capture_output=True, text=True, env=env)
-        assert res.returncode == 2
-        assert res.stderr.startswith("error: bad MOEBIUS_TOL: ")
-        assert res.stderr.count("\n") == 1 and "winding_residual" in res.stderr
-        assert "Traceback" not in res.stderr and res.stdout == ""
+    def test_winding_residual_exits_2(self, tri_file, monkeypatch, capsys):
+        self._rejected(["verify", "--input", str(tri_file)], '{"winding_residual": 1e-6}',
+                       monkeypatch, capsys)
 
     def test_bad_env_exits_2(self, wrinkle_file):
         import os
@@ -529,73 +531,60 @@ class TestToleranceEnv:
             capture_output=True, text=True, env=env,
         )
         assert res.returncode == 2
+        assert res.stderr == REJECTED and res.stdout == ""
 
-    def test_unknown_key_exits_2(self, wrinkle_file):
-        import os
-
-        env = dict(os.environ, MOEBIUS_TOL='{"pose": 1e-12}')
-        res = subprocess.run(
-            CLI + ["validate", "--input", str(wrinkle_file)],
-            capture_output=True, text=True, env=env,
-        )
-        assert res.returncode == 2
-        assert "pose" in res.stderr
+    def test_unknown_key_exits_2(self, wrinkle_file, monkeypatch, capsys):
+        self._rejected(["validate", "--input", str(wrinkle_file)], '{"pose": 1e-12}',
+                       monkeypatch, capsys)
 
     @pytest.mark.parametrize("value", ['"abc"', "true", "false", "null", "NaN", "Infinity",
                                        "-Infinity", "[1e-9]", '{"a": 1}', "1" + "0" * 400,
                                        "0", "-1e-9"])
     def test_non_number_exits_2(self, tri_file, value, monkeypatch, capsys):
-        monkeypatch.setenv("MOEBIUS_TOL", f'{{"isometry": {value}}}')
-        assert cli_main(["validate", "--input", str(tri_file)]) == 2
-        err = capsys.readouterr().err
-        assert "bad MOEBIUS_TOL: isometry must be a positive finite number" in err
+        self._rejected(["validate", "--input", str(tri_file)], f'{{"isometry": {value}}}',
+                       monkeypatch, capsys)
 
     @pytest.mark.parametrize("value", ["0.5", "1e-7"])
     def test_sampling_eta_out_of_range_exits_2(self, tri_file, value, monkeypatch, capsys):
-        # sampling_eta is no tolerance: every value exits 2
-        monkeypatch.setenv("MOEBIUS_TOL", f'{{"sampling_eta": {value}}}')
-        assert cli_main(["verify", "--input", str(tri_file), "--theorem", "eff"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: bad MOEBIUS_TOL: ")
-        assert "sampling_eta" in captured.err
-        assert captured.out == ""
+        self._rejected(["verify", "--input", str(tri_file), "--theorem", "eff"],
+                       f'{{"sampling_eta": {value}}}', monkeypatch, capsys)
 
     @pytest.mark.parametrize("command", ["validate", "verify"])
     def test_sampling_eta_is_unknown(self, tri_file, command, monkeypatch, capsys):
-        monkeypatch.setenv("MOEBIUS_TOL", '{"sampling_eta": 1e-4}')
-        assert cli_main([command, "--input", str(tri_file)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: bad MOEBIUS_TOL: ")
-        assert "unexpected keyword argument 'sampling_eta'" in captured.err
-        assert captured.out == ""
-
-    def test_integer_value_accepted(self, wrinkle_file, monkeypatch, capsys):
-        monkeypatch.setenv("MOEBIUS_TOL", '{"isometry": 1}')
-        assert cli_main(["validate", "--input", str(wrinkle_file)]) == 0
+        self._rejected([command, "--input", str(tri_file)], '{"sampling_eta": 1e-4}',
+                       monkeypatch, capsys)
 
     @pytest.mark.parametrize("argv", [
         ["build-triangular", "-o", "{out}"],
         ["build-wrinkle", "--epsilon", "1e-3", "-o", "{out}"],
-        ["bounds-sweep", "--grid", "10"],
+        ["bounds-sweep", "--grid", "10", "--report", "{out}"],
+        ["validate", "--input", "{band}"],
+        ["tpattern", "--input", "{band}"],
+        ["verify", "--input", "{band}", "--report", "{out}"],
+        ["sharpness-sweep", "--epsilons", "1e-3", "-o", "{out}"],
     ])
-    def test_bad_env_exits_2_without_tolerances(self, argv, tmp_path, monkeypatch, capsys):
-        # these subcommands use no tolerance, but still reject a malformed value
-        out = tmp_path / "band.json"
-        monkeypatch.setenv("MOEBIUS_TOL", "{broken")
-        assert cli_main([a.format(out=out) for a in argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: bad MOEBIUS_TOL")
-        assert captured.out == "" and not out.exists()
+    def test_bad_env_exits_2_without_tolerances(self, argv, tri_file, tmp_path, monkeypatch,
+                                                capsys):
+        # no subcommand takes a tolerance, and each rejects the variable
+        # before it writes anything
+        out = tmp_path / "out"
+        self._rejected([a.format(out=out, band=tri_file) for a in argv], '{"isometry": 1e-9}',
+                       monkeypatch, capsys)
+        assert not out.exists()
 
     def test_deep_nesting_exits_2(self, tmp_path, monkeypatch, capsys):
-        # json.loads raised RecursionError: a traceback
         out = tmp_path / "band.json"
-        monkeypatch.setenv("MOEBIUS_TOL", "[" * 50_000)
-        assert cli_main(["build-triangular", "-o", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: bad MOEBIUS_TOL: ")
-        assert captured.err.count("\n") == 1
-        assert captured.out == "" and not out.exists()
+        self._rejected(["build-triangular", "-o", str(out)], "[" * 50_000, monkeypatch, capsys)
+        assert not out.exists()
+
+    def test_empty_env_is_ignored(self, tri_file, monkeypatch, capsys):
+        argv = ["verify", "--input", str(tri_file)]
+        monkeypatch.delenv("MOEBIUS_TOL", raising=False)
+        assert cli_main(argv) == 0
+        unset = capsys.readouterr()
+        monkeypatch.setenv("MOEBIUS_TOL", "")
+        assert cli_main(argv) == 0
+        assert capsys.readouterr() == unset
 
 
 class TestRoundTrip:

@@ -63,7 +63,7 @@ from moebiusband.band import (
 )
 from moebiusband.cli import main as cli_main
 from moebiusband.flatmodel import FlatTrapezoid
-from moebiusband.geom import DEFAULT_TOL, RigidMotion, StructureError, row_dot, winding_number
+from moebiusband.geom import RigidMotion, StructureError, row_dot, winding_number
 from moebiusband.tpattern import _DIAGONAL_EXCLUSION, develop_for, find_tpattern, normalize_pose
 from moebiusband.verify import BoundaryDeviation, boundary_deviation, prepare
 
@@ -237,10 +237,10 @@ def reference_root_segments(band, a, b):
     return band.space[a], np.where(s0 == s1, s0, (1.0 - f) * s0 + f * s1)
 
 
-def reference_candidates(band, tol):
+def reference_candidates(band):
     """tpattern._candidates with the reference root segments."""
     a, _, b = tpattern_mod._perp_roots(band)
-    perp, off, candidates = tpattern_mod._classify(a, b, *reference_root_segments(band, a, b), tol)
+    perp, off, candidates = tpattern_mod._classify(a, b, *reference_root_segments(band, a, b))
     if not candidates:
         raise tpattern_mod.NoTPatternError("no T-pattern detected")
     return candidates
@@ -351,7 +351,7 @@ class ReferenceCurveGraphPair(bounds.CurveGraphPair):
     """CurveGraphPair on the (n, 3) samples: np.linalg.norm over the rows,
     the chord map from its formula, and |speed - 1| at every step."""
 
-    def __init__(self, samples, speed_tol=1e-6):
+    def __init__(self, samples):
         s = np.asarray(samples, dtype=float)
         if s.ndim != 2 or s.shape[0] < 2 or s.shape[1] != 3:
             raise StructureError("need (n, 3) curve samples with n >= 2")
@@ -360,7 +360,7 @@ class ReferenceCurveGraphPair(bounds.CurveGraphPair):
         steps = np.linalg.norm(np.diff(s, axis=0), axis=1)
         length = float(steps.sum())
         resid = np.abs(steps / (length / (len(s) - 1)) - 1.0).max()
-        if not resid <= speed_tol:
+        if not resid <= bounds._SPEED_TOL:
             raise StructureError(f"samples are not unit speed (max |speed-1| = {resid:.3e})")
         t = np.linspace(0.0, 1.0, len(s))[:, None]
         chord = (1.0 - t) * s[0] + t * s[-1]
@@ -395,8 +395,7 @@ def reference_curve_with_forced_deviation(rng, eps):
     length = bounds._uniform(rng, lo, 2.85)
     tilt = 3.0 * target / length
     for _ in range(80):
-        cg = bounds.CurveGraphPair(bounds.random_unit_speed_curve(rng, length, tilt),
-                                   speed_tol=1e-8)
+        cg = bounds.CurveGraphPair(bounds.random_unit_speed_curve(rng, length, tilt))
         if cg.deviation >= target:
             return cg
         tilt *= 1.35
@@ -571,13 +570,13 @@ class TestStages:
         # the segments that _candidates hands to _classify, read off the lift
         seen = []
 
-        def classify(a, b, sa, sb, tol, real=tpattern_mod._classify):
+        def classify(a, b, sa, sb, real=tpattern_mod._classify):
             seen.append((a, b, sa, sb))
-            return real(a, b, sa, sb, tol)
+            return real(a, b, sa, sb)
 
         monkeypatch.setattr(tpattern_mod, "_classify", classify)
         band = _copy(bands[name], name, kind, posed)
-        tpattern_mod._candidates(band, DEFAULT_TOL)
+        tpattern_mod._candidates(band)
         (a, b, *got), = seen
         for g, w in zip(got, reference_root_segments(band, a, b)):
             assert g.shape == w.shape and _bits(g) == _bits(w)
@@ -699,8 +698,8 @@ class TestCurvePath:
             assert fast.bit_generator.state == slow.bit_generator.state
             assert got.shape == want.shape == (n, 3) and got.T.flags.c_contiguous
             assert _bits(got) == _bits(want)
-            got_pair = bounds.CurveGraphPair(got, speed_tol=1e-8)
-            want_pair = ReferenceCurveGraphPair(want, speed_tol=1e-8)
+            got_pair = bounds.CurveGraphPair(got)
+            want_pair = ReferenceCurveGraphPair(want)
             got_fields = _pair_fields(got_pair, got_pair._chord.T)
             want_fields = _pair_fields(want_pair, want_pair._chord)
             for key, value in want_fields.items():
@@ -716,9 +715,13 @@ class TestCurvePath:
         pts = pts + 10.0 ** log_noise * rng.normal(size=pts.shape)
         steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         resid = float(np.abs(steps / (steps.sum() / (n - 1)) - 1.0).max())
-        assert bounds.CurveGraphPair(pts, speed_tol=resid).domain_length == float(steps.sum())
-        with pytest.raises(StructureError, match="not unit speed"):
-            bounds.CurveGraphPair(pts, speed_tol=float(np.nextafter(resid, -1.0)))
+        # a context, not the fixture: hypothesis runs many examples per test call
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "_SPEED_TOL", resid)
+            assert bounds.CurveGraphPair(pts).domain_length == float(steps.sum())
+            mp.setattr(bounds, "_SPEED_TOL", float(np.nextafter(resid, -1.0)))
+            with pytest.raises(StructureError, match="not unit speed"):
+                bounds.CurveGraphPair(pts)
 
 
 class TestForcedDeviation:

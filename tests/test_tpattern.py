@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moebiusband import tpattern as tpattern_mod
 from moebiusband.band import (
     RuledBand,
     build_triangular,
@@ -15,7 +16,7 @@ from moebiusband.band import (
     redevelop,
     transform,
 )
-from moebiusband.geom import DEFAULT_TOL, RigidMotion, StructureError, ToleranceConfig
+from moebiusband.geom import RigidMotion, StructureError
 from moebiusband.tpattern import (
     _FOOT_MARGIN,
     TPattern,
@@ -316,7 +317,7 @@ def _fixed_band(name: str) -> RuledBand:
 def _scalar_candidates(band: RuledBand) -> list:
     """The all-scalar reference: the scalar residuals, then _classify_roles,
     one root at a time."""
-    tol = DEFAULT_TOL.root_residual
+    tol = tpattern_mod._ROOT_RESIDUAL
     a, _, b = _perp_roots(band)
     roots = [(float(x), float(y)) for x, y in zip(a, b)]
     kept = [(x, y) for x, y in roots
@@ -379,7 +380,7 @@ class TestRoleClassification:
             band = redevelop(band, cut * band.n_bends)
         if pose is not None:
             band = transform(band, _motion(seed, pose))
-        _assert_same_candidates(_candidates(band, DEFAULT_TOL), _scalar_candidates(band))
+        _assert_same_candidates(_candidates(band), _scalar_candidates(band))
 
     @settings(max_examples=400, deadline=None)
     @given(r1=_FEET, r2=_FEET, la=st.floats(0.1, 2.0), lb=st.floats(0.1, 2.0),
@@ -395,9 +396,11 @@ class TestRoleClassification:
         motion = _motion(seed, proper)
         sa, sb = motion.apply(sa), motion.apply(sb)
         want = _classify_roles(_pair_band(sa, sb), 0.0, 1.0)
-        # no residual bound, so only the roles decide
-        _, _, got = _classify(np.array([0]), np.array([1.0]), sa[None], sb[None],
-                              ToleranceConfig(root_residual=math.inf))
+        # no residual bound, so only the roles decide; a context, not the
+        # fixture: hypothesis runs many examples per test call
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tpattern_mod, "_ROOT_RESIDUAL", math.inf)
+            _, _, got = _classify(np.array([0]), np.array([1.0]), sa[None], sb[None])
         _assert_same_candidates(got, [] if want is None else [want])
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from moebiusband import bounds
 from moebiusband.band import WrinkleConfig, validate
-from moebiusband.geom import DEFAULT_TOL, Frozen
+from moebiusband.geom import Frozen
 from moebiusband.tpattern import _candidates
 from moebiusband.verify import (
     PipelineState,
@@ -35,10 +35,9 @@ def values(tri_band):
     line = np.linspace(0.0, 1.0, 200)[:, None] * [2.0, 0.0, 0.0]
     return [
         # records
-        DEFAULT_TOL,
         validate(tri_band),
         WrinkleConfig(),
-        _candidates(tri_band, DEFAULT_TOL)[0],
+        _candidates(tri_band)[0],
         boundary_deviation(state.trapezoid, state.boundary),
         state.pattern,
         eff.checks[0],
@@ -55,7 +54,7 @@ def values(tri_band):
 
 
 def test_every_value_type_is_covered(values):
-    assert len({type(v) for v in values}) == 14
+    assert len({type(v) for v in values}) == 13
 
 
 def test_values_are_immutable(values):

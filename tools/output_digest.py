@@ -50,8 +50,8 @@ one copy of it with each version's `src` first on the path:
     diff parent-digest.txt digest.txt
 
 Every file goes to a fresh temporary directory and is named relative to it,
-so no path enters a digest.  MOEBIUS_TOL is ignored: the default tolerances
-are in force.
+so no path enters a digest.  The tolerances are fixed; MOEBIUS_TOL is
+removed from the environment, since every subcommand exits 2 while it is set.
 """
 
 import hashlib
