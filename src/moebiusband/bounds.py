@@ -45,6 +45,12 @@ class MarginReport(NamedTuple):
         return all(self.hypotheses.values())
 
 
+def _length(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a 1-D vector v, which numpy computes as the
+    root of the BLAS dot v.v, without the overhead of its call."""
+    return math.sqrt(v.dot(v))
+
+
 def _report(name, hypotheses, lhs, rhs, allow_equality=False, details=None) -> MarginReport:
     margin = lhs - rhs
     ok = all(hypotheses.values())
@@ -99,8 +105,8 @@ class PerturbedTriangle(Frozen):
         q_star = np.array([0.5 * (p1[0] + p2[0]), q[1]])
         half_base = 0.5 * abs(float(p2[0] - p1[0]))
         self._store(delta=abs(float(q[0] - q_star[0])),
-                    vee=float(np.linalg.norm(p1 - q) + np.linalg.norm(p2 - q)),
-                    vee_star=float(np.linalg.norm(p1 - q_star) + np.linalg.norm(p2 - q_star)),
+                    vee=_length(p1 - q) + _length(p2 - q),
+                    vee_star=_length(p1 - q_star) + _length(p2 - q_star),
                     star_slopes_exceed_one=(half_base == 0.0
                                             or abs(float(q[1] - p1[1])) / half_base > 1.0))
 
@@ -127,14 +133,17 @@ def offset1_check(tri: PerturbedTriangle, eps: float) -> MarginReport:
 # ---------------------------------------------------------------------------
 
 
-def _squared_norms(rows: np.ndarray) -> np.ndarray:
+def _squared_norms(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean norms of the points whose x, y and z coordinates
-    are the three rows of `rows`, which this squares in place.  The squares
-    are summed x + y + z, as np.linalg.norm(v, axis=1) sums the rows of an
-    (m, 3) array v, so their roots agree with it bitwise; each sum runs over
-    whole contiguous rows instead of reducing m rows of three."""
+    are the three rows of `rows`, which this squares in place, written into
+    `out` (a new array where None).  The squares are summed x + y + z, as
+    np.linalg.norm(v, axis=1) sums the rows of an (m, 3) array v, so their
+    roots agree with it bitwise; each sum runs over whole contiguous rows
+    instead of reducing m rows of three."""
     rows *= rows
-    return rows[0] + rows[1] + rows[2]
+    out = np.add(rows[0], rows[1], out=out)
+    out += rows[2]
+    return out
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -152,12 +161,20 @@ def _chord_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     return weights
 
 
-def _deviation(rows: np.ndarray, chord: np.ndarray) -> float:
+def _deviation_into(rows: np.ndarray, chord: np.ndarray,
+                    diff: np.ndarray | None, sq: np.ndarray | None) -> float:
     """The sup distance between the sampled curve and chord map whose x, y
     and z coordinates are the rows of the (3, n) arrays `rows` and `chord`;
-    nan or inf if a sample is not finite.  sqrt is monotone, so the root
-    of the largest squared distance is bitwise the largest distance."""
-    return math.sqrt(_squared_norms(rows - chord).max())
+    nan or inf if a sample is not finite.  The differences and their
+    squared norms are written into the (3, n) array `diff` and the (n,)
+    array `sq` (new arrays where None).  sqrt is monotone, so the root of
+    the largest squared distance is bitwise the largest distance."""
+    return math.sqrt(_squared_norms(np.subtract(rows, chord, out=diff), sq).max())
+
+
+def _deviation(rows: np.ndarray, chord: np.ndarray) -> float:
+    """`_deviation_into` on new arrays."""
+    return _deviation_into(rows, chord, None, None)
 
 
 class CurveGraphPair(Frozen):
@@ -169,8 +186,9 @@ class CurveGraphPair(Frozen):
     same endpoints; the graphs live in R^4 = domain x R^3.  The step
     lengths, the domain length, the chord samples, the chord length and the
     sup deviation are computed once, on construction, the deviation by
-    `_deviation`, the formula `curve_with_forced_deviation` decides its
-    attempts with.
+    `_deviation`.  The pair that `curve_with_forced_deviation` keeps takes
+    its chord samples and deviation from the test that accepted it, which
+    computes them by the same formulas, and runs the same checks.
 
     The work runs on (3, n) coordinate rows, `samples.T`, so each numpy call
     sweeps three contiguous rows of an array that `random_unit_speed_curve`
@@ -185,6 +203,22 @@ class CurveGraphPair(Frozen):
     _chord: np.ndarray
 
     def __init__(self, samples: np.ndarray):
+        self._check_and_store(samples, None, None)
+
+    @staticmethod
+    def _accepted(rows: np.ndarray, chord: np.ndarray, deviation: float) -> "CurveGraphPair":
+        """The pair of the (3, n) rows of a curve that starts at 0, with the
+        chord rows (t times the curve's end) and the deviation that the
+        accept test of `curve_with_forced_deviation` computed."""
+        # __class__, not the module's name for it, which a caller may
+        # rebind: the (3, n) chord rows are laid out as this class reads them
+        pair = object.__new__(__class__)
+        pair._check_and_store(rows.T, chord, deviation)
+        return pair
+
+    def _check_and_store(self, samples, chord, deviation) -> None:
+        """Check the samples, then store the fields, with the chord rows
+        and deviation computed here where `chord` is None."""
         s = np.asarray(samples, dtype=float)
         if s.ndim != 2 or s.shape[0] < 2 or s.shape[1] != 3:
             raise StructureError("need (n, 3) curve samples with n >= 2")
@@ -201,11 +235,12 @@ class CurveGraphPair(Frozen):
                  if length > 0.0 else math.nan)
         if not resid <= _SPEED_TOL:
             raise StructureError(f"samples are not unit speed (max |speed-1| = {resid:.3e})")
-        w0, w1 = _chord_weights(n)
-        chord = rows[:, :1] * w0 + rows[:, -1:] * w1
-        self._store(samples=s, domain_length=length,
-                    chord_length=float(np.linalg.norm(s[-1] - s[0])),
-                    deviation=_deviation(rows, chord), _steps=steps, _chord=chord)
+        if chord is None:
+            w0, w1 = _chord_weights(n)
+            chord = rows[:, :1] * w0 + rows[:, -1:] * w1
+            deviation = _deviation(rows, chord)
+        self._store(samples=s, domain_length=length, chord_length=_length(s[-1] - s[0]),
+                    deviation=deviation, _steps=steps, _chord=chord)
 
     def graph_lengths(self) -> tuple[float, float]:
         """Polyline lengths of the graphs of the curve and of its chord map
@@ -330,6 +365,7 @@ def tpattern_endpoint_check(endpoints: dict, eps: float) -> MarginReport:
 # import numpy.random, about 6 MB, with the CLI
 
 _SIGNS = (-1.0, 1.0)
+_CURVE_SAMPLES = 1200  # points of each curve of the curve sweep
 
 
 def _random_sign(rng: "np.random.Generator") -> float:
@@ -381,7 +417,7 @@ def _curve_tables(n: int) -> np.ndarray:
 
 
 def random_unit_speed_curve(rng: "np.random.Generator", length: float,
-                            tilt: float, n: int = 1200) -> np.ndarray:
+                            tilt: float, n: int = _CURVE_SAMPLES) -> np.ndarray:
     """Unit-speed samples of a random smooth space curve, as the (n, 3)
     transposed view of a C-ordered (3, n) array of coordinate rows.
 
@@ -394,6 +430,15 @@ def random_unit_speed_curve(rng: "np.random.Generator", length: float,
     Each mode amp * sin(pi k s + phase) * sin(pi s) is expanded by angle
     addition into amp cos(phase) and amp sin(phase) times two fixed basis
     rows, so both angles come from one (2, 7) by (7, n - 1) matrix product.
+    The amplitudes take rng.standard_normal(), the z of rng.normal(), which
+    returns 0.0 + z: the two differ only where the ziggurat returns -0.0,
+    and then only in the sign of a zero amplitude.  Adding, subtracting or
+    multiplying values that differ only in the signs of zeros, and sin or
+    cos of them, gives values that differ only in the signs of zeros, so
+    the samples could differ only in the signs of zero coordinates, and
+    every margin reads coordinates through squares of them or of their
+    differences.  The running sum is np.add.accumulate along each row,
+    sequential as np.cumsum's.
 
     The samples start exactly at 0, and their speed residual, the largest
     |step / mean step - 1| that CurveGraphPair checks, is at most
@@ -414,7 +459,7 @@ def random_unit_speed_curve(rng: "np.random.Generator", length: float,
     phi = [0.0]
     for k in range(2, 5):
         for row in (theta, phi):
-            amp = 0.25 * tilt * rng.normal() / k
+            amp = 0.25 * tilt * rng.standard_normal() / k
             phase = _uniform(rng, 0.0, 2.0 * math.pi)
             row += (amp * math.cos(phase), amp * math.sin(phase))
     # einsum, not @: the BLAS product saves ~6 us but touches OpenBLAS's
@@ -428,7 +473,7 @@ def random_unit_speed_curve(rng: "np.random.Generator", length: float,
     np.multiply(sin_a[0], cos_a[1], out=steps[1])
     steps[2] = sin_a[1]
     steps *= length / (n - 1)
-    np.cumsum(steps, axis=1, out=steps)
+    np.add.accumulate(steps, axis=1, out=steps)
     return pts.T
 
 
@@ -437,30 +482,39 @@ def curve_with_forced_deviation(rng: "np.random.Generator", eps: float) -> Curve
     least 3 sqrt(eps) (tangent swing scaled up until the threshold holds).
 
     Each attempt is decided on its chord deviation alone, by the formula of
-    `CurveGraphPair.deviation`; only the curve it keeps is validated as a
-    CurveGraphPair (finite samples, unit speed to 1e-8).  The discarded
-    curves would pass that check too: their speed residual is bounded in
-    `random_unit_speed_curve`'s docstring, far below 1e-8."""
+    `CurveGraphPair.deviation`.  The curve starts at 0, so its chord map is
+    t times its end: the pair's (1 - t) * 0 terms add only zeros, whose
+    signs the squares drop.  The chord rows go into one (3, n) array and
+    the differences and their squared norms into one (3, n) and one (n,)
+    scratch array, all made once per call.  Only the curve it keeps is
+    validated as a CurveGraphPair (finite samples, unit speed to 1e-8), and
+    that pair takes its chord rows and deviation from this test instead of
+    computing them again.  The discarded curves would pass the check too:
+    their speed residual is bounded in `random_unit_speed_curve`'s
+    docstring, far below 1e-8."""
     target = 3.0 * math.sqrt(eps)
     lo = max(1.6, 2.7 * target)
     if lo >= 2.85:
         raise StructureError("eps too large to force the deviation on a domain < 3")
     length = _uniform(rng, lo, 2.85)
     tilt = 3.0 * target / length
-    for _ in range(80):
-        rows = random_unit_speed_curve(rng, length, tilt).T
-        # the curve starts at 0, so its chord map is t times its end: the
-        # pair's (1 - t) * 0 terms add zeros, whose signs the squares drop.
-        # Non-finite samples give a nan or inf deviation, with no warning,
-        # which is not below the target, so the pair rejects them.
-        with np.errstate(invalid="ignore"):
-            dev = _deviation(rows, rows[:, -1:] * _chord_weights(rows.shape[1])[1])
-        if not dev < target:
-            return CurveGraphPair(rows.T)
-        tilt *= 1.35
-        if tilt > 2.6:
-            length = _uniform(rng, lo, 2.85)
-            tilt = 3.0 * target / length
+    n = _CURVE_SAMPLES
+    t = _chord_weights(n)[1]
+    chord, diff, sq = np.empty((3, n)), np.empty((3, n)), np.empty(n)
+    # Non-finite samples give a nan or inf deviation, which is not below
+    # the target, so the pair rejects them; errstate keeps the inf * 0 of a
+    # non-finite end from warning.  Finite draws raise no invalid operation.
+    with np.errstate(invalid="ignore"):
+        for _ in range(80):
+            rows = random_unit_speed_curve(rng, length, tilt, n).T
+            np.multiply(rows[:, -1:], t, out=chord)
+            dev = _deviation_into(rows, chord, diff, sq)
+            if not dev < target:
+                return CurveGraphPair._accepted(rows, chord, dev)
+            tilt *= 1.35
+            if tilt > 2.6:
+                length = _uniform(rng, lo, 2.85)
+                tilt = 3.0 * target / length
     raise RuntimeError("failed to force the deviation threshold")
 
 

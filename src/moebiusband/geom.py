@@ -57,15 +57,16 @@ def point_segment_distance(p, a, b) -> np.ndarray:
     """Euclidean distance from p to each segment a[i]-b[i] of the (n, d)
     endpoint arrays a, b (or (d,) for one segment), with the arithmetic of
     the 1-D computation on each row.  p broadcasts against the rows: (n, 1, d)
-    points against (k, d) endpoints give (n, k) distances."""
+    points against (k, d) endpoints give (n, k) distances.  Where the
+    squared length of a segment is 0 it divides by 1 instead, so on a
+    segment of length 0 the point found is a + 0 * ab = a."""
     p = np.asarray(p, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     ab = b - a
     denom = row_dot(ab, ab)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.clip(row_dot(p - a, ab) / denom, 0.0, 1.0)
-    gap = p - np.where(denom[..., None] == 0.0, a, a + t[..., None] * ab)
+    t = np.minimum(np.maximum(row_dot(p - a, ab) / (denom + (denom == 0.0)), 0.0), 1.0)
+    gap = p - (a + t[..., None] * ab)
     return np.sqrt(row_dot(gap, gap))
 
 

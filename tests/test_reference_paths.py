@@ -8,7 +8,11 @@ points, the root scan over the full sign matrix, and the random curves and
 their chord comparisons on (n, 3) point arrays, with the chord deviation
 that decides each curve attempt.  `reference_curve_with_forced_deviation`
 is the attempt loop as it was when it built a validated CurveGraphPair
-from every attempt, discarded or not.  The boundary loop with its
+from every attempt, discarded or not.  `ReferencePerturbedTriangle` takes
+the offset sweep's four lengths from np.linalg.norm, and
+`reference_point_segment_distance` is the segment distance as it was when
+it clipped under errstate and took a zero-length segment's start with
+np.where.  The boundary loop with its
 near-duplicate points dropped is the loop the package built before it read
 the loop straight from the bend ends.  The two winding sums, the wrapped
 angle differences of the loop's vertices and the counted arctan2 angles of
@@ -26,8 +30,9 @@ checked each bend's shape itself: it let numpy find the shapes of the
 nested coordinate lists, then checked their types in a second pass.
 The package must give bitwise the same values and leave the random
 generator in the same state.
-`TestCliOutputs` and `TestSweepOutputs` swap every reference in at once and
-compare the CLI's outputs; a later change that rewrites a stage for speed
+`TestCliOutputs` and `test_sweep_byte_identical_with_every_reference` swap
+every reference in at once and compare the CLI's outputs (`TestSweepOutputs`
+swaps the curve generator, the pair's constructor and the uniform draws); a later change that rewrites a stage for speed
 can add its old form here as a reference.
 """
 
@@ -43,6 +48,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moebiusband import band as band_mod
 from moebiusband import bounds
 from moebiusband import tpattern as tpattern_mod
 from moebiusband import verify as verify_mod
@@ -63,7 +69,13 @@ from moebiusband.band import (
 )
 from moebiusband.cli import main as cli_main
 from moebiusband.flatmodel import FlatTrapezoid
-from moebiusband.geom import RigidMotion, StructureError, row_dot, winding_number
+from moebiusband.geom import (
+    RigidMotion,
+    StructureError,
+    point_segment_distance,
+    row_dot,
+    winding_number,
+)
 from moebiusband.tpattern import _DIAGONAL_EXCLUSION, develop_for, find_tpattern, normalize_pose
 from moebiusband.verify import BoundaryDeviation, boundary_deviation, prepare
 
@@ -203,6 +215,21 @@ def reference_winding_number(starts, ends, point, weights=None):
     if weights is None:
         return reference_loop_winding(starts, point)
     return reference_cycle_winding(np.stack([starts, ends], axis=1), weights, point)
+
+
+def reference_point_segment_distance(p, a, b):
+    """`point_segment_distance` as it was when it clipped the segment
+    parameter, dividing by 0 under errstate, and took the start of each
+    segment of length 0 with np.where."""
+    p = np.asarray(p, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ab = b - a
+    denom = row_dot(ab, ab)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(row_dot(p - a, ab) / denom, 0.0, 1.0)
+    gap = p - np.where(denom[..., None] == 0.0, a, a + t[..., None] * ab)
+    return np.sqrt(row_dot(gap, gap))
 
 
 def flat_cycle_windings(patches):
@@ -403,6 +430,26 @@ def reference_curve_with_forced_deviation(rng, eps):
             length = bounds._uniform(rng, lo, 2.85)
             tilt = 3.0 * target / length
     raise RuntimeError("failed to force the deviation threshold")
+
+
+class ReferencePerturbedTriangle(bounds.PerturbedTriangle):
+    """PerturbedTriangle with its four lengths from np.linalg.norm."""
+
+    def __init__(self, p1, p2, q):
+        p1 = np.asarray(p1, dtype=float)
+        p2 = np.asarray(p2, dtype=float)
+        q = np.asarray(q, dtype=float)
+        if abs(p1[1] - p2[1]) > 1e-12:
+            raise StructureError("base must be horizontal")
+        if abs(q[1] - p1[1]) < 1e-15:
+            raise StructureError("degenerate triangle: zero height")
+        q_star = np.array([0.5 * (p1[0] + p2[0]), q[1]])
+        half_base = 0.5 * abs(float(p2[0] - p1[0]))
+        self._store(delta=abs(float(q[0] - q_star[0])),
+                    vee=float(np.linalg.norm(p1 - q) + np.linalg.norm(p2 - q)),
+                    vee_star=float(np.linalg.norm(p1 - q_star) + np.linalg.norm(p2 - q_star)),
+                    star_slopes_exceed_one=(half_base == 0.0
+                                            or abs(float(q[1] - p1[1])) / half_base > 1.0))
 
 
 def reference_uniform(rng, low, high):
@@ -670,6 +717,9 @@ class TestCliOutputs:
                 patched.setattr(tpattern_mod, "interpolate_bend", reference_interpolate_bend)
                 patched.setattr(verify_mod, "develop_for", reference_develop_for)
                 patched.setattr(verify_mod, "winding_number", reference_winding_number)
+                for module in (band_mod, verify_mod):
+                    patched.setattr(module, "point_segment_distance",
+                                    reference_point_segment_distance)
                 assert isinstance(prepare(bands[name]).boundary[0], ReferenceChain)
                 want = cli_digest(path, tmp_path)
             assert got == want, posed
@@ -758,6 +808,55 @@ class TestForcedDeviation:
         assert len(per_draw) == 1000 and sum(per_draw) == attempts
 
 
+class TestDeviationCount:
+    def test_one_evaluation_per_attempt(self, monkeypatch, capsys):
+        """`bounds-sweep --grid 1000 --seed 7` evaluates a chord deviation
+        once per curve attempt, 2,640 times, and none in the constructor of
+        the 1,000 kept pairs, which take theirs from the accept test (the
+        loop that built each kept pair from its samples made 3,640)."""
+        draw, into = bounds.random_unit_speed_curve, bounds._deviation_into
+        accepted = bounds.CurveGraphPair._accepted
+        attempts, counts, in_pairs = [], [], []
+        evaluations = []   # the arrays of each evaluation of the current draw
+
+        def counting_draw(rng, length, tilt, n=1200):
+            attempts.append(n)
+            return draw(rng, length, tilt, n)
+
+        def counting_into(rows, chord, diff, sq):
+            evaluations.append((chord, diff, sq))
+            return into(rows, chord, diff, sq)
+
+        def counting_accepted(rows, chord, deviation):
+            before = len(evaluations)
+            pair = accepted(rows, chord, deviation)
+            in_pairs.append(len(evaluations) - before)
+            assert pair.deviation == deviation and pair._chord is chord
+            # the attempts of one draw reuse one chord and two scratch arrays
+            assert all(all(x is y for x, y in zip(arrays, evaluations[0]))
+                       for arrays in evaluations)
+            counts.append(len(evaluations))
+            evaluations.clear()
+            return pair
+
+        monkeypatch.setattr(bounds, "random_unit_speed_curve", counting_draw)
+        monkeypatch.setattr(bounds, "_deviation_into", counting_into)
+        monkeypatch.setattr(bounds.CurveGraphPair, "_accepted", staticmethod(counting_accepted))
+        assert cli_main(["bounds-sweep", "--grid", "1000", "--seed", "7"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert len(attempts) == sum(counts) == 2640 and not evaluations
+        assert len(in_pairs) == 1000 and not any(in_pairs)
+
+
+def test_standard_normal_equals_rng_normal():
+    # the amplitudes of random_unit_speed_curve: rng.normal() is 0.0 + z
+    fast, slow = np.random.default_rng(23), np.random.default_rng(23)
+    got = [fast.standard_normal() for _ in range(10_000)]
+    want = [slow.normal() for _ in range(10_000)]
+    assert _bits(got) == _bits(want)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
 # every fixed range the sweeps draw from: the eps of the offset and curve
 # sweeps; the offset sweep's half base and offset factor; the curve sweep's
 # first angle swing, phases, and domain lengths (lo, 2.85) with
@@ -811,6 +910,81 @@ class TestSweepOutputs:
             patched.setattr(bounds, "_uniform", reference_uniform)
             want = run()
         assert got == want and got[0] == 0
+
+
+@pytest.mark.parametrize("argv", [["--grid", "1000", "--seed", "7"],
+                                  ["--grid", "0", "--seed", "11"]])
+def test_sweep_byte_identical_with_every_reference(argv, tmp_path):
+    """As `TestSweepOutputs`, with the accept test and the kept pair of
+    `curve_with_forced_deviation`, which take no `_deviation` and no
+    `CurveGraphPair(samples)`, swapped for the references too, and the
+    offset sweep's triangles."""
+    def run():
+        report = tmp_path / "sweep.json"
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            code = cli_main(["bounds-sweep", *argv, "--report", str(report)])
+        return code, stdout.getvalue(), report.read_bytes()
+
+    def reference_accept(rows, chord, diff, sq):
+        return reference_deviation(rows, chord)
+
+    def reference_kept_pair(rows, chord, deviation):
+        return ReferenceCurveGraphPair(rows.T)
+
+    got = run()
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(bounds, "random_unit_speed_curve", reference_unit_speed_curve)
+        patched.setattr(bounds, "_deviation_into", reference_accept)
+        patched.setattr(bounds.CurveGraphPair, "_accepted", staticmethod(reference_kept_pair))
+        patched.setattr(bounds, "_uniform", reference_uniform)
+        patched.setattr(bounds, "PerturbedTriangle", ReferencePerturbedTriangle)
+        want = run()
+    assert got == want and got[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# The offset sweep of `bounds` and the segment distance
+# ---------------------------------------------------------------------------
+
+
+class TestOffsetPath:
+    def test_lengths_equal_the_reference(self):
+        # horizontal bases of every scale, the base centered or not, with
+        # the bottom vertex above or below it; some bases have length 0
+        rng = np.random.default_rng(29)
+        m = 10_000
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(m, 1))
+        center, y, half, drop, offset = (rng.normal(size=(5, m, 1)) * scale)[..., 0]
+        half[::50] = 0.0
+        for i in range(m):
+            args = (np.array([center[i] - half[i], y[i]]), np.array([center[i] + half[i], y[i]]),
+                    np.array([center[i] + offset[i], y[i] - drop[i]]))
+            got, want = bounds.PerturbedTriangle(*args), ReferencePerturbedTriangle(*args)
+            for field in ("delta", "vee", "vee_star", "star_slopes_exceed_one"):
+                assert _bits(getattr(got, field)) == _bits(getattr(want, field)), (i, field)
+
+
+class TestSegmentDistance:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_equals_the_reference(self, d):
+        # segments of every scale and length, every seventh of length 0,
+        # against points broadcast as the callers do: (n, 1, d) points
+        # against (k, d) ends, one point against the ends, and (n, k, d)
+        # points against ends a = 0
+        rng = np.random.default_rng(37 + d)
+        k = 300
+        scale = 10.0 ** rng.uniform(-6.0, 3.0, size=(k, 1))
+        a = rng.normal(size=(k, d)) * scale
+        b = a + rng.normal(size=(k, d)) * scale * 10.0 ** rng.uniform(-12.0, 0.0, size=(k, 1))
+        b[::7] = a[::7]
+        pts = rng.normal(size=(60, 1, d)) * 10.0 ** rng.uniform(-6.0, 3.0, size=(60, 1, 1))
+        for p, ends in ((pts, (a, b)), (pts[0, 0], (a, b)), (pts - a, (np.zeros(d), b - a))):
+            got = point_segment_distance(p, *ends)
+            assert _bits(got) == _bits(reference_point_segment_distance(p, *ends))
+        for i in range(k):
+            got = point_segment_distance(pts[i % 60, 0], a[i], b[i])
+            assert _bits(got) == _bits(reference_point_segment_distance(pts[i % 60, 0], a[i], b[i]))
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,16 @@ prints one line per stdout and stderr and per file a command wrote,
 and one per band copy it wrote itself, `<sha256> file=<name>`.  Where a
 command raises instead of returning, the exit code is the exception's
 name and the streams hold what it wrote before.  The first line names the
-numpy and Python versions, since the digests depend on numpy's rounding.
-They also depend on the BLAS kernel that numpy's OpenBLAS picks for the
-CPU, which the first line does not name: np.linalg.norm of a single vector
-and the 1-D `@` products are BLAS dot products, and the Haswell kernel
-fuses their multiply-adds (the norm of (x, y) is sqrt(fma(y, y, x * x)),
-which differs from math.sqrt(x * x + y * y) in the last bit for about 8%
-of random 2-vectors).  So `PerturbedTriangle`'s `vee`, and with it the
+numpy and Python versions, since the digests depend on numpy's rounding,
+and how numpy's BLAS dot rounds on this CPU (`blas_dot`).  np.linalg.norm
+of a single vector and the 1-D `@` products are BLAS dot products, and the
+kernel that OpenBLAS picks for the CPU may fuse their multiply-adds: the
+Haswell kernel does (the norm of (x, y) is sqrt(fma(y, y, x * x)), which
+differs from math.sqrt(x * x + y * y) in the last bit for about 8% of
+random 2-vectors).  So `PerturbedTriangle`'s `vee`, and with it the
 `offset1_min` of `bounds-sweep`, can round differently on a CPU whose
-kernel does not fuse them, with the same numpy and Python.
+kernel does not fuse them, with the same numpy and Python; the first line
+then differs too.
 
 `output_digest.txt` beside this script is the listing of the committed
 package, and `tests/test_output_digest.py` compares the current outputs
@@ -62,6 +63,7 @@ import platform
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import numpy as np
 
@@ -168,9 +170,22 @@ def _edge_cases() -> list:
     return list(copies) + ["w1e-2"]
 
 
+def blas_dot() -> str:
+    """How numpy's BLAS dot rounds, read from the fixed 2-vector
+    v = (0.1, 0.3): "fused" where v.v is fma(0.3, 0.3, 0.1 * 0.1),
+    0.09999999999999999, "unfused" where it is 0.1 * 0.1 + 0.3 * 0.3, 0.1,
+    and the value itself otherwise."""
+    x, y = 0.1, 0.3
+    dot = float(np.array([x, y]).dot(np.array([x, y])))
+    fused = float(Fraction(y) * Fraction(y) + Fraction(x * x))   # exact, then rounded once
+    return {fused: "fused", x * x + y * y: "unfused"}.get(dot, repr(dot))
+
+
 def header() -> str:
-    """The listing's first line: the versions its digests were made with."""
-    return f"# numpy {np.__version__}, Python {platform.python_version()}"
+    """The listing's first line: the versions its digests were made with,
+    and how the BLAS dot rounds."""
+    return (f"# numpy {np.__version__}, Python {platform.python_version()}, "
+            f"BLAS dot {blas_dot()}")
 
 
 def main() -> None:
