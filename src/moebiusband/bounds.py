@@ -27,6 +27,8 @@ from .geom import Frozen, StructureError
 
 _EQ_SLOP = 1e-12  # slop for inequalities that close non-strictly in the limit
 _SPEED_TOL = 1e-8  # largest |speed - 1| of a CurveGraphPair's sampling
+_LENS_SLACK = 1e-9  # relative slack of the closed-form curve rejection
+_CHORD_SLACK = 1e-6  # absolute slack of its lower bound on the chord
 
 
 class MarginReport(NamedTuple):
@@ -191,7 +193,7 @@ class CurveGraphPair(Frozen):
     computes them by the same formulas, and runs the same checks.
 
     The work runs on (3, n) coordinate rows, `samples.T`, so each numpy call
-    sweeps three contiguous rows of an array that `random_unit_speed_curve`
+    sweeps three contiguous rows of an array that `_unit_speed_curve`
     lays out that way.  The chord samples are kept as (3, n) rows too.
     """
 
@@ -402,7 +404,7 @@ def random_perturbed_triangle(rng: "np.random.Generator", eps: float) -> Perturb
 
 @functools.lru_cache(maxsize=8)
 def _curve_tables(n: int) -> np.ndarray:
-    """The fixed Fourier basis of `random_unit_speed_curve` over the
+    """The fixed Fourier basis of `_unit_speed_curve` over the
     arc-length midpoints s of an n-point curve: a read-only (7, n - 1)
     array with rows sin(2 pi s), then sin(pi k s) sin(pi s) and
     cos(pi k s) sin(pi s) for k = 2..4."""
@@ -416,29 +418,57 @@ def _curve_tables(n: int) -> np.ndarray:
     return basis
 
 
-def random_unit_speed_curve(rng: "np.random.Generator", length: float,
-                            tilt: float, n: int = _CURVE_SAMPLES) -> np.ndarray:
-    """Unit-speed samples of a random smooth space curve, as the (n, 3)
-    transposed view of a C-ordered (3, n) array of coordinate rows.
+@functools.lru_cache(maxsize=8)
+def _curve_gram(n: int) -> np.ndarray:
+    """The read-only (7, 7) Gram matrix G = B B^T of the basis B =
+    `_curve_tables(n)`, so that the angles a = m B of a row m of modes
+    have sum(a^2) = m G m^T."""
+    # einsum, not @: see `_unit_speed_curve`
+    basis = _curve_tables(n)
+    gram = np.einsum("ik,jk->ij", basis, basis)
+    gram.setflags(write=False)
+    return gram
 
-    The curve is built by integrating a unit tangent field whose direction
-    angles are low-order Fourier series in arc length, so the polyline has
-    exactly equal steps (speed residual at rounding level) and total length
-    `length`.  `tilt` scales the tangent's angular swing away from the
-    chord direction, i.e. how far the curve wiggles.
+
+def _curve_modes(rng: "np.random.Generator", tilt: float) -> np.ndarray:
+    """The draws of a random curve: its (2, 7) matrix of modes, the
+    coefficients of the angles theta (row 0) and phi (row 1) on the basis
+    rows of `_curve_tables`.
 
     Each mode amp * sin(pi k s + phase) * sin(pi s) is expanded by angle
     addition into amp cos(phase) and amp sin(phase) times two fixed basis
-    rows, so both angles come from one (2, 7) by (7, n - 1) matrix product.
-    The amplitudes take rng.standard_normal(), the z of rng.normal(), which
-    returns 0.0 + z: the two differ only where the ziggurat returns -0.0,
-    and then only in the sign of a zero amplitude.  Adding, subtracting or
-    multiplying values that differ only in the signs of zeros, and sin or
-    cos of them, gives values that differ only in the signs of zeros, so
-    the samples could differ only in the signs of zero coordinates, and
-    every margin reads coordinates through squares of them or of their
-    differences.  The running sum is np.add.accumulate along each row,
-    sequential as np.cumsum's.
+    rows.  The amplitudes take rng.standard_normal(), the z of rng.normal(),
+    which returns 0.0 + z: the two differ only where the ziggurat returns
+    -0.0, and then only in the sign of a zero amplitude.  Adding,
+    subtracting or multiplying values that differ only in the signs of
+    zeros, and sin or cos of them, gives values that differ only in the
+    signs of zeros, so the samples could differ only in the signs of zero
+    coordinates, and every margin reads coordinates through squares of them
+    or of their differences."""
+    # a coherent full-period swing carries the bulk of the bulge away from
+    # the chord; higher random modes (both angles) roughen it
+    theta = [tilt * _uniform(rng, 0.7, 1.0) * _random_sign(rng)]
+    phi = [0.0]
+    for k in range(2, 5):
+        for row in (theta, phi):
+            amp = 0.25 * tilt * rng.standard_normal() / k
+            phase = _uniform(rng, 0.0, 2.0 * math.pi)
+            row += (amp * math.cos(phase), amp * math.sin(phase))
+    return np.array([theta, phi])
+
+
+def _unit_speed_curve(modes: np.ndarray, length: float, n: int) -> np.ndarray:
+    """Unit-speed samples of the smooth space curve with the (2, 7) modes
+    of `_curve_modes`, as a C-ordered (3, n) array of coordinate rows.
+
+    The curve is built by integrating a unit tangent field whose direction
+    angles are low-order Fourier series in arc length s, so the polyline has
+    exactly equal steps (speed residual at rounding level) and total length
+    `length`.  Both angles come from one (2, 7) by (7, n - 1) matrix
+    product of the modes and the basis, and step k is
+    h (cos theta_k cos phi_k, sin theta_k cos phi_k, sin phi_k) with
+    h = length / (n - 1).  The running sum is np.add.accumulate along each
+    row, sequential as np.cumsum's.
 
     The samples start exactly at 0, and their speed residual, the largest
     |step / mean step - 1| that CurveGraphPair checks, is at most
@@ -453,45 +483,104 @@ def random_unit_speed_curve(rng: "np.random.Generator", length: float,
     their sum, (n - 1) u + n u / 2; 64 u covers the few-ulp errors of the
     tangents, the norms and the pairwise sum of the steps.
     """
-    # a coherent full-period swing carries the bulk of the bulge away from
-    # the chord; higher random modes (both angles) roughen it
-    theta = [tilt * _uniform(rng, 0.7, 1.0) * _random_sign(rng)]
-    phi = [0.0]
-    for k in range(2, 5):
-        for row in (theta, phi):
-            amp = 0.25 * tilt * rng.standard_normal() / k
-            phase = _uniform(rng, 0.0, 2.0 * math.pi)
-            row += (amp * math.cos(phase), amp * math.sin(phase))
     # einsum, not @: the BLAS product saves ~6 us but touches OpenBLAS's
     # gemm buffer, which raises the peak RSS of a sweep by ~0.3 MB
-    angles = np.einsum("ij,jk->ik", np.array([theta, phi]), _curve_tables(n))
+    angles = np.einsum("ij,jk->ik", modes, _curve_tables(n))
     cos_a, sin_a = np.cos(angles), np.sin(angles)
     # each coordinate's steps and running sum sweep one contiguous row
-    pts = np.zeros((3, n))
-    steps = pts[:, 1:]
+    rows = np.zeros((3, n))
+    steps = rows[:, 1:]
     np.multiply(cos_a[0], cos_a[1], out=steps[0])
     np.multiply(sin_a[0], cos_a[1], out=steps[1])
     steps[2] = sin_a[1]
     steps *= length / (n - 1)
     np.add.accumulate(steps, axis=1, out=steps)
-    return pts.T
+    return rows
+
+
+def _chord_floor(modes: np.ndarray, length: float, n: int) -> float:
+    """A lower bound c_lo on the chord length |P_{n-1}| of the curve P =
+    `_unit_speed_curve(modes, length, n)` as it is computed, from its modes
+    alone; nan or -inf where a mode is not finite.
+
+    With h = length / (n - 1) and the angles theta_k, phi_k, the curve's end
+    has x = h sum cos(theta_k) cos(phi_k), and the chord is at least x.
+    cos a cos b = (cos(a - b) + cos(a + b)) / 2 >= 1 - (a^2 + b^2) / 2 for
+    all real a and b, as cos z >= 1 - z^2 / 2.  So
+
+        c >= c_lo = length - (h / 2) (m_theta G m_theta^T + m_phi G m_phi^T)
+
+    with G = `_curve_gram(n)`, less _CHORD_SLACK for rounding.
+
+    The slack bounds the rounding for 40 <= n <= 1200 wherever c_lo > 0,
+    with u = 2^-53, N = n - 1 and L = length <= 3.  c_lo > 0 asks that the
+    energy E = sum(theta_k^2 + phi_k^2) be below 2 N, and the least
+    eigenvalue of G is at least mu N with mu = 1.5e-5 (1.59e-5 at n = 40
+    and 1200), so |m|^2 < 2 / mu, and the two rows of modes have
+    sum |m_row|_1^2 <= 7 |m|^2 < 14 / mu < 9.4e5.  Then:
+    - the running sum loses at most N u L in x, and the products, cos and
+      sin (a few ulps each) at most 11 u L;
+    - each einsum angle is within 7 u |m_row|_1 of its exact sum, which
+      moves (h / 2) E by at most 14 u L |m_row|_1, 4.5e-12;
+    - G, summed over N products, is within N u sum_k |B_ik B_jk| <= N^2 u
+      of the exact Gram entry-wise, which moves (h / 2) E by at most
+      (L / 2) N u sum |m_row|_1^2 <= 1.9e-7, and the einsum of m G m^T
+      (98 products) by at most (L / 2) 98 u sum |m_row|_1^2 <= 1.5e-8.
+    All told at most 2.1e-7, within the 1e-6 of _CHORD_SLACK."""
+    gram = _curve_gram(n)
+    energy = float(np.einsum("ij,jk,ik->", modes, gram, modes))
+    return length - 0.5 * (length / (n - 1)) * energy - _CHORD_SLACK
+
+
+def _lens_rejects(modes: np.ndarray, length: float, target: float, n: int) -> bool:
+    """Whether the sup deviation of `_unit_speed_curve(modes, length, n)`
+    from its chord map, as `curve_with_forced_deviation` computes it, is
+    surely below `target`, decided from the modes without building the
+    curve.  False wherever a mode is not finite.
+
+    A curve of length L from a to b, each point at parameter lam within
+    lam L of a and (1 - lam) L of b, strays from its chord map by
+    deviation^2 <= lam (1 - lam) (L^2 - c^2) <= (L^2 - c^2) / 4 (the lens
+    bound; see ROADMAP item 9).  With c >= c_lo > 0 from `_chord_floor`,
+    (L^2 - c_lo^2) / 4 < target^2 forces deviation < target.  Both sides
+    carry the relative slack _LENS_SLACK = 1e-9, with u = 2^-53:
+    - the computed steps are h (1 + e_i) with |e_i| <= (n + 64) u (see
+      `_unit_speed_curve`), so the lens bound holds with L (1 + 1.4e-13)
+      for L at n = 1200, whose square the slack on L^2 covers;
+    - the computed deviation is within 4 u of the exact one, relative, plus
+      2 u L for the rounded chord weights and products.  c_lo <= L minus
+      _CHORD_SLACK, so a rejection needs 4 target^2 > L^2 - c_lo^2 >=
+      L _CHORD_SLACK, and target > 6e-4 for L >= 1.6; the 5e-10 target
+      that the slack takes off is then above 3e-13, and covers them."""
+    c_lo = _chord_floor(modes, length, n)
+    # nan compares false, and an infinite mode gives a nan or -inf c_lo
+    return (c_lo > 0.0
+            and length * length * (1.0 + _LENS_SLACK) - c_lo * c_lo
+            < 4.0 * target * target * (1.0 - _LENS_SLACK))
 
 
 def curve_with_forced_deviation(rng: "np.random.Generator", eps: float) -> CurveGraphPair:
     """Random unit-speed curve whose sup distance to its chord map is at
     least 3 sqrt(eps) (tangent swing scaled up until the threshold holds).
 
-    Each attempt is decided on its chord deviation alone, by the formula of
+    Each attempt draws its modes (`_curve_modes`) and is first decided in
+    closed form: where `_lens_rejects` shows from the modes that its
+    deviation is below the threshold, the curve is never built (about 37%
+    of the attempts of a sweep).  The other attempts build their curve and
+    are decided on its chord deviation alone, by the formula of
     `CurveGraphPair.deviation`.  The curve starts at 0, so its chord map is
     t times its end: the pair's (1 - t) * 0 terms add only zeros, whose
-    signs the squares drop.  The chord rows go into one (3, n) array and
-    the differences and their squared norms into one (3, n) and one (n,)
-    scratch array, all made once per call.  Only the curve it keeps is
-    validated as a CurveGraphPair (finite samples, unit speed to 1e-8), and
-    that pair takes its chord rows and deviation from this test instead of
-    computing them again.  The discarded curves would pass the check too:
-    their speed residual is bounded in `random_unit_speed_curve`'s
-    docstring, far below 1e-8."""
+    signs the squares drop.  The chord rows go into one (3, n) array, one
+    row multiply per coordinate, and the differences and their squared
+    norms into one (3, n) and one (n,) scratch array, all made once per
+    call.  Both ways of rejecting draw the same numbers and lead to the
+    same tilt and length update, so the generator is consumed as when every
+    attempt was built.  Only the curve it keeps is validated as a
+    CurveGraphPair (finite samples, unit speed to 1e-8), and that pair
+    takes its chord rows and deviation from this test instead of computing
+    them again.  The discarded curves would pass the check too: their
+    speed residual is bounded in `_unit_speed_curve`'s docstring, far
+    below 1e-8."""
     target = 3.0 * math.sqrt(eps)
     lo = max(1.6, 2.7 * target)
     if lo >= 2.85:
@@ -506,11 +595,14 @@ def curve_with_forced_deviation(rng: "np.random.Generator", eps: float) -> Curve
     # non-finite end from warning.  Finite draws raise no invalid operation.
     with np.errstate(invalid="ignore"):
         for _ in range(80):
-            rows = random_unit_speed_curve(rng, length, tilt, n).T
-            np.multiply(rows[:, -1:], t, out=chord)
-            dev = _deviation_into(rows, chord, diff, sq)
-            if not dev < target:
-                return CurveGraphPair._accepted(rows, chord, dev)
+            modes = _curve_modes(rng, tilt)
+            if not _lens_rejects(modes, length, target, n):
+                rows = _unit_speed_curve(modes, length, n)
+                for k in range(3):
+                    np.multiply(t, rows[k, -1], out=chord[k])
+                dev = _deviation_into(rows, chord, diff, sq)
+                if not dev < target:
+                    return CurveGraphPair._accepted(rows, chord, dev)
             tilt *= 1.35
             if tilt > 2.6:
                 length = _uniform(rng, lo, 2.85)

@@ -154,23 +154,50 @@ class TestOffset1:
             )
 
 
-def _inline_unit_speed_curve(rng, length, tilt, n=1200):
-    """random_unit_speed_curve as it was written before its fixed
-    trigonometric arrays were tabulated."""
-    s = (np.arange(n - 1) + 0.5) / (n - 1)
-    theta = tilt * rng.uniform(0.7, 1.0) * rng.choice([-1.0, 1.0]) * np.sin(2.0 * math.pi * s)
-    phi = np.zeros(n - 1)
+def _inline_draws(rng, tilt):
+    """The draws of a random curve in the order the inline formula took
+    them: the swing of theta, then (k, amp, phase) of the modes of theta
+    and phi in turn, k = 2..4."""
+    swing = tilt * rng.uniform(0.7, 1.0) * rng.choice([-1.0, 1.0])
+    terms = []
     for k in range(2, 5):
-        for ang in (theta, phi):
+        for _ in range(2):
             amp = 0.25 * tilt * rng.normal() / k
-            phase = rng.uniform(0.0, 2.0 * math.pi)
-            ang += amp * np.sin(math.pi * k * s + phase) * np.sin(math.pi * s)
+            terms.append((k, amp, rng.uniform(0.0, 2.0 * math.pi)))
+    return swing, terms
+
+
+def _inline_curve(draws, length, n=1200):
+    """The (n, 3) curve of `_inline_draws`, as the generator was written
+    before its fixed trigonometric arrays were tabulated."""
+    swing, terms = draws
+    s = (np.arange(n - 1) + 0.5) / (n - 1)
+    theta = swing * np.sin(2.0 * math.pi * s)
+    phi = np.zeros(n - 1)
+    for i, (k, amp, phase) in enumerate(terms):
+        (theta, phi)[i % 2][:] += amp * np.sin(math.pi * k * s + phase) * np.sin(math.pi * s)
     tangent = np.stack(
         [np.cos(theta) * np.cos(phi), np.sin(theta) * np.cos(phi), np.sin(phi)],
         axis=1,
     )
     steps = (length / (n - 1)) * tangent
     return np.vstack([np.zeros(3), np.cumsum(steps, axis=0)])
+
+
+def _inline_modes(draws):
+    """The (2, 7) modes of `_inline_draws`, as `bounds._curve_modes` expands
+    each mode by angle addition."""
+    swing, terms = draws
+    rows = [[swing], [0.0]]
+    for i, (k, amp, phase) in enumerate(terms):
+        rows[i % 2] += (amp * math.cos(phase), amp * math.sin(phase))
+    return np.array(rows)
+
+
+def _curve(rng, length, tilt, n=1200):
+    """The (n, 3) samples of the package's random curve: its draws, then its
+    build."""
+    return bounds._unit_speed_curve(bounds._curve_modes(rng, tilt), length, n).T
 
 
 class TestRandomCurve:
@@ -185,8 +212,8 @@ class TestRandomCurve:
         # themselves are unchanged.
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
         for length in (1.6, 2.85):  # twice, so a second call reuses the basis
-            pts = bounds.random_unit_speed_curve(fast, length, tilt, n=n)
-            ref = _inline_unit_speed_curve(slow, length, tilt, n=n)
+            pts = _curve(fast, length, tilt, n=n)
+            ref = _inline_curve(_inline_draws(slow, tilt), length, n=n)
             assert np.abs(pts - ref).max() <= 8 * np.spacing(length)
             assert fast.bit_generator.state == slow.bit_generator.state
 
@@ -246,8 +273,22 @@ class TestCurveSweep:
     @pytest.mark.parametrize("seed", sorted(SWEEP_MARGINS))
     def test_pinned_against_inline_curves(self, seed, sweep, monkeypatch):
         out, margins, state = sweep(seed)
-        monkeypatch.setattr(bounds, "random_unit_speed_curve", _inline_unit_speed_curve)
+        # the inline formula at the sweep's two seams: the draws give the
+        # package's modes, and the curve of the last draws is built inline
+        last, built = [], []
+
+        def inline_modes(rng, tilt):
+            last[:] = [_inline_draws(rng, tilt)]
+            return _inline_modes(last[0])
+
+        def inline_rows(modes, length, n):
+            built.append(n)
+            return _inline_curve(last[0], length, n).T
+
+        monkeypatch.setattr(bounds, "_curve_modes", inline_modes)
+        monkeypatch.setattr(bounds, "_unit_speed_curve", inline_rows)
         ref_out, ref_margins, ref_state = sweep(seed)
+        assert len(built) >= 1000
         assert ref_margins == SWEEP_MARGINS[seed]
         # equal states: every attempt was accepted or rejected as before
         assert state == ref_state
@@ -257,69 +298,214 @@ class TestCurveSweep:
             assert abs(got - want) <= MARGIN_BOUND
 
 
-# the speed-residual bound of `random_unit_speed_curve`'s docstring at the
-# sweep's n = 1200 points, with u = 2^-53
+# the speed-residual bound of `_unit_speed_curve`'s docstring at the sweep's
+# n = 1200 points, with u = 2^-53
 SPEED_BOUND = (1.5 * (1200 - 1) + 64) * 2.0 ** -53
+
+# (grid, seed, curve attempts) of `bounds-sweep` -> (attempts rejected in
+# closed form, attempts built); rejected + built = attempts
+ATTEMPTS = {(1000, 7, 2640): (986, 1654), (1000, 1234, 2672): (1036, 1636),
+            (0, 11, 1307): (492, 815)}
+
+
+def _record_attempts(monkeypatch, attempts, builds, spoil=None):
+    """Record each curve attempt of `curve_with_forced_deviation` as the
+    closed-form test sees it, (modes, length, n, rejected), and the rows of
+    each curve it builds, changed by `spoil` first where given."""
+    rejects, build = bounds._lens_rejects, bounds._unit_speed_curve
+
+    def recording_rejects(modes, length, target, n):
+        rejected = rejects(modes, length, target, n)
+        attempts.append((modes, length, n, rejected))
+        return rejected
+
+    def recording_build(modes, length, n):
+        rows = build(modes, length, n)
+        if spoil is not None:
+            spoil(rows)
+        builds.append(rows)
+        return rows
+
+    monkeypatch.setattr(bounds, "_lens_rejects", recording_rejects)
+    monkeypatch.setattr(bounds, "_unit_speed_curve", recording_build)
+
+
+def _same_pair(got, want):
+    """The fields of two CurveGraphPairs, and their graph lengths, are
+    bitwise equal."""
+    for field in ("samples", "deviation", "domain_length", "chord_length"):
+        assert (np.asarray(getattr(got, field)).tobytes()
+                == np.asarray(getattr(want, field)).tobytes()), field
+    assert np.array(got.graph_lengths()).tobytes() == np.array(want.graph_lengths()).tobytes()
 
 
 class TestForcedDeviation:
-    """`curve_with_forced_deviation` validates only the curve it accepts."""
+    """`curve_with_forced_deviation` builds only the attempts that the
+    closed form cannot reject, and validates only the curve it accepts."""
 
-    def _attempts(self, monkeypatch, record):
-        draw = bounds.random_unit_speed_curve
-
-        def recording(rng, length, tilt, n=1200):
-            pts = draw(rng, length, tilt, n)
-            record(pts)
-            return pts
-
-        monkeypatch.setattr(bounds, "random_unit_speed_curve", recording)
-
-    @pytest.mark.parametrize("grid, seed, attempts", [(1000, 7, 2640), (1000, 1234, 2672),
-                                                      (0, 11, 1307)])
+    @pytest.mark.parametrize("grid, seed, attempts", sorted(ATTEMPTS))
     def test_every_attempt_within_the_speed_bound(self, grid, seed, attempts,
                                                   monkeypatch, capsys):
-        # the residual as CurveGraphPair reads it, on discarded curves too
-        resids = []
-
-        def residual(pts):
-            steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-            resids.append(float(np.abs(steps / (steps.sum() / (len(pts) - 1)) - 1.0).max()))
-
-        self._attempts(monkeypatch, residual)
+        made, builds = [], []
+        _record_attempts(monkeypatch, made, builds)
         assert cli.main(["bounds-sweep", "--grid", str(grid), "--seed", str(seed)]) == 0
         assert "FAIL" not in capsys.readouterr().out
-        assert len(resids) == attempts
+        rejected = sum(a[3] for a in made)
+        assert len(made) == attempts
+        assert (rejected, len(builds)) == ATTEMPTS[grid, seed, attempts]
+        # the residual as CurveGraphPair reads it, on every attempt's curve,
+        # built here also where the sweep rejected it unbuilt
+        resids = []
+        for modes, length, n, _ in made:
+            pts = bounds._unit_speed_curve(modes, length, n).T
+            steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+            resids.append(float(np.abs(steps / (steps.sum() / (n - 1)) - 1.0).max()))
         assert max(resids) < SPEED_BOUND
         assert SPEED_BOUND * 1e4 <= bounds._SPEED_TOL  # four decades below the pair's tolerance
 
     @pytest.mark.parametrize("index, value", [(0, math.nan), (600, math.nan), (-1, math.nan),
                                               (600, math.inf), (-1, -math.inf)])
     def test_non_finite_attempt_raises(self, index, value, monkeypatch, capsys):
-        # a nan deviation is not read as a rejection: the first attempt raises
-        draws = []
+        # a nan deviation is not read as a rejection: the first curve built
+        # raises, after the attempts before it were rejected unbuilt
+        attempts, builds = [], []
 
-        def spoil(pts):
-            pts[index, 1] = value
-            draws.append(pts)
+        def spoil(rows):
+            rows[1, index] = value
 
-        self._attempts(monkeypatch, spoil)
+        _record_attempts(monkeypatch, attempts, builds, spoil)
         with pytest.raises(StructureError, match="^non-finite curve samples$"):
             bounds.curve_with_forced_deviation(np.random.default_rng(5), 0.01)
-        assert len(draws) == 1
-        draws.clear()
+        assert len(builds) == 1 and [a[3] for a in attempts] == [True, False]
+        attempts.clear()
+        builds.clear()
         assert cli.main(["bounds-sweep", "--grid", "0", "--seed", "5"]) == 2
         assert capsys.readouterr().err == "error: non-finite curve samples\n"
-        assert len(draws) == 1
+        assert len(builds) == 1 and [a[3] for a in attempts] == [True, False]
+
+    @pytest.mark.parametrize("index", [0, 3, 7, 13])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_modes_are_built_and_raise(self, index, value, monkeypatch, capsys):
+        # the closed form never rejects a non-finite attempt, so its curve
+        # is built and fails the pair's finiteness check
+        attempts, builds = [], []
+        _record_attempts(monkeypatch, attempts, builds)
+        draw = bounds._curve_modes
+
+        def spoiled(rng, tilt):
+            modes = draw(rng, tilt)
+            modes.flat[index] = value
+            return modes
+
+        monkeypatch.setattr(bounds, "_curve_modes", spoiled)
+        with pytest.raises(StructureError, match="^non-finite curve samples$"):
+            bounds.curve_with_forced_deviation(np.random.default_rng(5), 0.01)
+        assert len(builds) == 1 and [a[3] for a in attempts] == [False]
+        assert cli.main(["bounds-sweep", "--grid", "0", "--seed", "5"]) == 2
+        assert capsys.readouterr().err == "error: non-finite curve samples\n"
+
+
+class TestLensRejection:
+    """The closed-form test of `_lens_rejects` rejects only attempts whose
+    built curve would be rejected too, so it changes no decision."""
+
+    @pytest.mark.parametrize("grid, seed, attempts", sorted(ATTEMPTS))
+    def test_every_rejected_curve_deviates_less(self, grid, seed, attempts,
+                                                monkeypatch, capsys):
+        rejects = bounds._lens_rejects
+        ratios, built = [], []
+
+        def built_anyway(modes, length, target, n):
+            if not rejects(modes, length, target, n):
+                built.append(n)
+                return False
+            cg = bounds.CurveGraphPair(bounds._unit_speed_curve(modes, length, n).T)
+            ratios.append(cg.deviation / target)
+            return True
+
+        monkeypatch.setattr(bounds, "_lens_rejects", built_anyway)
+        assert cli.main(["bounds-sweep", "--grid", str(grid), "--seed", str(seed)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert len(ratios) + len(built) == attempts
+        assert (len(ratios), len(built)) == ATTEMPTS[grid, seed, attempts]
+        # 0.885, 0.888 and 0.895 of the target at the most
+        assert max(ratios) < 0.9
+
+    @pytest.mark.parametrize("grid, seed", sorted({key[:2] for key in ATTEMPTS}))
+    def test_equals_building_every_attempt(self, grid, seed, monkeypatch, capsys):
+        # each kept pair, and the generator after it, with the closed form
+        # on and with every attempt built
+        forced, kept = bounds.curve_with_forced_deviation, []
+
+        def checked(rng, eps):
+            twin = np.random.default_rng()
+            twin.bit_generator.state = rng.bit_generator.state
+            got = forced(rng, eps)
+            with pytest.MonkeyPatch.context() as patched:
+                patched.setattr(bounds, "_lens_rejects", lambda *args: False)
+                want = forced(twin, eps)
+            assert rng.bit_generator.state == twin.bit_generator.state
+            _same_pair(got, want)
+            kept.append(got)
+            return got
+
+        monkeypatch.setattr(bounds, "curve_with_forced_deviation", checked)
+        assert cli.main(["bounds-sweep", "--grid", str(grid), "--seed", str(seed)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert len(kept) == max(grid, 500)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 3.6), st.floats(1.6, 2.85),
+           st.sampled_from([40, 1200]), st.floats(0.001, 0.1))
+    @settings(max_examples=300, deadline=None)
+    def test_floor_and_rejection(self, seed, tilt, length, n, eps):
+        modes = bounds._curve_modes(np.random.default_rng(seed), tilt)
+        rows = bounds._unit_speed_curve(modes, length, n)
+        assert bounds._chord_floor(modes, length, n) <= math.sqrt(rows[:, -1].dot(rows[:, -1]))
+        target = 3.0 * math.sqrt(eps)
+        if bounds._lens_rejects(modes, length, target, n):
+            assert bounds.CurveGraphPair(rows.T).deviation < target
+
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 3.6), st.floats(1.6, 2.85),
+           st.sampled_from([40, 1200]), st.floats(1e-3, 1e6), st.integers(0, 13),
+           st.sampled_from([math.nan, math.inf, -math.inf]))
+    @settings(max_examples=200, deadline=None)
+    def test_non_finite_modes_never_pass(self, seed, tilt, length, n, target, index, value):
+        modes = bounds._curve_modes(np.random.default_rng(seed), tilt)
+        modes.flat[index] = value
+        assert not bounds._chord_floor(modes, length, n) > 0.0
+        assert not bounds._lens_rejects(modes, length, target, n)
+
+    @pytest.mark.parametrize("n", [40, 1200])
+    def test_gram_of_the_basis(self, n):
+        gram, basis = bounds._curve_gram(n), bounds._curve_tables(n)
+        assert not gram.flags.writeable
+        assert gram.tobytes() == np.einsum("ik,jk->ij", basis, basis).tobytes()
+        # the least eigenvalue that the slack of `_chord_floor` assumes
+        assert np.linalg.eigvalsh(gram / (n - 1)).min() >= 1.5e-5
+
+
+def test_chord_row_multiplies_equal_the_broadcast():
+    # the chord rows of a curve attempt, t times each coordinate of its end,
+    # one row at a time, against the (3, 1) by (n,) broadcast
+    rng = np.random.default_rng(31)
+    t = bounds._chord_weights(1200)[1]
+    rows = rng.normal(size=(3, 1200)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(3, 1))
+    for _ in range(200):
+        chord = np.empty((3, 1200))
+        for k in range(3):
+            np.multiply(t, rows[k, -1], out=chord[k])
+        assert chord.tobytes() == (rows[:, -1:] * t).tobytes()
+        rows = rng.normal(size=(3, 1200)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(3, 1))
 
 
 def test_import_builds_no_curve_basis():
     code = ("import moebiusband\n"
             "from moebiusband import bounds\n"
-            "print(bounds._curve_tables.cache_info().currsize)")
+            "print(bounds._curve_tables.cache_info().currsize,"
+            " bounds._curve_gram.cache_info().currsize)")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "0"
+    assert r.stdout.strip() == "0 0"
 
 
 class TestCurveChecks:

@@ -6,9 +6,11 @@ package computes in fewer numpy calls: the per-point `_Chain` filter, the
 per-edge `boundary_deviation` with its arc lengths re-summed from the chain
 points, the root scan over the full sign matrix, and the random curves and
 their chord comparisons on (n, 3) point arrays, with the chord deviation
-that decides each curve attempt.  `reference_curve_with_forced_deviation`
-is the attempt loop as it was when it built a validated CurveGraphPair
-from every attempt, discarded or not.  `ReferencePerturbedTriangle` takes
+that decides each curve attempt; the curve references are split as the
+package splits its curve, into the draws of the modes and the build of the
+curve.  `reference_curve_with_forced_deviation` is the attempt loop as it
+was when it built a validated CurveGraphPair from every attempt, discarded
+or not, with no closed-form rejection.  `ReferencePerturbedTriangle` takes
 the offset sweep's four lengths from np.linalg.norm, and
 `reference_point_segment_distance` is the segment distance as it was when
 it clipped under errstate and took a zero-length segment's start with
@@ -31,11 +33,13 @@ nested coordinate lists, then checked their types in a second pass.
 The package must give bitwise the same values and leave the random
 generator in the same state.
 `TestCliOutputs` and `test_sweep_byte_identical_with_every_reference` swap
-every reference in at once and compare the CLI's outputs (`TestSweepOutputs`
-swaps the curve generator, the pair's constructor and the uniform draws); a later change that rewrites a stage for speed
-can add its old form here as a reference.
+every reference in at once and compare the CLI's outputs
+(`TestSweepOutputs` swaps the references of the curve loop's seams and the
+uniform draws, and counts their calls); a later change that rewrites a
+stage for speed can add its old form here as a reference.
 """
 
+import collections
 import copy
 import hashlib
 import io
@@ -354,9 +358,9 @@ def reference_develop_for(band, tp):
     return FlatTrapezoid(lam=band.lam, t=dev.cut_displacement(), u=b_flat[1], v=b_flat[0]), dev
 
 
-def reference_unit_speed_curve(rng, length, tilt, n=1200):
-    """random_unit_speed_curve on an (n, 3) array: the steps are the rows of
-    a stacked tangent, summed down each column."""
+def reference_curve_modes(rng, tilt):
+    """bounds._curve_modes with numpy's uniform, choice and normal draws,
+    written into a (2, 7) array of zeros."""
     coeffs = np.zeros((2, 7))
     coeffs[0, 0] = tilt * rng.uniform(0.7, 1.0) * rng.choice([-1.0, 1.0])
     for k in range(2, 5):
@@ -365,13 +369,20 @@ def reference_unit_speed_curve(rng, length, tilt, n=1200):
             phase = rng.uniform(0.0, 2.0 * math.pi)
             row[2 * k - 3] = amp * math.cos(phase)
             row[2 * k - 2] = amp * math.sin(phase)
-    angles = np.einsum("ij,jk->ik", coeffs, bounds._curve_tables(n))
+    return coeffs
+
+
+def reference_curve_rows(modes, length, n):
+    """bounds._unit_speed_curve on an (n, 3) array, returned as its (3, n)
+    transposed view: the steps are the rows of a stacked tangent, summed
+    down each column."""
+    angles = np.einsum("ij,jk->ik", modes, bounds._curve_tables(n))
     cos_a, sin_a = np.cos(angles), np.sin(angles)
     tangent = np.stack([cos_a[0] * cos_a[1], sin_a[0] * cos_a[1], sin_a[1]], axis=1)
     steps = (length / (n - 1)) * tangent
     pts = np.zeros((n, 3))
     np.cumsum(steps, axis=0, out=pts[1:])
-    return pts
+    return pts.T
 
 
 class ReferenceCurveGraphPair(bounds.CurveGraphPair):
@@ -413,8 +424,8 @@ def reference_deviation(rows, chord):
 
 
 def reference_curve_with_forced_deviation(rng, eps):
-    """curve_with_forced_deviation as it was when it validated every attempt
-    as a CurveGraphPair and read the pair's deviation."""
+    """curve_with_forced_deviation as it was when it built and validated
+    every attempt as a CurveGraphPair and read the pair's deviation."""
     target = 3.0 * math.sqrt(eps)
     lo = max(1.6, 2.7 * target)
     if lo >= 2.85:
@@ -422,7 +433,8 @@ def reference_curve_with_forced_deviation(rng, eps):
     length = bounds._uniform(rng, lo, 2.85)
     tilt = 3.0 * target / length
     for _ in range(80):
-        cg = bounds.CurveGraphPair(bounds.random_unit_speed_curve(rng, length, tilt))
+        rows = reference_curve_rows(reference_curve_modes(rng, tilt), length, 1200)
+        cg = bounds.CurveGraphPair(rows.T)
         if cg.deviation >= target:
             return cg
         tilt *= 1.35
@@ -743,13 +755,16 @@ class TestCurvePath:
     def test_curve_and_pair(self, seed, tilt, n):
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
         for length in (1.6, 2.85):
-            got = bounds.random_unit_speed_curve(fast, length, tilt, n=n)
-            want = reference_unit_speed_curve(slow, length, tilt, n=n)
+            modes = bounds._curve_modes(fast, tilt)
+            want_modes = reference_curve_modes(slow, tilt)
             assert fast.bit_generator.state == slow.bit_generator.state
-            assert got.shape == want.shape == (n, 3) and got.T.flags.c_contiguous
+            assert _bits(modes) == _bits(want_modes)
+            got = bounds._unit_speed_curve(modes, length, n)
+            want = reference_curve_rows(want_modes, length, n)
+            assert got.shape == want.shape == (3, n) and got.flags.c_contiguous
             assert _bits(got) == _bits(want)
-            got_pair = bounds.CurveGraphPair(got)
-            want_pair = ReferenceCurveGraphPair(want)
+            got_pair = bounds.CurveGraphPair(got.T)
+            want_pair = ReferenceCurveGraphPair(want.T)
             got_fields = _pair_fields(got_pair, got_pair._chord.T)
             want_fields = _pair_fields(want_pair, want_pair._chord)
             for key, value in want_fields.items():
@@ -761,7 +776,7 @@ class TestCurvePath:
         # the residual is the reference's bitwise: the pair accepts a
         # tolerance equal to it and rejects the next float below
         rng = np.random.default_rng(seed)
-        pts = bounds.random_unit_speed_curve(rng, 2.0, 0.9, n=n)
+        pts = bounds._unit_speed_curve(bounds._curve_modes(rng, 0.9), 2.0, n).T
         pts = pts + 10.0 ** log_noise * rng.normal(size=pts.shape)
         steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         resid = float(np.abs(steps / (steps.sum() / (n - 1)) - 1.0).max())
@@ -774,54 +789,79 @@ class TestCurvePath:
                 bounds.CurveGraphPair(pts)
 
 
+# `bounds-sweep --grid 1000` at a seed -> the curve attempts it builds; the
+# others are rejected in closed form before they are built
+SWEEP_BUILDS = {7: 1654, 1234: 1636}
+
+
 class TestForcedDeviation:
-    """Each accept decision on the chord deviation alone is the decision of
-    the loop that validated every attempt."""
+    """Each decision of the loop that rejects in closed form what it can and
+    decides the rest on the chord deviation alone is the decision of the
+    loop that built and validated every attempt."""
 
     @pytest.mark.parametrize("seed, attempts", [(7, 2640), (1234, 2672)])
     def test_equals_the_loop_that_validates_every_attempt(self, seed, attempts,
                                                            monkeypatch, capsys):
-        draw, forced = bounds.random_unit_speed_curve, bounds.curve_with_forced_deviation
-        draws, per_draw = [], []
+        draw, build = bounds._curve_modes, bounds._unit_speed_curve
+        forced = bounds.curve_with_forced_deviation
+        drawn, builds, per_draw = [], [], []
 
-        def counting(rng, length, tilt, n=1200):
-            draws.append(n)
-            return draw(rng, length, tilt, n)
+        def counting_draw(rng, tilt):
+            drawn.append(tilt)
+            return draw(rng, tilt)
+
+        def counting_build(modes, length, n):
+            builds.append(n)
+            return build(modes, length, n)
 
         def checked(rng, eps):
             twin = np.random.default_rng()
             twin.bit_generator.state = rng.bit_generator.state
             want = reference_curve_with_forced_deviation(twin, eps)
-            before = len(draws)
+            before = len(drawn)
             got = forced(rng, eps)
-            per_draw.append(len(draws) - before)
+            per_draw.append(len(drawn) - before)
             assert rng.bit_generator.state == twin.bit_generator.state
             for field in ("samples", "deviation", "domain_length", "chord_length"):
                 assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
             assert _bits(got.graph_lengths()) == _bits(want.graph_lengths())
             return got
 
-        monkeypatch.setattr(bounds, "random_unit_speed_curve", counting)
+        monkeypatch.setattr(bounds, "_curve_modes", counting_draw)
+        monkeypatch.setattr(bounds, "_unit_speed_curve", counting_build)
         monkeypatch.setattr(bounds, "curve_with_forced_deviation", checked)
         assert cli_main(["bounds-sweep", "--grid", "1000", "--seed", str(seed)]) == 0
         assert "FAIL" not in capsys.readouterr().out
-        assert len(per_draw) == 1000 and sum(per_draw) == attempts
+        assert len(per_draw) == 1000
+        assert (sum(per_draw), len(builds)) == (attempts, SWEEP_BUILDS[seed])
 
 
 class TestDeviationCount:
-    def test_one_evaluation_per_attempt(self, monkeypatch, capsys):
-        """`bounds-sweep --grid 1000 --seed 7` evaluates a chord deviation
-        once per curve attempt, 2,640 times, and none in the constructor of
-        the 1,000 kept pairs, which take theirs from the accept test (the
-        loop that built each kept pair from its samples made 3,640)."""
-        draw, into = bounds.random_unit_speed_curve, bounds._deviation_into
+    def test_one_evaluation_per_built_attempt(self, monkeypatch, capsys):
+        """`bounds-sweep --grid 1000 --seed 7` makes 2,640 curve attempts.
+        It rejects 986 in closed form, unbuilt, and evaluates a chord
+        deviation once for each of the other 1,654, and none in the
+        constructor of the 1,000 kept pairs, which take theirs from the
+        accept test (the loop that built each kept pair from its samples
+        made 3,640 evaluations)."""
+        draw, rejects = bounds._curve_modes, bounds._lens_rejects
+        build, into = bounds._unit_speed_curve, bounds._deviation_into
         accepted = bounds.CurveGraphPair._accepted
-        attempts, counts, in_pairs = [], [], []
+        attempts, rejected, builds, counts, in_pairs = [], [], [], [], []
         evaluations = []   # the arrays of each evaluation of the current draw
 
-        def counting_draw(rng, length, tilt, n=1200):
-            attempts.append(n)
-            return draw(rng, length, tilt, n)
+        def counting_draw(rng, tilt):
+            attempts.append(tilt)
+            return draw(rng, tilt)
+
+        def counting_rejects(modes, length, target, n):
+            verdict = rejects(modes, length, target, n)
+            rejected.append(verdict)
+            return verdict
+
+        def counting_build(modes, length, n):
+            builds.append(n)
+            return build(modes, length, n)
 
         def counting_into(rows, chord, diff, sq):
             evaluations.append((chord, diff, sq))
@@ -839,17 +879,21 @@ class TestDeviationCount:
             evaluations.clear()
             return pair
 
-        monkeypatch.setattr(bounds, "random_unit_speed_curve", counting_draw)
+        monkeypatch.setattr(bounds, "_curve_modes", counting_draw)
+        monkeypatch.setattr(bounds, "_lens_rejects", counting_rejects)
+        monkeypatch.setattr(bounds, "_unit_speed_curve", counting_build)
         monkeypatch.setattr(bounds, "_deviation_into", counting_into)
         monkeypatch.setattr(bounds.CurveGraphPair, "_accepted", staticmethod(counting_accepted))
         assert cli_main(["bounds-sweep", "--grid", "1000", "--seed", "7"]) == 0
         assert "FAIL" not in capsys.readouterr().out
-        assert len(attempts) == sum(counts) == 2640 and not evaluations
+        assert len(attempts) == len(rejected) == 2640 and not evaluations
+        assert sum(rejected) == 986
+        assert len(builds) == sum(counts) == 1654
         assert len(in_pairs) == 1000 and not any(in_pairs)
 
 
 def test_standard_normal_equals_rng_normal():
-    # the amplitudes of random_unit_speed_curve: rng.normal() is 0.0 + z
+    # the amplitudes of bounds._curve_modes: rng.normal() is 0.0 + z
     fast, slow = np.random.default_rng(23), np.random.default_rng(23)
     got = [fast.standard_normal() for _ in range(10_000)]
     want = [slow.normal() for _ in range(10_000)]
@@ -888,59 +932,78 @@ def test_uniform_equals_rng_uniform_on_the_triangle_height():
     assert fast.bit_generator.state == slow.bit_generator.state
 
 
+def _sweep_outputs(argv, tmp_path):
+    """The exit code, stdout and report bytes of `bounds-sweep` in process."""
+    report = tmp_path / "sweep.json"
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        code = cli_main(["bounds-sweep", *argv, "--report", str(report)])
+    return code, stdout.getvalue(), report.read_bytes()
+
+
+def reference_accept(rows, chord, diff, sq):
+    return reference_deviation(rows, chord)
+
+
+def reference_kept_pair(rows, chord, deviation):
+    return ReferenceCurveGraphPair(rows.T)
+
+
+def _swap_curve_references(patched, calls):
+    """Swap the references in at each seam the loop of
+    `curve_with_forced_deviation` calls, and numpy's uniform draws for
+    `_uniform`, each counting its calls in `calls`."""
+    def counted(name, reference):
+        def swapped(*args):
+            calls[name] += 1
+            return reference(*args)
+        return swapped
+
+    patched.setattr(bounds, "_curve_modes", counted("modes", reference_curve_modes))
+    patched.setattr(bounds, "_unit_speed_curve", counted("rows", reference_curve_rows))
+    patched.setattr(bounds, "_deviation_into", counted("accept", reference_accept))
+    patched.setattr(bounds.CurveGraphPair, "_accepted",
+                    staticmethod(counted("kept", reference_kept_pair)))
+    patched.setattr(bounds, "_uniform", counted("uniform", reference_uniform))
+
+
 class TestSweepOutputs:
-    """bounds-sweep's stdout and report are byte-identical with the curve
-    references and numpy's uniform draws swapped in."""
+    """bounds-sweep's stdout and report are byte-identical with the
+    references swapped in at every seam the curve loop calls: the draws of
+    the modes, the build of the curve, the accept test on its chord
+    deviation and the kept pair, and numpy's uniform draws.  Each reference
+    counts its calls, to show it ran."""
 
     @pytest.mark.parametrize("argv", [["--grid", "1000", "--seed", "7"],
                                       ["--grid", "10", "--seed", "3"]])
     def test_byte_identical(self, argv, tmp_path):
-        def run():
-            report = tmp_path / "sweep.json"
-            stdout = io.StringIO()
-            with redirect_stdout(stdout):
-                code = cli_main(["bounds-sweep", *argv, "--report", str(report)])
-            return code, stdout.getvalue(), report.read_bytes()
-
-        got = run()
+        draws = max(int(argv[1]), 500)
+        got = _sweep_outputs(argv, tmp_path)
+        calls = collections.Counter()
         with pytest.MonkeyPatch.context() as patched:
-            patched.setattr(bounds, "random_unit_speed_curve", reference_unit_speed_curve)
-            patched.setattr(bounds, "CurveGraphPair", ReferenceCurveGraphPair)
-            patched.setattr(bounds, "_deviation", reference_deviation)
-            patched.setattr(bounds, "_uniform", reference_uniform)
-            want = run()
+            _swap_curve_references(patched, calls)
+            want = _sweep_outputs(argv, tmp_path)
         assert got == want and got[0] == 0
+        # some attempts are rejected in closed form and never built
+        assert calls["modes"] > calls["rows"] == calls["accept"] > calls["kept"] == draws
+        assert calls["uniform"] > 4 * draws   # eps, length and 2 per offset draw at least
 
 
 @pytest.mark.parametrize("argv", [["--grid", "1000", "--seed", "7"],
                                   ["--grid", "0", "--seed", "11"]])
 def test_sweep_byte_identical_with_every_reference(argv, tmp_path):
-    """As `TestSweepOutputs`, with the accept test and the kept pair of
-    `curve_with_forced_deviation`, which take no `_deviation` and no
-    `CurveGraphPair(samples)`, swapped for the references too, and the
-    offset sweep's triangles."""
-    def run():
-        report = tmp_path / "sweep.json"
-        stdout = io.StringIO()
-        with redirect_stdout(stdout):
-            code = cli_main(["bounds-sweep", *argv, "--report", str(report)])
-        return code, stdout.getvalue(), report.read_bytes()
-
-    def reference_accept(rows, chord, diff, sq):
-        return reference_deviation(rows, chord)
-
-    def reference_kept_pair(rows, chord, deviation):
-        return ReferenceCurveGraphPair(rows.T)
-
-    got = run()
+    """As `TestSweepOutputs`, with the offset sweep's triangles swapped for
+    the reference too, and every curve attempt built: the closed-form
+    rejection is swapped for the loop's old path, which rejects none."""
+    got = _sweep_outputs(argv, tmp_path)
+    calls = collections.Counter()
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(bounds, "random_unit_speed_curve", reference_unit_speed_curve)
-        patched.setattr(bounds, "_deviation_into", reference_accept)
-        patched.setattr(bounds.CurveGraphPair, "_accepted", staticmethod(reference_kept_pair))
-        patched.setattr(bounds, "_uniform", reference_uniform)
+        _swap_curve_references(patched, calls)
+        patched.setattr(bounds, "_lens_rejects", lambda *args: False)
         patched.setattr(bounds, "PerturbedTriangle", ReferencePerturbedTriangle)
-        want = run()
+        want = _sweep_outputs(argv, tmp_path)
     assert got == want and got[0] == 0
+    assert calls["modes"] == calls["rows"] == calls["accept"] > calls["kept"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ runs `build-triangular`, `build-wrinkle` (also at the ends of its range,
 1e-8 and 1e-2), `validate`, `tpattern`, `verify` (all theorems and each
 `--theorem`, with `--report` and `--csv`), `bounds-sweep --seed 7 --report`
 at `--grid 100` (500 draws per sweep) and at the benchmark's `--grid 1000`,
-and `sharpness-sweep`.  The same `validate`, `tpattern` and
+`bounds-sweep --report` at `--grid 1000 --seed 1234` and at
+`--grid 0 --seed 11`, and `sharpness-sweep`.  The same `validate`, `tpattern` and
 `verify` commands run on three bands that reach paths the others do not:
 the triangular band with bend 5's top end moved 1e-6 in y, which fails
 validation; the triangular band cut at 1e-6 with the cut leaf's fan vertex
@@ -87,6 +88,7 @@ NEAR_CUTS = (1e-12, 5e-10)
 WRINKLE_B_CUT = 20 + 1e-9
 POSES = ((1, True), (2, False), (3, True))   # (seed, proper)
 THEOREMS = (None, "eff", "eff2", "corollary")
+SWEEPS = (("100", "7"), ("1000", "7"), ("1000", "1234"), ("0", "11"))   # (grid, seed)
 
 
 def _sha(data: bytes) -> str:
@@ -218,8 +220,8 @@ def main() -> None:
                     fh.write(text)
                 for command in ("validate", "tpattern", "verify"):
                     _run([command, "--input", f"malformed-{case}.json"])
-            for grid in ("100", "1000"):
-                _run(["bounds-sweep", "--grid", grid, "--seed", "7", "--report", "sweep.json"],
+            for grid, seed in SWEEPS:
+                _run(["bounds-sweep", "--grid", grid, "--seed", seed, "--report", "sweep.json"],
                      ("sweep.json",))
             _run(["sharpness-sweep", "--epsilons", ",".join(WRINKLE_EPS)])
         finally:
