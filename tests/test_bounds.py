@@ -489,13 +489,12 @@ def test_chord_row_multiplies_equal_the_broadcast():
     # one row at a time, against the (3, 1) by (n,) broadcast
     rng = np.random.default_rng(31)
     t = bounds._chord_weights(1200)[1]
-    rows = rng.normal(size=(3, 1200)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(3, 1))
     for _ in range(200):
+        rows = rng.normal(size=(3, 1200)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(3, 1))
         chord = np.empty((3, 1200))
         for k in range(3):
             np.multiply(t, rows[k, -1], out=chord[k])
         assert chord.tobytes() == (rows[:, -1:] * t).tobytes()
-        rows = rng.normal(size=(3, 1200)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(3, 1))
 
 
 def test_import_builds_no_curve_basis():
